@@ -1,6 +1,6 @@
 // Command experiments regenerates every figure/claim reproduction table
-// (E1–E12 in DESIGN.md) and prints them to stdout. The measured values are
-// the ones recorded in EXPERIMENTS.md.
+// of the E1–E12 experiment index (computed by internal/experiments) and
+// prints them to stdout.
 //
 //	go run ./cmd/experiments
 package main

@@ -22,6 +22,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/value"
@@ -222,13 +223,16 @@ type Network struct {
 	OnSend func(src string)
 
 	sched  *BusSchedule
+	owners []string // distinct slot owners, in first-slot order
 	rng    uint64
 	cursor map[string]uint64 // per-node next claimable global slot index
 	stats  map[string]*BusStats
 
-	names    map[*Store]string
-	stores   map[string]*Store
-	inflight []*netFlight
+	names  map[*Store]string
+	stores map[string]*Store
+	// inflight lists the frames queued or on the wire in send order, linked
+	// through the frames themselves so a frame retires in O(1).
+	inflight flightList
 
 	// mu guards the cross-node shared state above (counters, RNG, cursors,
 	// stats, the in-flight list, dseq and the delivery buffer) when node
@@ -273,6 +277,11 @@ type netFlight struct {
 	seq    uint64 // delivery event sequence number
 	dst    *Store
 
+	// prev and next link the frame into Network.inflight; linked is false
+	// once it has retired (or was never listed).
+	prev, next *netFlight
+	linked     bool
+
 	// TDMA fields (zero on constant-latency frames).
 	src       string // sending node
 	enq       uint64 // enqueue instant
@@ -281,6 +290,54 @@ type netFlight struct {
 	departSeq uint64
 	departed  bool
 	lost      bool
+}
+
+// flightList is an intrusive doubly-linked list of frames in send order.
+type flightList struct {
+	head, tail *netFlight
+	n          int
+}
+
+// push appends f at the tail (the newest send).
+func (l *flightList) push(f *netFlight) {
+	f.prev, f.next, f.linked = l.tail, nil, true
+	if l.tail != nil {
+		l.tail.next = f
+	} else {
+		l.head = f
+	}
+	l.tail = f
+	l.n++
+}
+
+// remove unlinks f; a frame no longer listed is left alone.
+func (l *flightList) remove(f *netFlight) {
+	if !f.linked {
+		return
+	}
+	if f.prev != nil {
+		f.prev.next = f.next
+	} else {
+		l.head = f.next
+	}
+	if f.next != nil {
+		f.next.prev = f.prev
+	} else {
+		l.tail = f.prev
+	}
+	f.prev, f.next, f.linked = nil, nil, false
+	l.n--
+}
+
+// clear unlinks every frame, so a stale event that still retires one of
+// them cannot touch the list again.
+func (l *flightList) clear() {
+	for f := l.head; f != nil; {
+		next := f.next
+		f.prev, f.next, f.linked = nil, nil, false
+		f = next
+	}
+	*l = flightList{}
 }
 
 // NewNetwork creates a constant-latency network over the kernel.
@@ -297,11 +354,11 @@ func NewNetwork(k *Kernel, latencyNs uint64) *Network {
 // schedule resets the jitter/loss RNG to the schedule's seed; it is
 // rejected while frames are in flight (their timing is already committed).
 func (n *Network) SetSchedule(s *BusSchedule) error {
-	if len(n.inflight) > 0 {
-		return fmt.Errorf("dtm: cannot change bus schedule with %d frames in flight", len(n.inflight))
+	if n.inflight.n > 0 {
+		return fmt.Errorf("dtm: cannot change bus schedule with %d frames in flight", n.inflight.n)
 	}
 	if s == nil {
-		n.sched = nil
+		n.sched, n.owners = nil, nil
 		return nil
 	}
 	if err := s.Validate(); err != nil {
@@ -315,7 +372,11 @@ func (n *Network) SetSchedule(s *BusSchedule) error {
 	}
 	// Pre-register every slot owner so Stats can tell "no traffic yet"
 	// (zero stats, ok) from "not on this bus" (ok=false).
+	n.owners = n.owners[:0]
 	for _, sl := range s.Slots {
+		if !slices.Contains(n.owners, sl.Owner) {
+			n.owners = append(n.owners, sl.Owner)
+		}
 		n.nodeStats(sl.Owner)
 	}
 	return nil
@@ -376,7 +437,7 @@ func (n *Network) SendFrom(src, signal string, v value.Value, dst *Store) {
 		f := &netFlight{signal: signal, v: v, enq: now, at: now + n.LatencyNs, dst: dst}
 		f.seq = DeliveryBase + n.dseq
 		n.dseq++
-		n.inflight = append(n.inflight, f)
+		n.inflight.push(f)
 		buffered := n.kernels != nil
 		if buffered {
 			n.pending = append(n.pending, f)
@@ -431,7 +492,7 @@ func (n *Network) SendFrom(src, signal string, v value.Value, dst *Store) {
 	}
 	f.seq = DeliveryBase + n.dseq
 	n.dseq++
-	n.inflight = append(n.inflight, f)
+	n.inflight.push(f)
 	st.Queued++
 	buffered := n.kernels != nil
 	if buffered && !f.lost {
@@ -481,13 +542,8 @@ func (n *Network) DeliveryBound(from uint64) uint64 {
 		return from + n.LatencyNs
 	}
 	best := ^uint64(0)
-	seen := map[string]bool{}
-	for _, sl := range n.sched.Slots {
-		if seen[sl.Owner] {
-			continue
-		}
-		seen[sl.Owner] = true
-		dep, ok := n.sched.EarliestDepart(sl.Owner, n.cursor[sl.Owner], from)
+	for _, owner := range n.owners {
+		dep, ok := n.sched.EarliestDepart(owner, n.cursor[owner], from)
 		if !ok {
 			continue
 		}
@@ -544,17 +600,10 @@ func (n *Network) deliver(f *netFlight) {
 }
 
 // retire removes a frame from the in-flight list (mu held by the caller).
-func (n *Network) retire(f *netFlight) {
-	for i, g := range n.inflight {
-		if g == f {
-			n.inflight = append(n.inflight[:i], n.inflight[i+1:]...)
-			return
-		}
-	}
-}
+func (n *Network) retire(f *netFlight) { n.inflight.remove(f) }
 
 // DropInflight discards every frame queued or on the wire without
-// delivering it. It exists for the state-forking path: a campaign variant
+// delivering it; every TX queue depth drops to zero with them. It exists for the state-forking path: a campaign variant
 // that re-parameterises the bus must SetSchedule before Restore, and
 // SetSchedule refuses while the previous run's frames are still in
 // flight. Dropping is only sound when the kernel is about to be Restored
@@ -563,26 +612,28 @@ func (n *Network) retire(f *netFlight) {
 func (n *Network) DropInflight() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.inflight = n.inflight[:0]
+	n.inflight.clear()
 	n.pending = nil
+	for _, st := range n.stats {
+		st.Queued = 0
+	}
 }
 
 // Inflight returns the number of frames queued or on the wire.
 func (n *Network) Inflight() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return len(n.inflight)
+	return n.inflight.n
 }
 
-// Queued returns the number of frames awaiting departure in TX queues.
+// Queued returns the number of frames awaiting departure in TX queues:
+// the sum of the per-node queue depths.
 func (n *Network) Queued() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	q := 0
-	for _, f := range n.inflight {
-		if f.src != "" && !f.departed {
-			q++
-		}
+	for _, st := range n.stats {
+		q += st.Queued
 	}
 	return q
 }
@@ -666,7 +717,7 @@ func (n *Network) Snapshot() (NetworkState, error) {
 		LatencyNs: n.LatencyNs, Sent: n.Sent, Dropped: n.Dropped,
 		RNG: n.rng, Sched: n.sched, DeliverySeq: n.dseq,
 	}
-	for _, f := range n.inflight {
+	for f := n.inflight.head; f != nil; f = f.next {
 		name, ok := n.names[f.dst]
 		if !ok {
 			return NetworkState{}, fmt.Errorf("dtm: in-flight frame %q to unbound store", f.signal)
@@ -737,7 +788,7 @@ func (n *Network) Restore(st NetworkState) error {
 		v := v
 		n.stats[k] = &v
 	}
-	n.inflight = n.inflight[:0]
+	n.inflight.clear()
 	for _, fs := range st.Flights {
 		dst, ok := n.stores[fs.Dst]
 		if !ok {
@@ -753,7 +804,7 @@ func (n *Network) Restore(st NetworkState) error {
 			departAt: fs.DepartAt, departSeq: fs.DepartSeq,
 			departed: fs.Departed, lost: fs.Lost,
 		}
-		n.inflight = append(n.inflight, f)
+		n.inflight.push(f)
 		tdma := f.src != "" && n.sched != nil
 		if tdma && !f.departed {
 			if err := n.kernelFor(f.src).Rearm(f.departAt, f.departSeq, func(now uint64) { n.depart(f, now) }); err != nil {

@@ -1,5 +1,7 @@
 // Package experiments regenerates every figure and measurable claim of
-// the paper as a printable report (the E1–E12 index in DESIGN.md).
+// the paper as a printable report: the tables of the E1–E12 experiment
+// index (E2, E3 and E8 only time things, so they live in the root
+// benchmarks).
 // cmd/experiments prints all of them; the root benchmarks time the hot
 // paths; the package tests assert the qualitative *shape* the paper
 // claims (who wins, what is zero, what diverges).

@@ -22,6 +22,12 @@ import (
 // frame boundary, which guarantees the decoder can resynchronise after
 // arbitrary line noise: the next genuine frame's SOF aborts whatever
 // damaged frame the decoder was accumulating.
+//
+// The encoder makes one pass and no intermediate buffers: each body byte
+// is folded into the running CRC (which covers the unstuffed bytes) and
+// stuffed straight into the caller's buffer, then the two CRC bytes are
+// stuffed after it. Appending into a buffer with room for the frame
+// allocates nothing.
 
 const (
 	kindEvent       = 0x01
@@ -32,23 +38,111 @@ const (
 	escXor  = 0x20
 )
 
-func packPayload(src, a1, a2 string, val float64) ([]byte, error) {
-	if len(src) > 255 || len(a1) > 255 || len(a2) > 255 {
-		return nil, fmt.Errorf("protocol: string field exceeds 255 bytes")
-	}
-	out := make([]byte, 0, 3+len(src)+len(a1)+len(a2)+8)
-	for _, s := range []string{src, a1, a2} {
-		out = append(out, byte(len(s)))
-		out = append(out, s...)
-	}
-	var fb [8]byte
-	binary.BigEndian.PutUint64(fb[:], math.Float64bits(val))
-	out = append(out, fb[:]...)
-	if len(out) > MaxPayload {
-		return nil, fmt.Errorf("protocol: payload %d exceeds max %d", len(out), MaxPayload)
-	}
-	return out, nil
+// payloadLen is the packed payload length for the three string fields.
+func payloadLen(src, a1, a2 string) int { return 3 + len(src) + len(a1) + len(a2) + 8 }
+
+// UnstuffedLen is the length of e's wire frame before byte stuffing. Stuffing
+// only lengthens a frame, so it is a lower bound on len(AppendEvent(nil, e)).
+func UnstuffedLen(e Event) int {
+	return 1 + headerLen + payloadLen(e.Source, e.Arg1, e.Arg2) + 2
 }
+
+// frameWriter stuffs a frame body into buf while folding every unstuffed
+// byte into the running CRC. Multi-byte fields keep the CRC in a local for
+// the whole field; updating w.crc per byte would store and reload it each
+// time, which costs about a quarter of the encode.
+type frameWriter struct {
+	buf []byte
+	crc uint16
+}
+
+// put appends one body byte: CRC first, then stuffed onto the wire.
+func (w *frameWriter) put(b byte) {
+	w.crc = crcByte(w.crc, b)
+	w.stuff(b)
+}
+
+// stuff appends b, escaping SOF and ESC.
+func (w *frameWriter) stuff(b byte) {
+	if b == SOF || b == escByte {
+		w.buf = append(w.buf, escByte, b^escXor)
+		return
+	}
+	w.buf = append(w.buf, b)
+}
+
+func (w *frameWriter) put16(v uint16) {
+	w.put(byte(v >> 8))
+	w.put(byte(v))
+}
+
+func (w *frameWriter) put64(v uint64) {
+	crc := w.crc
+	for shift := 56; shift >= 0; shift -= 8 {
+		b := byte(v >> shift)
+		crc = crcByte(crc, b)
+		w.stuff(b)
+	}
+	w.crc = crc
+}
+
+// putString appends a length-prefixed string field.
+func (w *frameWriter) putString(s string) {
+	w.put(byte(len(s)))
+	crc := w.crc
+	for i := 0; i < len(s); i++ {
+		crc = crcByte(crc, s[i])
+		w.stuff(s[i])
+	}
+	w.crc = crc
+}
+
+// appendFrame appends one complete stuffed frame to dst. On error dst is
+// returned unchanged.
+func appendFrame(dst []byte, kind, typ byte, seq uint16, t uint64, src, a1, a2 string, val float64) ([]byte, error) {
+	if len(src) > 255 || len(a1) > 255 || len(a2) > 255 {
+		return dst, fmt.Errorf("protocol: string field exceeds 255 bytes")
+	}
+	plen := payloadLen(src, a1, a2)
+	if plen > MaxPayload {
+		return dst, fmt.Errorf("protocol: payload %d exceeds max %d", plen, MaxPayload)
+	}
+	// Worst case every body byte is escaped; reserving that up front keeps
+	// the frame to at most one allocation, and to none in a warm buffer.
+	w := frameWriter{buf: slices.Grow(dst, 1+2*(headerLen+plen+2)), crc: crcInit}
+	w.buf = append(w.buf, SOF)
+	w.put(kind)
+	w.put(typ)
+	w.put16(seq)
+	w.put64(t)
+	w.put16(uint16(plen))
+	w.putString(src)
+	w.putString(a1)
+	w.putString(a2)
+	w.put64(math.Float64bits(val))
+	crc := w.crc
+	w.stuff(byte(crc >> 8))
+	w.stuff(byte(crc))
+	return w.buf, nil
+}
+
+// AppendEvent appends e's wire frame to dst and returns the extended
+// buffer; on error dst is returned unchanged.
+func AppendEvent(dst []byte, e Event) ([]byte, error) {
+	return appendFrame(dst, kindEvent, byte(e.Type), e.Seq, e.Time, e.Source, e.Arg1, e.Arg2, e.Value)
+}
+
+// AppendInstruction appends in's wire frame to dst and returns the
+// extended buffer; on error dst is returned unchanged.
+func AppendInstruction(dst []byte, in Instruction) ([]byte, error) {
+	return appendFrame(dst, kindInstruction, byte(in.Type), in.Seq, 0, in.Source, in.Arg1, "", in.Value)
+}
+
+// EncodeEvent serializes an event to a new wire frame.
+func EncodeEvent(e Event) ([]byte, error) { return AppendEvent(nil, e) }
+
+// EncodeInstruction serializes an instruction to a new wire frame.
+func EncodeInstruction(in Instruction) ([]byte, error) { return AppendInstruction(nil, in) }
 
 func unpackPayload(p []byte) (src, a1, a2 string, val float64, err error) {
 	fields := make([]string, 3)
@@ -70,48 +164,6 @@ func unpackPayload(p []byte) (src, a1, a2 string, val float64, err error) {
 	}
 	val = math.Float64frombits(binary.BigEndian.Uint64(p[pos:]))
 	return fields[0], fields[1], fields[2], val, nil
-}
-
-// stuff escapes SOF and ESC bytes in body.
-func stuff(body []byte) []byte {
-	out := make([]byte, 0, len(body)+4)
-	for _, b := range body {
-		if b == SOF || b == escByte {
-			out = append(out, escByte, b^escXor)
-			continue
-		}
-		out = append(out, b)
-	}
-	return out
-}
-
-func encodeFrame(kind, typ byte, seq uint16, t uint64, payload []byte) []byte {
-	body := make([]byte, 0, headerLen+len(payload)+2)
-	body = append(body, kind, typ)
-	body = binary.BigEndian.AppendUint16(body, seq)
-	body = binary.BigEndian.AppendUint64(body, t)
-	body = binary.BigEndian.AppendUint16(body, uint16(len(payload)))
-	body = append(body, payload...)
-	body = binary.BigEndian.AppendUint16(body, CRC16(body))
-	return append([]byte{SOF}, stuff(body)...)
-}
-
-// EncodeEvent serializes an event to its wire frame.
-func EncodeEvent(e Event) ([]byte, error) {
-	payload, err := packPayload(e.Source, e.Arg1, e.Arg2, e.Value)
-	if err != nil {
-		return nil, err
-	}
-	return encodeFrame(kindEvent, byte(e.Type), e.Seq, e.Time, payload), nil
-}
-
-// EncodeInstruction serializes an instruction to its wire frame.
-func EncodeInstruction(in Instruction) ([]byte, error) {
-	payload, err := packPayload(in.Source, in.Arg1, "", in.Value)
-	if err != nil {
-		return nil, err
-	}
-	return encodeFrame(kindInstruction, byte(in.Type), in.Seq, 0, payload), nil
 }
 
 // Decoder incrementally parses a byte stream into events and instructions.

@@ -34,22 +34,33 @@ func seedFrames(t testing.TB) [][]byte {
 	return [][]byte{ev1, ev2, ev3, in1}
 }
 
+// decoderSeeds is the seed corpus of FuzzDecoderNeverPanics: valid
+// frames, each also truncated and behind leading garbage, a corrupted
+// length, a run of SOFs and a dangling escape.
+func decoderSeeds(t testing.TB) [][]byte {
+	t.Helper()
+	frames := seedFrames(t)
+	var seeds [][]byte
+	for _, fr := range frames {
+		seeds = append(seeds,
+			fr,
+			fr[:len(fr)/2],                 // truncated mid-frame
+			append([]byte{0, 1, 2}, fr...), // leading garbage
+		)
+	}
+	corrupt := append([]byte(nil), frames[0]...)
+	corrupt[15] ^= 0xFF // corrupted length region
+	return append(seeds, corrupt, bytes.Repeat([]byte{SOF}, 300), []byte{SOF, 0x7D})
+}
+
 // FuzzDecoderNeverPanics: any byte stream — truncated frames, corrupted
 // lengths, pure garbage — must decode without panicking, and feeding the
 // same stream byte-at-a-time must yield exactly the same messages as one
 // big Feed (the decoder is a pure streaming state machine).
 func FuzzDecoderNeverPanics(f *testing.F) {
-	frames := seedFrames(f)
-	for _, fr := range frames {
-		f.Add(fr)
-		f.Add(fr[:len(fr)/2])                 // truncated mid-frame
-		f.Add(append([]byte{0, 1, 2}, fr...)) // leading garbage
+	for _, seed := range decoderSeeds(f) {
+		f.Add(seed)
 	}
-	corrupt := append([]byte(nil), frames[0]...)
-	corrupt[15] ^= 0xFF // corrupted length region
-	f.Add(corrupt)
-	f.Add(bytes.Repeat([]byte{SOF}, 300))
-	f.Add([]byte{SOF, 0x7D})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var whole Decoder
 		evs, ins := whole.Feed(data)

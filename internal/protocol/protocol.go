@@ -182,19 +182,36 @@ type Instruction struct {
 	Value  float64
 }
 
-// CRC16 computes CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF), the
-// checksum traditionally used on serial debug links.
-func CRC16(data []byte) uint16 {
-	crc := uint16(0xFFFF)
-	for _, b := range data {
-		crc ^= uint16(b) << 8
-		for i := 0; i < 8; i++ {
+// crcInit is the CRC-16/CCITT-FALSE initial value.
+const crcInit = 0xFFFF
+
+// crcTable holds the CRC-16/CCITT-FALSE remainder of every byte value
+// shifted into the high byte, so the checksum advances a byte per lookup.
+var crcTable [256]uint16
+
+func init() {
+	for i := range crcTable {
+		crc := uint16(i) << 8
+		for range 8 {
 			if crc&0x8000 != 0 {
 				crc = crc<<1 ^ 0x1021
 			} else {
 				crc <<= 1
 			}
 		}
+		crcTable[i] = crc
+	}
+}
+
+// crcByte folds one byte into a running CRC-16/CCITT-FALSE.
+func crcByte(crc uint16, b byte) uint16 { return crc<<8 ^ crcTable[byte(crc>>8)^b] }
+
+// CRC16 computes CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF), the
+// checksum traditionally used on serial debug links.
+func CRC16(data []byte) uint16 {
+	crc := uint16(crcInit)
+	for _, b := range data {
+		crc = crcByte(crc, b)
 	}
 	return crc
 }

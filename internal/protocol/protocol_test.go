@@ -152,8 +152,8 @@ func TestOversizePayloadRejected(t *testing.T) {
 }
 
 func TestUnknownKindSkipped(t *testing.T) {
-	payload, _ := packPayload("s", "", "", 0)
-	frame := encodeFrame(0x55, 1, 1, 0, payload) // unknown kind, valid CRC
+	payload, _ := refPackPayload("s", "", "", 0)
+	frame := refEncodeFrame(0x55, 1, 1, 0, payload) // unknown kind, valid CRC
 	var d Decoder
 	evs, ins := d.Feed(frame)
 	if len(evs) != 0 || len(ins) != 0 {
@@ -291,7 +291,7 @@ func TestPayloadUnpackErrors(t *testing.T) {
 	if _, _, _, _, err := unpackPayload([]byte{0, 0, 0, 1, 2, 3}); err == nil {
 		t.Error("bad tail should fail")
 	}
-	ok, _ := packPayload("a", "b", "c", 1)
+	ok, _ := refPackPayload("a", "b", "c", 1)
 	if _, _, _, _, err := unpackPayload(append(ok, 0)); err == nil {
 		t.Error("trailing byte should fail")
 	}

@@ -162,6 +162,9 @@ type Board struct {
 	deferred []*deferredLatch
 	// dropsSeen is the last FramesDropped count reported over the wire.
 	dropsSeen uint64
+	// wire is the reused frame encode buffer; the UART copies each frame
+	// on Send, so the next frame may overwrite it.
+	wire []byte
 
 	// preRelease is the cluster's chance to refresh network-fed inputs
 	// before the user PreLatch hook and input latching run.

@@ -78,6 +78,8 @@ type Cluster struct {
 	parallel bool
 	kernels  map[string]*dtm.Kernel
 	arb      *arbiter
+	// pool holds the parallel workers while a Hold call is open.
+	pool *workers
 	// running guards RunUntil against re-entrant calls (from an event
 	// callback or a second goroutine) — on the serial path that would
 	// corrupt the shared event heap, on the parallel path the worker pool.
@@ -262,7 +264,7 @@ func (c *Cluster) RunUntil(t uint64) {
 	c.running = true
 	defer func() { c.running = false }()
 	if c.parallel {
-		c.runParallel(t)
+		c.Hold(func() { c.runParallel(t) })
 	} else {
 		c.Kernel.RunUntil(t)
 	}

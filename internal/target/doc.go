@@ -200,8 +200,9 @@
 // frame could arrive anywhere. Cross-node sends are arbitrated into serial
 // virtual-time order (each worker publishes its event frontier; a send
 // waits until no live node could still execute an earlier event), minted
-// deliveries are buffered, and the barrier joins the workers, flushes the
-// deliveries into the destination kernels and advances every clock to H.
+// deliveries are buffered, and the barrier waits for every worker to park,
+// flushes the deliveries into the destination kernels and advances every
+// clock to H.
 //
 // The semantics matrix:
 //
@@ -227,12 +228,17 @@
 //	                                                  colliding at equal (at, schedAt)
 //	                                                  is the one construction that
 //	                                                  could diverge
-//	halt / step / host    immediate — everything      workers exist only inside a
-//	tooling               runs on the caller          RunUntil call, so every RunUntil
+//	halt / step / host    immediate — everything      workers live for one outer host
+//	tooling               runs on the caller          call (Cluster.Hold: a RunNs, a
+//	                                                  rewind or a replay; a bare
+//	                                                  RunUntil holds its own) and are
+//	                                                  parked at every barrier between
+//	                                                  its slices, so every RunUntil
 //	                                                  boundary is fully quiescent;
 //	                                                  debugger halt/step/rewind slices
 //	                                                  (repro.DebugCluster) need no
-//	                                                  extra synchronisation
+//	                                                  extra synchronisation, and no
+//	                                                  worker outlives the call
 //	re-entrant RunUntil   panics (would corrupt       panics (would corrupt the worker
 //	                      the event heap)             pool); same guard, both modes
 //	checkpoints           shared kernel in            facade clock in ClusterState.

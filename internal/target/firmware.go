@@ -383,11 +383,12 @@ func (b *Board) emitTemplate(now uint64, t codegen.EventTemplate, v value.Value,
 func (b *Board) send(ev protocol.Event) {
 	b.seq++
 	ev.Seq = b.seq
-	wire, err := protocol.EncodeEvent(ev)
+	wire, err := protocol.AppendEvent(b.wire[:0], ev)
 	if err != nil {
 		b.fail(err)
 		return
 	}
+	b.wire = wire
 	b.portA.Send(wire)
 }
 
@@ -409,27 +410,32 @@ func (b *Board) sync(now uint64) {
 // The report is held back until the FIFO has room for its exact frame, so
 // the report itself is never the next casualty of the saturation it
 // describes; it runs before the deadline sites emit new signal frames, so
-// a permanently saturated line still gets the counter out.
+// a permanently saturated line still gets the counter out. A stuffed
+// frame is never shorter than its unstuffed length, so a FIFO with less
+// room than that is refused before anything is encoded.
 func (b *Board) reportDrops(now uint64) {
 	st := b.portA.Stats()
 	if st.FramesDropped == b.dropsSeen {
 		return
 	}
-	b.seq++
 	ev := protocol.Event{
-		Type: protocol.EvOverrun, Seq: b.seq, Time: now, Source: b.Name,
+		Type: protocol.EvOverrun, Seq: b.seq + 1, Time: now, Source: b.Name,
 		Arg1: "frames", Value: float64(st.FramesDropped),
 	}
-	wire, err := protocol.EncodeEvent(ev)
+	free := b.portA.Free()
+	if free < protocol.UnstuffedLen(ev) {
+		return // hold the report (and its sequence slot) for later
+	}
+	wire, err := protocol.AppendEvent(b.wire[:0], ev)
 	if err != nil {
-		b.seq--
 		b.fail(err)
 		return
 	}
-	if b.portA.Free() < len(wire) {
-		b.seq-- // hold the report (and its sequence slot) for later
+	b.wire = wire
+	if free < len(wire) {
 		return
 	}
+	b.seq++
 	b.dropsSeen = st.FramesDropped
 	b.portA.Send(wire)
 }

@@ -168,35 +168,77 @@ type window struct {
 	incl  bool
 }
 
-// runParallel advances all nodes to t through conservative lookahead
-// windows, on one persistent worker goroutine per node (spawned once per
-// RunUntil call — a typical slice spans several windows, and re-spawning
-// workers per window costs more than the windows themselves). Invariants
-// at every barrier: all workers joined, buffered deliveries flushed into
-// their destination kernels, every kernel (and the facade clock) advanced
-// to the horizon — which makes barriers valid snapshot points,
-// byte-identical to the serial run's.
-func (c *Cluster) runParallel(t uint64) {
-	cmds := make([]chan window, len(c.nodes))
-	var wg sync.WaitGroup
+// workers is the parallel executor's goroutine pool: one worker per node,
+// parked on its command channel between windows.
+type workers struct {
+	cmds []chan window
+	busy sync.WaitGroup // one count per node in the open window
+	live sync.WaitGroup // one count per running worker
+}
+
+// startWorkers starts one worker per node; stop ends them.
+func (c *Cluster) startWorkers() *workers {
+	w := &workers{cmds: make([]chan window, len(c.nodes))}
+	w.live.Add(len(c.nodes))
 	for i, node := range c.nodes {
 		i, k, ch := i, c.kernels[node], make(chan window, 1)
-		cmds[i] = ch
+		w.cmds[i] = ch
 		go func() {
-			for w := range ch {
-				k.RunWindow(w.limit, w.incl, func(at, schedAt uint64) {
+			defer w.live.Done()
+			for win := range ch {
+				k.RunWindow(win.limit, win.incl, func(at, schedAt uint64) {
 					c.arb.publish(i, sendKey{at, schedAt})
 				})
 				c.arb.finish(i)
-				wg.Done()
+				w.busy.Done()
 			}
 		}()
 	}
+	return w
+}
+
+// stop closes every worker's command channel and returns once all of them
+// have exited. Called at a barrier, when every worker is parked.
+func (w *workers) stop() {
+	for _, ch := range w.cmds {
+		close(ch)
+	}
+	w.live.Wait()
+}
+
+// Hold runs fn with the parallel executor's workers started once for the
+// whole call: every RunUntil inside fn hands its windows to the same
+// workers, which stay parked at the barriers between slices, instead of
+// starting a goroutine per node per RunUntil. The workers exit before
+// Hold returns, also when fn returns early or panics, so none outlives
+// the outer host call. Between RunUntil calls every worker is parked, so
+// host tooling inside fn (instructions, inputs, snapshots) sees a
+// quiescent cluster exactly as without Hold. Nested calls reuse the
+// outer workers; on a serial cluster Hold just calls fn.
+func (c *Cluster) Hold(fn func()) {
+	if !c.parallel || c.pool != nil {
+		fn()
+		return
+	}
+	c.pool = c.startWorkers()
 	defer func() {
-		for _, ch := range cmds {
-			close(ch)
-		}
+		c.pool.stop()
+		c.pool = nil
 	}()
+	fn()
+}
+
+// runParallel advances all nodes to t through conservative lookahead
+// windows on the workers of the enclosing Hold (RunUntil opens one for
+// itself when its caller did not). A typical slice spans several
+// windows, and a host session runs many slices per call, so workers are
+// started once per outer host call rather than per window or per slice.
+// Invariants at every barrier: all workers parked, buffered deliveries
+// flushed into their destination kernels, every kernel (and the facade
+// clock) advanced to the horizon — which makes barriers valid snapshot
+// points, byte-identical to the serial run's.
+func (c *Cluster) runParallel(t uint64) {
+	w := c.pool
 	for {
 		start := c.Kernel.Now()
 		limit := c.Net.DeliveryBound(start)
@@ -210,11 +252,11 @@ func (c *Cluster) runParallel(t uint64) {
 			panic(fmt.Sprintf("target: parallel window without lookahead at t=%d", start))
 		}
 		c.arb.reset()
-		wg.Add(len(cmds))
-		for _, ch := range cmds {
+		w.busy.Add(len(w.cmds))
+		for _, ch := range w.cmds {
 			ch <- window{limit: limit, incl: final}
 		}
-		wg.Wait()
+		w.busy.Wait()
 		if err := c.Net.FlushDeliveries(); err != nil {
 			panic(fmt.Sprintf("target: barrier delivery flush: %v", err))
 		}

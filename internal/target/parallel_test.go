@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/comdes"
 	"repro/internal/dtm"
+	"repro/internal/protocol"
 	"repro/internal/value"
 	"repro/models"
 )
@@ -382,5 +385,104 @@ func TestClusterBusStatsUnknown(t *testing.T) {
 	flat := distCluster(t, 300_000)
 	if _, ok := flat.BusStats("nodeA"); ok {
 		t.Error("slot-less network reported bus stats")
+	}
+}
+
+// TestClusterHoldReusesWorkers: under Hold, every RunUntil reuses one set
+// of workers that stay parked between slices. Host instructions sent
+// between slices (checked for races under -race) are serviced exactly as
+// on the serial executor, the workers are the only extra goroutines while
+// Hold is open, and none survives it — also when fn panics.
+func TestClusterHoldReusesWorkers(t *testing.T) {
+	build := func(exec ExecMode) *Cluster {
+		sys, err := models.RingCluster(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var slots []dtm.BusSlot
+		for i := 0; i < 8; i++ {
+			slots = append(slots, dtm.BusSlot{Owner: fmt.Sprintf("node%02d", i), LenNs: 50_000})
+		}
+		cl, err := BuildCluster(sys, ClusterConfig{
+			LatencyNs: 100_000,
+			Bus:       &dtm.BusSchedule{Slots: slots, GapNs: 10_000, JitterNs: 5_000, LossPerMille: 100, Seed: 42},
+			Board:     Config{Baud: 2_000_000},
+			Exec:      exec,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cl
+	}
+	// drive runs 30 one-millisecond slices, draining every UART and sending
+	// every node a write and a read of its bus drop counter after each.
+	drive := func(cl *Cluster) map[string][]byte {
+		uart := map[string][]byte{}
+		for i := 0; i < 30; i++ {
+			cl.RunUntil(cl.Now() + 1_000_000)
+			for _, n := range cl.Nodes() {
+				port := cl.Boards[n].HostPort()
+				uart[n] = append(uart[n], port.Recv()...)
+				for _, in := range []protocol.Instruction{
+					{Type: protocol.InWriteVar, Seq: uint16(2 * i), Source: "__busdrops", Value: float64(i)},
+					{Type: protocol.InReadVar, Seq: uint16(2*i + 1), Source: "__busdrops"},
+				} {
+					wire, err := protocol.EncodeInstruction(in)
+					if err != nil {
+						t.Fatal(err)
+					}
+					port.Send(wire)
+				}
+			}
+		}
+		return uart
+	}
+
+	want := drive(build(ExecSerial))
+	cl := build(ExecParallel)
+	before := runtime.NumGoroutine()
+	var got map[string][]byte
+	cl.Hold(func() {
+		if n := runtime.NumGoroutine() - before; n != len(cl.Nodes()) {
+			t.Errorf("Hold started %d goroutines, want one per node (%d)", n, len(cl.Nodes()))
+		}
+		got = drive(cl)
+	})
+	for n, w := range want {
+		if !bytes.Contains(w, []byte("__busdrops")) {
+			t.Fatalf("node %s never acknowledged an instruction", n)
+		}
+		if !bytes.Equal(got[n], w) {
+			t.Errorf("node %s UART stream under Hold diverges from serial (%d vs %d bytes)", n, len(got[n]), len(w))
+		}
+	}
+	waitWorkersGone(t, before)
+
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("recovered %v, want the fn's panic", r)
+			}
+		}()
+		cl.Hold(func() {
+			cl.RunUntil(cl.Now() + 1_000_000)
+			panic("boom")
+		})
+	}()
+	waitWorkersGone(t, before)
+	cl.RunUntil(cl.Now() + 1_000_000)
+	waitWorkersGone(t, before)
+}
+
+// waitWorkersGone waits until the goroutine count is back to want; a
+// stopped worker is still counted until its last deferred call returns.
+func waitWorkersGone(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d worker goroutines outlived their Hold", runtime.NumGoroutine()-want)
+		}
+		runtime.Gosched()
 	}
 }
