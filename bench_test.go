@@ -409,10 +409,9 @@ func BenchmarkCompile(b *testing.B) {
 
 // BenchmarkClusterParallel times cluster execution of the 32-node placed
 // token ring per virtual millisecond, serial vs parallel. The parallel
-// mode runs each node's kernel on its own goroutine between TDMA lookahead
-// barriers; on a multi-core runner it should beat serial by ≥ 4× at this
-// node count (traces and checkpoints stay byte-identical either way —
-// asserted in internal/target, not here). The ring oversubscribes its
+// mode runs the nodes' kernels on one goroutine per core between TDMA
+// lookahead barriers (traces and checkpoints stay byte-identical either
+// way — asserted in internal/target, not here). The ring oversubscribes its
 // bus, so TX queues grow for as long as it runs: every clusterEpochMs
 // iterations the cluster is restored (untimed) to a warm checkpoint, which
 // keeps the cost per op independent of b.N. The loop runs inside Hold,

@@ -113,7 +113,7 @@ type Kernel struct {
 	ran uint64
 
 	// running guards against re-entrant execution: an event callback (or a
-	// second goroutine) calling back into Step/RunUntil/RunWindow would
+	// second goroutine) calling back into Step/RunUntil/RunMerged would
 	// interleave two pops on one heap — silent corruption. Scheduling from
 	// inside an event stays legal; running does not.
 	running bool
@@ -297,32 +297,56 @@ func (k *Kernel) RunUntil(t uint64) {
 	}
 }
 
-// RunWindow executes pending events with at < limit (at <= limit when incl
-// is set) without advancing the clock past them, invoking onEvent with
-// each event's (at, schedAt) immediately before it runs. It is the
-// parallel cluster's per-node worker loop: onEvent publishes the node's
+// RunMerged executes the pending events of several kernels as one merged
+// stream: events with at < limit (at <= limit when incl is set), in
+// (at, schedAt, kernel index) order, each on its own kernel, without
+// advancing any clock past its last executed event. onEvent, when set,
+// sees each event's kernel index and (at, schedAt) immediately before it
+// runs. It is the parallel cluster's worker loop: one goroutine runs the
+// per-node kernels of a shard of nodes, onEvent publishes the shard's
 // event frontier so cross-node sends can be arbitrated into virtual-time
 // order, and the exclusive limit is the conservative lookahead barrier —
 // no event at or beyond it may run before the barrier merges cross-node
-// effects. The clock is left at the last executed event (the caller
-// advances it to the barrier explicitly with AdvanceTo).
-func (k *Kernel) RunWindow(limit uint64, incl bool, onEvent func(at, schedAt uint64)) {
-	k.enter()
-	defer k.leave()
-	for len(k.pq) > 0 {
-		at := k.pq[0].at
-		if at > limit || (!incl && at == limit) {
+// effects. The caller advances the clocks to the barrier explicitly with
+// AdvanceTo. With one kernel this is a plain windowed run. Every kernel's
+// head is re-examined before each event, so an event may schedule onto
+// any kernel of the merge; a kernel listed twice panics as a re-entrant
+// run.
+func RunMerged(ks []*Kernel, limit uint64, incl bool, onEvent func(i int, at, schedAt uint64)) {
+	entered := 0
+	defer func() {
+		for _, k := range ks[:entered] {
+			k.leave()
+		}
+	}()
+	for _, k := range ks {
+		k.enter()
+		entered++
+	}
+	for {
+		m := -1
+		var mat, msched uint64
+		for i, k := range ks {
+			if len(k.pq) == 0 {
+				continue
+			}
+			head := &k.pq[0]
+			if m < 0 || head.at < mat || (head.at == mat && head.schedAt < msched) {
+				m, mat, msched = i, head.at, head.schedAt
+			}
+		}
+		if m < 0 || mat > limit || (!incl && mat == limit) {
 			return
 		}
 		if onEvent != nil {
-			onEvent(at, k.pq[0].schedAt)
+			onEvent(m, mat, msched)
 		}
-		k.step()
+		ks[m].step()
 	}
 }
 
 // AdvanceTo moves the clock forward to t without running anything; it is
-// the barrier half of RunWindow. Moving backwards is a no-op.
+// the barrier half of RunMerged. Moving backwards is a no-op.
 func (k *Kernel) AdvanceTo(t uint64) {
 	if t > k.now {
 		k.now = t

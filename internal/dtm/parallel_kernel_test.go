@@ -109,38 +109,95 @@ func TestScheduleAtForeignIdentity(t *testing.T) {
 	}
 }
 
-// TestRunWindowBarrierSemantics: exclusive windows stop strictly below the
-// limit, the final window is inclusive, onEvent sees each event's
-// (at, schedAt) before it runs, and AdvanceTo moves the clock only forward.
-func TestRunWindowBarrierSemantics(t *testing.T) {
-	k := NewKernel()
-	var ran []uint64
-	for _, at := range []uint64{10, 20, 30} {
-		at := at
-		_ = k.Schedule(at, func(uint64) { ran = append(ran, at) })
-	}
-	var front []string
-	onEvent := func(at, schedAt uint64) { front = append(front, fmt.Sprintf("%d/%d", at, schedAt)) }
+// TestRunMergedBarrierSemantics: exclusive windows stop strictly below the
+// limit, the final window is inclusive, onEvent sees each event's kernel
+// index and (at, schedAt) before it runs, and AdvanceTo moves the clock
+// only forward — with one kernel (the plain windowed run) and with three
+// merged kernels.
+func TestRunMergedBarrierSemantics(t *testing.T) {
+	for _, n := range []int{1, 3} {
+		t.Run(fmt.Sprintf("kernels=%d", n), func(t *testing.T) {
+			ks := make([]*Kernel, n)
+			for i := range ks {
+				ks[i] = NewKernel()
+			}
+			var ran []string
+			for _, at := range []uint64{10, 20, 30} {
+				for i, k := range ks {
+					_ = k.Schedule(at, func(uint64) { ran = append(ran, fmt.Sprintf("%d@%d", i, at)) })
+				}
+			}
+			var front []string
+			onEvent := func(i int, at, schedAt uint64) { front = append(front, fmt.Sprintf("%d:%d/%d", i, at, schedAt)) }
+			want := func(ats ...uint64) (r, f string) {
+				var rs, fs []string
+				for _, at := range ats {
+					for i := range ks {
+						rs = append(rs, fmt.Sprintf("%d@%d", i, at))
+						fs = append(fs, fmt.Sprintf("%d:%d/0", i, at))
+					}
+				}
+				return fmt.Sprint(rs), fmt.Sprint(fs)
+			}
 
-	k.RunWindow(20, false, onEvent)
-	if fmt.Sprint(ran) != "[10]" {
-		t.Fatalf("exclusive window ran %v", ran)
+			RunMerged(ks, 20, false, onEvent)
+			if r, _ := want(10); fmt.Sprint(ran) != r {
+				t.Fatalf("exclusive window ran %v, want %s", ran, r)
+			}
+			for i, k := range ks {
+				if k.Now() != 10 {
+					t.Fatalf("kernel %d clock %d after window (must sit at last event)", i, k.Now())
+				}
+				k.AdvanceTo(20)
+				k.AdvanceTo(5) // backwards: no-op
+				if k.Now() != 20 {
+					t.Fatalf("AdvanceTo left kernel %d clock at %d", i, k.Now())
+				}
+			}
+			RunMerged(ks, 30, true, onEvent)
+			r, f := want(10, 20, 30)
+			if fmt.Sprint(ran) != r {
+				t.Fatalf("inclusive window ran %v, want %s", ran, r)
+			}
+			if fmt.Sprint(front) != f {
+				t.Fatalf("frontier = %v, want %s", front, f)
+			}
+		})
 	}
-	if k.Now() != 10 {
-		t.Fatalf("clock %d after window (must sit at last event)", k.Now())
+}
+
+// TestRunMergedOrder: the merged stream is ordered by (at, schedAt, kernel
+// index), events scheduled mid-window onto any merged kernel join it, and
+// a kernel listed twice panics as a re-entrant run without wedging the
+// kernels.
+func TestRunMergedOrder(t *testing.T) {
+	ks := []*Kernel{NewKernel(), NewKernel(), NewKernel()}
+	var ran []string
+	note := func(s string) func(uint64) { return func(uint64) { ran = append(ran, s) } }
+	// Kernel 2 schedules its t=50 event from an event at t=40, so that
+	// event carries schedAt 40 and runs after both (50, 0) events, which
+	// then tie on (at, schedAt) and run in kernel order.
+	_ = ks[2].Schedule(40, func(uint64) {
+		ran = append(ran, "2@40")
+		_ = ks[2].Schedule(50, note("2@50/40"))
+		_ = ks[0].Schedule(45, note("0@45/40")) // foreign kernel, mid-window
+	})
+	_ = ks[1].Schedule(50, note("1@50/0"))
+	_ = ks[0].Schedule(50, note("0@50/0"))
+	RunMerged(ks, 100, false, nil)
+	if got, want := fmt.Sprint(ran), "[2@40 0@45/40 0@50/0 1@50/0 2@50/40]"; got != want {
+		t.Fatalf("merged order %s, want %s", got, want)
 	}
-	k.AdvanceTo(20)
-	k.AdvanceTo(5) // backwards: no-op
-	if k.Now() != 20 {
-		t.Fatalf("AdvanceTo left clock at %d", k.Now())
-	}
-	k.RunWindow(30, true, onEvent)
-	if fmt.Sprint(ran) != "[10 20 30]" {
-		t.Fatalf("inclusive window ran %v", ran)
-	}
-	if fmt.Sprint(front) != "[10/0 20/0 30/0]" {
-		t.Fatalf("frontier = %v", front)
-	}
+
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("duplicate kernel did not panic")
+			}
+		}()
+		RunMerged([]*Kernel{ks[0], ks[0]}, 200, true, nil)
+	}()
+	RunMerged(ks, 200, true, nil) // the guard was released
 }
 
 // TestKernelReentrancyPanics: running the kernel from inside an event is

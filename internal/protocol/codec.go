@@ -144,10 +144,13 @@ func EncodeEvent(e Event) ([]byte, error) { return AppendEvent(nil, e) }
 // EncodeInstruction serializes an instruction to a new wire frame.
 func EncodeInstruction(in Instruction) ([]byte, error) { return AppendInstruction(nil, in) }
 
-func unpackPayload(p []byte) (src, a1, a2 string, val float64, err error) {
-	fields := make([]string, 3)
+// unpackPayload splits a payload into its three string fields and the
+// value. The strings come from the decoder's intern table, so a payload
+// whose names were seen before allocates nothing.
+func (d *Decoder) unpackPayload(p []byte) (src, a1, a2 string, val float64, err error) {
+	var fields [3]string
 	pos := 0
-	for i := 0; i < 3; i++ {
+	for i := range fields {
 		if pos >= len(p) {
 			return "", "", "", 0, fmt.Errorf("protocol: truncated payload")
 		}
@@ -156,7 +159,7 @@ func unpackPayload(p []byte) (src, a1, a2 string, val float64, err error) {
 		if pos+n > len(p) {
 			return "", "", "", 0, fmt.Errorf("protocol: string field overruns payload")
 		}
-		fields[i] = string(p[pos : pos+n])
+		fields[i] = d.intern(p[pos : pos+n])
 		pos += n
 	}
 	if pos+8 != len(p) {
@@ -164,6 +167,32 @@ func unpackPayload(p []byte) (src, a1, a2 string, val float64, err error) {
 	}
 	val = math.Float64frombits(binary.BigEndian.Uint64(p[pos:]))
 	return fields[0], fields[1], fields[2], val, nil
+}
+
+// maxInterned bounds a Decoder's intern table. A model's vocabulary
+// (machines, states, signals, tasks) is far smaller; a stream with more
+// distinct names than this still decodes correctly, the table just starts
+// over when it is full, so a hostile or generated model cannot grow a
+// decoder's memory without bound.
+const maxInterned = 1024
+
+// intern returns b as a string, reusing the copy made the last time the
+// same bytes were seen. The lookup m[string(b)] does not allocate.
+func (d *Decoder) intern(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	if s, ok := d.names[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if d.names == nil {
+		d.names = make(map[string]string)
+	} else if len(d.names) >= maxInterned {
+		clear(d.names)
+	}
+	d.names[s] = s
+	return s
 }
 
 // Decoder incrementally parses a byte stream into events and instructions.
@@ -176,19 +205,26 @@ type Decoder struct {
 	noise   bool // inside a run of pre-SOF noise (coalesced error count)
 	Errors  int
 
+	// events and instructions collect one Feed's output; the next Feed
+	// reuses their arrays.
 	events       []Event
 	instructions []Instruction
+	// names interns decoded strings (at most maxInterned entries). It is a
+	// cache, not deframing state: Snapshot and Restore ignore it.
+	names map[string]string
 }
 
-// Feed appends data and returns all complete, valid messages decoded so
-// far, in arrival order per slice.
+// Feed appends data and returns the complete, valid messages it decoded,
+// in arrival order per slice. The returned slices alias buffers the
+// decoder reuses: they are valid until the next Feed or Restore, so a
+// caller that keeps messages longer must copy them (copying the Event and
+// Instruction values is enough — their strings are immutable).
 func (d *Decoder) Feed(data []byte) ([]Event, []Instruction) {
+	d.events, d.instructions = d.events[:0], d.instructions[:0]
 	for _, b := range data {
 		d.step(b)
 	}
-	evs, ins := d.events, d.instructions
-	d.events, d.instructions = nil, nil
-	return evs, ins
+	return d.events, d.instructions
 }
 
 // step advances the deframing state machine by one raw byte.
@@ -205,8 +241,8 @@ func (d *Decoder) step(b byte) {
 		return
 	}
 	if !d.inFrame {
-		// Noise before the first SOF; count once per run via Errors on the
-		// next SOF? Keep it simple: count each orphan byte run lazily.
+		// A byte outside any frame is line noise. A run of noise counts as
+		// one error, however long it is (see noteNoise).
 		d.noteNoise()
 		return
 	}
@@ -221,7 +257,9 @@ func (d *Decoder) step(b byte) {
 	d.tryComplete()
 }
 
-// noiseNoted coalesces leading-noise error counting to once per run.
+// noteNoise coalesces noise error counting: the first noise byte since the
+// decoder started or last decoded a frame counts one error, the rest of
+// the run none.
 func (d *Decoder) noteNoise() {
 	if !d.noise {
 		d.noise = true
@@ -263,7 +301,7 @@ func (d *Decoder) tryComplete() {
 	kind, typ := frame[0], frame[1]
 	seq := binary.BigEndian.Uint16(frame[2:4])
 	tstamp := binary.BigEndian.Uint64(frame[4:12])
-	src, a1, a2, val, err := unpackPayload(frame[headerLen : total-2])
+	src, a1, a2, val, err := d.unpackPayload(frame[headerLen : total-2])
 	if err != nil {
 		d.Errors++
 	} else {
@@ -305,9 +343,9 @@ func (st DecoderState) Clone() DecoderState {
 	return cp
 }
 
-// Snapshot captures the deframing state. Decoded-but-undrained messages
-// are not part of it: callers drain Feed's return values synchronously, so
-// at any quiescent point the pending slices are empty.
+// Snapshot captures the deframing state. Decoded messages are not part of
+// it: Feed hands back everything it decoded, and callers consume the
+// result synchronously.
 func (d *Decoder) Snapshot() DecoderState {
 	st := DecoderState{InFrame: d.inFrame, Esc: d.esc, Noise: d.noise, Errors: d.Errors}
 	if len(d.body) > 0 {
@@ -323,5 +361,5 @@ func (d *Decoder) Restore(st DecoderState) {
 	d.esc = st.Esc
 	d.noise = st.Noise
 	d.Errors = st.Errors
-	d.events, d.instructions = nil, nil
+	d.events, d.instructions = d.events[:0], d.instructions[:0]
 }

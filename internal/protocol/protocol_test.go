@@ -282,17 +282,18 @@ func TestQuickDecoderTotal(t *testing.T) {
 }
 
 func TestPayloadUnpackErrors(t *testing.T) {
-	if _, _, _, _, err := unpackPayload([]byte{}); err == nil {
+	var d Decoder
+	if _, _, _, _, err := d.unpackPayload([]byte{}); err == nil {
 		t.Error("empty payload should fail")
 	}
-	if _, _, _, _, err := unpackPayload([]byte{5, 'a'}); err == nil {
+	if _, _, _, _, err := d.unpackPayload([]byte{5, 'a'}); err == nil {
 		t.Error("overrun should fail")
 	}
-	if _, _, _, _, err := unpackPayload([]byte{0, 0, 0, 1, 2, 3}); err == nil {
+	if _, _, _, _, err := d.unpackPayload([]byte{0, 0, 0, 1, 2, 3}); err == nil {
 		t.Error("bad tail should fail")
 	}
 	ok, _ := refPackPayload("a", "b", "c", 1)
-	if _, _, _, _, err := unpackPayload(append(ok, 0)); err == nil {
+	if _, _, _, _, err := d.unpackPayload(append(ok, 0)); err == nil {
 		t.Error("trailing byte should fail")
 	}
 }

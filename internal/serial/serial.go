@@ -48,12 +48,22 @@ type inflight struct {
 	arrival uint64
 }
 
+// direction is one transmit direction. The bytes in flight are
+// queue[head:]; delivered bytes ahead of head are reclaimed in place when
+// the queue would otherwise grow, so a warm link reuses one backing array.
+// rx collects delivered bytes; spare is the other half of its double
+// buffer, the slice the previous Recv handed out.
 type direction struct {
 	queue    []inflight
+	head     int
 	rx       []byte
+	spare    []byte
 	lineFree uint64 // time the line becomes free for the next byte
 	stats    Stats
 }
+
+// pending returns the bytes still on the wire, oldest first.
+func (dir *direction) pending() []inflight { return dir.queue[dir.head:] }
 
 // NewLink creates a link at the given baud rate (e.g. 115200). The
 // in-flight queue per direction holds up to 4096 bytes; senders beyond
@@ -96,15 +106,15 @@ func (l *Link) Advance(now uint64) {
 	l.now = now
 	for d := range l.dirs {
 		dir := &l.dirs[d]
-		i := 0
-		for ; i < len(dir.queue); i++ {
-			if dir.queue[i].arrival > now {
-				break
-			}
+		i := dir.head
+		for ; i < len(dir.queue) && dir.queue[i].arrival <= now; i++ {
 			dir.rx = append(dir.rx, dir.queue[i].b)
-			dir.stats.Bytes++
 		}
-		dir.queue = dir.queue[i:]
+		dir.stats.Bytes += uint64(i - dir.head)
+		if i == len(dir.queue) {
+			dir.queue, i = dir.queue[:0], 0
+		}
+		dir.head = i
 	}
 }
 
@@ -119,11 +129,16 @@ func (l *Link) send(d int, data []byte) {
 		return
 	}
 	dir := &l.dirs[d]
-	if len(dir.queue)+len(data) > l.limit {
+	if len(dir.queue)-dir.head+len(data) > l.limit {
 		dir.stats.Dropped += uint64(len(data))
 		dir.stats.Overruns++
 		dir.stats.FramesDropped++
 		return
+	}
+	if dir.head > 0 && len(dir.queue)+len(data) > cap(dir.queue) {
+		// Reclaim the delivered prefix instead of growing the array.
+		dir.queue = dir.queue[:copy(dir.queue, dir.queue[dir.head:])]
+		dir.head = 0
 	}
 	for _, b := range data {
 		start := dir.lineFree
@@ -137,11 +152,13 @@ func (l *Link) send(d int, data []byte) {
 	}
 }
 
-// recv drains the received bytes for direction d.
+// recv drains the received bytes for direction d. The returned slice is
+// the filled half of the double buffer; the other half collects the next
+// deliveries, so the result stays intact until the following recv.
 func (l *Link) recv(d int) []byte {
 	dir := &l.dirs[d]
 	out := dir.rx
-	dir.rx = nil
+	dir.rx, dir.spare = dir.spare[:0], out
 	return out
 }
 
@@ -149,7 +166,7 @@ func (l *Link) recv(d int) []byte {
 func (l *Link) busyUntil(d int) uint64 { return l.dirs[d].lineFree }
 
 // free reports the remaining FIFO space in direction d.
-func (l *Link) free(d int) int { return l.limit - len(l.dirs[d].queue) }
+func (l *Link) free(d int) int { return l.limit - len(l.dirs[d].pending()) }
 
 // Port is one endpoint of the link.
 type Port struct {
@@ -166,7 +183,10 @@ func (l *Link) PortB() *Port { return &Port{l: l, out: 1} }
 // Send queues data for transmission at the link's current virtual time.
 func (p *Port) Send(data []byte) { p.l.send(p.out, data) }
 
-// Recv returns the bytes that have fully arrived at this port.
+// Recv returns the bytes that have fully arrived at this port since the
+// previous Recv. The result aliases a buffer the link reuses: it is valid
+// until the next Recv on this port, so a caller that keeps the bytes
+// longer must copy them.
 func (p *Port) Recv() []byte { return p.l.recv(1 - p.out) }
 
 // BusyUntil reports when this port's transmit line becomes free; the

@@ -60,9 +60,9 @@ func (l *Link) Snapshot() LinkState {
 	for d := range l.dirs {
 		dir := &l.dirs[d]
 		ds := DirectionState{LineFree: dir.lineFree, Stats: dir.stats}
-		if len(dir.queue) > 0 {
-			ds.Queue = make([]InflightState, len(dir.queue))
-			for i, q := range dir.queue {
+		if pend := dir.pending(); len(pend) > 0 {
+			ds.Queue = make([]InflightState, len(pend))
+			for i, q := range pend {
 				ds.Queue[i] = InflightState{B: q.b, Arrival: q.arrival}
 			}
 		}
@@ -85,7 +85,7 @@ func (l *Link) Restore(st LinkState) error {
 	for d := range l.dirs {
 		dir := &l.dirs[d]
 		ds := st.Dirs[d]
-		dir.queue = dir.queue[:0]
+		dir.queue, dir.head = dir.queue[:0], 0
 		for _, q := range ds.Queue {
 			dir.queue = append(dir.queue, inflight{b: q.B, arrival: q.Arrival})
 		}

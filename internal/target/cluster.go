@@ -2,6 +2,7 @@ package target
 
 import (
 	"fmt"
+	"runtime"
 
 	"repro/internal/codegen"
 	"repro/internal/comdes"
@@ -24,9 +25,10 @@ const (
 	ExecAuto ExecMode = iota
 	// ExecSerial drains a single shared kernel on the calling goroutine.
 	ExecSerial
-	// ExecParallel runs each node's kernel on its own goroutine between
-	// delivery-bound barriers; traces, goldens and checkpoints are
-	// byte-identical to ExecSerial.
+	// ExecParallel runs each node on its own kernel between delivery-bound
+	// barriers, one goroutine per core advancing a contiguous shard of the
+	// nodes; traces, goldens and checkpoints are byte-identical to
+	// ExecSerial.
 	ExecParallel
 )
 
@@ -74,9 +76,12 @@ type Cluster struct {
 
 	// parallel is set when nodes execute on per-node kernels between
 	// delivery-bound barriers; kernels maps node -> its kernel (same
-	// iteration identity as nodes).
+	// iteration identity as nodes). shards splits the sorted nodes into
+	// one contiguous run per concurrently executing goroutine; arb orders
+	// cross-shard sends (nil with a single shard).
 	parallel bool
 	kernels  map[string]*dtm.Kernel
+	shards   []shard
 	arb      *arbiter
 	// pool holds the parallel workers while a Hold call is open.
 	pool *workers
@@ -114,8 +119,7 @@ func BuildCluster(sys *comdes.System, cfg ClusterConfig) (*Cluster, error) {
 			c.kernels[node] = dtm.NewKernel()
 		}
 		c.Net.SetNodeKernels(c.kernels)
-		c.arb = newArbiter(c.nodes)
-		c.Net.OnSend = c.arb.await
+		c.setShards(runtime.GOMAXPROCS(0))
 	}
 	if cfg.Bus != nil {
 		if err := c.Net.SetSchedule(cfg.Bus); err != nil {

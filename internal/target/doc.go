@@ -194,33 +194,47 @@
 // lookahead is LatencyNs).
 //
 // Parallel mode is conservative parallel discrete-event simulation: each
-// node owns a dtm.Kernel and a worker goroutine; RunUntil advances all of
-// them concurrently through windows [start, H) where H =
+// node owns a dtm.Kernel, and the sorted nodes are split into one
+// contiguous shard per core (min(GOMAXPROCS, nodes) shards, fixed when the
+// cluster is built). One goroutine runs a shard's kernels as a single
+// event stream merged in (at, schedAt, node index) order
+// (dtm.RunMerged); the calling goroutine runs shard 0 and a worker each of
+// the others, so a one-shard cluster starts no goroutine. RunUntil
+// advances the shards concurrently through windows [start, H) where H =
 // Network.DeliveryBound(start), the earliest instant any not-yet-submitted
 // frame could arrive anywhere. Cross-node sends are arbitrated into serial
-// virtual-time order (each worker publishes its event frontier; a send
-// waits until no live node could still execute an earlier event), minted
-// deliveries are buffered, and the barrier waits for every worker to park,
-// flushes the deliveries into the destination kernels and advances every
-// clock to H.
+// virtual-time order (each shard publishes its event frontier; a send
+// waits until no other live shard could still execute an earlier event),
+// minted deliveries are buffered, and the barrier waits for every shard to
+// finish its window, flushes the deliveries into the destination kernels
+// and advances every clock to H.
 //
 // The semantics matrix:
 //
 //	aspect                serial (shared kernel)      parallel (per-node kernels)
-//	event order           one heap, (at, schedAt,     per-node heaps; cross-node
-//	                      seq) order                  effects merged at barriers with
-//	                                                  their original (at, schedAt, seq)
-//	                                                  identity, so traces, goldens and
-//	                                                  stats are byte-identical
+//	event order           one heap, (at, schedAt,     per-node heaps, merged per shard
+//	                      seq) order                  in (at, schedAt, node index)
+//	                                                  order; cross-node effects merged
+//	                                                  at barriers with their original
+//	                                                  (at, schedAt, seq) identity, so
+//	                                                  traces, goldens and stats are
+//	                                                  byte-identical for every shard
+//	                                                  count
+//	goroutines            the caller only             one per shard: the caller runs
+//	                                                  shard 0, Cluster.Hold starts
+//	                                                  shards−1 workers (none with one
+//	                                                  shard or one core)
 //	shared-state draws    heap order                  send arbitration: RNG, slot
 //	(jitter/loss RNG,                                 cursors and delivery numbering
 //	slot cursors)                                     are claimed in exactly the serial
 //	                                                  order
 //	equal-instant ties    (at, schedAt, seq) — seq    the send frontier carries
-//	                      assigned at schedule time   (at, schedAt); seq is per-kernel
-//	                                                  and incomparable across nodes, so
-//	                                                  a full-prefix tie falls back to
-//	                                                  sorted node order — identical to
+//	                      assigned at schedule time   (at, schedAt, node index); seq
+//	                                                  is per-kernel and incomparable
+//	                                                  across nodes, so a full-prefix
+//	                                                  tie falls back to sorted node
+//	                                                  order (also inside a shard's
+//	                                                  merge) — identical to
 //	                                                  serial for release chains
 //	                                                  grounding out in Start() (which
 //	                                                  schedules nodes in sorted order);

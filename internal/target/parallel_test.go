@@ -391,8 +391,9 @@ func TestClusterBusStatsUnknown(t *testing.T) {
 // TestClusterHoldReusesWorkers: under Hold, every RunUntil reuses one set
 // of workers that stay parked between slices. Host instructions sent
 // between slices (checked for races under -race) are serviced exactly as
-// on the serial executor, the workers are the only extra goroutines while
-// Hold is open, and none survives it — also when fn panics.
+// on the serial executor, the workers — one per shard after the first,
+// the caller running shard 0 — are the only extra goroutines while Hold
+// is open, and none survives it — also when fn panics.
 func TestClusterHoldReusesWorkers(t *testing.T) {
 	build := func(exec ExecMode) *Cluster {
 		sys, err := models.RingCluster(8)
@@ -443,8 +444,8 @@ func TestClusterHoldReusesWorkers(t *testing.T) {
 	before := runtime.NumGoroutine()
 	var got map[string][]byte
 	cl.Hold(func() {
-		if n := runtime.NumGoroutine() - before; n != len(cl.Nodes()) {
-			t.Errorf("Hold started %d goroutines, want one per node (%d)", n, len(cl.Nodes()))
+		if n, want := runtime.NumGoroutine()-before, len(cl.shards)-1; n != want {
+			t.Errorf("Hold started %d goroutines, want one per shard after the first (%d)", n, want)
 		}
 		got = drive(cl)
 	})
@@ -484,5 +485,130 @@ func waitWorkersGone(t *testing.T, want int) {
 			t.Fatalf("%d worker goroutines outlived their Hold", runtime.NumGoroutine()-want)
 		}
 		runtime.Gosched()
+	}
+}
+
+// standardBusCluster builds sys on the TDMA schedule the gmdf CLI and the
+// farm put under a placed model: 100 µs slot per node, 50 µs gaps, 20 µs
+// release jitter, 10% seeded loss, 100 µs propagation, 2 Mbaud boards.
+func standardBusCluster(t *testing.T, sys func() (*comdes.System, error), exec ExecMode) *Cluster {
+	t.Helper()
+	s, err := sys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bus := &dtm.BusSchedule{GapNs: 50_000, JitterNs: 20_000, LossPerMille: 100, Seed: 2010}
+	for _, node := range s.Nodes() {
+		bus.Slots = append(bus.Slots, dtm.BusSlot{Owner: node, LenNs: 100_000})
+	}
+	cl, err := BuildCluster(s, ClusterConfig{LatencyNs: 100_000, Bus: bus, Board: Config{Baud: 2_000_000}, Exec: exec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cl
+}
+
+// snapshotJSON is the serialized checkpoint of cl at a slice boundary.
+func snapshotJSON(t *testing.T, cl *Cluster) []byte {
+	t.Helper()
+	st, err := cl.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// TestClusterShardCountsIdentical forces the parallel executor onto 1, 2,
+// 3, 5 and 16 shards whatever the host's core count. Every shard count
+// must reproduce the serial run's UART streams, bus stats and clock byte
+// for byte, and checkpoint to the same JSON as every other shard count —
+// at a cut between slices, at the end, and after a restore at the cut
+// into a fresh cluster with a different shard count. Run under -race in
+// CI.
+func TestClusterShardCountsIdentical(t *testing.T) {
+	cases := []struct {
+		name string
+		sys  func() (*comdes.System, error)
+	}{
+		{"ring16", func() (*comdes.System, error) { return models.RingCluster(16) }},
+		{"dist", models.Distributed},
+	}
+	const cut, ms = 15, 30
+	for _, m := range cases {
+		t.Run(m.name, func(t *testing.T) {
+			want := collectTrace(t, standardBusCluster(t, m.sys, ExecSerial), ms)
+			var wantCut, wantEnd []byte
+			for _, n := range []int{1, 2, 3, 5, 16} {
+				t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+					cl := standardBusCluster(t, m.sys, ExecParallel)
+					cl.setShards(n)
+					if got := len(cl.shards); got != min(n, len(cl.Nodes())) {
+						t.Fatalf("%d shards, want %d", got, min(n, len(cl.Nodes())))
+					}
+					pre := collectTrace(t, cl, cut)
+					atCut := snapshotJSON(t, cl)
+
+					fresh := standardBusCluster(t, m.sys, ExecParallel)
+					fresh.setShards(n%3 + 1)
+					var st ClusterState
+					if err := json.Unmarshal(atCut, &st); err != nil {
+						t.Fatal(err)
+					}
+					if err := fresh.Restore(&st); err != nil {
+						t.Fatal(err)
+					}
+					for _, run := range []*Cluster{cl, fresh} {
+						post := collectTrace(t, run, ms-cut)
+						got := clusterTrace{uart: map[string][]byte{}, summary: post.summary}
+						for node, b := range pre.uart {
+							got.uart[node] = append(append([]byte(nil), b...), post.uart[node]...)
+						}
+						diffTraces(t, want, got)
+					}
+					end, freshEnd := snapshotJSON(t, cl), snapshotJSON(t, fresh)
+					if !bytes.Equal(end, freshEnd) {
+						t.Error("cluster restored at the cut checkpoints differently from the uninterrupted run")
+					}
+					if wantCut == nil {
+						wantCut, wantEnd = atCut, end
+					}
+					if !bytes.Equal(atCut, wantCut) || !bytes.Equal(end, wantEnd) {
+						t.Errorf("checkpoint differs from the one-shard run's")
+					}
+				})
+			}
+		})
+	}
+}
+
+// TestClusterShardsFollowCores: BuildCluster sizes the shards by
+// GOMAXPROCS, capped at the node count, and on one core the parallel
+// executor starts no goroutine at all — Hold runs every window on the
+// caller.
+func TestClusterShardsFollowCores(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 3, 64} {
+		runtime.GOMAXPROCS(procs)
+		cl := standardBusCluster(t, func() (*comdes.System, error) { return models.RingCluster(16) }, ExecAuto)
+		if want := min(procs, 16); len(cl.shards) != want {
+			t.Fatalf("GOMAXPROCS=%d: %d shards, want %d", procs, len(cl.shards), want)
+		}
+		if procs != 1 {
+			continue
+		}
+		before := runtime.NumGoroutine()
+		cl.Hold(func() {
+			cl.RunUntil(5_000_000)
+			if n := runtime.NumGoroutine(); n != before {
+				t.Errorf("one-shard Hold runs %d goroutines, want %d", n, before)
+			}
+		})
+		if cl.Net.Sent == 0 {
+			t.Fatal("no frame crossed the ring")
+		}
 	}
 }
