@@ -408,9 +408,9 @@ func BenchmarkCompile(b *testing.B) {
 }
 
 // BenchmarkClusterParallel times cluster execution of the 32-node placed
-// token ring per virtual millisecond, serial vs parallel. The parallel
-// mode runs the nodes' kernels on one goroutine per core between TDMA
-// lookahead barriers (traces and checkpoints stay byte-identical either
+// token ring per virtual millisecond, serial (the default executor) vs
+// parallel (opt-in). The parallel mode runs the nodes' kernels on one
+// goroutine per core between TDMA lookahead barriers (traces and checkpoints stay byte-identical either
 // way — asserted in internal/target, not here). The ring oversubscribes its
 // bus, so TX queues grow for as long as it runs: every clusterEpochMs
 // iterations the cluster is restored (untimed) to a warm checkpoint, which

@@ -147,6 +147,7 @@ func (d *ClusterDebugger) RunNs(durNs uint64) (err error) {
 func (d *ClusterDebugger) runNs(durNs uint64) error {
 	end := d.Cluster.Now() + durNs
 	const slice = 1_000_000
+	nodes := d.Cluster.Nodes() // one copy per call, not per slice
 	for d.Cluster.Now() < end {
 		if d.Session.Paused() {
 			return nil
@@ -155,7 +156,7 @@ func (d *ClusterDebugger) runNs(durNs uint64) error {
 		if _, err := d.Session.ProcessEvents(d.Cluster.Now()); err != nil {
 			return err
 		}
-		for _, n := range d.Cluster.Nodes() {
+		for _, n := range nodes {
 			if err := d.Cluster.Boards[n].Err(); err != nil {
 				return fmt.Errorf("repro: node %s: %w", n, err)
 			}

@@ -62,13 +62,14 @@ func longSignalDistributed(t *testing.T) *comdes.System {
 }
 
 // TestClusterRunNsLeavesNoGoroutines: the parallel executor's workers
-// live for one outer host call. However RunNs or a replay returns —
+// (ExecParallel, asked for explicitly: the default is serial) live for
+// one outer host call. However RunNs or a replay returns —
 // normally, early on a paused session, on a node error, or rewinding and
 // replaying through the recorder — the goroutine count is back where it
 // was before the call.
 func TestClusterRunNsLeavesNoGoroutines(t *testing.T) {
 	t.Run("normal", func(t *testing.T) {
-		dbg := distributedDebugger(t)
+		dbg := distributedDebuggerExec(t, target.ExecParallel)
 		if !dbg.Cluster.Parallel() {
 			t.Fatal("the TDMA scenario should run on the parallel executor")
 		}
@@ -83,7 +84,7 @@ func TestClusterRunNsLeavesNoGoroutines(t *testing.T) {
 	})
 
 	t.Run("paused", func(t *testing.T) {
-		dbg := distributedDebugger(t)
+		dbg := distributedDebuggerExec(t, target.ExecParallel)
 		if err := dbg.Session.SetBreakpoint(engine.Breakpoint{ID: "bus", Event: protocol.EvBusSlot}); err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +99,7 @@ func TestClusterRunNsLeavesNoGoroutines(t *testing.T) {
 	})
 
 	t.Run("node error", func(t *testing.T) {
-		dbg, err := DebugCluster(longSignalDistributed(t), ClusterDebugConfig{Cluster: StandardClusterConfig([]string{"nodeA", "nodeB"}, target.ExecAuto)})
+		dbg, err := DebugCluster(longSignalDistributed(t), ClusterDebugConfig{Cluster: StandardClusterConfig([]string{"nodeA", "nodeB"}, target.ExecParallel)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +112,7 @@ func TestClusterRunNsLeavesNoGoroutines(t *testing.T) {
 	})
 
 	t.Run("rewind", func(t *testing.T) {
-		dbg := distributedDebugger(t)
+		dbg := distributedDebuggerExec(t, target.ExecParallel)
 		if _, err := dbg.EnableCheckpointing(10 * time.Millisecond); err != nil {
 			t.Fatal(err)
 		}
@@ -152,11 +153,11 @@ func (s *instructionSource) Poll(now uint64) []protocol.Event {
 
 // TestClusterHostInstructionsBetweenSlices sends host instructions
 // between the slices of a single RunNs, which the workers started for
-// that call then service in the next slice. Run under -race it checks
-// that the barrier orders the host's sends before the workers' reads;
-// the replies must also reach the session.
+// that call (ExecParallel) then service in the next slice. Run under
+// -race it checks that the barrier orders the host's sends before the
+// workers' reads; the replies must also reach the session.
 func TestClusterHostInstructionsBetweenSlices(t *testing.T) {
-	dbg := distributedDebugger(t)
+	dbg := distributedDebuggerExec(t, target.ExecParallel)
 	src := &instructionSource{dbg: dbg}
 	dbg.Session.AddSource(src)
 	if err := dbg.RunNs(30_000_000); err != nil {

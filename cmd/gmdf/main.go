@@ -64,7 +64,7 @@ func run(args []string, out io.Writer) error {
 	restoreIn := fs.String("restore", "", "restore a checkpoint taken from a run of the same model, then continue for -ms (models with stateful environments need the in-process recorder instead)")
 	rewindMs := fs.Uint64("rewind", 0, "after the run, rewind the session to this virtual millisecond and report the state there (enables periodic checkpointing)")
 	traceOut := fs.String("trace", "", "write the stable-format session trace here (checkpoint-replay determinism diffs)")
-	clusterExec := fs.String("cluster-exec", "auto", "multi-node execution mode: auto (parallel on a TDMA bus) | serial | parallel; traces are byte-identical across modes")
+	clusterExec := fs.String("cluster-exec", "auto", "multi-node execution mode: auto (serial; with -restore, the checkpoint's mode) | serial | parallel (opt-in, one goroutine per core); traces are byte-identical across modes")
 	backend := fs.String("backend", "auto", "VM dispatch backend: auto|threaded (direct-threaded compiled bodies, the default) | interp (per-instruction interpreter escape hatch); both are bit-identical, threaded is faster")
 	connect := fs.String("connect", "", "drive a session on a gmdfd farm server at this address instead of an in-process board")
 	resume := fs.String("resume", "", "with -connect: resume a session from this checkpoint digest in the server's store")
@@ -463,6 +463,15 @@ func parseExec(mode string) (target.ExecMode, error) {
 // invocation so every run of the same model is byte-deterministic (the CI
 // replay jobs diff traces across processes).
 func runCluster(out io.Writer, sys *comdes.System, cfg target.ClusterConfig, env func(now uint64, node string, b *target.Board), budgetNs, rewindMs uint64, traceOut, checkpointOut, restoreIn, svgOut string) error {
+	var restored *checkpoint.Checkpoint
+	if restoreIn != "" {
+		cp, err := checkpoint.ReadFile(restoreIn)
+		if err != nil {
+			return err
+		}
+		restored = cp
+		cfg.Exec = cfg.Exec.ResumeMode(cp.Cluster)
+	}
 	dbg, err := repro.DebugCluster(sys, repro.ClusterDebugConfig{Cluster: cfg, Environment: env})
 	if err != nil {
 		return err
@@ -479,12 +488,8 @@ func runCluster(out io.Writer, sys *comdes.System, cfg target.ClusterConfig, env
 		}()
 	}
 
-	if restoreIn != "" {
-		cp, err := checkpoint.ReadFile(restoreIn)
-		if err != nil {
-			return err
-		}
-		if err := dbg.RestoreCheckpoint(cp); err != nil {
+	if restored != nil {
+		if err := dbg.RestoreCheckpoint(restored); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "restored cluster checkpoint: t=%.3f ms, %d trace records carried over\n",

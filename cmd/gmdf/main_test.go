@@ -168,3 +168,38 @@ func TestConnectDetachResume(t *testing.T) {
 		t.Fatal("detach/resume trace differs from the uninterrupted run")
 	}
 }
+
+// TestRestoreParallelCheckpointByDefault: -restore of a cluster checkpoint
+// written under -cluster-exec parallel runs in the checkpoint's mode when
+// -cluster-exec is left at auto, and finishes with the trace of an
+// uninterrupted parallel run; an explicit serial mode is refused.
+func TestRestoreParallelCheckpointByDefault(t *testing.T) {
+	dir := t.TempDir()
+	full := filepath.Join(dir, "full.trace")
+	if err := run([]string{"-model", "dist", "-ms", "120", "-cluster-exec", "parallel", "-trace", full}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	cp := filepath.Join(dir, "cp.json")
+	if err := run([]string{"-model", "dist", "-ms", "60", "-cluster-exec", "parallel", "-checkpoint", cp}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	err := run([]string{"-model", "dist", "-restore", cp, "-ms", "60", "-cluster-exec", "serial"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "parallel-mode snapshot") {
+		t.Fatalf("explicit serial restore of a parallel checkpoint: %v", err)
+	}
+	resumed := filepath.Join(dir, "resumed.trace")
+	if err := run([]string{"-model", "dist", "-restore", cp, "-ms", "60", "-trace", resumed}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	a, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(resumed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatal("parallel checkpoint restored under -cluster-exec auto diverges from the uninterrupted parallel run")
+	}
+}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -415,5 +417,21 @@ func TestConformanceCatchesCorruption(t *testing.T) {
 	g2.Element("trans:m1.go").To = "ghost"
 	if err := g2.Conformance(); err == nil {
 		t.Error("dangling connector should fail conformance")
+	}
+}
+
+// TestFormatBadgeMatchesPrintf: numeric badges keep the exact text fmt's
+// %g verb gave them, signed zero, exponents, NaN and infinities included,
+// on both sides of the integer fast path's bounds.
+func TestFormatBadgeMatchesPrintf(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), 1e21, 1e-7, math.NaN(), math.Inf(1), math.Inf(-1),
+		1.5, -273.15, 123456789, 1e6 - 1, 1e6, -1e6 + 1, -1e6, 1e6 - 0.5, 99, 100, -100, 1e15, 1 << 62, 1 << 63, -(1 << 63), 0.1}
+	for i := -1_050_000; i <= 1_050_000; i += 997 {
+		vals = append(vals, float64(i), float64(i)+0.25)
+	}
+	for _, v := range vals {
+		if got, want := formatBadge(v), fmt.Sprintf("%g", v); got != want {
+			t.Errorf("formatBadge(%v) = %q, %%g gives %q", v, got, want)
+		}
 	}
 }

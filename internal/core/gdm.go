@@ -3,7 +3,9 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
+	"strconv"
 
 	"repro/internal/graphics"
 	"repro/internal/protocol"
@@ -299,7 +301,7 @@ func (g *GDM) apply(b Binding, el *Element, ev protocol.Event) error {
 	case ReactBadge:
 		badge := ev.Arg2
 		if badge == "" {
-			badge = fmt.Sprintf("%g", ev.Value)
+			badge = formatBadge(ev.Value)
 		}
 		return g.scene.SetBadge(el.ID, badge)
 	case ReactPulse:
@@ -312,6 +314,17 @@ func (g *GDM) apply(b Binding, el *Element, ev protocol.Event) error {
 		return g.scene.SetHighlight(el.ID, true)
 	}
 	return fmt.Errorf("core: binding %s: unknown reaction", b.Name)
+}
+
+// formatBadge renders a numeric badge exactly as fmt's %g verb does
+// (TestFormatBadgeMatchesPrintf), without going through fmt. Integral
+// values below 1e6 in magnitude — counters, states, most badges — print
+// as plain integers under %g, so they skip the shortest-float search.
+func formatBadge(v float64) string {
+	if i := int64(v); float64(i) == v && i > -1e6 && i < 1e6 && (i != 0 || !math.Signbit(v)) {
+		return strconv.FormatInt(i, 10)
+	}
+	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
 // ResetAnimation rewinds the GDM's dynamic state to a freshly built

@@ -17,6 +17,31 @@ package dtm
 // are records carrying their kernel event sequence numbers, and the
 // per-node slot cursors are serialized — a checkpoint taken mid-TDMA-cycle
 // restores with the exact queue, phase and future loss pattern.
+//
+// Head-only arming. An overloaded bus queues frames far faster than its
+// slots drain them, so the TX queues can hold thousands of frames. Each
+// frame's departure slot, jitter, loss and event identities are still all
+// fixed at send — the departure takes its kernel seq there (ReserveSeq),
+// keyed (departAt, enqueue instant, departSeq) — but only the head of each
+// owner's queue has its departure event in the kernel heap; each departure
+// arms the next head. A queue departs in send order and its departure
+// instants strictly increase (one frame per slot, slots ordered), so every
+// held-back event enters the heap before any event it precedes could pop,
+// and the event order is exactly that of arming everything at send. Where
+// deliveries are armed depends on the executor:
+//
+//   - Shared kernel (serial): a frame's delivery is armed when it departs,
+//     with its (arrival, enqueue instant, delivery seq) identity fixed at
+//     send; a lost frame never arms one. The heap holds O(nodes) network
+//     events, however deep the backlog.
+//   - Per-node kernels (parallel): deliveries are buffered at send and
+//     minted into the destination kernel at the next barrier
+//     (FlushDeliveries), as before. Holding one back until its departure
+//     could land it inside a window DeliveryBound computed without it.
+//
+// A snapshot still lists every held-back event's schedule instant
+// (SnapshotKernel), so the checkpoint bytes are those of a heap holding
+// every event; Restore rebuilds the queues and arms only their heads.
 
 import (
 	"bytes"
@@ -136,44 +161,51 @@ func (s *BusSchedule) SlotAt(t uint64) (owner string, abs uint64, ok bool) {
 	return "", 0, false
 }
 
-// nextOwned returns the smallest global slot index >= minAbs owned by
-// owner that is still open or ahead at instant now. ok=false when owner
-// holds no slot at all.
-func (s *BusSchedule) nextOwned(owner string, minAbs, now uint64) (uint64, bool) {
-	if !s.Owns(owner) {
-		return 0, false
-	}
-	n := uint64(len(s.Slots))
-	lo := n * (now / s.CycleNs())
-	if minAbs > lo {
-		lo = minAbs
-	}
-	for abs := lo; ; abs++ {
-		sl := s.Slots[abs%n]
-		if sl.Owner != owner {
-			continue
-		}
-		if s.SlotStart(abs)+sl.LenNs > now {
-			return abs, true
-		}
-	}
+// slotTable is a schedule's slot grid, precomputed by SetSchedule so the
+// per-send slot search does no string compares and recomputes no offsets.
+type slotTable struct {
+	n     uint64   // slots per cycle
+	cycle uint64   // cycle length (slots plus gaps)
+	off   []uint64 // start offset of each slot within the cycle
+	end   []uint64 // end offset (start + length) of each slot within the cycle
 }
 
-// EarliestDepart is the schedule's lookahead query: the earliest instant a
-// frame enqueued by owner at or after time from could leave the bus, given
-// that slots below minAbs are already claimed. A frame submitted at t >=
-// from departs at max(slot start, t), so no departure can precede
-// max(SlotStart(nextOwned), from). ok is false when owner holds no slot.
-func (s *BusSchedule) EarliestDepart(owner string, minAbs, from uint64) (uint64, bool) {
-	abs, ok := s.nextOwned(owner, minAbs, from)
-	if !ok {
-		return 0, false
+func newSlotTable(s *BusSchedule) slotTable {
+	t := slotTable{n: uint64(len(s.Slots)), off: make([]uint64, len(s.Slots)), end: make([]uint64, len(s.Slots))}
+	for i, sl := range s.Slots {
+		t.off[i] = t.cycle
+		t.end[i] = t.cycle + sl.LenNs
+		t.cycle += sl.LenNs + s.GapNs
 	}
-	dep := s.SlotStart(abs)
-	if dep < from {
-		dep = from
+	return t
+}
+
+// start returns the absolute start instant of global slot index abs.
+func (t *slotTable) start(abs uint64) uint64 { return abs/t.n*t.cycle + t.off[abs%t.n] }
+
+// slotEnd returns the absolute end instant of global slot index abs.
+func (t *slotTable) slotEnd(abs uint64) uint64 { return abs/t.n*t.cycle + t.end[abs%t.n] }
+
+// nextOwned returns the smallest global slot index >= minAbs among the
+// owner's slots (its ascending slot indices within the cycle, at least
+// one) that is still open or ahead at instant now. At most one cycle's
+// worth of the owner's slots can end at or before now, so the search is
+// bounded by the owner's slot count.
+func (t *slotTable) nextOwned(slots []uint64, minAbs, now uint64) uint64 {
+	c := now / t.cycle
+	lo := c * t.n
+	if minAbs > lo {
+		c, lo = minAbs/t.n, minAbs
 	}
-	return dep, true
+	k, _ := slices.BinarySearch(slots, lo%t.n)
+	for ; ; k++ {
+		if k == len(slots) {
+			c, k = c+1, 0
+		}
+		if c*t.cycle+t.end[slots[k]] > now {
+			return c*t.n + slots[k]
+		}
+	}
 }
 
 // BusStats is the per-node TX accounting of the time-triggered bus.
@@ -223,7 +255,9 @@ type Network struct {
 	OnSend func(src string)
 
 	sched  *BusSchedule
-	owners []string // distinct slot owners, in first-slot order
+	table  slotTable
+	owners []*txNode          // distinct slot owners, in first-slot order
+	tx     map[string]*txNode // slot owner name -> its TX side
 	rng    uint64
 	cursor map[string]uint64 // per-node next claimable global slot index
 	stats  map[string]*BusStats
@@ -249,6 +283,8 @@ type Network struct {
 	// barrier flushes them into consumer kernels (FlushDeliveries) — a
 	// concurrent heap push into a running kernel would race.
 	pending []*netFlight
+	// free holds frame records retired by their own events, for reuse.
+	free []*netFlight
 }
 
 // SetNodeKernels switches the network into parallel-cluster mode: each
@@ -271,6 +307,10 @@ func (n *Network) kernelFor(node string) *Kernel {
 
 // netFlight is one signal message queued for or on the wire.
 type netFlight struct {
+	// deliver is the record's delivery callback, made once per record:
+	// records are reused (newFlight), so steady traffic allocates neither.
+	deliver func(now uint64)
+
 	signal string
 	v      value.Value
 	at     uint64 // delivery instant
@@ -282,6 +322,10 @@ type netFlight struct {
 	prev, next *netFlight
 	linked     bool
 
+	// qnext links an undeparted TDMA frame to the next one in its owner's
+	// TX queue.
+	qnext *netFlight
+
 	// TDMA fields (zero on constant-latency frames).
 	src       string // sending node
 	enq       uint64 // enqueue instant
@@ -290,6 +334,42 @@ type netFlight struct {
 	departSeq uint64
 	departed  bool
 	lost      bool
+}
+
+// txNode is one slot owner's transmit side: its slot indices within the
+// cycle and its TX queue of undeparted frames in send order — which is
+// departure order. Only the head's departure event is in a kernel heap.
+type txNode struct {
+	name       string
+	slots      []uint64 // ascending
+	head, tail *netFlight
+	// depart is the callback of every departure event of this owner: it
+	// departs the head.
+	depart func(now uint64)
+}
+
+// push appends f to the queue; it reports whether f is the new head.
+func (q *txNode) push(f *netFlight) bool {
+	f.qnext = nil
+	if q.tail == nil {
+		q.head, q.tail = f, f
+		return true
+	}
+	q.tail.qnext, q.tail = f, f
+	return false
+}
+
+// pop removes and returns the head (nil when empty).
+func (q *txNode) pop() *netFlight {
+	f := q.head
+	if f == nil {
+		return nil
+	}
+	q.head, f.qnext = f.qnext, nil
+	if q.head == nil {
+		q.tail = nil
+	}
+	return f
 }
 
 // flightList is an intrusive doubly-linked list of frames in send order.
@@ -358,13 +438,14 @@ func (n *Network) SetSchedule(s *BusSchedule) error {
 		return fmt.Errorf("dtm: cannot change bus schedule with %d frames in flight", n.inflight.n)
 	}
 	if s == nil {
-		n.sched, n.owners = nil, nil
+		n.sched, n.table, n.owners, n.tx = nil, slotTable{}, nil, nil
 		return nil
 	}
 	if err := s.Validate(); err != nil {
 		return err
 	}
 	n.sched = s
+	n.table = newSlotTable(s)
 	n.rng = s.Seed
 	n.cursor = map[string]uint64{}
 	if n.stats == nil {
@@ -372,11 +453,16 @@ func (n *Network) SetSchedule(s *BusSchedule) error {
 	}
 	// Pre-register every slot owner so Stats can tell "no traffic yet"
 	// (zero stats, ok) from "not on this bus" (ok=false).
-	n.owners = n.owners[:0]
-	for _, sl := range s.Slots {
-		if !slices.Contains(n.owners, sl.Owner) {
-			n.owners = append(n.owners, sl.Owner)
+	n.owners, n.tx = nil, map[string]*txNode{}
+	for i, sl := range s.Slots {
+		q, ok := n.tx[sl.Owner]
+		if !ok {
+			q = &txNode{name: sl.Owner}
+			q.depart = func(now uint64) { n.departHead(q, now) }
+			n.tx[sl.Owner] = q
+			n.owners = append(n.owners, q)
 		}
+		q.slots = append(q.slots, uint64(i))
 		n.nodeStats(sl.Owner)
 	}
 	return nil
@@ -413,8 +499,11 @@ func (n *Network) Send(signal string, v value.Value, dst *Store) {
 // schedule (or with an anonymous sender) it behaves exactly like Send:
 // one delivery LatencyNs from now. Under a schedule the frame joins src's
 // TX queue and departs in src's next free slot — its departure instant,
-// release jitter and loss outcome are all decided (deterministically) here,
-// so a snapshot taken at any later instant carries the committed timing.
+// release jitter, loss outcome and event identities are all decided
+// (deterministically) here, so a snapshot taken at any later instant
+// carries the committed timing. Only a frame that heads the queue has its
+// departure armed now; see the package comment for where deliveries are
+// armed.
 //
 // Deliveries are numbered from a dedicated counter in send order
 // (DeliveryBase + dseq) instead of consuming a kernel seq: the identity is
@@ -423,8 +512,8 @@ func (n *Network) Send(signal string, v value.Value, dst *Store) {
 // them in — mints the delivery into the destination node's kernel with the
 // same (arrival, enqueue instant, seq) ordering key a shared kernel would
 // have used. In parallel mode the delivery is buffered until the next
-// barrier (FlushDeliveries); the departure always schedules immediately on
-// the sending node's kernel, which is the goroutine running this call.
+// barrier (FlushDeliveries); the departure always lives on the sending
+// node's kernel, which is the goroutine running this call.
 func (n *Network) SendFrom(src, signal string, v value.Value, dst *Store) {
 	if src != "" && n.OnSend != nil {
 		n.OnSend(src)
@@ -434,26 +523,25 @@ func (n *Network) SendFrom(src, signal string, v value.Value, dst *Store) {
 	if n.sched == nil || src == "" {
 		n.mu.Lock()
 		n.Sent++
-		f := &netFlight{signal: signal, v: v, enq: now, at: now + n.LatencyNs, dst: dst}
+		f := n.newFlight()
+		f.signal, f.v, f.enq, f.at, f.dst = signal, v, now, now+n.LatencyNs, dst
 		f.seq = DeliveryBase + n.dseq
 		n.dseq++
 		n.inflight.push(f)
-		buffered := n.kernels != nil
-		if buffered {
+		if n.kernels != nil {
 			n.pending = append(n.pending, f)
+		} else {
+			_ = n.K.ScheduleAt(f.at, now, f.seq, f.deliver)
 		}
 		n.mu.Unlock()
-		if !buffered {
-			_ = n.K.ScheduleAt(f.at, now, f.seq, func(uint64) { n.deliver(f) })
-		}
 		return
 	}
 	n.mu.Lock()
 	n.Sent++
 	st := n.nodeStats(src)
 	st.Enqueued++
-	abs, ok := n.sched.nextOwned(src, n.cursor[src], now)
-	if !ok {
+	q := n.tx[src]
+	if q == nil {
 		// A sender owning no slot can never transmit; the frame is dropped
 		// at enqueue. BuildCluster validates producers upfront, so this is
 		// only reachable on hand-built networks.
@@ -466,8 +554,9 @@ func (n *Network) SendFrom(src, signal string, v value.Value, dst *Store) {
 		}
 		return
 	}
+	abs := n.table.nextOwned(q.slots, n.cursor[src], now)
 	n.cursor[src] = abs + 1 // one frame per slot
-	start := n.sched.SlotStart(abs)
+	start := n.table.start(abs)
 	dep := start
 	if dep < now {
 		dep = now // published mid-slot: depart immediately within the slot
@@ -479,29 +568,61 @@ func (n *Network) SendFrom(src, signal string, v value.Value, dst *Store) {
 		// can never overshoot). A mid-slot publish near the slot end is
 		// clamped to the last instant of the slot rather than bleeding into
 		// the guard gap or another owner's slot.
-		if end := start + n.sched.Slots[abs%uint64(len(n.sched.Slots))].LenNs; dep >= end {
+		if end := n.table.slotEnd(abs); dep >= end {
 			dep = end - 1
 		}
 	}
-	f := &netFlight{
-		signal: signal, v: v, dst: dst,
-		src: src, enq: now, slot: abs, departAt: dep, at: dep + n.LatencyNs,
-	}
+	f := n.newFlight()
+	f.signal, f.v, f.dst = signal, v, dst
+	f.src, f.enq, f.slot, f.departAt, f.at = src, now, abs, dep, dep+n.LatencyNs
 	if n.sched.LossPerMille > 0 {
 		f.lost = n.rand()%1000 < uint64(n.sched.LossPerMille)
 	}
 	f.seq = DeliveryBase + n.dseq
 	n.dseq++
+	f.departSeq = kSrc.ReserveSeq()
 	n.inflight.push(f)
 	st.Queued++
-	buffered := n.kernels != nil
-	if buffered && !f.lost {
+	if q.push(f) {
+		kSrc.arm(f.departAt, f.enq, f.departSeq, q.depart)
+	}
+	if n.kernels != nil && !f.lost {
 		n.pending = append(n.pending, f)
 	}
 	n.mu.Unlock()
-	f.departSeq, _ = kSrc.ScheduleTagged(f.departAt, func(now uint64) { n.depart(f, now) })
-	if !buffered && !f.lost {
-		_ = n.K.ScheduleAt(f.at, now, f.seq, func(uint64) { n.deliver(f) })
+}
+
+// maxFreeFlights bounds the retired frame records kept for reuse.
+const maxFreeFlights = 256
+
+// newFlight returns a zeroed frame record (mu held), reusing one that its
+// own event retired.
+func (n *Network) newFlight() *netFlight {
+	if k := len(n.free); k > 0 {
+		f := n.free[k-1]
+		n.free[k-1] = nil
+		n.free = n.free[:k-1]
+		return f
+	}
+	f := &netFlight{}
+	f.deliver = func(uint64) { n.deliver(f) }
+	return f
+}
+
+// retire removes a frame from the in-flight list for good (mu held by the
+// caller) and, when reuse is set, keeps its record for newFlight. Only the
+// event that ends a frame — its delivery, or the departure that loses it
+// — retires it, and reuse is set only when no event, queue or buffer can
+// refer to the record any more. A frame no longer listed (orphaned by
+// DropInflight) is left alone.
+func (n *Network) retire(f *netFlight, reuse bool) {
+	if !f.linked {
+		return
+	}
+	n.inflight.remove(f)
+	if reuse && len(n.free) < maxFreeFlights {
+		*f = netFlight{deliver: f.deliver}
+		n.free = append(n.free, f)
 	}
 }
 
@@ -515,12 +636,11 @@ func (n *Network) FlushDeliveries() error {
 	n.pending = nil
 	n.mu.Unlock()
 	for _, f := range pend {
-		f := f
 		k := n.K
 		if name, ok := n.names[f.dst]; ok {
 			k = n.kernelFor(name)
 		}
-		if err := k.ScheduleAt(f.at, f.enq, f.seq, func(uint64) { n.deliver(f) }); err != nil {
+		if err := k.ScheduleAt(f.at, f.enq, f.seq, f.deliver); err != nil {
 			return err
 		}
 	}
@@ -541,48 +661,58 @@ func (n *Network) DeliveryBound(from uint64) uint64 {
 	if n.sched == nil {
 		return from + n.LatencyNs
 	}
+	// A frame submitted at t >= from departs at max(slot start, t), so no
+	// departure precedes max(start of the next claimable slot, from).
 	best := ^uint64(0)
-	for _, owner := range n.owners {
-		dep, ok := n.sched.EarliestDepart(owner, n.cursor[owner], from)
-		if !ok {
-			continue
-		}
-		if d := dep + n.LatencyNs; d < best {
-			best = d
-		}
-	}
-	if best == ^uint64(0) {
-		return from + n.LatencyNs
+	for _, q := range n.owners {
+		dep := max(n.table.start(n.table.nextOwned(q.slots, n.cursor[q.name], from)), from)
+		best = min(best, dep+n.LatencyNs)
 	}
 	return best
 }
 
-// depart is the frame leaving its TX queue in its owner's slot: queueing
-// stats close, the slot hook fires, and a lost frame dies here — at the
-// slot, observable — instead of silently never arriving. It runs on the
-// sending node's kernel (and, in parallel mode, its goroutine), so the
-// slot/drop hooks hit the sender's own board.
-func (n *Network) depart(f *netFlight, now uint64) {
+// departHead is the head frame of q leaving its TX queue in its owner's
+// slot: queueing stats close, the next head's departure is armed, on a
+// shared kernel the frame's delivery is armed, the slot hook fires, and a
+// lost frame dies here — at the slot, observable — instead of silently
+// never arriving. It runs on the sending node's kernel (and, in parallel
+// mode, its goroutine), so the slot/drop hooks hit the sender's own board.
+func (n *Network) departHead(q *txNode, now uint64) {
 	n.mu.Lock()
+	f := q.pop()
+	if f == nil {
+		// Orphaned by DropInflight; the kernel is about to be restored.
+		n.mu.Unlock()
+		return
+	}
 	f.departed = true
-	st := n.nodeStats(f.src)
+	st := n.nodeStats(q.name)
 	st.Queued--
 	if wait := f.departAt - f.enq; wait > st.WorstQueueNs {
 		st.WorstQueueNs = wait
 	}
+	k := n.kernelFor(q.name)
+	if next := q.head; next != nil {
+		k.arm(next.departAt, next.enq, next.departSeq, q.depart)
+	}
+	// The hooks see copies: in parallel mode another node may deliver the
+	// frame and its record be reused while they run.
+	signal, slot, lost := f.signal, f.slot, f.lost
 	var total uint64
-	if f.lost {
-		n.retire(f)
+	if lost {
+		n.retire(f, true)
 		st.Dropped++
 		n.Dropped++
 		total = st.Dropped
+	} else if n.kernels == nil {
+		k.arm(f.at, f.enq, f.seq, f.deliver)
 	}
 	n.mu.Unlock()
 	if n.OnSlot != nil {
-		n.OnSlot(now, f.src, f.signal, f.slot)
+		n.OnSlot(now, q.name, signal, slot)
 	}
-	if f.lost && n.OnDrop != nil {
-		n.OnDrop(now, f.src, f.signal, total)
+	if lost && n.OnDrop != nil {
+		n.OnDrop(now, q.name, signal, total)
 	}
 }
 
@@ -591,16 +721,18 @@ func (n *Network) depart(f *netFlight, now uint64) {
 // on the consuming board) stays node-local.
 func (n *Network) deliver(f *netFlight) {
 	n.mu.Lock()
-	n.retire(f)
-	if f.src != "" && n.sched != nil {
+	dst, signal, v := f.dst, f.signal, f.v
+	tdma := f.src != "" && n.sched != nil
+	if tdma {
 		n.nodeStats(f.src).Delivered++
 	}
+	// Per-node kernels order a frame's departure and delivery in virtual
+	// time only: the destination may deliver before the sender has run the
+	// departure, and the record stays in its TX queue until it does.
+	n.retire(f, !tdma || f.departed)
 	n.mu.Unlock()
-	f.dst.Set(f.signal, f.v)
+	dst.Set(signal, v)
 }
-
-// retire removes a frame from the in-flight list (mu held by the caller).
-func (n *Network) retire(f *netFlight) { n.inflight.remove(f) }
 
 // DropInflight discards every frame queued or on the wire without
 // delivering it; every TX queue depth drops to zero with them. It exists for the state-forking path: a campaign variant
@@ -613,10 +745,46 @@ func (n *Network) DropInflight() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.inflight.clear()
+	n.clearQueues()
 	n.pending = nil
 	for _, st := range n.stats {
 		st.Queued = 0
 	}
+}
+
+// clearQueues empties every TX queue (mu held by the caller).
+func (n *Network) clearQueues() {
+	for _, q := range n.owners {
+		q.head, q.tail = nil, nil
+	}
+}
+
+// SnapshotKernel is k.Snapshot with the schedule instants of the events
+// the network holds back from k's heap added to SchedAts: the departures
+// queued behind each head on k and, on a shared kernel, the deliveries of
+// frames not yet departed. Every one of them was scheduled at its frame's
+// enqueue instant. The result is exactly what k.Snapshot returned when
+// every queued event sat in the heap, so checkpoint bytes do not depend
+// on how much of the backlog is armed.
+func (n *Network) SnapshotKernel(k *Kernel) KernelState {
+	st := k.Snapshot()
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for _, q := range n.owners {
+		if q.head == nil || n.kernelFor(q.name) != k {
+			continue
+		}
+		if st.SchedAts == nil {
+			st.SchedAts = map[uint64]uint64{}
+		}
+		for f := q.head; f != nil; f = f.qnext {
+			st.SchedAts[f.departSeq] = f.enq
+			if n.kernels == nil && !f.lost {
+				st.SchedAts[f.seq] = f.enq
+			}
+		}
+	}
+	return st
 }
 
 // Inflight returns the number of frames queued or on the wire.
@@ -789,6 +957,7 @@ func (n *Network) Restore(st NetworkState) error {
 		n.stats[k] = &v
 	}
 	n.inflight.clear()
+	n.clearQueues()
 	for _, fs := range st.Flights {
 		dst, ok := n.stores[fs.Dst]
 		if !ok {
@@ -798,28 +967,43 @@ func (n *Network) Restore(st NetworkState) error {
 		if err != nil {
 			return fmt.Errorf("dtm: restore frame %q: %w", fs.Signal, err)
 		}
-		f := &netFlight{
-			signal: fs.Signal, v: v, at: fs.At, seq: fs.Seq, dst: dst,
-			src: fs.Src, enq: fs.Enq, slot: fs.Slot,
-			departAt: fs.DepartAt, departSeq: fs.DepartSeq,
-			departed: fs.Departed, lost: fs.Lost,
-		}
+		f := n.newFlight()
+		f.signal, f.v, f.at, f.seq, f.dst = fs.Signal, v, fs.At, fs.Seq, dst
+		f.src, f.enq, f.slot = fs.Src, fs.Enq, fs.Slot
+		f.departAt, f.departSeq = fs.DepartAt, fs.DepartSeq
+		f.departed, f.lost = fs.Departed, fs.Lost
 		n.inflight.push(f)
 		tdma := f.src != "" && n.sched != nil
-		if tdma && !f.departed {
-			if err := n.kernelFor(f.src).Rearm(f.departAt, f.departSeq, func(now uint64) { n.depart(f, now) }); err != nil {
-				return err
+		queued := tdma && !f.departed
+		if queued {
+			// The queue is rebuilt in send order; only its head is armed.
+			// Events re-armed or held back here have their identity on the
+			// flight record, so their restore-time schedule entries go.
+			q := n.tx[f.src]
+			if q == nil {
+				return fmt.Errorf("dtm: restore frame %q queued by %q, which owns no slot", fs.Signal, f.src)
+			}
+			k := n.kernelFor(f.src)
+			if q.push(f) {
+				k.arm(f.departAt, f.enq, f.departSeq, q.depart)
+			} else {
+				k.forget(f.departSeq)
 			}
 		}
 		if !tdma || !f.lost {
 			// Deliveries re-arm with their full explicit identity (the
 			// enqueue instant is on the flight record), on the destination
-			// node's kernel in parallel mode.
+			// node's kernel in parallel mode. On a shared kernel a queued
+			// frame's delivery is armed when it departs.
 			dk := n.K
 			if name, ok := n.names[f.dst]; ok {
 				dk = n.kernelFor(name)
 			}
-			if err := dk.ScheduleAt(f.at, f.enq, f.seq, func(uint64) { n.deliver(f) }); err != nil {
+			dk.forget(f.seq)
+			if queued && n.kernels == nil {
+				continue
+			}
+			if err := dk.ScheduleAt(f.at, f.enq, f.seq, f.deliver); err != nil {
 				return err
 			}
 		}

@@ -508,6 +508,119 @@ func BenchmarkBusSend(b *testing.B) {
 	}
 }
 
+// TestRestoreArmsOnlyQueueHeads: a network restored mid-backlog rebuilds
+// its TX queues, puts only each queue's head departure and the deliveries
+// of departed frames in the heap, consumes every restore-time schedule
+// entry of the events it re-arms or holds back, snapshots its kernel to
+// the captured bytes, and continues exactly like the original.
+func TestRestoreArmsOnlyQueueHeads(t *testing.T) {
+	sched := func() *BusSchedule {
+		return &BusSchedule{
+			Slots: []BusSlot{{Owner: "a", LenNs: 50}, {Owner: "b", LenNs: 50}, {Owner: "c", LenNs: 50}},
+			GapNs: 10, JitterNs: 5, LossPerMille: 300, Seed: 7,
+		}
+	}
+	const cut, end = 2_000, 20_000
+	rig := func() (*busRig, *[]string) {
+		r := newBusRig(t, sched(), 120)
+		drops := &[]string{}
+		r.n.OnDrop = func(now uint64, owner, sig string, total uint64) {
+			*drops = append(*drops, fmt.Sprintf("%d %s lost %s", now, owner, sig))
+		}
+		return r, drops
+	}
+	r, drops := rig()
+	for i := 0; i < 150; i++ {
+		r.k.RunUntil(uint64(i) * 10)
+		r.n.SendFrom([]string{"a", "b", "c"}[i%3], fmt.Sprintf("s%03d", i), value.I(int64(i)), r.dst)
+	}
+	r.k.RunUntil(cut)
+	ks, ns := r.n.SnapshotKernel(r.k), mustSnapshot(t, r.n)
+	if r.n.Queued() < 60 {
+		t.Fatalf("only %d frames queued at the cut; no backlog", r.n.Queued())
+	}
+	onWire := 0
+	for _, f := range ns.Flights {
+		if f.Departed && !f.Lost {
+			onWire++
+		}
+	}
+	logAt, dropsAt := len(r.log), len(*drops)
+	r.k.RunUntil(end)
+
+	fresh, freshDrops := rig()
+	fresh.k.Restore(ks)
+	if err := fresh.n.Restore(ns); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(fresh.k.rearmSched); n != 0 {
+		t.Errorf("%d restore-time schedule entries left after the network re-armed", n)
+	}
+	if got, want := fresh.k.Pending(), 3+onWire; got != want {
+		t.Errorf("%d events in the heap after restore, want %d (three queue heads, %d frames on the wire)", got, want, onWire)
+	}
+	again, _ := json.Marshal(fresh.n.SnapshotKernel(fresh.k))
+	if want, _ := json.Marshal(ks); string(again) != string(want) {
+		t.Errorf("restored kernel snapshots to\n%s\nwant\n%s", again, want)
+	}
+	fresh.k.RunUntil(end)
+	if fmt.Sprint(fresh.log) != fmt.Sprint(r.log[logAt:]) || fmt.Sprint(*freshDrops) != fmt.Sprint((*drops)[dropsAt:]) {
+		t.Errorf("restored network diverges:\n got %v %v\nwant %v %v", fresh.log, *freshDrops, r.log[logAt:], (*drops)[dropsAt:])
+	}
+	if len(fresh.log) == 0 || len(*freshDrops) == 0 {
+		t.Fatal("nothing delivered or lost after the cut; the test lost its point")
+	}
+}
+
+func mustSnapshot(t *testing.T, n *Network) NetworkState {
+	t.Helper()
+	st, err := n.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// BenchmarkBusBacklog times one send plus one departure on a TX queue
+// held at a fixed depth (1k or 10k undeparted frames). Only the queue's
+// head is armed in the kernel heap and deliveries are armed at departure,
+// so ns/op must not grow with the depth.
+func BenchmarkBusBacklog(b *testing.B) {
+	for _, depth := range []int{1_000, 10_000} {
+		b.Run(fmt.Sprintf("queued=%d", depth), func(b *testing.B) {
+			s := &BusSchedule{
+				Slots: []BusSlot{{Owner: "a", LenNs: 1000}, {Owner: "b", LenNs: 1000}},
+				GapNs: 100, JitterNs: 50, LossPerMille: 100, Seed: 1,
+			}
+			k := NewKernel()
+			n := NewNetwork(k, 200)
+			if err := n.SetSchedule(s); err != nil {
+				b.Fatal(err)
+			}
+			dst := NewStore(k.Now)
+			n.Bind("dst", dst)
+			departed := 0
+			n.OnSlot = func(uint64, string, string, uint64) { departed++ }
+			v := value.I(7)
+			for i := 0; i < depth; i++ {
+				n.SendFrom("a", "x", v, dst)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				n.SendFrom("a", "x", v, dst)
+				for want := departed + 1; departed < want; {
+					k.Step()
+				}
+			}
+			b.StopTimer()
+			if q := n.Queued(); q != depth {
+				b.Fatalf("queue depth drifted to %d, want %d", q, depth)
+			}
+		})
+	}
+}
+
 // TestInflightRetiresOutOfOrder: frames retire in an order unrelated to
 // send order — lost at departure, delivered, or still queued behind a
 // busy sender — yet every snapshot lists exactly the frames still queued

@@ -131,7 +131,10 @@ func NewKernel() *Kernel { return &Kernel{} }
 // Now returns the current virtual time.
 func (k *Kernel) Now() uint64 { return k.now }
 
-// Pending returns the number of scheduled events.
+// Pending returns the number of events in the heap. Events a TDMA
+// Network holds back (queued departures behind their owner's head and,
+// on a shared kernel, the deliveries of frames not yet departed) are not
+// counted: they enter the heap when they come due.
 func (k *Kernel) Pending() int { return len(k.pq) }
 
 // Executed returns the number of events run so far.
@@ -160,6 +163,29 @@ func (k *Kernel) ScheduleTagged(at uint64, fn func(now uint64)) (uint64, error) 
 	k.pq.push(event{at: at, schedAt: k.now, seq: k.seq, fn: fn})
 	return k.seq, nil
 }
+
+// ReserveSeq takes the next sequence number without enqueueing anything:
+// the number is the event's tie-break position, as if it had been
+// scheduled now. The network reserves a queued frame's departure seq at
+// send and arms the event only when the frame reaches the head of its TX
+// queue.
+func (k *Kernel) ReserveSeq() uint64 {
+	k.seq++
+	return k.seq
+}
+
+// arm enqueues an event whose (at, schedAt, seq) identity was fixed
+// earlier (a held-back network event coming due, or one re-armed by a
+// restore) and drops the restore-time schedule entry of that seq. Like
+// Rearm it is past-tolerant.
+func (k *Kernel) arm(at, schedAt, seq uint64, fn func(now uint64)) {
+	k.forget(seq)
+	k.pq.push(event{at: at, schedAt: schedAt, seq: seq, fn: fn})
+}
+
+// forget drops the restore-time schedule entry of seq: its owner re-arms
+// the event with an explicit identity, or holds it back.
+func (k *Kernel) forget(seq uint64) { delete(k.rearmSched, seq) }
 
 // ScheduleAt enqueues an event with an explicit (at, schedAt, seq)
 // identity, without touching the kernel's own sequence counter. This is

@@ -447,3 +447,53 @@ func TestStoreIntegrity(t *testing.T) {
 		t.Fatal("same state stored under two addresses")
 	}
 }
+
+// TestResumeParallelCheckpointByDefault: a cluster checkpoint taken under
+// the parallel executor resumes in a create that names no exec mode (the
+// session is built in the mode the checkpoint records), and the rest of
+// the run is byte-identical to an uninterrupted parallel session. An
+// explicit mode that disagrees with the checkpoint is still refused.
+func TestResumeParallelCheckpointByDefault(t *testing.T) {
+	_, cl := startServer(t, Options{StoreDir: t.TempDir()})
+	ref, err := cl.Create(CreateParams{Model: "dist", Exec: "parallel"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.RunFor(ref.Session, 120); err != nil {
+		t.Fatal(err)
+	}
+	full, err := cl.TraceStable(ref.Session)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	first, err := cl.Create(CreateParams{Model: "dist", Exec: "parallel"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.RunFor(first.Session, 60); err != nil {
+		t.Fatal(err)
+	}
+	det, err := cl.Detach(first.Session, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := cl.Create(CreateParams{Model: "dist", Checkpoint: det.Digest, Exec: "serial"}); err == nil || !strings.Contains(err.Error(), "parallel-mode snapshot") {
+		t.Fatalf("explicit serial resume of a parallel checkpoint: %v", err)
+	}
+	resumed, err := cl.Create(CreateParams{Model: "dist", Checkpoint: det.Digest})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.RunFor(resumed.Session, 60); err != nil {
+		t.Fatal(err)
+	}
+	got, err := cl.TraceStable(resumed.Session)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Stable != full.Stable {
+		t.Fatal("parallel checkpoint resumed under the default exec mode diverges from the uninterrupted parallel run")
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/checkpoint"
 	"repro/internal/codegen"
 	"repro/internal/comdes"
 	"repro/internal/dsl"
@@ -57,7 +58,8 @@ type Options struct {
 	// on this pool, so total simulation parallelism stays bounded no
 	// matter how many clients are connected, and work stealing rebalances
 	// a session running seconds of virtual time against ones stepping a
-	// millisecond at a time.
+	// millisecond at a time. The bound excludes cluster sessions created
+	// with exec "parallel": each runs shards−1 goroutines of its own.
 	Workers int
 }
 
@@ -585,6 +587,14 @@ func (s *Server) handleCreate(raw json.RawMessage) (any, error) {
 		}
 	}
 
+	var cp *checkpoint.Checkpoint
+	if p.Checkpoint != "" {
+		var err error
+		if cp, err = s.store.Get(p.Checkpoint); err != nil {
+			return nil, err
+		}
+	}
+
 	ss := &session{model: model, sys: sys}
 	if len(sys.Nodes()) > 1 {
 		exec := target.ExecAuto
@@ -596,6 +606,9 @@ func (s *Server) handleCreate(raw json.RawMessage) (any, error) {
 			exec = target.ExecParallel
 		default:
 			return nil, fmt.Errorf("farm: unknown exec mode %q (auto|serial|parallel)", p.Exec)
+		}
+		if cp != nil {
+			exec = exec.ResumeMode(cp.Cluster)
 		}
 		ccfg := repro.StandardClusterConfig(sys.Nodes(), exec)
 		var cenv func(now uint64, node string, b *target.Board)
@@ -629,16 +642,11 @@ func (s *Server) handleCreate(raw json.RawMessage) (any, error) {
 		ss.dbg = dbg
 	}
 
-	resumed := false
-	if p.Checkpoint != "" {
-		cp, err := s.store.Get(p.Checkpoint)
-		if err != nil {
-			return nil, err
-		}
+	resumed := cp != nil
+	if resumed {
 		if err := ss.restore(cp); err != nil {
 			return nil, err
 		}
-		resumed = true
 	}
 	if p.RecordMs != 0 {
 		// Enable after any restore, so the initial recorder checkpoint sits

@@ -19,18 +19,30 @@ type ExecMode uint8
 
 // Execution modes.
 const (
-	// ExecAuto picks parallel when a TDMA bus schedule is installed (its
-	// slot grid provides the conservative lookahead windows), serial for
-	// constant-latency clusters — the seed behaviour for those.
+	// ExecAuto is the default: every cluster, with or without a TDMA bus,
+	// runs on the shared serial kernel (ExecSerial). The parallel executor
+	// loses to it on the measured hosts; see doc.go.
 	ExecAuto ExecMode = iota
 	// ExecSerial drains a single shared kernel on the calling goroutine.
 	ExecSerial
-	// ExecParallel runs each node on its own kernel between delivery-bound
-	// barriers, one goroutine per core advancing a contiguous shard of the
-	// nodes; traces, goldens and checkpoints are byte-identical to
-	// ExecSerial.
+	// ExecParallel (opt-in) runs each node on its own kernel between
+	// delivery-bound barriers, one goroutine per core advancing a
+	// contiguous shard of the nodes; traces and goldens are byte-identical
+	// to ExecSerial. It starts shards−1 goroutines of its own.
 	ExecParallel
 )
+
+// ResumeMode returns the mode to build a cluster in that will restore st:
+// the requested mode, except that ExecAuto follows the mode st records.
+// Checkpoints written while ExecAuto meant parallel on a TDMA bus then
+// resume without the caller naming a mode, while an explicit mode that
+// disagrees with st still fails in Restore. A nil st leaves m as is.
+func (m ExecMode) ResumeMode(st *ClusterState) ExecMode {
+	if m != ExecAuto || st == nil || !st.Parallel {
+		return m
+	}
+	return ExecParallel
+}
 
 // ClusterConfig parameterises BuildCluster.
 type ClusterConfig struct {
@@ -52,8 +64,8 @@ type ClusterConfig struct {
 	// Board is the per-node board configuration (baud, CPU clock); the
 	// system's bindings are appended automatically.
 	Board Config
-	// Exec selects serial or parallel node execution (default ExecAuto:
-	// parallel with a Bus schedule, serial without).
+	// Exec selects serial or parallel node execution (default ExecAuto,
+	// which is serial).
 	Exec ExecMode
 }
 
@@ -108,7 +120,7 @@ func BuildCluster(sys *comdes.System, cfg ClusterConfig) (*Cluster, error) {
 		Boards:   map[string]*Board{},
 		nodes:    sys.Nodes(),
 		inbox:    map[string]*dtm.Store{},
-		parallel: cfg.Exec == ExecParallel || (cfg.Exec == ExecAuto && cfg.Bus != nil),
+		parallel: cfg.Exec == ExecParallel,
 	}
 	if c.parallel {
 		// One kernel per node: boards, their schedulers and the network
@@ -163,27 +175,28 @@ func BuildCluster(sys *comdes.System, cfg ClusterConfig) (*Cluster, error) {
 	// consumer release re-latches from the board — reference interpreter
 	// semantics, so a host-injected __io value cannot outlive the next
 	// release the way it would if delivery were change-triggered only.
+	rt := newRoutes(sys)
 	for _, node := range c.nodes {
 		node := node
 		brd := c.Boards[node]
 		store := dtm.NewStore(c.nodeKernel(node).Now)
 		store.OnChange = func(now uint64, signal string, old, new value.Value) {
-			for _, bind := range sys.Bindings {
-				if bind.Signal != signal || sys.NodeOf(bind.ToActor) != node {
+			for _, r := range rt.bySignal[signal] {
+				if r.to != node {
 					continue
 				}
-				if err := brd.WriteInput(bind.ToActor, bind.ToPort, new); err != nil {
+				if err := brd.WriteInput(r.ToActor, r.ToPort, new); err != nil {
 					brd.fail(err)
 				}
 			}
 		}
 		brd.preRelease = func(now uint64, actor string) {
-			for _, bind := range sys.Bindings {
-				if bind.ToActor != actor || sys.NodeOf(bind.FromActor) == node {
+			for _, r := range rt.byActor[actor] {
+				if r.from == node {
 					continue
 				}
-				if v := store.Get(bind.Signal); v.IsValid() {
-					if err := brd.WriteInput(bind.ToActor, bind.ToPort, v); err != nil {
+				if v := store.Get(r.Signal); v.IsValid() {
+					if err := brd.WriteInput(r.ToActor, r.ToPort, v); err != nil {
 						brd.fail(err)
 					}
 				}
@@ -199,15 +212,11 @@ func BuildCluster(sys *comdes.System, cfg ClusterConfig) (*Cluster, error) {
 	for _, node := range c.nodes {
 		node := node
 		c.Boards[node].OnPublish = func(now uint64, actor, port string, v value.Value) {
-			for _, bind := range sys.Bindings {
-				if bind.FromActor != actor || bind.FromPort != port {
+			for _, r := range rt.byPort[portKey{actor, port}] {
+				if r.to == node {
 					continue
 				}
-				toNode := sys.NodeOf(bind.ToActor)
-				if toNode == node {
-					continue
-				}
-				c.Net.SendFrom(node, bind.Signal, v, c.inbox[toNode])
+				c.Net.SendFrom(node, r.Signal, v, c.inbox[r.to])
 			}
 		}
 	}
@@ -228,6 +237,38 @@ func BuildCluster(sys *comdes.System, cfg ClusterConfig) (*Cluster, error) {
 		}
 	}
 	return c, nil
+}
+
+// route is one signal binding with its producer's and consumer's nodes
+// resolved.
+type route struct {
+	comdes.Binding
+	from, to string
+}
+
+// portKey identifies an output port.
+type portKey struct{ actor, port string }
+
+// routes indexes a system's bindings once, each index keeping the
+// sys.Bindings order, so the per-publish, per-release and per-delivery
+// hooks visit only the bindings that can match instead of scanning them
+// all with a node lookup per binding.
+type routes struct {
+	byPort   map[portKey][]*route // by producer (FromActor, FromPort)
+	byActor  map[string][]*route  // by consumer actor
+	bySignal map[string][]*route  // by signal name
+}
+
+func newRoutes(sys *comdes.System) routes {
+	rt := routes{byPort: map[portKey][]*route{}, byActor: map[string][]*route{}, bySignal: map[string][]*route{}}
+	for _, b := range sys.Bindings {
+		r := &route{Binding: b, from: sys.NodeOf(b.FromActor), to: sys.NodeOf(b.ToActor)}
+		k := portKey{b.FromActor, b.FromPort}
+		rt.byPort[k] = append(rt.byPort[k], r)
+		rt.byActor[b.ToActor] = append(rt.byActor[b.ToActor], r)
+		rt.bySignal[b.Signal] = append(rt.bySignal[b.Signal], r)
+	}
+	return rt
 }
 
 // nodeKernel returns the kernel node's events run on: its own kernel in

@@ -187,11 +187,36 @@
 // # Parallel execution
 //
 // ClusterConfig.Exec selects how RunUntil advances the nodes. ExecAuto
-// (the default) picks parallel when a Bus schedule is installed — its slot
-// grid provides the lookahead — and serial for constant-latency clusters,
-// the seed behaviour. ExecSerial and ExecParallel force either mode on any
-// configuration (a constant-latency cluster parallelises too: its
-// lookahead is LatencyNs).
+// (the default) is serial for every cluster, with or without a Bus
+// schedule; ExecParallel is an explicit opt-in on any configuration (a
+// TDMA bus's slot grid provides the lookahead, a constant-latency
+// network's is LatencyNs). ExecAuto used to pick parallel on a TDMA bus.
+// It stopped because the parallel executor loses on the hosts measured:
+//
+//   - On a 2-core Xeon, 6 virtual s of RingCluster(16) on the standard
+//     bus made 96,000 arbitrated sends, 12,041 of which blocked. The
+//     shards spent 307 ms waiting for each other's frontiers and the
+//     caller 257 ms at the barrier, out of 899 ms wall time.
+//   - Deferring the bus draws of frames departing past the window horizon
+//     to the barrier removed the blocking (47,997 of 48,000 sends
+//     deferred) yet stayed slower than serial (7.3 vs 9.2 virtual ns per
+//     wall ns): the engine consumes the cluster's events on the caller
+//     between slices, and the per-event frontier publish and merge cost
+//     more than the second core gives back.
+//   - With the serial path made O(1) per queued frame (head-only TX
+//     queues, dtm package comment) and per binding (indexed routes),
+//     RingCluster(16) under repro.DebugCluster runs at 13.0 virtual ns
+//     per wall ns on the serial executor against 8.2 on the parallel one,
+//     which shares the same bus and routing code (2-core Xeon, medians of
+//     8 alternating runs of 3 sessions × 5 virtual s).
+//   - A parallel session starts shards−1 goroutines of its own, outside
+//     any worker pool a caller bounds its CPU use with (the farm's
+//     simulation pool, the campaign runner, which forces ExecSerial).
+//
+// A checkpoint records the mode it was taken in, and a cluster restores
+// only a snapshot of its own mode; ExecMode.ResumeMode lets ExecAuto
+// follow the checkpoint, so checkpoints written while ExecAuto was
+// parallel still resume by default.
 //
 // Parallel mode is conservative parallel discrete-event simulation: each
 // node owns a dtm.Kernel, and the sorted nodes are split into one
@@ -212,6 +237,8 @@
 // The semantics matrix:
 //
 //	aspect                serial (shared kernel)      parallel (per-node kernels)
+//	selected by           ExecAuto (default),         ExecParallel only (opt-in)
+//	                      ExecSerial
 //	event order           one heap, (at, schedAt,     per-node heaps, merged per shard
 //	                      seq) order                  in (at, schedAt, node index)
 //	                                                  order; cross-node effects merged
@@ -228,6 +255,13 @@
 //	(jitter/loss RNG,                                 cursors and delivery numbering
 //	slot cursors)                                     are claimed in exactly the serial
 //	                                                  order
+//	bus events in the     each TX queue's head        each TX queue's head departure
+//	heap                  departure plus the          on the sender's kernel; every
+//	                      deliveries of departed      delivery minted at the barrier
+//	                      frames: O(nodes), however   after its send (held back to
+//	                      deep the backlog            its departure, it could land in
+//	                                                  a window whose horizon did not
+//	                                                  cover it)
 //	equal-instant ties    (at, schedAt, seq) — seq    the send frontier carries
 //	                      assigned at schedule time   (at, schedAt, node index); seq
 //	                                                  is per-kernel and incomparable
@@ -260,6 +294,7 @@
 //	                                                  BoardState.Kernel; snapshots at
 //	                                                  RunUntil boundaries (quiescent);
 //	                                                  cross-mode restore is refused
+//	                                                  (ExecAuto follows the snapshot)
 //	Board.RunFor          standalone boards only      unchanged — cluster nodes are
 //	                                                  driven through Cluster.RunUntil
 //	                                                  in both modes
@@ -422,11 +457,11 @@
 //	            returned; without, the
 //	            state is dropped
 //	migrate     detach(checkpoint) in       identical — cluster checkpoints
-//	            process A, create(digest)   refuse only cross-exec-mode
-//	            in process B sharing the    restores (serial vs parallel
-//	            store directory; the        kernel shapes differ)
-//	            digest verifies on fetch
-//	            (re-hash), so a corrupt
+//	            process A, create(digest)   refuse only an explicit exec
+//	            in process B sharing the    mode other than their own
+//	            store directory; the        (serial vs parallel kernel
+//	            digest verifies on fetch    shapes differ); exec "" or
+//	            (re-hash), so a corrupt     "auto" takes the checkpoint's
 //	            store entry fails loudly
 //	            instead of replaying
 //	            wrongly

@@ -321,8 +321,8 @@ func TestClusterRestoreModeMismatch(t *testing.T) {
 // TestClusterParallelCheckpointRoundTrip: snapshot a parallel
 // constant-latency cluster mid-run, restore through the serialized form
 // into a fresh parallel cluster, and require the continuation to end
-// byte-identical to the uninterrupted run. (The TDMA variant is covered by
-// TestClusterTDMACheckpointMidCycle, which runs parallel via ExecAuto.)
+// byte-identical to the uninterrupted run. (The TDMA variants are covered
+// by TestClusterShardCountsIdentical and TestClusterBacklogSnapshotsPinned.)
 func TestClusterParallelCheckpointRoundTrip(t *testing.T) {
 	build := func() *Cluster {
 		cl, err := BuildCluster(sameInstantSystem(t), ClusterConfig{LatencyNs: 500_000, Exec: ExecParallel})
@@ -585,15 +585,15 @@ func TestClusterShardCountsIdentical(t *testing.T) {
 	}
 }
 
-// TestClusterShardsFollowCores: BuildCluster sizes the shards by
-// GOMAXPROCS, capped at the node count, and on one core the parallel
-// executor starts no goroutine at all — Hold runs every window on the
-// caller.
+// TestClusterShardsFollowCores: BuildCluster sizes the parallel
+// executor's shards (ExecParallel, asked for explicitly: the default is
+// serial) by GOMAXPROCS, capped at the node count, and on one core it
+// starts no goroutine at all — Hold runs every window on the caller.
 func TestClusterShardsFollowCores(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 3, 64} {
 		runtime.GOMAXPROCS(procs)
-		cl := standardBusCluster(t, func() (*comdes.System, error) { return models.RingCluster(16) }, ExecAuto)
+		cl := standardBusCluster(t, func() (*comdes.System, error) { return models.RingCluster(16) }, ExecParallel)
 		if want := min(procs, 16); len(cl.shards) != want {
 			t.Fatalf("GOMAXPROCS=%d: %d shards, want %d", procs, len(cl.shards), want)
 		}

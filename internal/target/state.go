@@ -307,7 +307,9 @@ type ClusterState struct {
 // Snapshot captures the whole cluster at a RunUntil boundary. In parallel
 // mode every RunUntil return is a barrier (workers joined, deliveries
 // flushed, all clocks at the horizon), so the same boundary contract
-// applies; each node's kernel is captured into its BoardState.
+// applies; each node's kernel is captured into its BoardState. Kernels
+// are captured through the network, which adds the schedule instants of
+// the bus events it holds back (dtm.Network.SnapshotKernel).
 func (c *Cluster) Snapshot() (*ClusterState, error) {
 	net, err := c.Net.Snapshot()
 	if err != nil {
@@ -315,7 +317,7 @@ func (c *Cluster) Snapshot() (*ClusterState, error) {
 	}
 	st := &ClusterState{
 		Parallel: c.parallel,
-		Kernel:   c.Kernel.Snapshot(),
+		Kernel:   c.Net.SnapshotKernel(c.Kernel),
 		Net:      net,
 		Boards:   map[string]*BoardState{},
 		Inboxes:  map[string]dtm.StoreState{},
@@ -326,7 +328,7 @@ func (c *Cluster) Snapshot() (*ClusterState, error) {
 			return nil, fmt.Errorf("target: node %s: %w", node, err)
 		}
 		if c.parallel {
-			ks := c.kernels[node].Snapshot()
+			ks := c.Net.SnapshotKernel(c.kernels[node])
 			bs.Kernel = &ks
 		}
 		st.Boards[node] = bs
