@@ -407,59 +407,45 @@ func BenchmarkCompile(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterParallel times cluster execution of the 32-node placed
-// token ring per virtual millisecond, serial (the default executor) vs
-// parallel (opt-in). The parallel mode runs the nodes' kernels on one
-// goroutine per core between TDMA lookahead barriers (traces and checkpoints stay byte-identical either
-// way — asserted in internal/target, not here). The ring oversubscribes its
-// bus, so TX queues grow for as long as it runs: every clusterEpochMs
-// iterations the cluster is restored (untimed) to a warm checkpoint, which
-// keeps the cost per op independent of b.N. The loop runs inside Hold,
-// as a repro.ClusterDebugger.RunNs call does.
-func BenchmarkClusterParallel(b *testing.B) {
+// BenchmarkCluster times cluster execution of the 32-node placed token
+// ring per virtual millisecond. The ring oversubscribes its bus, so TX
+// queues grow for as long as it runs: every clusterEpochMs iterations the
+// cluster is restored (untimed) to a warm checkpoint, which keeps the cost
+// per op independent of b.N.
+func BenchmarkCluster(b *testing.B) {
 	const warmMs, clusterEpochMs = 10, 50
-	for _, mode := range []struct {
-		name string
-		exec target.ExecMode
-	}{{"serial", target.ExecSerial}, {"parallel", target.ExecParallel}} {
-		b.Run(mode.name, func(b *testing.B) {
-			sys, err := models.RingCluster(32)
-			if err != nil {
+	sys, err := models.RingCluster(32)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bus := &dtm.BusSchedule{GapNs: 50_000, Seed: 2010}
+	for _, node := range sys.Nodes() {
+		bus.Slots = append(bus.Slots, dtm.BusSlot{Owner: node, LenNs: 100_000})
+	}
+	cl, err := target.BuildCluster(sys, target.ClusterConfig{
+		LatencyNs: 100_000,
+		Bus:       bus,
+		Board:     target.Config{Baud: 2_000_000},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cl.RunUntil(warmMs * 1_000_000)
+	warm, err := cl.Snapshot()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i > 0 && i%clusterEpochMs == 0 {
+			b.StopTimer()
+			if err := cl.Restore(warm.Clone()); err != nil {
 				b.Fatal(err)
 			}
-			bus := &dtm.BusSchedule{GapNs: 50_000, Seed: 2010}
-			for _, node := range sys.Nodes() {
-				bus.Slots = append(bus.Slots, dtm.BusSlot{Owner: node, LenNs: 100_000})
-			}
-			cl, err := target.BuildCluster(sys, target.ClusterConfig{
-				LatencyNs: 100_000,
-				Bus:       bus,
-				Exec:      mode.exec,
-				Board:     target.Config{Baud: 2_000_000},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			cl.RunUntil(warmMs * 1_000_000)
-			warm, err := cl.Snapshot()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			cl.Hold(func() {
-				for i := 0; i < b.N; i++ {
-					if i > 0 && i%clusterEpochMs == 0 {
-						b.StopTimer()
-						if err := cl.Restore(warm.Clone()); err != nil {
-							b.Fatal(err)
-						}
-						b.StartTimer()
-					}
-					cl.RunUntil(cl.Now() + 1_000_000)
-				}
-			})
-		})
+			b.StartTimer()
+		}
+		cl.RunUntil(cl.Now() + 1_000_000)
 	}
 }
 

@@ -136,15 +136,8 @@ func (d *ClusterDebugger) Run(dur time.Duration) error {
 	return d.RunNs(uint64(dur.Nanoseconds()))
 }
 
-// RunNs is Run in raw nanoseconds of virtual time. A parallel cluster's
-// workers are started once for the whole call and are gone when it
-// returns.
-func (d *ClusterDebugger) RunNs(durNs uint64) (err error) {
-	d.Cluster.Hold(func() { err = d.runNs(durNs) })
-	return err
-}
-
-func (d *ClusterDebugger) runNs(durNs uint64) error {
+// RunNs is Run in raw nanoseconds of virtual time.
+func (d *ClusterDebugger) RunNs(durNs uint64) error {
 	end := d.Cluster.Now() + durNs
 	const slice = 1_000_000
 	nodes := d.Cluster.Nodes() // one copy per call, not per slice

@@ -9,13 +9,12 @@ import (
 	"repro/internal/comdes"
 	"repro/internal/engine"
 	"repro/internal/protocol"
-	"repro/internal/target"
 	"repro/internal/value"
 )
 
-// waitGoroutines waits until the goroutine count is back to want. Workers
-// signal their exit as their last deferred call, so they may still be
-// counted for a moment after the call that stopped them returns.
+// waitGoroutines waits until the goroutine count is back to want. A
+// goroutine that signals its exit as its last deferred call may still be
+// counted for a moment after the call that stopped it returns.
 func waitGoroutines(t *testing.T, what string, want int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -61,18 +60,13 @@ func longSignalDistributed(t *testing.T) *comdes.System {
 	return sys
 }
 
-// TestClusterRunNsLeavesNoGoroutines: the parallel executor's workers
-// (ExecParallel, asked for explicitly: the default is serial) live for
-// one outer host call. However RunNs or a replay returns —
+// TestClusterRunNsLeavesNoGoroutines: however RunNs or a replay returns —
 // normally, early on a paused session, on a node error, or rewinding and
 // replaying through the recorder — the goroutine count is back where it
 // was before the call.
 func TestClusterRunNsLeavesNoGoroutines(t *testing.T) {
 	t.Run("normal", func(t *testing.T) {
-		dbg := distributedDebuggerExec(t, target.ExecParallel)
-		if !dbg.Cluster.Parallel() {
-			t.Fatal("the TDMA scenario should run on the parallel executor")
-		}
+		dbg := distributedDebugger(t)
 		before := runtime.NumGoroutine()
 		if err := dbg.RunNs(20_000_000); err != nil {
 			t.Fatal(err)
@@ -84,7 +78,7 @@ func TestClusterRunNsLeavesNoGoroutines(t *testing.T) {
 	})
 
 	t.Run("paused", func(t *testing.T) {
-		dbg := distributedDebuggerExec(t, target.ExecParallel)
+		dbg := distributedDebugger(t)
 		if err := dbg.Session.SetBreakpoint(engine.Breakpoint{ID: "bus", Event: protocol.EvBusSlot}); err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +93,7 @@ func TestClusterRunNsLeavesNoGoroutines(t *testing.T) {
 	})
 
 	t.Run("node error", func(t *testing.T) {
-		dbg, err := DebugCluster(longSignalDistributed(t), ClusterDebugConfig{Cluster: StandardClusterConfig([]string{"nodeA", "nodeB"}, target.ExecParallel)})
+		dbg, err := DebugCluster(longSignalDistributed(t), ClusterDebugConfig{Cluster: StandardClusterConfig([]string{"nodeA", "nodeB"}, 0)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +106,7 @@ func TestClusterRunNsLeavesNoGoroutines(t *testing.T) {
 	})
 
 	t.Run("rewind", func(t *testing.T) {
-		dbg := distributedDebuggerExec(t, target.ExecParallel)
+		dbg := distributedDebugger(t)
 		if _, err := dbg.EnableCheckpointing(10 * time.Millisecond); err != nil {
 			t.Fatal(err)
 		}
@@ -134,8 +128,7 @@ func TestClusterRunNsLeavesNoGoroutines(t *testing.T) {
 
 // instructionSource is an event source that, each time the session polls
 // it, sends a read and a write instruction to every node. The session
-// polls between the slices of one RunNs, while the executor's workers are
-// parked at a barrier.
+// polls between the slices of one RunNs.
 type instructionSource struct {
 	dbg   *ClusterDebugger
 	polls int
@@ -152,12 +145,10 @@ func (s *instructionSource) Poll(now uint64) []protocol.Event {
 }
 
 // TestClusterHostInstructionsBetweenSlices sends host instructions
-// between the slices of a single RunNs, which the workers started for
-// that call (ExecParallel) then service in the next slice. Run under
-// -race it checks that the barrier orders the host's sends before the
-// workers' reads; the replies must also reach the session.
+// between the slices of a single RunNs, which the boards then service in
+// the next slice; the replies must reach the session.
 func TestClusterHostInstructionsBetweenSlices(t *testing.T) {
-	dbg := distributedDebuggerExec(t, target.ExecParallel)
+	dbg := distributedDebugger(t)
 	src := &instructionSource{dbg: dbg}
 	dbg.Session.AddSource(src)
 	if err := dbg.RunNs(30_000_000); err != nil {

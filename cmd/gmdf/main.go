@@ -64,7 +64,6 @@ func run(args []string, out io.Writer) error {
 	restoreIn := fs.String("restore", "", "restore a checkpoint taken from a run of the same model, then continue for -ms (models with stateful environments need the in-process recorder instead)")
 	rewindMs := fs.Uint64("rewind", 0, "after the run, rewind the session to this virtual millisecond and report the state there (enables periodic checkpointing)")
 	traceOut := fs.String("trace", "", "write the stable-format session trace here (checkpoint-replay determinism diffs)")
-	clusterExec := fs.String("cluster-exec", "auto", "multi-node execution mode: auto (serial; with -restore, the checkpoint's mode) | serial | parallel (opt-in, one goroutine per core); traces are byte-identical across modes")
 	backend := fs.String("backend", "auto", "VM dispatch backend: auto|threaded (direct-threaded compiled bodies, the default) | interp (per-instruction interpreter escape hatch); both are bit-identical, threaded is faster")
 	connect := fs.String("connect", "", "drive a session on a gmdfd farm server at this address instead of an in-process board")
 	resume := fs.String("resume", "", "with -connect: resume a session from this checkpoint digest in the server's store")
@@ -147,8 +146,7 @@ func run(args []string, out io.Writer) error {
 
 	if *connect != "" {
 		ro := remoteOpts{
-			addr: *connect, model: *model, resume: *resume,
-			budgetNs: budgetNs, exec: *clusterExec,
+			addr: *connect, model: *model, resume: *resume, budgetNs: budgetNs,
 			breakMachine: *breakMachine, breakState: *breakState,
 			traceOut: *traceOut, detach: *detach, digestOut: *digestOut,
 		}
@@ -217,14 +215,10 @@ func run(args []string, out io.Writer) error {
 		if *transport == "passive" {
 			return fmt.Errorf("multi-node models debug over every node's active interface; -transport passive is not supported")
 		}
-		exec, err := parseExec(*clusterExec)
-		if err != nil {
-			return err
-		}
-		ccfg := repro.StandardClusterConfig(sys.Nodes(), exec)
+		ccfg := repro.StandardClusterConfig(sys.Nodes(), 0)
 		var cenv func(now uint64, node string, b *target.Board)
 		if sc != nil {
-			ccfg = sc.ClusterConfig(exec)
+			ccfg = sc.ClusterConfig()
 			cenv = sc.ClusterEnvironment()
 		}
 		ccfg.Board.Backend = be
@@ -443,18 +437,6 @@ func runCampaign(out io.Writer, o campaignOpts) error {
 	return nil
 }
 
-func parseExec(mode string) (target.ExecMode, error) {
-	switch mode {
-	case "auto":
-		return target.ExecAuto, nil
-	case "serial":
-		return target.ExecSerial, nil
-	case "parallel":
-		return target.ExecParallel, nil
-	}
-	return 0, fmt.Errorf("unknown -cluster-exec %q (auto|serial|parallel)", mode)
-}
-
 // runCluster is the distributed debugging path: the placed system boots on
 // a TDMA cluster (the Fig. 6 workflow's target is a network of boards) and
 // the one session's trace carries the slot-grid lane. The bus parameters
@@ -470,7 +452,6 @@ func runCluster(out io.Writer, sys *comdes.System, cfg target.ClusterConfig, env
 			return err
 		}
 		restored = cp
-		cfg.Exec = cfg.Exec.ResumeMode(cp.Cluster)
 	}
 	dbg, err := repro.DebugCluster(sys, repro.ClusterDebugConfig{Cluster: cfg, Environment: env})
 	if err != nil {
@@ -567,7 +548,6 @@ type remoteOpts struct {
 	addr, model, resume      string
 	source, sourceName       string // -scenario DSL text shipped to the server
 	budgetNs                 uint64
-	exec                     string
 	breakMachine, breakState string
 	traceOut, digestOut      string
 	detach                   bool
@@ -586,7 +566,7 @@ func runRemote(out io.Writer, o remoteOpts) error {
 	defer cl.Close()
 
 	created, err := cl.Create(farm.CreateParams{
-		Model: o.model, Checkpoint: o.resume, Exec: o.exec,
+		Model: o.model, Checkpoint: o.resume,
 		Source: o.source, SourceName: o.sourceName,
 	})
 	if err != nil {

@@ -73,7 +73,6 @@ func TestFailureStillFlushesClusterTrace(t *testing.T) {
 func TestBadFlagsReturnError(t *testing.T) {
 	for _, args := range [][]string{
 		{"-model", "no-such-model", "-ms", "10"},
-		{"-model", "dist", "-ms", "10", "-cluster-exec", "bogus"},
 		{"-model", "dist", "-ms", "10", "-transport", "passive"},
 		{"-model", "dist", "-ms", "10", "-campaign", "4", "-campaign-loss", "bogus"},
 	} {
@@ -169,37 +168,12 @@ func TestConnectDetachResume(t *testing.T) {
 	}
 }
 
-// TestRestoreParallelCheckpointByDefault: -restore of a cluster checkpoint
-// written under -cluster-exec parallel runs in the checkpoint's mode when
-// -cluster-exec is left at auto, and finishes with the trace of an
-// uninterrupted parallel run; an explicit serial mode is refused.
-func TestRestoreParallelCheckpointByDefault(t *testing.T) {
-	dir := t.TempDir()
-	full := filepath.Join(dir, "full.trace")
-	if err := run([]string{"-model", "dist", "-ms", "120", "-cluster-exec", "parallel", "-trace", full}, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	cp := filepath.Join(dir, "cp.json")
-	if err := run([]string{"-model", "dist", "-ms", "60", "-cluster-exec", "parallel", "-checkpoint", cp}, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	err := run([]string{"-model", "dist", "-restore", cp, "-ms", "60", "-cluster-exec", "serial"}, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "parallel-mode snapshot") {
-		t.Fatalf("explicit serial restore of a parallel checkpoint: %v", err)
-	}
-	resumed := filepath.Join(dir, "resumed.trace")
-	if err := run([]string{"-model", "dist", "-restore", cp, "-ms", "60", "-trace", resumed}, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	a, err := os.ReadFile(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(resumed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatal("parallel checkpoint restored under -cluster-exec auto diverges from the uninterrupted parallel run")
+// TestRestoreRefusesParallelCheckpoint: -restore of a checkpoint written
+// by the removed parallel cluster executor fails with an error naming it.
+func TestRestoreRefusesParallelCheckpoint(t *testing.T) {
+	cp := filepath.Join("..", "..", "testdata", "legacy_parallel_checkpoint.json")
+	err := run([]string{"-model", "dist", "-restore", cp, "-ms", "60"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "removed parallel cluster executor") {
+		t.Fatalf("restore of a parallel checkpoint: %v", err)
 	}
 }

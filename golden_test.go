@@ -43,13 +43,6 @@ func goldenBus() *dtm.BusSchedule {
 // distributedDebugger assembles the golden TDMA cluster scenario.
 func distributedDebugger(t *testing.T) *ClusterDebugger {
 	t.Helper()
-	return distributedDebuggerExec(t, target.ExecAuto)
-}
-
-// distributedDebuggerExec is distributedDebugger under an explicit
-// execution mode.
-func distributedDebuggerExec(t *testing.T, exec target.ExecMode) *ClusterDebugger {
-	t.Helper()
 	sys, err := models.Distributed()
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +52,6 @@ func distributedDebuggerExec(t *testing.T, exec target.ExecMode) *ClusterDebugge
 			LatencyNs: 100_000,
 			Bus:       goldenBus(),
 			Board:     target.Config{Baud: 2_000_000},
-			Exec:      exec,
 		},
 	})
 	if err != nil {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/codegen"
 	"repro/internal/dtm"
-	"repro/internal/target"
 	"repro/internal/trace"
 	"repro/models"
 )
@@ -130,8 +129,8 @@ func (r *boardRunner) observe(v variant) (VariantResult, error) {
 func (r *boardRunner) traceText() string { return r.dbg.Session.Trace.FormatStable() }
 
 // clusterRunner drives distributed variants (bus seed / loss / jitter /
-// slot-rotation sweeps) in serial execution mode: campaign parallelism is
-// across variants, not within one.
+// slot-rotation sweeps) on the one serial cluster kernel: campaign
+// parallelism is across variants, not within one.
 type clusterRunner struct {
 	spec     *Spec
 	cdbg     *repro.ClusterDebugger
@@ -159,7 +158,7 @@ func buildCluster(spec *Spec) (*repro.ClusterDebugger, error) {
 		return nil, err
 	}
 	return repro.DebugCluster(sys, repro.ClusterDebugConfig{
-		Cluster: repro.StandardClusterConfig(sys.Nodes(), target.ExecSerial),
+		Cluster: repro.StandardClusterConfig(sys.Nodes(), 0),
 	})
 }
 

@@ -275,14 +275,8 @@ func (r *ClusterRecorder) sendLogged(now uint64) {
 // absolute slice grid the live run loop uses, so replayed receive stamps
 // reproduce. A partial tail below the next grid point advances the
 // cluster silently — events raised there stay on the wire, just as they
-// were in-flight at that instant originally. A parallel cluster's workers
-// live for the call.
-func (r *ClusterRecorder) pumpTo(t uint64) (err error) {
-	r.Cluster.Hold(func() { err = r.pumpSlices(t) })
-	return err
-}
-
-func (r *ClusterRecorder) pumpSlices(t uint64) error {
+// were in-flight at that instant originally.
+func (r *ClusterRecorder) pumpTo(t uint64) error {
 	for r.Cluster.Now() < t {
 		now := r.Cluster.Now()
 		if r.replaying {
@@ -328,14 +322,8 @@ func (r *ClusterRecorder) RewindTo(t uint64) (uint64, error) {
 
 // ReplayUntil implements engine.Rewinder: re-execute forward from the
 // current (typically rewound) instant until cond reports true, bounded by
-// maxNs of virtual time. cond is checked at pump-slice boundaries. A
-// parallel cluster's workers live for the call.
-func (r *ClusterRecorder) ReplayUntil(cond func(now uint64) bool, maxNs uint64) (hit bool, err error) {
-	r.Cluster.Hold(func() { hit, err = r.replayUntil(cond, maxNs) })
-	return hit, err
-}
-
-func (r *ClusterRecorder) replayUntil(cond func(now uint64) bool, maxNs uint64) (bool, error) {
+// maxNs of virtual time. cond is checked at pump-slice boundaries.
+func (r *ClusterRecorder) ReplayUntil(cond func(now uint64) bool, maxNs uint64) (bool, error) {
 	if r.Cluster.Now() < r.frontier && !r.replaying {
 		r.beginReplay(r.Cluster.Now())
 	}

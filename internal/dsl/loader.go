@@ -339,8 +339,8 @@ func applyDrives(drives []compiledDrive, now uint64, write func(actor, port stri
 // ClusterConfig assembles the multi-node configuration: the standard
 // TDMA cluster for the system's nodes, with the declared bus schedule
 // and board parameters layered over it.
-func (s *Scenario) ClusterConfig(exec target.ExecMode) target.ClusterConfig {
-	cfg := repro.StandardClusterConfig(s.Sys.Nodes(), exec)
+func (s *Scenario) ClusterConfig() target.ClusterConfig {
+	cfg := repro.StandardClusterConfig(s.Sys.Nodes(), 0)
 	if b := s.File.Board; b != nil {
 		if b.CPUHz != 0 {
 			cfg.Board.CPUHz = b.CPUHz

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/dtm"
-	"repro/internal/target"
 )
 
 // twoNodeSrc is a minimal placed scenario with board and bus overrides.
@@ -70,7 +69,7 @@ func TestLoadTwoNodeScenario(t *testing.T) {
 		t.Fatalf("RunNs = %d", sc.RunNs())
 	}
 
-	cfg := sc.ClusterConfig(target.ExecSerial)
+	cfg := sc.ClusterConfig()
 	if cfg.Board.CPUHz != 8_000_000 || cfg.Board.Baud != 1_000_000 || cfg.Board.Sched != dtm.FixedPriority {
 		t.Fatalf("board overlay lost: %+v", cfg.Board)
 	}
@@ -98,7 +97,7 @@ func TestLoadDefaultsMatchStandardCluster(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadSource: %v\n%s", err, Render("duo.gmdf", src, diags))
 	}
-	cfg := sc.ClusterConfig(target.ExecAuto)
+	cfg := sc.ClusterConfig()
 	if cfg.Bus == nil || len(cfg.Bus.Slots) != 2 || cfg.Bus.Slots[0].LenNs != 100_000 {
 		t.Fatalf("standard bus not applied: %+v", cfg.Bus)
 	}

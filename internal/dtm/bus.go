@@ -27,17 +27,10 @@ package dtm
 // arms the next head. A queue departs in send order and its departure
 // instants strictly increase (one frame per slot, slots ordered), so every
 // held-back event enters the heap before any event it precedes could pop,
-// and the event order is exactly that of arming everything at send. Where
-// deliveries are armed depends on the executor:
-//
-//   - Shared kernel (serial): a frame's delivery is armed when it departs,
-//     with its (arrival, enqueue instant, delivery seq) identity fixed at
-//     send; a lost frame never arms one. The heap holds O(nodes) network
-//     events, however deep the backlog.
-//   - Per-node kernels (parallel): deliveries are buffered at send and
-//     minted into the destination kernel at the next barrier
-//     (FlushDeliveries), as before. Holding one back until its departure
-//     could land it inside a window DeliveryBound computed without it.
+// and the event order is exactly that of arming everything at send. A
+// frame's delivery is armed when it departs, with its (arrival, enqueue
+// instant, delivery seq) identity fixed at send; a lost frame never arms
+// one. The heap holds O(nodes) network events, however deep the backlog.
 //
 // A snapshot still lists every held-back event's schedule instant
 // (SnapshotKernel), so the checkpoint bytes are those of a heap holding
@@ -55,10 +48,9 @@ import (
 
 // DeliveryBase is the bottom of the sequence-number range the network uses
 // for delivery events. Deliveries are ordered by a dedicated counter that
-// increments in send order (the same order a shared serial kernel would
-// have assigned their seqs in), kept in a range no kernel counter can ever
-// reach so the two number spaces cannot collide when delivery events are
-// minted into a consumer node's own kernel.
+// increments in send order, kept in a range no kernel counter can ever
+// reach so the two number spaces cannot collide. Checkpoints carry these
+// numbers, so the numbering is part of the checkpoint format.
 const DeliveryBase = uint64(1) << 62
 
 // BusSlot is one sender slot of the TDMA cycle.
@@ -246,13 +238,6 @@ type Network struct {
 	// OnDrop, when set, observes every frame loss at its departure slot;
 	// total is the owner's cumulative drop count.
 	OnDrop func(now uint64, owner, signal string, total uint64)
-	// OnSend, when set, gates every identified SendFrom before it touches
-	// any shared state. The parallel cluster installs its send arbiter here:
-	// the hook blocks the calling worker until every other node's event
-	// frontier has passed the sender's current event, so RNG draws, slot
-	// cursor claims and delivery sequence numbers are handed out in exactly
-	// the virtual-time order a serial shared kernel executes the sends in.
-	OnSend func(src string)
 
 	sched  *BusSchedule
 	table  slotTable
@@ -268,41 +253,13 @@ type Network struct {
 	// through the frames themselves so a frame retires in O(1).
 	inflight flightList
 
-	// mu guards the cross-node shared state above (counters, RNG, cursors,
-	// stats, the in-flight list, dseq and the delivery buffer) when node
-	// kernels advance on concurrent goroutines. Uncontended in serial mode.
+	// mu guards the shared state above (counters, RNG, cursors, stats,
+	// the in-flight list) and dseq.
 	mu sync.Mutex
-	// kernels maps node name -> that node's kernel when the owning cluster
-	// executes nodes in parallel; nil means everything runs on K. Departure
-	// events are scheduled on the sending node's kernel, deliveries are
-	// minted into the destination node's kernel at the next barrier.
-	kernels map[string]*Kernel
 	// dseq numbers deliveries in send order (seq = DeliveryBase + dseq).
 	dseq uint64
-	// pending buffers deliveries created during a parallel window; the
-	// barrier flushes them into consumer kernels (FlushDeliveries) — a
-	// concurrent heap push into a running kernel would race.
-	pending []*netFlight
 	// free holds frame records retired by their own events, for reuse.
 	free []*netFlight
-}
-
-// SetNodeKernels switches the network into parallel-cluster mode: each
-// node's events (departures, deliveries) are scheduled on its own kernel,
-// and deliveries created mid-window are buffered until FlushDeliveries.
-// Pass nil to return to the single shared kernel K.
-func (n *Network) SetNodeKernels(kernels map[string]*Kernel) {
-	n.kernels = kernels
-}
-
-// kernelFor resolves the kernel a node's events run on.
-func (n *Network) kernelFor(node string) *Kernel {
-	if n.kernels != nil {
-		if k, ok := n.kernels[node]; ok {
-			return k
-		}
-	}
-	return n.K
 }
 
 // netFlight is one signal message queued for or on the wire.
@@ -502,24 +459,11 @@ func (n *Network) Send(signal string, v value.Value, dst *Store) {
 // release jitter, loss outcome and event identities are all decided
 // (deterministically) here, so a snapshot taken at any later instant
 // carries the committed timing. Only a frame that heads the queue has its
-// departure armed now; see the package comment for where deliveries are
-// armed.
-//
+// departure armed now, and its delivery is armed when it departs.
 // Deliveries are numbered from a dedicated counter in send order
-// (DeliveryBase + dseq) instead of consuming a kernel seq: the identity is
-// then kernel-independent, so the parallel cluster — whose sends are
-// arbitrated into exactly the virtual-time order a serial run executes
-// them in — mints the delivery into the destination node's kernel with the
-// same (arrival, enqueue instant, seq) ordering key a shared kernel would
-// have used. In parallel mode the delivery is buffered until the next
-// barrier (FlushDeliveries); the departure always lives on the sending
-// node's kernel, which is the goroutine running this call.
+// (DeliveryBase + dseq) instead of consuming a kernel seq.
 func (n *Network) SendFrom(src, signal string, v value.Value, dst *Store) {
-	if src != "" && n.OnSend != nil {
-		n.OnSend(src)
-	}
-	kSrc := n.kernelFor(src)
-	now := kSrc.Now()
+	now := n.K.Now()
 	if n.sched == nil || src == "" {
 		n.mu.Lock()
 		n.Sent++
@@ -528,11 +472,7 @@ func (n *Network) SendFrom(src, signal string, v value.Value, dst *Store) {
 		f.seq = DeliveryBase + n.dseq
 		n.dseq++
 		n.inflight.push(f)
-		if n.kernels != nil {
-			n.pending = append(n.pending, f)
-		} else {
-			_ = n.K.ScheduleAt(f.at, now, f.seq, f.deliver)
-		}
+		_ = n.K.ScheduleAt(f.at, now, f.seq, f.deliver)
 		n.mu.Unlock()
 		return
 	}
@@ -580,14 +520,11 @@ func (n *Network) SendFrom(src, signal string, v value.Value, dst *Store) {
 	}
 	f.seq = DeliveryBase + n.dseq
 	n.dseq++
-	f.departSeq = kSrc.ReserveSeq()
+	f.departSeq = n.K.ReserveSeq()
 	n.inflight.push(f)
 	st.Queued++
 	if q.push(f) {
-		kSrc.arm(f.departAt, f.enq, f.departSeq, q.depart)
-	}
-	if n.kernels != nil && !f.lost {
-		n.pending = append(n.pending, f)
+		n.K.arm(f.departAt, f.enq, f.departSeq, q.depart)
 	}
 	n.mu.Unlock()
 }
@@ -610,73 +547,26 @@ func (n *Network) newFlight() *netFlight {
 }
 
 // retire removes a frame from the in-flight list for good (mu held by the
-// caller) and, when reuse is set, keeps its record for newFlight. Only the
-// event that ends a frame — its delivery, or the departure that loses it
-// — retires it, and reuse is set only when no event, queue or buffer can
-// refer to the record any more. A frame no longer listed (orphaned by
-// DropInflight) is left alone.
-func (n *Network) retire(f *netFlight, reuse bool) {
+// caller) and keeps its record for newFlight. Only the event that ends a
+// frame — its delivery, or the departure that loses it — retires it, and
+// then no event or queue refers to the record any more. A frame no longer
+// listed (orphaned by DropInflight) is left alone.
+func (n *Network) retire(f *netFlight) {
 	if !f.linked {
 		return
 	}
 	n.inflight.remove(f)
-	if reuse && len(n.free) < maxFreeFlights {
+	if len(n.free) < maxFreeFlights {
 		*f = netFlight{deliver: f.deliver}
 		n.free = append(n.free, f)
 	}
 }
 
-// FlushDeliveries mints every delivery buffered during a parallel window
-// into its destination node's kernel, in send order, with the explicit
-// (arrival, enqueue instant, delivery seq) identity fixed at send time.
-// The cluster calls it at every barrier, when no node kernel is running.
-func (n *Network) FlushDeliveries() error {
-	n.mu.Lock()
-	pend := n.pending
-	n.pending = nil
-	n.mu.Unlock()
-	for _, f := range pend {
-		k := n.K
-		if name, ok := n.names[f.dst]; ok {
-			k = n.kernelFor(name)
-		}
-		if err := k.ScheduleAt(f.at, f.enq, f.seq, f.deliver); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// DeliveryBound returns the earliest instant a frame not yet submitted at
-// time from could possibly arrive anywhere — the conservative lookahead
-// the parallel cluster uses as its barrier horizon. Under a TDMA schedule
-// no sender departs before its next claimable slot opens (release jitter
-// only delays departures within the slot), so the bound is the earliest
-// such slot start across all owners plus propagation; without a schedule
-// it is from + LatencyNs. Cursors only advance, so a bound computed at a
-// window's start stays valid for the whole window.
-func (n *Network) DeliveryBound(from uint64) uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.sched == nil {
-		return from + n.LatencyNs
-	}
-	// A frame submitted at t >= from departs at max(slot start, t), so no
-	// departure precedes max(start of the next claimable slot, from).
-	best := ^uint64(0)
-	for _, q := range n.owners {
-		dep := max(n.table.start(n.table.nextOwned(q.slots, n.cursor[q.name], from)), from)
-		best = min(best, dep+n.LatencyNs)
-	}
-	return best
-}
-
 // departHead is the head frame of q leaving its TX queue in its owner's
-// slot: queueing stats close, the next head's departure is armed, on a
-// shared kernel the frame's delivery is armed, the slot hook fires, and a
-// lost frame dies here — at the slot, observable — instead of silently
-// never arriving. It runs on the sending node's kernel (and, in parallel
-// mode, its goroutine), so the slot/drop hooks hit the sender's own board.
+// slot: queueing stats close, the next head's departure and the frame's
+// delivery are armed, the slot hook fires, and a lost frame dies here — at
+// the slot, observable — instead of silently never arriving. The slot and
+// drop hooks hit the sender's own board.
 func (n *Network) departHead(q *txNode, now uint64) {
 	n.mu.Lock()
 	f := q.pop()
@@ -691,21 +581,19 @@ func (n *Network) departHead(q *txNode, now uint64) {
 	if wait := f.departAt - f.enq; wait > st.WorstQueueNs {
 		st.WorstQueueNs = wait
 	}
-	k := n.kernelFor(q.name)
 	if next := q.head; next != nil {
-		k.arm(next.departAt, next.enq, next.departSeq, q.depart)
+		n.K.arm(next.departAt, next.enq, next.departSeq, q.depart)
 	}
-	// The hooks see copies: in parallel mode another node may deliver the
-	// frame and its record be reused while they run.
+	// The hooks see copies: a lost frame's record is retired for reuse.
 	signal, slot, lost := f.signal, f.slot, f.lost
 	var total uint64
 	if lost {
-		n.retire(f, true)
+		n.retire(f)
 		st.Dropped++
 		n.Dropped++
 		total = st.Dropped
-	} else if n.kernels == nil {
-		k.arm(f.at, f.enq, f.seq, f.deliver)
+	} else {
+		n.K.arm(f.at, f.enq, f.seq, f.deliver)
 	}
 	n.mu.Unlock()
 	if n.OnSlot != nil {
@@ -716,20 +604,14 @@ func (n *Network) departHead(q *txNode, now uint64) {
 	}
 }
 
-// deliver lands one frame and retires its in-flight record. It runs on the
-// destination node's kernel, so the store write (and anything it triggers
-// on the consuming board) stays node-local.
+// deliver lands one frame and retires its in-flight record.
 func (n *Network) deliver(f *netFlight) {
 	n.mu.Lock()
 	dst, signal, v := f.dst, f.signal, f.v
-	tdma := f.src != "" && n.sched != nil
-	if tdma {
+	if f.src != "" && n.sched != nil {
 		n.nodeStats(f.src).Delivered++
 	}
-	// Per-node kernels order a frame's departure and delivery in virtual
-	// time only: the destination may deliver before the sender has run the
-	// departure, and the record stays in its TX queue until it does.
-	n.retire(f, !tdma || f.departed)
+	n.retire(f)
 	n.mu.Unlock()
 	dst.Set(signal, v)
 }
@@ -746,7 +628,6 @@ func (n *Network) DropInflight() {
 	defer n.mu.Unlock()
 	n.inflight.clear()
 	n.clearQueues()
-	n.pending = nil
 	for _, st := range n.stats {
 		st.Queued = 0
 	}
@@ -759,19 +640,19 @@ func (n *Network) clearQueues() {
 	}
 }
 
-// SnapshotKernel is k.Snapshot with the schedule instants of the events
-// the network holds back from k's heap added to SchedAts: the departures
-// queued behind each head on k and, on a shared kernel, the deliveries of
-// frames not yet departed. Every one of them was scheduled at its frame's
-// enqueue instant. The result is exactly what k.Snapshot returned when
-// every queued event sat in the heap, so checkpoint bytes do not depend
-// on how much of the backlog is armed.
-func (n *Network) SnapshotKernel(k *Kernel) KernelState {
-	st := k.Snapshot()
+// SnapshotKernel is K.Snapshot with the schedule instants of the events
+// the network holds back from the heap added to SchedAts: the departures
+// queued behind each head and the deliveries of frames not yet departed.
+// Every one of them was scheduled at its frame's enqueue instant. The
+// result is exactly what K.Snapshot returned when every queued event sat
+// in the heap, so checkpoint bytes do not depend on how much of the
+// backlog is armed.
+func (n *Network) SnapshotKernel() KernelState {
+	st := n.K.Snapshot()
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for _, q := range n.owners {
-		if q.head == nil || n.kernelFor(q.name) != k {
+		if q.head == nil {
 			continue
 		}
 		if st.SchedAts == nil {
@@ -779,7 +660,7 @@ func (n *Network) SnapshotKernel(k *Kernel) KernelState {
 		}
 		for f := q.head; f != nil; f = f.qnext {
 			st.SchedAts[f.departSeq] = f.enq
-			if n.kernels == nil && !f.lost {
+			if !f.lost {
 				st.SchedAts[f.seq] = f.enq
 			}
 		}
@@ -878,9 +759,6 @@ type NetworkState struct {
 func (n *Network) Snapshot() (NetworkState, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if len(n.pending) > 0 {
-		return NetworkState{}, fmt.Errorf("dtm: snapshot with %d unflushed parallel deliveries (not a barrier)", len(n.pending))
-	}
 	st := NetworkState{
 		LatencyNs: n.LatencyNs, Sent: n.Sent, Dropped: n.Dropped,
 		RNG: n.rng, Sched: n.sched, DeliverySeq: n.dseq,
@@ -946,7 +824,6 @@ func (n *Network) Restore(st NetworkState) error {
 	n.Dropped = st.Dropped
 	n.rng = st.RNG
 	n.dseq = st.DeliverySeq
-	n.pending = nil
 	n.cursor = map[string]uint64{}
 	for k, v := range st.Cursor {
 		n.cursor[k] = v
@@ -983,27 +860,21 @@ func (n *Network) Restore(st NetworkState) error {
 			if q == nil {
 				return fmt.Errorf("dtm: restore frame %q queued by %q, which owns no slot", fs.Signal, f.src)
 			}
-			k := n.kernelFor(f.src)
 			if q.push(f) {
-				k.arm(f.departAt, f.enq, f.departSeq, q.depart)
+				n.K.arm(f.departAt, f.enq, f.departSeq, q.depart)
 			} else {
-				k.forget(f.departSeq)
+				n.K.forget(f.departSeq)
 			}
 		}
 		if !tdma || !f.lost {
 			// Deliveries re-arm with their full explicit identity (the
-			// enqueue instant is on the flight record), on the destination
-			// node's kernel in parallel mode. On a shared kernel a queued
-			// frame's delivery is armed when it departs.
-			dk := n.K
-			if name, ok := n.names[f.dst]; ok {
-				dk = n.kernelFor(name)
-			}
-			dk.forget(f.seq)
-			if queued && n.kernels == nil {
+			// enqueue instant is on the flight record); a queued frame's
+			// delivery is armed when it departs.
+			n.K.forget(f.seq)
+			if queued {
 				continue
 			}
-			if err := dk.ScheduleAt(f.at, f.enq, f.seq, f.deliver); err != nil {
+			if err := n.K.ScheduleAt(f.at, f.enq, f.seq, f.deliver); err != nil {
 				return err
 			}
 		}

@@ -535,7 +535,7 @@ func TestRestoreArmsOnlyQueueHeads(t *testing.T) {
 		r.n.SendFrom([]string{"a", "b", "c"}[i%3], fmt.Sprintf("s%03d", i), value.I(int64(i)), r.dst)
 	}
 	r.k.RunUntil(cut)
-	ks, ns := r.n.SnapshotKernel(r.k), mustSnapshot(t, r.n)
+	ks, ns := r.n.SnapshotKernel(), mustSnapshot(t, r.n)
 	if r.n.Queued() < 60 {
 		t.Fatalf("only %d frames queued at the cut; no backlog", r.n.Queued())
 	}
@@ -559,7 +559,7 @@ func TestRestoreArmsOnlyQueueHeads(t *testing.T) {
 	if got, want := fresh.k.Pending(), 3+onWire; got != want {
 		t.Errorf("%d events in the heap after restore, want %d (three queue heads, %d frames on the wire)", got, want, onWire)
 	}
-	again, _ := json.Marshal(fresh.n.SnapshotKernel(fresh.k))
+	again, _ := json.Marshal(fresh.n.SnapshotKernel())
 	if want, _ := json.Marshal(ks); string(again) != string(want) {
 		t.Errorf("restored kernel snapshots to\n%s\nwant\n%s", again, want)
 	}

@@ -8,7 +8,8 @@
 // time, periodic tasks with release/deadline latching, a multi-node signal
 // network with transmission latency, and jitter instrumentation used by
 // the reproduction experiments to demonstrate the jitter-elimination
-// property.
+// property. A multi-node cluster runs every node, and every network event,
+// on one shared Kernel.
 package dtm
 
 import (
@@ -38,14 +39,13 @@ type eventHeap []event
 
 func (h eventHeap) Len() int { return len(h) }
 
-// Less orders events by (at, schedAt, seq). For a single kernel this is
-// provably the same order as the historical (at, seq): seq is assigned in
+// Less orders events by (at, schedAt, seq). For kernel-assigned seqs this
+// is the same order as the historical (at, seq): seq is assigned in
 // execution order, so it is monotone in the schedule instant and schedAt
-// can never invert a seq comparison. The schedAt component matters for the
-// parallel cluster path, where delivery events minted on another node's
-// kernel carry their original enqueue instant and a sequence number from a
-// separate (bus) number space — (at, schedAt, seq) then reproduces the
-// serial shared-kernel interleaving.
+// can never invert a seq comparison. The schedAt component matters for
+// network deliveries, which carry a sequence number from a separate
+// (DeliveryBase) number space: their enqueue instant places them among
+// the kernel's own events.
 func (h eventHeap) Less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
@@ -113,7 +113,7 @@ type Kernel struct {
 	ran uint64
 
 	// running guards against re-entrant execution: an event callback (or a
-	// second goroutine) calling back into Step/RunUntil/RunMerged would
+	// second goroutine) calling back into Step/RunUntil would
 	// interleave two pops on one heap — silent corruption. Scheduling from
 	// inside an event stays legal; running does not.
 	running bool
@@ -141,9 +141,9 @@ func (k *Kernel) Pending() int { return len(k.pq) }
 func (k *Kernel) Executed() uint64 { return k.ran }
 
 // Schedule runs fn at absolute time at (>= now). Scheduling in the past is
-// an error and the event is NOT enqueued: with per-node clocks advancing
-// concurrently a past event would execute "before now" on the next pop,
-// silently reordering history. Rearm is the only past-tolerant path.
+// an error and the event is NOT enqueued: a past event would execute
+// "before now" on the next pop, silently reordering history. Rearm is the
+// only past-tolerant path.
 func (k *Kernel) Schedule(at uint64, fn func(now uint64)) error {
 	_, err := k.ScheduleTagged(at, fn)
 	return err
@@ -189,11 +189,10 @@ func (k *Kernel) forget(seq uint64) { delete(k.rearmSched, seq) }
 
 // ScheduleAt enqueues an event with an explicit (at, schedAt, seq)
 // identity, without touching the kernel's own sequence counter. This is
-// how foreign events — bus deliveries minted by another node's send —
-// enter a kernel: their ordering identity was fixed where the send
-// happened, and replaying it here reproduces the serial shared-kernel
-// interleaving. Callers own the seq number space (the network uses a
-// dedicated high range so it can never collide with kernel-assigned seqs).
+// how network deliveries enter the kernel: their ordering identity was
+// fixed at send (or is restored from a checkpoint). Callers own the seq
+// number space (the network uses a dedicated high range so it can never
+// collide with kernel-assigned seqs).
 func (k *Kernel) ScheduleAt(at, schedAt, seq uint64, fn func(now uint64)) error {
 	if at < k.now {
 		return fmt.Errorf("dtm: schedule at %d before now %d", at, k.now)
@@ -318,62 +317,6 @@ func (k *Kernel) RunUntil(t uint64) {
 	for len(k.pq) > 0 && k.pq[0].at <= t {
 		k.step()
 	}
-	if t > k.now {
-		k.now = t
-	}
-}
-
-// RunMerged executes the pending events of several kernels as one merged
-// stream: events with at < limit (at <= limit when incl is set), in
-// (at, schedAt, kernel index) order, each on its own kernel, without
-// advancing any clock past its last executed event. onEvent, when set,
-// sees each event's kernel index and (at, schedAt) immediately before it
-// runs. It is the parallel cluster's worker loop: one goroutine runs the
-// per-node kernels of a shard of nodes, onEvent publishes the shard's
-// event frontier so cross-node sends can be arbitrated into virtual-time
-// order, and the exclusive limit is the conservative lookahead barrier —
-// no event at or beyond it may run before the barrier merges cross-node
-// effects. The caller advances the clocks to the barrier explicitly with
-// AdvanceTo. With one kernel this is a plain windowed run. Every kernel's
-// head is re-examined before each event, so an event may schedule onto
-// any kernel of the merge; a kernel listed twice panics as a re-entrant
-// run.
-func RunMerged(ks []*Kernel, limit uint64, incl bool, onEvent func(i int, at, schedAt uint64)) {
-	entered := 0
-	defer func() {
-		for _, k := range ks[:entered] {
-			k.leave()
-		}
-	}()
-	for _, k := range ks {
-		k.enter()
-		entered++
-	}
-	for {
-		m := -1
-		var mat, msched uint64
-		for i, k := range ks {
-			if len(k.pq) == 0 {
-				continue
-			}
-			head := &k.pq[0]
-			if m < 0 || head.at < mat || (head.at == mat && head.schedAt < msched) {
-				m, mat, msched = i, head.at, head.schedAt
-			}
-		}
-		if m < 0 || mat > limit || (!incl && mat == limit) {
-			return
-		}
-		if onEvent != nil {
-			onEvent(m, mat, msched)
-		}
-		ks[m].step()
-	}
-}
-
-// AdvanceTo moves the clock forward to t without running anything; it is
-// the barrier half of RunMerged. Moving backwards is a no-op.
-func (k *Kernel) AdvanceTo(t uint64) {
 	if t > k.now {
 		k.now = t
 	}

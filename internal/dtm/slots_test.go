@@ -29,7 +29,7 @@ func refNextOwned(s *BusSchedule, owner string, minAbs, now uint64) (uint64, boo
 }
 
 // tableNextOwned is the table's answer for owner (ok=false when the owner
-// holds no slot), as SendFrom and DeliveryBound ask it.
+// holds no slot), as SendFrom asks it.
 func tableNextOwned(n *Network, owner string, minAbs, now uint64) (uint64, bool) {
 	q := n.tx[owner]
 	if q == nil {
@@ -95,31 +95,5 @@ func TestSlotTableMatchesReference(t *testing.T) {
 	}
 	if checks < 10_000 {
 		t.Fatalf("only %d comparisons", checks)
-	}
-}
-
-// TestSlotTableDeliveryBound pins DeliveryBound, which uses the same
-// table, to the earliest departure the reference search allows.
-func TestSlotTableDeliveryBound(t *testing.T) {
-	s := &BusSchedule{
-		Slots: []BusSlot{{Owner: "a", LenNs: 30}, {Owner: "b", LenNs: 20}, {Owner: "a", LenNs: 10}},
-		GapNs: 5,
-	}
-	n := NewNetwork(NewKernel(), 7)
-	if err := n.SetSchedule(s); err != nil {
-		t.Fatal(err)
-	}
-	for _, cursor := range []map[string]uint64{nil, {"a": 2}, {"a": 7, "b": 40}} {
-		n.cursor = cursor
-		for from := uint64(0); from < 3*s.CycleNs(); from++ {
-			want := ^uint64(0)
-			for _, owner := range []string{"a", "b"} {
-				abs, _ := refNextOwned(s, owner, cursor[owner], from)
-				want = min(want, max(s.SlotStart(abs), from)+n.LatencyNs)
-			}
-			if got := n.DeliveryBound(from); got != want {
-				t.Fatalf("cursor %v from %d: DeliveryBound %d, want %d", cursor, from, got, want)
-			}
-		}
 	}
 }

@@ -1,9 +1,14 @@
 package farm
 
 import (
+	"bufio"
+	"encoding/json"
+	"io"
+	"net"
 	"os"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestCreateFromSource: a session created from scenario DSL source
@@ -87,4 +92,97 @@ func TestCreateSourceSizeLimit(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "disabled") {
 		t.Fatalf("disabled DSL creates: err = %v, want disabled error", err)
 	}
+}
+
+// TestRequestLineBounded: a request line longer than the bound derived
+// from MaxSourceBytes gets a wire error and its connection is closed,
+// while a create carrying a maximum-size source whose every padding byte
+// JSON-escapes to six still succeeds, and a session on another connection
+// keeps its byte-identical trace throughout.
+func TestRequestLineBounded(t *testing.T) {
+	srv, cl := startServer(t, Options{})
+	ref, err := cl.Create(CreateParams{Model: "dist"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.RunFor(ref.Session, 40); err != nil {
+		t.Fatal(err)
+	}
+	want, err := cl.TraceStable(ref.Session)
+	if err != nil {
+		t.Fatal(err)
+	}
+	control, err := cl.Create(CreateParams{Model: "dist"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.RunFor(control.Session, 20); err != nil {
+		t.Fatal(err)
+	}
+
+	limit := maxRequestBytes(srv.opts.MaxSourceBytes)
+	nc, err := net.Dial("tcp", seedAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	go func() {
+		// Ten times the bound: the client is still writing when the server
+		// refuses the line, which must not reset the refusal away.
+		line := `{"id":1,"method":"create","params":{"source":"` + strings.Repeat("x", 10*limit) + "\"}}\n"
+		_, _ = io.WriteString(nc, line)
+	}()
+	_ = nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+	br := bufio.NewReader(nc)
+	reply, err := br.ReadBytes('\n')
+	if err != nil {
+		t.Fatalf("no reply to an oversized request line: %v", err)
+	}
+	var msg ServerMsg
+	if err := json.Unmarshal(reply, &msg); err != nil || !strings.Contains(msg.Error, "request line too long") {
+		t.Fatalf("oversized request line: reply %s (%v), want a line-length error", reply, err)
+	}
+	if rest, err := br.ReadBytes('\n'); err != io.EOF {
+		t.Fatalf("connection still open after the refusal: read %q, %v", rest, err)
+	}
+
+	src, err := os.ReadFile("../../examples/dsl/heating.gmdf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pad := srv.opts.MaxSourceBytes - len(src) - len("#\n")
+	big := string(src) + "#" + strings.Repeat("<", pad) + "\n"
+	if len(big) != srv.opts.MaxSourceBytes {
+		t.Fatalf("source is %d bytes, want %d", len(big), srv.opts.MaxSourceBytes)
+	}
+	wire, err := json.Marshal(Request{Method: "create", Params: mustJSON(t, CreateParams{Source: big})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wire) < 6*pad {
+		t.Fatalf("create line is %d bytes, want the padding escaped six-fold (>= %d)", len(wire), 6*pad)
+	}
+	if _, err := cl.Create(CreateParams{Source: big}); err != nil {
+		t.Fatalf("create with a %d-byte source: %v", len(big), err)
+	}
+
+	if _, err := cl.RunFor(control.Session, 20); err != nil {
+		t.Fatal(err)
+	}
+	got, err := cl.TraceStable(control.Session)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Stable != want.Stable {
+		t.Fatal("a session on another connection diverged across the refused request")
+	}
+}
+
+func mustJSON(t *testing.T, v any) json.RawMessage {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

@@ -2,10 +2,13 @@ package farm
 
 import (
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro"
+	"repro/internal/checkpoint"
 	"repro/internal/trace"
 	"repro/models"
 )
@@ -448,52 +451,63 @@ func TestStoreIntegrity(t *testing.T) {
 	}
 }
 
-// TestResumeParallelCheckpointByDefault: a cluster checkpoint taken under
-// the parallel executor resumes in a create that names no exec mode (the
-// session is built in the mode the checkpoint records), and the rest of
-// the run is byte-identical to an uninterrupted parallel session. An
-// explicit mode that disagrees with the checkpoint is still refused.
-func TestResumeParallelCheckpointByDefault(t *testing.T) {
-	_, cl := startServer(t, Options{StoreDir: t.TempDir()})
-	ref, err := cl.Create(CreateParams{Model: "dist", Exec: "parallel"})
+// TestCreateRefusesParallelCheckpoint: a create resuming a checkpoint
+// written by the removed parallel cluster executor gets a wire error
+// naming it, not a silent mis-restore. The server keeps serving: a
+// control session on another connection, driven across the refusal,
+// ends with the trace of an uninterrupted run, and a fresh create works.
+func TestCreateRefusesParallelCheckpoint(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "testdata", "legacy_parallel_checkpoint.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.RunFor(ref.Session, 120); err != nil {
+	dir := t.TempDir()
+	digest := checkpoint.DigestBytes(raw)
+	if err := os.WriteFile(filepath.Join(dir, digest+".cp"), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	full, err := cl.TraceStable(ref.Session)
+	_, cl := startServer(t, Options{StoreDir: dir})
+	ctl, err := Dial(seedAddr)
 	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctl.Close()
+
+	ref, err := ctl.Create(CreateParams{Model: "dist"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ctl.RunFor(ref.Session, 60); err != nil {
+		t.Fatal(err)
+	}
+	want, err := ctl.TraceStable(ref.Session)
+	if err != nil {
+		t.Fatal(err)
+	}
+	control, err := ctl.Create(CreateParams{Model: "dist"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ctl.RunFor(control.Session, 30); err != nil {
 		t.Fatal(err)
 	}
 
-	first, err := cl.Create(CreateParams{Model: "dist", Exec: "parallel"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.RunFor(first.Session, 60); err != nil {
-		t.Fatal(err)
-	}
-	det, err := cl.Detach(first.Session, true)
-	if err != nil {
-		t.Fatal(err)
+	_, err = cl.Create(CreateParams{Model: "dist", Checkpoint: digest})
+	if err == nil || !strings.Contains(err.Error(), "removed parallel cluster executor") {
+		t.Fatalf("create from a parallel checkpoint: %v", err)
 	}
 
-	if _, err := cl.Create(CreateParams{Model: "dist", Checkpoint: det.Digest, Exec: "serial"}); err == nil || !strings.Contains(err.Error(), "parallel-mode snapshot") {
-		t.Fatalf("explicit serial resume of a parallel checkpoint: %v", err)
+	if _, err := ctl.RunFor(control.Session, 30); err != nil {
+		t.Fatal(err)
 	}
-	resumed, err := cl.Create(CreateParams{Model: "dist", Checkpoint: det.Digest})
+	got, err := ctl.TraceStable(control.Session)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.RunFor(resumed.Session, 60); err != nil {
-		t.Fatal(err)
+	if got.Stable != want.Stable {
+		t.Fatal("control session's trace changed across the refused create")
 	}
-	got, err := cl.TraceStable(resumed.Session)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Stable != full.Stable {
-		t.Fatal("parallel checkpoint resumed under the default exec mode diverges from the uninterrupted parallel run")
+	if _, err := cl.Create(CreateParams{Model: "dist"}); err != nil {
+		t.Fatalf("create after the refusal: %v", err)
 	}
 }

@@ -5,7 +5,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math/bits"
 	"net"
 	"net/http"
@@ -33,6 +35,41 @@ const DefaultMaxSessions = 1024
 // what a scenario may build, this caps what the front end must even read.
 const DefaultMaxSourceBytes = 256 << 10
 
+// requestEnvelopeBytes is the part of the request line bound that does not
+// scale with the scenario source: method, id, session, the other create
+// parameters and the JSON framing around them.
+const requestEnvelopeBytes = 64 << 10
+
+// maxRequestBytes bounds one request line. The only request field of
+// unbounded size is a create's scenario source, capped at maxSource bytes
+// (negative: DSL creates disabled). JSON escapes a source byte into at most
+// 6 bytes (\u00XX for control characters, <, > and &; \ufffd for a byte of
+// invalid UTF-8), so a maximum-size source always fits.
+func maxRequestBytes(maxSource int) int {
+	return 6*max(maxSource, 0) + requestEnvelopeBytes
+}
+
+// errRequestTooLong is answered to a request line over maxRequestBytes;
+// the server then closes the connection.
+var errRequestTooLong = errors.New("farm: request line too long")
+
+// readLine reads one '\n'-terminated line of at most limit bytes. A
+// longer line stops the read at limit (buffering no more than that) and
+// returns errRequestTooLong.
+func readLine(br *bufio.Reader, limit int) ([]byte, error) {
+	var line []byte
+	for {
+		frag, err := br.ReadSlice('\n')
+		if len(line)+len(frag) > limit {
+			return nil, errRequestTooLong
+		}
+		line = append(line, frag...)
+		if err != bufio.ErrBufferFull {
+			return line, err
+		}
+	}
+}
+
 // attachSampleCap bounds the retained attach-latency samples used for
 // percentiles (the log2 bucket histogram is unbounded).
 const attachSampleCap = 8192
@@ -48,7 +85,10 @@ type Options struct {
 	MaxSessions int
 	// MaxSourceBytes caps the scenario DSL source a create request may
 	// carry (DefaultMaxSourceBytes when zero, negative disables DSL
-	// creates entirely).
+	// creates entirely). It also bounds every request line a connection
+	// may send (maxRequestBytes): a longer line gets a wire error and the
+	// connection is closed, so no client can grow the server's memory
+	// without bound.
 	MaxSourceBytes int
 	// Logf, when set, receives one line per connection and session
 	// lifecycle event.
@@ -58,8 +98,8 @@ type Options struct {
 	// on this pool, so total simulation parallelism stays bounded no
 	// matter how many clients are connected, and work stealing rebalances
 	// a session running seconds of virtual time against ones stepping a
-	// millisecond at a time. The bound excludes cluster sessions created
-	// with exec "parallel": each runs shards−1 goroutines of its own.
+	// millisecond at a time. Cluster sessions are no exception: a cluster
+	// runs on the one worker that executes its request.
 	Workers int
 }
 
@@ -268,8 +308,14 @@ func (c *conn) readLoop() {
 		c.srv.dropConn(c)
 	}()
 	br := bufio.NewReaderSize(c.nc, 64<<10)
+	limit := maxRequestBytes(c.srv.opts.MaxSourceBytes)
 	for {
-		line, err := br.ReadBytes('\n')
+		line, err := readLine(br, limit)
+		if err == errRequestTooLong {
+			_ = c.writeJSON(ServerMsg{Error: fmt.Sprintf("%v (limit %d bytes); closing connection", err, limit)})
+			c.lingerClose()
+			return
+		}
 		if len(line) > 1 {
 			var req Request
 			if uerr := json.Unmarshal(line, &req); uerr != nil {
@@ -296,6 +342,18 @@ func (c *conn) readLoop() {
 			return
 		}
 	}
+}
+
+// lingerClose half-closes the connection and discards what the client is
+// still sending for up to a second. Closing a socket with unread input
+// resets it, and a reset can destroy the error line still in flight to a
+// client that is busy writing the rest of an oversized request.
+func (c *conn) lingerClose() {
+	if tc, ok := c.nc.(*net.TCPConn); ok {
+		_ = tc.CloseWrite()
+	}
+	_ = c.nc.SetReadDeadline(time.Now().Add(time.Second))
+	_, _ = io.Copy(io.Discard, c.nc)
 }
 
 // dropConn detaches a dead connection from the server and from any
@@ -597,23 +655,10 @@ func (s *Server) handleCreate(raw json.RawMessage) (any, error) {
 
 	ss := &session{model: model, sys: sys}
 	if len(sys.Nodes()) > 1 {
-		exec := target.ExecAuto
-		switch p.Exec {
-		case "", "auto":
-		case "serial":
-			exec = target.ExecSerial
-		case "parallel":
-			exec = target.ExecParallel
-		default:
-			return nil, fmt.Errorf("farm: unknown exec mode %q (auto|serial|parallel)", p.Exec)
-		}
-		if cp != nil {
-			exec = exec.ResumeMode(cp.Cluster)
-		}
-		ccfg := repro.StandardClusterConfig(sys.Nodes(), exec)
+		ccfg := repro.StandardClusterConfig(sys.Nodes(), 0)
 		var cenv func(now uint64, node string, b *target.Board)
 		if sc != nil {
-			ccfg = sc.ClusterConfig(exec)
+			ccfg = sc.ClusterConfig()
 			cenv = sc.ClusterEnvironment()
 		}
 		cdbg, err := repro.DebugCluster(sys, repro.ClusterDebugConfig{Cluster: ccfg, Environment: cenv})

@@ -65,13 +65,6 @@ type CreateParams struct {
 	// (cadence in virtual ms) so the session supports rewind. Single-board
 	// sessions only.
 	RecordMs uint64 `json:"recordMs,omitempty"`
-	// Exec selects the cluster execution mode: "" or "auto" (serial, or
-	// the mode a resumed Checkpoint was taken under) | "serial" |
-	// "parallel". A parallel session runs shards−1 goroutines of its own
-	// (one per core, capped at the node count) outside the server's
-	// simulation pool, so it is not bounded by the pool's worker count.
-	// Ignored for single-board models.
-	Exec string `json:"exec,omitempty"`
 	// Source, when non-empty, is scenario DSL text (.gmdf): the session
 	// debugs the system it declares instead of a built-in model. The
 	// server runs the full front end (parse, check, lint) and rejects the

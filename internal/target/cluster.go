@@ -2,7 +2,6 @@ package target
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/codegen"
 	"repro/internal/comdes"
@@ -14,35 +13,22 @@ import (
 // leaves it zero (100 µs — a time-triggered fieldbus slot).
 const DefaultLatencyNs = 100_000
 
-// ExecMode selects how Cluster.RunUntil advances the nodes.
+// ExecMode once selected a cluster executor.
+//
+// Deprecated: every cluster runs on the one serial kernel; ignored.
 type ExecMode uint8
 
 // Execution modes.
 const (
-	// ExecAuto is the default: every cluster, with or without a TDMA bus,
-	// runs on the shared serial kernel (ExecSerial). The parallel executor
-	// loses to it on the measured hosts; see doc.go.
+	// ExecAuto was the default mode.
+	//
+	// Deprecated: every cluster runs on the one serial kernel; ignored.
 	ExecAuto ExecMode = iota
-	// ExecSerial drains a single shared kernel on the calling goroutine.
+	// ExecSerial asked for the serial kernel explicitly.
+	//
+	// Deprecated: every cluster runs on the one serial kernel; ignored.
 	ExecSerial
-	// ExecParallel (opt-in) runs each node on its own kernel between
-	// delivery-bound barriers, one goroutine per core advancing a
-	// contiguous shard of the nodes; traces and goldens are byte-identical
-	// to ExecSerial. It starts shards−1 goroutines of its own.
-	ExecParallel
 )
-
-// ResumeMode returns the mode to build a cluster in that will restore st:
-// the requested mode, except that ExecAuto follows the mode st records.
-// Checkpoints written while ExecAuto meant parallel on a TDMA bus then
-// resume without the caller naming a mode, while an explicit mode that
-// disagrees with st still fails in Restore. A nil st leaves m as is.
-func (m ExecMode) ResumeMode(st *ClusterState) ExecMode {
-	if m != ExecAuto || st == nil || !st.Parallel {
-		return m
-	}
-	return ExecParallel
-}
 
 // ClusterConfig parameterises BuildCluster.
 type ClusterConfig struct {
@@ -64,19 +50,18 @@ type ClusterConfig struct {
 	// Board is the per-node board configuration (baud, CPU clock); the
 	// system's bindings are appended automatically.
 	Board Config
-	// Exec selects serial or parallel node execution (default ExecAuto,
-	// which is serial).
+	// Exec is kept for source compatibility.
+	//
+	// Deprecated: every cluster runs on the one serial kernel; ignored.
 	Exec ExecMode
 }
 
 // Cluster is a multi-node deployment: one Board per placement node, all
 // sharing a single virtual clock, with cross-node signal bindings carried
-// by a latency network.
+// by a latency network. Every board's events run on the one shared
+// kernel, drained on the goroutine that calls RunUntil.
 type Cluster struct {
-	// Kernel is the shared discrete-event clock. In parallel mode it holds
-	// no events — each board runs on its own kernel (kernels) — but it
-	// still carries the cluster-level notion of "now", advanced at every
-	// barrier, so Now() and the host session are mode-agnostic.
+	// Kernel is the shared discrete-event kernel every board runs on.
 	Kernel *dtm.Kernel
 	// Net carries cross-node signal messages (Net.Sent counts them).
 	Net *dtm.Network
@@ -86,20 +71,9 @@ type Cluster struct {
 	nodes []string
 	inbox map[string]*dtm.Store
 
-	// parallel is set when nodes execute on per-node kernels between
-	// delivery-bound barriers; kernels maps node -> its kernel (same
-	// iteration identity as nodes). shards splits the sorted nodes into
-	// one contiguous run per concurrently executing goroutine; arb orders
-	// cross-shard sends (nil with a single shard).
-	parallel bool
-	kernels  map[string]*dtm.Kernel
-	shards   []shard
-	arb      *arbiter
-	// pool holds the parallel workers while a Hold call is open.
-	pool *workers
 	// running guards RunUntil against re-entrant calls (from an event
-	// callback or a second goroutine) — on the serial path that would
-	// corrupt the shared event heap, on the parallel path the worker pool.
+	// callback or a second goroutine), which would corrupt the shared
+	// event heap.
 	running bool
 }
 
@@ -115,23 +89,11 @@ func BuildCluster(sys *comdes.System, cfg ClusterConfig) (*Cluster, error) {
 	}
 	k := dtm.NewKernel()
 	c := &Cluster{
-		Kernel:   k,
-		Net:      dtm.NewNetwork(k, cfg.LatencyNs),
-		Boards:   map[string]*Board{},
-		nodes:    sys.Nodes(),
-		inbox:    map[string]*dtm.Store{},
-		parallel: cfg.Exec == ExecParallel,
-	}
-	if c.parallel {
-		// One kernel per node: boards, their schedulers and the network
-		// events they own advance independently between barriers. The
-		// shared Kernel keeps the cluster clock only.
-		c.kernels = make(map[string]*dtm.Kernel, len(c.nodes))
-		for _, node := range c.nodes {
-			c.kernels[node] = dtm.NewKernel()
-		}
-		c.Net.SetNodeKernels(c.kernels)
-		c.setShards(runtime.GOMAXPROCS(0))
+		Kernel: k,
+		Net:    dtm.NewNetwork(k, cfg.LatencyNs),
+		Boards: map[string]*Board{},
+		nodes:  sys.Nodes(),
+		inbox:  map[string]*dtm.Store{},
 	}
 	if cfg.Bus != nil {
 		if err := c.Net.SetSchedule(cfg.Bus); err != nil {
@@ -163,7 +125,7 @@ func BuildCluster(sys *comdes.System, cfg ClusterConfig) (*Cluster, error) {
 		}
 		bcfg := cfg.Board
 		bcfg.Bindings = append(append([]comdes.Binding(nil), bcfg.Bindings...), sys.Bindings...)
-		brd, err := NewBoard(node, prog, bcfg, c.nodeKernel(node))
+		brd, err := NewBoard(node, prog, bcfg, k)
 		if err != nil {
 			return nil, fmt.Errorf("target: node %s: %w", node, err)
 		}
@@ -179,7 +141,7 @@ func BuildCluster(sys *comdes.System, cfg ClusterConfig) (*Cluster, error) {
 	for _, node := range c.nodes {
 		node := node
 		brd := c.Boards[node]
-		store := dtm.NewStore(c.nodeKernel(node).Now)
+		store := dtm.NewStore(k.Now)
 		store.OnChange = func(now uint64, signal string, old, new value.Value) {
 			for _, r := range rt.bySignal[signal] {
 				if r.to != node {
@@ -271,19 +233,6 @@ func newRoutes(sys *comdes.System) routes {
 	return rt
 }
 
-// nodeKernel returns the kernel node's events run on: its own kernel in
-// parallel mode, the shared one otherwise.
-func (c *Cluster) nodeKernel(node string) *dtm.Kernel {
-	if c.parallel {
-		return c.kernels[node]
-	}
-	return c.Kernel
-}
-
-// Parallel reports whether nodes execute on per-node kernels between
-// delivery-bound barriers.
-func (c *Cluster) Parallel() bool { return c.parallel }
-
 // BusStats returns node's TX accounting on the time-triggered bus. ok is
 // false when the node is unknown to the bus (no schedule installed, or a
 // node owning no slot that never sent) — previously that case returned a
@@ -297,22 +246,17 @@ func (c *Cluster) Nodes() []string { return append([]string(nil), c.nodes...) }
 func (c *Cluster) Now() uint64 { return c.Kernel.Now() }
 
 // RunUntil advances the whole cluster to absolute time t, executing every
-// board's releases, deadlines and network deliveries in global event
-// order, then drains each board's UART boundary work. Serial and parallel
-// modes produce byte-identical traces; re-entrant calls (from an event
-// callback or a second goroutine) panic rather than corrupt the event
-// heap or the worker pool.
+// board's releases, deadlines and network deliveries in global event order
+// on the shared kernel, then drains each board's UART boundary work.
+// Re-entrant calls (from an event callback or a second goroutine) panic
+// rather than corrupt the event heap.
 func (c *Cluster) RunUntil(t uint64) {
 	if c.running {
 		panic("target: re-entrant Cluster.RunUntil")
 	}
 	c.running = true
 	defer func() { c.running = false }()
-	if c.parallel {
-		c.Hold(func() { c.runParallel(t) })
-	} else {
-		c.Kernel.RunUntil(t)
-	}
+	c.Kernel.RunUntil(t)
 	for _, node := range c.nodes {
 		c.Boards[node].sync(t)
 	}

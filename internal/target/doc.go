@@ -180,128 +180,24 @@
 // Board per node, all sharing a single virtual clock. Cross-node signal
 // bindings travel over a dtm.Network; intra-node bindings are delivered
 // directly at the producer's deadline instant. RunUntil advances every
-// board in global event order — on one shared kernel (serial) or on
-// per-node kernels between conservative barriers (parallel, below); the
-// two produce byte-identical traces.
+// board in global event order on one shared dtm.Kernel, drained on the
+// calling goroutine.
 //
-// # Parallel execution
+// # Execution
 //
-// ClusterConfig.Exec selects how RunUntil advances the nodes. ExecAuto
-// (the default) is serial for every cluster, with or without a Bus
-// schedule; ExecParallel is an explicit opt-in on any configuration (a
-// TDMA bus's slot grid provides the lookahead, a constant-latency
-// network's is LatencyNs). ExecAuto used to pick parallel on a TDMA bus.
-// It stopped because the parallel executor loses on the hosts measured:
-//
-//   - On a 2-core Xeon, 6 virtual s of RingCluster(16) on the standard
-//     bus made 96,000 arbitrated sends, 12,041 of which blocked. The
-//     shards spent 307 ms waiting for each other's frontiers and the
-//     caller 257 ms at the barrier, out of 899 ms wall time.
-//   - Deferring the bus draws of frames departing past the window horizon
-//     to the barrier removed the blocking (47,997 of 48,000 sends
-//     deferred) yet stayed slower than serial (7.3 vs 9.2 virtual ns per
-//     wall ns): the engine consumes the cluster's events on the caller
-//     between slices, and the per-event frontier publish and merge cost
-//     more than the second core gives back.
-//   - With the serial path made O(1) per queued frame (head-only TX
-//     queues, dtm package comment) and per binding (indexed routes),
-//     RingCluster(16) under repro.DebugCluster runs at 13.0 virtual ns
-//     per wall ns on the serial executor against 8.2 on the parallel one,
-//     which shares the same bus and routing code (2-core Xeon, medians of
-//     8 alternating runs of 3 sessions × 5 virtual s).
-//   - A parallel session starts shards−1 goroutines of its own, outside
-//     any worker pool a caller bounds its CPU use with (the farm's
-//     simulation pool, the campaign runner, which forces ExecSerial).
-//
-// A checkpoint records the mode it was taken in, and a cluster restores
-// only a snapshot of its own mode; ExecMode.ResumeMode lets ExecAuto
-// follow the checkpoint, so checkpoints written while ExecAuto was
-// parallel still resume by default.
-//
-// Parallel mode is conservative parallel discrete-event simulation: each
-// node owns a dtm.Kernel, and the sorted nodes are split into one
-// contiguous shard per core (min(GOMAXPROCS, nodes) shards, fixed when the
-// cluster is built). One goroutine runs a shard's kernels as a single
-// event stream merged in (at, schedAt, node index) order
-// (dtm.RunMerged); the calling goroutine runs shard 0 and a worker each of
-// the others, so a one-shard cluster starts no goroutine. RunUntil
-// advances the shards concurrently through windows [start, H) where H =
-// Network.DeliveryBound(start), the earliest instant any not-yet-submitted
-// frame could arrive anywhere. Cross-node sends are arbitrated into serial
-// virtual-time order (each shard publishes its event frontier; a send
-// waits until no other live shard could still execute an earlier event),
-// minted deliveries are buffered, and the barrier waits for every shard to
-// finish its window, flushes the deliveries into the destination kernels
-// and advances every clock to H.
-//
-// The semantics matrix:
-//
-//	aspect                serial (shared kernel)      parallel (per-node kernels)
-//	selected by           ExecAuto (default),         ExecParallel only (opt-in)
-//	                      ExecSerial
-//	event order           one heap, (at, schedAt,     per-node heaps, merged per shard
-//	                      seq) order                  in (at, schedAt, node index)
-//	                                                  order; cross-node effects merged
-//	                                                  at barriers with their original
-//	                                                  (at, schedAt, seq) identity, so
-//	                                                  traces, goldens and stats are
-//	                                                  byte-identical for every shard
-//	                                                  count
-//	goroutines            the caller only             one per shard: the caller runs
-//	                                                  shard 0, Cluster.Hold starts
-//	                                                  shards−1 workers (none with one
-//	                                                  shard or one core)
-//	shared-state draws    heap order                  send arbitration: RNG, slot
-//	(jitter/loss RNG,                                 cursors and delivery numbering
-//	slot cursors)                                     are claimed in exactly the serial
-//	                                                  order
-//	bus events in the     each TX queue's head        each TX queue's head departure
-//	heap                  departure plus the          on the sender's kernel; every
-//	                      deliveries of departed      delivery minted at the barrier
-//	                      frames: O(nodes), however   after its send (held back to
-//	                      deep the backlog            its departure, it could land in
-//	                                                  a window whose horizon did not
-//	                                                  cover it)
-//	equal-instant ties    (at, schedAt, seq) — seq    the send frontier carries
-//	                      assigned at schedule time   (at, schedAt, node index); seq
-//	                                                  is per-kernel and incomparable
-//	                                                  across nodes, so a full-prefix
-//	                                                  tie falls back to sorted node
-//	                                                  order (also inside a shard's
-//	                                                  merge) — identical to
-//	                                                  serial for release chains
-//	                                                  grounding out in Start() (which
-//	                                                  schedules nodes in sorted order);
-//	                                                  an asymmetric schedule chain
-//	                                                  colliding at equal (at, schedAt)
-//	                                                  is the one construction that
-//	                                                  could diverge
-//	halt / step / host    immediate — everything      workers live for one outer host
-//	tooling               runs on the caller          call (Cluster.Hold: a RunNs, a
-//	                                                  rewind or a replay; a bare
-//	                                                  RunUntil holds its own) and are
-//	                                                  parked at every barrier between
-//	                                                  its slices, so every RunUntil
-//	                                                  boundary is fully quiescent;
-//	                                                  debugger halt/step/rewind slices
-//	                                                  (repro.DebugCluster) need no
-//	                                                  extra synchronisation, and no
-//	                                                  worker outlives the call
-//	re-entrant RunUntil   panics (would corrupt       panics (would corrupt the worker
-//	                      the event heap)             pool); same guard, both modes
-//	checkpoints           shared kernel in            facade clock in ClusterState.
-//	                      ClusterState.Kernel         Kernel, one kernel per board in
-//	                                                  BoardState.Kernel; snapshots at
-//	                                                  RunUntil boundaries (quiescent);
-//	                                                  cross-mode restore is refused
-//	                                                  (ExecAuto follows the snapshot)
-//	Board.RunFor          standalone boards only      unchanged — cluster nodes are
-//	                                                  driven through Cluster.RunUntil
-//	                                                  in both modes
-//	zero lookahead        n/a                         panics ("window without
-//	                                                  lookahead"); unreachable from
-//	                                                  BuildCluster, which defaults
-//	                                                  LatencyNs
+// A cluster has one executor: the shared serial kernel. A conservative
+// parallel executor (one kernel per node, advanced between delivery-bound
+// barriers) was tried and removed because it never won. On a 2-core Xeon,
+// RingCluster(16) under repro.DebugCluster ran at 8.2 virtual ns per wall
+// ns parallel against 13.0 serial, and a 32-node ring took 80.9 µs per
+// virtual ms parallel against 46.7 serial: the cross-node send
+// arbitration and the barriers cost more than the second core gave back.
+// Cores are spent across sessions instead — the farm's simulation pool
+// runs many sessions at once and a campaign runs its variants on every
+// core — which keeps every session's CPU use inside the pool that bounds
+// it. Checkpoints written by the parallel executor (ClusterState boards
+// carrying their own kernel) are refused by Cluster.Restore and must be
+// re-recorded.
 //
 // # Time-triggered bus
 //
@@ -456,12 +352,12 @@
 //	            checkpoint) and the digest
 //	            returned; without, the
 //	            state is dropped
-//	migrate     detach(checkpoint) in       identical — cluster checkpoints
-//	            process A, create(digest)   refuse only an explicit exec
-//	            in process B sharing the    mode other than their own
-//	            store directory; the        (serial vs parallel kernel
-//	            digest verifies on fetch    shapes differ); exec "" or
-//	            (re-hash), so a corrupt     "auto" takes the checkpoint's
+//	migrate     detach(checkpoint) in       identical; a checkpoint of the
+//	            process A, create(digest)   removed parallel executor is
+//	            in process B sharing the    refused with an error (record
+//	            store directory; the        it again)
+//	            digest verifies on fetch
+//	            (re-hash), so a corrupt
 //	            store entry fails loudly
 //	            instead of replaying
 //	            wrongly

@@ -60,7 +60,7 @@ func routesSystem(t *testing.T) *comdes.System {
 // reference the indexes replace — in the same order.
 func TestClusterRoutesFollowBindingOrder(t *testing.T) {
 	sys := routesSystem(t)
-	cl, err := BuildCluster(sys, ClusterConfig{LatencyNs: 100_000, Exec: ExecSerial})
+	cl, err := BuildCluster(sys, ClusterConfig{LatencyNs: 100_000})
 	if err != nil {
 		t.Fatal(err)
 	}

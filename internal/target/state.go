@@ -1,6 +1,7 @@
 package target
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -292,44 +293,38 @@ func (b *Board) restoreLocal(st *BoardState) error {
 // distributed run restores coherently: every board, every cross-node
 // signal mid-hop, and the global clock rewind together.
 type ClusterState struct {
-	// Parallel records the execution mode the snapshot was taken under. A
-	// parallel snapshot carries one kernel per board (BoardState.Kernel)
-	// plus the facade clock in Kernel; a serial snapshot carries the single
-	// shared kernel in Kernel and nil per-board kernels. Restoring across
-	// modes is rejected — the pending events would land on the wrong clocks.
-	Parallel bool                      `json:"parallel,omitempty"`
-	Kernel   dtm.KernelState           `json:"kernel"`
-	Net      dtm.NetworkState          `json:"net"`
-	Boards   map[string]*BoardState    `json:"boards"`
-	Inboxes  map[string]dtm.StoreState `json:"inboxes,omitempty"`
+	// Kernel is the shared kernel; the boards' states carry no kernel of
+	// their own.
+	Kernel  dtm.KernelState           `json:"kernel"`
+	Net     dtm.NetworkState          `json:"net"`
+	Boards  map[string]*BoardState    `json:"boards"`
+	Inboxes map[string]dtm.StoreState `json:"inboxes,omitempty"`
 }
 
-// Snapshot captures the whole cluster at a RunUntil boundary. In parallel
-// mode every RunUntil return is a barrier (workers joined, deliveries
-// flushed, all clocks at the horizon), so the same boundary contract
-// applies; each node's kernel is captured into its BoardState. Kernels
-// are captured through the network, which adds the schedule instants of
-// the bus events it holds back (dtm.Network.SnapshotKernel).
+// ErrParallelCheckpoint is returned by Cluster.Restore for a cluster state
+// written by the removed parallel executor, whose boards each carried a
+// kernel of their own. Its pending events cannot be placed on the one
+// shared kernel; the checkpoint must be recorded again.
+var ErrParallelCheckpoint = errors.New("target: checkpoint was written by the removed parallel cluster executor (one kernel per board); record it again")
+
+// Snapshot captures the whole cluster at a RunUntil boundary. The shared
+// kernel is captured through the network, which adds the schedule
+// instants of the bus events it holds back (dtm.Network.SnapshotKernel).
 func (c *Cluster) Snapshot() (*ClusterState, error) {
 	net, err := c.Net.Snapshot()
 	if err != nil {
 		return nil, err
 	}
 	st := &ClusterState{
-		Parallel: c.parallel,
-		Kernel:   c.Net.SnapshotKernel(c.Kernel),
-		Net:      net,
-		Boards:   map[string]*BoardState{},
-		Inboxes:  map[string]dtm.StoreState{},
+		Kernel:  c.Net.SnapshotKernel(),
+		Net:     net,
+		Boards:  map[string]*BoardState{},
+		Inboxes: map[string]dtm.StoreState{},
 	}
 	for _, node := range c.nodes {
 		bs, err := c.Boards[node].snapshotLocal()
 		if err != nil {
 			return nil, fmt.Errorf("target: node %s: %w", node, err)
-		}
-		if c.parallel {
-			ks := c.Net.SnapshotKernel(c.kernels[node])
-			bs.Kernel = &ks
 		}
 		st.Boards[node] = bs
 		st.Inboxes[node] = c.inbox[node].Snapshot()
@@ -341,31 +336,22 @@ func (c *Cluster) Snapshot() (*ClusterState, error) {
 // event queue is rebuilt from every board's pending releases, latches and
 // slices plus the network's in-flight frames, all at their original
 // sequence positions, so the merged event order across nodes replays
-// exactly.
+// exactly. A state whose boards carry kernels of their own is refused
+// with ErrParallelCheckpoint before anything is touched.
 func (c *Cluster) Restore(st *ClusterState) error {
+	for _, bs := range st.Boards {
+		if bs.Kernel != nil {
+			return ErrParallelCheckpoint
+		}
+	}
 	if len(st.Boards) != len(c.nodes) {
 		return fmt.Errorf("target: restore of %d-node state onto %d-node cluster", len(st.Boards), len(c.nodes))
-	}
-	if st.Parallel != c.parallel {
-		mode := func(p bool) string {
-			if p {
-				return "parallel"
-			}
-			return "serial"
-		}
-		return fmt.Errorf("target: restore of %s-mode snapshot onto %s-mode cluster (set ClusterConfig.Exec to match)", mode(st.Parallel), mode(c.parallel))
 	}
 	c.Kernel.Restore(st.Kernel)
 	for _, node := range c.nodes {
 		bs, ok := st.Boards[node]
 		if !ok {
 			return fmt.Errorf("target: restore state missing node %q", node)
-		}
-		if c.parallel {
-			if bs.Kernel == nil {
-				return fmt.Errorf("target: parallel restore: node %s snapshot carries no kernel", node)
-			}
-			c.kernels[node].Restore(*bs.Kernel)
 		}
 		if err := c.Boards[node].restoreLocal(bs); err != nil {
 			return fmt.Errorf("target: node %s: %w", node, err)

@@ -78,11 +78,13 @@ func StandardBus(nodes []string) *dtm.BusSchedule {
 // StandardClusterConfig is the cluster-side configuration matching
 // StandardBus (100 µs propagation, 2 Mbaud boards), shared by the CLI's
 // distributed path and the farm's cluster sessions.
-func StandardClusterConfig(nodes []string, exec target.ExecMode) target.ClusterConfig {
+func StandardClusterConfig(nodes []string,
+	// Deprecated: every cluster runs on the one serial kernel; ignored.
+	_ target.ExecMode,
+) target.ClusterConfig {
 	return target.ClusterConfig{
 		LatencyNs: 100_000,
 		Bus:       StandardBus(nodes),
 		Board:     target.Config{Baud: 2_000_000},
-		Exec:      exec,
 	}
 }
