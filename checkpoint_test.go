@@ -259,58 +259,73 @@ func TestSnapshotWhileHaltedAtOnTargetBreakpoint(t *testing.T) {
 	}
 }
 
-// TestRewindToLandsExactly enables periodic checkpointing on the
-// preemption scenario, runs to the horizon, rewinds to an arbitrary
-// instant (not on any checkpoint or slice boundary), and verifies the
-// session lands exactly there with the state the original timeline had;
-// ReplayUntil then re-executes to the horizon and the trace must be
-// byte-identical to the uninterrupted control.
+// recorderTargets are the two target kinds every recorder behaviour test
+// runs on: the preemption scenario's single board and the distributed
+// golden scenario's TDMA cluster.
+var recorderTargets = []struct {
+	name  string
+	build func(*testing.T) *Debugger
+}{
+	{"board", preemptDebugger},
+	{"cluster", distributedDebugger},
+}
+
+// TestRewindToLandsExactly enables periodic checkpointing, runs to the
+// horizon, rewinds to an arbitrary instant (not on any checkpoint or
+// slice boundary), and verifies the session lands exactly there with the
+// state the original timeline had; ReplayUntil then re-executes to the
+// horizon and the trace must be byte-identical to the uninterrupted
+// control.
 func TestRewindToLandsExactly(t *testing.T) {
-	control := preemptDebugger(t)
-	if err := control.Run(40 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range recorderTargets {
+		t.Run(tc.name, func(t *testing.T) {
+			control := tc.build(t)
+			if err := control.Run(40 * time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
 
-	dbg := preemptDebugger(t)
-	if _, err := dbg.EnableCheckpointing(10 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if err := dbg.Run(40 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := formatTrace(dbg), formatTrace(control); got != want {
-		t.Fatal("recording run diverged from control before any rewind")
-	}
-	fullTrace := formatTrace(dbg)
+			dbg := tc.build(t)
+			if _, err := dbg.EnableCheckpointing(10 * time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			if err := dbg.Run(40 * time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := formatTrace(dbg), formatTrace(control); got != want {
+				t.Fatal("recording run diverged from control before any rewind")
+			}
+			fullTrace := formatTrace(dbg)
 
-	const at = 17_300_001 // deliberately off every grid
-	landed, err := dbg.Session.RewindTo(at)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if landed != at || dbg.Board.Now() != at {
-		t.Fatalf("RewindTo landed at %d (board %d), want %d", landed, dbg.Board.Now(), at)
-	}
-	if !dbg.Recorder.Replaying() {
-		t.Fatal("expected replay mode below the frontier")
-	}
-	// The rewound trace must be a strict prefix of the full trace.
-	if prefix := formatTrace(dbg); !bytes.HasPrefix([]byte(fullTrace), []byte(prefix)) {
-		t.Fatal("rewound trace is not a prefix of the original")
-	}
+			const at = 17_300_001 // deliberately off every grid
+			landed, err := dbg.Session.RewindTo(at)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if landed != at || dbg.Now() != at {
+				t.Fatalf("RewindTo landed at %d (target %d), want %d", landed, dbg.Now(), at)
+			}
+			if !dbg.Recorder.Replaying() {
+				t.Fatal("expected replay mode below the frontier")
+			}
+			// The rewound trace must be a strict prefix of the full trace.
+			if prefix := formatTrace(dbg); !bytes.HasPrefix([]byte(fullTrace), []byte(prefix)) {
+				t.Fatal("rewound trace is not a prefix of the original")
+			}
 
-	ok, err := dbg.Session.ReplayUntil(func(now uint64) bool { return now >= 40_000_000 }, 40_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatalf("replay never reached the horizon (now %d)", dbg.Board.Now())
-	}
-	if got := formatTrace(dbg); got != fullTrace {
-		diffTraces(t, got, fullTrace)
-	}
-	if dbg.Recorder.Replaying() {
-		t.Error("recorder should have handed back to live mode at the frontier")
+			ok, err := dbg.Session.ReplayUntil(func(now uint64) bool { return now >= 40_000_000 }, 40_000_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				t.Fatalf("replay never reached the horizon (now %d)", dbg.Now())
+			}
+			if got := formatTrace(dbg); got != fullTrace {
+				diffTraces(t, got, fullTrace)
+			}
+			if dbg.Recorder.Replaying() {
+				t.Error("recorder should have handed back to live mode at the frontier")
+			}
+		})
 	}
 }
 
@@ -374,14 +389,14 @@ func TestClusterSnapshotRestoresCoherently(t *testing.T) {
 
 	half := build()
 	half.RunUntil(100_050_000) // odd instant: cross-node frames in flight
-	cp, err := checkpoint.CaptureCluster(half)
+	cp, err := checkpoint.Capture(half, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cp = jsonRoundtrip(t, cp)
 
 	fresh := build()
-	if err := checkpoint.ApplyCluster(cp, fresh); err != nil {
+	if err := checkpoint.Apply(cp, fresh, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	fresh.RunUntil(200_000_000)
@@ -471,47 +486,92 @@ func BenchmarkRestore(b *testing.B) {
 	}
 }
 
-// TestReplayReappliesManualInputs pokes an actor input between run
-// slices (outside any environment hook), rewinds behind the poke, and
-// replays: the logged stimulus must be re-injected at its original
-// instant so the replayed trace stays byte-identical.
+// TestReplayReappliesManualInputs pokes the target between run slices
+// (outside any environment hook), rewinds behind the poke, and replays:
+// the logged stimulus must be re-injected at its original instant, on the
+// node that received it, so the replayed trace stays byte-identical. On
+// the board the poke is an actor input; on the cluster, where every
+// network-fed input is refreshed at release, it is an input write plus a
+// RAM write over nodeB's own command channel.
 func TestReplayReappliesManualInputs(t *testing.T) {
-	dbg := preemptDebugger(t)
-	if _, err := dbg.EnableCheckpointing(5 * time.Millisecond); err != nil {
-		t.Fatal(err)
+	cases := map[string]struct {
+		poke func(*Debugger) error
+		// wire is the number of wire instructions the poke logs.
+		wire int
+		// landed reports whether the poke reached its node again on replay.
+		landed func(*Debugger) (bool, error)
+	}{
+		"board": {
+			// Feeds the gain chain, so published signal values downstream
+			// change.
+			poke: func(d *Debugger) error { return d.WriteInput("lowly", "x", value.F(7)) },
+			landed: func(d *Debugger) (bool, error) {
+				v, err := d.Board.ReadOutput("lowly", "y")
+				return v.Float() != 0, err
+			},
+		},
+		"cluster": {
+			// nodeB sends nothing on the bus, so its drop counter keeps
+			// whatever the host writes there.
+			poke: func(d *Debugger) error {
+				if err := d.WriteInput("consumer", "v", value.F(7)); err != nil {
+					return err
+				}
+				return d.Serials["nodeB"].Send(protocol.Instruction{Type: protocol.InWriteVar, Source: "__busdrops", Value: 100})
+			},
+			wire: 1,
+			landed: func(d *Debugger) (bool, error) {
+				b := d.Cluster.Board("nodeB")
+				v, err := b.LoadSym(b.Prog.BusDropSym)
+				return v.Int() == 100, err
+			},
+		},
 	}
-	if err := dbg.Run(10 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	// Manual stimulus while the session sits between slices: feeds the
-	// gain chain, so published signal values downstream change.
-	if err := dbg.WriteInput("lowly", "x", value.F(7)); err != nil {
-		t.Fatal(err)
-	}
-	if err := dbg.Run(30 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	want := formatTrace(dbg)
-	if n := len(dbg.Recorder.Inputs()) + len(dbg.Recorder.Instructions()); n != 0 {
-		t.Fatalf("preempt scenario should have no env/wire logs, got %d", n)
-	}
+	for _, tc := range recorderTargets {
+		c := cases[tc.name]
+		t.Run(tc.name, func(t *testing.T) {
+			dbg := tc.build(t)
+			if _, err := dbg.EnableCheckpointing(5 * time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			if err := dbg.Run(10 * time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.poke(dbg); err != nil {
+				t.Fatal(err)
+			}
+			if err := dbg.Run(30 * time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			want := formatTrace(dbg)
+			if n := len(dbg.Recorder.Inputs()); n != 0 {
+				t.Fatalf("scenario should have no environment log, got %d", n)
+			}
+			if ins := dbg.Recorder.Instructions(); len(ins) != c.wire {
+				t.Fatalf("logged %d wire instructions, want %d: %+v", len(ins), c.wire, ins)
+			}
 
-	if _, err := dbg.Session.RewindTo(6_000_000); err != nil {
-		t.Fatal(err)
-	}
-	ok, err := dbg.Session.ReplayUntil(func(now uint64) bool { return now >= 40_000_000 }, 40_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatal("replay never reached the horizon")
-	}
-	if got := formatTrace(dbg); got != want {
-		diffTraces(t, got, want)
-	}
-	// The poked value must actually matter: it reached the board again.
-	if v, err := dbg.Board.ReadOutput("lowly", "y"); err != nil || v.Float() == 0 {
-		t.Fatalf("manual stimulus did not propagate on replay: y=%v err=%v", v, err)
+			if _, err := dbg.Session.RewindTo(6_000_000); err != nil {
+				t.Fatal(err)
+			}
+			if ok, err := c.landed(dbg); err != nil || ok {
+				t.Fatalf("rewind did not undo the poke (landed=%v, err=%v)", ok, err)
+			}
+			ok, err := dbg.Session.ReplayUntil(func(now uint64) bool { return now >= 40_000_000 }, 40_000_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				t.Fatal("replay never reached the horizon")
+			}
+			if got := formatTrace(dbg); got != want {
+				diffTraces(t, got, want)
+			}
+			// The poke must actually matter: it reached its node again.
+			if ok, err := c.landed(dbg); err != nil || !ok {
+				t.Fatalf("manual stimulus did not land on replay (err %v)", err)
+			}
+		})
 	}
 }
 
@@ -713,5 +773,91 @@ func TestPassiveWatcherCacheRestored(t *testing.T) {
 	}
 	if got := formatTrace(half); got != want {
 		diffTraces(t, got, want)
+	}
+}
+
+// cliDebugger builds a built-in model's session the way `gmdf -model`
+// does: a cluster on the standard TDMA bus for a placed model, otherwise
+// one active board with the model's standard board and environment.
+func cliDebugger(t *testing.T, model string) *Debugger {
+	t.Helper()
+	sys, err := models.ByName(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dbg *Debugger
+	if len(sys.Nodes()) > 1 {
+		dbg, err = DebugCluster(sys, ClusterDebugConfig{Cluster: StandardClusterConfig(sys.Nodes(), 0)})
+	} else {
+		dbg, err = Debug(sys, DebugConfig{
+			Transport:   Active,
+			Environment: StandardEnvironment(model),
+			Board:       StandardBoardConfig(model),
+		})
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dbg
+}
+
+// TestStoredV1CheckpointsStillDecode pins that version-1 checkpoints
+// written before board and cluster sessions shared one recorder and one
+// facade still load: each fixture (`gmdf -model heating -ms 137
+// -checkpoint` and `-model dist -ms 51`) decodes and restores, a capture
+// taken right after the restore reproduces its bytes exactly, and the
+// restored session continues byte-identically to an uninterrupted run.
+func TestStoredV1CheckpointsStillDecode(t *testing.T) {
+	for _, tc := range []struct{ model, path string }{
+		{"heating", "testdata/v1_heating_137ms.json"},
+		{"dist", "testdata/v1_dist_51ms.json"},
+	} {
+		t.Run(tc.model, func(t *testing.T) {
+			raw, err := os.ReadFile(tc.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp, err := checkpoint.Decode(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh := cliDebugger(t, tc.model)
+			if err := fresh.RestoreCheckpoint(cp); err != nil {
+				t.Fatal(err)
+			}
+			if fresh.Now() != cp.Time {
+				t.Fatalf("restored clock %d != checkpoint time %d", fresh.Now(), cp.Time)
+			}
+			again, err := fresh.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := again.Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, raw) {
+				t.Fatalf("re-capture after restore differs from the stored bytes (%d vs %d bytes)", len(got), len(raw))
+			}
+
+			control := cliDebugger(t, tc.model)
+			if err := control.RunNs(cp.Time); err != nil {
+				t.Fatal(err)
+			}
+			if b := control.Board; b != nil {
+				// The plant is host state outside the checkpoint: a restoring
+				// process starts a fresh one, so the control does too.
+				env := StandardEnvironment(tc.model)
+				b.PreLatch = func(now uint64, actor string) { env(now, b) }
+			}
+			for _, d := range []*Debugger{control, fresh} {
+				if err := d.Run(100 * time.Millisecond); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got, want := formatTrace(fresh), formatTrace(control); got != want {
+				diffTraces(t, got, want)
+			}
+		})
 	}
 }

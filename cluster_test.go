@@ -10,6 +10,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/protocol"
 	"repro/internal/value"
+	"repro/models"
 )
 
 // waitGoroutines waits until the goroutine count is back to want. A
@@ -130,7 +131,7 @@ func TestClusterRunNsLeavesNoGoroutines(t *testing.T) {
 // it, sends a read and a write instruction to every node. The session
 // polls between the slices of one RunNs.
 type instructionSource struct {
-	dbg   *ClusterDebugger
+	dbg   *Debugger
 	polls int
 }
 
@@ -165,5 +166,89 @@ func TestClusterHostInstructionsBetweenSlices(t *testing.T) {
 	}
 	if watches == 0 {
 		t.Fatal("no node acknowledged the host's instructions")
+	}
+}
+
+// TestBoardRunNsReturnsNodeError: a board is a one-node target, so its
+// RunNs fails with the node's first aborted release just as a cluster's
+// does — here a division block fed its zero default.
+func TestBoardRunNsReturnsNodeError(t *testing.T) {
+	inv, err := comdes.NewBasicFB("inv", []comdes.Port{{Name: "in", Kind: value.Float}}, []comdes.Port{{Name: "out", Kind: value.Float}},
+		nil, map[string]string{"out": "1 / in"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := comdes.NewNetwork("dnet", []comdes.Port{{Name: "x", Kind: value.Float}}, []comdes.Port{{Name: "y", Kind: value.Float}})
+	net.MustAdd(inv).MustConnect("", "x", "inv", "in").MustConnect("inv", "out", "", "y")
+	div, err := comdes.NewActor("div", net, comdes.TaskSpec{PeriodNs: 2_000_000, DeadlineNs: 1_000_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := comdes.NewSystem("divzero")
+	if err := sys.AddActor(div); err != nil {
+		t.Fatal(err)
+	}
+	dbg, err := Debug(sys, DebugConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = dbg.RunNs(20_000_000)
+	if err == nil || !strings.Contains(err.Error(), "node main") || !strings.Contains(err.Error(), "division by zero") {
+		t.Fatalf("RunNs error = %v, want a division by zero on node main", err)
+	}
+	if now := dbg.Board.Now(); now >= 20_000_000 {
+		t.Fatalf("RunNs ran on to %d past the failed release", now)
+	}
+}
+
+// TestClusterStateBreakOffRemoteNode: the session arms on-target
+// conditions through one node's command channel, so a state breakpoint
+// on a machine placed on another node must stay host-side — and still
+// pause the session at the state entry. A machine on the remote node
+// keeps its on-target condition.
+func TestClusterStateBreakOffRemoteNode(t *testing.T) {
+	build := func() *Debugger {
+		sys, err := models.RingCluster(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dbg, err := DebugCluster(sys, ClusterDebugConfig{Cluster: StandardClusterConfig(sys.Nodes(), 0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dbg
+	}
+	for _, tc := range []struct {
+		machine  string
+		onTarget bool
+	}{
+		{"ring0.node", true},
+		{"ring1.node", false},
+		{"ring2.node", false},
+	} {
+		t.Run(tc.machine, func(t *testing.T) {
+			dbg := build()
+			if err := dbg.BreakOnState("b", tc.machine, "Hold"); err != nil {
+				t.Fatal(err)
+			}
+			if got := dbg.Session.Breakpoints()[0].OnTarget(); got != tc.onTarget {
+				t.Fatalf("OnTarget() = %v, want %v", got, tc.onTarget)
+			}
+			if err := dbg.RunNs(200_000_000); err != nil {
+				t.Fatal(err)
+			}
+			if !dbg.Session.Paused() || dbg.Session.LastBreak == nil || dbg.Session.LastBreak.ID != "b" {
+				t.Fatalf("breakpoint on %s never paused the session (now %d)", tc.machine, dbg.Now())
+			}
+			holds := 0
+			for _, rec := range dbg.Session.Trace.Records {
+				if rec.Event.Type == protocol.EvStateEnter && rec.Event.Source == tc.machine && rec.Event.Arg1 == "Hold" {
+					holds++
+				}
+			}
+			if holds > 1 {
+				t.Fatalf("session ran through %d entries of %s.Hold before pausing", holds, tc.machine)
+			}
+		})
 	}
 }

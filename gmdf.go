@@ -16,10 +16,16 @@
 // Graphical Debugger Model (internal/core), and animated by the runtime
 // engine (internal/engine) over either the active RS-232 command interface
 // or the passive JTAG watch engine.
+//
+// A placed multi-node system debugs the same way: DebugCluster boots one
+// board per node on a TDMA cluster and returns the same *Debugger — a
+// board is a one-node target, so running, breakpoints, checkpoints and
+// rewind work identically on both.
 package repro
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -64,8 +70,6 @@ type DebugConfig struct {
 	// Environment, when set, is invoked at every task release so a plant
 	// model can provide sensor inputs and consume actuator outputs.
 	Environment func(now uint64, b *target.Board)
-	// JTAGPollNs is the passive watch polling interval (default 1 ms).
-	JTAGPollNs uint64
 	// Program, when non-nil, skips compilation and loads this precompiled
 	// program instead. It must come from CompileFor with the same system
 	// and config — the farm server compiles each model once and shares the
@@ -102,15 +106,24 @@ func compileOptions(cfg DebugConfig) codegen.Options {
 	return opts
 }
 
-// Debugger bundles one assembled debugging setup.
+// Debugger bundles one assembled debugging setup: a single board (Debug)
+// or a TDMA cluster (DebugCluster) — one node or many — and the one
+// model-level session animated by it.
 type Debugger struct {
 	Sys     *comdes.System
-	Prog    *codegen.Program
-	Board   *target.Board
+	Prog    *codegen.Program // single-board sessions only
+	Board   *target.Board    // single-board sessions only
+	Cluster *target.Cluster  // cluster sessions only
 	Meta    *metamodel.Metamodel
 	Model   *metamodel.Model
 	GDM     *core.GDM
 	Session *engine.Session
+
+	// Serials maps node name -> that board's host-side command channel
+	// (empty on passive sessions). The session polls them in sorted node
+	// order (deterministic traces); the first node's channel doubles as
+	// the session's RemoteDebug path.
+	Serials map[string]*engine.SerialSource
 
 	// Probe is non-nil for passive sessions.
 	Probe   *jtag.Probe
@@ -119,12 +132,10 @@ type Debugger struct {
 	// Recorder is non-nil once EnableCheckpointing has run.
 	Recorder *checkpoint.Recorder
 
-	serial   *engine.SerialSource // non-nil for active sessions
-	pollNs   uint64
-	nextPoll uint64
+	target checkpoint.Target // Board or Cluster
 }
 
-// Debug assembles the full GMDF pipeline for a COMDES system.
+// Debug assembles the full GMDF pipeline for a COMDES system on one board.
 func Debug(sys *comdes.System, cfg DebugConfig) (*Debugger, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, err
@@ -145,13 +156,40 @@ func Debug(sys *comdes.System, cfg DebugConfig) (*Debugger, error) {
 		env := cfg.Environment
 		board.PreLatch = func(now uint64, actor string) { env(now, board) }
 	}
+	d, err := assemble(sys, cfg.Mapping, board, board)
+	if err != nil {
+		return nil, err
+	}
+	d.Prog, d.Board = prog, board
+	switch cfg.Transport {
+	case Active:
+		d.addSerial(board)
+	case Passive:
+		probe := jtag.NewProbe(board.TAP)
+		probe.Reset()
+		watcher := jtag.NewWatcher(probe)
+		if err := engine.AutoWatches(watcher, prog); err != nil {
+			return nil, err
+		}
+		d.Session.AddSource(&engine.WatcherSource{Watcher: watcher})
+		d.Session.Translate = engine.WatchTranslator(sys)
+		d.Probe = probe
+		d.Watcher = watcher
+	default:
+		return nil, fmt.Errorf("repro: unknown transport %d", cfg.Transport)
+	}
+	return d, nil
+}
 
+// assemble builds the host half Debug and DebugCluster share: the MOF
+// model of sys, its Graphical Debugger Model bound to the COMDES
+// reactions, and one session whose pause button is ctl.
+func assemble(sys *comdes.System, mapping *core.Mapping, t checkpoint.Target, ctl engine.TargetControl) (*Debugger, error) {
 	meta := comdes.Metamodel()
 	model, err := comdes.ToModel(sys, meta)
 	if err != nil {
 		return nil, err
 	}
-	mapping := cfg.Mapping
 	if mapping == nil {
 		mapping = engine.DefaultCOMDESMapping()
 	}
@@ -162,34 +200,19 @@ func Debug(sys *comdes.System, cfg DebugConfig) (*Debugger, error) {
 	if err := engine.BindCOMDES(gdm); err != nil {
 		return nil, err
 	}
+	return &Debugger{
+		Sys: sys, Meta: meta, Model: model, GDM: gdm,
+		Session: engine.NewSession(gdm, ctl),
+		Serials: map[string]*engine.SerialSource{},
+		target:  t,
+	}, nil
+}
 
-	session := engine.NewSession(gdm, board)
-	d := &Debugger{
-		Sys: sys, Prog: prog, Board: board, Meta: meta, Model: model,
-		GDM: gdm, Session: session, pollNs: cfg.JTAGPollNs,
-	}
-	if d.pollNs == 0 {
-		d.pollNs = 1_000_000
-	}
-	switch cfg.Transport {
-	case Active:
-		d.serial = engine.NewSerialSource(board.HostPort())
-		session.AddSource(d.serial)
-	case Passive:
-		probe := jtag.NewProbe(board.TAP)
-		probe.Reset()
-		watcher := jtag.NewWatcher(probe)
-		if err := engine.AutoWatches(watcher, prog); err != nil {
-			return nil, err
-		}
-		session.AddSource(&engine.WatcherSource{Watcher: watcher})
-		session.Translate = engine.WatchTranslator(sys)
-		d.Probe = probe
-		d.Watcher = watcher
-	default:
-		return nil, fmt.Errorf("repro: unknown transport %d", cfg.Transport)
-	}
-	return d, nil
+// addSerial opens b's active command channel and adds it to the session.
+func (d *Debugger) addSerial(b *target.Board) {
+	src := engine.NewSerialSource(b.HostPort())
+	d.Serials[b.Name] = src
+	d.Session.AddSource(src)
 }
 
 func withBindings(cfg target.Config, sys *comdes.System) target.Config {
@@ -197,27 +220,49 @@ func withBindings(cfg target.Config, sys *comdes.System) target.Config {
 	return cfg
 }
 
-// Run advances the target and the debugger for d virtual time, pumping
+// Now returns the target's virtual time in nanoseconds.
+func (d *Debugger) Now() uint64 { return d.target.Now() }
+
+// Backend reports the VM dispatch backend the generated code runs on:
+// "threaded" only when every board uses the compiled form — a cluster
+// with even one interpreter-bound node reports "interp".
+func (d *Debugger) Backend() string {
+	for _, node := range d.target.Nodes() {
+		if d.target.Board(node).Backend() != "threaded" {
+			return "interp"
+		}
+	}
+	return "threaded"
+}
+
+// Run advances the target and the debugger for dur virtual time, pumping
 // events every millisecond of target time. It returns early when a
 // model-level breakpoint pauses the session.
 func (d *Debugger) Run(dur time.Duration) error {
 	return d.RunNs(uint64(dur.Nanoseconds()))
 }
 
-// RunNs is Run in raw nanoseconds of virtual time.
+// RunNs is Run in raw nanoseconds of virtual time. It fails with the
+// first node whose generated code aborted (division by zero and friends).
 func (d *Debugger) RunNs(durNs uint64) error {
-	end := d.Board.Now() + durNs
-	const slice = 1_000_000
-	for d.Board.Now() < end {
+	t := d.target
+	end := t.Now() + durNs
+	nodes := t.Nodes() // one copy per call, not per slice
+	for t.Now() < end {
 		if d.Session.Paused() {
 			return nil
 		}
-		d.Board.RunFor(slice)
-		if _, err := d.Session.ProcessEvents(d.Board.Now()); err != nil {
+		t.RunUntil(t.Now() + checkpoint.SliceNs)
+		if _, err := d.Session.ProcessEvents(t.Now()); err != nil {
 			return err
 		}
+		for _, n := range nodes {
+			if err := t.Board(n).Err(); err != nil {
+				return fmt.Errorf("repro: node %s: %w", n, err)
+			}
+		}
 		if d.Recorder != nil {
-			if err := d.Recorder.Observe(d.Board.Now()); err != nil {
+			if err := d.Recorder.Observe(t.Now()); err != nil {
 				return err
 			}
 		}
@@ -227,15 +272,17 @@ func (d *Debugger) RunNs(durNs uint64) error {
 
 // EnableCheckpointing attaches a checkpoint recorder to the session: an
 // initial checkpoint is taken now and further ones every interval of
-// virtual time, while environment inputs and wire commands are logged.
-// The session gains working RewindTo/ReplayUntil (reverse-step to the
-// last checkpoint, deterministically re-execute forward). Enable after
-// arming standing breakpoints so the initial checkpoint carries them.
+// virtual time, while per-node environment inputs and wire commands are
+// logged. The session gains working RewindTo/ReplayUntil (reverse-step to
+// the last checkpoint, deterministically re-execute forward) — on a
+// cluster, rewind below a bus incident and replay the exact frame
+// interleaving that produced it. Enable after arming standing breakpoints
+// so the initial checkpoint carries them.
 func (d *Debugger) EnableCheckpointing(interval time.Duration) (*checkpoint.Recorder, error) {
 	if d.Recorder != nil {
 		return d.Recorder, nil
 	}
-	rec, err := checkpoint.Attach(d.Board, d.Session, d.serial, uint64(interval.Nanoseconds()))
+	rec, err := checkpoint.Attach(d.target, d.Session, d.Serials, uint64(interval.Nanoseconds()))
 	if err != nil {
 		return nil, err
 	}
@@ -244,18 +291,19 @@ func (d *Debugger) EnableCheckpointing(interval time.Duration) (*checkpoint.Reco
 	return rec, nil
 }
 
-// Checkpoint captures the complete execution state — board and host side
-// — as one serializable value (see checkpoint.Checkpoint.WriteFile for
-// the cross-process form).
+// Checkpoint captures the complete execution state — every board (and on
+// a cluster the frames queued and in flight on the bus), the session trace
+// and the command channels — as one serializable value (see
+// checkpoint.Checkpoint.WriteFile for the cross-process form).
 func (d *Debugger) Checkpoint() (*checkpoint.Checkpoint, error) {
-	return checkpoint.Capture(d.Board, d.Session, d.serial)
+	return checkpoint.Capture(d.target, d.Session, d.Serials)
 }
 
-// RestoreCheckpoint rewinds the debugger — board, session trace,
-// breakpoints, command channel — to a checkpoint taken from a debugger
+// RestoreCheckpoint rewinds the debugger — target, session trace,
+// breakpoints, command channels — to a checkpoint taken from a debugger
 // built from the same model (this process or another).
 func (d *Debugger) RestoreCheckpoint(cp *checkpoint.Checkpoint) error {
-	return checkpoint.Apply(cp, d.Board, d.Session, d.serial)
+	return checkpoint.Apply(cp, d.target, d.Session, d.Serials)
 }
 
 // Continue resumes after a breakpoint and keeps running for dur.
@@ -281,15 +329,42 @@ func (d *Debugger) StepOnTarget(maxWait time.Duration) error {
 
 // BreakOnState arms a model-level breakpoint on a state entry. Over the
 // active interface the condition is compiled onto the target-resident
-// agent — the board halts at the state-storing instruction, mid-release,
-// before the deadline latch publishes. On passive sessions it falls back
-// to host-side filtering of EvStateEnter events (halt one frame later).
+// agent (see StateCond) — the board halts at the state-storing
+// instruction, mid-release, before the deadline latch publishes.
+// Otherwise it falls back to host-side filtering of EvStateEnter events
+// (halt one frame later).
 func (d *Debugger) BreakOnState(id, machine, state string) error {
 	bp := engine.Breakpoint{ID: id, Event: protocol.EvStateEnter, Source: machine, Arg1: state}
-	if cond, err := engine.StateCond(d.Sys, machine, state); err == nil {
+	if cond, err := d.StateCond(machine, state); err == nil {
 		bp.TargetCond = cond
 	}
 	return d.Session.SetBreakpoint(bp)
+}
+
+// StateCond is the on-target condition for a breakpoint on machine
+// ("actor.block") entering state. The session arms target conditions
+// through its one remote channel, which reaches one node's agent, so the
+// condition is "" — host-side filtering — when the machine's actor runs
+// on any other node of a cluster.
+func (d *Debugger) StateCond(machine, state string) (string, error) {
+	cond, err := engine.StateCond(d.Sys, machine, state)
+	if err != nil {
+		return "", err
+	}
+	actor, _, _ := strings.Cut(machine, ".")
+	if rd := d.Session.Remote(); rd != nil && rd != engine.RemoteDebug(d.Serials[d.nodeOf(actor)]) {
+		return "", nil
+	}
+	return cond, nil
+}
+
+// nodeOf names the node actor runs on: the one board, or the node the
+// system places it on.
+func (d *Debugger) nodeOf(actor string) string {
+	if d.Board != nil {
+		return d.Board.Name
+	}
+	return d.Sys.NodeOf(actor)
 }
 
 // BreakOnDeadlineMiss arms the standard deadline-overrun breakpoint for an
@@ -311,12 +386,19 @@ func (d *Debugger) RenderSVG() string { return d.GDM.Scene().SVG() }
 // RenderASCII renders the current animated model view for terminals.
 func (d *Debugger) RenderASCII() string { return d.GDM.Scene().ASCII(0, 0) }
 
-// TimingDiagramASCII renders the recorded trace as a timing diagram.
+// TimingDiagramASCII renders the recorded trace as a timing diagram; on a
+// TDMA cluster the "bus" track is the slot-grid lane (value = transmitting
+// node, 'x' marks = lost frames).
 func (d *Debugger) TimingDiagramASCII(width int) string {
 	return d.Session.Trace.TimingDiagram().ASCII(width)
 }
 
-// WriteInput injects a value on an actor input (manual stimulus).
+// WriteInput injects a value on an actor input (manual stimulus), on the
+// board the actor runs on.
 func (d *Debugger) WriteInput(actor, port string, v value.Value) error {
-	return d.Board.WriteInput(actor, port, v)
+	b := d.target.Board(d.nodeOf(actor))
+	if b == nil {
+		return fmt.Errorf("repro: no actor %q", actor)
+	}
+	return b.WriteInput(actor, port, v)
 }

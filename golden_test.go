@@ -41,7 +41,7 @@ func goldenBus() *dtm.BusSchedule {
 }
 
 // distributedDebugger assembles the golden TDMA cluster scenario.
-func distributedDebugger(t *testing.T) *ClusterDebugger {
+func distributedDebugger(t *testing.T) *Debugger {
 	t.Helper()
 	sys, err := models.Distributed()
 	if err != nil {

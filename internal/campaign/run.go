@@ -58,11 +58,11 @@ func Run(spec Spec) (*Aggregate, error) {
 			return nil, err
 		}
 		if spec.WarmNs > 0 {
-			if err := cr.cdbg.RunNs(spec.WarmNs); err != nil {
+			if err := cr.dbg.RunNs(spec.WarmNs); err != nil {
 				return nil, fmt.Errorf("campaign: warm-up: %w", err)
 			}
 		}
-		base, err = cr.cdbg.Checkpoint()
+		base, err = cr.dbg.Checkpoint()
 		if err != nil {
 			return nil, fmt.Errorf("campaign: base checkpoint: %w", err)
 		}

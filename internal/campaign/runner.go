@@ -133,7 +133,7 @@ func (r *boardRunner) traceText() string { return r.dbg.Session.Trace.FormatStab
 // parallelism is across variants, not within one.
 type clusterRunner struct {
 	spec     *Spec
-	cdbg     *repro.ClusterDebugger
+	dbg      *repro.Debugger
 	base     *checkpoint.Checkpoint
 	arena    *trace.Arena
 	progName string
@@ -141,18 +141,18 @@ type clusterRunner struct {
 }
 
 func newClusterRunner(spec *Spec, base *checkpoint.Checkpoint, arena *trace.Arena) (*clusterRunner, error) {
-	cdbg, err := buildCluster(spec)
+	dbg, err := buildCluster(spec)
 	if err != nil {
 		return nil, err
 	}
 	return &clusterRunner{
-		spec: spec, cdbg: cdbg, base: base, arena: arena,
-		progName: cdbg.Session.Trace.Program,
-		nodes:    cdbg.Cluster.Nodes(),
+		spec: spec, dbg: dbg, base: base, arena: arena,
+		progName: dbg.Session.Trace.Program,
+		nodes:    dbg.Cluster.Nodes(),
 	}, nil
 }
 
-func buildCluster(spec *Spec) (*repro.ClusterDebugger, error) {
+func buildCluster(spec *Spec) (*repro.Debugger, error) {
 	sys, err := models.ByName(spec.Model)
 	if err != nil {
 		return nil, err
@@ -200,20 +200,20 @@ func (r *clusterRunner) fork(v variant) error {
 	sched := variantSchedule(r.base.Cluster.Net.Sched, v)
 	cp.Cluster.Net.Sched = sched
 	cp.Cluster.Net.RNG = v.Seed
-	net := r.cdbg.Cluster.Net
+	net := r.dbg.Cluster.Net
 	net.DropInflight()
 	if err := net.SetSchedule(sched); err != nil {
 		return fmt.Errorf("variant %d schedule: %w", v.Index, err)
 	}
-	r.arena.Recycle(r.cdbg.Session.Trace)
-	if err := r.cdbg.RestoreCheckpoint(cp); err != nil {
+	r.arena.Recycle(r.dbg.Session.Trace)
+	if err := r.dbg.RestoreCheckpoint(cp); err != nil {
 		return err
 	}
-	r.cdbg.Session.Trace = r.arena.NewTrace(r.progName)
+	r.dbg.Session.Trace = r.arena.NewTrace(r.progName)
 	return nil
 }
 
-func (r *clusterRunner) run(ns uint64) error { return r.cdbg.RunNs(ns) }
+func (r *clusterRunner) run(ns uint64) error { return r.dbg.RunNs(ns) }
 
 func (r *clusterRunner) observe(v variant) (VariantResult, error) {
 	res := VariantResult{Index: v.Index, Seed: v.Seed, Rotation: v.Rotation}
@@ -227,8 +227,8 @@ func (r *clusterRunner) observe(v variant) (VariantResult, error) {
 	res.Bus = map[string]dtm.BusStats{}
 	var drops uint64
 	for _, node := range r.nodes {
-		obs = append(obs, observeTasks(node, r.cdbg.Cluster.Boards[node].Tasks(), nil)...)
-		if bs, ok := r.cdbg.BusStats(node); ok {
+		obs = append(obs, observeTasks(node, r.dbg.Cluster.Boards[node].Tasks(), nil)...)
+		if bs, ok := r.dbg.BusStats(node); ok {
 			res.Bus[node] = bs
 			drops += bs.Dropped
 		}
@@ -245,4 +245,4 @@ func (r *clusterRunner) observe(v variant) (VariantResult, error) {
 	return res, nil
 }
 
-func (r *clusterRunner) traceText() string { return r.cdbg.Session.Trace.FormatStable() }
+func (r *clusterRunner) traceText() string { return r.dbg.Session.Trace.FormatStable() }

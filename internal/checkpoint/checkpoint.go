@@ -2,22 +2,32 @@
 // layers into checkpoint-replay debugging: the paper's DTM workflow wants
 // to revisit the moment a timing anomaly occurred, but long runs were
 // one-shot — once the virtual clock passed a deadline miss, the only
-// recourse was a full rerun. A Checkpoint composes a board (or cluster)
-// snapshot with the host-side session state into one serializable value;
-// a Recorder takes them periodically while logging the non-deterministic
-// inputs (environment writes, host wire commands), so a session can
-// reverse-step to the last checkpoint and deterministically re-execute
-// forward to any instant (engine.Session.RewindTo / ReplayUntil).
+// recourse was a full rerun.
+//
+// A board is a one-node target. Target is the small node-indexed view a
+// *target.Board and a *target.Cluster both satisfy (the clock, RunUntil,
+// the node names, a node's board), and everything here is written once
+// against it. Capture composes the target's snapshot with the host-side
+// session state and the per-node command channels into one serializable
+// Checkpoint; Apply restores one. A board checkpoint keeps its "board" +
+// "host" layout and a cluster checkpoint its "cluster" + "clusterHost"
+// layout, so version-1 files written before the two paths merged still
+// load. One Recorder, keyed by node, takes checkpoints periodically while
+// logging the non-deterministic inputs (environment writes, host wire
+// instructions), so a session can reverse-step to the last checkpoint and
+// deterministically re-execute forward to any instant
+// (engine.Session.RewindTo / ReplayUntil).
 //
 // Determinism contract: everything below the host is a pure function of
 // the restored state — the kernel replays pending events in their original
 // sequence positions, the VM machines resume at exact instruction
-// boundaries, and the UART delivers the same bytes at the same instants.
-// The two inputs that are NOT functions of board state are captured in the
+// boundaries, the UART delivers the same bytes at the same instants, and a
+// cluster's bus draws loss and jitter from the captured RNG. The two
+// inputs that are NOT functions of target state are captured in the
 // Recorder's logs: WriteInput stimuli (the environment/plant path) and
-// instructions the host sends over the wire. Host-side interactive actions
-// that never touch the wire (host-side Step on a passive session) are
-// outside the replay contract.
+// instructions the host sends over the wire, each with the node it reached.
+// Host-side interactive actions that never touch the wire (host-side Step
+// on a passive session) are outside the replay contract.
 package checkpoint
 
 import (
@@ -35,6 +45,16 @@ import (
 
 // Version is the serialized checkpoint format version.
 const Version = 1
+
+// Target is what a checkpoint captures and a Recorder drives: a
+// *target.Board (one node) or a *target.Cluster, seen through one
+// node-indexed view on one virtual clock.
+type Target interface {
+	Now() uint64
+	RunUntil(t uint64)
+	Nodes() []string
+	Board(node string) *target.Board
+}
 
 // HostState is the host half of a checkpoint: the session (trace,
 // breakpoints, run mode) and the serial command channel.
@@ -170,102 +190,89 @@ func ReadFile(path string) (*Checkpoint, error) {
 	return Decode(f)
 }
 
-// Capture snapshots a standalone board plus the host session attached to
-// it. src may be nil for passive sessions (no command channel state).
-func Capture(b *target.Board, s *engine.Session, src *engine.SerialSource) (*Checkpoint, error) {
-	bs, err := b.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	cp := &Checkpoint{Version: Version, Time: b.Now(), Board: bs}
-	if s != nil {
-		host := &HostState{Session: s.Snapshot()}
-		if src != nil {
-			ss := src.Snapshot()
-			host.Serial = &ss
+// Capture snapshots a target plus the host session attached to it (s may
+// be nil) and its command channels, keyed by node (nil or partial on
+// passive sessions). It is the one place that knows the two serialized
+// layouts: a board writes "board" + "host", a cluster "cluster" +
+// "clusterHost".
+func Capture(t Target, s *engine.Session, serials map[string]*engine.SerialSource) (*Checkpoint, error) {
+	cp := &Checkpoint{Version: Version, Time: t.Now()}
+	switch t := t.(type) {
+	case *target.Board:
+		bs, err := t.Snapshot()
+		if err != nil {
+			return nil, err
 		}
-		cp.Host = host
-	}
-	return cp, nil
-}
-
-// CaptureCluster snapshots a whole cluster (no host session — cluster
-// debugging sessions attach per node; callers snapshot those separately).
-func CaptureCluster(c *target.Cluster) (*Checkpoint, error) {
-	cs, err := c.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	return &Checkpoint{Version: Version, Time: c.Now(), Cluster: cs}, nil
-}
-
-// CaptureClusterSession snapshots a cluster together with the one host
-// session debugging it and the per-node serial command channels — the
-// distributed form of Capture. srcs may be nil or partial (passive nodes
-// have no command channel).
-func CaptureClusterSession(c *target.Cluster, s *engine.Session, srcs map[string]*engine.SerialSource) (*Checkpoint, error) {
-	cp, err := CaptureCluster(c)
-	if err != nil {
-		return nil, err
-	}
-	if s != nil {
-		host := &ClusterHostState{Session: s.Snapshot()}
-		if len(srcs) > 0 {
-			host.Serials = make(map[string]engine.SerialSourceState, len(srcs))
-			for node, src := range srcs {
-				host.Serials[node] = src.Snapshot()
+		cp.Board = bs
+		if s != nil {
+			cp.Host = &HostState{Session: s.Snapshot()}
+			if src := serials[t.Name]; src != nil {
+				ss := src.Snapshot()
+				cp.Host.Serial = &ss
 			}
 		}
-		cp.ClusterHost = host
+	case *target.Cluster:
+		cs, err := t.Snapshot()
+		if err != nil {
+			return nil, err
+		}
+		cp.Cluster = cs
+		if s != nil {
+			cp.ClusterHost = &ClusterHostState{Session: s.Snapshot()}
+			if len(serials) > 0 {
+				cp.ClusterHost.Serials = make(map[string]engine.SerialSourceState, len(serials))
+				for node, src := range serials {
+					cp.ClusterHost.Serials[node] = src.Snapshot()
+				}
+			}
+		}
+	default:
+		return nil, fmt.Errorf("checkpoint: cannot capture a %T", t)
 	}
 	return cp, nil
 }
 
-// ApplyClusterSession restores a distributed checkpoint onto a cluster
-// built from the same system (possibly in a fresh process), rewinding the
-// attached host session and per-node command channels alongside it.
-func ApplyClusterSession(cp *Checkpoint, c *target.Cluster, s *engine.Session, srcs map[string]*engine.SerialSource) error {
-	if err := ApplyCluster(cp, c); err != nil {
-		return err
-	}
-	if cp.ClusterHost != nil && s != nil {
+// Apply restores a checkpoint onto a target built from the same system
+// (possibly in a fresh process), rewinding the attached host session (s
+// may be nil) and the command channels alongside it.
+func Apply(cp *Checkpoint, t Target, s *engine.Session, serials map[string]*engine.SerialSource) error {
+	switch t := t.(type) {
+	case *target.Board:
+		if cp.Board == nil {
+			return fmt.Errorf("checkpoint: no board state (cluster checkpoint?)")
+		}
+		if err := t.Restore(cp.Board); err != nil {
+			return err
+		}
+		if cp.Host == nil || s == nil {
+			return nil
+		}
+		if err := s.Restore(cp.Host.Session); err != nil {
+			return err
+		}
+		if src := serials[t.Name]; cp.Host.Serial != nil && src != nil {
+			src.Restore(*cp.Host.Serial)
+		}
+	case *target.Cluster:
+		if cp.Cluster == nil {
+			return fmt.Errorf("checkpoint: no cluster state")
+		}
+		if err := t.Restore(cp.Cluster); err != nil {
+			return err
+		}
+		if cp.ClusterHost == nil || s == nil {
+			return nil
+		}
 		if err := s.Restore(cp.ClusterHost.Session); err != nil {
 			return err
 		}
 		for node, st := range cp.ClusterHost.Serials {
-			if src, ok := srcs[node]; ok {
+			if src, ok := serials[node]; ok {
 				src.Restore(st)
 			}
 		}
+	default:
+		return fmt.Errorf("checkpoint: cannot restore a %T", t)
 	}
 	return nil
-}
-
-// Apply restores a board checkpoint onto a board built from the same
-// program (possibly in a fresh process) and rewinds the attached host
-// session alongside it.
-func Apply(cp *Checkpoint, b *target.Board, s *engine.Session, src *engine.SerialSource) error {
-	if cp.Board == nil {
-		return fmt.Errorf("checkpoint: no board state (cluster checkpoint? use ApplyCluster)")
-	}
-	if err := b.Restore(cp.Board); err != nil {
-		return err
-	}
-	if cp.Host != nil && s != nil {
-		if err := s.Restore(cp.Host.Session); err != nil {
-			return err
-		}
-		if cp.Host.Serial != nil && src != nil {
-			src.Restore(*cp.Host.Serial)
-		}
-	}
-	return nil
-}
-
-// ApplyCluster restores a cluster checkpoint.
-func ApplyCluster(cp *Checkpoint, c *target.Cluster) error {
-	if cp.Cluster == nil {
-		return fmt.Errorf("checkpoint: no cluster state")
-	}
-	return c.Restore(cp.Cluster)
 }

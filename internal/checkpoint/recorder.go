@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/protocol"
-	"repro/internal/target"
 	"repro/internal/value"
 )
 
@@ -14,56 +13,64 @@ import (
 // given zero (250 virtual milliseconds).
 const DefaultIntervalNs = 250_000_000
 
-// DefaultSliceNs is the pump granularity, matching the facade's run loop
-// (1 ms of virtual time per slice) so replayed host receive stamps land on
-// the same grid as the original run.
-const DefaultSliceNs = 1_000_000
+// SliceNs is the pump granularity of the facade's run loop and of replay
+// (1 ms of virtual time per slice): both poll the host side on the same
+// absolute grid, so replayed host receive stamps reproduce exactly.
+const SliceNs = 1_000_000
 
-// InputRecord is one logged WriteInput stimulus.
+// keepCheckpoints bounds the retained checkpoint list. Each checkpoint
+// carries every node's RAM image and a trace copy, so an unbounded list
+// grows quadratically over very long runs. When the cap is hit the oldest
+// periodic checkpoint after the initial one is evicted — rewinds reach the
+// whole run, at coarser granularity near the beginning.
+const keepCheckpoints = 64
+
+// InputRecord is one logged WriteInput stimulus on a named node.
 type InputRecord struct {
 	At    uint64        `json:"at"`
+	Node  string        `json:"node"`
 	Actor string        `json:"actor"`
 	Port  string        `json:"port"`
 	Val   value.Encoded `json:"val"`
 }
 
-// InstrRecord is one logged host-to-target wire instruction.
+// InstrRecord is one logged host-to-target wire instruction on a named
+// node's command channel.
 type InstrRecord struct {
-	At uint64               `json:"at"`
-	In protocol.Instruction `json:"in"`
+	At   uint64               `json:"at"`
+	Node string               `json:"node"`
+	In   protocol.Instruction `json:"in"`
 }
 
-// Recorder implements record-and-revisit debugging over one board: it
-// takes periodic checkpoints while logging the two non-deterministic
-// input streams (environment WriteInputs and host wire instructions), and
-// replays them during RewindTo/ReplayUntil so re-execution from a
-// checkpoint reproduces the original timeline exactly. It satisfies
-// engine.Rewinder; attach it with Session.AttachRewinder.
+// Recorder implements record-and-revisit debugging over a Target — one
+// board or a whole cluster. It takes periodic checkpoints while logging,
+// per node, the two non-deterministic input streams (environment
+// WriteInputs and host wire instructions), and replays them during
+// RewindTo/ReplayUntil so re-execution from a checkpoint reproduces the
+// original timeline exactly. Everything else in a cluster run — bus
+// arbitration, frame loss, jitter — is drawn from the network's seeded
+// RNG, which the checkpoints capture. The logs are kept in one global
+// sequence: every node advances on one shared virtual clock in a
+// deterministic order, so a single cursor replays events in the order
+// they originally interleaved. It satisfies engine.Rewinder; attach it
+// with Session.AttachRewinder.
 type Recorder struct {
-	Board   *target.Board
+	Target  Target
 	Session *engine.Session
-	Source  *engine.SerialSource // nil on passive sessions
+	// Serials maps node name -> that node's command channel (absent on
+	// passive sessions).
+	Serials map[string]*engine.SerialSource
 
 	// IntervalNs is the periodic checkpoint cadence in virtual time.
 	IntervalNs uint64
-	// SliceNs is the replay pump granularity; it must match the cadence the
-	// live session pumps events at for receive stamps to reproduce.
-	SliceNs uint64
-
-	// MaxCheckpoints bounds the retained checkpoint list (each checkpoint
-	// carries a full RAM image and trace copy, so an unbounded list grows
-	// quadratically over very long runs). When the cap is hit the oldest
-	// periodic checkpoint after the initial one is evicted — rewinds reach
-	// the whole run, at coarser granularity near the beginning. Zero means
-	// DefaultMaxCheckpoints.
-	MaxCheckpoints int
 
 	cps    []*Checkpoint
 	lastCp uint64
 
 	// inputs are environment stimuli written during PreLatch (replayed at
 	// the same release sites); manual are stimuli written outside it —
-	// user pokes between run slices — replayed at pump boundaries.
+	// user pokes between run slices, a cluster's pre-release refresh —
+	// replayed at pump boundaries.
 	inputs []InputRecord
 	manual []InputRecord
 	instrs []InstrRecord
@@ -77,32 +84,29 @@ type Recorder struct {
 	inPtr     int
 	manPtr    int
 	insPtr    int
-
-	liveEnv func(now uint64, actor string)
 }
 
-// DefaultMaxCheckpoints is the retained-checkpoint cap when
-// Recorder.MaxCheckpoints is zero.
-const DefaultMaxCheckpoints = 64
-
-// Attach interposes a recorder on a board + session pair and takes the
-// initial checkpoint. Attach after arming any standing breakpoints so the
-// initial checkpoint carries them. intervalNs zero means
-// DefaultIntervalNs.
-func Attach(b *target.Board, s *engine.Session, src *engine.SerialSource, intervalNs uint64) (*Recorder, error) {
+// Attach interposes a recorder on every node of a target + session and
+// takes the initial checkpoint. Attach after arming standing breakpoints
+// (the initial checkpoint carries them) and after any restore. intervalNs
+// zero means DefaultIntervalNs.
+func Attach(t Target, s *engine.Session, serials map[string]*engine.SerialSource, intervalNs uint64) (*Recorder, error) {
 	if intervalNs == 0 {
 		intervalNs = DefaultIntervalNs
 	}
 	r := &Recorder{
-		Board: b, Session: s, Source: src,
-		IntervalNs: intervalNs, SliceNs: DefaultSliceNs,
-		frontier: b.Now(),
+		Target: t, Session: s, Serials: serials,
+		IntervalNs: intervalNs,
+		frontier:   t.Now(),
 	}
-	r.liveEnv = b.PreLatch
-	b.PreLatch = r.preLatch
-	b.OnInput = r.logInput
-	if src != nil {
-		src.Tap = r.logInstr
+	for _, node := range t.Nodes() {
+		b := t.Board(node)
+		live := b.PreLatch
+		b.PreLatch = func(now uint64, actor string) { r.preLatch(node, live, now, actor) }
+		b.OnInput = func(now uint64, actor, port string, v value.Value) { r.logInput(node, now, actor, port, v) }
+		if src := serials[node]; src != nil {
+			src.Tap = func(in protocol.Instruction) { r.logInstr(node, in) }
+		}
 	}
 	if _, err := r.TakeCheckpoint(); err != nil {
 		return nil, err
@@ -148,17 +152,13 @@ func (r *Recorder) Observe(now uint64) error {
 
 // TakeCheckpoint captures the current state and appends it to the
 // checkpoint list, evicting the oldest periodic checkpoint (the initial
-// one is always kept) once MaxCheckpoints is reached.
+// one is always kept) once the retention cap is reached.
 func (r *Recorder) TakeCheckpoint() (*Checkpoint, error) {
-	cp, err := Capture(r.Board, r.Session, r.Source)
+	cp, err := Capture(r.Target, r.Session, r.Serials)
 	if err != nil {
 		return nil, err
 	}
-	max := r.MaxCheckpoints
-	if max <= 0 {
-		max = DefaultMaxCheckpoints
-	}
-	if len(r.cps) >= max && len(r.cps) > 1 {
+	if len(r.cps) >= keepCheckpoints {
 		r.cps = append(r.cps[:1], r.cps[2:]...)
 	}
 	r.cps = append(r.cps, cp)
@@ -175,16 +175,15 @@ func (r *Recorder) LastBefore(t uint64) *Checkpoint {
 	return r.cps[i-1]
 }
 
-// logInput is the board's OnInput hook (record mode only). Writes made
-// inside the environment hook replay at the same PreLatch site; writes
-// made anywhere else (a user poking an input between run slices, a
-// cluster's pre-release refresh) land in the manual log, replayed at pump
+// logInput is every board's OnInput hook (record mode only). Writes made
+// inside a node's environment hook replay at the same PreLatch site;
+// writes made anywhere else land in the manual log, replayed at pump
 // boundaries.
-func (r *Recorder) logInput(now uint64, actor, port string, v value.Value) {
+func (r *Recorder) logInput(node string, now uint64, actor, port string, v value.Value) {
 	if r.replaying {
 		return
 	}
-	rec := InputRecord{At: now, Actor: actor, Port: port, Val: value.Encode(v)}
+	rec := InputRecord{At: now, Node: node, Actor: actor, Port: port, Val: value.Encode(v)}
 	if r.inEnv {
 		r.inputs = append(r.inputs, rec)
 	} else {
@@ -192,33 +191,30 @@ func (r *Recorder) logInput(now uint64, actor, port string, v value.Value) {
 	}
 }
 
-// logInstr is the serial source's Tap hook (record mode only).
-func (r *Recorder) logInstr(in protocol.Instruction) {
+// logInstr is each node's serial-source Tap hook (record mode only).
+func (r *Recorder) logInstr(node string, in protocol.Instruction) {
 	if r.replaying {
 		return
 	}
-	r.instrs = append(r.instrs, InstrRecord{At: r.Board.Now(), In: in})
+	r.instrs = append(r.instrs, InstrRecord{At: r.Target.Now(), Node: node, In: in})
 }
 
-// preLatch replaces the board's environment hook: in record mode the live
+// preLatch replaces each node's environment hook: in record mode the live
 // environment runs (and its writes are logged via OnInput); in replay mode
-// the logged writes for this (instant, actor) are re-applied instead, so
-// the environment's own state — which belongs to the live frontier, not
-// the rewound instant — is never consulted.
-func (r *Recorder) preLatch(now uint64, actor string) {
+// the logged writes for this (instant, node, actor) release site are
+// re-applied instead, so the environment's own state — which belongs to
+// the live frontier, not the rewound instant — is never consulted.
+func (r *Recorder) preLatch(node string, live func(now uint64, actor string), now uint64, actor string) {
 	if r.replaying && now <= r.frontier {
 		for r.inPtr < len(r.inputs) && r.inputs[r.inPtr].At < now {
 			r.inPtr++
 		}
 		for r.inPtr < len(r.inputs) {
 			ir := r.inputs[r.inPtr]
-			if ir.At != now || ir.Actor != actor {
+			if ir.At != now || ir.Node != node || ir.Actor != actor {
 				break
 			}
-			v, err := value.Decode(ir.Val)
-			if err == nil {
-				_ = r.Board.WriteInput(ir.Actor, ir.Port, v)
-			}
+			r.write(ir)
 			r.inPtr++
 		}
 		return
@@ -226,10 +222,17 @@ func (r *Recorder) preLatch(now uint64, actor string) {
 	if r.replaying {
 		r.endReplay()
 	}
-	if r.liveEnv != nil {
+	if live != nil {
 		r.inEnv = true
-		r.liveEnv(now, actor)
+		live(now, actor)
 		r.inEnv = false
+	}
+}
+
+// write re-applies one logged stimulus on the node that received it.
+func (r *Recorder) write(ir InputRecord) {
+	if v, err := value.Decode(ir.Val); err == nil {
+		_ = r.Target.Board(ir.Node).WriteInput(ir.Actor, ir.Port, v)
 	}
 }
 
@@ -249,71 +252,68 @@ func (r *Recorder) beginReplay(now uint64) {
 	r.insPtr = sort.Search(len(r.instrs), func(i int) bool { return r.instrs[i].At >= now })
 }
 
-// applyManual re-injects stimuli that were written outside the
-// environment hook, at the pump boundary where the original write sat
-// between run slices.
+// applyManual re-injects stimuli that were written outside environment
+// hooks, at the pump boundary where the original write sat between run
+// slices.
 func (r *Recorder) applyManual(now uint64) {
 	for r.manPtr < len(r.manual) && r.manual[r.manPtr].At < now {
 		r.manPtr++
 	}
 	for r.manPtr < len(r.manual) && r.manual[r.manPtr].At == now {
-		ir := r.manual[r.manPtr]
-		if v, err := value.Decode(ir.Val); err == nil {
-			_ = r.Board.WriteInput(ir.Actor, ir.Port, v)
-		}
+		r.write(r.manual[r.manPtr])
 		r.manPtr++
 	}
 }
 
-// sendLogged re-injects every logged instruction stamped exactly now. A
-// pause/resume implied host-flag flip is mirrored without wire traffic.
+// sendLogged re-injects every logged instruction stamped exactly now on
+// its original node's command channel. A pause/resume implied host-flag
+// flip is mirrored without wire traffic.
 func (r *Recorder) sendLogged(now uint64) {
-	if r.Source == nil {
-		return
-	}
 	for r.insPtr < len(r.instrs) && r.instrs[r.insPtr].At < now {
 		r.insPtr++
 	}
 	for r.insPtr < len(r.instrs) && r.instrs[r.insPtr].At == now {
-		in := r.instrs[r.insPtr].In
-		_ = r.Source.Resend(in)
-		switch in.Type {
-		case protocol.InPause:
-			r.Session.SetPausedState(true)
-		case protocol.InResume, protocol.InStep:
-			r.Session.SetPausedState(false)
+		rec := r.instrs[r.insPtr]
+		if src := r.Serials[rec.Node]; src != nil {
+			_ = src.Resend(rec.In)
+			switch rec.In.Type {
+			case protocol.InPause:
+				r.Session.SetPausedState(true)
+			case protocol.InResume, protocol.InStep:
+				r.Session.SetPausedState(false)
+			}
 		}
 		r.insPtr++
 	}
 }
 
 // pumpTo re-executes forward to exactly t: logged instructions are
-// re-sent at their original instants, the board advances slice by slice,
+// re-sent at their original instants, the target advances slice by slice,
 // and events are processed only at absolute grid points (multiples of
 // SliceNs) — the same receive grid the live run polls on, so replayed
 // receive stamps reproduce exactly. A partial tail below the next grid
-// point advances the board silently: events raised there stay on the
+// point advances the target silently: events raised there stay on the
 // wire, just as they were in-flight at that instant originally. During
 // replay a breakpoint pause does not stop the pump — the logged resume
 // that cleared it in the original timeline clears it here too.
 func (r *Recorder) pumpTo(t uint64) error {
-	for r.Board.Now() < t {
-		now := r.Board.Now()
+	for r.Target.Now() < t {
+		now := r.Target.Now()
 		if r.replaying {
 			r.sendLogged(now)
 			r.applyManual(now)
 		}
-		next := (now/r.SliceNs + 1) * r.SliceNs
+		next := (now/SliceNs + 1) * SliceNs
 		if next > t {
 			// Partial tail: land exactly on t without polling the host side.
-			r.Board.RunFor(t - now)
+			r.Target.RunUntil(t)
 			return nil
 		}
-		r.Board.RunFor(next - now)
-		if _, err := r.Session.ProcessEvents(r.Board.Now()); err != nil {
+		r.Target.RunUntil(next)
+		if _, err := r.Session.ProcessEvents(r.Target.Now()); err != nil {
 			return err
 		}
-		if err := r.Observe(r.Board.Now()); err != nil {
+		if err := r.Observe(r.Target.Now()); err != nil {
 			return err
 		}
 	}
@@ -323,44 +323,44 @@ func (r *Recorder) pumpTo(t uint64) error {
 // RewindTo implements engine.Rewinder: restore the latest checkpoint at
 // or before t, then deterministically re-execute forward to exactly t.
 // The landing instant is exact — t falls wherever it falls relative to
-// instruction boundaries; the board state is the one the original
+// instruction boundaries; the target state is the one the original
 // timeline had at that very nanosecond.
 func (r *Recorder) RewindTo(t uint64) (uint64, error) {
 	cp := r.LastBefore(t)
 	if cp == nil {
 		return 0, fmt.Errorf("checkpoint: no checkpoint at or before t=%d", t)
 	}
-	if err := Apply(cp, r.Board, r.Session, r.Source); err != nil {
+	if err := Apply(cp, r.Target, r.Session, r.Serials); err != nil {
 		return 0, err
 	}
-	r.beginReplay(r.Board.Now())
+	r.beginReplay(r.Target.Now())
 	if err := r.pumpTo(t); err != nil {
-		return r.Board.Now(), err
+		return r.Target.Now(), err
 	}
-	if r.Board.Now() >= r.frontier {
+	if r.Target.Now() >= r.frontier {
 		r.endReplay()
 	}
-	return r.Board.Now(), nil
+	return r.Target.Now(), nil
 }
 
 // ReplayUntil implements engine.Rewinder: re-execute forward from the
 // current (typically rewound) instant until cond reports true, bounded by
 // maxNs of virtual time. cond is checked at pump-slice boundaries.
 func (r *Recorder) ReplayUntil(cond func(now uint64) bool, maxNs uint64) (bool, error) {
-	if r.Board.Now() < r.frontier && !r.replaying {
-		r.beginReplay(r.Board.Now())
+	if r.Target.Now() < r.frontier && !r.replaying {
+		r.beginReplay(r.Target.Now())
 	}
-	limit := r.Board.Now() + maxNs
+	limit := r.Target.Now() + maxNs
 	for {
-		if cond(r.Board.Now()) {
+		if cond(r.Target.Now()) {
 			return true, nil
 		}
-		if r.Board.Now() >= limit {
+		if r.Target.Now() >= limit {
 			return false, nil
 		}
 		// Advance to the next grid point (re-aligning after an off-grid
 		// rewind landing), checking cond after each pumped slice.
-		next := (r.Board.Now()/r.SliceNs + 1) * r.SliceNs
+		next := (r.Target.Now()/SliceNs + 1) * SliceNs
 		if next > limit {
 			next = limit
 		}

@@ -206,8 +206,8 @@ func (s *SerialSource) Restore(st SerialSourceState) {
 }
 
 // Rewinder is the session's attachment point for the checkpoint
-// subsystem (internal/checkpoint.Recorder satisfies it structurally;
-// engine deliberately does not import it).
+// subsystem (internal/checkpoint.Recorder, for a board or a cluster,
+// satisfies it structurally; engine deliberately does not import it).
 type Rewinder interface {
 	// RewindTo restores the nearest checkpoint at or before t and
 	// deterministically re-executes forward to exactly t. It returns the

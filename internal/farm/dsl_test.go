@@ -186,3 +186,90 @@ func mustJSON(t *testing.T, v any) json.RawMessage {
 	}
 	return b
 }
+
+// twoGateSrc places one state machine on each of two nodes. Each gate
+// opens once its constant input arrives.
+const twoGateSrc = `system gates
+
+actor left {
+    on n1
+    period 2ms
+    deadline 1ms
+    network ln {
+        out open bool
+        block const one { value = 1.0 }
+        machine gate {
+            in v float
+            out open bool
+            initial Closed
+            state Closed { open = "false" }
+            state Open   { open = "true" }
+            transition up: Closed -> Open when "v > 0.5"
+        }
+        wire one.out -> gate.v
+        wire gate.open -> .open
+    }
+}
+
+actor right {
+    on n2
+    period 2ms
+    offset 1ms
+    deadline 1ms
+    network rn {
+        out open bool
+        block const one { value = 1.0 }
+        machine gate {
+            in v float
+            out open bool
+            initial Closed
+            state Closed { open = "false" }
+            state Open   { open = "true" }
+            transition up: Closed -> Open when "v > 0.5"
+        }
+        wire one.out -> gate.v
+        wire gate.open -> .open
+    }
+}
+
+run 20ms
+`
+
+// TestClusterStateBreakOffRemoteNode: over the wire, a state breakpoint
+// on a cluster arms on the target only for a machine on the node the
+// session's command channel reaches; a machine on another node stays
+// host-side and still pauses the session at its state entry.
+func TestClusterStateBreakOffRemoteNode(t *testing.T) {
+	_, cl := startServer(t, Options{})
+	for _, tc := range []struct {
+		machine  string
+		onTarget bool
+	}{
+		{"left.gate", true},
+		{"right.gate", false},
+	} {
+		t.Run(tc.machine, func(t *testing.T) {
+			created, err := cl.Create(CreateParams{Source: twoGateSrc, SourceName: "gates.gmdf"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(created.Nodes) != 2 {
+				t.Fatalf("scenario built %v, want a two-node cluster", created.Nodes)
+			}
+			br, err := cl.Break(created.Session, BreakParams{ID: "g", Machine: tc.machine, State: "Open"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if br.OnTarget != tc.onTarget {
+				t.Fatalf("onTarget = %v, want %v", br.OnTarget, tc.onTarget)
+			}
+			run, err := cl.RunFor(created.Session, 20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !run.Paused || run.LastBreak != "g" {
+				t.Fatalf("breakpoint on %s did not pause the session: %+v", tc.machine, run)
+			}
+		})
+	}
+}

@@ -403,16 +403,16 @@ func TestClusterSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cdbg, err := repro.DebugCluster(sys, repro.ClusterDebugConfig{
+	dbg, err := repro.DebugCluster(sys, repro.ClusterDebugConfig{
 		Cluster: repro.StandardClusterConfig(sys.Nodes(), 0),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cdbg.RunNs(100_000_000); err != nil {
+	if err := dbg.RunNs(100_000_000); err != nil {
 		t.Fatal(err)
 	}
-	if want := cdbg.Session.Trace.FormatStable(); remote.Stable != want {
+	if want := dbg.Session.Trace.FormatStable(); remote.Stable != want {
 		t.Fatal("remote cluster trace differs from in-process cluster run")
 	}
 }

@@ -317,11 +317,12 @@
 // # Session lifecycle
 //
 // One debug session owns one board (repro.Debug) or one cluster
-// (repro.DebugCluster) plus its host half. Sessions exist in-process (the
-// gmdf CLI, tests) or multiplexed behind a farm server (internal/farm,
-// cmd/gmdfd), where many isolated sessions share one immutable compiled
-// program — codegen.Program is static IR; all mutable state (RAM, kernel,
-// machines, agent, trace) lives in the board/cluster and the session.
+// (repro.DebugCluster) plus its host half; both return a *repro.Debugger.
+// Sessions exist in-process (the gmdf CLI, tests) or multiplexed behind a
+// farm server (internal/farm, cmd/gmdfd), where many isolated sessions
+// share one immutable compiled program — codegen.Program is static IR;
+// all mutable state (RAM, kernel, machines, agent, trace) lives in the
+// board/cluster and the session.
 // The lifecycle matrix, by operation × target shape × checkpoint state:
 //
 //	operation   single board                cluster
@@ -329,9 +330,9 @@
 //	(fresh)     cached program), boot the   board per placed node on a shared
 //	            board, bind the standard    virtual clock, the standard TDMA
 //	            environment; t=0, empty     bus underneath; RecordMs attaches
-//	            trace                       the whole-cluster recorder
-//	                                        (checkpoint.ClusterRecorder)
-//	create      checkpoint.Apply onto the   ClusterCheckpoint.Apply; node set
+//	            trace                       the same checkpoint.Recorder,
+//	                                        logging every node
+//	create      checkpoint.Apply onto the   checkpoint.Apply; node set
 //	(from       freshly booted board: RAM,  must match the model's placement;
 //	digest)     kernel, agent, serial and   restore lands mid-TDMA-cycle with
 //	            the host trace land at      identical queue phase and future
@@ -364,11 +365,11 @@
 //
 // Checkpoint-state column, orthogonally: a session with RecordMs enabled
 // also keeps periodic in-process checkpoints and can RewindTo/ReplayUntil
-// within its recorded window — checkpoint.Recorder logs one board's
-// environment inputs and wire instructions, checkpoint.ClusterRecorder
-// logs them per node and re-feeds them on each node's original command
-// channel (bus arbitration, loss and jitter replay from the restored
-// network RNG, not fresh draws). Detach checkpoints are one-shot full
+// within its recorded window — one checkpoint.Recorder, keyed by node,
+// logs the environment inputs and wire instructions of a board (one node)
+// or of every node of a cluster and re-feeds them on each node's original
+// command channel (bus arbitration, loss and jitter replay from the
+// restored network RNG, not fresh draws). Detach checkpoints are one-shot full
 // snapshots and work on any session at any run boundary. Virtual time
 // makes all of this deterministic: create-from-digest in a fresh process
 // and the original session produce byte-identical stable traces, which
