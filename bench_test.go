@@ -26,13 +26,30 @@ import (
 	"repro/models"
 )
 
-func mustHeating(b *testing.B) *comdes.System {
-	b.Helper()
+func mustHeating(tb testing.TB) *comdes.System {
+	tb.Helper()
 	sys, err := models.Heating(models.HeatingOptions{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return sys
+}
+
+// heatingBoard boots the heating model, compiled with opts, on a
+// standalone board driven by the thermal plant.
+func heatingBoard(tb testing.TB, opts codegen.Options) *target.Board {
+	tb.Helper()
+	sys := mustHeating(tb)
+	prog, err := codegen.Compile(sys, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	brd, err := target.NewBoard("main", prog, target.Config{Bindings: sys.Bindings}, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	heatingEnv(brd)
+	return brd
 }
 
 func heatingEnv(brd *target.Board) {
@@ -211,36 +228,23 @@ func BenchmarkE6_WorkflowSteps(b *testing.B) {
 // table are asserted in internal/experiments; this measures host cost.
 func BenchmarkE7_Target(b *testing.B) {
 	configs := []struct {
-		name    string
-		opts    codegen.Options
-		jtag    bool
-		backend target.Backend
+		name string
+		opts codegen.Options
+		jtag bool
 	}{
-		{"clean", codegen.Options{}, false, target.BackendAuto},
-		// The same workload forced onto the Step interpreter: the perf gate's
-		// before/after pair for the threaded dispatch backend.
-		{"clean-interp", codegen.Options{}, false, target.BackendInterp},
-		{"active", codegen.Options{Instrument: codegen.Instrument{StateEnter: true, Transitions: true, Signals: true}}, false, target.BackendAuto},
-		{"passive", codegen.Options{}, true, target.BackendAuto},
+		{"clean", codegen.Options{}, false},
+		{"active", codegen.Options{Instrument: codegen.Instrument{StateEnter: true, Transitions: true, Signals: true}}, false},
+		{"passive", codegen.Options{}, true},
 	}
 	for _, cfg := range configs {
 		b.Run(cfg.name, func(b *testing.B) {
-			sys := mustHeating(b)
-			prog, err := codegen.Compile(sys, cfg.opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			brd, err := target.NewBoard("main", prog, target.Config{Bindings: sys.Bindings, Backend: cfg.backend}, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			heatingEnv(brd)
+			brd := heatingBoard(b, cfg.opts)
 			var watcher *jtag.Watcher
 			if cfg.jtag {
 				probe := jtag.NewProbe(brd.TAP)
 				probe.Reset()
 				watcher = jtag.NewWatcher(probe)
-				if err := engine.AutoWatches(watcher, prog); err != nil {
+				if err := engine.AutoWatches(watcher, brd.Prog); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -256,6 +260,36 @@ func BenchmarkE7_Target(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(brd.Cycles())/float64(b.N), "target-cycles/ms")
+		})
+	}
+}
+
+// TestReleasePathZeroAllocs pins in tier-1 what BenchmarkE7_Target's
+// allocs/op shows: once warm, a heating board advancing 1 ms and the host
+// decoding its UART bytes allocate nothing, clean and instrumented. Each
+// measured run is 500 such steps, so a single allocation in any of them
+// fails the test.
+func TestReleasePathZeroAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts codegen.Options
+	}{
+		{"clean", codegen.Options{}},
+		{"instrumented", codegen.Options{Instrument: codegen.Instrument{StateEnter: true, Transitions: true, Signals: true}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			brd := heatingBoard(t, tc.opts)
+			var dec protocol.Decoder
+			steps := func() {
+				for i := 0; i < 500; i++ {
+					brd.RunFor(1_000_000)
+					dec.Feed(brd.HostPort().Recv())
+				}
+			}
+			steps() // warm-up: pools, buffers and the decoder reach steady state
+			if n := testing.AllocsPerRun(3, steps); n != 0 {
+				t.Fatalf("%v allocations per 500 ms of target time, want 0", n)
+			}
 		})
 	}
 }

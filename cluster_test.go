@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/comdes"
+	"repro/internal/dtm"
 	"repro/internal/engine"
 	"repro/internal/protocol"
 	"repro/internal/value"
@@ -198,6 +199,58 @@ func TestBoardRunNsReturnsNodeError(t *testing.T) {
 	}
 	if now := dbg.Board.Now(); now >= 20_000_000 {
 		t.Fatalf("RunNs ran on to %d past the failed release", now)
+	}
+}
+
+// TestClusterMissBreakOffRemoteNode: a deadline-miss breakpoint follows
+// the same node rule as a state breakpoint. It arms on the target only for
+// an actor on the node the session's remote channel reaches; an actor on
+// another node stays host-side and still pauses the session at its first
+// miss.
+func TestClusterMissBreakOffRemoteNode(t *testing.T) {
+	for _, tc := range []struct {
+		actor    string
+		onTarget bool
+	}{
+		{"ring0", true},
+		{"ring1", false},
+		{"ring2", false},
+	} {
+		t.Run(tc.actor, func(t *testing.T) {
+			sys, err := models.RingCluster(3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A 100 kHz preemptive core: every release overruns its 500 µs
+			// deadline.
+			cfg := StandardClusterConfig(sys.Nodes(), 0)
+			cfg.Board.Sched, cfg.Board.CPUHz = dtm.FixedPriority, 100_000
+			dbg, err := DebugCluster(sys, ClusterDebugConfig{Cluster: cfg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := dbg.BreakOnDeadlineMiss("m", tc.actor); err != nil {
+				t.Fatal(err)
+			}
+			if got := dbg.Session.Breakpoints()[0].OnTarget(); got != tc.onTarget {
+				t.Fatalf("OnTarget() = %v, want %v", got, tc.onTarget)
+			}
+			if err := dbg.RunNs(600_000_000); err != nil {
+				t.Fatal(err)
+			}
+			if !dbg.Session.Paused() || dbg.Session.LastBreak == nil || dbg.Session.LastBreak.ID != "m" {
+				t.Fatalf("miss breakpoint on %s never paused the session (now %d)", tc.actor, dbg.Now())
+			}
+			misses := 0
+			for _, rec := range dbg.Session.Trace.Records {
+				if rec.Event.Type == protocol.EvDeadlineMiss && rec.Event.Source == tc.actor {
+					misses++
+				}
+			}
+			if misses != 1 {
+				t.Fatalf("session recorded %d misses of %s before pausing, want 1", misses, tc.actor)
+			}
+		})
 	}
 }
 

@@ -64,7 +64,6 @@ func run(args []string, out io.Writer) error {
 	restoreIn := fs.String("restore", "", "restore a checkpoint taken from a run of the same model, then continue for -ms (models with stateful environments need the in-process recorder instead)")
 	rewindMs := fs.Uint64("rewind", 0, "after the run, rewind the session to this virtual millisecond and report the state there (enables periodic checkpointing)")
 	traceOut := fs.String("trace", "", "write the stable-format session trace here (checkpoint-replay determinism diffs)")
-	backend := fs.String("backend", "auto", "VM dispatch backend: auto|threaded (direct-threaded compiled bodies, the default) | interp (per-instruction interpreter escape hatch); both are bit-identical, threaded is faster")
 	connect := fs.String("connect", "", "drive a session on a gmdfd farm server at this address instead of an in-process board")
 	resume := fs.String("resume", "", "with -connect: resume a session from this checkpoint digest in the server's store")
 	detach := fs.Bool("detach", false, "with -connect: detach with a checkpoint after the run and print its digest")
@@ -82,10 +81,6 @@ func run(args []string, out io.Writer) error {
 	campaignShrink := fs.Bool("campaign-shrink", false, "binary-search each violating variant to its minimal repro window and attach the trace")
 	campaignOut := fs.String("campaign-out", "", "write the aggregate JSON here (default: stdout)")
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	be, err := target.ParseBackend(*backend)
-	if err != nil {
 		return err
 	}
 
@@ -160,6 +155,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	var sys *comdes.System
+	var err error
 	if sc != nil {
 		sys = sc.Sys
 	} else if sys, err = loadSystem(*model); err != nil {
@@ -221,7 +217,6 @@ func run(args []string, out io.Writer) error {
 			ccfg = sc.ClusterConfig()
 			cenv = sc.ClusterEnvironment()
 		}
-		ccfg.Board.Backend = be
 		return runCluster(out, sys, ccfg, cenv, budgetNs, *rewindMs, *traceOut, *checkpointOut, *restoreIn, *svgOut)
 	}
 
@@ -235,7 +230,6 @@ func run(args []string, out io.Writer) error {
 	if sc != nil {
 		bcfg, envFn = sc.BoardConfig(), sc.Environment()
 	}
-	bcfg.Backend = be
 	dbg, err := repro.Debug(sys, repro.DebugConfig{
 		Transport:   tp,
 		Environment: envFn,

@@ -223,18 +223,6 @@ func withBindings(cfg target.Config, sys *comdes.System) target.Config {
 // Now returns the target's virtual time in nanoseconds.
 func (d *Debugger) Now() uint64 { return d.target.Now() }
 
-// Backend reports the VM dispatch backend the generated code runs on:
-// "threaded" only when every board uses the compiled form — a cluster
-// with even one interpreter-bound node reports "interp".
-func (d *Debugger) Backend() string {
-	for _, node := range d.target.Nodes() {
-		if d.target.Board(node).Backend() != "threaded" {
-			return "interp"
-		}
-	}
-	return "threaded"
-}
-
 // Run advances the target and the debugger for dur virtual time, pumping
 // events every millisecond of target time. It returns early when a
 // model-level breakpoint pauses the session.
@@ -352,10 +340,28 @@ func (d *Debugger) StateCond(machine, state string) (string, error) {
 		return "", err
 	}
 	actor, _, _ := strings.Cut(machine, ".")
-	if rd := d.Session.Remote(); rd != nil && rd != engine.RemoteDebug(d.Serials[d.nodeOf(actor)]) {
-		return "", nil
+	return d.onRemote(actor, cond), nil
+}
+
+// MissCond is the on-target condition for a deadline-miss breakpoint on
+// actor, under StateCond's node rule: "" — host-side filtering of
+// EvDeadlineMiss events — when the actor runs on a node the session's
+// remote channel does not reach.
+func (d *Debugger) MissCond(actor string) (string, error) {
+	cond, err := engine.MissCond(d.Sys, actor)
+	if err != nil {
+		return "", err
 	}
-	return cond, nil
+	return d.onRemote(actor, cond), nil
+}
+
+// onRemote returns cond when actor's node is the one the session's remote
+// channel reaches (or the session has none), and "" otherwise.
+func (d *Debugger) onRemote(actor, cond string) string {
+	if rd := d.Session.Remote(); rd != nil && rd != engine.RemoteDebug(d.Serials[d.nodeOf(actor)]) {
+		return ""
+	}
+	return cond
 }
 
 // nodeOf names the node actor runs on: the one board, or the node the
@@ -369,15 +375,18 @@ func (d *Debugger) nodeOf(actor string) string {
 
 // BreakOnDeadlineMiss arms the standard deadline-overrun breakpoint for an
 // actor. Over the active interface the condition runs on the target's
-// kernel scheduling counter (`actor.__misses`) and halts the board at the
-// latch instant of the missing release; on passive sessions the
-// EvDeadlineMiss events synthesised from the JTAG-watched counter are
-// filtered host-side.
+// kernel scheduling counter (`actor.__misses`, see MissCond) and halts the
+// board at the latch instant of the missing release; on passive sessions,
+// and for an actor on a cluster node the remote channel does not reach,
+// EvDeadlineMiss events are filtered host-side.
 func (d *Debugger) BreakOnDeadlineMiss(id, actor string) error {
-	if _, err := engine.MissCond(d.Sys, actor); err != nil {
+	cond, err := d.MissCond(actor)
+	if err != nil {
 		return err
 	}
-	return d.Session.SetBreakpoint(engine.MissBreakpoint(id, actor))
+	bp := engine.MissBreakpoint(id, actor)
+	bp.TargetCond = cond
+	return d.Session.SetBreakpoint(bp)
 }
 
 // RenderSVG renders the current animated model view.

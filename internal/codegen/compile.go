@@ -72,13 +72,13 @@ func Compile(sys *comdes.System, opts Options) (*Program, error) {
 		}
 		c.prog.BusDropSym = sym
 	}
-	// Ahead-of-time backend: thread every unit's code now, while the
-	// Program is still exclusively owned, so the compiled form travels
-	// with the shared Program (the farm compiles once per model) and no
-	// later consumer ever mutates it concurrently.
+	// Last pass: mark superinstruction sites now, while the Program is
+	// still exclusively owned, so the marks travel with the shared Program
+	// (the farm compiles once per model) and no later consumer ever
+	// mutates it concurrently.
 	for _, u := range c.prog.Units {
-		u.ThreadedInit = Thread(c.prog, u.Init)
-		u.ThreadedBody = Thread(c.prog, u.Body)
+		markFused(u.Init)
+		markFused(u.Body)
 	}
 	return c.prog, nil
 }

@@ -18,6 +18,12 @@
 //   - fault-injection options that deliberately mis-transform the model
 //     (the paper's "implementation errors ... during model transformation"),
 //     used by experiment E9.
+//
+// The code runs on Machine, whose RunBudget is the VM's one dispatch loop.
+// Compile's last pass marks superinstruction sites in the IR (Instr.Fuse):
+// the dominant output shapes — assignments, state-dispatch guards,
+// initialisations and copies — each run as one dispatch when nothing could
+// observe their interior, and as plain instructions otherwise.
 package codegen
 
 import (
@@ -109,11 +115,68 @@ func (o Op) Cycles() uint64 {
 const EmitCycles = 60
 
 // Instr is one IR instruction. Line indexes Program.Source for debug info.
+// Fuse, set by Compile's last pass, marks the first instruction of a
+// superinstruction site (see Fuse); it sits in what would otherwise be
+// padding after Op, so an Instr stays 16 bytes, and it changes neither the
+// instruction's meaning, its cost, nor its disassembly.
 type Instr struct {
 	Op   Op
+	Fuse Fuse
 	A    int32
 	B    int32
 	Line int32
+}
+
+// Fuse names the instruction shape that begins at a marked pc. The VM runs
+// a marked site as one superinstruction (one dispatch, one batched
+// Steps/Cycles update, no operand stack traffic) whenever nothing could
+// observe its interior; otherwise it runs the marked instruction as its
+// plain opcode (Machine.RunBudget states the rule).
+type Fuse uint8
+
+// The superinstruction shapes: the compiler's dominant output patterns.
+const (
+	FuseNone Fuse = iota
+	// FuseLoadPushArithStore: Load src; Push const; Arith; Store dst —
+	// the basic-block assignment dst = src <op> const.
+	FuseLoadPushArithStore
+	// FuseLoadPushCmpJZ: Load src; Push const; Cmp; JZ — the state and
+	// guard dispatch shape.
+	FuseLoadPushCmpJZ
+	// FusePushStore: Push const; Store dst — initialisation and zeroing.
+	FusePushStore
+	// FuseLoadStore: Load src; Store dst — copies of composite outputs and
+	// modal passthroughs.
+	FuseLoadStore
+)
+
+func isArith(o Op) bool { return o >= OpAdd && o <= OpMod }
+func isCmp(o Op) bool   { return o >= OpLT && o <= OpNE }
+
+// markFused marks every pc where a superinstruction shape begins.
+// Overlapping sites are all marked: a jump into the middle of one site
+// enters at that pc's own mark (or plain instruction).
+func markFused(code []Instr) {
+	op := func(pc int) Op {
+		if pc < len(code) {
+			return code[pc].Op
+		}
+		return OpHalt + 1 // past the end: matches no shape
+	}
+	for pc := range code {
+		f := FuseNone
+		switch a, b, c, d := op(pc), op(pc+1), op(pc+2), op(pc+3); {
+		case a == OpLoad && b == OpPush && isArith(c) && d == OpStore:
+			f = FuseLoadPushArithStore
+		case a == OpLoad && b == OpPush && isCmp(c) && d == OpJZ:
+			f = FuseLoadPushCmpJZ
+		case a == OpPush && b == OpStore:
+			f = FusePushStore
+		case a == OpLoad && b == OpStore:
+			f = FuseLoadStore
+		}
+		code[pc].Fuse = f
+	}
 }
 
 // Symbol is one RAM-resident variable.
@@ -214,13 +277,6 @@ type Unit struct {
 
 	Init []Instr // run once at boot
 	Body []Instr // run every release
-
-	// ThreadedInit / ThreadedBody are the direct-threaded compiled forms
-	// of Init/Body, built eagerly by Compile and shared immutably by every
-	// machine (and every farm session) running this unit. Nil means the
-	// code could not be threaded; execution falls back to the interpreter.
-	ThreadedInit *Threaded `json:"-"`
-	ThreadedBody *Threaded `json:"-"`
 
 	// InLatch copies __io input symbols to latched input symbols at
 	// release; OutLatch copies working outputs to published symbols at the

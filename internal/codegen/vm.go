@@ -11,8 +11,17 @@ import (
 // and the VM (OpCall.A indexes this slice).
 var builtinNames = expr.Builtins()
 
-// builtinIdx inverts builtinNames once at package init; the compiler and
-// the threaded backend resolve call sites through it in O(1).
+// builtinFns resolves builtinNames once, so OpCall pays no name lookup.
+var builtinFns = func() []func([]value.Value) (value.Value, error) {
+	fns := make([]func([]value.Value) (value.Value, error), len(builtinNames))
+	for i, n := range builtinNames {
+		fns[i] = expr.Builtin(n)
+	}
+	return fns
+}()
+
+// builtinIdx inverts builtinNames once at package init; the compiler
+// resolves call sites through it in O(1).
 var builtinIdx = func() map[string]int32 {
 	m := make(map[string]int32, len(builtinNames))
 	for i, n := range builtinNames {
@@ -94,28 +103,29 @@ type Machine struct {
 	Res   ExecResult
 
 	halted bool
-
-	// threaded, when set, is the direct-threaded compiled form of Code;
-	// Run/RunBudget dispatch through it instead of the Step switch. All
-	// machine state (PC, stack, Res, halted) is shared between the two
-	// dispatch paths, so they interleave freely at instruction boundaries
-	// (Snapshot/Restore, external single-Step, slice resumption).
-	threaded *Threaded
 }
 
-// NewMachine prepares a VM run.
+// NewMachine prepares a VM run. The emit buffer is pre-sized to the code's
+// OpEmit count, so a run never grows it and Reset keeps the capacity.
 func NewMachine(p *Program, code []Instr, bus Bus) *Machine {
-	return &Machine{Prog: p, Code: code, Bus: bus, stack: make([]value.Value, 0, 16),
+	m := &Machine{Prog: p, Code: code, Bus: bus, stack: make([]value.Value, 0, 16),
 		Res: ExecResult{BreakPC: -1}}
+	emits := 0
+	for _, in := range code {
+		if in.Op == OpEmit {
+			emits++
+		}
+	}
+	if emits > 0 {
+		m.Res.Emits = make([]EmitRef, 0, emits)
+	}
+	return m
 }
 
 // Reset rewinds the machine for a fresh run of code, keeping the stack and
 // emit buffers (capacity retained) so a pooled machine executes a new
 // release without allocating.
 func (m *Machine) Reset(code []Instr) {
-	if m.threaded != nil && !m.threaded.matches(code) {
-		m.threaded = nil
-	}
 	m.Code = code
 	m.PC = 0
 	m.halted = false
@@ -123,25 +133,6 @@ func (m *Machine) Reset(code []Instr) {
 	emits := m.Res.Emits[:0]
 	m.Res = ExecResult{BreakPC: -1, Emits: emits}
 }
-
-// SetThreaded attaches a direct-threaded compiled form of the machine's
-// code; Run/RunBudget then dispatch through it. A form built for different
-// code (or nil) detaches, falling back to the interpreter. The Threaded
-// value is immutable and may be shared by any number of machines.
-func (m *Machine) SetThreaded(t *Threaded) {
-	if t != nil && !t.matches(m.Code) {
-		t = nil
-	}
-	m.threaded = t
-	if t != nil && t.emits > cap(m.Res.Emits) && len(m.Res.Emits) == 0 {
-		// Pre-size the machine-owned emit buffer to the body's worst case
-		// so OpEmit never grows it mid-run; Reset keeps the capacity.
-		m.Res.Emits = make([]EmitRef, 0, t.emits)
-	}
-}
-
-// ThreadedAttached reports whether Run/RunBudget use the threaded backend.
-func (m *Machine) ThreadedAttached() bool { return m.threaded != nil }
 
 // Done reports whether execution has finished.
 func (m *Machine) Done() bool { return m.halted || m.PC >= len(m.Code) }
@@ -155,147 +146,15 @@ func (m *Machine) CurrentLine() int32 {
 	return m.Code[m.PC].Line
 }
 
-func (m *Machine) pop() value.Value {
-	v := m.stack[len(m.stack)-1]
-	m.stack = m.stack[:len(m.stack)-1]
-	return v
-}
-
-// Step executes one instruction. It returns true while execution
-// continues and false once the program is done.
+// Step executes one instruction: the RunBudget loop with a zero budget,
+// which never fuses and stops after the first instruction. It returns true
+// while execution continues and false once the program is done, a break
+// hook halted it, or it failed.
 func (m *Machine) Step() (bool, error) {
-	if m.Done() {
-		return false, nil
+	if _, err := m.RunBudget(0); err != nil {
+		return false, err
 	}
-	if m.Res.Steps >= maxSteps {
-		return false, fmt.Errorf("codegen: step limit exceeded at pc %d", m.PC)
-	}
-	in := m.Code[m.PC]
-	m.Res.Steps++
-	m.Res.Cycles += in.Op.Cycles()
-	switch in.Op {
-	case OpNop:
-	case OpPush:
-		m.stack = append(m.stack, m.Prog.Consts[in.A])
-	case OpLoad:
-		v, err := m.Bus.LoadSym(int(in.A))
-		if err != nil {
-			return false, err
-		}
-		m.stack = append(m.stack, v)
-	case OpStore:
-		v := m.pop()
-		if err := m.Bus.StoreSym(int(in.A), v); err != nil {
-			return false, err
-		}
-		if m.Hook != nil {
-			hit, cost := m.Hook.CheckStore(int(in.A), v)
-			m.Res.Cycles += cost
-			m.Res.CheckCycles += cost
-			if hit {
-				return false, m.breakAt()
-			}
-		}
-	case OpAdd, OpSub, OpMul, OpDiv, OpMod:
-		b, a := m.pop(), m.pop()
-		// The compiler folds the operator byte into A; hand-assembled code
-		// (A == 0) still derives it from the opcode.
-		ab := byte(in.A)
-		if ab == 0 {
-			ab = arithByte(in.Op)
-		}
-		r, err := value.Arith(ab, a, b)
-		if err != nil {
-			return false, fmt.Errorf("codegen: pc %d: %w", m.PC, err)
-		}
-		m.stack = append(m.stack, r)
-	case OpNeg:
-		v, err := value.Neg(m.pop())
-		if err != nil {
-			return false, fmt.Errorf("codegen: pc %d: %w", m.PC, err)
-		}
-		m.stack = append(m.stack, v)
-	case OpNot:
-		m.stack = append(m.stack, value.B(!m.pop().Bool()))
-	case OpLT, OpLE, OpGT, OpGE:
-		b, a := m.pop(), m.pop()
-		c, err := value.Compare(a, b)
-		if err != nil {
-			return false, fmt.Errorf("codegen: pc %d: %w", m.PC, err)
-		}
-		var r bool
-		switch in.Op {
-		case OpLT:
-			r = c < 0
-		case OpLE:
-			r = c <= 0
-		case OpGT:
-			r = c > 0
-		default:
-			r = c >= 0
-		}
-		m.stack = append(m.stack, value.B(r))
-	case OpEQ:
-		b, a := m.pop(), m.pop()
-		m.stack = append(m.stack, value.B(value.Equal(a, b)))
-	case OpNE:
-		b, a := m.pop(), m.pop()
-		m.stack = append(m.stack, value.B(!value.Equal(a, b)))
-	case OpJmp:
-		m.PC = int(in.A)
-		return !m.Done(), nil
-	case OpJZ:
-		if !m.pop().Bool() {
-			m.PC = int(in.A)
-			return !m.Done(), nil
-		}
-	case OpJNZ:
-		if m.pop().Bool() {
-			m.PC = int(in.A)
-			return !m.Done(), nil
-		}
-	case OpCall:
-		// The top argc stack cells already sit in call order — pass them as
-		// an in-place window instead of copying into a fresh slice.
-		argc := int(in.B)
-		base := len(m.stack) - argc
-		r, err := expr.CallBuiltin(builtinNames[in.A], m.stack[base:])
-		m.stack = m.stack[:base]
-		if err != nil {
-			return false, fmt.Errorf("codegen: pc %d: %w", m.PC, err)
-		}
-		m.stack = append(m.stack, r)
-	case OpEmit:
-		ref := EmitRef{Template: int(in.A)}
-		if in.B != 0 {
-			ref.Value = m.pop()
-			ref.HasValue = true
-		}
-		m.Res.Emits = append(m.Res.Emits, ref)
-		if m.Hook != nil {
-			hit, cost := m.Hook.CheckEmit(ref)
-			m.Res.Cycles += cost
-			m.Res.CheckCycles += cost
-			if hit {
-				return false, m.breakAt()
-			}
-		}
-	case OpHalt:
-		m.halted = true
-		return false, nil
-	default:
-		return false, fmt.Errorf("codegen: unknown opcode %v at pc %d", in.Op, m.PC)
-	}
-	m.PC++
-	return !m.Done(), nil
-}
-
-// breakAt records a break-hook hit at the current instruction and leaves
-// the PC pointing past it so a later Run continues after the hit.
-func (m *Machine) breakAt() error {
-	m.Res.BreakPC = m.PC
-	m.PC++
-	return nil
+	return m.Res.BreakPC < 0 && !m.Done(), nil
 }
 
 // Run steps the machine until the program completes, a runtime error
@@ -306,6 +165,14 @@ func (m *Machine) Run() (ExecResult, error) {
 	return m.RunBudget(^uint64(0))
 }
 
+// opCycles tabulates Op.Cycles for the dispatch loop.
+var opCycles = func() (t [256]uint64) {
+	for i := range t {
+		t[i] = Op(i).Cycles()
+	}
+	return t
+}()
+
 // RunBudget is Run bounded by a cycle budget: the machine executes
 // instructions until the run has consumed at least budget cycles (the
 // instruction in flight completes, so the total may overshoot by one
@@ -313,20 +180,258 @@ func (m *Machine) Run() (ExecResult, error) {
 // the break hook halts it. This is the slice primitive of the preemptive
 // board scheduler — a release interrupted at a budget boundary resumes at
 // the next instruction on the next call.
+//
+// RunBudget is the VM's one dispatch loop. A pc that Compile marked
+// (Instr.Fuse) runs as one superinstruction only when nothing could
+// observe its interior: no break hook is armed, the budget left exceeds
+// the cost of every instruction of the shape but the last (so no budget
+// boundary lands inside it), and the step limit cannot trip inside it.
+// Otherwise the marked instruction runs as its plain opcode. Both ways
+// leave the same cycles, steps, PC, stack, bus and error text: every shape
+// has a net-zero stack effect on success and on each error exit, which
+// charges exactly the instructions the plain run would have executed and
+// leaves the PC at the failing one.
 func (m *Machine) RunBudget(budget uint64) (ExecResult, error) {
-	if m.threaded != nil {
-		return m.runThreaded(budget)
-	}
 	m.Res.BreakPC = -1
-	start := m.Res.Cycles
-	for {
-		more, err := m.Step()
-		if err != nil {
-			return m.Res, err
+	if m.halted {
+		return m.Res, nil
+	}
+	code, bus, hook := m.Code, m.Bus, m.Hook
+	var consts []value.Value
+	if m.Prog != nil {
+		consts = m.Prog.Consts
+	}
+	pc, stack := m.PC, m.stack
+	steps, cycles := m.Res.Steps, m.Res.Cycles
+	start := cycles
+	var err error
+loop:
+	for pc < len(code) {
+		if steps >= maxSteps {
+			err = fmt.Errorf("codegen: step limit exceeded at pc %d", pc)
+			break
 		}
-		if !more || m.Res.BreakPC >= 0 || m.Res.Cycles-start >= budget {
-			return m.Res, nil
+		in := &code[pc]
+		if in.Fuse != FuseNone && hook == nil {
+			if n, butLast := fuseSpan(code, pc); steps+n <= maxSteps && budget-(cycles-start) > butLast {
+				switch in.Fuse {
+				case FuseLoadPushArithStore:
+					v, e := bus.LoadSym(int(in.A))
+					if e != nil {
+						steps, cycles, err = steps+1, cycles+4, e
+						break loop
+					}
+					if v, e = value.Arith(arithOperator(code[pc+2]), v, consts[code[pc+1].A]); e != nil {
+						pc += 2
+						steps, cycles, err = steps+3, cycles+butLast, fmt.Errorf("codegen: pc %d: %w", pc, e)
+						break loop
+					}
+					e = bus.StoreSym(int(code[pc+3].A), v)
+					steps, cycles = steps+4, cycles+butLast+4
+					if e != nil {
+						pc, err = pc+3, e
+						break loop
+					}
+					pc += 4
+				case FuseLoadPushCmpJZ:
+					v, e := bus.LoadSym(int(in.A))
+					if e != nil {
+						steps, cycles, err = steps+1, cycles+4, e
+						break loop
+					}
+					var r bool
+					switch cv, op := consts[code[pc+1].A], code[pc+2].Op; op {
+					case OpEQ: // the state-dispatch guard, kept inline
+						r = value.Equal(v, cv)
+					case OpNE:
+						r = !value.Equal(v, cv)
+					default:
+						r, e = compare(op, v, cv)
+					}
+					if e != nil {
+						pc += 2
+						steps, cycles, err = steps+3, cycles+butLast, fmt.Errorf("codegen: pc %d: %w", pc, e)
+						break loop
+					}
+					steps, cycles = steps+4, cycles+butLast+2
+					if r {
+						pc += 4
+					} else {
+						pc = int(code[pc+3].A)
+					}
+				case FusePushStore:
+					e := bus.StoreSym(int(code[pc+1].A), consts[in.A])
+					steps, cycles = steps+2, cycles+butLast+4
+					if e != nil {
+						pc, err = pc+1, e
+						break loop
+					}
+					pc += 2
+				case FuseLoadStore:
+					v, e := bus.LoadSym(int(in.A))
+					if e != nil {
+						steps, cycles, err = steps+1, cycles+4, e
+						break loop
+					}
+					e = bus.StoreSym(int(code[pc+1].A), v)
+					steps, cycles = steps+2, cycles+butLast+4
+					if e != nil {
+						pc, err = pc+1, e
+						break loop
+					}
+					pc += 2
+				}
+				if cycles-start >= budget {
+					break
+				}
+				continue
+			}
 		}
+
+		steps++
+		cycles += opCycles[in.Op]
+		next := pc + 1
+		switch in.Op {
+		case OpNop:
+		case OpPush:
+			stack = append(stack, consts[in.A])
+		case OpLoad:
+			v, e := bus.LoadSym(int(in.A))
+			if e != nil {
+				err = e
+				break loop
+			}
+			stack = append(stack, v)
+		case OpStore:
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if e := bus.StoreSym(int(in.A), v); e != nil {
+				err = e
+				break loop
+			}
+			if hook != nil {
+				hit, cost := hook.CheckStore(int(in.A), v)
+				cycles += cost
+				m.Res.CheckCycles += cost
+				if hit {
+					m.Res.BreakPC, pc = pc, next
+					break loop
+				}
+			}
+		case OpAdd, OpSub, OpMul, OpDiv, OpMod:
+			n := len(stack)
+			r, e := value.Arith(arithOperator(*in), stack[n-2], stack[n-1])
+			stack = stack[:n-2]
+			if e != nil {
+				err = fmt.Errorf("codegen: pc %d: %w", pc, e)
+				break loop
+			}
+			stack = append(stack, r)
+		case OpNeg:
+			n := len(stack)
+			r, e := value.Neg(stack[n-1])
+			stack = stack[:n-1]
+			if e != nil {
+				err = fmt.Errorf("codegen: pc %d: %w", pc, e)
+				break loop
+			}
+			stack = append(stack, r)
+		case OpNot:
+			stack[len(stack)-1] = value.B(!stack[len(stack)-1].Bool())
+		case OpLT, OpLE, OpGT, OpGE, OpEQ, OpNE:
+			n := len(stack)
+			r, e := compare(in.Op, stack[n-2], stack[n-1])
+			stack = stack[:n-2]
+			if e != nil {
+				err = fmt.Errorf("codegen: pc %d: %w", pc, e)
+				break loop
+			}
+			stack = append(stack, value.B(r))
+		case OpJmp:
+			next = int(in.A)
+		case OpJZ, OpJNZ:
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if v.Bool() == (in.Op == OpJNZ) {
+				next = int(in.A)
+			}
+		case OpCall:
+			// The top argc stack cells already sit in call order — pass them
+			// as an in-place window instead of copying into a fresh slice.
+			base := len(stack) - int(in.B)
+			r, e := builtinFns[in.A](stack[base:])
+			stack = stack[:base]
+			if e != nil {
+				err = fmt.Errorf("codegen: pc %d: %w", pc, e)
+				break loop
+			}
+			stack = append(stack, r)
+		case OpEmit:
+			ref := EmitRef{Template: int(in.A)}
+			if in.B != 0 {
+				ref.Value, ref.HasValue = stack[len(stack)-1], true
+				stack = stack[:len(stack)-1]
+			}
+			m.Res.Emits = append(m.Res.Emits, ref)
+			if hook != nil {
+				hit, cost := hook.CheckEmit(ref)
+				cycles += cost
+				m.Res.CheckCycles += cost
+				if hit {
+					m.Res.BreakPC, pc = pc, next
+					break loop
+				}
+			}
+		case OpHalt:
+			m.halted = true
+			break loop
+		default:
+			err = fmt.Errorf("codegen: unknown opcode %v at pc %d", in.Op, pc)
+			break loop
+		}
+		pc = next
+		if cycles-start >= budget {
+			break
+		}
+	}
+	m.PC, m.stack = pc, stack
+	m.Res.Steps, m.Res.Cycles = steps, cycles
+	return m.Res, err
+}
+
+// fuseSpan returns the instruction count of the superinstruction marked at
+// pc and the cycle cost of all its instructions but the last.
+func fuseSpan(code []Instr, pc int) (n, butLast uint64) {
+	switch code[pc].Fuse {
+	case FuseLoadPushArithStore:
+		return 4, opCycles[OpLoad] + opCycles[OpPush] + opCycles[code[pc+2].Op]
+	case FuseLoadPushCmpJZ:
+		return 4, opCycles[OpLoad] + opCycles[OpPush] + opCycles[OpEQ]
+	case FusePushStore:
+		return 2, opCycles[OpPush]
+	default: // FuseLoadStore
+		return 2, opCycles[OpLoad]
+	}
+}
+
+// compare evaluates a comparison opcode (OpLT..OpNE) on a and b.
+func compare(op Op, a, b value.Value) (bool, error) {
+	switch op {
+	case OpEQ:
+		return value.Equal(a, b), nil
+	case OpNE:
+		return !value.Equal(a, b), nil
+	}
+	c, err := value.Compare(a, b)
+	switch op {
+	case OpLT:
+		return c < 0, err
+	case OpLE:
+		return c <= 0, err
+	case OpGT:
+		return c > 0, err
+	default:
+		return c >= 0, err
 	}
 }
 
@@ -345,6 +450,16 @@ func ExecHook(p *Program, code []Instr, bus Bus, hook BreakHook) (ExecResult, er
 	m := NewMachine(p, code, bus)
 	m.Hook = hook
 	return m.Run()
+}
+
+// arithOperator is the value.Arith operator byte of an arithmetic
+// instruction. The compiler folds it into A; hand-assembled code (A == 0)
+// still derives it from the opcode.
+func arithOperator(in Instr) byte {
+	if ab := byte(in.A); ab != 0 {
+		return ab
+	}
+	return arithByte(in.Op)
 }
 
 func arithByte(op Op) byte {
@@ -398,3 +513,19 @@ func (m *MapBus) StoreSym(idx int, v value.Value) error {
 	m.Vals[idx] = cv
 	return nil
 }
+
+// Threaded was the closure-chain compiled form of a code sequence.
+//
+// Deprecated: the VM has one dispatch loop and Compile marks fused sites
+// in the IR (Instr.Fuse); Thread returns nil and SetThreaded does nothing.
+type Threaded struct{}
+
+// Thread returns nil.
+//
+// Deprecated: see Threaded.
+func Thread(*Program, []Instr) *Threaded { return nil }
+
+// SetThreaded does nothing.
+//
+// Deprecated: see Threaded.
+func (m *Machine) SetThreaded(*Threaded) {}

@@ -152,63 +152,19 @@ func TestMachineResetReuse(t *testing.T) {
 }
 
 // TestRunBudgetBoundariesInsideFusedPatterns drives hand-assembled bodies
-// exhibiting each fused superinstruction shape through every possible
-// budget, slicing the interpreter and the threaded backend in lockstep.
-// Every interior cycle boundary of every fused pattern is hit by some
-// budget, so the de-fuse rule (fall back to single-step dispatch whenever
-// a boundary could land inside) is exhaustively checked against the
-// interpreter's instruction-boundary preemption — including the
-// division-by-zero error exit inside a fused region.
+// exhibiting each superinstruction shape through every possible budget,
+// slicing the marked body and a copy with its marks cleared in lockstep.
+// Every interior cycle boundary of every shape is hit by some budget, so
+// the de-fusion rule (run the plain opcode whenever a boundary could land
+// inside) is exhaustively checked against plain instruction-boundary
+// preemption — including the division-by-zero error exit inside a fused
+// site.
 func TestRunBudgetBoundariesInsideFusedPatterns(t *testing.T) {
 	p := fuzzProgram(t)
-	ab := func(op Op) int32 { return int32(arithByte(op)) }
-	patterns := map[string][]Instr{
-		"load-push-arith-store": {
-			{Op: OpLoad, A: 0}, {Op: OpPush, A: 1}, {Op: OpAdd, A: ab(OpAdd)}, {Op: OpStore, A: 3},
-			{Op: OpHalt},
-		},
-		"load-push-cmp-jz": {
-			{Op: OpLoad, A: 0}, {Op: OpPush, A: 1}, {Op: OpLT}, {Op: OpJZ, A: 6},
-			{Op: OpPush, A: 4}, {Op: OpStore, A: 4},
-			{Op: OpHalt},
-		},
-		"load-push-eq-jz": {
-			{Op: OpLoad, A: 1}, {Op: OpPush, A: 3}, {Op: OpEQ}, {Op: OpJZ, A: 6},
-			{Op: OpPush, A: 4}, {Op: OpStore, A: 4},
-			{Op: OpHalt},
-		},
-		"push-store": {
-			{Op: OpPush, A: 4}, {Op: OpStore, A: 4},
-			{Op: OpHalt},
-		},
-		"load-store": {
-			{Op: OpLoad, A: 0}, {Op: OpStore, A: 3},
-			{Op: OpHalt},
-		},
-		"load-push-div0-store": {
-			{Op: OpLoad, A: 1}, {Op: OpPush, A: 3}, {Op: OpDiv, A: ab(OpDiv)}, {Op: OpStore, A: 4},
-			{Op: OpHalt},
-		},
-		"back-to-back-fusions": {
-			{Op: OpPush, A: 1}, {Op: OpStore, A: 0},
-			{Op: OpLoad, A: 0}, {Op: OpStore, A: 3},
-			{Op: OpLoad, A: 0}, {Op: OpPush, A: 1}, {Op: OpMul, A: ab(OpMul)}, {Op: OpStore, A: 3},
-			{Op: OpHalt},
-		},
-	}
-	for name, code := range patterns {
-		th := Thread(p, code)
-		if th == nil {
-			t.Fatalf("%s: Thread returned nil", name)
-		}
-		fused := false
-		for i := range th.nodes {
-			if th.nodes[i].fused != nil {
-				fused = true
-			}
-		}
-		if !fused {
-			t.Fatalf("%s: no superinstruction was fused", name)
+	for name, code := range fusedShapes() {
+		fused, plain := marked(code), cleared(code)
+		if !hasMarks(fused) {
+			t.Fatalf("%s: no superinstruction site was marked", name)
 		}
 		var total uint64
 		for _, in := range code {
@@ -219,33 +175,18 @@ func TestRunBudgetBoundariesInsideFusedPatterns(t *testing.T) {
 				_ = b.StoreSym(0, value.F(2.25))
 				_ = b.StoreSym(1, value.I(-4))
 			}
-			ib, tb := NewMapBus(p.Symbols), NewMapBus(p.Symbols)
-			seed(ib)
-			seed(tb)
-			im, tm := NewMachine(p, code, ib), NewMachine(p, code, tb)
-			tm.SetThreaded(th)
+			pb, fb := NewMapBus(p.Symbols), NewMapBus(p.Symbols)
+			seed(pb)
+			seed(fb)
+			pm, fm := NewMachine(p, plain, pb), NewMachine(p, fused, fb)
 			for slice := 0; ; slice++ {
 				if slice > 1000 {
 					t.Fatalf("%s budget %d: sliced run does not terminate", name, budget)
 				}
-				ires, ierr := im.RunBudget(budget)
-				tres, terr := tm.RunBudget(budget)
-				tag := fmt.Sprintf("%s budget=%d slice=%d", name, budget, slice)
-				if (ierr == nil) != (terr == nil) || (ierr != nil && ierr.Error() != terr.Error()) {
-					t.Fatalf("%s: interp err = %v, threaded err = %v", tag, ierr, terr)
-				}
-				if ires.Cycles != tres.Cycles || ires.Steps != tres.Steps || im.PC != tm.PC || im.Done() != tm.Done() {
-					t.Fatalf("%s: interp (cyc %d steps %d pc %d done %v), threaded (cyc %d steps %d pc %d done %v)",
-						tag, ires.Cycles, ires.Steps, im.PC, im.Done(),
-						tres.Cycles, tres.Steps, tm.PC, tm.Done())
-				}
-				for i := range ib.Vals {
-					if !value.Equal(ib.Vals[i], tb.Vals[i]) {
-						t.Fatalf("%s: symbol %s: interp %v, threaded %v",
-							tag, p.Symbols.Sym(i).Name, ib.Vals[i], tb.Vals[i])
-					}
-				}
-				if ierr != nil || im.Done() {
+				_, perr := pm.RunBudget(budget)
+				_, ferr := fm.RunBudget(budget)
+				compareRuns(t, fmt.Sprintf("%s budget=%d slice=%d", name, budget, slice), pm, fm, perr, ferr, pb, fb)
+				if perr != nil || pm.Done() {
 					break
 				}
 			}

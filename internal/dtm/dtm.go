@@ -438,6 +438,8 @@ type Task struct {
 	// periodic re-arm inside release() does not allocate a fresh closure
 	// every period. Owned by the scheduler the task is registered with.
 	relFn func(now uint64)
+	// outFn likewise caches the cooperative deadline-latch callback.
+	outFn func(now uint64)
 	// ResponseNs / WorstResponseNs accumulate release-to-completion times
 	// (FixedPriority only): unlike ExecNs they include the time jobs spent
 	// waiting in the ready queue and being preempted.
@@ -649,16 +651,24 @@ func (s *Scheduler) release(t *Task, now uint64) {
 // deferOutput queues a cooperative release's output latch as an explicit
 // pending record (snapshotable) and arms its deadline event.
 func (s *Scheduler) deferOutput(t *Task, at uint64, out map[string]value.Value) {
-	seq, _ := s.K.ScheduleTagged(at, func(n uint64) { s.firePending(t, at, n) })
+	seq, _ := s.K.ScheduleTagged(at, s.outputFn(t))
 	s.pending = append(s.pending, pendingOutput{t: t, at: at, seq: seq, out: out})
 }
 
-// firePending runs the pending output latch of (t, at) and retires its
-// record. Identity by task+instant: a task has at most one release — and
-// therefore one deadline latch — per period.
-func (s *Scheduler) firePending(t *Task, at, now uint64) {
+// outputFn returns t's cached deadline-latch callback.
+func (s *Scheduler) outputFn(t *Task) func(now uint64) {
+	if t.outFn == nil {
+		t.outFn = func(n uint64) { s.firePending(t, n) }
+	}
+	return t.outFn
+}
+
+// firePending runs t's earliest pending output latch and retires its
+// record. A task's latches are queued, and their events fire, in deadline
+// order, so the earliest record is the one whose event is firing.
+func (s *Scheduler) firePending(t *Task, now uint64) {
 	for i := range s.pending {
-		if s.pending[i].t == t && s.pending[i].at == at {
+		if s.pending[i].t == t {
 			out := s.pending[i].out
 			s.pending = append(s.pending[:i], s.pending[i+1:]...)
 			t.Output(now, out)

@@ -272,8 +272,7 @@ func (s *Scheduler) Restore(st SchedulerState) error {
 			return fmt.Errorf("dtm: restore pending output %s: %w", ps.Task, err)
 		}
 		s.pending = append(s.pending, pendingOutput{t: t, at: ps.At, seq: ps.Seq, out: out})
-		task, at := t, ps.At
-		if err := s.K.Rearm(ps.At, ps.Seq, func(n uint64) { s.firePending(task, at, n) }); err != nil {
+		if err := s.K.Rearm(ps.At, ps.Seq, s.outputFn(t)); err != nil {
 			return fmt.Errorf("dtm: restore pending output %s: %w", ps.Task, err)
 		}
 	}

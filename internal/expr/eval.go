@@ -102,23 +102,25 @@ func CallBuiltin(name string, args []value.Value) (value.Value, error) {
 	if !ok {
 		return value.Value{}, fmt.Errorf("expr: unknown builtin %q", name)
 	}
+	return b.call(name, args)
+}
+
+// Builtin returns the named intrinsic as a function with CallBuiltin's
+// arity check and errors, or nil when the name is unknown, so a caller that
+// resolves the name once pays no lookup per call.
+func Builtin(name string) func(args []value.Value) (value.Value, error) {
+	b, ok := builtins[name]
+	if !ok {
+		return nil
+	}
+	return func(args []value.Value) (value.Value, error) { return b.call(name, args) }
+}
+
+func (b builtin) call(name string, args []value.Value) (value.Value, error) {
 	if len(args) < b.minArgs || len(args) > b.maxArgs {
 		return value.Value{}, fmt.Errorf("expr: %s expects %d..%d args, got %d", name, b.minArgs, b.maxArgs, len(args))
 	}
 	return b.apply(args)
-}
-
-// BuiltinApply resolves the named intrinsic to its apply function when the
-// argument count is statically within arity, so an ahead-of-time compiler
-// can bind the call site once instead of re-resolving per invocation. It
-// returns nil when the name is unknown or nargs is out of range — callers
-// fall back to CallBuiltin, which produces the canonical error.
-func BuiltinApply(name string, nargs int) func(args []value.Value) (value.Value, error) {
-	b, ok := builtins[name]
-	if !ok || nargs < b.minArgs || nargs > b.maxArgs {
-		return nil
-	}
-	return b.apply
 }
 
 // Builtins returns the sorted names of all intrinsic functions.

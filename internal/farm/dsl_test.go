@@ -273,3 +273,122 @@ func TestClusterStateBreakOffRemoteNode(t *testing.T) {
 		})
 	}
 }
+
+// ringSrc is a three-node token ring on 100 kHz preemptive cores: every
+// release overruns its 500 µs deadline.
+const ringSrc = `system ring3
+
+actor ring0 {
+    on n0
+    period 1ms
+    deadline 500us
+    network ringnet {
+        in tin int
+        out tout int
+        machine node {
+            in tin int
+            out tout int
+            initial Hold
+            state Wait { tout = "-1" }
+            state Hold { tout = "-1" }
+            transition take: Wait -> Hold when "tin == 1"
+            transition pass: Hold -> Wait when "true" { tout = "2" }
+        }
+        wire .tin -> node.tin
+        wire node.tout -> .tout
+    }
+}
+
+actor ring1 {
+    on n1
+    period 1ms
+    deadline 500us
+    network ringnet {
+        in tin int
+        out tout int
+        machine node {
+            in tin int
+            out tout int
+            initial Wait
+            state Wait { tout = "-1" }
+            state Hold { tout = "-1" }
+            transition take: Wait -> Hold when "tin == 2"
+            transition pass: Hold -> Wait when "true" { tout = "3" }
+        }
+        wire .tin -> node.tin
+        wire node.tout -> .tout
+    }
+}
+
+actor ring2 {
+    on n2
+    period 1ms
+    deadline 500us
+    network ringnet {
+        in tin int
+        out tout int
+        machine node {
+            in tin int
+            out tout int
+            initial Wait
+            state Wait { tout = "-1" }
+            state Hold { tout = "-1" }
+            transition take: Wait -> Hold when "tin == 3"
+            transition pass: Hold -> Wait when "true" { tout = "1" }
+        }
+        wire .tin -> node.tin
+        wire node.tout -> .tout
+    }
+}
+
+bind tok0: ring0.tout -> ring1.tin
+bind tok1: ring1.tout -> ring2.tin
+bind tok2: ring2.tout -> ring0.tin
+
+board {
+    cpu_hz 100000
+    sched fixed_priority
+}
+
+run 20ms
+`
+
+// TestClusterMissBreakOffRemoteNode: over the wire, a deadline-miss
+// breakpoint on a cluster arms on the target only for an actor on the node
+// the session's command channel reaches; an actor on another node stays
+// host-side and still pauses the session at its first miss.
+func TestClusterMissBreakOffRemoteNode(t *testing.T) {
+	_, cl := startServer(t, Options{})
+	for _, tc := range []struct {
+		actor    string
+		onTarget bool
+	}{
+		{"ring0", true},
+		{"ring1", false},
+		{"ring2", false},
+	} {
+		t.Run(tc.actor, func(t *testing.T) {
+			created, err := cl.Create(CreateParams{Source: ringSrc, SourceName: "ring3.gmdf"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(created.Nodes) != 3 {
+				t.Fatalf("scenario built %v, want a three-node cluster", created.Nodes)
+			}
+			br, err := cl.Break(created.Session, BreakParams{ID: "m", MissActor: tc.actor})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if br.OnTarget != tc.onTarget {
+				t.Fatalf("onTarget = %v, want %v", br.OnTarget, tc.onTarget)
+			}
+			run, err := cl.RunFor(created.Session, 20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !run.Paused || run.LastBreak != "m" {
+				t.Fatalf("miss breakpoint on %s did not pause the session: %+v", tc.actor, run)
+			}
+		})
+	}
+}

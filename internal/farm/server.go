@@ -725,7 +725,6 @@ func (s *Server) handleCreate(raw json.RawMessage) (any, error) {
 		Model:   model,
 		NowNs:   ss.dbg.Now(),
 		Records: ss.dbg.Session.Trace.Len(),
-		Backend: ss.dbg.Backend(),
 	}
 	if ss.dbg.Cluster != nil {
 		res.Nodes = ss.dbg.Cluster.Nodes()

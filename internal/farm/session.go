@@ -82,10 +82,12 @@ func (ss *session) setBreak(p BreakParams) (BreakResult, error) {
 			bp.TargetCond = cond
 		}
 	case p.MissActor != "":
-		if _, err := engine.MissCond(ss.dbg.Sys, p.MissActor); err != nil {
+		cond, err := ss.dbg.MissCond(p.MissActor)
+		if err != nil {
 			return BreakResult{}, err
 		}
 		miss := engine.MissBreakpoint(p.ID, p.MissActor)
+		miss.TargetCond = cond
 		miss.OneShot = p.OneShot
 		bp = miss
 	case p.Event != "":

@@ -84,10 +84,6 @@ type CreateResult struct {
 	Nodes   []string `json:"nodes,omitempty"` // cluster sessions
 	NowNs   uint64   `json:"nowNs"`
 	Records int      `json:"records"` // trace records carried over by a resume
-	// Backend is the VM dispatch backend the session's board(s) run on
-	// ("threaded" or "interp") — clients and load tests can verify a farm
-	// session did not silently fall back to the interpreter.
-	Backend string `json:"backend"`
 }
 
 // AttachResult reports the session state at attach time; subsequent trace

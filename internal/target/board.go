@@ -29,48 +29,6 @@ const (
 	DefaultCtxSwitchCycles = 40
 )
 
-// Backend selects the VM dispatch backend the board runs generated code
-// on. Both backends are bit-identical in cycle accounting, preemption
-// boundaries and breakpoint semantics; the threaded one is simply faster.
-type Backend uint8
-
-const (
-	// BackendAuto uses the direct-threaded compiled form whenever the
-	// program carries one (codegen.Compile builds it eagerly) — the
-	// default.
-	BackendAuto Backend = iota
-	// BackendThreaded is Auto under a name that states the intent.
-	BackendThreaded
-	// BackendInterp forces the per-instruction Step interpreter — the
-	// escape hatch (gmdf -backend interp).
-	BackendInterp
-)
-
-// String names the backend ("threaded" / "interp" / "auto").
-func (bk Backend) String() string {
-	switch bk {
-	case BackendThreaded:
-		return "threaded"
-	case BackendInterp:
-		return "interp"
-	default:
-		return "auto"
-	}
-}
-
-// ParseBackend parses a -backend flag value.
-func ParseBackend(s string) (Backend, error) {
-	switch s {
-	case "", "auto":
-		return BackendAuto, nil
-	case "threaded", "compiled":
-		return BackendThreaded, nil
-	case "interp", "interpreter":
-		return BackendInterp, nil
-	}
-	return BackendAuto, fmt.Errorf("target: unknown backend %q (auto|threaded|interp)", s)
-}
-
 // Config carries the physical board parameters.
 type Config struct {
 	// Baud is the UART line rate of the active command interface
@@ -100,9 +58,6 @@ type Config struct {
 	// deadline instant (state-message communication). Bindings whose
 	// consumer lives on another board are handed to the OnPublish hook.
 	Bindings []comdes.Binding
-	// Backend selects the VM dispatch backend (default BackendAuto: the
-	// direct-threaded compiled form when the program carries one).
-	Backend Backend
 }
 
 // Board is one simulated embedded node executing a compiled program.
@@ -146,11 +101,6 @@ type Board struct {
 	cycles   uint64
 	instr    uint64
 	lastErr  error
-
-	// useThreaded records the resolved Config.Backend choice: attach the
-	// program's direct-threaded form to every machine (false = forced
-	// interpreter).
-	useThreaded bool
 
 	// agent is the target-resident breakpoint/step agent; susp holds a
 	// release interrupted mid-body by it (resumed by Resume/InResume).
@@ -215,7 +165,6 @@ func NewBoard(name string, prog *codegen.Program, cfg Config, kernel *dtm.Kernel
 		routes:   map[string][]comdes.Binding{},
 		pubSyms:  map[string][]string{},
 	}
-	b.useThreaded = cfg.Backend != BackendInterp
 	b.slots = make([]symSlot, prog.Symbols.Len())
 	for i := range b.slots {
 		sym := prog.Symbols.Sym(i)
@@ -252,11 +201,7 @@ func NewBoard(name string, prog *codegen.Program, cfg Config, kernel *dtm.Kernel
 	// Boot: announce the target, then run every unit's init code.
 	b.send(protocol.Event{Type: protocol.EvHello, Time: kernel.Now(), Source: prog.Name})
 	for _, u := range prog.Units {
-		im := codegen.NewMachine(prog, u.Init, b)
-		if b.useThreaded {
-			im.SetThreaded(u.ThreadedInit)
-		}
-		res, err := im.Run()
+		res, err := codegen.NewMachine(prog, u.Init, b).Run()
 		if err != nil {
 			return nil, fmt.Errorf("target: %s init: %w", u.Name, err)
 		}
@@ -337,11 +282,7 @@ func (ue *unitExec) acquire(b *Board) *codegen.Machine {
 		m.Reset(ue.u.Body)
 		return m
 	}
-	m := codegen.NewMachine(b.Prog, ue.u.Body, b)
-	if b.useThreaded {
-		m.SetThreaded(ue.u.ThreadedBody)
-	}
-	return m
+	return codegen.NewMachine(b.Prog, ue.u.Body, b)
 }
 
 // recycle returns a finished machine to the pool.
@@ -377,22 +318,6 @@ func (b *Board) Board(node string) *Board {
 
 // Now returns the board's virtual time in nanoseconds.
 func (b *Board) Now() uint64 { return b.kernel.Now() }
-
-// Backend reports the dispatch backend release bodies actually run on:
-// "threaded" only when the compiled form is both selected and present for
-// every unit, otherwise "interp" — a program that cannot be threaded never
-// silently reports the fast path.
-func (b *Board) Backend() string {
-	if !b.useThreaded {
-		return "interp"
-	}
-	for _, u := range b.Prog.Units {
-		if u.ThreadedBody == nil {
-			return "interp"
-		}
-	}
-	return "threaded"
-}
 
 // Cycles returns the total CPU cycles executed since boot.
 func (b *Board) Cycles() uint64 { return b.cycles }

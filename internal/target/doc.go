@@ -75,53 +75,19 @@
 // passively-watched binary reports zero instrumentation cycles — the
 // measurable core of the paper's active-vs-passive argument.
 //
-// # Dispatch backends
+// # Dispatch
 //
-// Config.Backend selects how the VM dispatches generated code:
-// BackendAuto/BackendThreaded (the default) attach the direct-threaded
-// compiled form codegen.Compile builds eagerly for every unit — a chain
-// of Go closures with peephole-fused superinstructions — while
-// BackendInterp forces the per-instruction Step switch (the gmdf
-// "-backend interp" escape hatch). Board.Backend() reports the path
-// release bodies actually run on: "threaded" only when the compiled form
-// is both selected and present for every unit, so a program that could
-// not be threaded never silently claims the fast path. The semantics
-// matrix — every cell is bit-identical by construction and gated by the
-// differential, golden and preempt-table tests:
-//
-//	aspect                interpreter (Step switch)   threaded (closure chain)
-//	cycle accounting      Op.Cycles per instruction,  identical — fused super-
-//	                      BreakCheckCycles per        instructions charge the sum
-//	                      armed predicate             of their parts, error exits
-//	                                                  charge exactly the executed
-//	                                                  prefix
-//	RunBudget preemption  stops after the first       identical boundary; a fused
-//	                      instruction reaching the    site DE-FUSES to single-step
-//	                      budget (the one in flight   dispatch whenever the
-//	                      completes)                  remaining budget could land
-//	                                                  strictly inside it (remaining
-//	                                                  <= cost of all-but-last), so
-//	                                                  slices stop at the same
-//	                                                  instruction
-//	breakpoint hook       CheckStore/CheckEmit after  identical sites; any armed
-//	                      every store/emit; a hit     hook de-fuses every super-
-//	                      halts AT the triggering     instruction, so the halt
-//	                      instruction                 lands at the same instruction
-//	                                                  with the same accounting
-//	checkpoint /          Snapshot/Restore at any     identical — both backends
-//	single-step           instruction boundary        share all machine state
-//	                                                  (PC, stack, results), so
-//	                                                  execution may switch between
-//	                                                  them at any boundary; a
-//	                                                  restored machine re-attaches
-//	                                                  the program's threaded form
-//	runtime errors        error text + PC at the      identical text, PC and
-//	                      failing instruction         accounting (fused error
-//	                                                  exits de-fuse retroactively)
-//	unthreadable code     canonical diagnostics       Thread() returns nil; the
-//	(bad jump, unknown    (unknown opcode ...)        machine stays on the
-//	opcode)                                           interpreter, Backend()
-//	                                                  reports "interp"
+// Every release body runs through the VM's one dispatch loop,
+// codegen.Machine.RunBudget (Step is that loop run for one instruction).
+// codegen.Compile marks the first instruction of each superinstruction
+// shape in the IR (Instr.Fuse), and the loop runs a marked site as one
+// superinstruction only when nothing could observe its interior: no break
+// hook is armed, the remaining budget exceeds the cost of every
+// instruction of the shape but the last, and the step limit cannot trip
+// inside it. Otherwise the marked instruction runs as its plain opcode.
+// That is the one de-fusion rule. Either way cycles, steps, preemption
+// boundaries, breakpoint halts, Snapshot/Restore state and runtime error
+// text are those of plain instruction-by-instruction execution.
 //
 // # Command interfaces
 //

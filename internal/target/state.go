@@ -234,9 +234,6 @@ func (b *Board) restoreLocal(st *BoardState) error {
 			continue
 		}
 		m := codegen.NewMachine(b.Prog, ue.u.Body, b)
-		if b.useThreaded {
-			m.SetThreaded(ue.u.ThreadedBody)
-		}
 		if err := m.Restore(*us.M); err != nil {
 			return fmt.Errorf("target: restore unit %s machine: %w", name, err)
 		}
@@ -260,9 +257,6 @@ func (b *Board) restoreLocal(st *BoardState) error {
 		}
 		ue := b.exec[st.Susp.Unit]
 		m := codegen.NewMachine(b.Prog, u.Body, b)
-		if b.useThreaded {
-			m.SetThreaded(u.ThreadedBody)
-		}
 		if err := m.Restore(st.Susp.M); err != nil {
 			return fmt.Errorf("target: restore suspended machine: %w", err)
 		}
