@@ -305,3 +305,24 @@ func TestClusterStateBreakOffRemoteNode(t *testing.T) {
 		})
 	}
 }
+
+// TestDebugRefusesPlacedMultiNode: Debug builds one board, so a placed
+// multi-node system is an error naming DebugCluster rather than a board
+// that ignores its placement and bus, just as DebugCluster refuses a
+// one-node system.
+func TestDebugRefusesPlacedMultiNode(t *testing.T) {
+	dist, err := models.Distributed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Debug(dist, DebugConfig{}); err == nil || !strings.Contains(err.Error(), "DebugCluster") {
+		t.Fatalf("Debug(dist) = %v, want an error pointing at DebugCluster", err)
+	}
+	ring, err := models.TokenRing(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DebugCluster(ring, ClusterDebugConfig{}); err == nil || !strings.Contains(err.Error(), "use Debug") {
+		t.Fatalf("DebugCluster(ring) = %v, want an error pointing at Debug", err)
+	}
+}

@@ -33,7 +33,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/farm"
 	"repro/internal/metamodel"
-	"repro/internal/target"
 	"repro/internal/workbench"
 	"repro/models"
 )
@@ -51,7 +50,7 @@ func main() {
 // the binary end to end without forking.
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("gmdf", flag.ContinueOnError)
-	model := fs.String("model", "heating", "built-in model (heating|traffic|ring|dist) or COMDES model XML path; a placed multi-node model (dist) debugs as a cluster on a TDMA bus")
+	model := fs.String("model", "heating", "built-in model ("+strings.Join(models.Names(), "|")+") or COMDES model XML path; a placed multi-node model (dist) debugs as a cluster on a TDMA bus")
 	scenario := fs.String("scenario", "", "scenario DSL file (.gmdf) to debug instead of -model; the source runs the full front end (parse, check, lint) and any finding prints as file:line:col with a caret excerpt")
 	checkOnly := fs.Bool("check", false, "with -scenario: run the front end and print diagnostics, then exit without debugging (non-zero exit on errors)")
 	transport := fs.String("transport", "active", "command interface: active (RS-232) | passive (JTAG)")
@@ -154,15 +153,17 @@ func run(args []string, out io.Writer) error {
 		return runRemote(out, ro)
 	}
 
-	var sys *comdes.System
-	var err error
-	if sc != nil {
-		sys = sc.Sys
-	} else if sys, err = loadSystem(*model); err != nil {
-		return err
+	// A built-in model or XML system is the scenario it already is: the
+	// standard board, environment and cluster for its name.
+	if sc == nil {
+		sys, err := loadSystem(*model)
+		if err != nil {
+			return err
+		}
+		sc = dsl.FromSystem(sys)
 	}
 	meta := comdes.Metamodel()
-	mod, err := comdes.ToModel(sys, meta)
+	mod, err := comdes.ToModel(sc.Sys, meta)
 	if err != nil {
 		return err
 	}
@@ -204,39 +205,36 @@ func run(args []string, out io.Writer) error {
 	// A placed multi-node model debugs distributed: one board per node on
 	// a shared clock, cross-node signals on a time-triggered TDMA bus, one
 	// session over every node's active interface.
-	if len(sys.Nodes()) > 1 {
+	if sc.Multi() {
 		if *breakMachine != "" || *breakState != "" {
 			return fmt.Errorf("-break-machine/-break-state are not supported on multi-node models yet")
 		}
 		if *transport == "passive" {
 			return fmt.Errorf("multi-node models debug over every node's active interface; -transport passive is not supported")
 		}
-		ccfg := repro.StandardClusterConfig(sys.Nodes(), 0)
-		var cenv func(now uint64, node string, b *target.Board)
-		if sc != nil {
-			ccfg = sc.ClusterConfig()
-			cenv = sc.ClusterEnvironment()
+	}
+	var restored *checkpoint.Checkpoint
+	if *restoreIn != "" {
+		if restored, err = checkpoint.ReadFile(*restoreIn); err != nil {
+			return err
 		}
-		return runCluster(out, sys, ccfg, cenv, budgetNs, *rewindMs, *traceOut, *checkpointOut, *restoreIn, *svgOut)
 	}
 
-	// Step 5 via the facade (compile + board + channel + session).
+	// Step 5 via the scenario (compile + board or cluster + channels +
+	// session).
 	tp := repro.Active
 	if *transport == "passive" {
 		tp = repro.Passive
 	}
-	bcfg := repro.StandardBoardConfig(sys.Name())
-	envFn := repro.StandardEnvironment(sys.Name())
-	if sc != nil {
-		bcfg, envFn = sc.BoardConfig(), sc.Environment()
-	}
-	dbg, err := repro.Debug(sys, repro.DebugConfig{
-		Transport:   tp,
-		Environment: envFn,
-		Board:       bcfg,
-	})
+	dbg, err := sc.Debug(tp, nil)
 	if err != nil {
 		return err
+	}
+	if dbg.Cluster != nil {
+		bus := dbg.Cluster.Net.Schedule()
+		fmt.Fprintf(out, "cluster: %v on a %.0f µs TDMA cycle (%.1f%% loss, %.0f µs release jitter)\n",
+			dbg.Nodes(), float64(bus.CycleNs())/1000,
+			float64(bus.LossPerMille)/10, float64(bus.JitterNs)/1000)
 	}
 	// The trace is the session's primary artifact — flush it even when a
 	// later output step fails, so a determinism diff never reads a
@@ -250,16 +248,16 @@ func run(args []string, out io.Writer) error {
 		}()
 	}
 
-	if *restoreIn != "" {
-		cp, err := checkpoint.ReadFile(*restoreIn)
-		if err != nil {
+	if restored != nil {
+		if err := dbg.RestoreCheckpoint(restored); err != nil {
 			return err
 		}
-		if err := dbg.RestoreCheckpoint(cp); err != nil {
-			return err
+		what := "checkpoint"
+		if dbg.Cluster != nil {
+			what = "cluster checkpoint"
 		}
-		fmt.Fprintf(out, "restored checkpoint: t=%.3f ms, %d trace records carried over\n",
-			float64(dbg.Board.Now())/1e6, dbg.Session.Trace.Len())
+		fmt.Fprintf(out, "restored %s: t=%.3f ms, %d trace records carried over\n",
+			what, float64(dbg.Now())/1e6, dbg.Session.Trace.Len())
 	}
 
 	// Optional model-level breakpoint: set -> hit -> step -> clear ->
@@ -279,9 +277,9 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "breakpoint: enter %s.%s — armed %s\n", *breakMachine, *breakState, where)
 	}
 	if *rewindMs > 0 {
-		// Periodic checkpoints + input/command logs: the session gains
-		// reverse execution (enabled after breakpoint arming so the initial
-		// checkpoint carries the armed condition).
+		// Periodic checkpoints + per-node input/command logs: the session
+		// gains reverse execution (enabled after breakpoint arming so the
+		// initial checkpoint carries the armed condition).
 		if _, err := dbg.EnableCheckpointing(250 * time.Millisecond); err != nil {
 			return err
 		}
@@ -290,17 +288,17 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	if *breakMachine != "" && dbg.Session.Paused() {
-		fmt.Fprintf(out, "breakpoint hit: target halted at %.3f ms\n", float64(dbg.Board.Now())/1e6)
+		fmt.Fprintf(out, "breakpoint hit: target halted at %.3f ms\n", float64(dbg.Now())/1e6)
 		if err := dbg.StepOnTarget(time.Second); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "stepped to next model event at %.3f ms, highlights %v\n",
-			float64(dbg.Board.Now())/1e6, dbg.GDM.HighlightedElements())
+			float64(dbg.Now())/1e6, dbg.GDM.HighlightedElements())
 		if err := dbg.Session.ClearBreakpoint("cli"); err != nil {
 			return err
 		}
 		dbg.Session.Continue()
-		if spent := dbg.Board.Now(); spent < budget {
+		if spent := dbg.Now(); spent < budget {
 			if err := dbg.RunNs(budget - spent); err != nil {
 				return err
 			}
@@ -309,9 +307,25 @@ func run(args []string, out io.Writer) error {
 
 	fmt.Fprintln(out, "== animated model ==")
 	fmt.Fprint(out, dbg.RenderASCII())
-	fmt.Fprintf(out, "\ntransport=%s events=%d reactions=%d target-cycles=%d instr-cycles=%d\n",
-		*transport, dbg.Session.Handled, dbg.GDM.Reactions, dbg.Board.Cycles(), dbg.Board.InstrumentationCycles())
-	fmt.Fprintln(out, "\n== timing diagram ==")
+	if dbg.Cluster != nil {
+		fmt.Fprintf(out, "\nevents=%d reactions=%d network: %d sent, %d lost\n",
+			dbg.Session.Handled, dbg.GDM.Reactions, dbg.Cluster.Net.Sent, dbg.Cluster.Net.Dropped)
+		for _, node := range dbg.Nodes() {
+			// The ok-bool distinguishes "on the bus, no traffic" (printed,
+			// all zero) from "unknown to the bus" (skipped).
+			st, ok := dbg.BusStats(node)
+			if !ok {
+				continue
+			}
+			fmt.Fprintf(out, "bus[%s]: %d enqueued, %d delivered, %d lost, worst queueing %.0f µs\n",
+				node, st.Enqueued, st.Delivered, st.Dropped, float64(st.WorstQueueNs)/1000)
+		}
+		fmt.Fprintln(out, "\n== timing diagram (bus track = slot grid) ==")
+	} else {
+		fmt.Fprintf(out, "\ntransport=%s events=%d reactions=%d target-cycles=%d instr-cycles=%d\n",
+			*transport, dbg.Session.Handled, dbg.GDM.Reactions, dbg.Board.Cycles(), dbg.Board.InstrumentationCycles())
+		fmt.Fprintln(out, "\n== timing diagram ==")
+	}
 	fmt.Fprint(out, dbg.TimingDiagramASCII(76))
 
 	if *svgOut != "" {
@@ -346,8 +360,13 @@ func run(args []string, out io.Writer) error {
 		}
 		fmt.Fprintf(out, "\n== rewound to %.3f ms ==\n", float64(landed)/1e6)
 		fmt.Fprint(out, dbg.RenderASCII())
-		fmt.Fprintf(out, "trace now %d records; board halted=%v cycles=%d\n",
-			dbg.Session.Trace.Len(), dbg.Board.Halted(), dbg.Board.Cycles())
+		if dbg.Cluster != nil {
+			fmt.Fprintf(out, "trace now %d records; network: %d sent, %d lost\n",
+				dbg.Session.Trace.Len(), dbg.Cluster.Net.Sent, dbg.Cluster.Net.Dropped)
+		} else {
+			fmt.Fprintf(out, "trace now %d records; board halted=%v cycles=%d\n",
+				dbg.Session.Trace.Len(), dbg.Board.Halted(), dbg.Board.Cycles())
+		}
 	}
 	return nil
 }
@@ -428,112 +447,6 @@ func runCampaign(out io.Writer, o campaignOpts) error {
 		return err
 	}
 	fmt.Fprintf(out, "wrote aggregate %s (%d bytes)\n", o.outPath, len(buf))
-	return nil
-}
-
-// runCluster is the distributed debugging path: the placed system boots on
-// a TDMA cluster (the Fig. 6 workflow's target is a network of boards) and
-// the one session's trace carries the slot-grid lane. The bus parameters
-// come from the caller — the repro.StandardBus schedule for built-in
-// models, the scenario's bus declaration for -scenario — and are fixed per
-// invocation so every run of the same model is byte-deterministic (the CI
-// replay jobs diff traces across processes).
-func runCluster(out io.Writer, sys *comdes.System, cfg target.ClusterConfig, env func(now uint64, node string, b *target.Board), budgetNs, rewindMs uint64, traceOut, checkpointOut, restoreIn, svgOut string) error {
-	var restored *checkpoint.Checkpoint
-	if restoreIn != "" {
-		cp, err := checkpoint.ReadFile(restoreIn)
-		if err != nil {
-			return err
-		}
-		restored = cp
-	}
-	dbg, err := repro.DebugCluster(sys, repro.ClusterDebugConfig{Cluster: cfg, Environment: env})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "cluster: %v on a %.0f µs TDMA cycle (%.1f%% loss, %.0f µs release jitter)\n",
-		dbg.Cluster.Nodes(), float64(cfg.Bus.CycleNs())/1000,
-		float64(cfg.Bus.LossPerMille)/10, float64(cfg.Bus.JitterNs)/1000)
-	traceWritten := false
-	if traceOut != "" {
-		defer func() {
-			if !traceWritten {
-				_ = os.WriteFile(traceOut, []byte(dbg.Session.Trace.FormatStable()), 0o644)
-			}
-		}()
-	}
-
-	if restored != nil {
-		if err := dbg.RestoreCheckpoint(restored); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "restored cluster checkpoint: t=%.3f ms, %d trace records carried over\n",
-			float64(dbg.Cluster.Now())/1e6, dbg.Session.Trace.Len())
-	}
-
-	if rewindMs > 0 {
-		// Periodic whole-cluster checkpoints + per-node input/command logs:
-		// the distributed session gains reverse execution.
-		if _, err := dbg.EnableCheckpointing(250 * time.Millisecond); err != nil {
-			return err
-		}
-	}
-	if err := dbg.RunNs(budgetNs); err != nil {
-		return err
-	}
-
-	fmt.Fprintln(out, "== animated model ==")
-	fmt.Fprint(out, dbg.RenderASCII())
-	fmt.Fprintf(out, "\nevents=%d reactions=%d network: %d sent, %d lost\n",
-		dbg.Session.Handled, dbg.GDM.Reactions, dbg.Cluster.Net.Sent, dbg.Cluster.Net.Dropped)
-	for _, node := range dbg.Cluster.Nodes() {
-		// The ok-bool distinguishes "on the bus, no traffic" (printed, all
-		// zero) from "unknown to the bus" (skipped) — the old zero-value
-		// check silently conflated the two and hid idle slot owners.
-		st, ok := dbg.BusStats(node)
-		if !ok {
-			continue
-		}
-		fmt.Fprintf(out, "bus[%s]: %d enqueued, %d delivered, %d lost, worst queueing %.0f µs\n",
-			node, st.Enqueued, st.Delivered, st.Dropped, float64(st.WorstQueueNs)/1000)
-	}
-	fmt.Fprintln(out, "\n== timing diagram (bus track = slot grid) ==")
-	fmt.Fprint(out, dbg.TimingDiagramASCII(76))
-
-	if svgOut != "" {
-		if err := os.WriteFile(svgOut, []byte(dbg.GDM.Scene().SVG()), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s\n", svgOut)
-	}
-	if checkpointOut != "" {
-		cp, err := dbg.Checkpoint()
-		if err != nil {
-			return err
-		}
-		if err := cp.WriteFile(checkpointOut); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote checkpoint %s (t=%.3f ms)\n", checkpointOut, float64(cp.Time)/1e6)
-	}
-	if traceOut != "" {
-		if err := os.WriteFile(traceOut, []byte(dbg.Session.Trace.FormatStable()), 0o644); err != nil {
-			return err
-		}
-		traceWritten = true
-		fmt.Fprintf(out, "wrote trace %s (%d records)\n", traceOut, dbg.Session.Trace.Len())
-	}
-
-	if rewindMs > 0 {
-		landed, err := dbg.Session.RewindTo(rewindMs * 1_000_000)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "\n== rewound to %.3f ms ==\n", float64(landed)/1e6)
-		fmt.Fprint(out, dbg.RenderASCII())
-		fmt.Fprintf(out, "trace now %d records; network: %d sent, %d lost\n",
-			dbg.Session.Trace.Len(), dbg.Cluster.Net.Sent, dbg.Cluster.Net.Dropped)
-	}
 	return nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/farm"
+	"repro/models"
 )
 
 // TestFailureStillFlushesTrace: a failure after the run (unwritable -svg
@@ -84,7 +85,8 @@ func TestBadFlagsReturnError(t *testing.T) {
 
 // TestConnectMatchesInProcess: the -connect client mode against a live
 // farm server produces a trace byte-identical to the in-process run of
-// the same model and budget — the CI determinism diff, in miniature.
+// the same model and budget, for every built-in model — the CI
+// determinism diff, in miniature.
 func TestConnectMatchesInProcess(t *testing.T) {
 	srv, err := farm.NewServer(farm.Options{})
 	if err != nil {
@@ -97,29 +99,33 @@ func TestConnectMatchesInProcess(t *testing.T) {
 	go srv.Serve(lis)
 	defer srv.Close()
 
-	dir := t.TempDir()
-	local := filepath.Join(dir, "local.trace")
-	remote := filepath.Join(dir, "remote.trace")
-	if err := run([]string{"-model", "heating", "-ms", "300", "-trace", local}, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	var buf strings.Builder
-	if err := run([]string{"-connect", lis.Addr().String(), "-model", "heating", "-ms", "300", "-trace", remote}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	a, err := os.ReadFile(local)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(remote)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatal("remote-driven trace differs from in-process trace")
-	}
-	if !strings.Contains(buf.String(), "created session") {
-		t.Fatalf("unexpected -connect output:\n%s", buf.String())
+	for _, model := range models.Names() {
+		t.Run(model, func(t *testing.T) {
+			dir := t.TempDir()
+			local := filepath.Join(dir, "local.trace")
+			remote := filepath.Join(dir, "remote.trace")
+			if err := run([]string{"-model", model, "-ms", "300", "-trace", local}, io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			var buf strings.Builder
+			if err := run([]string{"-connect", lis.Addr().String(), "-model", model, "-ms", "300", "-trace", remote}, &buf); err != nil {
+				t.Fatal(err)
+			}
+			a, err := os.ReadFile(local)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := os.ReadFile(remote)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				t.Fatalf("remote-driven trace differs from in-process trace (%d vs %d bytes)", len(b), len(a))
+			}
+			if !strings.Contains(buf.String(), "created session") {
+				t.Fatalf("unexpected -connect output:\n%s", buf.String())
+			}
+		})
 	}
 }
 

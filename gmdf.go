@@ -20,7 +20,10 @@
 // A placed multi-node system debugs the same way: DebugCluster boots one
 // board per node on a TDMA cluster and returns the same *Debugger — a
 // board is a one-node target, so running, breakpoints, checkpoints and
-// rewind work identically on both.
+// rewind work identically on both. Debug refuses a placed multi-node
+// system and DebugCluster a one-node one. The front ends (the gmdf CLI,
+// the farm, campaigns) call neither directly: they describe the session
+// as a dsl.Scenario, whose Debug method picks between the two.
 package repro
 
 import (
@@ -136,9 +139,13 @@ type Debugger struct {
 }
 
 // Debug assembles the full GMDF pipeline for a COMDES system on one board.
+// A placed multi-node system is refused: it debugs with DebugCluster.
 func Debug(sys *comdes.System, cfg DebugConfig) (*Debugger, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, err
+	}
+	if nodes := sys.Nodes(); len(nodes) > 1 {
+		return nil, fmt.Errorf("repro: Debug needs a one-node system (got %d nodes %v); use DebugCluster", len(nodes), nodes)
 	}
 	prog := cfg.Program
 	if prog == nil {
@@ -222,6 +229,13 @@ func withBindings(cfg target.Config, sys *comdes.System) target.Config {
 
 // Now returns the target's virtual time in nanoseconds.
 func (d *Debugger) Now() uint64 { return d.target.Now() }
+
+// Nodes names the target's nodes in sorted order: the one board's, or
+// every node of a cluster.
+func (d *Debugger) Nodes() []string { return d.target.Nodes() }
+
+// Node returns the named node's board, or nil.
+func (d *Debugger) Node(name string) *target.Board { return d.target.Board(name) }
 
 // Run advances the target and the debugger for dur virtual time, pumping
 // events every millisecond of target time. It returns early when a

@@ -20,6 +20,14 @@
 //     recycled trace buffers, so per-variant setup is a restore, not a
 //     rebuild.
 //
+// The model runs as the scenario it is (dsl.FromSystem), so a campaign
+// session is built exactly as `gmdf -model` and the farm build it: one
+// board or a TDMA cluster, chosen by the scenario. One runner serves
+// both: a fork zeroes every node's task accounting and, when the session
+// has a bus, installs the variant's bus schedule; an observation runs
+// RTA on every FixedPriority board. A one-node model compiles once per
+// campaign and every worker's instance shares the program.
+//
 // Determinism contract: the aggregate is a pure function of (model,
 // spec); it contains no worker count, no wall-clock time, and results
 // are indexed by variant, so serial and work-stealing execution produce

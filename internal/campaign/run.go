@@ -4,8 +4,7 @@ import (
 	"fmt"
 
 	"repro"
-	"repro/internal/checkpoint"
-	"repro/internal/codegen"
+	"repro/internal/dsl"
 	"repro/internal/sched"
 	"repro/internal/trace"
 	"repro/models"
@@ -33,7 +32,8 @@ func Run(spec Spec) (*Aggregate, error) {
 	if err != nil {
 		return nil, err
 	}
-	clustered := len(sys.Nodes()) >= 2
+	sc := dsl.FromSystem(sys)
+	clustered := sc.Multi()
 	if !clustered && (len(spec.Loss) > 0 || len(spec.JitterNs) > 0 || spec.RotateSlots) {
 		return nil, fmt.Errorf("campaign: bus sweeps (loss/jitter/rotation) need a multi-node model; %q is single-board", spec.Model)
 	}
@@ -42,33 +42,31 @@ func Run(spec Spec) (*Aggregate, error) {
 	}
 
 	// Build the coordinator instance, warm it, capture the shared base
-	// checkpoint. The coordinator then serves as worker 0's runner.
+	// checkpoint. The coordinator then serves as worker 0's runner; every
+	// runner shares the one program compiled here (a cluster compiles per
+	// node and has none).
+	prog, err := sc.Program()
+	if err != nil {
+		return nil, err
+	}
 	arena := &trace.Arena{}
-	var (
-		prog      *codegen.Program
-		base      *checkpoint.Checkpoint
-		coord     runner
-		taskNames []string
-		basePrios []int
-		slots     int
-	)
-	if clustered {
-		cr, err := newClusterRunner(&spec, nil, arena)
-		if err != nil {
-			return nil, err
+	coord, err := newRunner(&spec, sc, prog, nil, arena)
+	if err != nil {
+		return nil, err
+	}
+	if spec.WarmNs > 0 {
+		if err := coord.dbg.RunNs(spec.WarmNs); err != nil {
+			return nil, fmt.Errorf("campaign: warm-up: %w", err)
 		}
-		if spec.WarmNs > 0 {
-			if err := cr.dbg.RunNs(spec.WarmNs); err != nil {
-				return nil, fmt.Errorf("campaign: warm-up: %w", err)
-			}
-		}
-		base, err = cr.dbg.Checkpoint()
-		if err != nil {
-			return nil, fmt.Errorf("campaign: base checkpoint: %w", err)
-		}
-		cr.base = base
-		coord = cr
-		bus := base.Cluster.Net.Sched
+	}
+	base, err := coord.dbg.Checkpoint()
+	if err != nil {
+		return nil, fmt.Errorf("campaign: base checkpoint: %w", err)
+	}
+	coord.base = base
+	var slots int
+	if net := base.Net(); net != nil {
+		bus := net.Sched
 		if bus == nil {
 			return nil, fmt.Errorf("campaign: model %q has no TDMA schedule; bus campaigns need one", spec.Model)
 		}
@@ -84,37 +82,18 @@ func Run(spec Spec) (*Aggregate, error) {
 				return nil, fmt.Errorf("campaign: jitter %d ns >= shortest slot %d ns (a release jittered past its slot never departs)", j, shortest)
 			}
 		}
-	} else {
-		cfg := repro.DebugConfig{
-			Transport:   repro.Active,
-			Board:       repro.StandardBoardConfig(spec.Model),
-			Environment: repro.StandardEnvironment(spec.Model),
-		}
-		prog, err = repro.CompileFor(sys, cfg)
-		if err != nil {
-			return nil, err
-		}
-		br, err := newBoardRunner(&spec, prog, nil, arena)
-		if err != nil {
-			return nil, err
-		}
-		if spec.WarmNs > 0 {
-			if err := br.dbg.RunNs(spec.WarmNs); err != nil {
-				return nil, fmt.Errorf("campaign: warm-up: %w", err)
-			}
-		}
-		base, err = br.dbg.Checkpoint()
-		if err != nil {
-			return nil, fmt.Errorf("campaign: base checkpoint: %w", err)
-		}
-		br.base = base
-		coord = br
-		for _, t := range br.dbg.Board.Tasks() {
+	}
+	var (
+		taskNames []string
+		basePrios []int
+	)
+	for _, node := range coord.nodes {
+		for _, t := range coord.dbg.Node(node).Tasks() {
 			taskNames = append(taskNames, t.Name)
 			basePrios = append(basePrios, t.Priority)
 		}
-		sortByName(taskNames, basePrios)
 	}
+	sortByName(taskNames, basePrios)
 
 	variants := planVariants(&spec, taskNames, basePrios, slots)
 	results := make([]VariantResult, len(variants))
@@ -125,16 +104,12 @@ func Run(spec Spec) (*Aggregate, error) {
 	// One warm simulator per worker, built lazily on the worker's first
 	// variant. Each slot is touched only by its own worker, so the slices
 	// need no lock.
-	runners := make([]runner, pool.Workers())
+	runners := make([]*runner, pool.Workers())
 	buildErr := make([]error, pool.Workers())
 	runners[0] = coord
-	getRunner := func(w int) (runner, error) {
+	getRunner := func(w int) (*runner, error) {
 		if runners[w] == nil && buildErr[w] == nil {
-			if clustered {
-				runners[w], buildErr[w] = newClusterRunner(&spec, base, arena)
-			} else {
-				runners[w], buildErr[w] = newBoardRunner(&spec, prog, base, arena)
-			}
+			runners[w], buildErr[w] = newRunner(&spec, sc, prog, base, arena)
 		}
 		return runners[w], buildErr[w]
 	}
@@ -183,7 +158,7 @@ func Run(spec Spec) (*Aggregate, error) {
 }
 
 // runVariant is one fork-run-observe cycle.
-func runVariant(r runner, spec *Spec, v variant) VariantResult {
+func runVariant(r *runner, spec *Spec, v variant) VariantResult {
 	fail := func(err error) VariantResult {
 		return VariantResult{Index: v.Index, Seed: v.Seed, Error: err.Error()}
 	}

@@ -14,7 +14,7 @@ const shrinkGrid = 1_000_000
 // shrinkVariant finds the minimal violating window for v and returns it
 // with the window's event trace. The caller guarantees the full RunNs
 // window violates.
-func shrinkVariant(r runner, spec *Spec, v variant) (uint64, string, error) {
+func shrinkVariant(r *runner, spec *Spec, v variant) (uint64, string, error) {
 	window := func(k uint64) uint64 { return min(k*shrinkGrid, spec.RunNs) }
 	probe := func(k uint64) (bool, error) {
 		if err := r.fork(v); err != nil {

@@ -39,6 +39,7 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/dtm"
 	"repro/internal/engine"
 	"repro/internal/target"
 )
@@ -117,6 +118,40 @@ func (c *Checkpoint) Clone() *Checkpoint {
 		cp.ClusterHost = &h
 	}
 	return &cp
+}
+
+// Node returns the captured state of the named node's board in either
+// layout, or nil. It is what a fork edits per node, so callers need not
+// know which layout the checkpoint has.
+func (c *Checkpoint) Node(name string) *target.BoardState {
+	switch {
+	case c.Board != nil && c.Board.Name == name:
+		return c.Board
+	case c.Cluster != nil:
+		return c.Cluster.Boards[name]
+	}
+	return nil
+}
+
+// Session returns the captured host session in either layout, or nil
+// when the checkpoint carries none.
+func (c *Checkpoint) Session() *engine.SessionState {
+	switch {
+	case c.Host != nil:
+		return &c.Host.Session
+	case c.ClusterHost != nil:
+		return &c.ClusterHost.Session
+	}
+	return nil
+}
+
+// Net returns a cluster checkpoint's network state (the bus), or nil for
+// a board.
+func (c *Checkpoint) Net() *dtm.NetworkState {
+	if c.Cluster == nil {
+		return nil
+	}
+	return &c.Cluster.Net
 }
 
 // Encode writes the checkpoint's serialized form.

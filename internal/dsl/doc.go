@@ -97,4 +97,17 @@
 // models.Heating; loading it and running the standard environment
 // produces a trace byte-identical to the constructor's (pinned by
 // TestScenarioFidelityHeating and the CI dsl-determinism job).
+//
+// # One session recipe
+//
+// A Scenario is also how every front end describes a session. A built-in
+// model or XML system is FromSystem's scenario, declaring only
+// `environment standard`, so it runs on the standard board, environment
+// and cluster for its name. Scenario.Debug builds the *repro.Debugger: one
+// board for a one-node system, a TDMA cluster for a placed multi-node one.
+// The gmdf CLI, the farm server and campaigns all build sessions this way
+// and none of them chooses between repro.Debug and repro.DebugCluster.
+// Environment serves both shapes: each drive writes on the board the
+// actor runs on. Program compiles the one-node program once so many
+// sessions can share it.
 package dsl

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro"
+	"repro/internal/codegen"
 	"repro/internal/comdes"
 	"repro/internal/dtm"
 	"repro/internal/expr"
@@ -11,10 +12,14 @@ import (
 	"repro/internal/value"
 )
 
-// Scenario is a loaded .gmdf file: the built comdes system plus the
-// execution configuration the declarations imply. Its DebugConfig and
-// ClusterConfig mirror the defaults the gmdf CLI applies to built-in
-// models, so a scenario port of a model produces byte-identical traces.
+// Scenario is the one recipe for a debug session: a comdes system plus
+// the execution configuration its declarations imply. A loaded .gmdf file
+// is one; a built-in model or XML system is one too (FromSystem), with no
+// declarations besides `environment standard`, so the undeclared defaults
+// (StandardBoardConfig, StandardEnvironment, StandardClusterConfig) are
+// what every front end runs a model on. Debug builds the session, and is
+// the one place above repro that decides board or cluster. A scenario
+// port of a model therefore produces byte-identical traces.
 type Scenario struct {
 	Name   string // source file name (diagnostics, labels)
 	Source string
@@ -26,7 +31,8 @@ type Scenario struct {
 
 type compiledDrive struct {
 	actor, port string
-	node        expr.Node
+	node        string // the board it writes on; "" on a one-node system
+	expr        expr.Node
 }
 
 // LoadSource runs the whole front end — parse, check, lint, build — on
@@ -90,13 +96,28 @@ func Load(f *File) (*Scenario, error) {
 
 	sc := &Scenario{File: f, Sys: sys}
 	for _, d := range f.Drives {
-		node, err := expr.Parse(d.Expr)
+		e, err := expr.Parse(d.Expr)
 		if err != nil {
 			return nil, fmt.Errorf("dsl: drive %s.%s: %w", d.Actor, d.Port, err)
 		}
-		sc.drives = append(sc.drives, compiledDrive{actor: d.Actor, port: d.Port, node: node})
+		cd := compiledDrive{actor: d.Actor, port: d.Port, expr: e}
+		if sc.Multi() {
+			cd.node = sys.NodeOf(d.Actor)
+		}
+		sc.drives = append(sc.drives, cd)
 	}
 	return sc, nil
+}
+
+// FromSystem is the scenario a built-in model or XML system already is:
+// its one declaration is `environment standard`, so the board, the
+// environment and the cluster are the standard ones for its name.
+func FromSystem(sys *comdes.System) *Scenario {
+	return &Scenario{
+		Name: sys.Name(),
+		File: &File{Name: sys.Name(), Env: &EnvDecl{Standard: true}},
+		Sys:  sys,
+	}
 }
 
 func buildPorts(decls []PortDecl) []comdes.Port {
@@ -251,6 +272,36 @@ func (s *Scenario) RunNs() uint64 { return s.File.RunNs }
 // (debugs as a cluster).
 func (s *Scenario) Multi() bool { return len(s.Sys.Nodes()) > 1 }
 
+// Debug builds the session the scenario describes: a one-node system on
+// one board over tp (repro.Debug), a placed multi-node system on a TDMA
+// cluster over every node's active interface (repro.DebugCluster). prog,
+// when non-nil, is the one-node program from Program shared across
+// sessions; a cluster compiles per node and ignores it.
+func (s *Scenario) Debug(tp repro.Transport, prog *codegen.Program) (*repro.Debugger, error) {
+	if !s.Multi() {
+		cfg := s.DebugConfig()
+		cfg.Transport, cfg.Program = tp, prog
+		return repro.Debug(s.Sys, cfg)
+	}
+	if tp != repro.Active {
+		return nil, fmt.Errorf("dsl: multi-node system %q debugs over every node's active interface", s.Sys.Name())
+	}
+	cfg := repro.ClusterDebugConfig{Cluster: s.ClusterConfig()}
+	if env := s.Environment(); env != nil {
+		cfg.Environment = func(now uint64, _ string, b *target.Board) { env(now, b) }
+	}
+	return repro.DebugCluster(s.Sys, cfg)
+}
+
+// Program compiles the program Debug loads on a one-node system, so many
+// sessions can share it; nil for a multi-node system.
+func (s *Scenario) Program() (*codegen.Program, error) {
+	if s.Multi() {
+		return nil, nil
+	}
+	return repro.CompileFor(s.Sys, s.DebugConfig())
+}
+
 // DebugConfig assembles the single-board configuration the scenario
 // implies: the declared board (or the model-standard one), the standard
 // environment when declared, and every drive as a pre-latch stimulus.
@@ -278,14 +329,17 @@ func (s *Scenario) BoardConfig() target.Config {
 	return cfg
 }
 
-// Environment composes the scenario's stimuli: the standard environment
-// for the system name (when `environment standard` is declared) runs
-// first, then every drive expression — evaluated over t (seconds, float)
-// and now (nanoseconds, int) — overwrites its target input. Nil when the
-// scenario declares no stimuli at all.
+// Environment composes the scenario's stimuli for every board of its
+// session, one node or many. On a one-node system the standard
+// environment for the system name (when `environment standard` is
+// declared) runs first; the standard environments are single-board
+// plants. Then every drive expression, evaluated over t (seconds, float)
+// and now (nanoseconds, int), overwrites its target input on the board
+// the actor runs on: the one board, or the board whose name is the
+// actor's node. Nil when the scenario declares no stimuli at all.
 func (s *Scenario) Environment() func(now uint64, b *target.Board) {
 	var std func(now uint64, b *target.Board)
-	if s.File.Env != nil && s.File.Env.Standard {
+	if s.File.Env != nil && s.File.Env.Standard && !s.Multi() {
 		std = repro.StandardEnvironment(s.Sys.Name())
 	}
 	if std == nil && len(s.drives) == 0 {
@@ -296,30 +350,11 @@ func (s *Scenario) Environment() func(now uint64, b *target.Board) {
 		if std != nil {
 			std(now, b)
 		}
-		applyDrives(drives, now, func(actor, port string, v value.Value) {
-			_ = b.WriteInput(actor, port, v)
-		})
+		applyDrives(drives, now, b)
 	}
 }
 
-// ClusterEnvironment is Environment for multi-node scenarios: each
-// drive writes only on the node its target actor is placed on.
-func (s *Scenario) ClusterEnvironment() func(now uint64, node string, b *target.Board) {
-	if len(s.drives) == 0 {
-		return nil
-	}
-	drives := s.drives
-	sys := s.Sys
-	return func(now uint64, node string, b *target.Board) {
-		applyDrives(drives, now, func(actor, port string, v value.Value) {
-			if sys.NodeOf(actor) == node {
-				_ = b.WriteInput(actor, port, v)
-			}
-		})
-	}
-}
-
-func applyDrives(drives []compiledDrive, now uint64, write func(actor, port string, v value.Value)) {
+func applyDrives(drives []compiledDrive, now uint64, b *target.Board) {
 	if len(drives) == 0 {
 		return
 	}
@@ -328,11 +363,14 @@ func applyDrives(drives []compiledDrive, now uint64, write func(actor, port stri
 		"now": value.I(int64(now)),
 	}
 	for _, d := range drives {
-		v, err := expr.Eval(d.node, env)
+		if d.node != "" && d.node != b.Name {
+			continue
+		}
+		v, err := expr.Eval(d.expr, env)
 		if err != nil {
 			continue // checked expressions over t/now cannot fail at runtime
 		}
-		write(d.actor, d.port, v)
+		_ = b.WriteInput(d.actor, d.port, v)
 	}
 }
 

@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro"
 	"repro/internal/dtm"
+	"repro/models"
 )
 
 // twoNodeSrc is a minimal placed scenario with board and bus overrides.
@@ -128,7 +130,7 @@ func TestLoadSourceErrorPath(t *testing.T) {
 // TestScenarioDrives: drive expressions evaluate over t and now and the
 // single-board environment callback writes them.
 func TestScenarioDrives(t *testing.T) {
-	src := wrap("        in x float\n        out y float\n        block gain g { k = 1.0 }\n" +
+	src := wrap("        in x float\n        out y float\n        block gain g { k = 1.0 }\n"+
 		"        wire .x -> g.in\n        wire g.out -> .y\n") +
 		"drive a.x = \"2 * t\"\n"
 	sc, diags, err := LoadSource("d.gmdf", src)
@@ -141,5 +143,84 @@ func TestScenarioDrives(t *testing.T) {
 	}
 	if sc.Multi() {
 		t.Fatal("single-board scenario reported as multi")
+	}
+}
+
+// TestScenarioDebugBuildsBoardOrCluster: Debug is the one board-or-cluster
+// decision. A built-in one-node model runs on its standard board (the
+// 1 MHz fixed-priority one for priorityload), a placed two-node scenario
+// on a cluster of its nodes, and a cluster refuses the passive transport.
+func TestScenarioDebugBuildsBoardOrCluster(t *testing.T) {
+	sys, err := models.ByName("priorityload")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dbg, err := FromSystem(sys).Debug(repro.Active, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dbg.Board == nil || dbg.Cluster != nil || dbg.Board.Policy() != dtm.FixedPriority {
+		t.Fatalf("priorityload: board=%v cluster=%v, want one fixed-priority board", dbg.Board, dbg.Cluster)
+	}
+
+	sc, diags, err := LoadSource("duo.gmdf", twoNodeSrc)
+	if err != nil {
+		t.Fatalf("LoadSource: %v\n%s", err, Render("duo.gmdf", twoNodeSrc, diags))
+	}
+	if prog, err := sc.Program(); prog != nil || err != nil {
+		t.Fatalf("multi-node Program() = %v, %v; want nil, nil", prog, err)
+	}
+	dbg, err = sc.Debug(repro.Active, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dbg.Cluster == nil || strings.Join(dbg.Nodes(), ",") != "n1,n2" {
+		t.Fatalf("duo: cluster=%v nodes=%v, want a cluster of n1,n2", dbg.Cluster, dbg.Nodes())
+	}
+	if _, err := sc.Debug(repro.Passive, nil); err == nil {
+		t.Fatal("passive transport on a multi-node scenario accepted")
+	}
+}
+
+// TestScenarioDrivesReachTheActorsBoard: one environment serves a board
+// and a cluster. A drive writes on the board of the actor's node only,
+// and on a one-node system on the one board even when the actor is
+// placed on a named node.
+func TestScenarioDrivesReachTheActorsBoard(t *testing.T) {
+	actor := func(name, node string) string {
+		return "actor " + name + " {\n    on " + node + "\n    period 10ms\n    deadline 5ms\n" +
+			"    network " + name + "n {\n        in x float\n        out y float\n" +
+			"        block gain g { k = 1.0 }\n        wire .x -> g.in\n        wire g.out -> .y\n    }\n}\n\n"
+	}
+	run := func(src string) *repro.Debugger {
+		t.Helper()
+		sc, diags, err := LoadSource("d.gmdf", src)
+		if err != nil {
+			t.Fatalf("LoadSource: %v\n%s", err, Render("d.gmdf", src, diags))
+		}
+		dbg, err := sc.Debug(repro.Active, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dbg.RunNs(30_000_000); err != nil {
+			t.Fatal(err)
+		}
+		return dbg
+	}
+
+	dbg := run("system duo\n\n" + actor("a", "n1") + actor("b", "n2") + "drive b.x = \"3.0\"\n")
+	if v, err := dbg.Node("n2").ReadOutput("b", "y"); err != nil || v.Float() != 3 {
+		t.Fatalf("n2 b.y = %v, %v; want 3", v, err)
+	}
+	if v, err := dbg.Node("n1").ReadOutput("a", "y"); err != nil || v.Float() != 0 {
+		t.Fatalf("n1 a.y = %v, %v; want 0 (undriven)", v, err)
+	}
+
+	dbg = run("system solo\n\n" + actor("a", "n1") + "drive a.x = \"5.0\"\n")
+	if dbg.Board == nil {
+		t.Fatal("one-node scenario did not build a board")
+	}
+	if v, err := dbg.Board.ReadOutput("a", "y"); err != nil || v.Float() != 5 {
+		t.Fatalf("a.y = %v, %v; want 5", v, err)
 	}
 }

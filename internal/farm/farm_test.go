@@ -9,6 +9,7 @@ import (
 
 	"repro"
 	"repro/internal/checkpoint"
+	"repro/internal/dsl"
 	"repro/internal/trace"
 	"repro/models"
 )
@@ -38,17 +39,16 @@ func startServer(t testing.TB, opts Options) (*Server, *Client) {
 
 // inProcessTrace drives the same model in-process for ms virtual
 // milliseconds and returns the stable trace — the reference the
-// remote-driven session must reproduce byte-for-byte.
+// remote-driven session must reproduce byte-for-byte. It builds the
+// session through the same recipe every front end uses, the scenario
+// the model already is.
 func inProcessTrace(t testing.TB, model string, ms uint64) string {
 	t.Helper()
 	sys, err := models.ByName(model)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dbg, err := repro.Debug(sys, repro.DebugConfig{
-		Transport:   repro.Active,
-		Environment: repro.StandardEnvironment(model),
-	})
+	dbg, err := dsl.FromSystem(sys).Debug(repro.Active, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func inProcessTrace(t testing.TB, model string, ms uint64) string {
 // wire produces the exact trace bytes an in-process debugger produces for
 // the same model and budget — the farm adds multiplexing, not noise.
 func TestRemoteTraceMatchesInProcess(t *testing.T) {
-	for _, model := range []string{"heating", "ring"} {
+	for _, model := range []string{"heating", "ring", "priorityload"} {
 		t.Run(model, func(t *testing.T) {
 			_, cl := startServer(t, Options{})
 			created, err := cl.Create(CreateParams{Model: model})

@@ -18,10 +18,8 @@ import (
 	"repro"
 	"repro/internal/checkpoint"
 	"repro/internal/codegen"
-	"repro/internal/comdes"
 	"repro/internal/dsl"
 	"repro/internal/sched"
-	"repro/internal/target"
 	"repro/internal/trace"
 	"repro/models"
 )
@@ -587,22 +585,22 @@ func (s *Server) flushStream(ss *session) {
 	s.st.mu.Unlock()
 }
 
-// programForSystem compiles a system once and shares the immutable
-// program across every session with the same key — the built-in model
-// name, or "dsl:"+source-digest for scenario sessions (identical source
-// text compiles once no matter how many clients submit it).
-func (s *Server) programForSystem(key string, sys *comdes.System) (*codegen.Program, error) {
+// programFor compiles a scenario's one-node program once and shares the
+// immutable program across every session with the same key — the
+// built-in model name, or "dsl:"+source-digest for scenario sessions
+// (identical source text compiles once no matter how many clients submit
+// it). A multi-node scenario has no such program and caches nothing.
+func (s *Server) programFor(key string, sc *dsl.Scenario) (*codegen.Program, error) {
 	s.pmu.Lock()
 	defer s.pmu.Unlock()
 	if p, ok := s.programs[key]; ok {
 		return p, nil
 	}
-	p, err := repro.CompileFor(sys, repro.DebugConfig{Transport: repro.Active})
-	if err != nil {
-		return nil, err
+	p, err := sc.Program()
+	if p != nil {
+		s.programs[key] = p
 	}
-	s.programs[key] = p
-	return p, nil
+	return p, err
 }
 
 func (s *Server) handleCreate(raw json.RawMessage) (any, error) {
@@ -610,10 +608,7 @@ func (s *Server) handleCreate(raw json.RawMessage) (any, error) {
 	if err := unmarshalParams(raw, &p); err != nil {
 		return nil, err
 	}
-	var (
-		sys *comdes.System
-		sc  *dsl.Scenario
-	)
+	var sc *dsl.Scenario
 	model := p.Model
 	if p.Source != "" {
 		// DSL sessions gate on the same checker the CLI runs: a scenario
@@ -634,15 +629,15 @@ func (s *Server) handleCreate(raw json.RawMessage) (any, error) {
 		if err != nil {
 			return nil, fmt.Errorf("farm: scenario rejected:\n%s", dsl.Render(name, p.Source, diags))
 		}
-		sc, sys = loaded, loaded.Sys
+		sc = loaded
 		sum := sha256.Sum256([]byte(p.Source))
 		model = "dsl:" + hex.EncodeToString(sum[:6])
 	} else {
-		var err error
-		sys, err = models.ByName(p.Model)
+		sys, err := models.ByName(p.Model)
 		if err != nil {
 			return nil, err
 		}
+		sc = dsl.FromSystem(sys)
 	}
 
 	var cp *checkpoint.Checkpoint
@@ -653,33 +648,12 @@ func (s *Server) handleCreate(raw json.RawMessage) (any, error) {
 		}
 	}
 
-	ss := &session{model: model}
-	var err error
-	if len(sys.Nodes()) > 1 {
-		ccfg := repro.StandardClusterConfig(sys.Nodes(), 0)
-		var cenv func(now uint64, node string, b *target.Board)
-		if sc != nil {
-			ccfg = sc.ClusterConfig()
-			cenv = sc.ClusterEnvironment()
-		}
-		ss.dbg, err = repro.DebugCluster(sys, repro.ClusterDebugConfig{Cluster: ccfg, Environment: cenv})
-	} else {
-		prog, perr := s.programForSystem(model, sys)
-		if perr != nil {
-			return nil, perr
-		}
-		cfg := repro.DebugConfig{
-			Transport:   repro.Active,
-			Environment: repro.StandardEnvironment(p.Model),
-			Program:     prog,
-		}
-		if sc != nil {
-			cfg.Environment = sc.Environment()
-			cfg.Board = sc.BoardConfig()
-		}
-		ss.dbg, err = repro.Debug(sys, cfg)
-	}
+	prog, err := s.programFor(model, sc)
 	if err != nil {
+		return nil, err
+	}
+	ss := &session{model: model}
+	if ss.dbg, err = sc.Debug(repro.Active, prog); err != nil {
 		return nil, err
 	}
 

@@ -54,8 +54,9 @@ type ServerMsg struct {
 // CreateParams starts a new session ("model") or resumes a detached one
 // from the content-addressed store ("model" + "checkpoint" digest).
 type CreateParams struct {
-	// Model is a built-in model name (models.ByName); a placed multi-node
-	// model becomes a cluster session on the standard TDMA bus.
+	// Model is a built-in model name (models.ByName), debugged exactly as
+	// `gmdf -model` debugs it: on its standard board, or, placed on
+	// several nodes, as a cluster session on the standard TDMA bus.
 	Model string `json:"model"`
 	// Checkpoint, when set, is the content address of a stored checkpoint
 	// to resume from (the digest a detach or checkpoint request returned,

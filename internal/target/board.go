@@ -387,6 +387,9 @@ func (b *Board) Preemptions() uint64 {
 // CtxSwitches returns the charged context switches (FixedPriority policy).
 func (b *Board) CtxSwitches() uint64 { return b.sched.CtxSwitches }
 
+// Policy is the board's scheduling policy.
+func (b *Board) Policy() dtm.Policy { return b.cfg.Sched }
+
 // Tasks exposes the scheduler's task table (release/miss/preemption and
 // response-time accounting per actor).
 func (b *Board) Tasks() []*dtm.Task { return b.sched.Tasks() }

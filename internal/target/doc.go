@@ -284,8 +284,12 @@
 //
 // One debug session owns one board (repro.Debug) or one cluster
 // (repro.DebugCluster) plus its host half; both return a *repro.Debugger.
-// Sessions exist in-process (the gmdf CLI, tests) or multiplexed behind a
-// farm server (internal/farm, cmd/gmdfd), where many isolated sessions
+// Every front end builds it from one recipe, a dsl.Scenario (a built-in
+// model is the scenario dsl.FromSystem makes of it), whose Debug method is
+// the one place above repro that picks board or cluster, by the number of
+// placed nodes. Sessions exist in-process (the gmdf CLI, a campaign,
+// tests) or multiplexed behind a farm server (internal/farm, cmd/gmdfd),
+// where many isolated sessions
 // share one immutable compiled program — codegen.Program is static IR;
 // all mutable state (RAM, kernel, machines, agent, trace) lives in the
 // board/cluster and the session.
@@ -380,8 +384,8 @@
 //	                    records only its own window     trace buffers recycle across
 //	                                                    forks on the same worker
 //	breakpoints /       armed conditions survive the    —
-//	agent               fork (the campaign runners
-//	                    fork from unpaused prefixes)
+//	agent               fork (the campaign runner
+//	                    forks from unpaused prefixes)
 //
 // The aggregate over all variants is a pure function of the campaign
 // spec: variants are planned from one splitmix64 stream, executed by a

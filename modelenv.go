@@ -76,8 +76,9 @@ func StandardBus(nodes []string) *dtm.BusSchedule {
 }
 
 // StandardClusterConfig is the cluster-side configuration matching
-// StandardBus (100 µs propagation, 2 Mbaud boards), shared by the CLI's
-// distributed path and the farm's cluster sessions.
+// StandardBus (100 µs propagation, 2 Mbaud boards): what a scenario with
+// no board or bus declaration, and so every built-in multi-node model,
+// runs on.
 func StandardClusterConfig(nodes []string,
 	// Deprecated: every cluster runs on the one serial kernel; ignored.
 	_ target.ExecMode,
