@@ -474,7 +474,7 @@ func BenchmarkCluster(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if i > 0 && i%clusterEpochMs == 0 {
 			b.StopTimer()
-			if err := cl.Restore(warm.Clone()); err != nil {
+			if err := cl.Restore(warm); err != nil {
 				b.Fatal(err)
 			}
 			b.StartTimer()

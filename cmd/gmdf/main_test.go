@@ -76,6 +76,8 @@ func TestBadFlagsReturnError(t *testing.T) {
 		{"-model", "no-such-model", "-ms", "10"},
 		{"-model", "dist", "-ms", "10", "-transport", "passive"},
 		{"-model", "dist", "-ms", "10", "-campaign", "4", "-campaign-loss", "bogus"},
+		{"-model", "heating", "-ms", "10", "-break-machine", "heater.thermostat", "-break-state", "Heatin"},
+		{"-model", "heating", "-ms", "10", "-break-machine", "heater.nosuch", "-break-state", "Heating"},
 	} {
 		if err := run(args, io.Discard); err == nil {
 			t.Fatalf("run(%v) did not fail", args)

@@ -334,13 +334,16 @@ func (d *Debugger) StepOnTarget(maxWait time.Duration) error {
 // agent (see StateCond) — the board halts at the state-storing
 // instruction, mid-release, before the deadline latch publishes.
 // Otherwise it falls back to host-side filtering of EvStateEnter events
-// (halt one frame later).
+// (halt one frame later). Either way, a machine or state the model does
+// not have is an error.
 func (d *Debugger) BreakOnState(id, machine, state string) error {
-	bp := engine.Breakpoint{ID: id, Event: protocol.EvStateEnter, Source: machine, Arg1: state}
-	if cond, err := d.StateCond(machine, state); err == nil {
-		bp.TargetCond = cond
+	cond, err := d.StateCond(machine, state)
+	if err != nil {
+		return err
 	}
-	return d.Session.SetBreakpoint(bp)
+	return d.Session.SetBreakpoint(engine.Breakpoint{
+		ID: id, Event: protocol.EvStateEnter, Source: machine, Arg1: state, TargetCond: cond,
+	})
 }
 
 // StateCond is the on-target condition for a breakpoint on machine

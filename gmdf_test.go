@@ -116,6 +116,62 @@ func TestFacadeBreakpointAndStep(t *testing.T) {
 	}
 }
 
+// TestOnTargetStepEndsAtBreakpointHit runs the CLI's on-target flow:
+// break on a state entry, step, clear, continue. The still-true condition
+// re-trips during the step, and that hit ends the step, so after Continue
+// the session runs out its whole budget instead of halting again at the
+// next model event.
+func TestOnTargetStepEndsAtBreakpointHit(t *testing.T) {
+	const budget = 500_000_000
+	dbg := heatingDebugger(t, Active)
+	if err := dbg.BreakOnState("bp", "heater.thermostat", "Heating"); err != nil {
+		t.Fatal(err)
+	}
+	if err := dbg.RunNs(budget); err != nil {
+		t.Fatal(err)
+	}
+	if !dbg.Session.Paused() {
+		t.Fatal("breakpoint did not pause")
+	}
+	if err := dbg.StepOnTarget(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := dbg.Session.ClearBreakpoint("bp"); err != nil {
+		t.Fatal(err)
+	}
+	dbg.Session.Continue()
+	if err := dbg.RunNs(budget - dbg.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if dbg.Session.Paused() || dbg.Board.Halted() {
+		t.Fatalf("halted again after continue at %d ns", dbg.Now())
+	}
+	if dbg.Now() != budget {
+		t.Fatalf("run ended at %d ns, want the full %d ns budget", dbg.Now(), budget)
+	}
+}
+
+// TestBreakOnStateRejectsUnknownState: a breakpoint on a state or machine
+// the model does not have is refused on either transport, instead of
+// arming a host-side filter that can never fire.
+func TestBreakOnStateRejectsUnknownState(t *testing.T) {
+	for tr, transport := range map[string]Transport{"active": Active, "passive": Passive} {
+		dbg := heatingDebugger(t, transport)
+		for _, c := range [][2]string{
+			{"heater.thermostat", "Heatin"},
+			{"heater.nosuch", "Heating"},
+			{"heater", "Heating"},
+		} {
+			if err := dbg.BreakOnState("bp", c[0], c[1]); err == nil {
+				t.Errorf("%s: BreakOnState(%s, %s) armed a breakpoint", tr, c[0], c[1])
+			}
+		}
+		if n := len(dbg.Session.Breakpoints()); n != 0 {
+			t.Errorf("%s: %d breakpoints armed after refusals", tr, n)
+		}
+	}
+}
+
 func TestFacadeValidation(t *testing.T) {
 	sys, err := models.Heating(models.HeatingOptions{})
 	if err != nil {

@@ -10,9 +10,12 @@
 // Three performance layers keep the fleet CPU-bound instead of
 // allocation-bound:
 //
-//   - forking is zero-serialization: each variant deep-copies the warm
-//     checkpoint via Clone() (differentially tested to marshal to the
-//     original's exact bytes) instead of a JSON round trip;
+//   - a fork is a restore of the one shared base checkpoint, with no
+//     copy and no serialization: Restore copies state in and never
+//     writes its input, so every worker restores the same base at once.
+//     Edits every variant shares (zeroed accounting, dropped warm trace)
+//     are made once, on the base; a variant's bus parameters go on
+//     shallow copies of the checkpoint structs;
 //   - variants run on a work-stealing executor (internal/sched), so
 //     heterogeneous runtimes — a variant that trips its shrink search
 //     next to one that runs clean — rebalance across workers;
@@ -23,10 +26,11 @@
 // The model runs as the scenario it is (dsl.FromSystem), so a campaign
 // session is built exactly as `gmdf -model` and the farm build it: one
 // board or a TDMA cluster, chosen by the scenario. One runner serves
-// both: a fork zeroes every node's task accounting and, when the session
-// has a bus, installs the variant's bus schedule; an observation runs
-// RTA on every FixedPriority board. A one-node model compiles once per
-// campaign and every worker's instance shares the program.
+// both: the base has every node's task accounting zeroed and, when the
+// session has a bus, a fork installs the variant's bus schedule; an
+// observation runs RTA on every FixedPriority board. A one-node model
+// compiles once per campaign and every worker's instance shares the
+// program.
 //
 // Determinism contract: the aggregate is a pure function of (model,
 // spec); it contains no worker count, no wall-clock time, and results

@@ -64,8 +64,20 @@ func Run(spec Spec) (*Aggregate, error) {
 		return nil, fmt.Errorf("campaign: base checkpoint: %w", err)
 	}
 	coord.base = base
+	// Edits every variant shares happen once, here: zero the accounting
+	// so post-restore counters measure the variant's window alone, and
+	// drop the warm trace (the restore would replay it through the GDM;
+	// a variant's observations start at the fork). From here on the base
+	// is read-only.
+	for _, node := range coord.nodes {
+		zeroTaskAccounting(base.Node(node).Sched.Tasks)
+	}
+	if s := base.Session(); s != nil {
+		s.Trace, s.Handled = nil, 0
+	}
 	var slots int
 	if net := base.Net(); net != nil {
+		zeroBusAccounting(net)
 		bus := net.Sched
 		if bus == nil {
 			return nil, fmt.Errorf("campaign: model %q has no TDMA schedule; bus campaigns need one", spec.Model)

@@ -12,10 +12,10 @@ import (
 )
 
 // runner is one worker's warm simulator instance: built once, then
-// rewound to a fresh fork of the base checkpoint for every variant it
-// executes. Instances are never shared between workers. One runner
-// drives every node of its session, a board or a cluster: parallelism
-// is across variants, not within one.
+// restored to the shared base checkpoint for every variant it executes.
+// Instances are never shared between workers. One runner drives every
+// node of its session, a board or a cluster: parallelism is across
+// variants, not within one.
 type runner struct {
 	spec     *Spec
 	dbg      *repro.Debugger
@@ -37,9 +37,10 @@ func newRunner(spec *Spec, sc *dsl.Scenario, prog *codegen.Program, base *checkp
 	}, nil
 }
 
-// zeroTaskAccounting clears the accounting fields of a cloned scheduler
-// state so post-restore counters measure the variant's window alone.
-// Rhythm fields (NextRelease, RelSeq) are behavioral and stay.
+// zeroTaskAccounting clears the accounting fields of the base
+// checkpoint's scheduler state so post-restore counters measure the
+// variant's window alone. Rhythm fields (NextRelease, RelSeq) are
+// behavioral and stay.
 func zeroTaskAccounting(tasks []dtm.TaskState) {
 	for i := range tasks {
 		t := &tasks[i]
@@ -50,8 +51,8 @@ func zeroTaskAccounting(tasks []dtm.TaskState) {
 	}
 }
 
-// zeroBusAccounting clears a cloned network state's counters (Queued is
-// the live TX depth and stays — departures decrement it).
+// zeroBusAccounting clears the base checkpoint's network counters (Queued
+// is the live TX depth and stays — departures decrement it).
 func zeroBusAccounting(st *dtm.NetworkState) {
 	st.Sent, st.Dropped = 0, 0
 	for node, bs := range st.Stats {
@@ -80,18 +81,9 @@ func variantSchedule(base *dtm.BusSchedule, v variant) *dtm.BusSchedule {
 }
 
 // fork rewinds the instance to the base checkpoint with the variant's
-// parameters applied and a fresh (arena-backed) trace installed.
+// parameters applied and a fresh (arena-backed) trace installed. The base
+// is shared by every worker and never written: a restore copies state in.
 func (r *runner) fork(v variant) error {
-	cp := r.base.Clone()
-	for _, node := range r.nodes {
-		zeroTaskAccounting(cp.Node(node).Sched.Tasks)
-	}
-	if s := cp.Session(); s != nil {
-		// Drop the warm trace: the restore would replay it through the
-		// GDM, and the variant's observations start at the fork.
-		s.Trace = nil
-		s.Handled = 0
-	}
 	// Priorities are code-level (task registration), not checkpoint
 	// state: apply the permutation before the restore so the rebuilt
 	// ready queue orders under the variant's assignment.
@@ -104,22 +96,27 @@ func (r *runner) fork(v variant) error {
 			}
 		}
 	}
-	if net := cp.Net(); net != nil {
+	cp := r.base
+	if net := r.base.Net(); net != nil {
 		// Re-parameterise the bus: the variant schedule replaces the
 		// installed one (SetSchedule restarts the jitter/loss RNG on the
-		// variant seed), the clone's captured schedule is mutated to match
-		// so the restore's schedule-identity check passes, and the clone's
-		// RNG state is pinned to the variant stream (Network.Restore would
-		// otherwise rewind it to the warm-up's position).
-		zeroBusAccounting(net)
-		sched := variantSchedule(r.base.Net().Sched, v)
-		net.Sched = sched
-		net.RNG = v.Seed
+		// variant seed). The restored state carries the same schedule, so
+		// the restore's schedule-identity check passes, and its RNG is
+		// pinned to the variant stream (Network.Restore would otherwise
+		// rewind it to the warm-up's position). Both go on shallow copies
+		// of the Checkpoint and ClusterState structs; their maps and
+		// slices stay the base's, read-only.
+		sched := variantSchedule(net.Sched, v)
 		live := r.dbg.Cluster.Net
 		live.DropInflight()
 		if err := live.SetSchedule(sched); err != nil {
 			return fmt.Errorf("variant %d schedule: %w", v.Index, err)
 		}
+		cl := *r.base.Cluster
+		cl.Net.Sched, cl.Net.RNG = sched, v.Seed
+		fork := *r.base
+		fork.Cluster = &cl
+		cp = &fork
 	}
 	r.arena.Recycle(r.dbg.Session.Trace)
 	if err := r.dbg.RestoreCheckpoint(cp); err != nil {

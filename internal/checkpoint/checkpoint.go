@@ -86,43 +86,32 @@ type Checkpoint struct {
 	ClusterHost *ClusterHostState    `json:"clusterHost,omitempty"`
 }
 
-// Clone deep-copies the whole checkpoint in memory (nil-safe), composing
-// the per-layer Clone methods. This is the zero-serialization fork path:
-// cloning a warm checkpoint and restoring the clone is equivalent to a
-// Marshal/Decode round trip — the differential tests pin clones to the
-// original's exact Marshal bytes — at a fraction of the allocation cost,
-// which is what makes fleet-scale campaign forking cheap.
+// Clone returns a deep copy of the checkpoint (nil-safe) by a Marshal +
+// Decode round trip, the one serialization path. It returns nil when the
+// checkpoint does not round-trip (a hand-built one of another Version).
+//
+// Deprecated: restore the checkpoint itself. Restore copies state in and
+// never writes its input, so one checkpoint can be restored any number of
+// times, into any number of debuggers at once.
 func (c *Checkpoint) Clone() *Checkpoint {
 	if c == nil {
 		return nil
 	}
-	cp := *c
-	cp.Board = c.Board.Clone()
-	cp.Cluster = c.Cluster.Clone()
-	if c.Host != nil {
-		h := HostState{Session: c.Host.Session.Clone()}
-		if c.Host.Serial != nil {
-			s := c.Host.Serial.Clone()
-			h.Serial = &s
-		}
-		cp.Host = &h
+	b, err := c.Marshal()
+	if err != nil {
+		return nil
 	}
-	if c.ClusterHost != nil {
-		h := ClusterHostState{Session: c.ClusterHost.Session.Clone()}
-		if c.ClusterHost.Serials != nil {
-			h.Serials = make(map[string]engine.SerialSourceState, len(c.ClusterHost.Serials))
-			for node, st := range c.ClusterHost.Serials {
-				h.Serials[node] = st.Clone()
-			}
-		}
-		cp.ClusterHost = &h
+	cp, err := Decode(bytes.NewReader(b))
+	if err != nil {
+		return nil
 	}
-	return &cp
+	return cp
 }
 
 // Node returns the captured state of the named node's board in either
-// layout, or nil. It is what a fork edits per node, so callers need not
-// know which layout the checkpoint has.
+// layout, or nil, so callers need not know which layout the checkpoint
+// has. The state is the checkpoint's own, not a copy: a campaign edits
+// it once, on its base, before any fork restores it.
 func (c *Checkpoint) Node(name string) *target.BoardState {
 	switch {
 	case c.Board != nil && c.Board.Name == name:
@@ -134,7 +123,8 @@ func (c *Checkpoint) Node(name string) *target.BoardState {
 }
 
 // Session returns the captured host session in either layout, or nil
-// when the checkpoint carries none.
+// when the checkpoint carries none. Like Node, it points into the
+// checkpoint.
 func (c *Checkpoint) Session() *engine.SessionState {
 	switch {
 	case c.Host != nil:
@@ -146,7 +136,7 @@ func (c *Checkpoint) Session() *engine.SessionState {
 }
 
 // Net returns a cluster checkpoint's network state (the bus), or nil for
-// a board.
+// a board. Like Node, it points into the checkpoint.
 func (c *Checkpoint) Net() *dtm.NetworkState {
 	if c.Cluster == nil {
 		return nil

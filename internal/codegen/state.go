@@ -40,30 +40,6 @@ type MachineState struct {
 	Res    ExecResultState `json:"res"`
 }
 
-// Clone deep-copies the state: the pending-emit slice is duplicated (its
-// elements are plain values), nil-ness preserved so a clone marshals to
-// the same bytes as the original.
-func (st ExecResultState) Clone() ExecResultState {
-	cp := st
-	if st.Emits != nil {
-		cp.Emits = make([]EmitState, len(st.Emits))
-		copy(cp.Emits, st.Emits)
-	}
-	return cp
-}
-
-// Clone deep-copies the machine state; the copy shares no storage with the
-// original, so a forked variant can run without back-mutating the source.
-func (st MachineState) Clone() MachineState {
-	cp := st
-	if st.Stack != nil {
-		cp.Stack = make([]value.Encoded, len(st.Stack))
-		copy(cp.Stack, st.Stack)
-	}
-	cp.Res = st.Res.Clone()
-	return cp
-}
-
 // EncodeExecResult deep-copies an ExecResult into its portable form.
 func EncodeExecResult(r ExecResult) ExecResultState {
 	st := ExecResultState{

@@ -102,6 +102,21 @@ func (s *BusSchedule) Validate() error {
 	return nil
 }
 
+// Clone copies a bus schedule (nil-safe). Campaign variants derive their
+// schedule from the base checkpoint's by editing the copy's seed, loss,
+// jitter and slot owners. The original must stay as it is: every worker
+// reads the base, and Network.Snapshot hands out the live schedule
+// pointer, so an edit in place would re-parameterise a running bus
+// behind its back.
+func (s *BusSchedule) Clone() *BusSchedule {
+	if s == nil {
+		return nil
+	}
+	cp := *s
+	cp.Slots = slices.Clone(s.Slots)
+	return &cp
+}
+
 // CycleNs returns the TDMA cycle length (slots plus gaps).
 func (s *BusSchedule) CycleNs() uint64 {
 	var total uint64

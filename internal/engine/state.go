@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/expr"
 	"repro/internal/jtag"
@@ -46,22 +45,6 @@ type SessionState struct {
 	// re-announce unchanged watches (fresh cache = baseline re-report) or
 	// diff against values from the abandoned future (stale live cache).
 	Watcher *jtag.WatcherState `json:"watcher,omitempty"`
-}
-
-// Clone deep-copies the session state: breakpoints, the whole trace and
-// the watcher cache are duplicated, nil-ness preserved so the clone
-// marshals to the original's exact bytes.
-func (st SessionState) Clone() SessionState {
-	cp := st
-	cp.Breaks = slices.Clone(st.Breaks) // BreakpointState is a flat value
-	if st.Trace != nil {
-		cp.Trace = st.Trace.Clone()
-	}
-	if st.Watcher != nil {
-		w := st.Watcher.Clone()
-		cp.Watcher = &w
-	}
-	return cp
 }
 
 // Snapshot captures the session's host-side state. The trace is
@@ -185,13 +168,6 @@ func (s *Session) SetPausedState(paused bool) {
 type SerialSourceState struct {
 	Seq uint16                `json:"seq"`
 	Dec protocol.DecoderState `json:"dec,omitempty"`
-}
-
-// Clone deep-copies the serial command channel state.
-func (st SerialSourceState) Clone() SerialSourceState {
-	cp := st
-	cp.Dec = st.Dec.Clone()
-	return cp
 }
 
 // Snapshot captures the channel's sequence counter and deframing state.

@@ -2,7 +2,6 @@ package jtag
 
 import (
 	"fmt"
-	"maps"
 	"sort"
 
 	"repro/internal/protocol"
@@ -216,14 +215,6 @@ func (w *Watcher) Watches() []Watch {
 type WatcherState struct {
 	Seq  uint16                   `json:"seq,omitempty"`
 	Last map[string]value.Encoded `json:"last,omitempty"`
-}
-
-// Clone deep-copies the watcher state (previous-value map duplicated,
-// nil-ness preserved).
-func (st WatcherState) Clone() WatcherState {
-	cp := st
-	cp.Last = maps.Clone(st.Last)
-	return cp
 }
 
 // Snapshot captures the watcher's change-detection state (deep-copied via

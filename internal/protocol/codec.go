@@ -335,14 +335,6 @@ type DecoderState struct {
 	Errors  int    `json:"errors,omitempty"`
 }
 
-// Clone deep-copies the deframing state (partial frame body duplicated,
-// nil-ness preserved).
-func (st DecoderState) Clone() DecoderState {
-	cp := st
-	cp.Body = slices.Clone(st.Body)
-	return cp
-}
-
 // Snapshot captures the deframing state. Decoded messages are not part of
 // it: Feed hands back everything it decoded, and callers consume the
 // result synchronously.

@@ -177,10 +177,10 @@ func TestLinkMatchesReference(t *testing.T) {
 			default:
 				if len(snaps) > 0 && rng.Intn(2) == 0 {
 					st := snaps[rng.Intn(len(snaps))]
-					if err := l.Restore(st.Clone()); err != nil {
+					if err := l.Restore(st); err != nil {
 						t.Fatal(err)
 					}
-					ref.restore(st.Clone())
+					ref.restore(st)
 				} else {
 					snaps = append(snaps, l.Snapshot())
 				}

@@ -1,9 +1,6 @@
 package serial
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Explicit-state forms of the UART line: the in-flight byte queues (with
 // their arrival instants), the received-but-undrained bytes, the per-
@@ -32,25 +29,6 @@ type LinkState struct {
 	Baud int               `json:"baud"`
 	Now  uint64            `json:"now"`
 	Dirs [2]DirectionState `json:"dirs"`
-}
-
-// Clone deep-copies one direction's state (queue and RX buffer
-// duplicated, nil-ness preserved).
-func (st DirectionState) Clone() DirectionState {
-	cp := st
-	cp.Queue = slices.Clone(st.Queue)
-	cp.Rx = slices.Clone(st.Rx)
-	return cp
-}
-
-// Clone deep-copies the link state; the copy marshals to the same bytes
-// as the original and shares no storage with it.
-func (st LinkState) Clone() LinkState {
-	cp := st
-	for d := range st.Dirs {
-		cp.Dirs[d] = st.Dirs[d].Clone()
-	}
-	return cp
 }
 
 // Snapshot captures the link's complete state; the result shares no

@@ -220,7 +220,9 @@ func (a *breakAgent) check(names []string, trig string, v value.Value, hasVal bo
 		}
 		bp.hits++
 		bp.hot = true
-		a.hitBP, a.stepHit = bp, false
+		// A hit ends a pending step: the board halts here, at a model
+		// event, and a later resume must not re-halt at the next one.
+		a.hitBP, a.stepHit, a.stepArm = bp, false, false
 		a.trigSym, a.trigVal, a.trigHas = trig, v, hasVal
 		return true, cost
 	}

@@ -349,23 +349,28 @@
 //
 // A campaign (internal/campaign, `gmdf -campaign`) simulates a warm
 // prefix once, checkpoints it, and forks N parameter variants from that
-// one in-memory checkpoint — Checkpoint.Clone() is a deep structural
-// copy with no serialization, so a fork costs microseconds where the
-// Marshal/Decode round trip cost milliseconds. A fork is NOT a plain
-// restore: the variant must start a fresh observation window under new
-// parameters while keeping the warm dynamic state. What each layer
-// keeps, resets, or overrides at fork time:
+// one in-memory checkpoint. A fork is a restore: Restore copies state in
+// and never writes its input, so every worker restores the one shared
+// base, concurrently, and nothing is copied up front. The variant must
+// still start a fresh observation window under new parameters while
+// keeping the warm dynamic state. Edits every variant shares are made
+// once, on the base, right after it is captured; per-variant edits go on
+// the live target or on shallow copies of the Checkpoint and
+// ClusterState structs, whose maps and slices stay the base's. What each
+// layer keeps, resets, or overrides:
 //
-//	layer               kept from the warm prefix       reset / overridden per variant
+//	layer               kept from the warm prefix       reset / overridden
 //	kernel clock        absolute virtual time           — (windows are measured
 //	                    continues                       relative to the fork instant)
-//	scheduler jobs      ready heap, preempted jobs,     per-task accounting zeroed
-//	                    release rhythm (NextRelease,    (releases, misses, exec/
-//	                    RelSeq), suspended releases     response stats) so observations
-//	                                                    cover only the variant window
-//	task priorities     —                               ShufflePriorities permutes the
-//	                                                    priority multiset over the
-//	                                                    tasks (deterministic
+//	scheduler jobs      ready heap, preempted jobs,     once, on the base: per-task
+//	                    release rhythm (NextRelease,    accounting zeroed (releases,
+//	                    RelSeq), suspended releases     misses, exec/response stats)
+//	                                                    so observations cover only
+//	                                                    the variant window
+//	task priorities     —                               per variant, on the live
+//	                                                    tasks: ShufflePriorities
+//	                                                    permutes the priority
+//	                                                    multiset (deterministic
 //	                                                    Fisher-Yates from the variant
 //	                                                    stream); the ready heap
 //	                                                    rebuilds under the new order
@@ -373,16 +378,21 @@
 //	RAM / VM machines   byte-identical — mid-release    —
 //	                    machines resume at their
 //	                    instruction boundary
-//	bus schedule        slot/gap geometry               Seed, LossPerMille, JitterNs
-//	                                                    overridden; RotateSlots
-//	                                                    rotates slot ownership;
-//	                                                    in-flight frames are dropped
-//	                                                    (their departure draws belong
-//	                                                    to the old seed) and TX stats
-//	                                                    zeroed, queued frames kept
-//	session trace       discarded — each variant        fresh arena-backed trace;
-//	                    records only its own window     trace buffers recycle across
-//	                                                    forks on the same worker
+//	bus schedule        slot/gap geometry; the base's   per variant, on a shallow
+//	                    queued and in-flight frames     copy: Seed, LossPerMille,
+//	                                                    JitterNs overridden,
+//	                                                    RotateSlots rotates slot
+//	                                                    ownership, RNG pinned to the
+//	                                                    variant seed; the live bus
+//	                                                    drops its frames so the
+//	                                                    schedule can be installed.
+//	                                                    Once, on the base: TX stats
+//	                                                    zeroed (queue depth kept)
+//	session trace       discarded — each variant        once, on the base: trace and
+//	                    records only its own window     handled count dropped; per
+//	                                                    variant a fresh arena-backed
+//	                                                    trace whose buffers recycle
+//	                                                    across forks on one worker
 //	breakpoints /       armed conditions survive the    —
 //	agent               fork (the campaign runner
 //	                    forks from unpaused prefixes)
