@@ -265,20 +265,24 @@ func BenchmarkE7_Target(b *testing.B) {
 }
 
 // TestReleasePathZeroAllocs pins in tier-1 what BenchmarkE7_Target's
-// allocs/op shows: once warm, a heating board advancing 1 ms and the host
-// decoding its UART bytes allocate nothing, clean and instrumented. Each
-// measured run is 500 such steps, so a single allocation in any of them
-// fails the test.
+// allocs/op shows: once warm, a board advancing 1 ms and the host
+// decoding its UART bytes allocate nothing — the cooperative heating
+// board clean and instrumented, and the preemptive priorityload board,
+// whose releases go through the fixed-priority job queue. Each measured
+// run is 500 such steps, so a single allocation in any of them fails the
+// test.
 func TestReleasePathZeroAllocs(t *testing.T) {
+	instrumented := codegen.Options{Instrument: codegen.Instrument{StateEnter: true, Transitions: true, Signals: true}}
 	for _, tc := range []struct {
-		name string
-		opts codegen.Options
+		name  string
+		board func(testing.TB) *target.Board
 	}{
-		{"clean", codegen.Options{}},
-		{"instrumented", codegen.Options{Instrument: codegen.Instrument{StateEnter: true, Transitions: true, Signals: true}}},
+		{"clean", func(tb testing.TB) *target.Board { return heatingBoard(tb, codegen.Options{}) }},
+		{"instrumented", func(tb testing.TB) *target.Board { return heatingBoard(tb, instrumented) }},
+		{"priorityload", func(tb testing.TB) *target.Board { return priorityBoard(tb, instrumented) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			brd := heatingBoard(t, tc.opts)
+			brd := tc.board(t)
 			var dec protocol.Decoder
 			steps := func() {
 				for i := 0; i < 500; i++ {
@@ -292,6 +296,27 @@ func TestReleasePathZeroAllocs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// priorityBoard is the priorityload model on its standard 1 MHz
+// fixed-priority board.
+func priorityBoard(tb testing.TB, opts codegen.Options) *target.Board {
+	tb.Helper()
+	sys, err := models.PriorityLoad()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	prog, err := codegen.Compile(sys, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := StandardBoardConfig("priorityload")
+	cfg.Bindings = sys.Bindings
+	brd, err := target.NewBoard("main", prog, cfg, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return brd
 }
 
 // BenchmarkE8_TraceThroughput times trace append + replay per event.

@@ -344,7 +344,7 @@ func TestReplayUntilFindsFirstMiss(t *testing.T) {
 	if misses.Len() == 0 {
 		t.Fatal("preemption scenario should miss deadlines")
 	}
-	firstMiss := misses.Records[0].Event.Time
+	firstMiss := misses.At(0).Event.Time
 	totalBefore := dbg.Board.DeadlineMisses()
 
 	if _, err := dbg.Session.RewindTo(firstMiss - 1_000_000); err != nil {

@@ -51,7 +51,7 @@ func main() {
 	misses := dbg.Session.Trace.OfType(protocol.EvDeadlineMiss)
 	fmt.Printf("recorded 40 ms: %d trace records, %d checkpoints, %d deadline misses\n",
 		dbg.Session.Trace.Len(), len(rec.Checkpoints()), misses.Len())
-	firstMiss := misses.Records[0].Event.Time
+	firstMiss := misses.At(0).Event.Time
 	fmt.Printf("first miss: lowly's latch at %.3f ms — long gone by the end of the run\n",
 		float64(firstMiss)/1e6)
 

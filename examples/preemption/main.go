@@ -73,19 +73,19 @@ func main() {
 	fmt.Printf("  context switches: %d\n", fp.Board.CtxSwitches())
 
 	// The scheduling incidents are ordinary model-level events on the wire.
-	preempts := fp.Session.Trace.OfType(protocol.EvPreempt).Records
-	misses := fp.Session.Trace.OfType(protocol.EvDeadlineMiss).Records
-	fmt.Printf("  on the wire: %d EvPreempt, %d EvDeadlineMiss\n", len(preempts), len(misses))
-	for i, r := range preempts {
+	preempts := fp.Session.Trace.OfType(protocol.EvPreempt)
+	misses := fp.Session.Trace.OfType(protocol.EvDeadlineMiss)
+	fmt.Printf("  on the wire: %d EvPreempt, %d EvDeadlineMiss\n", preempts.Len(), misses.Len())
+	for i, r := range preempts.Records {
 		if i >= 3 {
-			fmt.Printf("  ... %d more preemptions\n", len(preempts)-3)
+			fmt.Printf("  ... %d more preemptions\n", preempts.Len()-3)
 			break
 		}
 		fmt.Printf("  %s\n", r.Event)
 	}
-	for i, r := range misses {
+	for i, r := range misses.Records {
 		if i >= 3 {
-			fmt.Printf("  ... %d more misses\n", len(misses)-3)
+			fmt.Printf("  ... %d more misses\n", misses.Len()-3)
 			break
 		}
 		fmt.Printf("  %s\n", r.Event)

@@ -19,9 +19,8 @@
 //   - variants run on a work-stealing executor (internal/sched), so
 //     heterogeneous runtimes — a variant that trips its shrink search
 //     next to one that runs clean — rebalance across workers;
-//   - each worker keeps one warm simulator instance and an arena of
-//     recycled trace buffers, so per-variant setup is a restore, not a
-//     rebuild.
+//   - each worker keeps one warm simulator instance and one trace, reset
+//     at every fork, so per-variant setup is a restore, not a rebuild.
 //
 // The model runs as the scenario it is (dsl.FromSystem), so a campaign
 // session is built exactly as `gmdf -model` and the farm build it: one

@@ -6,7 +6,6 @@ import (
 	"repro"
 	"repro/internal/dsl"
 	"repro/internal/sched"
-	"repro/internal/trace"
 	"repro/models"
 )
 
@@ -49,8 +48,7 @@ func Run(spec Spec) (*Aggregate, error) {
 	if err != nil {
 		return nil, err
 	}
-	arena := &trace.Arena{}
-	coord, err := newRunner(&spec, sc, prog, nil, arena)
+	coord, err := newRunner(&spec, sc, prog, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +119,7 @@ func Run(spec Spec) (*Aggregate, error) {
 	runners[0] = coord
 	getRunner := func(w int) (*runner, error) {
 		if runners[w] == nil && buildErr[w] == nil {
-			runners[w], buildErr[w] = newRunner(&spec, sc, prog, base, arena)
+			runners[w], buildErr[w] = newRunner(&spec, sc, prog, base)
 		}
 		return runners[w], buildErr[w]
 	}

@@ -17,23 +17,24 @@ import (
 // node of its session, a board or a cluster: parallelism is across
 // variants, not within one.
 type runner struct {
-	spec     *Spec
-	dbg      *repro.Debugger
-	base     *checkpoint.Checkpoint
-	arena    *trace.Arena
-	progName string // the session trace's program label
-	nodes    []string
+	spec *Spec
+	dbg  *repro.Debugger
+	base *checkpoint.Checkpoint
+	// trace is the variant trace every fork resets and installs, so its
+	// storage is reused from variant to variant.
+	trace *trace.Trace
+	nodes []string
 }
 
-func newRunner(spec *Spec, sc *dsl.Scenario, prog *codegen.Program, base *checkpoint.Checkpoint, arena *trace.Arena) (*runner, error) {
+func newRunner(spec *Spec, sc *dsl.Scenario, prog *codegen.Program, base *checkpoint.Checkpoint) (*runner, error) {
 	dbg, err := sc.Debug(repro.Active, prog)
 	if err != nil {
 		return nil, err
 	}
 	return &runner{
-		spec: spec, dbg: dbg, base: base, arena: arena,
-		progName: dbg.Session.Trace.Program,
-		nodes:    dbg.Nodes(),
+		spec: spec, dbg: dbg, base: base,
+		trace: trace.New(dbg.Session.Trace.Program),
+		nodes: dbg.Nodes(),
 	}, nil
 }
 
@@ -81,7 +82,7 @@ func variantSchedule(base *dtm.BusSchedule, v variant) *dtm.BusSchedule {
 }
 
 // fork rewinds the instance to the base checkpoint with the variant's
-// parameters applied and a fresh (arena-backed) trace installed. The base
+// parameters applied and the runner's trace, emptied, installed. The base
 // is shared by every worker and never written: a restore copies state in.
 func (r *runner) fork(v variant) error {
 	// Priorities are code-level (task registration), not checkpoint
@@ -118,11 +119,11 @@ func (r *runner) fork(v variant) error {
 		fork.Cluster = &cl
 		cp = &fork
 	}
-	r.arena.Recycle(r.dbg.Session.Trace)
 	if err := r.dbg.RestoreCheckpoint(cp); err != nil {
 		return err
 	}
-	r.dbg.Session.Trace = r.arena.NewTrace(r.progName)
+	r.trace.Reset()
+	r.dbg.Session.Trace = r.trace
 	return nil
 }
 

@@ -525,6 +525,12 @@ type Scheduler struct {
 	// deadline instants, surfaced as explicit records instead of closures
 	// so a snapshot can carry them.
 	pending []pendingOutput
+
+	// freeJobs are retired jobs kept for reuse with their cached kernel
+	// callbacks, so a fixed-priority release allocates nothing once warm.
+	freeJobs []*job
+	// dispatchFn caches the deferred-dispatch callback.
+	dispatchFn func(now uint64)
 }
 
 // relSlot is one pending release event.
@@ -619,11 +625,12 @@ func (s *Scheduler) release(t *Task, now uint64) {
 		in = t.Latch(now)
 	}
 	if s.Policy == FixedPriority {
-		j := &job{t: t, release: now, seq: s.jobSeq, in: in}
+		j := s.newJob()
+		j.t, j.release, j.seq, j.in = t, now, s.jobSeq, in
 		s.jobSeq++
 		s.ready.push(j)
 		s.unlatched = append(s.unlatched, j)
-		j.latchSeq, _ = s.K.ScheduleTagged(now+t.Deadline, func(n uint64) { s.latch(j, n) })
+		j.latchSeq, _ = s.K.ScheduleTagged(now+t.Deadline, j.latchFn)
 		s.dispatch(now)
 		return
 	}
@@ -695,6 +702,8 @@ func (t *Task) cooperativeRun(now uint64, in map[string]value.Value) (map[string
 }
 
 // job is one release turned into a resumable unit of work (FixedPriority).
+// A job is recycled once it is dead: finished (done or failed) with its
+// deadline latch fired. Until then the kernel holds its callbacks.
 type job struct {
 	t       *Task
 	release uint64
@@ -718,6 +727,52 @@ type job struct {
 	// re-arms them in their original tie-break positions.
 	latchSeq uint64
 	endSeq   uint64
+
+	// dead marks a finished job whose latch has fired; it is kept (not
+	// recycled) only while it is the scheduler's lastJob.
+	dead bool
+
+	// latchFn and endFn are the job's cached kernel callbacks: the
+	// deadline latch, and the end of the slice on the CPU (a completion
+	// when the slice finishes the body, a slice boundary otherwise).
+	latchFn func(now uint64)
+	endFn   func(now uint64)
+}
+
+// newJob returns a zeroed job, recycled when one is free, with its
+// callbacks bound.
+func (s *Scheduler) newJob() *job {
+	if n := len(s.freeJobs); n > 0 {
+		j := s.freeJobs[n-1]
+		s.freeJobs = s.freeJobs[:n-1]
+		return j
+	}
+	j := &job{}
+	j.latchFn = func(n uint64) { s.latch(j, n) }
+	j.endFn = func(n uint64) {
+		if j.willDone {
+			s.complete(j, n)
+		} else {
+			s.sliceEnd(j, n)
+		}
+	}
+	return j
+}
+
+// retire marks a finished job whose latch has fired as dead and recycles
+// it, unless it is lastJob: a snapshot still names that one, and the next
+// dispatch compares against it.
+func (s *Scheduler) retire(j *job) {
+	j.dead = true
+	if j != s.lastJob {
+		s.recycle(j)
+	}
+}
+
+func (s *Scheduler) recycle(j *job) {
+	latchFn, endFn := j.latchFn, j.endFn
+	*j = job{latchFn: latchFn, endFn: endFn}
+	s.freeJobs = append(s.freeJobs, j)
 }
 
 // jobHeap orders ready jobs: highest Priority first, FIFO within equals.
@@ -799,7 +854,10 @@ func (s *Scheduler) dispatch(now uint64) {
 	if horizon <= now {
 		// A release at this very instant has not fired yet; decide after
 		// it has enqueued its job.
-		_ = s.K.Schedule(now, func(n uint64) { s.dispatch(n) })
+		if s.dispatchFn == nil {
+			s.dispatchFn = func(n uint64) { s.dispatch(n) }
+		}
+		_ = s.K.Schedule(now, s.dispatchFn)
 		return
 	}
 	j := s.ready.pop()
@@ -812,12 +870,15 @@ func (s *Scheduler) dispatch(now uint64) {
 			s.OnCtxSwitch(now, j.t)
 		}
 	}
+	if last := s.lastJob; last != j && last != nil && last.dead {
+		s.recycle(last)
+	}
 	s.lastJob = j
 	budget := horizon - now
 	if ctx >= budget {
 		// The switch itself consumes the slice; the body runs next time.
 		j.endAt, j.willDone = now+ctx, false
-		j.endSeq, _ = s.K.ScheduleTagged(now+ctx, func(n uint64) { s.sliceEnd(j, n) })
+		j.endSeq, _ = s.K.ScheduleTagged(now+ctx, j.endFn)
 		return
 	}
 	budget -= ctx
@@ -834,17 +895,16 @@ func (s *Scheduler) dispatch(now uint64) {
 		j.t.LastError = err
 		j.failed = true
 		s.running = nil
+		if j.latched {
+			s.retire(j)
+		}
 		s.dispatch(now)
 		return
 	}
 	j.usedNs += used
 	end := now + ctx + used
 	j.endAt, j.willDone = end, done
-	if done {
-		j.endSeq, _ = s.K.ScheduleTagged(end, func(n uint64) { s.complete(j, n) })
-	} else {
-		j.endSeq, _ = s.K.ScheduleTagged(end, func(n uint64) { s.sliceEnd(j, n) })
-	}
+	j.endSeq, _ = s.K.ScheduleTagged(end, j.endFn)
 }
 
 // runSlice executes up to budgetNs of the job's body. Tasks without a
@@ -896,8 +956,11 @@ func (s *Scheduler) complete(j *job, now uint64) {
 	if resp > t.WorstResponseNs {
 		t.WorstResponseNs = resp
 	}
-	if j.latched && t.Output != nil {
-		t.Output(now, j.out)
+	if j.latched {
+		if t.Output != nil {
+			t.Output(now, j.out)
+		}
+		s.retire(j)
 	}
 	s.dispatch(now)
 }
@@ -915,12 +978,14 @@ func (s *Scheduler) latch(j *job, now uint64) {
 		}
 	}
 	if j.failed {
+		s.retire(j)
 		return
 	}
 	if j.done {
 		if j.t.Output != nil {
 			j.t.Output(now, j.out)
 		}
+		s.retire(j)
 		return
 	}
 	j.latched = true

@@ -174,6 +174,16 @@ func (s *Scheduler) Restore(st SchedulerState) error {
 	s.CtxSwitches = st.CtxSwitches
 	s.halted = st.Halted
 	s.jobSeq = st.JobSeq
+	// The abandoned timeline's jobs go back to the pool: the kernel queue,
+	// the only other holder of their callbacks, was cleared first. A
+	// recycled job has a nil task, so a job held twice is recycled once.
+	for _, set := range [...][]*job{s.ready, s.susp, s.unlatched, {s.running, s.lastJob}} {
+		for _, j := range set {
+			if j != nil && j.t != nil {
+				s.recycle(j)
+			}
+		}
+	}
 	s.ready = s.ready[:0]
 	s.susp = s.susp[:0]
 	s.running = nil
@@ -217,31 +227,25 @@ func (s *Scheduler) Restore(st SchedulerState) error {
 		if err != nil {
 			return fmt.Errorf("dtm: restore job %s/%d: %w", js.Task, js.Seq, err)
 		}
-		j := &job{
+		j := s.newJob()
+		*j = job{
 			t: t, release: js.Release, seq: js.Seq, in: in, out: out,
 			usedNs: js.UsedNs, done: js.Done, failed: js.Failed,
 			suspended: js.Suspended, latched: js.Latched,
 			endAt: js.EndAt, willDone: js.WillDone,
 			latchSeq: js.LatchSeq, endSeq: js.EndSeq,
+			latchFn: j.latchFn, endFn: j.endFn,
 		}
 		if !j.latched {
 			s.unlatched = append(s.unlatched, j)
-			jj := j
-			if err := s.K.Rearm(j.release+t.Deadline, j.latchSeq, func(n uint64) { s.latch(jj, n) }); err != nil {
+			if err := s.K.Rearm(j.release+t.Deadline, j.latchSeq, j.latchFn); err != nil {
 				return fmt.Errorf("dtm: restore job %s/%d latch: %w", js.Task, js.Seq, err)
 			}
 		}
 		switch {
 		case js.Running:
 			s.running = j
-			jj := j
-			var fn func(uint64)
-			if j.willDone {
-				fn = func(n uint64) { s.complete(jj, n) }
-			} else {
-				fn = func(n uint64) { s.sliceEnd(jj, n) }
-			}
-			if err := s.K.Rearm(j.endAt, j.endSeq, fn); err != nil {
+			if err := s.K.Rearm(j.endAt, j.endSeq, j.endFn); err != nil {
 				return fmt.Errorf("dtm: restore job %s/%d slice end: %w", js.Task, js.Seq, err)
 			}
 		case j.suspended:
@@ -258,7 +262,9 @@ func (s *Scheduler) Restore(st SchedulerState) error {
 		// the same identity so the next dispatch still charges (or skips)
 		// the context switch exactly as the live timeline would have.
 		if t, ok := byName[st.LastJob.Task]; ok {
-			s.lastJob = &job{t: t, seq: st.LastJob.Seq, done: true, latched: true}
+			j := s.newJob()
+			j.t, j.seq, j.done, j.latched, j.dead = t, st.LastJob.Seq, true, true, true
+			s.lastJob = j
 		}
 	}
 

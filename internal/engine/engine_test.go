@@ -182,8 +182,8 @@ func TestModelLevelBreakpoint(t *testing.T) {
 	}
 	// The trace records the hit.
 	hits := s.Trace.OfType(protocol.EvBreakHit)
-	if hits.Len() != 1 || hits.Records[0].Event.Source != "bp-heating" {
-		t.Errorf("break trace = %+v", hits.Records)
+	if hits.Len() != 1 || hits.At(0).Event.Source != "bp-heating" {
+		t.Errorf("break trace = %+v", hits.Slice(0, hits.Len()))
 	}
 	// Continue resumes execution.
 	frozen := b.Cycles()

@@ -47,9 +47,10 @@ type SessionState struct {
 	Watcher *jtag.WatcherState `json:"watcher,omitempty"`
 }
 
-// Snapshot captures the session's host-side state. The trace is
-// deep-copied, so the live session appending more records does not mutate
-// the snapshot.
+// Snapshot captures the session's host-side state. The trace is a Clone:
+// it shares the live trace's sealed history and copies only the unsealed
+// tail, so the live session appending more records does not change the
+// snapshot, and a snapshot costs at most one chunk of copying.
 func (s *Session) Snapshot() SessionState {
 	st := SessionState{
 		Paused:  s.paused,
@@ -97,7 +98,6 @@ func (s *Session) Restore(st SessionState) error {
 	s.Handled = st.Handled
 	if st.Trace != nil {
 		s.Trace = st.Trace.Clone()
-		s.Trace.Reseed()
 	} else {
 		s.Trace = trace.New(s.Trace.Program)
 	}

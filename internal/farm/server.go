@@ -20,7 +20,6 @@ import (
 	"repro/internal/codegen"
 	"repro/internal/dsl"
 	"repro/internal/sched"
-	"repro/internal/trace"
 	"repro/models"
 )
 
@@ -567,8 +566,7 @@ func (s *Server) flushStream(ss *session) {
 	if n == ss.streamed {
 		return
 	}
-	recs := make([]trace.Record, n-ss.streamed)
-	copy(recs, tr.Records[ss.streamed:n])
+	recs := tr.Slice(ss.streamed, n)
 	ss.streamed = n
 	_ = ss.sink.writeJSON(ServerMsg{Stream: "events", Session: ss.id, Events: recs})
 	var inc uint64

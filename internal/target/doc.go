@@ -390,9 +390,9 @@
 //	                                                    zeroed (queue depth kept)
 //	session trace       discarded — each variant        once, on the base: trace and
 //	                    records only its own window     handled count dropped; per
-//	                                                    variant a fresh arena-backed
-//	                                                    trace whose buffers recycle
-//	                                                    across forks on one worker
+//	                                                    variant the worker's one
+//	                                                    trace, Reset (its storage
+//	                                                    reused across forks)
 //	breakpoints /       armed conditions survive the    —
 //	agent               fork (the campaign runner
 //	                    forks from unpaused prefixes)

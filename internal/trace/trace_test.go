@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -30,7 +31,7 @@ func TestAppendAndSpan(t *testing.T) {
 	if lo != 0 || hi != 6_000_000 {
 		t.Errorf("Span = %d..%d", lo, hi)
 	}
-	if tr.Records[0].Seq != 1 || tr.Records[7].Seq != 8 {
+	if tr.At(0).Seq != 1 || tr.At(7).Seq != 8 {
 		t.Error("sequence numbering wrong")
 	}
 	var empty Trace
@@ -67,9 +68,9 @@ func TestJSONLRoundtrip(t *testing.T) {
 	if got.Program != tr.Program || got.Len() != tr.Len() {
 		t.Fatal("roundtrip shape wrong")
 	}
-	for i := range tr.Records {
-		if got.Records[i] != tr.Records[i] {
-			t.Fatalf("record %d: %+v != %+v", i, got.Records[i], tr.Records[i])
+	for i, r := range tr.Records {
+		if got.At(i) != r {
+			t.Fatalf("record %d: %+v != %+v", i, got.At(i), r)
 		}
 	}
 	// Appending after reload continues the sequence.
@@ -224,5 +225,29 @@ func TestTimingDiagramBusLane(t *testing.T) {
 	out := d.ASCII(40)
 	if !strings.Contains(out, "x") || !strings.Contains(out, "bus") {
 		t.Fatalf("ASCII missing bus lane:\n%s", out)
+	}
+}
+
+// TestEmptyRecordListRoundTrip: an empty record list keeps its JSON form,
+// null for a trace that never had records and [] when decoded as [], so
+// a stored checkpoint re-encodes to the same bytes.
+func TestEmptyRecordListRoundTrip(t *testing.T) {
+	for _, in := range []string{`{"program":"x","records":null}`, `{"program":"x","records":[]}`} {
+		var tr Trace
+		if err := json.Unmarshal([]byte(in), &tr); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []*Trace{&tr, tr.Clone()} {
+			out, err := json.Marshal(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(out) != in {
+				t.Errorf("%s re-encoded as %s", in, out)
+			}
+		}
+	}
+	if out, _ := json.Marshal(New("x")); string(out) != `{"program":"x","records":null}` {
+		t.Errorf("new trace encodes as %s", out)
 	}
 }

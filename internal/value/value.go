@@ -301,8 +301,23 @@ func Compare(a, b Value) (int, error) {
 }
 
 // Equal reports whether two values are equal under Compare semantics;
-// incomparable kinds are simply unequal.
+// incomparable kinds are simply unequal. Same-kind operands, the common
+// case, skip Compare; each branch keeps its semantics: numbers compare as
+// float64, so Ints past 2^53 that round together are equal, and a NaN
+// (neither less nor greater) equals every number.
 func Equal(a, b Value) bool {
+	if a.kind == b.kind {
+		switch a.kind {
+		case Int:
+			return float64(a.i) == float64(b.i)
+		case Float:
+			return !(a.f < b.f || a.f > b.f)
+		case Bool:
+			return a.b == b.b
+		case String:
+			return a.s == b.s
+		}
+	}
 	c, err := Compare(a, b)
 	return err == nil && c == 0
 }

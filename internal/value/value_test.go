@@ -251,3 +251,27 @@ func TestQuickFloatRoundtrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestEqualMatchesCompare holds Equal's same-kind fast path to the
+// general Compare over every kind pair, with the edge values where the
+// two could part: NaN, ±0, ±Inf, Ints past 2^53 that round to one
+// float64, mixed Int/Float, Bool against numbers, and the Invalid kind.
+func TestEqualMatchesCompare(t *testing.T) {
+	vals := []Value{
+		{},
+		F(0), F(math.Copysign(0, -1)), F(1), F(-2.5), F(1e300),
+		F(math.NaN()), F(math.Inf(1)), F(math.Inf(-1)), F(1 << 53),
+		I(0), I(1), I(-3), I(1 << 53), I(1<<53 + 1), I(math.MaxInt64), I(math.MinInt64),
+		B(false), B(true),
+		S(""), S("a"), S("b"), S("1"),
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			c, err := Compare(a, b)
+			want := err == nil && c == 0
+			if got := Equal(a, b); got != want {
+				t.Errorf("Equal(%v %v, %v %v) = %v, Compare says %v", a.Kind(), a, b.Kind(), b, got, want)
+			}
+		}
+	}
+}

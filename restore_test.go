@@ -58,7 +58,7 @@ func checkSharedRestore(t *testing.T, cp *checkpoint.Checkpoint, fresh func(*tes
 	if a != b {
 		diffTraces(t, a, b)
 	}
-	if len(dbgs[0].Session.Trace.Records) <= len(cp.Session().Trace.Records) {
+	if dbgs[0].Session.Trace.Len() <= cp.Session().Trace.Len() {
 		t.Fatalf("no events after the restore in %v — the scenario is inert", d)
 	}
 	shim, err := cp.Clone().Marshal()
