@@ -9,7 +9,8 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
+	"os"
 
 	"repro/internal/codegen"
 	"repro/internal/comdes"
@@ -21,10 +22,22 @@ import (
 )
 
 func main() {
-	model := flag.String("model", "heating", "built-in model (heating|traffic|ring)")
-	ms := flag.Uint64("ms", 200, "virtual milliseconds to run")
-	maxPrint := flag.Int("n", 40, "max events to print")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "targetsim:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole tool behind an error return, so tests drive it end to
+// end without forking.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("targetsim", flag.ContinueOnError)
+	model := fs.String("model", "heating", "built-in model (heating|traffic|ring)")
+	ms := fs.Uint64("ms", 200, "virtual milliseconds to run")
+	maxPrint := fs.Int("n", 40, "max events to print")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	var sys *comdes.System
 	var err error
@@ -36,20 +49,20 @@ func main() {
 	case "ring":
 		sys, err = models.TokenRing(4)
 	default:
-		log.Fatalf("unknown model %q", *model)
+		return fmt.Errorf("unknown model %q", *model)
 	}
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	prog, err := codegen.Compile(sys, codegen.Options{
 		Instrument: codegen.Instrument{StateEnter: true, Transitions: true, Signals: true},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	b, err := target.NewBoard("main", prog, target.Config{Bindings: sys.Bindings}, nil)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if *model == "heating" {
 		room := plant.NewThermal(15)
@@ -76,11 +89,12 @@ func main() {
 		evs, _ := dec.Feed(b.HostPort().Recv())
 		for _, ev := range evs {
 			if printed < *maxPrint {
-				fmt.Println(ev)
+				fmt.Fprintln(out, ev)
 			}
 			printed++
 		}
 	}
-	fmt.Printf("\n%d events total; target: %d cycles (%d instrumentation), %d UART bytes, %d decode errors\n",
+	fmt.Fprintf(out, "\n%d events total; target: %d cycles (%d instrumentation), %d UART bytes, %d decode errors\n",
 		printed, b.Cycles(), b.InstrumentationCycles(), b.Link.PortA().Stats().Bytes, dec.Errors)
+	return nil
 }

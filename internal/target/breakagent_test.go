@@ -58,7 +58,16 @@ func TestWireSetClearBreak(t *testing.T) {
 	if len(bps) != 1 || bps[0].Cond != "heater.temp < 10" {
 		t.Fatalf("after replace: %+v", bps)
 	}
+	// The kernel's scheduling counters are symbols like any other: a
+	// preemption condition arms beside the first one.
+	sendIn(t, b, protocol.Instruction{Type: protocol.InSetBreak, Source: "pre", Arg1: "heater.__preempts > 0"})
+	b.RunFor(5_000_000)
+	bps = b.TargetBreaks()
+	if len(bps) != 2 || bps[1].ID != "pre" || bps[1].Cond != "heater.__preempts > 0" {
+		t.Fatalf("preemption condition not armed: %+v", bps)
+	}
 	sendIn(t, b, protocol.Instruction{Type: protocol.InClearBreak, Source: "bp1"})
+	sendIn(t, b, protocol.Instruction{Type: protocol.InClearBreak, Source: "pre"})
 	b.RunFor(5_000_000)
 	if len(b.TargetBreaks()) != 0 {
 		t.Fatalf("clear left %+v", b.TargetBreaks())
