@@ -33,7 +33,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/farm"
 	"repro/internal/metamodel"
-	"repro/internal/workbench"
 	"repro/models"
 )
 
@@ -162,45 +161,9 @@ func run(args []string, out io.Writer) error {
 		}
 		sc = dsl.FromSystem(sys)
 	}
-	meta := comdes.Metamodel()
-	mod, err := comdes.ToModel(sc.Sys, meta)
-	if err != nil {
-		return err
-	}
-
-	// Fig. 6 steps 1–4 through the workbench wizard.
-	w := workbench.NewWizard()
-	if err := w.SelectInputs(meta, mod); err != nil {
-		return err
-	}
-	if err := w.UseMapping(engine.DefaultCOMDESMapping()); err != nil {
-		return err
-	}
+	// The Fig. 4 panel of the pairing every session abstracts with.
 	fmt.Fprintln(out, "== abstraction guide (Fig. 4) ==")
-	fmt.Fprint(out, w.GuidePanel())
-	if err := w.FinishAbstraction(); err != nil {
-		return err
-	}
-	for _, b := range defaultBindings() {
-		if err := w.BindCommand(b); err != nil {
-			return err
-		}
-	}
-	if err := w.FinishCommandSetup(); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "GDM created: %d elements, %d command bindings\n\n",
-		len(w.GDM().Elements()), len(w.GDM().Bindings()))
-	if *gdmOut != "" {
-		data, err := w.GDM().MarshalJSON()
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*gdmOut, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s (%d bytes)\n", *gdmOut, len(data))
-	}
+	fmt.Fprint(out, core.GuideView(comdes.Metamodel(), engine.DefaultCOMDESMapping()))
 
 	// A placed multi-node model debugs distributed: one board per node on
 	// a shared clock, cross-node signals on a time-triggered TDMA bus, one
@@ -215,13 +178,14 @@ func run(args []string, out io.Writer) error {
 	}
 	var restored *checkpoint.Checkpoint
 	if *restoreIn != "" {
+		var err error
 		if restored, err = checkpoint.ReadFile(*restoreIn); err != nil {
 			return err
 		}
 	}
 
-	// Step 5 via the scenario (compile + board or cluster + channels +
-	// session).
+	// Fig. 6 steps 4 and 5 via the scenario: compile, board or cluster,
+	// channels, the GDM with the COMDES command bindings, and its session.
 	tp := repro.Active
 	if *transport == "passive" {
 		tp = repro.Passive
@@ -229,6 +193,18 @@ func run(args []string, out io.Writer) error {
 	dbg, err := sc.Debug(tp, nil)
 	if err != nil {
 		return err
+	}
+	fmt.Fprintf(out, "GDM created: %d elements, %d command bindings\n\n",
+		len(dbg.GDM.Elements()), len(dbg.GDM.Bindings()))
+	if *gdmOut != "" {
+		data, err := dbg.GDM.MarshalJSON()
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(*gdmOut, data, 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "wrote %s (%d bytes)\n", *gdmOut, len(data))
 	}
 	if dbg.Cluster != nil {
 		bus := dbg.Cluster.Net.Schedule()
@@ -551,12 +527,6 @@ func runRemote(out io.Writer, o remoteOpts) error {
 		}
 	}
 	return nil
-}
-
-func defaultBindings() []core.Binding {
-	g := core.NewGDM("tmp")
-	_ = engine.BindCOMDES(g)
-	return g.Bindings()
 }
 
 func loadSystem(name string) (*comdes.System, error) {

@@ -38,7 +38,7 @@ func run(args []string, out io.Writer) error {
 	httpAddr := fs.String("http", "", "optional HTTP address exposing /stats (JSON counters: sessions, attach-latency percentiles, events streamed)")
 	maxSessions := fs.Int("max-sessions", farm.DefaultMaxSessions, "maximum concurrently active sessions")
 	maxDSLKB := fs.Int("max-dsl-kb", farm.DefaultMaxSourceBytes/1024, "maximum scenario DSL source size accepted per create request, in KB (negative disables DSL creates)")
-	workers := fs.Int("workers", 0, "simulation worker pool size; bounds CPU used across all sessions (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "how many simulation advances run at once; bounds CPU used across all sessions (0 = GOMAXPROCS)")
 	verbose := fs.Bool("v", false, "log per-connection and per-session lifecycle lines")
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -11,13 +11,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
-	"repro/internal/codegen"
-	"repro/internal/comdes"
-	"repro/internal/plant"
-	"repro/internal/protocol"
-	"repro/internal/target"
-	"repro/internal/value"
+	"repro"
 	"repro/models"
 )
 
@@ -32,62 +28,31 @@ func main() {
 // end without forking.
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("targetsim", flag.ContinueOnError)
-	model := fs.String("model", "heating", "built-in model (heating|traffic|ring)")
+	model := fs.String("model", "heating", "built-in one-board model ("+strings.Join(models.Names(), "|")+"; a multi-node model is refused)")
 	ms := fs.Uint64("ms", 200, "virtual milliseconds to run")
 	maxPrint := fs.Int("n", 40, "max events to print")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	var sys *comdes.System
-	var err error
-	switch *model {
-	case "heating":
-		sys, err = models.Heating(models.HeatingOptions{})
-	case "traffic":
-		sys, err = models.TrafficLight()
-	case "ring":
-		sys, err = models.TokenRing(4)
-	default:
-		return fmt.Errorf("unknown model %q", *model)
-	}
+	sys, err := models.ByName(*model)
 	if err != nil {
 		return err
 	}
-	prog, err := codegen.Compile(sys, codegen.Options{
-		Instrument: codegen.Instrument{StateEnter: true, Transitions: true, Signals: true},
+	// The session is only the assembly here: the loop below drives the
+	// board itself and prints the decoded stream instead of animating it.
+	dbg, err := repro.Debug(sys, repro.DebugConfig{
+		Board:       repro.StandardBoardConfig(*model),
+		Environment: repro.StandardEnvironment(*model),
 	})
 	if err != nil {
 		return err
 	}
-	b, err := target.NewBoard("main", prog, target.Config{Bindings: sys.Bindings}, nil)
-	if err != nil {
-		return err
-	}
-	if *model == "heating" {
-		room := plant.NewThermal(15)
-		var last uint64
-		b.PreLatch = func(now uint64, actor string) {
-			if actor != "heater" {
-				return
-			}
-			dt := now - last
-			last = now
-			power := 0.0
-			if p, err := b.ReadOutput("heater", "power"); err == nil {
-				power = p.Float()
-			}
-			_ = b.WriteInput("heater", "temp", value.F(room.Step(dt, power)))
-			_ = b.WriteInput("heater", "mode", value.I(2))
-		}
-	}
-
-	var dec protocol.Decoder
+	b, host := dbg.Board, dbg.Serials["main"]
 	printed := 0
 	for t := uint64(0); t < *ms*1_000_000; t += 1_000_000 {
 		b.RunFor(1_000_000)
-		evs, _ := dec.Feed(b.HostPort().Recv())
-		for _, ev := range evs {
+		for _, ev := range host.Poll(b.Now()) {
 			if printed < *maxPrint {
 				fmt.Fprintln(out, ev)
 			}
@@ -95,6 +60,6 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	fmt.Fprintf(out, "\n%d events total; target: %d cycles (%d instrumentation), %d UART bytes, %d decode errors\n",
-		printed, b.Cycles(), b.InstrumentationCycles(), b.Link.PortA().Stats().Bytes, dec.Errors)
+		printed, b.Cycles(), b.InstrumentationCycles(), b.Link.PortA().Stats().Bytes, host.DecodeErrors())
 	return nil
 }

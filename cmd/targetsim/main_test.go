@@ -48,11 +48,14 @@ func TestStdoutGoldens(t *testing.T) {
 	}
 }
 
-// TestUnknownModel: a name targetsim cannot run is an error, not a panic
-// or an empty run.
-func TestUnknownModel(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-model", "nosuch"}, &out); err == nil {
-		t.Fatal("unknown model accepted")
+// TestRefusedModels: a name targetsim cannot run is an error, not a panic
+// or an empty run — an unknown model, and a multi-node one, which needs a
+// cluster rather than one board.
+func TestRefusedModels(t *testing.T) {
+	for _, model := range []string{"nosuch", "dist"} {
+		var out strings.Builder
+		if err := run([]string{"-model", model}, &out); err == nil {
+			t.Errorf("model %q accepted", model)
+		}
 	}
 }

@@ -13,10 +13,7 @@ import (
 
 	"repro"
 	"repro/internal/engine"
-	"repro/internal/plant"
 	"repro/internal/protocol"
-	"repro/internal/target"
-	"repro/internal/value"
 	"repro/models"
 )
 
@@ -26,23 +23,20 @@ func main() {
 		log.Fatal(err)
 	}
 
-	room := plant.NewThermal(15)
-	var last uint64
+	// The thermal plant (comfort mode) that every heating session runs
+	// against.
 	dbg, err := repro.Debug(sys, repro.DebugConfig{
-		Environment: func(now uint64, b *target.Board) {
-			dt := now - last
-			last = now
-			power := 0.0
-			if p, err := b.ReadOutput("heater", "power"); err == nil {
-				power = p.Float()
-			}
-			temp := room.Step(dt, power)
-			_ = b.WriteInput("heater", "temp", value.F(temp))
-			_ = b.WriteInput("heater", "mode", value.I(2)) // comfort mode
-		},
+		Environment: repro.StandardEnvironment("heating"),
 	})
 	if err != nil {
 		log.Fatal(err)
+	}
+	// The room temperature is the heater's temp input in board RAM: the
+	// value the plant last wrote.
+	tempSym := dbg.Prog.Unit("heater").InputSyms["temp"]
+	roomC := func() float64 {
+		v, _ := dbg.Board.LoadSym(tempSym)
+		return v.Float()
 	}
 
 	// Model-level breakpoint: pause the *target* when the thermostat
@@ -61,7 +55,7 @@ func main() {
 	}
 	if dbg.Session.Paused() {
 		fmt.Printf("breakpoint %q hit at t = %.1f ms (room at %.1f °C)\n\n",
-			dbg.Session.LastBreak.ID, float64(dbg.Board.Now())/1e6, room.TempC)
+			dbg.Session.LastBreak.ID, float64(dbg.Board.Now())/1e6, roomC())
 		fmt.Println("== model view at the breakpoint ==")
 		fmt.Print(dbg.RenderASCII())
 	}
@@ -82,7 +76,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("\nafter 10 more virtual seconds: room at %.1f °C\n", room.TempC)
+	fmt.Printf("\nafter 10 more virtual seconds: room at %.1f °C\n", roomC())
 	fmt.Printf("events handled: %d, target cycles: %d (instrumentation: %d)\n",
 		dbg.Session.Handled, dbg.Board.Cycles(), dbg.Board.InstrumentationCycles())
 

@@ -13,9 +13,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/plant"
-	"repro/internal/target"
-	"repro/internal/value"
 	"repro/models"
 )
 
@@ -24,20 +21,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	room := plant.NewThermal(15)
-	var last uint64
 	dbg, err := repro.Debug(sys, repro.DebugConfig{
-		Transport: repro.Passive, // JTAG instead of RS-232
-		Environment: func(now uint64, b *target.Board) {
-			dt := now - last
-			last = now
-			power := 0.0
-			if p, err := b.ReadOutput("heater", "power"); err == nil {
-				power = p.Float()
-			}
-			_ = b.WriteInput("heater", "temp", value.F(room.Step(dt, power)))
-			_ = b.WriteInput("heater", "mode", value.I(2))
-		},
+		Transport:   repro.Passive, // JTAG instead of RS-232
+		Environment: repro.StandardEnvironment("heating"),
 	})
 	if err != nil {
 		log.Fatal(err)

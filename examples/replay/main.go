@@ -17,10 +17,7 @@ import (
 	"repro/internal/comdes"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/plant"
-	"repro/internal/target"
 	"repro/internal/trace"
-	"repro/internal/value"
 	"repro/models"
 )
 
@@ -29,19 +26,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	room := plant.NewThermal(15)
-	var last uint64
 	dbg, err := repro.Debug(sys, repro.DebugConfig{
-		Environment: func(now uint64, b *target.Board) {
-			dt := now - last
-			last = now
-			power := 0.0
-			if p, err := b.ReadOutput("heater", "power"); err == nil {
-				power = p.Float()
-			}
-			_ = b.WriteInput("heater", "temp", value.F(room.Step(dt, power)))
-			_ = b.WriteInput("heater", "mode", value.I(2))
-		},
+		Environment: repro.StandardEnvironment("heating"),
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -6,9 +6,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/plant"
 	"repro/internal/protocol"
-	"repro/internal/target"
 	"repro/internal/value"
 	"repro/models"
 )
@@ -19,20 +17,9 @@ func heatingDebugger(t *testing.T, transport Transport) *Debugger {
 	if err != nil {
 		t.Fatal(err)
 	}
-	room := plant.NewThermal(15)
-	var last uint64
 	dbg, err := Debug(sys, DebugConfig{
-		Transport: transport,
-		Environment: func(now uint64, b *target.Board) {
-			dt := now - last
-			last = now
-			power := 0.0
-			if p, err := b.ReadOutput("heater", "power"); err == nil {
-				power = p.Float()
-			}
-			_ = b.WriteInput("heater", "temp", value.F(room.Step(dt, power)))
-			_ = b.WriteInput("heater", "mode", value.I(2))
-		},
+		Transport:   transport,
+		Environment: StandardEnvironment("heating"),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -16,9 +16,9 @@
 //     Edits every variant shares (zeroed accounting, dropped warm trace)
 //     are made once, on the base; a variant's bus parameters go on
 //     shallow copies of the checkpoint structs;
-//   - variants run on a work-stealing executor (internal/sched), so
+//   - workers take variants one at a time from one shared counter, so
 //     heterogeneous runtimes — a variant that trips its shrink search
-//     next to one that runs clean — rebalance across workers;
+//     next to one that runs clean — balance across workers;
 //   - each worker keeps one warm simulator instance and one trace, reset
 //     at every fork, so per-variant setup is a restore, not a rebuild.
 //
@@ -33,8 +33,8 @@
 //
 // Determinism contract: the aggregate is a pure function of (model,
 // spec); it contains no worker count, no wall-clock time, and results
-// are indexed by variant, so serial and work-stealing execution produce
-// byte-identical aggregate JSON.
+// are indexed by variant, so one worker or many produce byte-identical
+// aggregate JSON.
 package campaign
 
 import (
@@ -60,8 +60,8 @@ type Spec struct {
 	WarmNs uint64 `json:"warmNs"`
 	// RunNs is each variant's post-fork run budget.
 	RunNs uint64 `json:"runNs"`
-	// Workers sizes the work-stealing pool (<=0: GOMAXPROCS). It does not
-	// appear in the aggregate and cannot change it.
+	// Workers is how many variants run at once (<=0: GOMAXPROCS). It
+	// does not appear in the aggregate and cannot change it.
 	Workers int `json:"-"`
 
 	// Loss, when non-empty, sweeps the TDMA bus loss rate (per-mille):

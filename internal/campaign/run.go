@@ -2,16 +2,18 @@ package campaign
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro"
 	"repro/internal/dsl"
-	"repro/internal/sched"
 	"repro/models"
 )
 
 // Run executes a campaign: warm one instance of the model for
 // Spec.WarmNs, capture the checkpoint, then fork/run/observe
-// Spec.Variants parameter variants of it across the work-stealing pool.
+// Spec.Variants parameter variants of it across Spec.Workers workers.
 // The returned aggregate is a pure function of the spec — worker count
 // and scheduling order cannot change a byte of it.
 func Run(spec Spec) (*Aggregate, error) {
@@ -108,14 +110,15 @@ func Run(spec Spec) (*Aggregate, error) {
 	variants := planVariants(&spec, taskNames, basePrios, slots)
 	results := make([]VariantResult, len(variants))
 
-	pool := sched.NewPool(spec.Workers)
-	defer pool.Close()
-
+	workers := spec.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	// One warm simulator per worker, built lazily on the worker's first
 	// variant. Each slot is touched only by its own worker, so the slices
 	// need no lock.
-	runners := make([]*runner, pool.Workers())
-	buildErr := make([]error, pool.Workers())
+	runners := make([]*runner, workers)
+	buildErr := make([]error, workers)
 	runners[0] = coord
 	getRunner := func(w int) (*runner, error) {
 		if runners[w] == nil && buildErr[w] == nil {
@@ -124,7 +127,7 @@ func Run(spec Spec) (*Aggregate, error) {
 		return runners[w], buildErr[w]
 	}
 
-	pool.ForEach(len(variants), func(w, i int) {
+	forEach(workers, len(variants), func(w, i int) {
 		v := variants[i]
 		r, err := getRunner(w)
 		if err != nil {
@@ -144,7 +147,7 @@ func Run(spec Spec) (*Aggregate, error) {
 		if len(targets) > spec.MaxRepros {
 			targets = targets[:spec.MaxRepros]
 		}
-		pool.ForEach(len(targets), func(w, ti int) {
+		forEach(workers, len(targets), func(w, ti int) {
 			i := targets[ti]
 			r, err := getRunner(w)
 			if err != nil {
@@ -165,6 +168,29 @@ func Run(spec Spec) (*Aggregate, error) {
 		WarmNs: spec.WarmNs, RunNs: spec.RunNs,
 		Results: results, Summary: summarize(results),
 	}, nil
+}
+
+// forEach calls fn(w, i) for every i in [0, n) on workers goroutines and
+// returns when all calls have finished. Each goroutine takes the next
+// index from one shared counter, so a slow variant holds up no other; w
+// (0..workers-1) names the goroutine, for per-worker state.
+func forEach(workers, n int, fn func(w, i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := range min(workers, n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				fn(w, i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // runVariant is one fork-run-observe cycle.

@@ -127,9 +127,6 @@ func (r *Recorder) Instructions() []InstrRecord { return r.instrs }
 // frontier, re-executing from the logs.
 func (r *Recorder) Replaying() bool { return r.replaying }
 
-// Frontier returns the farthest instant the live timeline has reached.
-func (r *Recorder) Frontier() uint64 { return r.frontier }
-
 // Observe is the live pump's per-slice hook: it advances the frontier and
 // takes a periodic checkpoint when the interval has elapsed. It is a
 // no-op during replay (the checkpoints for that window already exist).

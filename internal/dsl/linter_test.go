@@ -52,7 +52,7 @@ func TestLintFindings(t *testing.T) {
 // TestLintBusWithoutPlacement: a bus schedule on an unplaced system is
 // legal and useless; a placed node without a slot can never transmit.
 func TestLintBusWithoutPlacement(t *testing.T) {
-	src := wrap("        in x float\n        out y float\n        block gain g { k = 1.0 }\n" +
+	src := wrap("        in x float\n        out y float\n        block gain g { k = 1.0 }\n"+
 		"        wire .x -> g.in\n        wire g.out -> .y\n") +
 		"bus {\n    slot main 100us\n}\n"
 	wantWarning(t, lintOne(t, src), "fewer than two nodes")

@@ -18,7 +18,7 @@ type RTAResult struct {
 	// ResponseNs is the computed worst-case response time. For an
 	// unschedulable task it is the first fixpoint iterate that exceeded the
 	// deadline — a lower bound on the true (possibly unbounded) response.
-	ResponseNs uint64
+	ResponseNs  uint64
 	Schedulable bool
 }
 

@@ -2,6 +2,15 @@
 // the paper as a printable report: the tables of the E1–E12 experiment
 // index (E2, E3 and E8 only time things, so they live in the root
 // benchmarks).
+//
+// Every live experiment debugs the heating model the way every front end
+// does: repro.Debug on the standard thermal plant
+// (repro.StandardEnvironment), with the transport, instrumentation,
+// mapping or line rate the experiment varies. E6 walks the workbench
+// wizard through Fig. 6 and attaches it to such a board's command
+// channel. The code-level halves (E1, E9, E10) run the heater unit on a
+// plain code-level bus, without a board.
+//
 // cmd/experiments prints all of them; the root benchmarks time the hot
 // paths; the package tests assert the qualitative *shape* the paper
 // claims (who wins, what is zero, what diverges).
@@ -10,15 +19,15 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"time"
 
+	"repro"
 	"repro/internal/baseline"
 	"repro/internal/codegen"
 	"repro/internal/comdes"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/jtag"
 	"repro/internal/metamodel"
-	"repro/internal/plant"
 	"repro/internal/protocol"
 	"repro/internal/target"
 	"repro/internal/value"
@@ -26,63 +35,51 @@ import (
 	"repro/models"
 )
 
-// thermalEnv attaches the thermal plant to a heating-model board.
-func thermalEnv(b *target.Board) {
-	room := plant.NewThermal(15)
-	var last uint64
-	b.PreLatch = func(now uint64, actor string) {
-		if actor != "heater" {
-			return
-		}
-		dt := now - last
-		last = now
-		power := 0.0
-		if p, err := b.ReadOutput("heater", "power"); err == nil {
-			power = p.Float()
-		}
-		temp := room.Step(dt, power)
-		_ = b.WriteInput("heater", "temp", value.F(temp))
-		_ = b.WriteInput("heater", "mode", value.I(2))
+// debugHeating assembles a debug session of the heating model built with
+// opts. The environment defaults to the standard thermal plant.
+func debugHeating(opts models.HeatingOptions, cfg repro.DebugConfig) (*repro.Debugger, error) {
+	sys, err := models.Heating(opts)
+	if err != nil {
+		return nil, err
 	}
+	if cfg.Environment == nil {
+		cfg.Environment = repro.StandardEnvironment("heating")
+	}
+	return repro.Debug(sys, cfg)
 }
 
-// buildHeatingBoard compiles the heating model and attaches the plant.
-func buildHeatingBoard(opts codegen.Options) (*target.Board, *codegen.Program, error) {
-	sys, err := models.Heating(models.HeatingOptions{})
-	if err != nil {
-		return nil, nil, err
-	}
-	prog, err := codegen.Compile(sys, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	b, err := target.NewBoard("main", prog, target.Config{Bindings: sys.Bindings}, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	thermalEnv(b)
-	return b, prog, nil
+// heaterRig is the heater unit of a program on a code-level bus, with no
+// board: its init has run, and latch readies one release.
+type heaterRig struct {
+	u   *codegen.Unit
+	bus *codegen.MapBus
 }
 
-// heatingGDM abstracts the heating model with the default mapping.
-func heatingGDM() (*core.GDM, *comdes.System, error) {
-	sys, err := models.Heating(models.HeatingOptions{})
-	if err != nil {
-		return nil, nil, err
+// coldHeater runs the heater's init on a fresh code-level bus of prog.
+func coldHeater(prog *codegen.Program) (*heaterRig, error) {
+	r := &heaterRig{u: prog.Unit("heater"), bus: codegen.NewMapBus(prog.Symbols)}
+	if _, err := codegen.Exec(prog, r.u.Init, r.bus); err != nil {
+		return nil, err
 	}
-	meta := comdes.Metamodel()
-	model, err := comdes.ToModel(sys, meta)
-	if err != nil {
-		return nil, nil, err
+	return r, nil
+}
+
+// latch stores temp (comfort mode) as the heater's inputs and latches
+// them, as the firmware does before a release's body runs.
+func (r *heaterRig) latch(temp float64) error {
+	if err := r.bus.StoreSym(r.u.InputSyms["temp"], value.F(temp)); err != nil {
+		return err
 	}
-	g, err := core.Abstract(model, engine.DefaultCOMDESMapping())
-	if err != nil {
-		return nil, nil, err
+	if err := r.bus.StoreSym(r.u.InputSyms["mode"], value.I(2)); err != nil {
+		return err
 	}
-	if err := engine.BindCOMDES(g); err != nil {
-		return nil, nil, err
+	for _, lp := range r.u.InLatch {
+		v, _ := r.bus.LoadSym(lp.Work)
+		if err := r.bus.StoreSym(lp.Out, v); err != nil {
+			return err
+		}
 	}
-	return g, sys, nil
+	return nil
 }
 
 // ---- E1: Fig. 1 — both debuggers attach to one MDD pipeline ----
@@ -98,51 +95,35 @@ type E1Result struct {
 
 // E1Pipeline runs the experiment.
 func E1Pipeline() (*E1Result, error) {
-	sys, err := models.Heating(models.HeatingOptions{})
-	if err != nil {
-		return nil, err
-	}
-	prog, err := codegen.Compile(sys, codegen.Options{
-		Instrument: codegen.Instrument{StateEnter: true, Transitions: true},
+	dbg, err := debugHeating(models.HeatingOptions{}, repro.DebugConfig{
+		Instrument: &codegen.Instrument{StateEnter: true, Transitions: true},
 	})
 	if err != nil {
 		return nil, err
 	}
+	prog := dbg.Prog
 	res := &E1Result{ListingLines: len(prog.Source), Symbols: prog.Symbols.Len()}
 
 	// Code-level path: run one cold cycle under the GDB-like debugger.
-	bus := codegen.NewMapBus(prog.Symbols)
-	u := prog.Unit("heater")
-	if _, err := codegen.Exec(prog, u.Init, bus); err != nil {
+	rig, err := coldHeater(prog)
+	if err != nil {
 		return nil, err
 	}
-	if err := bus.StoreSym(u.InputSyms["temp"], value.F(10)); err != nil {
+	if err := rig.latch(10); err != nil {
 		return nil, err
 	}
-	if err := bus.StoreSym(u.InputSyms["mode"], value.I(2)); err != nil {
+	cd := baseline.NewCodeDebugger(prog, rig.bus)
+	if _, _, err := cd.RunUnit(rig.u); err != nil {
 		return nil, err
 	}
-	for _, lp := range u.InLatch {
-		v, _ := bus.LoadSym(lp.Work)
-		if err := bus.StoreSym(lp.Out, v); err != nil {
-			return nil, err
-		}
-	}
-	dbg := baseline.NewCodeDebugger(prog, bus)
-	if _, _, err := dbg.RunUnit(u); err != nil {
-		return nil, err
-	}
-	st, err := dbg.Inspect("heater.thermostat.__state")
+	st, err := cd.Inspect("heater.thermostat.__state")
 	if err != nil {
 		return nil, err
 	}
 	res.CodeLevelState = st.Int()
 
 	// Model-level path: the GDM sees the same fact as a state entry.
-	g, _, err := heatingGDM()
-	if err != nil {
-		return nil, err
-	}
+	g := dbg.GDM
 	if _, err := g.HandleEvent(protocol.Event{
 		Type: protocol.EvStateEnter, Source: "heater.thermostat", Arg1: "Heating",
 	}); err != nil {
@@ -226,35 +207,19 @@ type E5Result struct {
 
 // E5Animation runs the heating model live for 500 virtual ms.
 func E5Animation() (*E5Result, error) {
-	g, sys, err := heatingGDM()
+	dbg, err := debugHeating(models.HeatingOptions{}, repro.DebugConfig{})
 	if err != nil {
 		return nil, err
 	}
-	prog, err := codegen.Compile(sys, codegen.Options{
-		Instrument: codegen.Instrument{StateEnter: true, Transitions: true, Signals: true},
-	})
-	if err != nil {
+	if err := dbg.Run(500 * time.Millisecond); err != nil {
 		return nil, err
-	}
-	b, err := target.NewBoard("main", prog, target.Config{Bindings: sys.Bindings}, nil)
-	if err != nil {
-		return nil, err
-	}
-	thermalEnv(b)
-	s := engine.NewSession(g, b)
-	s.AddSource(engine.NewSerialSource(b.HostPort()))
-	for i := 0; i < 500; i++ {
-		b.RunFor(1_000_000)
-		if _, err := s.ProcessEvents(b.Now()); err != nil {
-			return nil, err
-		}
 	}
 	return &E5Result{
 		VirtualMs:     500,
-		EventsHandled: s.Handled,
-		Reactions:     g.Reactions,
-		FrameBytes:    len(g.Scene().SVG()),
-		Highlighted:   g.HighlightedElements(),
+		EventsHandled: dbg.Session.Handled,
+		Reactions:     dbg.GDM.Reactions,
+		FrameBytes:    len(dbg.RenderSVG()),
+		Highlighted:   dbg.GDM.HighlightedElements(),
 	}, nil
 }
 
@@ -273,17 +238,16 @@ func (r *E5Result) String() string {
 
 // E6Workflow walks the wizard and reports the step log.
 func E6Workflow() (string, error) {
-	sys, err := models.Heating(models.HeatingOptions{})
-	if err != nil {
-		return "", err
-	}
-	meta := comdes.Metamodel()
-	model, err := comdes.ToModel(sys, meta)
+	// The board and its active channel; the wizard builds its own GDM and
+	// session over them.
+	dbg, err := debugHeating(models.HeatingOptions{}, repro.DebugConfig{
+		Instrument: &codegen.Instrument{StateEnter: true},
+	})
 	if err != nil {
 		return "", err
 	}
 	w := workbench.NewWizard()
-	if err := w.SelectInputs(meta, model); err != nil {
+	if err := w.SelectInputs(dbg.Meta, dbg.Model); err != nil {
 		return "", err
 	}
 	if err := w.UseMapping(engine.DefaultCOMDESMapping()); err != nil {
@@ -301,16 +265,8 @@ func E6Workflow() (string, error) {
 	if err := w.FinishCommandSetup(); err != nil {
 		return "", err
 	}
-	prog, err := codegen.Compile(sys, codegen.Options{Instrument: codegen.Instrument{StateEnter: true}})
-	if err != nil {
-		return "", err
-	}
-	b, err := target.NewBoard("main", prog, target.Config{Bindings: sys.Bindings}, nil)
-	if err != nil {
-		return "", err
-	}
-	thermalEnv(b)
-	s, err := w.Attach(b, engine.NewSerialSource(b.HostPort()))
+	b := dbg.Board
+	s, err := w.Attach(b, dbg.Serials["main"])
 	if err != nil {
 		return "", err
 	}
@@ -346,43 +302,30 @@ type E7Row struct {
 // command-interface configuration and measures target-side cost.
 func E7ActiveVsPassive() ([]E7Row, error) {
 	const dur = 1_000_000_000
-	type cfg struct {
+	cfgs := []struct {
 		name string
-		opts codegen.Options
-		jtag bool
-	}
-	cfgs := []cfg{
-		{"clean (no debug)", codegen.Options{}, false},
-		{"active: states+transitions", codegen.Options{Instrument: codegen.Instrument{StateEnter: true, Transitions: true}}, false},
-		{"active: +signals", codegen.Options{Instrument: codegen.Instrument{StateEnter: true, Transitions: true, Signals: true}}, false},
-		{"passive: JTAG watch", codegen.Options{}, true},
+		cfg  repro.DebugConfig
+	}{
+		{"clean (no debug)", repro.DebugConfig{Instrument: &codegen.Instrument{}}},
+		{"active: states+transitions", repro.DebugConfig{Instrument: &codegen.Instrument{StateEnter: true, Transitions: true}}},
+		{"active: +signals", repro.DebugConfig{}},
+		{"passive: JTAG watch", repro.DebugConfig{Transport: repro.Passive}},
 	}
 	var baselineCycles uint64
 	var rows []E7Row
 	for i, c := range cfgs {
-		b, prog, err := buildHeatingBoard(c.opts)
+		dbg, err := debugHeating(models.HeatingOptions{}, c.cfg)
 		if err != nil {
 			return nil, err
 		}
+		b := dbg.Board
 		events := 0
-		var probe *jtag.Probe
-		var watcher *jtag.Watcher
-		var dec protocol.Decoder
-		if c.jtag {
-			probe = jtag.NewProbe(b.TAP)
-			probe.Reset()
-			watcher = jtag.NewWatcher(probe)
-			if err := engine.AutoWatches(watcher, prog); err != nil {
-				return nil, err
-			}
-		}
 		for t := uint64(0); t < dur; t += 1_000_000 {
 			b.RunFor(1_000_000)
-			if c.jtag {
-				events += len(watcher.Poll(b.Now()))
+			if dbg.Watcher != nil {
+				events += len(dbg.Watcher.Poll(b.Now()))
 			} else {
-				evs, _ := dec.Feed(b.HostPort().Recv())
-				events += len(evs)
+				events += len(dbg.Serials["main"].Poll(b.Now()))
 			}
 		}
 		row := E7Row{
@@ -390,12 +333,11 @@ func E7ActiveVsPassive() ([]E7Row, error) {
 			TotalCycles: b.Cycles(),
 			InstrCycles: b.InstrumentationCycles(),
 			Events:      events,
-			SerialBytes: b.HostPort().Stats().Bytes,
+			// Serial stats are on the target's transmit direction.
+			SerialBytes: b.Link.PortA().Stats().Bytes,
 		}
-		// Serial stats are on the target's transmit direction.
-		row.SerialBytes = b.Link.PortA().Stats().Bytes
-		if probe != nil {
-			row.ProbeHostMs = float64(probe.HostTimeNs()) / 1e6
+		if dbg.Probe != nil {
+			row.ProbeHostMs = float64(dbg.Probe.HostTimeNs()) / 1e6
 		}
 		if i == 0 {
 			baselineCycles = row.TotalCycles
@@ -440,27 +382,17 @@ func E7bBaudSweep(bauds []int) ([]E7bRow, error) {
 	const dur = 1_000_000_000
 	var rows []E7bRow
 	for _, baud := range bauds {
-		sys, err := models.Heating(models.HeatingOptions{})
-		if err != nil {
-			return nil, err
-		}
-		prog, err := codegen.Compile(sys, codegen.Options{
-			Instrument: codegen.Instrument{StateEnter: true, Transitions: true, Signals: true},
+		dbg, err := debugHeating(models.HeatingOptions{}, repro.DebugConfig{
+			Board: target.Config{Baud: baud},
 		})
 		if err != nil {
 			return nil, err
 		}
-		b, err := target.NewBoard("main", prog, target.Config{Baud: baud, Bindings: sys.Bindings}, nil)
-		if err != nil {
-			return nil, err
-		}
-		thermalEnv(b)
-		var dec protocol.Decoder
+		b := dbg.Board
 		delivered := 0
 		for t := uint64(0); t < dur; t += 1_000_000 {
 			b.RunFor(1_000_000)
-			evs, _ := dec.Feed(b.HostPort().Recv())
-			delivered += len(evs)
+			delivered += len(dbg.Serials["main"].Poll(b.Now()))
 		}
 		stats := b.Link.PortA().Stats()
 		// Emitted = frames the firmware tried to send; approximate from
@@ -507,54 +439,24 @@ func E9Errors() (*E9Result, error) {
 
 	// -- design error: model-level breakpoint on the cut-out transition.
 	runDesign := func(wrong bool) (bool, float64, error) {
-		sys, err := models.Heating(models.HeatingOptions{WrongGuard: wrong})
-		if err != nil {
-			return false, 0, err
-		}
-		meta := comdes.Metamodel()
-		model, err := comdes.ToModel(sys, meta)
-		if err != nil {
-			return false, 0, err
-		}
-		g, err := core.Abstract(model, engine.MinimalCOMDESMapping())
-		if err != nil {
-			return false, 0, err
-		}
-		if err := engine.BindCOMDES(g); err != nil {
-			return false, 0, err
-		}
-		prog, err := codegen.Compile(sys, codegen.Options{
-			Instrument: codegen.Instrument{StateEnter: true, Transitions: true},
+		// The plant's temperature is the heater's temp input in board
+		// RAM: the value the standard plant last wrote.
+		plant := repro.StandardEnvironment("heating")
+		maxTemp := 0.0
+		dbg, err := debugHeating(models.HeatingOptions{WrongGuard: wrong}, repro.DebugConfig{
+			Instrument: &codegen.Instrument{StateEnter: true, Transitions: true},
+			Mapping:    engine.MinimalCOMDESMapping(),
+			Environment: func(now uint64, b *target.Board) {
+				plant(now, b)
+				if v, err := b.LoadSym(b.Prog.Unit("heater").InputSyms["temp"]); err == nil {
+					maxTemp = max(maxTemp, v.Float())
+				}
+			},
 		})
 		if err != nil {
 			return false, 0, err
 		}
-		b, err := target.NewBoard("main", prog, target.Config{Bindings: sys.Bindings}, nil)
-		if err != nil {
-			return false, 0, err
-		}
-		room := plant.NewThermal(15)
-		var last uint64
-		maxTemp := 0.0
-		b.PreLatch = func(now uint64, actor string) {
-			if actor != "heater" {
-				return
-			}
-			dt := now - last
-			last = now
-			power := 0.0
-			if p, err := b.ReadOutput("heater", "power"); err == nil {
-				power = p.Float()
-			}
-			temp := room.Step(dt, power)
-			if temp > maxTemp {
-				maxTemp = temp
-			}
-			_ = b.WriteInput("heater", "temp", value.F(temp))
-			_ = b.WriteInput("heater", "mode", value.I(2))
-		}
-		s := engine.NewSession(g, b)
-		s.AddSource(engine.NewSerialSource(b.HostPort()))
+		s := dbg.Session
 		// The requirement: the heater must cut out (fire "warm") soon
 		// after passing 21 °C. Break on that transition.
 		if err := s.SetBreakpoint(engine.Breakpoint{
@@ -563,11 +465,8 @@ func E9Errors() (*E9Result, error) {
 		}); err != nil {
 			return false, 0, err
 		}
-		for t := 0; t < 30_000 && !s.Paused(); t++ {
-			b.RunFor(1_000_000)
-			if _, err := s.ProcessEvents(b.Now()); err != nil {
-				return false, 0, err
-			}
+		if err := dbg.Run(30 * time.Second); err != nil {
+			return false, 0, err
 		}
 		return s.Paused() && s.LastBreak != nil && s.LastBreak.ID == "cutout", maxTemp, nil
 	}
@@ -594,11 +493,11 @@ func E9Errors() (*E9Result, error) {
 		if err != nil {
 			return 0, err
 		}
-		bus := codegen.NewMapBus(prog.Symbols)
-		u := prog.Unit("heater")
-		if _, err := codegen.Exec(prog, u.Init, bus); err != nil {
+		rig, err := coldHeater(prog)
+		if err != nil {
 			return 0, err
 		}
+		u, bus := rig.u, rig.bus
 		refSys, err := models.Heating(models.HeatingOptions{})
 		if err != nil {
 			return 0, err
@@ -606,17 +505,8 @@ func E9Errors() (*E9Result, error) {
 		it := comdes.NewInterpreter(refSys)
 		temps := []float64{20, 18, 16, 20, 22, 25, 20, 17, 23, 19}
 		for i, tv := range temps {
-			if err := bus.StoreSym(u.InputSyms["temp"], value.F(tv)); err != nil {
+			if err := rig.latch(tv); err != nil {
 				return 0, err
-			}
-			if err := bus.StoreSym(u.InputSyms["mode"], value.I(2)); err != nil {
-				return 0, err
-			}
-			for _, lp := range u.InLatch {
-				v, _ := bus.LoadSym(lp.Work)
-				if err := bus.StoreSym(lp.Out, v); err != nil {
-					return 0, err
-				}
 			}
 			if _, err := codegen.Exec(prog, u.Body, bus); err != nil {
 				return 0, err
@@ -693,25 +583,15 @@ func E10StepsToBug() (*E10Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	bus := codegen.NewMapBus(prog.Symbols)
-	u := prog.Unit("heater")
-	if _, err := codegen.Exec(prog, u.Init, bus); err != nil {
+	rig, err := coldHeater(prog)
+	if err != nil {
 		return nil, err
 	}
-	if err := bus.StoreSym(u.InputSyms["temp"], value.F(10)); err != nil {
+	if err := rig.latch(10); err != nil {
 		return nil, err
 	}
-	if err := bus.StoreSym(u.InputSyms["mode"], value.I(2)); err != nil {
-		return nil, err
-	}
-	for _, lp := range u.InLatch {
-		v, _ := bus.LoadSym(lp.Work)
-		if err := bus.StoreSym(lp.Out, v); err != nil {
-			return nil, err
-		}
-	}
-	dbg := baseline.NewCodeDebugger(prog, bus)
-	m := codegen.NewMachine(prog, u.Body, bus)
+	dbg := baseline.NewCodeDebugger(prog, rig.bus)
+	m := codegen.NewMachine(prog, rig.u.Body, rig.bus)
 	for {
 		st, err := dbg.Inspect("heater.thermostat.__state")
 		if err != nil {
@@ -756,11 +636,11 @@ type E11Result struct {
 // E11MultiModel runs all three generality checks.
 func E11MultiModel() (*E11Result, error) {
 	res := &E11Result{}
-	g, _, err := heatingGDM()
+	dbg, err := debugHeating(models.HeatingOptions{}, repro.DebugConfig{})
 	if err != nil {
 		return nil, err
 	}
-	res.HeatingPatterns = g.ElementsByPattern()
+	res.HeatingPatterns = dbg.GDM.ElementsByPattern()
 
 	ring, err := models.TokenRing(6)
 	if err != nil {
@@ -845,49 +725,30 @@ type E12Result struct {
 
 // E12Breakpoints verifies break/step mechanics on the live heating model.
 func E12Breakpoints() (*E12Result, error) {
-	g, sys, err := heatingGDM()
-	if err != nil {
-		return nil, err
-	}
-	prog, err := codegen.Compile(sys, codegen.Options{
-		Instrument: codegen.Instrument{StateEnter: true, Transitions: true},
+	dbg, err := debugHeating(models.HeatingOptions{}, repro.DebugConfig{
+		Instrument: &codegen.Instrument{StateEnter: true, Transitions: true},
 	})
 	if err != nil {
 		return nil, err
 	}
-	b, err := target.NewBoard("main", prog, target.Config{Bindings: sys.Bindings}, nil)
-	if err != nil {
-		return nil, err
-	}
-	thermalEnv(b)
-	s := engine.NewSession(g, b)
-	s.AddSource(engine.NewSerialSource(b.HostPort()))
+	s := dbg.Session
 	if err := s.SetBreakpoint(engine.Breakpoint{
 		ID: "bp", Event: protocol.EvStateEnter, Source: "heater.thermostat", Arg1: "Heating",
 	}); err != nil {
 		return nil, err
 	}
-	for !s.Paused() && b.Now() < 10_000_000_000 {
-		b.RunFor(1_000_000)
-		if _, err := s.ProcessEvents(b.Now()); err != nil {
-			return nil, err
-		}
+	if err := dbg.Run(10 * time.Second); err != nil {
+		return nil, err
 	}
 	if !s.Paused() {
 		return nil, fmt.Errorf("experiments: breakpoint never hit")
 	}
-	res := &E12Result{HitAtMs: float64(b.Now()) / 1e6, EventsBefore: s.Handled}
-	// One step = exactly one more model event.
+	res := &E12Result{HitAtMs: float64(dbg.Now()) / 1e6, EventsBefore: s.Handled}
+	// One step = exactly one more model event. The next transition comes
+	// about 11 virtual s after the hit.
 	before := s.Handled
-	s.Step()
-	for s.Handled == before && b.Now() < 20_000_000_000 {
-		b.RunFor(1_000_000)
-		if _, err := s.ProcessEvents(b.Now()); err != nil {
-			return nil, err
-		}
-		if s.Paused() {
-			break
-		}
+	if err := dbg.StepEvent(20 * time.Second); err != nil {
+		return nil, err
 	}
 	res.StepEvents = s.Handled - before
 	return res, nil

@@ -94,20 +94,11 @@ var builtins = map[string]builtin{
 	}},
 }
 
-// CallBuiltin applies the named intrinsic to already-evaluated arguments;
-// the generated code's VM dispatches through this so compiled and
-// interpreted evaluation share one implementation.
-func CallBuiltin(name string, args []value.Value) (value.Value, error) {
-	b, ok := builtins[name]
-	if !ok {
-		return value.Value{}, fmt.Errorf("expr: unknown builtin %q", name)
-	}
-	return b.call(name, args)
-}
-
-// Builtin returns the named intrinsic as a function with CallBuiltin's
-// arity check and errors, or nil when the name is unknown, so a caller that
-// resolves the name once pays no lookup per call.
+// Builtin returns the named intrinsic as a function over already-evaluated
+// arguments, with the intrinsic's arity check and errors, or nil when the
+// name is unknown. The generated code's VM resolves its calls through it
+// once, so compiled and interpreted evaluation share one implementation
+// and a call pays no lookup.
 func Builtin(name string) func(args []value.Value) (value.Value, error) {
 	b, ok := builtins[name]
 	if !ok {

@@ -337,8 +337,8 @@ func TestRewindOverWire(t *testing.T) {
 // TestClusterRewindOverWire: a recorded TDMA cluster session rewinds to
 // an earlier instant and replaying forward reproduces the distributed
 // trace byte-for-byte — the wire-level half of cluster repro-shrinking.
-// Workers pins a small simulation pool so the test also covers the
-// pool-executed rewind path.
+// Workers pins a small simulation bound so the test also covers a rewind
+// run under it.
 func TestClusterRewindOverWire(t *testing.T) {
 	_, cl := startServer(t, Options{Workers: 2})
 	created, err := cl.Create(CreateParams{Model: "dist", RecordMs: 25})

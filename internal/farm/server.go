@@ -11,6 +11,7 @@ import (
 	"math/bits"
 	"net"
 	"net/http"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -19,7 +20,6 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/codegen"
 	"repro/internal/dsl"
-	"repro/internal/sched"
 	"repro/models"
 )
 
@@ -90,13 +90,12 @@ type Options struct {
 	// Logf, when set, receives one line per connection and session
 	// lifecycle event.
 	Logf func(format string, v ...any)
-	// Workers sizes the shared simulation worker pool (GOMAXPROCS when
-	// <=0). Every CPU-heavy request — run-until, step, rewind — executes
-	// on this pool, so total simulation parallelism stays bounded no
-	// matter how many clients are connected, and work stealing rebalances
-	// a session running seconds of virtual time against ones stepping a
-	// millisecond at a time. Cluster sessions are no exception: a cluster
-	// runs on the one worker that executes its request.
+	// Workers bounds how many simulation advances run at once
+	// (GOMAXPROCS when <=0). Every CPU-heavy request — run-until, step,
+	// rewind — holds one of Workers slots while it runs, so total
+	// simulation parallelism stays bounded no matter how many clients are
+	// connected. Cluster sessions are no exception: a cluster's advance
+	// runs on the one goroutine serving its request.
 	Workers int
 }
 
@@ -108,7 +107,7 @@ type Options struct {
 type Server struct {
 	opts  Options
 	store *Store
-	pool  *sched.Pool
+	sims  chan struct{} // one token per running simulation advance
 
 	pmu      sync.Mutex
 	programs map[string]*codegen.Program
@@ -170,24 +169,27 @@ func NewServer(opts Options) (*Server, error) {
 	if opts.MaxSourceBytes == 0 {
 		opts.MaxSourceBytes = DefaultMaxSourceBytes
 	}
+	if opts.Workers <= 0 {
+		opts.Workers = runtime.GOMAXPROCS(0)
+	}
 	return &Server{
 		opts:     opts,
 		store:    store,
-		pool:     sched.NewPool(opts.Workers),
+		sims:     make(chan struct{}, opts.Workers),
 		programs: make(map[string]*codegen.Program),
 		conns:    make(map[*conn]struct{}),
 		sessions: make(map[string]*session),
 	}, nil
 }
 
-// simDo hands one simulation advance to the shared worker pool and waits
-// for it. The request goroutine keeps holding ss.mu (per-session
-// isolation is unchanged); the closure runs on a pool worker and takes no
-// locks, so there is no ordering between the two mutexes to deadlock on.
+// simDo runs one simulation advance on the request goroutine once one of
+// the Workers slots is free. The goroutine keeps holding ss.mu
+// (per-session isolation is unchanged); fn takes no locks, so the slot
+// and the session mutex cannot deadlock.
 func (s *Server) simDo(fn func() error) error {
-	var err error
-	s.pool.Do(func(int) { err = fn() })
-	return err
+	s.sims <- struct{}{}
+	defer func() { <-s.sims }()
+	return fn()
 }
 
 // Store exposes the server's checkpoint store (tests, tooling).
@@ -197,15 +199,6 @@ func (s *Server) logf(format string, v ...any) {
 	if s.opts.Logf != nil {
 		s.opts.Logf(format, v...)
 	}
-}
-
-// ListenAndServe listens on addr and serves until Close.
-func (s *Server) ListenAndServe(addr string) error {
-	lis, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(lis)
 }
 
 // Serve accepts connections on lis until Close. It retains lis so Close
@@ -272,9 +265,6 @@ func (s *Server) Close() error {
 		c.nc.Close()
 	}
 	s.wg.Wait()
-	// All request goroutines have drained, so nothing submits to the pool
-	// anymore and closing it cannot strand a blocked simDo.
-	s.pool.Close()
 	return nil
 }
 

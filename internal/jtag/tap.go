@@ -177,9 +177,6 @@ func (t *TAP) State() State { return t.state }
 // IR returns the current instruction.
 func (t *TAP) IR() uint8 { return t.ir }
 
-// DbgAddr returns the latched debug address (for tests/diagnostics).
-func (t *TAP) DbgAddr() uint32 { return t.dbgAddr }
-
 // Clock advances the TAP by one TCK rising edge, sampling TMS and TDI, and
 // returns TDO. Shifting happens while in a Shift state (the clock that
 // exits the state with TMS=1 still shifts the final bit, matching how

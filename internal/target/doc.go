@@ -35,7 +35,7 @@
 // announced with EvPreempt / EvDeadlineMiss frames and mirrored into the
 // kernel-maintained "<actor>.__preempts" / "<actor>.__misses" RAM symbols,
 // where the passive JTAG interface and on-target breakpoint conditions
-// (engine.MissBreakpoint, Wizard.BreakOnDeadlineMiss) can see them.
+// (engine.MissBreakpoint, repro.Debugger.BreakOnDeadlineMiss) can see them.
 //
 // The policy/halt semantics matrix:
 //
@@ -158,10 +158,10 @@
 // ns parallel against 13.0 serial, and a 32-node ring took 80.9 µs per
 // virtual ms parallel against 46.7 serial: the cross-node send
 // arbitration and the barriers cost more than the second core gave back.
-// Cores are spent across sessions instead — the farm's simulation pool
-// runs many sessions at once and a campaign runs its variants on every
-// core — which keeps every session's CPU use inside the pool that bounds
-// it. Checkpoints written by the parallel executor (ClusterState boards
+// Cores are spent across sessions instead — the farm runs up to its
+// Workers sessions' advances at once and a campaign runs its variants on
+// every core — which keeps every session's CPU use inside the bound that
+// caps it. Checkpoints written by the parallel executor (ClusterState boards
 // carrying their own kernel) are refused by Cluster.Restore and must be
 // re-recorded.
 //
@@ -399,7 +399,7 @@
 //
 // The aggregate over all variants is a pure function of the campaign
 // spec: variants are planned from one splitmix64 stream, executed by a
-// work-stealing pool (internal/sched) with per-worker simulator
-// instances, and observations are indexed by variant — so one worker or
+// fixed set of workers that each keep their own simulator instance, and
+// observations are indexed by variant — so one worker or
 // N produce byte-identical JSON, which CI diffs.
 package target

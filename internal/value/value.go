@@ -66,9 +66,6 @@ type Value struct {
 	s    string
 }
 
-// Of constructs values of each kind.
-func Of(k Kind) Value { return Value{kind: k} }
-
 // F returns a Float value.
 func F(v float64) Value { return Value{kind: Float, f: v} }
 

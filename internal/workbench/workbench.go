@@ -11,7 +11,9 @@
 //
 // The workbench is headless: every interaction the Eclipse wizard offers
 // is a method call, and the Fig. 4 abstraction-guide panel renders as
-// ASCII for terminals and tests.
+// ASCII for terminals and tests. Step 5 is Attach, which hands back the
+// live session; debugging it (breakpoints, stepping, rewind) goes through
+// repro.Debugger, the one debugger facade.
 package workbench
 
 import (
@@ -21,7 +23,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/metamodel"
-	"repro/internal/protocol"
 )
 
 // ---- plugin registry ----
@@ -284,74 +285,3 @@ func (w *Wizard) Attach(target engine.TargetControl, sources ...engine.EventSour
 
 // Session returns the live session (step 5).
 func (w *Wizard) Session() *engine.Session { return w.session }
-
-// SetBreakpoint installs a model-level breakpoint on the live session
-// (step 5). When the communication channel established in Attach is the
-// active serial interface and the breakpoint carries a TargetCond, it is
-// pushed onto the target-resident agent — the board then halts at the
-// triggering instruction instead of after the event frame crosses the
-// line; otherwise the event pattern is filtered host-side.
-func (w *Wizard) SetBreakpoint(bp engine.Breakpoint) error {
-	if err := w.requireStep(StepDebugging); err != nil {
-		return err
-	}
-	return w.session.SetBreakpoint(bp)
-}
-
-// ClearBreakpoint removes a session breakpoint, disarming it on the
-// target when it had been pushed there.
-func (w *Wizard) ClearBreakpoint(id string) error {
-	if err := w.requireStep(StepDebugging); err != nil {
-		return err
-	}
-	return w.session.ClearBreakpoint(id)
-}
-
-// BreakOnDeadlineMiss arms the standard deadline-overrun breakpoint for
-// an actor (step 5): over the active serial channel the condition runs on
-// the target's scheduling counters and halts the board at the latch
-// instant of the missing release; over passive channels the EvDeadlineMiss
-// event pattern is filtered host-side.
-func (w *Wizard) BreakOnDeadlineMiss(id, actor string) error {
-	if err := w.requireStep(StepDebugging); err != nil {
-		return err
-	}
-	return w.session.SetBreakpoint(engine.MissBreakpoint(id, actor))
-}
-
-// RewindTo reverse-steps the live session to virtual instant t (step 5):
-// the checkpoint recorder attached to the session (engine.Rewinder, see
-// internal/checkpoint) restores its last checkpoint at or before t and
-// deterministically re-executes forward to exactly t, so a deadline miss
-// that scrolled past can be revisited without rerunning the whole
-// experiment. It returns the instant landed on.
-func (w *Wizard) RewindTo(t uint64) (uint64, error) {
-	if err := w.requireStep(StepDebugging); err != nil {
-		return 0, err
-	}
-	return w.session.RewindTo(t)
-}
-
-// ReplayUntil re-executes forward from the current (typically rewound)
-// instant until cond holds, bounded by maxNs of virtual time (step 5).
-func (w *Wizard) ReplayUntil(cond func(now uint64) bool, maxNs uint64) (bool, error) {
-	if err := w.requireStep(StepDebugging); err != nil {
-		return false, err
-	}
-	return w.session.ReplayUntil(cond, maxNs)
-}
-
-// BreakOnPreemption arms a breakpoint on an actor being preempted (step
-// 5): on-target over the __preempts scheduling counter when the active
-// channel is attached, host-side on the EvPreempt pattern otherwise.
-func (w *Wizard) BreakOnPreemption(id, actor string) error {
-	if err := w.requireStep(StepDebugging); err != nil {
-		return err
-	}
-	return w.session.SetBreakpoint(engine.Breakpoint{
-		ID:         id,
-		Event:      protocol.EvPreempt,
-		Source:     actor,
-		TargetCond: actor + ".__preempts > 0",
-	})
-}

@@ -279,103 +279,3 @@ func TestWizardCustomClock(t *testing.T) {
 		t.Errorf("clocked log = %v", w.Log)
 	}
 }
-
-// TestWizardBreakpoints: the step-5 breakpoint surface pushes a
-// TargetCond onto the target-resident agent through the attached active
-// channel, and enforces the wizard position.
-func TestWizardBreakpoints(t *testing.T) {
-	sys := heaterSystem(t)
-	meta := comdes.Metamodel()
-	model, err := comdes.ToModel(sys, meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := NewWizard()
-	if err := w.SetBreakpoint(engine.Breakpoint{ID: "early"}); err == nil {
-		t.Error("breakpoint before debugging step should fail")
-	}
-	if err := w.SelectInputs(meta, model); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.UseMapping(engine.DefaultCOMDESMapping()); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.FinishAbstraction(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.BindCommand(core.Binding{
-		Name: "enter", Event: protocol.EvStateEnter,
-		KeyTemplate: "state:$source.$arg1", Reaction: core.ReactHighlightExclusive,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.FinishCommandSetup(); err != nil {
-		t.Fatal(err)
-	}
-	prog, err := codegen.Compile(sys, codegen.Options{
-		Instrument: codegen.Instrument{StateEnter: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := target.NewBoard("main", prog, target.Config{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := w.Attach(b, engine.NewSerialSource(b.HostPort()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cond, err := engine.StateCond(sys, "heater.ctrl", "Heating")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.SetBreakpoint(engine.Breakpoint{
-		ID: "wiz", Event: protocol.EvStateEnter, Source: "heater.ctrl", Arg1: "Heating",
-		TargetCond: cond,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Breakpoints()[0].OnTarget() {
-		t.Error("wizard breakpoint not offloaded over the active channel")
-	}
-	// The instruction needs wire time before the agent is armed.
-	b.RunFor(10_000_000)
-	if len(b.TargetBreaks()) != 1 {
-		t.Fatalf("agent not armed: %+v", b.TargetBreaks())
-	}
-	if err := w.ClearBreakpoint("wiz"); err != nil {
-		t.Fatal(err)
-	}
-	b.RunFor(10_000_000)
-	if len(b.TargetBreaks()) != 0 {
-		t.Errorf("agent still armed after wizard clear: %+v", b.TargetBreaks())
-	}
-	if err := w.ClearBreakpoint("ghost"); err == nil {
-		t.Error("clearing unknown breakpoint should fail")
-	}
-	// The scheduling-incident conveniences arm on the target through the
-	// same channel: conditions over the kernel's __misses / __preempts
-	// RAM counters.
-	if err := w.BreakOnDeadlineMiss("dl", "heater"); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.BreakOnPreemption("pre", "heater"); err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range []string{"dl", "pre"} {
-		found := false
-		for _, bp := range s.Breakpoints() {
-			if bp.ID == id && bp.OnTarget() {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("wizard %s breakpoint not armed on target", id)
-		}
-	}
-	b.RunFor(10_000_000)
-	if n := len(b.TargetBreaks()); n != 2 {
-		t.Errorf("agent armed %d conditions, want 2", n)
-	}
-}

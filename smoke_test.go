@@ -8,8 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/plant"
-	"repro/internal/target"
 	"repro/internal/value"
 	"repro/models"
 )
@@ -53,19 +51,8 @@ func TestSmokeManualEnvironment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	room := plant.NewThermal(15)
-	var last uint64
 	dbg, err := Debug(sys, DebugConfig{
-		Environment: func(now uint64, b *target.Board) {
-			dt := now - last
-			last = now
-			power := 0.0
-			if p, err := b.ReadOutput("heater", "power"); err == nil {
-				power = p.Float()
-			}
-			_ = b.WriteInput("heater", "temp", value.F(room.Step(dt, power)))
-			_ = b.WriteInput("heater", "mode", value.I(2))
-		},
+		Environment: StandardEnvironment("heating"),
 	})
 	if err != nil {
 		t.Fatal(err)
