@@ -9,7 +9,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 
 	"repro/internal/codegen"
@@ -19,14 +19,26 @@ import (
 )
 
 func main() {
-	model := flag.String("model", "heating", "built-in model (heating|traffic|ring|distributed) or path to a COMDES model XML file")
-	instrument := flag.Bool("instrument", false, "weave the active command interface (states, transitions, signals)")
-	disasm := flag.Bool("disasm", false, "print IR disassembly per task")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "comdesgen:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole tool behind an error return, so tests drive it end to
+// end without forking.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("comdesgen", flag.ContinueOnError)
+	model := fs.String("model", "heating", "built-in model (heating|traffic|ring|distributed) or path to a COMDES model XML file")
+	instrument := fs.Bool("instrument", false, "weave the active command interface (states, transitions, signals)")
+	disasm := fs.Bool("disasm", false, "print IR disassembly per task")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	sys, err := loadSystem(*model)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	opts := codegen.Options{}
 	if *instrument {
@@ -34,34 +46,35 @@ func main() {
 	}
 	prog, err := codegen.Compile(sys, opts)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("// program %q: %d task(s), %d symbols, %d bytes RAM, instrumented=%v\n\n",
+	fmt.Fprintf(out, "// program %q: %d task(s), %d symbols, %d bytes RAM, instrumented=%v\n\n",
 		prog.Name, len(prog.Units), prog.Symbols.Len(), prog.Symbols.RAMSize(), prog.Instrumented)
 	for _, line := range prog.Source {
-		fmt.Println(line)
+		fmt.Fprintln(out, line)
 	}
-	fmt.Println("\n// ---- symbol table (JTAG monitored-variable candidates) ----")
+	fmt.Fprintln(out, "\n// ---- symbol table (JTAG monitored-variable candidates) ----")
 	for _, s := range prog.Symbols.All() {
 		elem := ""
 		if s.Element != "" {
 			elem = "  // " + s.Element
 		}
-		fmt.Printf("0x%04x  %-6s %-40s%s\n", s.Addr, s.Kind, s.Name, elem)
+		fmt.Fprintf(out, "0x%04x  %-6s %-40s%s\n", s.Addr, s.Kind, s.Name, elem)
 	}
 	if *disasm {
 		for _, u := range prog.Units {
-			fmt.Printf("\n// ---- %s: init ----\n", u.Name)
+			fmt.Fprintf(out, "\n// ---- %s: init ----\n", u.Name)
 			for _, l := range prog.Disassemble(u.Init) {
-				fmt.Println(l)
+				fmt.Fprintln(out, l)
 			}
-			fmt.Printf("\n// ---- %s: body (period %d ns, deadline %d ns) ----\n", u.Name, u.Period, u.Deadline)
+			fmt.Fprintf(out, "\n// ---- %s: body (period %d ns, deadline %d ns) ----\n", u.Name, u.Period, u.Deadline)
 			for _, l := range prog.Disassemble(u.Body) {
-				fmt.Println(l)
+				fmt.Fprintln(out, l)
 			}
 		}
 	}
+	return nil
 }
 
 func loadSystem(name string) (*comdes.System, error) {

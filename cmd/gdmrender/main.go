@@ -9,7 +9,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
 
 	"repro/internal/comdes"
@@ -19,10 +18,22 @@ import (
 )
 
 func main() {
-	in := flag.String("in", "", "GDM JSON file ('-' for stdin)")
-	demo := flag.String("demo", "", "render a built-in model instead (heating|traffic|ring)")
-	format := flag.String("format", "ascii", "output format: ascii|svg|json")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "gdmrender:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole tool behind an error return, so tests drive it end to
+// end without forking.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("gdmrender", flag.ContinueOnError)
+	in := fs.String("in", "", "GDM JSON file ('-' for stdin)")
+	demo := fs.String("demo", "", "render a built-in model instead (heating|traffic|ring)")
+	format := fs.String("format", "ascii", "output format: ascii|svg|json")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	var g *core.GDM
 	var err error
@@ -42,24 +53,25 @@ func main() {
 		err = fmt.Errorf("need -in or -demo (see -help)")
 	}
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	switch *format {
 	case "svg":
-		fmt.Print(g.Scene().SVG())
+		fmt.Fprint(out, g.Scene().SVG())
 	case "ascii":
-		fmt.Print(g.Scene().ASCII(0, 0))
+		fmt.Fprint(out, g.Scene().ASCII(0, 0))
 	case "json":
 		data, err := g.MarshalJSON()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		os.Stdout.Write(data)
-		fmt.Println()
+		out.Write(data)
+		fmt.Fprintln(out)
 	default:
-		log.Fatalf("unknown format %q", *format)
+		return fmt.Errorf("unknown format %q", *format)
 	}
+	return nil
 }
 
 func readGDM(r io.Reader) (*core.GDM, error) {
