@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 
 	"repro/internal/codegen"
 	"repro/internal/comdes"
@@ -29,7 +31,7 @@ func main() {
 // end without forking.
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("comdesgen", flag.ContinueOnError)
-	model := fs.String("model", "heating", "built-in model (heating|traffic|ring|distributed) or path to a COMDES model XML file")
+	model := fs.String("model", "heating", "built-in model ("+strings.Join(models.Names(), "|")+") or path to a COMDES model XML file")
 	instrument := fs.Bool("instrument", false, "weave the active command interface (states, transitions, signals)")
 	disasm := fs.Bool("disasm", false, "print IR disassembly per task")
 	if err := fs.Parse(args); err != nil {
@@ -77,16 +79,11 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
+// loadSystem resolves a built-in model name, or else reads the COMDES
+// model XML file at that path.
 func loadSystem(name string) (*comdes.System, error) {
-	switch name {
-	case "heating":
-		return models.Heating(models.HeatingOptions{})
-	case "traffic":
-		return models.TrafficLight()
-	case "ring":
-		return models.TokenRing(4)
-	case "distributed":
-		return models.Distributed()
+	if slices.Contains(models.Names(), name) {
+		return models.ByName(name)
 	}
 	f, err := os.Open(name)
 	if err != nil {

@@ -22,6 +22,8 @@ func TestStdoutGoldens(t *testing.T) {
 		{"heating", []string{"-model", "heating", "-instrument", "-disasm"}},
 		{"traffic", []string{"-model", "traffic"}},
 		{"ring", []string{"-model", "ring"}},
+		{"dist", []string{"-model", "dist"}},
+		{"priorityload", []string{"-model", "priorityload"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -44,5 +46,14 @@ func TestStdoutGoldens(t *testing.T) {
 				t.Fatalf("comdesgen %s: stdout differs from %s\n--- got ---\n%s", strings.Join(c.args, " "), golden, out.String())
 			}
 		})
+	}
+}
+
+// TestRefusedModel: a name that is neither a built-in model nor a file is
+// an error, not an empty listing.
+func TestRefusedModel(t *testing.T) {
+	var out strings.Builder
+	if err := run([]string{"-model", "nosuch"}, &out); err == nil {
+		t.Fatal("model nosuch accepted")
 	}
 }

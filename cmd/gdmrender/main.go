@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"repro/internal/comdes"
 	"repro/internal/core"
@@ -29,7 +30,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("gdmrender", flag.ContinueOnError)
 	in := fs.String("in", "", "GDM JSON file ('-' for stdin)")
-	demo := fs.String("demo", "", "render a built-in model instead (heating|traffic|ring)")
+	demo := fs.String("demo", "", "render a built-in model instead ("+strings.Join(models.Names(), "|")+")")
 	format := fs.String("format", "ascii", "output format: ascii|svg|json")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -39,7 +40,10 @@ func run(args []string, out io.Writer) error {
 	var err error
 	switch {
 	case *demo != "":
-		g, err = demoGDM(*demo)
+		var sys *comdes.System
+		if sys, err = models.ByName(*demo); err == nil {
+			g, err = buildGDM(sys)
+		}
 	case *in == "-":
 		g, err = readGDM(os.Stdin)
 	case *in != "":
@@ -80,30 +84,6 @@ func readGDM(r io.Reader) (*core.GDM, error) {
 		return nil, err
 	}
 	return core.LoadGDM(data)
-}
-
-func demoGDM(name string) (*core.GDM, error) {
-	switch name {
-	case "heating":
-		s, err := models.Heating(models.HeatingOptions{})
-		if err != nil {
-			return nil, err
-		}
-		return buildGDM(s)
-	case "traffic":
-		s, err := models.TrafficLight()
-		if err != nil {
-			return nil, err
-		}
-		return buildGDM(s)
-	case "ring":
-		s, err := models.TokenRing(4)
-		if err != nil {
-			return nil, err
-		}
-		return buildGDM(s)
-	}
-	return nil, fmt.Errorf("unknown demo %q", name)
 }
 
 func buildGDM(sys *comdes.System) (*core.GDM, error) {

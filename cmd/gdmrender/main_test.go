@@ -25,6 +25,8 @@ func TestStdoutGoldens(t *testing.T) {
 		// heating_json is the -in file of the next case.
 		{"heating_json", []string{"-demo", "heating", "-format", "json"}},
 		{"in_heating_ascii", []string{"-in", filepath.Join("testdata", "heating_json.golden"), "-format", "ascii"}},
+		{"dist_ascii", []string{"-demo", "dist"}},
+		{"priorityload_ascii", []string{"-demo", "priorityload"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -47,5 +49,13 @@ func TestStdoutGoldens(t *testing.T) {
 				t.Fatalf("gdmrender %s: stdout differs from %s\n--- got ---\n%s", strings.Join(c.args, " "), golden, out.String())
 			}
 		})
+	}
+}
+
+// TestRefusedDemo: an unknown demo name is an error, not an empty render.
+func TestRefusedDemo(t *testing.T) {
+	var out strings.Builder
+	if err := run([]string{"-demo", "nosuch"}, &out); err == nil {
+		t.Fatal("demo nosuch accepted")
 	}
 }

@@ -68,8 +68,6 @@ type DebugConfig struct {
 	Instrument *codegen.Instrument
 	// Board overrides the physical board parameters.
 	Board target.Config
-	// Compile carries extra code generation options (fault injection).
-	Compile codegen.Options
 	// Environment, when set, is invoked at every task release so a plant
 	// model can provide sensor inputs and consume actuator outputs.
 	Environment func(now uint64, b *target.Board)
@@ -96,17 +94,13 @@ func CompileFor(sys *comdes.System, cfg DebugConfig) (*codegen.Program, error) {
 // lives; Debug and CompileFor must agree or a shared program would differ
 // from a per-session compile.
 func compileOptions(cfg DebugConfig) codegen.Options {
-	opts := cfg.Compile
-	if cfg.Transport == Active {
-		if cfg.Instrument != nil {
-			opts.Instrument = *cfg.Instrument
-		} else {
-			opts.Instrument = codegen.Instrument{StateEnter: true, Transitions: true, Signals: true}
-		}
-	} else {
-		opts.Instrument = codegen.Instrument{}
+	switch {
+	case cfg.Transport != Active:
+		return codegen.Options{}
+	case cfg.Instrument != nil:
+		return codegen.Options{Instrument: *cfg.Instrument}
 	}
-	return opts
+	return codegen.Options{Instrument: codegen.Instrument{StateEnter: true, Transitions: true, Signals: true}}
 }
 
 // Debugger bundles one assembled debugging setup: a single board (Debug)

@@ -1,60 +1,36 @@
-// Package baseline implements the comparison systems from the paper's
+// Package baseline implements the comparison system from the paper's
 // related-work section (Sec. IV), so the reproduction can measure GMDF
-// against them rather than argue qualitatively:
+// against it rather than argue qualitatively:
 //
 //   - CodeDebugger — a GDB-like code-level debugger over the generated
-//     program: line breakpoints, single-instruction stepping, symbol
-//     inspection. "In spite of advanced visualization techniques, DDD
-//     debugging is actually done at the coding level."
-//   - DataDisplay — the DDD layer on top: watched variables rendered as
-//     boxes after every stop.
-//   - SimAnimator — a LabVIEW-style animator: dataflow models only, pure
-//     simulation (no target hardware). "LabVIEW is limited to data flow
-//     models only" and validates designs "through simulation ... not just
-//     software simulation" is the GMDF delta.
+//     program: single-instruction stepping and symbol inspection. "In
+//     spite of advanced visualization techniques, DDD debugging is
+//     actually done at the coding level."
 package baseline
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"repro/internal/codegen"
-	"repro/internal/comdes"
 	"repro/internal/value"
 )
 
 // CodeDebugger is the GDB-like baseline: it executes a compiled unit
-// instruction by instruction with line-level breakpoints and counts every
-// user-visible step — the currency of the E10 comparison.
+// instruction by instruction and counts every user-visible step — the
+// currency of the E10 comparison.
 type CodeDebugger struct {
 	Prog *codegen.Program
 	Bus  codegen.Bus
 
-	breakLines map[int32]bool
-
 	// Counters of user-facing debugging work.
 	InstructionsStepped uint64
-	BreakpointStops     uint64
 	Inspections         uint64
 }
 
 // NewCodeDebugger attaches a code-level debugger to a program and bus.
 func NewCodeDebugger(p *codegen.Program, bus codegen.Bus) *CodeDebugger {
-	return &CodeDebugger{Prog: p, Bus: bus, breakLines: map[int32]bool{}}
+	return &CodeDebugger{Prog: p, Bus: bus}
 }
-
-// BreakAtLine sets a breakpoint on a listing line (GDB "break file:line").
-func (d *CodeDebugger) BreakAtLine(line int32) error {
-	if line < 0 || int(line) >= len(d.Prog.Source) {
-		return fmt.Errorf("baseline: line %d out of range", line)
-	}
-	d.breakLines[line] = true
-	return nil
-}
-
-// ClearLine removes a line breakpoint.
-func (d *CodeDebugger) ClearLine(line int32) { delete(d.breakLines, line) }
 
 // Inspect reads a symbol by name (GDB "print"), counting the inspection.
 func (d *CodeDebugger) Inspect(symbol string) (value.Value, error) {
@@ -66,48 +42,16 @@ func (d *CodeDebugger) Inspect(symbol string) (value.Value, error) {
 	return d.Bus.LoadSym(idx)
 }
 
-// StopReason reports why RunUnit returned.
-type StopReason uint8
-
-// Stop reasons.
-const (
-	StopDone StopReason = iota
-	StopBreak
-	StopError
-)
-
-// RunUnit executes a unit body until a line breakpoint fires or the body
-// finishes; resume by calling again with the returned machine.
-func (d *CodeDebugger) RunUnit(u *codegen.Unit) (*codegen.Machine, StopReason, error) {
+// RunUnit executes a unit body to completion (GDB "continue"), counting
+// every instruction it steps.
+func (d *CodeDebugger) RunUnit(u *codegen.Unit) error {
 	m := codegen.NewMachine(d.Prog, u.Body, d.Bus)
-	return d.resume(m)
-}
-
-// Resume continues a stopped machine.
-func (d *CodeDebugger) Resume(m *codegen.Machine) (*codegen.Machine, StopReason, error) {
-	// Step off the current (breaking) line first.
-	cur := m.CurrentLine()
-	for !m.Done() && m.CurrentLine() == cur {
-		if _, err := m.Step(); err != nil {
-			return m, StopError, err
-		}
-		d.InstructionsStepped++
-	}
-	return d.resume(m)
-}
-
-func (d *CodeDebugger) resume(m *codegen.Machine) (*codegen.Machine, StopReason, error) {
 	for !m.Done() {
-		if d.breakLines[m.CurrentLine()] {
-			d.BreakpointStops++
-			return m, StopBreak, nil
+		if _, err := d.StepInstruction(m); err != nil {
+			return err
 		}
-		if _, err := m.Step(); err != nil {
-			return m, StopError, err
-		}
-		d.InstructionsStepped++
 	}
-	return m, StopDone, nil
+	return nil
 }
 
 // StepInstruction executes exactly one instruction (GDB "stepi").
@@ -117,117 +61,4 @@ func (d *CodeDebugger) StepInstruction(m *codegen.Machine) (bool, error) {
 		d.InstructionsStepped++
 	}
 	return more, err
-}
-
-// Effort summarises the debugging work spent so far.
-func (d *CodeDebugger) Effort() string {
-	return fmt.Sprintf("stepi=%d stops=%d inspections=%d",
-		d.InstructionsStepped, d.BreakpointStops, d.Inspections)
-}
-
-// DataDisplay is the DDD layer: a set of watched symbols rendered as
-// linked boxes after every stop — graphical, but still code-level data.
-type DataDisplay struct {
-	dbg     *CodeDebugger
-	watches []string
-}
-
-// NewDataDisplay wraps a code debugger.
-func NewDataDisplay(dbg *CodeDebugger) *DataDisplay { return &DataDisplay{dbg: dbg} }
-
-// Watch adds a symbol to the display.
-func (dd *DataDisplay) Watch(symbol string) error {
-	if _, ok := dd.dbg.Prog.Symbols.Index(symbol); !ok {
-		return fmt.Errorf("baseline: unknown symbol %q", symbol)
-	}
-	for _, w := range dd.watches {
-		if w == symbol {
-			return nil
-		}
-	}
-	dd.watches = append(dd.watches, symbol)
-	return nil
-}
-
-// Render draws the watched data as DDD-style boxes.
-func (dd *DataDisplay) Render() string {
-	var b strings.Builder
-	ws := append([]string(nil), dd.watches...)
-	sort.Strings(ws)
-	for _, w := range ws {
-		v, err := dd.dbg.Inspect(w)
-		val := "?"
-		if err == nil {
-			val = v.String()
-		}
-		width := len(w)
-		if len(val) > width {
-			width = len(val)
-		}
-		line := strings.Repeat("-", width+2)
-		fmt.Fprintf(&b, "+%s+\n| %-*s |\n| %-*s |\n+%s+\n", line, width, w, width, val, line)
-	}
-	return b.String()
-}
-
-// ---- LabVIEW-style baseline ----
-
-// SimAnimator validates a design purely in simulation, and only for
-// dataflow models: any state machine (directly or nested) is rejected,
-// reproducing the restriction the paper contrasts GMDF against.
-type SimAnimator struct {
-	sys *comdes.System
-	it  *comdes.Interpreter
-	// Frames counts animation updates produced.
-	Frames uint64
-}
-
-// NewSimAnimator checks the model is pure dataflow and prepares the
-// simulation.
-func NewSimAnimator(sys *comdes.System) (*SimAnimator, error) {
-	for _, a := range sys.Actors {
-		if err := rejectStateMachines(a.Name(), a.Net.Blocks()); err != nil {
-			return nil, err
-		}
-	}
-	return &SimAnimator{sys: sys, it: comdes.NewInterpreter(sys)}, nil
-}
-
-func rejectStateMachines(path string, blocks []comdes.Block) error {
-	for _, b := range blocks {
-		switch fb := b.(type) {
-		case *comdes.StateMachineFB:
-			return fmt.Errorf("baseline: dataflow-only animator cannot accept state machine %s.%s", path, fb.Name())
-		case *comdes.CompositeFB:
-			if err := rejectStateMachines(path+"."+fb.Name(), fb.Network().Blocks()); err != nil {
-				return err
-			}
-		case *comdes.ModalFB:
-			for _, md := range fb.Modes() {
-				if err := rejectStateMachines(path+"."+fb.Name(), []comdes.Block{md.Block}); err != nil {
-					return err
-				}
-			}
-			if fb.Fallback() != nil {
-				if err := rejectStateMachines(path+"."+fb.Name(), []comdes.Block{fb.Fallback()}); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// StepActor simulates one actor step and produces one animation frame
-// (the frame content is the actor's output set).
-func (s *SimAnimator) StepActor(name string, env map[string]value.Value) (map[string]value.Value, error) {
-	for k, v := range env {
-		s.it.Env[k] = v
-	}
-	out, err := s.it.StepActor(name)
-	if err != nil {
-		return nil, err
-	}
-	s.Frames++
-	return out, nil
 }

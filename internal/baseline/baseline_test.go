@@ -1,7 +1,6 @@
 package baseline
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/codegen"
@@ -69,68 +68,32 @@ func setInput(t testing.TB, p *codegen.Program, bus codegen.Bus, temp float64) {
 	}
 }
 
-func TestCodeDebuggerBreakpointsAndStepping(t *testing.T) {
+// TestCodeDebuggerRunUnit runs a cold cycle to completion and inspects
+// the state variable it left behind, as E1 does.
+func TestCodeDebuggerRunUnit(t *testing.T) {
 	p, bus := compiled(t)
 	u := p.Unit("heater")
 	d := NewCodeDebugger(p, bus)
 
-	// Find the listing line of the cold transition and break on it.
-	var coldLine int32 = -1
-	for i, src := range p.Source {
-		if strings.Contains(src, "transition cold") {
-			coldLine = int32(i)
-		}
-	}
-	if coldLine < 0 {
-		t.Fatal("listing line not found")
-	}
-	if err := d.BreakAtLine(coldLine); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.BreakAtLine(99999); err == nil {
-		t.Error("out-of-range line should fail")
-	}
-
 	setInput(t, p, bus, 10) // cold
-	m, reason, err := d.RunUnit(u)
-	if err != nil {
+	if err := d.RunUnit(u); err != nil {
 		t.Fatal(err)
 	}
-	if reason != StopBreak {
-		t.Fatalf("reason = %v, want StopBreak", reason)
-	}
-	if d.BreakpointStops != 1 {
-		t.Error("stop not counted")
-	}
-	// Inspect the state variable at the stop (still Idle: transition code
-	// has not run yet).
 	st, err := d.Inspect("heater.ctrl.__state")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Int() != 0 {
-		t.Errorf("state at break = %v", st)
+	if st.Int() != 1 {
+		t.Errorf("state after run = %v, want Heating (1)", st)
 	}
 	if _, err := d.Inspect("ghost"); err == nil {
 		t.Error("unknown symbol should fail")
 	}
-	// Resume to completion; state becomes Heating (1).
-	_, reason, err = d.Resume(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reason != StopDone {
-		t.Fatalf("resume reason = %v", reason)
-	}
-	st, _ = d.Inspect("heater.ctrl.__state")
-	if st.Int() != 1 {
-		t.Errorf("state after run = %v", st)
-	}
 	if d.InstructionsStepped == 0 {
 		t.Error("instructions not counted")
 	}
-	if !strings.Contains(d.Effort(), "stepi=") {
-		t.Error("Effort() malformed")
+	if d.Inspections != 2 {
+		t.Errorf("inspections = %d, want 2", d.Inspections)
 	}
 }
 
@@ -159,111 +122,6 @@ func TestCodeDebuggerStepInstruction(t *testing.T) {
 	}
 	if m.CurrentLine() != -1 {
 		t.Error("done machine should report line -1")
-	}
-}
-
-func TestCodeDebuggerClearLine(t *testing.T) {
-	p, bus := compiled(t)
-	u := p.Unit("heater")
-	d := NewCodeDebugger(p, bus)
-	line := u.Body[0].Line
-	if err := d.BreakAtLine(line); err != nil {
-		t.Fatal(err)
-	}
-	d.ClearLine(line)
-	setInput(t, p, bus, 25)
-	_, reason, err := d.RunUnit(u)
-	if err != nil || reason != StopDone {
-		t.Fatalf("cleared breakpoint still fired: %v %v", reason, err)
-	}
-}
-
-func TestDataDisplay(t *testing.T) {
-	p, bus := compiled(t)
-	d := NewCodeDebugger(p, bus)
-	dd := NewDataDisplay(d)
-	if err := dd.Watch("heater.ctrl.__state"); err != nil {
-		t.Fatal(err)
-	}
-	if err := dd.Watch("heater.ctrl.__state"); err != nil {
-		t.Fatal(err) // duplicate is a no-op
-	}
-	if err := dd.Watch("ghost"); err == nil {
-		t.Error("unknown watch should fail")
-	}
-	out := dd.Render()
-	if !strings.Contains(out, "heater.ctrl.__state") || !strings.Contains(out, "| 0") {
-		t.Errorf("render:\n%s", out)
-	}
-	if d.Inspections == 0 {
-		t.Error("render must count inspections")
-	}
-}
-
-func TestSimAnimatorRejectsStateMachines(t *testing.T) {
-	if _, err := NewSimAnimator(heaterSystem(t)); err == nil {
-		t.Fatal("FSM model must be rejected (LabVIEW restriction)")
-	}
-	// Nested FSM inside a composite is also rejected.
-	inner := comdes.NewNetwork("in",
-		[]comdes.Port{{Name: "temp", Kind: value.Float}},
-		[]comdes.Port{{Name: "heat", Kind: value.Bool}})
-	sm, _ := comdes.NewStateMachineFB(comdes.SMConfig{
-		Name:    "sm",
-		Inputs:  []comdes.Port{{Name: "temp", Kind: value.Float}},
-		Outputs: []comdes.Port{{Name: "heat", Kind: value.Bool}},
-		States:  []comdes.SMStateDef{{Name: "A", Entry: map[string]string{"heat": "false"}}},
-	})
-	inner.MustAdd(sm)
-	inner.MustConnect("", "temp", "sm", "temp").MustConnect("sm", "heat", "", "heat")
-	comp, err := comdes.NewCompositeFB(inner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := comdes.NewNetwork("n",
-		[]comdes.Port{{Name: "t", Kind: value.Float}},
-		[]comdes.Port{{Name: "h", Kind: value.Bool}})
-	net.MustAdd(comp)
-	net.MustConnect("", "t", "in", "temp").MustConnect("in", "heat", "", "h")
-	a, err := comdes.NewActor("nested", net, comdes.TaskSpec{PeriodNs: 1000, DeadlineNs: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys := comdes.NewSystem("nested")
-	sys.MustAddActor(a)
-	if _, err := NewSimAnimator(sys); err == nil {
-		t.Error("nested FSM must be rejected")
-	}
-}
-
-func TestSimAnimatorDataflow(t *testing.T) {
-	net := comdes.NewNetwork("n",
-		[]comdes.Port{{Name: "x", Kind: value.Float}},
-		[]comdes.Port{{Name: "y", Kind: value.Float}})
-	net.MustAdd(comdes.MustComponent("gain", "g", map[string]value.Value{"k": value.F(3)}))
-	net.MustConnect("", "x", "g", "in").MustConnect("g", "out", "", "y")
-	a, err := comdes.NewActor("amp", net, comdes.TaskSpec{PeriodNs: 1000, DeadlineNs: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys := comdes.NewSystem("amp")
-	sys.MustAddActor(a)
-	sim, err := NewSimAnimator(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := sim.StepActor("amp", map[string]value.Value{"amp.x": value.F(2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out["y"].Float() != 6 {
-		t.Errorf("y = %v", out["y"])
-	}
-	if sim.Frames != 1 {
-		t.Error("frame not counted")
-	}
-	if _, err := sim.StepActor("ghost", nil); err == nil {
-		t.Error("unknown actor should fail")
 	}
 }
 

@@ -315,22 +315,6 @@ func TestInstrumentationOverheadCycles(t *testing.T) {
 	}
 }
 
-func TestFaultNegateGuard(t *testing.T) {
-	sys := singleActorSystem(t, heaterActor(t))
-	p, err := Compile(sys, Options{FaultNegateGuard: "heater.ctrl.cold"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := p.Unit("heater")
-	bus := NewMapBus(p.Symbols)
-	initUnit(t, p, u, bus)
-	// With the guard negated, a WARM input triggers Heating.
-	out, _ := cycleUnit(t, p, u, bus, map[string]value.Value{"temp": value.F(20)})
-	if !out["heat"].Bool() {
-		t.Error("negated guard should fire on warm input")
-	}
-}
-
 func TestFaultRewire(t *testing.T) {
 	// Rewire connection 2 (ctrl.power -> lim.in) to take the raw temp
 	// input instead: the limiter then clamps the temperature, so power is

@@ -36,9 +36,6 @@ type Rewire struct {
 // Options configures a compilation.
 type Options struct {
 	Instrument Instrument
-	// FaultNegateGuard, when set to "actor.block.transition", compiles
-	// that transition's guard negated — an implementation error.
-	FaultNegateGuard string
 	// FaultRewire, when non-nil, reroutes one connection — an
 	// implementation error.
 	FaultRewire *Rewire
@@ -513,9 +510,6 @@ func (c *compiler) compileStateMachine(path string, fb *comdes.StateMachineFB,
 			lnT := c.prog.line("    if (%s) { state = %s; } // transition %s", guard.String(), tr.To, tr.Name)
 			if err := c.compileExpr(body, guard, inResolve, nil, lnT); err != nil {
 				return fmt.Errorf("codegen: %s transition %s: %w", path, tr.Name, err)
-			}
-			if c.opts.FaultNegateGuard == path+"."+tr.Name {
-				*body = append(*body, Instr{Op: OpNot, Line: lnT})
 			}
 			jSkip := len(*body)
 			*body = append(*body, Instr{Op: OpJZ, Line: lnT})

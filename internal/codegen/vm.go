@@ -478,7 +478,7 @@ func arithByte(op Op) byte {
 }
 
 // MapBus is a simple Bus over a value slice, used by tests and the
-// LabVIEW-style simulation baseline (no RAM encoding).
+// code-level baseline experiments (no RAM encoding).
 type MapBus struct {
 	Table *SymbolTable
 	Vals  []value.Value

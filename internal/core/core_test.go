@@ -82,16 +82,6 @@ func TestMappingPairing(t *testing.T) {
 	if m.Len() != 1 {
 		t.Error("Len wrong")
 	}
-	// Delete (the Fig. 4 "delete previous pairing").
-	if err := m.Delete("State"); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Delete("State"); err == nil {
-		t.Error("double delete should fail")
-	}
-	if m.Len() != 0 {
-		t.Error("delete did not remove")
-	}
 }
 
 func TestMappingMatchSpecificity(t *testing.T) {

@@ -108,18 +108,6 @@ func (m *Mapping) MustPair(rule Rule) *Mapping {
 	return m
 }
 
-// Delete removes the pairing for a meta-class — the "delete previous
-// pairing" action of the Fig. 4 guide.
-func (m *Mapping) Delete(metaClass string) error {
-	for i, r := range m.rules {
-		if r.MetaClass == metaClass {
-			m.rules = append(m.rules[:i], m.rules[i+1:]...)
-			return nil
-		}
-	}
-	return fmt.Errorf("core: no pairing for %q", metaClass)
-}
-
 // Rules returns the pairing list in order.
 func (m *Mapping) Rules() []Rule { return append([]Rule(nil), m.rules...) }
 

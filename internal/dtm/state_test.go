@@ -156,45 +156,6 @@ func TestSchedulerSnapshotRestoreFixedPriority(t *testing.T) {
 	}
 }
 
-// TestAssignRateMonotonic covers the priority derivation and the
-// ambiguous-tie error.
-func TestAssignRateMonotonic(t *testing.T) {
-	exec := func(uint64, map[string]value.Value) (map[string]value.Value, uint64, error) {
-		return nil, 0, nil
-	}
-	a := &Task{Name: "a", Period: 10_000, Deadline: 10_000, Execute: exec}
-	b := &Task{Name: "b", Period: 1_000, Deadline: 1_000, Execute: exec}
-	c := &Task{Name: "c", Period: 5_000, Deadline: 5_000, Execute: exec}
-	d := &Task{Name: "d", Period: 5_000, Deadline: 5_000, Execute: exec}
-	if err := AssignRateMonotonic([]*Task{a, b, c, d}); err != nil {
-		t.Fatal(err)
-	}
-	if !(b.Priority > c.Priority && c.Priority > a.Priority) {
-		t.Fatalf("rate order wrong: a=%d b=%d c=%d", a.Priority, b.Priority, c.Priority)
-	}
-	if c.Priority != d.Priority {
-		t.Fatalf("equal periods should share a priority: c=%d d=%d", c.Priority, d.Priority)
-	}
-
-	// Same period, different deadlines: ambiguous, must error.
-	e := &Task{Name: "e", Period: 5_000, Deadline: 2_000, Execute: exec}
-	if err := AssignRateMonotonic([]*Task{c, e}); err == nil {
-		t.Fatal("expected error on period tie with differing deadlines")
-	}
-
-	// Scheduler method variant.
-	k := NewKernel()
-	s := NewScheduler(k)
-	_ = s.AddTask(a)
-	_ = s.AddTask(b)
-	if err := s.AssignRateMonotonic(); err != nil {
-		t.Fatal(err)
-	}
-	if b.Priority <= a.Priority {
-		t.Fatal("scheduler RM pass did not order by period")
-	}
-}
-
 // TestNetworkSnapshotInflight freezes frames mid-hop and verifies they
 // land at the original instants with the original values after a restore
 // — including across a rewind.

@@ -113,7 +113,7 @@ func E1Pipeline() (*E1Result, error) {
 		return nil, err
 	}
 	cd := baseline.NewCodeDebugger(prog, rig.bus)
-	if _, _, err := cd.RunUnit(rig.u); err != nil {
+	if err := cd.RunUnit(rig.u); err != nil {
 		return nil, err
 	}
 	st, err := cd.Inspect("heater.thermostat.__state")
@@ -278,8 +278,8 @@ func E6Workflow() (string, error) {
 	}
 	var out strings.Builder
 	out.WriteString("E6 (Fig. 6) — five-step execution flow\n")
-	for _, rec := range w.Log {
-		fmt.Fprintf(&out, "  completed %-20s\n", rec.Step)
+	for _, step := range w.Log {
+		fmt.Fprintf(&out, "  completed %-20s\n", step)
 	}
 	fmt.Fprintf(&out, "  debugging: %d commands handled, GDM state %v\n", s.Handled, w.GDM().State())
 	return out.String(), nil

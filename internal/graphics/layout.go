@@ -10,12 +10,10 @@ import (
 // produces an "initial GDM file" whose diagram must be laid out without
 // user intervention).
 //
-// Three algorithms cover the two COMDES viewpoints:
+// Two algorithms cover the generated diagrams:
 //   - LayerLayout: layered DAG drawing for dataflow networks (actors,
 //     function block networks) — a compact Sugiyama-style pipeline with
 //     longest-path layering and barycenter ordering.
-//   - CircleLayout: ring placement for state machines, keeping transition
-//     arrows legible.
 //   - GridLayout: fallback for unconnected element sets.
 
 // LayoutNode is one box to place.
@@ -48,24 +46,6 @@ func GridLayout(nodes []LayoutNode, cols int, cellW, cellH float64) map[string]P
 			X: float64(c)*cellW + (cellW-n.W)/2,
 			Y: float64(r)*cellH + (cellH-n.H)/2,
 		}
-	}
-	return out
-}
-
-// CircleLayout places nodes evenly on a circle centred at (cx, cy) with
-// radius r, starting at angle -90° (top) and proceeding clockwise in input
-// order.
-func CircleLayout(nodes []LayoutNode, cx, cy, r float64) map[string]Point {
-	out := make(map[string]Point, len(nodes))
-	n := len(nodes)
-	if n == 0 {
-		return out
-	}
-	for i, node := range nodes {
-		theta := -math.Pi/2 + 2*math.Pi*float64(i)/float64(n)
-		x := cx + r*math.Cos(theta) - node.W/2
-		y := cy + r*math.Sin(theta) - node.H/2
-		out[node.ID] = Point{X: x, Y: y}
 	}
 	return out
 }

@@ -184,13 +184,6 @@ func (sc *Scene) SetBadge(id, badge string) error {
 	return nil
 }
 
-// ClearHighlights resets all dynamic highlights.
-func (sc *Scene) ClearHighlights() {
-	for _, s := range sc.shapes {
-		s.Highlight = false
-	}
-}
-
 // ClearDynamic resets all animation state — highlights and badges — back
 // to a freshly built scene (the rewind path of the checkpoint subsystem).
 func (sc *Scene) ClearDynamic() {

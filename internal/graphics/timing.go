@@ -2,7 +2,6 @@ package graphics
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -10,7 +9,7 @@ import (
 // execution trace with a timing diagram so millisecond-scale model-level
 // behaviour (state transitions, signal changes) can be inspected offline.
 // A Diagram holds per-signal tracks of timestamped discrete values and
-// renders them as step waveforms in ASCII or SVG.
+// renders them as step waveforms in ASCII.
 
 // Change is one timestamped value on a track. T is in nanoseconds of
 // virtual target time.
@@ -192,96 +191,6 @@ func (d *Diagram) ASCII(width int) string {
 		}
 	}
 	return b.String()
-}
-
-// SVG renders the diagram with one horizontal band per track; value
-// changes draw vertical edges and value labels.
-func (d *Diagram) SVG(width, trackH int) string {
-	if width <= 0 {
-		width = 800
-	}
-	if trackH <= 0 {
-		trackH = 28
-	}
-	t0, t1 := d.Span()
-	if t1 == t0 {
-		t1 = t0 + 1
-	}
-	labelW := 120
-	h := (len(d.tracks) + 1) * trackH
-	var b strings.Builder
-	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d">`+"\n", width+labelW, h)
-	toX := func(t uint64) float64 {
-		return float64(labelW) + float64(width)*float64(t-t0)/float64(t1-t0)
-	}
-	fmt.Fprintf(&b, `<text x="4" y="%d" font-size="10" font-family="monospace">%.3f ms .. %.3f ms</text>`+"\n",
-		trackH/2, float64(t0)/1e6, float64(t1)/1e6)
-	for i, tr := range d.tracks {
-		yTop := float64((i + 1) * trackH)
-		yMid := yTop + float64(trackH)*0.55
-		fmt.Fprintf(&b, `<text x="4" y="%g" font-size="11" font-family="monospace">%s</text>`+"\n",
-			yMid, xmlEscape(tr.Name))
-		prevX := float64(labelW)
-		for j, c := range tr.Changes {
-			x := toX(c.T)
-			if j > 0 {
-				// horizontal segment for the previous value, then an edge
-				fmt.Fprintf(&b, `<line x1="%g" y1="%g" x2="%g" y2="%g" stroke="#333333"/>`+"\n", prevX, yMid, x, yMid)
-				fmt.Fprintf(&b, `<line x1="%g" y1="%g" x2="%g" y2="%g" stroke="#333333"/>`+"\n", x, yTop+4, x, yMid)
-			}
-			fmt.Fprintf(&b, `<text x="%g" y="%g" font-size="9" font-family="monospace" fill="#005500">%s</text>`+"\n",
-				x+2, yTop+12, xmlEscape(c.Value))
-			prevX = x
-		}
-		fmt.Fprintf(&b, `<line x1="%g" y1="%g" x2="%d" y2="%g" stroke="#333333"/>`+"\n",
-			prevX, yMid, labelW+width, yMid)
-		// Incident markers: a red triangle on the lane with its label, so
-		// scheduling anomalies (deadline misses, preemptions) read inline
-		// with the waveform they disturbed.
-		for _, m := range tr.Marks {
-			x := toX(m.T)
-			color := "#cc2200"
-			switch m.Glyph {
-			case '^':
-				color = "#cc7700"
-			case 'x':
-				color = "#555588"
-			}
-			fmt.Fprintf(&b, `<path d="M%g %g L%g %g L%g %g Z" fill="%s"/>`+"\n",
-				x-4, yTop+float64(trackH)-4, x+4, yTop+float64(trackH)-4, x, yTop+float64(trackH)-12, color)
-			fmt.Fprintf(&b, `<text x="%g" y="%g" font-size="8" font-family="monospace" fill="%s">%s</text>`+"\n",
-				x+5, yTop+float64(trackH)-5, color, xmlEscape(m.Label))
-		}
-	}
-	b.WriteString("</svg>\n")
-	return b.String()
-}
-
-// MergedEvents returns all changes across tracks ordered by time then track
-// name — the flat event list used by replay fidelity tests.
-func (d *Diagram) MergedEvents() []struct {
-	Track string
-	Change
-} {
-	var out []struct {
-		Track string
-		Change
-	}
-	for _, tr := range d.tracks {
-		for _, c := range tr.Changes {
-			out = append(out, struct {
-				Track string
-				Change
-			}{tr.Name, c})
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].T != out[j].T {
-			return out[i].T < out[j].T
-		}
-		return out[i].Track < out[j].Track
-	})
-	return out
 }
 
 func centerPad(s string, w int) string {

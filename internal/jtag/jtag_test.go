@@ -30,20 +30,9 @@ func (r *fakeRAM) WriteMem(addr uint32, p []byte) {
 	}
 }
 
-// fakePins is an 8-pin boundary for SAMPLE/EXTEST tests.
-type fakePins struct {
-	levels []bool
-	driven []bool
-}
-
-func (f *fakePins) Sample() []bool      { return append([]bool(nil), f.levels...) }
-func (f *fakePins) Drive(levels []bool) { f.driven = levels }
-
-func newTestTAP() (*TAP, *fakeRAM, *fakePins) {
+func newTestTAP() (*TAP, *fakeRAM) {
 	ram := &fakeRAM{}
-	pins := &fakePins{levels: []bool{true, false, true, true, false, false, true, false}}
-	tap := NewTAP(0x1234ABCD, ram, pins)
-	return tap, ram, pins
+	return NewTAP(0x1234ABCD, ram), ram
 }
 
 func TestStateNames(t *testing.T) {
@@ -93,7 +82,7 @@ func TestShiftStatesLoop(t *testing.T) {
 }
 
 func TestReadIDCODE(t *testing.T) {
-	tap, _, _ := newTestTAP()
+	tap, _ := newTestTAP()
 	p := NewProbe(tap)
 	p.Reset()
 	if got := p.ReadIDCODE(); got != 0x1234ABCD {
@@ -106,7 +95,7 @@ func TestReadIDCODE(t *testing.T) {
 }
 
 func TestResetSelectsIDCODE(t *testing.T) {
-	tap, _, _ := newTestTAP()
+	tap, _ := newTestTAP()
 	p := NewProbe(tap)
 	p.Reset()
 	p.WriteIR(IRBypass)
@@ -123,7 +112,7 @@ func TestResetSelectsIDCODE(t *testing.T) {
 }
 
 func TestBypassIsOneBit(t *testing.T) {
-	tap, _, _ := newTestTAP()
+	tap, _ := newTestTAP()
 	p := NewProbe(tap)
 	p.Reset()
 	p.WriteIR(IRBypass)
@@ -136,7 +125,7 @@ func TestBypassIsOneBit(t *testing.T) {
 }
 
 func TestUnknownIRBehavesAsBypass(t *testing.T) {
-	tap, _, _ := newTestTAP()
+	tap, _ := newTestTAP()
 	p := NewProbe(tap)
 	p.Reset()
 	p.WriteIR(0x7) // unassigned
@@ -147,7 +136,7 @@ func TestUnknownIRBehavesAsBypass(t *testing.T) {
 }
 
 func TestDebugMemoryReadWrite(t *testing.T) {
-	tap, ram, _ := newTestTAP()
+	tap, ram := newTestTAP()
 	p := NewProbe(tap)
 	p.Reset()
 
@@ -162,7 +151,7 @@ func TestDebugMemoryReadWrite(t *testing.T) {
 }
 
 func TestReadBytesAutoIncrement(t *testing.T) {
-	tap, ram, _ := newTestTAP()
+	tap, ram := newTestTAP()
 	for i := 0; i < 40; i++ {
 		ram.data[100+i] = byte(i + 1)
 	}
@@ -182,44 +171,8 @@ func TestReadBytesAutoIncrement(t *testing.T) {
 	}
 }
 
-func TestBoundarySample(t *testing.T) {
-	tap, _, pins := newTestTAP()
-	p := NewProbe(tap)
-	p.Reset()
-	got := p.SamplePins(8)
-	for i, want := range pins.levels {
-		if got[i] != want {
-			t.Errorf("pin %d = %v, want %v", i, got[i], want)
-		}
-	}
-}
-
-func TestBoundaryExtest(t *testing.T) {
-	tap, _, pins := newTestTAP()
-	p := NewProbe(tap)
-	p.Reset()
-	want := []bool{false, true, false, true, true, false, false, true}
-	p.DrivePins(want)
-	if len(pins.driven) != 8 {
-		t.Fatalf("driven %d pins", len(pins.driven))
-	}
-	for i := range want {
-		if pins.driven[i] != want[i] {
-			t.Errorf("driven pin %d = %v, want %v", i, pins.driven[i], want[i])
-		}
-	}
-}
-
-func TestNilPinsSafe(t *testing.T) {
-	tap := NewTAP(1, &fakeRAM{}, nil)
-	p := NewProbe(tap)
-	p.Reset()
-	_ = p.SamplePins(4) // must not panic
-	p.DrivePins([]bool{true, false})
-}
-
 func TestHostTimeAccounting(t *testing.T) {
-	tap, _, _ := newTestTAP()
+	tap, _ := newTestTAP()
 	p := NewProbe(tap)
 	before := p.HostTimeNs()
 	p.Reset()
@@ -241,7 +194,7 @@ func TestHostTimeAccounting(t *testing.T) {
 }
 
 func TestWatcherDetectsChanges(t *testing.T) {
-	tap, ram, _ := newTestTAP()
+	tap, ram := newTestTAP()
 	p := NewProbe(tap)
 	p.Reset()
 	w := NewWatcher(p)
@@ -294,7 +247,7 @@ func TestWatcherDetectsChanges(t *testing.T) {
 }
 
 func TestWatcherErrors(t *testing.T) {
-	tap, _, _ := newTestTAP()
+	tap, _ := newTestTAP()
 	w := NewWatcher(NewProbe(tap))
 	if err := w.Add(Watch{Symbol: "x", Addr: 0, Size: 4, Kind: value.Float}); err == nil {
 		t.Error("size mismatch should fail")
@@ -320,7 +273,7 @@ func mustEncode(t *testing.T, v value.Value, buf []byte) {
 // Property: memory words written through the debug port read back
 // identically for arbitrary addresses and values.
 func TestQuickDebugPortRoundtrip(t *testing.T) {
-	tap, _, _ := newTestTAP()
+	tap, _ := newTestTAP()
 	p := NewProbe(tap)
 	p.Reset()
 	f := func(addr uint16, v uint64) bool {
@@ -337,7 +290,7 @@ func TestQuickDebugPortRoundtrip(t *testing.T) {
 // within range; afterwards the probe can still recover with Reset.
 func TestQuickTAPRobustness(t *testing.T) {
 	f := func(stimulus []byte) bool {
-		tap, _, _ := newTestTAP()
+		tap, _ := newTestTAP()
 		for _, b := range stimulus {
 			tap.Clock(b&1 != 0, b&2 != 0)
 			if tap.State() > UpdateIR {
@@ -359,7 +312,7 @@ func TestQuickTAPRobustness(t *testing.T) {
 // must report a change against the *restored* previous value, not against
 // whatever its own cache last saw.
 func TestWatcherSnapshotRestore(t *testing.T) {
-	tap, ram, _ := newTestTAP()
+	tap, ram := newTestTAP()
 	p := NewProbe(tap)
 	p.Reset()
 	w := NewWatcher(p)

@@ -134,32 +134,6 @@ func (p *Probe) ReadBytes(addr uint32, n int) []byte {
 	return out[:n]
 }
 
-// DrivePins forces pin levels through EXTEST (up to 64 pins).
-func (p *Probe) DrivePins(levels []bool) {
-	var packed uint64
-	for i, l := range levels {
-		if l && i < 64 {
-			packed |= 1 << i
-		}
-	}
-	p.WriteIR(IRExtest)
-	p.scanDR(packed, len(levels))
-}
-
-// SamplePins captures the boundary-scan chain (pin levels).
-func (p *Probe) SamplePins(n int) []bool {
-	p.WriteIR(IRSample)
-	// RTI -> Select-DR -> Capture-DR -> Shift-DR
-	p.navigate(true, false, false)
-	out := make([]bool, n)
-	for i := 0; i < n; i++ {
-		out[i] = p.tap.Clock(i == n-1, false)
-	}
-	p.navigate(true, false)
-	p.account(3 + n + 2)
-	return out
-}
-
 // Watch describes one monitored variable: the symbol the user selected in
 // the paper's monitored-variable list, its RAM location and its kind.
 type Watch struct {

@@ -7,11 +7,11 @@
 // The package provides three layers:
 //
 //   - TAP: a bit-accurate 16-state Test Access Port controller with IR/DR
-//     scan chains, the standard BYPASS / IDCODE / SAMPLE / EXTEST
-//     instructions, a boundary-scan register over the board's pins, and a
+//     scan chains, the standard BYPASS and IDCODE instructions, and a
 //     vendor DEBUG extension (address + data registers) giving the probe
 //     direct RAM access — the mechanism real on-chip debug units
-//     (e.g. ARM EmbeddedICE) expose.
+//     (e.g. ARM EmbeddedICE) expose. The board has no boundary-scan
+//     register: every other instruction behaves as BYPASS.
 //   - Probe: the host-side USB/PCI adapter that drives TCK/TMS/TDI and
 //     accounts for host-side transaction latency. Crucially, none of its
 //     operations consume target CPU cycles.
@@ -109,9 +109,7 @@ func (s State) Next(tms bool) State {
 
 // Instruction register encodings (4-bit IR).
 const (
-	IRExtest  uint8 = 0x0
 	IRIdcode  uint8 = 0x1
-	IRSample  uint8 = 0x2
 	IRDbgAddr uint8 = 0x8 // vendor: debug address/control register
 	IRDbgData uint8 = 0x9 // vendor: debug data register
 	IRBypass  uint8 = 0xF
@@ -133,13 +131,6 @@ type Memory interface {
 	WriteMem(addr uint32, p []byte)
 }
 
-// Pins abstracts the boundary-scan chain: Sample returns current pin
-// levels; Drive forces them (EXTEST).
-type Pins interface {
-	Sample() []bool
-	Drive(levels []bool)
-}
-
 // TAP is the on-chip test access port.
 type TAP struct {
 	state State
@@ -149,29 +140,25 @@ type TAP struct {
 	idcode uint32
 
 	// dr holds the active data register during Shift-DR; its width depends
-	// on the current instruction. Registers wider than 64 bits (boundary
-	// scan) use drBits.
-	dr     uint64
-	drLen  int
-	drBits []bool // boundary register image when IR is SAMPLE/EXTEST
+	// on the current instruction.
+	dr    uint64
+	drLen int
 
 	dbgAddr  uint32
 	dbgFlags uint8
 
-	mem  Memory
-	pins Pins
+	mem Memory
 
 	// TCKCount tallies clock cycles for probe-side time accounting.
 	TCKCount uint64
 }
 
-// NewTAP creates a TAP with the given IDCODE, RAM port and boundary pins
-// (pins may be nil when the board exposes none).
-func NewTAP(idcode uint32, mem Memory, pins Pins) *TAP {
-	return &TAP{state: TestLogicReset, ir: IRIdcode, idcode: idcode, mem: mem, pins: pins}
+// NewTAP creates a TAP with the given IDCODE and RAM port.
+func NewTAP(idcode uint32, mem Memory) *TAP {
+	return &TAP{state: TestLogicReset, ir: IRIdcode, idcode: idcode, mem: mem}
 }
 
-// StateName returns the current controller state.
+// State returns the current controller state.
 func (t *TAP) State() State { return t.state }
 
 // IR returns the current instruction.
@@ -191,18 +178,10 @@ func (t *TAP) Clock(tms, tdi bool) bool {
 			t.irSh |= 1 << (irLen - 1)
 		}
 	case ShiftDR:
-		if t.usesBoundary() {
-			if len(t.drBits) > 0 {
-				tdo = t.drBits[0]
-				copy(t.drBits, t.drBits[1:])
-				t.drBits[len(t.drBits)-1] = tdi
-			}
-		} else {
-			tdo = t.dr&1 != 0
-			t.dr >>= 1
-			if tdi {
-				t.dr |= 1 << (t.drLen - 1)
-			}
+		tdo = t.dr&1 != 0
+		t.dr >>= 1
+		if tdi {
+			t.dr |= 1 << (t.drLen - 1)
 		}
 	}
 
@@ -225,8 +204,6 @@ func (t *TAP) Clock(tms, tdi bool) bool {
 	return tdo
 }
 
-func (t *TAP) usesBoundary() bool { return t.ir == IRSample || t.ir == IRExtest }
-
 func (t *TAP) captureDR() {
 	switch t.ir {
 	case IRIdcode:
@@ -245,12 +222,6 @@ func (t *TAP) captureDR() {
 		}
 		t.dr = leUint64(buf[:])
 		t.drLen = 64
-	case IRSample, IRExtest:
-		if t.pins != nil {
-			t.drBits = append(t.drBits[:0], t.pins.Sample()...)
-		} else {
-			t.drBits = t.drBits[:0]
-		}
 	default:
 		// Unknown instructions behave as BYPASS per the standard.
 		t.dr = 0
@@ -271,10 +242,6 @@ func (t *TAP) updateDR() {
 		}
 		if t.dbgFlags&DbgFlagAutoInc != 0 {
 			t.dbgAddr += 8
-		}
-	case IRExtest:
-		if t.pins != nil {
-			t.pins.Drive(append([]bool(nil), t.drBits...))
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package metamodel
 
 import (
-	"encoding/json"
 	"encoding/xml"
 	"fmt"
 	"io"
@@ -9,74 +8,74 @@ import (
 	"repro/internal/value"
 )
 
-// This file implements the persistence formats of the substrate: an
-// XMI-flavoured XML form (the paper's prototype stores EMF models as XMI)
-// and a JSON form. Both carry metamodels and models losslessly and are
-// covered by roundtrip tests.
+// This file implements the persistence format of the substrate: an
+// XMI-flavoured XML form (the paper's prototype stores EMF models as XMI).
+// It carries metamodels and models losslessly and is covered by roundtrip
+// tests.
 
 // ---- wire DTOs ----
 
 type xmlMetamodel struct {
-	XMLName xml.Name   `xml:"metamodel" json:"-"`
-	Name    string     `xml:"name,attr" json:"name"`
-	URI     string     `xml:"uri,attr" json:"uri"`
-	Enums   []xmlEnum  `xml:"enum" json:"enums,omitempty"`
-	Classes []xmlClass `xml:"class" json:"classes"`
+	XMLName xml.Name   `xml:"metamodel"`
+	Name    string     `xml:"name,attr"`
+	URI     string     `xml:"uri,attr"`
+	Enums   []xmlEnum  `xml:"enum"`
+	Classes []xmlClass `xml:"class"`
 }
 
 type xmlEnum struct {
-	Name     string   `xml:"name,attr" json:"name"`
-	Literals []string `xml:"literal" json:"literals"`
+	Name     string   `xml:"name,attr"`
+	Literals []string `xml:"literal"`
 }
 
 type xmlClass struct {
-	Name     string    `xml:"name,attr" json:"name"`
-	Abstract bool      `xml:"abstract,attr,omitempty" json:"abstract,omitempty"`
-	Super    string    `xml:"super,attr,omitempty" json:"super,omitempty"`
-	Attrs    []xmlAttr `xml:"attribute" json:"attributes,omitempty"`
-	Refs     []xmlRef  `xml:"reference" json:"references,omitempty"`
+	Name     string    `xml:"name,attr"`
+	Abstract bool      `xml:"abstract,attr,omitempty"`
+	Super    string    `xml:"super,attr,omitempty"`
+	Attrs    []xmlAttr `xml:"attribute"`
+	Refs     []xmlRef  `xml:"reference"`
 }
 
 type xmlAttr struct {
-	Name     string `xml:"name,attr" json:"name"`
-	Type     string `xml:"type,attr" json:"type"`
-	Enum     string `xml:"enum,attr,omitempty" json:"enum,omitempty"`
-	Default  string `xml:"default,attr,omitempty" json:"default,omitempty"`
-	HasDef   bool   `xml:"hasDefault,attr,omitempty" json:"hasDefault,omitempty"`
-	Required bool   `xml:"required,attr,omitempty" json:"required,omitempty"`
+	Name     string `xml:"name,attr"`
+	Type     string `xml:"type,attr"`
+	Enum     string `xml:"enum,attr,omitempty"`
+	Default  string `xml:"default,attr,omitempty"`
+	HasDef   bool   `xml:"hasDefault,attr,omitempty"`
+	Required bool   `xml:"required,attr,omitempty"`
 }
 
 type xmlRef struct {
-	Name        string `xml:"name,attr" json:"name"`
-	Target      string `xml:"target,attr" json:"target"`
-	Containment bool   `xml:"containment,attr,omitempty" json:"containment,omitempty"`
-	Lower       int    `xml:"lower,attr,omitempty" json:"lower,omitempty"`
-	Upper       int    `xml:"upper,attr,omitempty" json:"upper,omitempty"`
+	Name        string `xml:"name,attr"`
+	Target      string `xml:"target,attr"`
+	Containment bool   `xml:"containment,attr,omitempty"`
+	Lower       int    `xml:"lower,attr,omitempty"`
+	Upper       int    `xml:"upper,attr,omitempty"`
 }
 
 type xmlModel struct {
-	XMLName   xml.Name    `xml:"model" json:"-"`
-	Metamodel string      `xml:"metamodel,attr" json:"metamodel"`
-	Roots     []string    `xml:"roots>root" json:"roots"`
-	Objects   []xmlObject `xml:"object" json:"objects"`
+	XMLName   xml.Name    `xml:"model"`
+	Metamodel string      `xml:"metamodel,attr"`
+	Roots     []string    `xml:"roots>root"`
+	Objects   []xmlObject `xml:"object"`
 }
 
 type xmlObject struct {
-	ID    string       `xml:"id,attr" json:"id"`
-	Class string       `xml:"class,attr" json:"class"`
-	Attrs []xmlObjAttr `xml:"attr" json:"attrs,omitempty"`
-	Refs  []xmlObjRef  `xml:"ref" json:"refs,omitempty"`
+	ID    string       `xml:"id,attr"`
+	Class string       `xml:"class,attr"`
+	Attrs []xmlObjAttr `xml:"attr"`
+	Refs  []xmlObjRef  `xml:"ref"`
 }
 
 type xmlObjAttr struct {
-	Name  string `xml:"name,attr" json:"name"`
-	Kind  string `xml:"kind,attr" json:"kind"`
-	Value string `xml:",chardata" json:"value"`
+	Name  string `xml:"name,attr"`
+	Kind  string `xml:"kind,attr"`
+	Value string `xml:",chardata"`
 }
 
 type xmlObjRef struct {
-	Name    string   `xml:"name,attr" json:"name"`
-	Targets []string `xml:"target" json:"targets"`
+	Name    string   `xml:"name,attr"`
+	Targets []string `xml:"target"`
 }
 
 // ---- metamodel encode/decode ----
@@ -168,18 +167,6 @@ func ReadMetamodelXML(r io.Reader) (*Metamodel, error) {
 	var dto xmlMetamodel
 	if err := xml.NewDecoder(r).Decode(&dto); err != nil {
 		return nil, fmt.Errorf("metamodel: xml decode: %w", err)
-	}
-	return metamodelFromDTO(dto)
-}
-
-// MarshalJSON / metamodel JSON form.
-func (m *Metamodel) MarshalJSON() ([]byte, error) { return json.Marshal(m.toDTO()) }
-
-// ReadMetamodelJSON parses a metamodel from JSON.
-func ReadMetamodelJSON(data []byte) (*Metamodel, error) {
-	var dto xmlMetamodel
-	if err := json.Unmarshal(data, &dto); err != nil {
-		return nil, fmt.Errorf("metamodel: json decode: %w", err)
 	}
 	return metamodelFromDTO(dto)
 }
@@ -282,18 +269,6 @@ func ReadModelXML(meta *Metamodel, r io.Reader) (*Model, error) {
 	var dto xmlModel
 	if err := xml.NewDecoder(r).Decode(&dto); err != nil {
 		return nil, fmt.Errorf("metamodel: model xml decode: %w", err)
-	}
-	return modelFromDTO(meta, dto)
-}
-
-// MarshalJSON / model JSON form.
-func (m *Model) MarshalJSON() ([]byte, error) { return json.Marshal(m.toDTO()) }
-
-// ReadModelJSON parses a model from JSON, resolving it against meta.
-func ReadModelJSON(meta *Metamodel, data []byte) (*Model, error) {
-	var dto xmlModel
-	if err := json.Unmarshal(data, &dto); err != nil {
-		return nil, fmt.Errorf("metamodel: model json decode: %w", err)
 	}
 	return modelFromDTO(meta, dto)
 }

@@ -2,7 +2,6 @@ package metamodel
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -32,19 +31,6 @@ func TestMetamodelXMLRoundtrip(t *testing.T) {
 	if buf1.String() != buf2.String() {
 		t.Error("XML re-encoding not stable")
 	}
-}
-
-func TestMetamodelJSONRoundtrip(t *testing.T) {
-	m1 := fsmMeta(t)
-	data, err := json.Marshal(m1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := ReadMetamodelJSON(data)
-	if err != nil {
-		t.Fatalf("ReadMetamodelJSON: %v", err)
-	}
-	assertMetaEqual(t, m1, m2)
 }
 
 func assertMetaEqual(t *testing.T, a, b *Metamodel) {
@@ -117,20 +103,6 @@ func TestModelXMLRoundtrip(t *testing.T) {
 	if err := m2.Validate(); err != nil {
 		t.Errorf("deserialized model invalid: %v", err)
 	}
-}
-
-func TestModelJSONRoundtrip(t *testing.T) {
-	meta := fsmMeta(t)
-	m1 := fsmModel(t, meta)
-	data, err := json.Marshal(m1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := ReadModelJSON(meta, data)
-	if err != nil {
-		t.Fatalf("ReadModelJSON: %v", err)
-	}
-	assertModelEqual(t, m1, m2)
 }
 
 func assertModelEqual(t *testing.T, a, b *Model) {
@@ -207,12 +179,6 @@ func TestReadMetamodelErrors(t *testing.T) {
 		if _, err := ReadMetamodelXML(strings.NewReader(doc)); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
-	}
-	if _, err := ReadMetamodelJSON([]byte("{")); err == nil {
-		t.Error("bad json should fail")
-	}
-	if _, err := ReadModelJSON(fsmMeta(t), []byte("{")); err == nil {
-		t.Error("bad model json should fail")
 	}
 }
 

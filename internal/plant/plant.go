@@ -1,9 +1,10 @@
-// Package plant provides the simulated physical environments that close
+// Package plant provides the simulated physical environment that closes
 // the control loop around the embedded targets in the examples and
 // experiments — the "real operational environment" the paper insists a
-// model debugger must exercise (as opposed to pure simulation).
+// model debugger must exercise (as opposed to pure simulation). The one
+// plant is Thermal, the heated room of the standard heating environment.
 //
-// All models use forward-Euler integration over virtual-time steps and are
+// The model uses forward-Euler integration over virtual-time steps and is
 // deterministic for a given input sequence.
 package plant
 
@@ -31,67 +32,4 @@ func (p *Thermal) Step(dtNs uint64, powerPct float64) float64 {
 	powerPct = math.Max(0, math.Min(100, powerPct))
 	p.TempC += dt * (p.GainCPerS*powerPct/100 - p.LossPerS*(p.TempC-p.AmbientC))
 	return p.TempC
-}
-
-// Tank is a water tank with a controllable inflow valve (0..1) and a
-// constant gravity outflow proportional to sqrt(level).
-type Tank struct {
-	LevelM      float64 // current level
-	CapacityM   float64 // overflow bound
-	InRateMPerS float64 // fill rate at valve=1
-	OutCoeff    float64 // outflow coefficient
-	Overflowed  bool
-}
-
-// NewTank creates a 2 m tank, half full.
-func NewTank() *Tank {
-	return &Tank{LevelM: 1, CapacityM: 2, InRateMPerS: 0.05, OutCoeff: 0.02}
-}
-
-// Step advances the tank by dt nanoseconds under the given valve opening
-// (0..1) and returns the new level.
-func (p *Tank) Step(dtNs uint64, valve float64) float64 {
-	dt := float64(dtNs) / 1e9
-	valve = math.Max(0, math.Min(1, valve))
-	p.LevelM += dt * (p.InRateMPerS*valve - p.OutCoeff*math.Sqrt(math.Max(0, p.LevelM)))
-	if p.LevelM < 0 {
-		p.LevelM = 0
-	}
-	if p.LevelM > p.CapacityM {
-		p.LevelM = p.CapacityM
-		p.Overflowed = true
-	}
-	return p.LevelM
-}
-
-// Conveyor is a belt with an item sensor: items appear every SpacingM
-// metres; the sensor fires while an item is within WindowM of the sensor
-// position.
-type Conveyor struct {
-	PositionM  float64 // belt travel so far
-	SpeedMPerS float64
-	SpacingM   float64
-	WindowM    float64
-	Items      uint64 // items that passed the sensor
-	lastIdx    int64
-}
-
-// NewConveyor creates a belt with 0.5 m item spacing.
-func NewConveyor() *Conveyor {
-	return &Conveyor{SpeedMPerS: 0.25, SpacingM: 0.5, WindowM: 0.05, lastIdx: -1}
-}
-
-// Step advances the belt by dt nanoseconds at the given drive fraction
-// (0..1) and reports whether the sensor currently sees an item.
-func (p *Conveyor) Step(dtNs uint64, drive float64) bool {
-	dt := float64(dtNs) / 1e9
-	drive = math.Max(0, math.Min(1, drive))
-	p.PositionM += dt * p.SpeedMPerS * drive
-	idx := int64(math.Floor(p.PositionM / p.SpacingM))
-	if idx > p.lastIdx {
-		p.Items += uint64(idx - p.lastIdx)
-		p.lastIdx = idx
-	}
-	frac := math.Mod(p.PositionM, p.SpacingM)
-	return frac < p.WindowM
 }

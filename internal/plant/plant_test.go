@@ -41,65 +41,6 @@ func TestThermalPowerClamped(t *testing.T) {
 	}
 }
 
-func TestTankFillAndDrain(t *testing.T) {
-	p := NewTank()
-	start := p.LevelM
-	for i := 0; i < 60; i++ {
-		p.Step(1e9, 1)
-	}
-	if p.LevelM <= start {
-		t.Error("no fill")
-	}
-	high := p.LevelM
-	for i := 0; i < 600; i++ {
-		p.Step(1e9, 0)
-	}
-	if p.LevelM >= high {
-		t.Error("no drain")
-	}
-}
-
-func TestTankOverflowAndEmpty(t *testing.T) {
-	p := NewTank()
-	for i := 0; i < 10000 && !p.Overflowed; i++ {
-		p.Step(1e9, 1)
-	}
-	if !p.Overflowed || p.LevelM != p.CapacityM {
-		t.Errorf("overflow not detected: level %g", p.LevelM)
-	}
-	p2 := NewTank()
-	p2.LevelM = 0.001
-	for i := 0; i < 10000; i++ {
-		p2.Step(1e9, 0)
-	}
-	if p2.LevelM < 0 {
-		t.Error("level went negative")
-	}
-}
-
-func TestConveyorItemCounting(t *testing.T) {
-	p := NewConveyor()
-	seen := 0
-	for i := 0; i < 100; i++ {
-		if p.Step(100_000_000, 1) { // 0.1 s steps
-			seen++
-		}
-	}
-	// 10 s at 0.25 m/s = 2.5 m = 5 items of 0.5 m spacing.
-	if p.Items != 5 {
-		t.Errorf("items = %d, want 5", p.Items)
-	}
-	if seen == 0 {
-		t.Error("sensor never fired")
-	}
-	// Stopped belt makes no progress.
-	before := p.PositionM
-	p.Step(1e9, 0)
-	if p.PositionM != before {
-		t.Error("belt moved while stopped")
-	}
-}
-
 // Property: thermal model is bounded: with clamped power the temperature
 // stays within [ambient-1, ambient + Gain/Loss + 1].
 func TestQuickThermalBounded(t *testing.T) {

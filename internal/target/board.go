@@ -37,22 +37,12 @@ type Config struct {
 	// CPUHz converts VM cycles to virtual execution time
 	// (default 100 MHz).
 	CPUHz uint64
-	// IDCode is the JTAG device id returned by the TAP.
-	IDCode uint32
 	// Sched selects the task scheduling policy: dtm.Cooperative (default,
 	// every release runs to completion at its release instant) or
 	// dtm.FixedPriority (preemptive: releases are resumable jobs scheduled
 	// by TaskSpec.Priority in budgeted VM slices; a higher-priority
 	// release preempts the running body at an instruction boundary).
 	Sched dtm.Policy
-	// CtxSwitchCycles is the CPU cost charged per context switch under the
-	// FixedPriority policy (default DefaultCtxSwitchCycles).
-	CtxSwitchCycles uint64
-	// RateMonotonic, when set, derives task priorities from periods at
-	// boot (dtm.AssignRateMonotonic: shorter period = higher priority),
-	// overriding any hand-numbered TaskSpec priorities. Boot fails on a
-	// period tie with differing deadlines, where rate order is ambiguous.
-	RateMonotonic bool
 	// Bindings are the system's labelled signal routes; the board delivers
 	// a published output to its consumer's input at the producer's
 	// deadline instant (state-message communication). Bindings whose
@@ -136,12 +126,6 @@ func NewBoard(name string, prog *codegen.Program, cfg Config, kernel *dtm.Kernel
 	if cfg.CPUHz == 0 {
 		cfg.CPUHz = DefaultCPUHz
 	}
-	if cfg.IDCode == 0 {
-		cfg.IDCode = DefaultIDCode
-	}
-	if cfg.CtxSwitchCycles == 0 {
-		cfg.CtxSwitchCycles = DefaultCtxSwitchCycles
-	}
 	link, err := serial.NewLink(cfg.Baud)
 	if err != nil {
 		return nil, err
@@ -171,15 +155,15 @@ func NewBoard(name string, prog *codegen.Program, cfg Config, kernel *dtm.Kernel
 		b.slots[i] = symSlot{kind: sym.Kind, addr: sym.Addr}
 	}
 	b.agent = &breakAgent{b: b}
-	b.TAP = jtag.NewTAP(cfg.IDCode, boardRAM{b}, nil)
+	b.TAP = jtag.NewTAP(DefaultIDCode, boardRAM{b})
 	for _, bind := range cfg.Bindings {
 		b.routes[bind.FromActor] = append(b.routes[bind.FromActor], bind)
 	}
 
 	b.sched.Policy = cfg.Sched
 	if cfg.Sched == dtm.FixedPriority {
-		b.sched.CtxSwitchNs = b.cyclesToNs(cfg.CtxSwitchCycles)
-		b.sched.OnCtxSwitch = func(now uint64, t *dtm.Task) { b.cycles += cfg.CtxSwitchCycles }
+		b.sched.CtxSwitchNs = b.cyclesToNs(DefaultCtxSwitchCycles)
+		b.sched.OnCtxSwitch = func(now uint64, t *dtm.Task) { b.cycles += DefaultCtxSwitchCycles }
 		b.sched.OnPreempt = b.preempted
 		b.sched.OnDeadlineMiss = b.missed
 	}
@@ -248,11 +232,6 @@ func NewBoard(name string, prog *codegen.Program, cfg Config, kernel *dtm.Kernel
 				b.deadline(unit, now)
 			},
 		}); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.RateMonotonic {
-		if err := b.sched.AssignRateMonotonic(); err != nil {
 			return nil, err
 		}
 	}

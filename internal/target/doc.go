@@ -30,8 +30,8 @@
 // persistent codegen.Machine per unit (pooled across releases), executes
 // bodies in budgeted VM slices bounded by the next release instant of any
 // task, and a higher-priority release preempts the running body at the
-// instruction boundary where its slice ends. Context switches cost
-// Config.CtxSwitchCycles of CPU; preemptions and deadline misses are
+// instruction boundary where its slice ends. Each context switch costs
+// DefaultCtxSwitchCycles of CPU; preemptions and deadline misses are
 // announced with EvPreempt / EvDeadlineMiss frames and mirrored into the
 // kernel-maintained "<actor>.__preempts" / "<actor>.__misses" RAM symbols,
 // where the passive JTAG interface and on-target breakpoint conditions

@@ -233,8 +233,8 @@ func runOps(t *testing.T, data []byte) (longest int) {
 				lo, hi := p.ref.span()
 				t0 := lo + (hi-lo)*uint64(o.byte())/255
 				t1 := t0 + (hi-t0)*uint64(o.byte())/255
-				nt = p.tr.Between(t0, t1)
-				nr = p.ref.filter(func(r Record) bool { return r.Event.Time >= t0 && r.Event.Time <= t1 })
+				keep := func(r Record) bool { return r.Event.Time >= t0 && r.Event.Time <= t1 }
+				nt, nr = p.tr.Filter(keep), p.ref.filter(keep)
 			default:
 				keep := func(r Record) bool { return r.Seq%3 != 0 }
 				nt, nr = p.tr.Filter(keep), p.ref.filter(keep)

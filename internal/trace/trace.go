@@ -314,11 +314,6 @@ func (t *Trace) Filter(keep func(Record) bool) *Trace {
 	return out
 }
 
-// Between selects records with target time in [t0, t1].
-func (t *Trace) Between(t0, t1 uint64) *Trace {
-	return t.Filter(func(r Record) bool { return r.Event.Time >= t0 && r.Event.Time <= t1 })
-}
-
 // OfType selects records of one event type.
 func (t *Trace) OfType(typ protocol.EventType) *Trace {
 	return t.Filter(func(r Record) bool { return r.Event.Type == typ })

@@ -46,9 +46,9 @@ func TestFilters(t *testing.T) {
 	if states.Len() != 2 {
 		t.Errorf("state records = %d", states.Len())
 	}
-	mid := tr.Between(2_000_000, 4_000_000)
+	mid := tr.Filter(func(r Record) bool { return r.Event.Time >= 2_000_000 && r.Event.Time <= 4_000_000 })
 	if mid.Len() != 3 {
-		t.Errorf("between records = %d", mid.Len())
+		t.Errorf("window records = %d", mid.Len())
 	}
 	if mid.Program != "heater_v1" {
 		t.Error("filter lost program name")

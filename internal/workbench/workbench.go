@@ -1,7 +1,5 @@
 // Package workbench reproduces the tool shell of the GMDF prototype: the
-// Eclipse-style plugin registry ("the framework intends to contribute a
-// tool to the Eclipse society") and the five-step execution flow of the
-// paper's Fig. 6:
+// five-step execution flow of the paper's Fig. 6:
 //
 //  1. start plug-in, check input prerequisites
 //  2. select input meta-model and model files
@@ -10,76 +8,19 @@
 //  5. GDM created, communication channel established, debugging
 //
 // The workbench is headless: every interaction the Eclipse wizard offers
-// is a method call, and the Fig. 4 abstraction-guide panel renders as
-// ASCII for terminals and tests. Step 5 is Attach, which hands back the
-// live session; debugging it (breakpoints, stepping, rewind) goes through
-// repro.Debugger, the one debugger facade.
+// is a method call, and the plug-in shell around it is left to the IDE.
+// Step 5 is Attach, which hands back the live session; debugging it
+// (breakpoints, stepping, rewind) goes through repro.Debugger, the one
+// debugger facade.
 package workbench
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/metamodel"
 )
-
-// ---- plugin registry ----
-
-// Extension is one contribution to an extension point.
-type Extension struct {
-	Point string // extension point id, e.g. "gmdf.mapping"
-	Name  string // contribution name, e.g. "comdes-default"
-	Impl  interface{}
-}
-
-// Registry is a minimal Eclipse-like extension registry.
-type Registry struct {
-	exts []Extension
-}
-
-// NewRegistry creates an empty registry.
-func NewRegistry() *Registry { return &Registry{} }
-
-// Register adds a contribution; duplicate (point, name) pairs are an
-// error.
-func (r *Registry) Register(e Extension) error {
-	if e.Point == "" || e.Name == "" {
-		return fmt.Errorf("workbench: extension needs point and name")
-	}
-	for _, ex := range r.exts {
-		if ex.Point == e.Point && ex.Name == e.Name {
-			return fmt.Errorf("workbench: duplicate extension %s/%s", e.Point, e.Name)
-		}
-	}
-	r.exts = append(r.exts, e)
-	return nil
-}
-
-// Lookup finds a contribution by point and name.
-func (r *Registry) Lookup(point, name string) (Extension, bool) {
-	for _, ex := range r.exts {
-		if ex.Point == point && ex.Name == name {
-			return ex, true
-		}
-	}
-	return Extension{}, false
-}
-
-// Extensions lists the contributions to one point, sorted by name.
-func (r *Registry) Extensions(point string) []Extension {
-	var out []Extension
-	for _, ex := range r.exts {
-		if ex.Point == point {
-			out = append(out, ex)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// ---- Fig. 6 wizard ----
 
 // Step is the wizard position.
 type Step uint8
@@ -111,12 +52,6 @@ func (s Step) String() string {
 	}
 }
 
-// StepRecord logs a step completion for the E6 latency table.
-type StepRecord struct {
-	Step Step
-	At   uint64
-}
-
 // Wizard drives one debugging setup end to end.
 type Wizard struct {
 	step    Step
@@ -126,11 +61,8 @@ type Wizard struct {
 	gdm     *core.GDM
 	session *engine.Session
 
-	// Clock stamps step completions (virtual or wall time, caller's
-	// choice); nil uses a step counter.
-	Clock func() uint64
-	Log   []StepRecord
-	ticks uint64
+	// Log lists the completed steps in order, for the E6 table.
+	Log []Step
 }
 
 // NewWizard starts at step 1 (prerequisites check happens in
@@ -142,16 +74,7 @@ func NewWizard() *Wizard {
 // Step returns the current wizard position.
 func (w *Wizard) Step() Step { return w.step }
 
-func (w *Wizard) stamp() {
-	var at uint64
-	if w.Clock != nil {
-		at = w.Clock()
-	} else {
-		w.ticks++
-		at = w.ticks
-	}
-	w.Log = append(w.Log, StepRecord{Step: w.step, At: at})
-}
+func (w *Wizard) stamp() { w.Log = append(w.Log, w.step) }
 
 func (w *Wizard) requireStep(s Step) error {
 	if w.step != s {
@@ -195,16 +118,7 @@ func (w *Wizard) Pair(rule core.Rule) error {
 	return w.mapping.Pair(rule)
 }
 
-// DeletePairing removes a pairing (the guide's delete action).
-func (w *Wizard) DeletePairing(metaClass string) error {
-	if err := w.requireStep(StepAbstraction); err != nil {
-		return err
-	}
-	return w.mapping.Delete(metaClass)
-}
-
-// UseMapping replaces the whole pairing list (loading a stored mapping, or
-// a plugin-contributed default).
+// UseMapping replaces the whole pairing list (loading a stored mapping).
 func (w *Wizard) UseMapping(m *core.Mapping) error {
 	if err := w.requireStep(StepAbstraction); err != nil {
 		return err
@@ -214,14 +128,6 @@ func (w *Wizard) UseMapping(m *core.Mapping) error {
 	}
 	w.mapping = m
 	return nil
-}
-
-// GuidePanel renders the Fig. 4 panel for the current inputs.
-func (w *Wizard) GuidePanel() string {
-	if w.meta == nil {
-		return "(no inputs selected)\n"
-	}
-	return core.GuideView(w.meta, w.mapping)
 }
 
 // FinishAbstraction is the "ABSTRACTION FINISHED" button: it runs the
