@@ -120,8 +120,8 @@ func TestCodeDebuggerStepInstruction(t *testing.T) {
 	if uint64(steps) != d.InstructionsStepped {
 		t.Error("step accounting wrong")
 	}
-	if m.CurrentLine() != -1 {
-		t.Error("done machine should report line -1")
+	if !m.Done() {
+		t.Error("machine not done after the last step")
 	}
 }
 

@@ -137,15 +137,6 @@ func (m *Machine) Reset(code []Instr) {
 // Done reports whether execution has finished.
 func (m *Machine) Done() bool { return m.halted || m.PC >= len(m.Code) }
 
-// CurrentLine returns the listing line of the next instruction (-1 when
-// done).
-func (m *Machine) CurrentLine() int32 {
-	if m.Done() {
-		return -1
-	}
-	return m.Code[m.PC].Line
-}
-
 // Step executes one instruction: the RunBudget loop with a zero budget,
 // which never fuses and stops after the first instruction. It returns true
 // while execution continues and false once the program is done, a break

@@ -108,9 +108,6 @@ func (m *Mapping) MustPair(rule Rule) *Mapping {
 	return m
 }
 
-// Rules returns the pairing list in order.
-func (m *Mapping) Rules() []Rule { return append([]Rule(nil), m.rules...) }
-
 // Len returns the number of pairings.
 func (m *Mapping) Len() int { return len(m.rules) }
 

@@ -95,23 +95,6 @@ func (c *Client) Call(method, session string, params, result any) error {
 	}
 }
 
-// Drain processes stream messages already buffered on the connection
-// without issuing a request (best effort, non-blocking beyond what is
-// buffered). Useful after a run when only stream hooks matter.
-func (c *Client) Drain() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for c.br.Buffered() > 0 {
-		msg, err := c.readMsg()
-		if err != nil {
-			return
-		}
-		if msg.Stream != "" {
-			c.dispatchStream(msg)
-		}
-	}
-}
-
 func (c *Client) readMsg() (*ServerMsg, error) {
 	line, err := c.br.ReadBytes('\n')
 	if err != nil {

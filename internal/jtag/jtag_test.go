@@ -128,10 +128,13 @@ func TestUnknownIRBehavesAsBypass(t *testing.T) {
 	tap, _ := newTestTAP()
 	p := NewProbe(tap)
 	p.Reset()
-	p.WriteIR(0x7) // unassigned
-	got := p.scanDR(0b11, 3)
-	if got != 0b110 {
-		t.Errorf("unknown IR shift = %03b, want 110", got)
+	// 0x0 and 0x2 are EXTEST and SAMPLE in IEEE 1149.1; the TAP has no
+	// boundary register, so they are unassigned here too.
+	for _, ir := range []uint8{0x0, 0x2, 0x7} {
+		p.WriteIR(ir)
+		if got := p.scanDR(0b11, 3); got != 0b110 {
+			t.Errorf("IR %#x shift = %03b, want 110", ir, got)
+		}
 	}
 }
 

@@ -10,8 +10,8 @@
 //     scan chains, the standard BYPASS and IDCODE instructions, and a
 //     vendor DEBUG extension (address + data registers) giving the probe
 //     direct RAM access — the mechanism real on-chip debug units
-//     (e.g. ARM EmbeddedICE) expose. The board has no boundary-scan
-//     register: every other instruction behaves as BYPASS.
+//     (e.g. ARM EmbeddedICE) expose. There is no boundary-scan
+//     register; every other instruction behaves as BYPASS.
 //   - Probe: the host-side USB/PCI adapter that drives TCK/TMS/TDI and
 //     accounts for host-side transaction latency. Crucially, none of its
 //     operations consume target CPU cycles.
