@@ -7,6 +7,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -80,12 +81,16 @@ func run(args []string, out io.Writer) error {
 }
 
 // loadSystem resolves a built-in model name, or else reads the COMDES
-// model XML file at that path.
+// model XML file at that path. A name that is neither is reported as an
+// unknown model, with the built-in names.
 func loadSystem(name string) (*comdes.System, error) {
 	if slices.Contains(models.Names(), name) {
 		return models.ByName(name)
 	}
 	f, err := os.Open(name)
+	if errors.Is(err, os.ErrNotExist) {
+		return models.ByName(name)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -2,10 +2,13 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/models"
 )
 
 var update = flag.Bool("update", false, "rewrite the comdesgen stdout goldens under testdata/")
@@ -50,10 +53,17 @@ func TestStdoutGoldens(t *testing.T) {
 }
 
 // TestRefusedModel: a name that is neither a built-in model nor a file is
-// an error, not an empty listing.
+// an error, not an empty listing, and the error names it as an unknown
+// model with the built-in names, as gdmrender's does — not as a missing
+// file.
 func TestRefusedModel(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-model", "nosuch"}, &out); err == nil {
+	err := run([]string{"-model", "nosuch"}, &out)
+	if err == nil {
 		t.Fatal("model nosuch accepted")
+	}
+	want := fmt.Sprintf("unknown model %q (have %v)", "nosuch", models.Names())
+	if !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q, want it to contain %q", err, want)
 	}
 }

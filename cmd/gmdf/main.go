@@ -264,7 +264,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	if *breakMachine != "" && dbg.Session.Paused() {
-		fmt.Fprintf(out, "breakpoint hit: target halted at %.3f ms\n", float64(dbg.Now())/1e6)
+		fmt.Fprintf(out, "breakpoint hit: target halted at %.3f ms\n", float64(dbg.Session.HaltNs())/1e6)
 		if err := dbg.StepOnTarget(time.Second); err != nil {
 			return err
 		}
@@ -487,7 +487,7 @@ func runRemote(out io.Writer, o remoteOpts) error {
 		return err
 	}
 	if run.Paused && run.LastBreak != "" {
-		fmt.Fprintf(out, "breakpoint hit: target halted at %.3f ms\n", float64(run.NowNs)/1e6)
+		fmt.Fprintf(out, "breakpoint hit: target halted at %.3f ms\n", float64(run.HaltNs)/1e6)
 		// Disarm before resuming — a still-true condition re-trips at the
 		// next check site — then spend the rest of the budget.
 		if err := cl.ClearBreak(sid, run.LastBreak); err != nil {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net"
 	"os"
@@ -183,5 +184,59 @@ func TestRestoreRefusesParallelCheckpoint(t *testing.T) {
 	err := run([]string{"-model", "dist", "-restore", cp, "-ms", "60"}, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "removed parallel cluster executor") {
 		t.Fatalf("restore of a parallel checkpoint: %v", err)
+	}
+}
+
+// TestBreakReportsHaltInstant: on both paths, in-process and -connect,
+// "target halted at" prints the t of the trace's first Break record — the
+// instant the agent stopped the board — not the later host time at which
+// the Break frame arrived.
+func TestBreakReportsHaltInstant(t *testing.T) {
+	srv, err := farm.NewServer(farm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(lis)
+	defer srv.Close()
+
+	args := []string{"-model", "heating", "-ms", "500", "-break-machine", "heater.thermostat", "-break-state", "Heating"}
+	for _, mode := range []struct {
+		name  string
+		extra []string
+	}{
+		{"in-process", nil},
+		{"connect", []string{"-connect", lis.Addr().String()}},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			tracePath := filepath.Join(t.TempDir(), "t")
+			var out strings.Builder
+			if err := run(append(append(mode.extra, args...), "-trace", tracePath), &out); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(tracePath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var haltNs uint64
+			for _, line := range strings.Split(string(data), "\n") {
+				if strings.Contains(line, " Break ") {
+					if _, err := fmt.Sscanf(line[strings.Index(line, " t="):], " t=%d", &haltNs); err != nil {
+						t.Fatalf("Break record %q: %v", line, err)
+					}
+					break
+				}
+			}
+			if haltNs == 0 {
+				t.Fatal("trace holds no Break record")
+			}
+			want := fmt.Sprintf("breakpoint hit: target halted at %.3f ms\n", float64(haltNs)/1e6)
+			if !strings.Contains(out.String(), want) {
+				t.Fatalf("want %q (the Break record's t) in the output:\n%s", want, out.String())
+			}
+		})
 	}
 }

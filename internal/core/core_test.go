@@ -425,3 +425,92 @@ func TestFormatBadgeMatchesPrintf(t *testing.T) {
 		}
 	}
 }
+
+// fsmBound is abstractFSM with the COMDES-style state and transition
+// bindings.
+func fsmBound(t testing.TB) *GDM {
+	g := abstractFSM(t)
+	for _, b := range []Binding{
+		{Name: "enter", Event: protocol.EvStateEnter, KeyTemplate: "state:$source.$arg1", Reaction: ReactHighlightExclusive},
+		{Name: "fired", Event: protocol.EvTransition, ArrowMatch: true, FromKey: "state:$source.$arg1", ToKey: "state:$source.$arg2", Reaction: ReactPulse},
+		{Name: "badge", Event: protocol.EvSignal, KeyTemplate: "state:$sourceHead.On", Reaction: ReactBadge},
+	} {
+		if err := g.Bind(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return g
+}
+
+// TestHandleEventSteadyStateAllocs: once the dispatch table has seen an
+// event's key, handling it again allocates nothing — no key string, no
+// reaction slice.
+func TestHandleEventSteadyStateAllocs(t *testing.T) {
+	g := fsmBound(t)
+	evs := []protocol.Event{
+		{Type: protocol.EvStateEnter, Source: "m1", Arg1: "On"},
+		{Type: protocol.EvTransition, Source: "m1", Arg1: "On", Arg2: "Off"},
+		{Type: protocol.EvStateEnter, Source: "m1", Arg1: "Off"},
+		{Type: protocol.EvTransition, Source: "m1", Arg1: "Off", Arg2: "On"},
+		{Type: protocol.EvSignal, Source: "m1.out", Arg2: "hot"},
+		{Type: protocol.EvHello, Source: "unbound"},
+	}
+	run := func() {
+		for _, ev := range evs {
+			if _, err := g.HandleEvent(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Fatalf("warm HandleEvent: %v allocs per %d events, want 0", allocs, len(evs))
+	}
+	if g.Reactions != 102*5 || g.Unbound != 102 { // the first run, AllocsPerRun's warm-up and 100 runs
+		t.Fatalf("reactions %d, unbound %d", g.Reactions, g.Unbound)
+	}
+}
+
+// TestDispatchTableBound: a stream with more distinct event keys than the
+// table holds still reacts to every event, and the table never grows past
+// its bound. Dropping the table on Bind, AddElement and BuildScene makes
+// the next event see the change.
+func TestDispatchTableBound(t *testing.T) {
+	g := fsmBound(t)
+	for i := range maxRoutes * 3 / 2 {
+		rs, err := g.HandleEvent(protocol.Event{Type: protocol.EvSignal, Source: fmt.Sprintf("m1.s%d", i)})
+		if err != nil || len(rs) != 1 {
+			t.Fatalf("event %d: %v, %v", i, rs, err)
+		}
+		if n := len(g.table.routes); n > maxRoutes {
+			t.Fatalf("dispatch table holds %d keys, bound %d", n, maxRoutes)
+		}
+	}
+
+	on := protocol.Event{Type: protocol.EvStateEnter, Source: "m1", Arg1: "On"}
+	dim := protocol.Event{Type: protocol.EvStateEnter, Source: "m1", Arg1: "Dim"}
+	if rs, _ := g.HandleEvent(dim); len(rs) != 0 {
+		t.Fatalf("unknown state reacted: %v", rs)
+	}
+	if err := g.AddElement(&Element{ID: "state:m1.Dim", Pattern: "Rectangle", Group: g.Element("state:m1.On").Group}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.HandleEvent(dim); err == nil || !strings.Contains(err.Error(), `no shape "state:m1.Dim"`) {
+		t.Fatalf("element without a shape: %v", err)
+	}
+	if _, err := g.HandleEvent(on); err == nil || !strings.Contains(err.Error(), `no shape "state:m1.Dim"`) {
+		t.Fatalf("exclusive highlight over a sibling without a shape: %v", err)
+	}
+	if err := g.BuildScene(); err != nil {
+		t.Fatal(err)
+	}
+	if rs, err := g.HandleEvent(dim); err != nil || len(rs) != 1 {
+		t.Fatalf("after BuildScene: %v, %v", rs, err)
+	}
+	if err := g.Bind(Binding{Name: "also", Event: protocol.EvStateEnter, KeyTemplate: "state:m1.On", Reaction: ReactHighlight}); err != nil {
+		t.Fatal(err)
+	}
+	if rs, err := g.HandleEvent(dim); err != nil || len(rs) != 2 || rs[1].Binding != "also" {
+		t.Fatalf("after Bind: %v, %v", rs, err)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 	"strconv"
+	"strings"
 
 	"repro/internal/graphics"
 	"repro/internal/protocol"
@@ -114,6 +115,12 @@ type GDM struct {
 	// pulse clears it.
 	lastPulse map[string]string
 
+	// table memoises binding resolution; nil until the first HandleEvent
+	// after AddElement, Bind or BuildScene.
+	table *dispatch
+	// applied backs the slice HandleEvent returns.
+	applied []Reaction
+
 	// Stats.
 	Commands  uint64 // events handled
 	Reactions uint64 // reactions applied
@@ -135,6 +142,7 @@ func (g *GDM) AddElement(e *Element) error {
 	}
 	g.elements = append(g.elements, e)
 	g.index[e.ID] = e
+	g.table = nil
 	return nil
 }
 
@@ -156,6 +164,7 @@ func (g *GDM) Bind(b Binding) error {
 		return fmt.Errorf("core: binding %q needs a key template or arrow match", b.Name)
 	}
 	g.bindings = append(g.bindings, b)
+	g.table = nil
 	return nil
 }
 
@@ -234,41 +243,170 @@ type Reaction struct {
 	Kind    ReactionKind
 }
 
-// HandleEvent runs the Fig. 3 state machine for one incoming command:
-// Waiting -> Reacting -> Waiting, applying every matching binding to the
-// scene. Unmatched events are counted but not an error (the GDM ignores
-// commands it was not configured to visualise).
-func (g *GDM) HandleEvent(ev protocol.Event) ([]Reaction, error) {
-	if g.scene == nil {
-		return nil, fmt.Errorf("core: GDM %s has no scene (call BuildScene)", g.Name)
-	}
-	prev := g.state
-	g.state = Reacting
-	defer func() { g.state = prev }()
-	g.Commands++
+// member is an element with its scene shape (nil when the element has
+// none).
+type member struct {
+	el    *Element
+	shape *graphics.Shape
+}
 
-	var applied []Reaction
+// route is one binding an event key resolved to: the reaction it
+// reports, the element it acts on and, for ReactHighlightExclusive, the
+// element's whole group, itself included, in element order.
+type route struct {
+	member
+	reaction Reaction
+	group    []member
+}
+
+// routeKey holds the event fields a binding's element can depend on:
+// templates read only $source (and its head and tail), $arg1 and $arg2,
+// and SourceEq filters on the source. Fields no binding of the event
+// type reads are left empty, so events differing only there share a key.
+type routeKey struct {
+	typ                protocol.EventType
+	source, arg1, arg2 string
+}
+
+// keyField flags mark the event fields bindings of one type read.
+const (
+	keySource uint8 = 1 << iota
+	keyArg1
+	keyArg2
+)
+
+// maxRoutes bounds the dispatch table. A model's event vocabulary is far
+// smaller; a stream with more distinct keys still dispatches correctly,
+// the table just starts over when it is full, so a hostile farm stream
+// cannot grow it without bound.
+const maxRoutes = 4096
+
+// dispatch is the memoised form of binding resolution: per event key,
+// the bindings that match and what they act on. It is built from the
+// elements, bindings and scene as they are at the first HandleEvent after
+// AddElement, Bind or BuildScene, each of which drops it.
+type dispatch struct {
+	fields [256]uint8 // per event type, the keyField flags its bindings read
+	routes map[routeKey][]route
+	groups map[string][]member
+}
+
+// dispatchTable returns the current table, building it if it was dropped.
+func (g *GDM) dispatchTable() *dispatch {
+	if g.table != nil {
+		return g.table
+	}
+	t := &dispatch{routes: map[routeKey][]route{}, groups: map[string][]member{}}
 	for _, b := range g.bindings {
+		var f uint8
+		if b.SourceEq != "" {
+			f |= keySource
+		}
+		for _, tmpl := range []string{b.KeyTemplate, b.FromKey, b.ToKey} {
+			if strings.Contains(tmpl, "$source") {
+				f |= keySource
+			}
+			if strings.Contains(tmpl, "$arg1") {
+				f |= keyArg1
+			}
+			if strings.Contains(tmpl, "$arg2") {
+				f |= keyArg2
+			}
+		}
+		t.fields[b.Event] |= f
+	}
+	for _, el := range g.elements {
+		t.groups[el.Group] = append(t.groups[el.Group], member{el: el, shape: g.scene.Get(el.ID)})
+	}
+	g.table = t
+	return t
+}
+
+// routes returns the bindings ev resolves to, in binding order. A key
+// seen before costs one map lookup; a new key is resolved by expanding
+// the templates once.
+func (g *GDM) routes(ev protocol.Event) []route {
+	t := g.dispatchTable()
+	f := t.fields[ev.Type]
+	k := routeKey{typ: ev.Type}
+	if f&keySource != 0 {
+		k.source = ev.Source
+	}
+	if f&keyArg1 != 0 {
+		k.arg1 = ev.Arg1
+	}
+	if f&keyArg2 != 0 {
+		k.arg2 = ev.Arg2
+	}
+	if rs, ok := t.routes[k]; ok {
+		return rs
+	}
+	var rs []route
+	for i := range g.bindings {
+		b := &g.bindings[i]
 		if b.Event != ev.Type {
 			continue
 		}
 		if b.SourceEq != "" && b.SourceEq != ev.Source {
 			continue
 		}
-		el := g.resolveElement(b, ev)
+		el := g.resolveElement(*b, ev)
 		if el == nil {
 			continue
 		}
-		if err := g.apply(b, el, ev); err != nil {
-			return applied, err
+		r := route{
+			member:   member{el: el, shape: g.scene.Get(el.ID)},
+			reaction: Reaction{Binding: b.Name, Element: el.ID, Kind: b.Reaction},
 		}
-		applied = append(applied, Reaction{Binding: b.Name, Element: el.ID, Kind: b.Reaction})
+		if b.Reaction == ReactHighlightExclusive {
+			r.group = t.groups[el.Group]
+		}
+		rs = append(rs, r)
+	}
+	if len(t.routes) >= maxRoutes {
+		clear(t.routes)
+	}
+	t.routes[k] = rs
+	return rs
+}
+
+// HandleEvent runs the Fig. 3 state machine for one incoming command:
+// Waiting -> Reacting -> Waiting, applying every matching binding to the
+// scene. Unmatched events are counted but not an error (the GDM ignores
+// commands it was not configured to visualise).
+//
+// Which bindings match, and which element and shape each acts on, is
+// resolved once per distinct event key and memoised (see dispatch), so a
+// repeated event costs a lookup and allocates nothing. The returned slice
+// aliases a buffer the GDM reuses: it is valid until the next
+// HandleEvent, so a caller that keeps reactions longer must copy them.
+func (g *GDM) HandleEvent(ev protocol.Event) ([]Reaction, error) {
+	if g.scene == nil {
+		return nil, fmt.Errorf("core: GDM %s has no scene (call BuildScene)", g.Name)
+	}
+	prev := g.state
+	g.state = Reacting
+	g.Commands++
+
+	rs := g.routes(ev)
+	applied := g.applied[:0]
+	var err error
+	for i := range rs {
+		if err = g.apply(&rs[i], ev); err != nil {
+			break
+		}
+		applied = append(applied, rs[i].reaction)
 		g.Reactions++
 	}
+	g.applied = applied
+	g.state = prev
 	if len(applied) == 0 {
-		g.Unbound++
+		if err == nil {
+			g.Unbound++
+		}
+		return nil, err
 	}
-	return applied, nil
+	return applied, err
 }
 
 func (g *GDM) resolveElement(b Binding, ev protocol.Event) *Element {
@@ -285,25 +423,40 @@ func (g *GDM) resolveElement(b Binding, ev protocol.Event) *Element {
 	return g.index[expand(b.KeyTemplate, ev)]
 }
 
-func (g *GDM) apply(b Binding, el *Element, ev protocol.Event) error {
-	switch b.Reaction {
+// highlight sets a shape's highlight flag. An element with no shape is
+// left to the scene, which reports it.
+func (g *GDM) highlight(id string, sh *graphics.Shape, on bool) error {
+	if sh == nil {
+		return g.scene.SetHighlight(id, on)
+	}
+	sh.Highlight = on
+	return nil
+}
+
+func (g *GDM) apply(r *route, ev protocol.Event) error {
+	el := r.el
+	switch r.reaction.Kind {
 	case ReactHighlight:
-		return g.scene.SetHighlight(el.ID, true)
+		return g.highlight(el.ID, r.shape, true)
 	case ReactHighlightExclusive:
-		for _, sib := range g.elements {
-			if sib.Group == el.Group && sib.ID != el.ID {
-				if err := g.scene.SetHighlight(sib.ID, false); err != nil {
+		for _, m := range r.group {
+			if m.el != el {
+				if err := g.highlight(m.el.ID, m.shape, false); err != nil {
 					return err
 				}
 			}
 		}
-		return g.scene.SetHighlight(el.ID, true)
+		return g.highlight(el.ID, r.shape, true)
 	case ReactBadge:
 		badge := ev.Arg2
 		if badge == "" {
 			badge = formatBadge(ev.Value)
 		}
-		return g.scene.SetBadge(el.ID, badge)
+		if r.shape == nil {
+			return g.scene.SetBadge(el.ID, badge)
+		}
+		r.shape.Badge = badge
+		return nil
 	case ReactPulse:
 		if prev := g.lastPulse[el.Group]; prev != "" && prev != el.ID {
 			if err := g.scene.SetHighlight(prev, false); err != nil {
@@ -311,9 +464,9 @@ func (g *GDM) apply(b Binding, el *Element, ev protocol.Event) error {
 			}
 		}
 		g.lastPulse[el.Group] = el.ID
-		return g.scene.SetHighlight(el.ID, true)
+		return g.highlight(el.ID, r.shape, true)
 	}
-	return fmt.Errorf("core: binding %s: unknown reaction", b.Name)
+	return fmt.Errorf("core: binding %s: unknown reaction", r.reaction.Binding)
 }
 
 // formatBadge renders a numeric badge exactly as fmt's %g verb does
@@ -475,6 +628,7 @@ func (g *GDM) BuildScene() error {
 	}
 	sc.FitContent(30)
 	g.scene = sc
+	g.table = nil
 	return nil
 }
 

@@ -374,6 +374,20 @@ func (s *Session) Breakpoints() []*Breakpoint {
 // Paused reports whether the session (and target) is paused.
 func (s *Session) Paused() bool { return s.paused }
 
+// HaltNs returns the target time of the latest halt in the trace: the t
+// of the last Break record, which is the agent's EvBreak (the instruction
+// the board stopped at) or the host-side EvBreakHit. The host receives an
+// EvBreak frame some time after the halt, so this is earlier than the
+// session clock. It returns 0 when the trace holds no Break record.
+func (s *Session) HaltNs() uint64 {
+	for i := s.Trace.Len() - 1; i >= 0; i-- {
+		if ev := s.Trace.At(i).Event; ev.Type == protocol.EvBreak || ev.Type == protocol.EvBreakHit {
+			return ev.Time
+		}
+	}
+	return 0
+}
+
 // Pause halts the target and the GDM (the user's pause button). With a
 // remote channel attached the wire is the authoritative control path —
 // exactly one InPause goes out and the board halts when it services it;

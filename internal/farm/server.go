@@ -532,6 +532,7 @@ func (s *Server) runResult(ss *session) RunResult {
 	}
 	if es.LastBreak != nil {
 		res.LastBreak = es.LastBreak.ID
+		res.HaltNs = es.HaltNs()
 	}
 	return res
 }

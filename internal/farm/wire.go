@@ -136,8 +136,11 @@ type RunResult struct {
 	NowNs     uint64 `json:"nowNs"`
 	Paused    bool   `json:"paused"`
 	LastBreak string `json:"lastBreak,omitempty"`
-	Handled   uint64 `json:"handled"`
-	Records   int    `json:"records"`
+	// HaltNs is the target time of the halt LastBreak names (the Break
+	// record's t), earlier than NowNs by the frame's trip to the host.
+	HaltNs  uint64 `json:"haltNs,omitempty"`
+	Handled uint64 `json:"handled"`
+	Records int    `json:"records"`
 }
 
 // StepParams advances to the next model-level event. Target selects the

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -199,11 +200,15 @@ func (d *Decoder) intern(b []byte) string {
 // Damaged input (bad CRC, bad lengths, truncation) is discarded up to the
 // next raw SOF; the Errors counter tallies discarded fragments.
 type Decoder struct {
-	body    []byte // unstuffed body of the frame being accumulated
-	inFrame bool
-	esc     bool
-	noise   bool // inside a run of pre-SOF noise (coalesced error count)
-	Errors  int
+	body []byte // unstuffed body of the frame being accumulated
+	// frameLen is the body length of the frame being accumulated, read
+	// from its header; 0 until the header is in. It is derived from body,
+	// so Snapshot and Restore leave it out.
+	frameLen int
+	inFrame  bool
+	esc      bool
+	noise    bool // inside a run of pre-SOF noise (coalesced error count)
+	Errors   int
 
 	// events and instructions collect one Feed's output; the next Feed
 	// reuses their arrays.
@@ -219,42 +224,79 @@ type Decoder struct {
 // decoder reuses: they are valid until the next Feed or Restore, so a
 // caller that keeps messages longer must copy them (copying the Event and
 // Instruction values is enough — their strings are immutable).
+//
+// Feed works on runs, not bytes. A run of plain body bytes is appended in
+// one copy, up to the next SOF or ESC or to the point where the frame can
+// be checked (the end of its header, then the end of the frame); a run of
+// noise is skipped to the next SOF in one search. The result — messages,
+// Errors, Pending and Snapshot — is the same as stepping the deframing
+// state machine byte by byte, however the stream is split across Feeds.
 func (d *Decoder) Feed(data []byte) ([]Event, []Instruction) {
 	d.events, d.instructions = d.events[:0], d.instructions[:0]
-	for _, b := range data {
-		d.step(b)
+	for len(data) > 0 {
+		b := data[0]
+		switch {
+		case b == SOF:
+			// A raw SOF always starts a new frame; any partial frame in
+			// progress was damaged or was noise.
+			if d.inFrame && len(d.body) > 0 {
+				d.Errors++
+			}
+			d.inFrame = true
+			d.esc = false
+			d.resetBody()
+			data = data[1:]
+		case !d.inFrame:
+			// Bytes outside any frame are line noise. A run of noise counts
+			// as one error, however long it is (see noteNoise).
+			d.noteNoise()
+			n := bytes.IndexByte(data, SOF)
+			if n < 0 {
+				n = len(data)
+			}
+			data = data[n:]
+		case d.esc:
+			d.esc = false
+			d.body = append(d.body, b^escXor)
+			data = data[1:]
+			d.tryComplete()
+		case b == escByte:
+			d.esc = true
+			data = data[1:]
+		default:
+			want := d.want()
+			n := 1
+			for n < len(data) && n < want && data[n] != SOF && data[n] != escByte {
+				n++
+			}
+			d.body = append(d.body, data[:n]...)
+			data = data[n:]
+			if n == want {
+				d.tryComplete()
+			}
+		}
 	}
 	return d.events, d.instructions
 }
 
-// step advances the deframing state machine by one raw byte.
-func (d *Decoder) step(b byte) {
-	if b == SOF {
-		// A raw SOF always starts a new frame; any partial frame in
-		// progress was damaged or was noise.
-		if d.inFrame && len(d.body) > 0 {
-			d.Errors++
-		}
-		d.inFrame = true
-		d.esc = false
-		d.body = d.body[:0]
-		return
+// want is the number of body bytes to append before tryComplete can act:
+// up to the end of the header, then up to the end of the frame. Once the
+// header is in and the frame is not yet sized (a restored body), it is
+// one, so tryComplete sizes the frame after the next byte.
+func (d *Decoder) want() int {
+	if len(d.body) < headerLen {
+		return headerLen - len(d.body)
 	}
-	if !d.inFrame {
-		// A byte outside any frame is line noise. A run of noise counts as
-		// one error, however long it is (see noteNoise).
-		d.noteNoise()
-		return
+	if d.frameLen > len(d.body) {
+		return d.frameLen - len(d.body)
 	}
-	if d.esc {
-		d.esc = false
-		b ^= escXor
-	} else if b == escByte {
-		d.esc = true
-		return
-	}
-	d.body = append(d.body, b)
-	d.tryComplete()
+	return 1
+}
+
+// resetBody empties the frame body.
+func (d *Decoder) resetBody() {
+	d.body = d.body[:0]
+	d.frameLen = 0
 }
 
 // noteNoise coalesces noise error counting: the first noise byte since the
@@ -267,35 +309,41 @@ func (d *Decoder) noteNoise() {
 	}
 }
 
-// tryComplete checks whether the accumulated body forms a full frame.
+// drop discards a damaged frame.
+func (d *Decoder) drop() {
+	d.Errors++
+	d.inFrame = false
+	d.resetBody()
+}
+
+// tryComplete checks whether the accumulated body forms a full frame. The
+// payload length is read once per frame, when the header is complete.
 func (d *Decoder) tryComplete() {
 	if len(d.body) < headerLen {
 		return
 	}
-	plen := int(binary.BigEndian.Uint16(d.body[12:14]))
-	if plen > MaxPayload {
-		d.Errors++
-		d.inFrame = false
-		d.body = d.body[:0]
-		return
+	if d.frameLen == 0 {
+		plen := int(binary.BigEndian.Uint16(d.body[12:14]))
+		if plen > MaxPayload {
+			d.drop()
+			return
+		}
+		d.frameLen = headerLen + plen + 2
 	}
-	total := headerLen + plen + 2
+	total := d.frameLen
 	if len(d.body) < total {
 		return
 	}
 	if len(d.body) > total {
-		// Cannot happen: we check after every byte. Guard anyway.
-		d.Errors++
-		d.inFrame = false
-		d.body = d.body[:0]
+		// Only a restored body can overrun its frame: Feed checks at the
+		// frame end.
+		d.drop()
 		return
 	}
 	frame := d.body
 	want := binary.BigEndian.Uint16(frame[total-2:])
 	if CRC16(frame[:total-2]) != want {
-		d.Errors++
-		d.inFrame = false
-		d.body = d.body[:0]
+		d.drop()
 		return
 	}
 	kind, typ := frame[0], frame[1]
@@ -316,7 +364,7 @@ func (d *Decoder) tryComplete() {
 	}
 	d.inFrame = false
 	d.noise = false
-	d.body = d.body[:0]
+	d.resetBody()
 }
 
 // Pending returns the number of buffered, not-yet-decodable body bytes.
@@ -349,6 +397,7 @@ func (d *Decoder) Snapshot() DecoderState {
 // Restore rewinds the decoder to a previously captured deframing state.
 func (d *Decoder) Restore(st DecoderState) {
 	d.body = append(d.body[:0], st.Body...)
+	d.frameLen = 0
 	d.inFrame = st.InFrame
 	d.esc = st.Esc
 	d.noise = st.Noise
