@@ -7,6 +7,8 @@ package serial
 
 import (
 	"bytes"
+	"math"
+	"reflect"
 	"testing"
 )
 
@@ -107,4 +109,87 @@ func FuzzLinkNoTornFrames(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzLinkMatchesReference decodes the fuzz bytes into Send, Advance,
+// Recv, Snapshot and Restore operations on both ports, runs them on the
+// link and on the per-byte reference (ref_test.go), and compares every
+// observable after each operation. Advance steps go forward by any span,
+// backwards (a no-op, except that a step "back" from a clock near zero
+// wraps it to near 2^64) and to the very end of the clock, where a
+// frame's pacing wraps; the line rate may make a byte take no time at all.
+func FuzzLinkMatchesReference(f *testing.F) {
+	f.Add(uint8(2), []byte{0, 40, 0, 1, 20, 3, 2, 1, 0, 0, 4, 0, 5, 0})
+	f.Add(uint8(2), []byte{2, 200, 0, 0, 255, 15, 0, 255, 15, 3, 0, 1, 100, 20, 6, 0, 7, 0})
+	f.Add(uint8(1), []byte{2, 0, 0, 30, 0, 1, 0, 0, 3, 1, 4, 0, 0, 9, 1})
+	f.Add(uint8(0), []byte{0, 10, 0, 0, 10, 0, 6, 0, 1, 50, 8, 5, 0, 7, 0, 1, 255, 40})
+	f.Add(uint8(4), []byte{0, 12, 0, 2, 3, 0, 0, 5, 0, 1, 1, 0, 3, 0})
+	f.Fuzz(fuzzBody)
+}
+
+var bauds = []int{9600, 115200, 2_000_000, 2_000_000_000, 20_000_000_000}
+
+func fuzzBody(t *testing.T, baudSel uint8, ops []byte) {
+	if len(ops) > 600 {
+		ops = ops[:600]
+	}
+	baud := bauds[int(baudSel)%len(bauds)]
+	l, ref := MustLink(baud), newRefLink(baud)
+	ports := [2]*Port{l.PortA(), l.PortB()}
+	var snaps []LinkState
+	next := func(i *int) uint64 {
+		if *i >= len(ops) {
+			return 0
+		}
+		*i++
+		return uint64(ops[*i-1])
+	}
+	for i := 0; i < len(ops); {
+		op := next(&i)
+		d := int(op>>4) & 1
+		switch op % 8 {
+		case 0, 1: // send a frame of up to 4095 bytes
+			n := int(next(&i) | next(&i)&0x0f<<8)
+			frame := make([]byte, n)
+			for k := range frame {
+				frame[k] = byte(k + int(op))
+			}
+			ports[d].Send(frame)
+			ref.send(d, frame)
+		case 2: // advance forward by any span
+			now := l.Now() + next(&i)<<(next(&i)%48)
+			l.Advance(now)
+			ref.Advance(now)
+		case 3: // step backwards (wraps from a clock near zero)
+			now := l.Now() - next(&i)
+			l.Advance(now)
+			ref.Advance(now)
+		case 4: // jump to the end of the clock
+			now := math.MaxUint64 - next(&i)*l.ByteTimeNs()
+			l.Advance(now)
+			ref.Advance(now)
+		case 5:
+			if got, want := ports[1-d].Recv(), ref.recv(d); !bytes.Equal(got, want) {
+				t.Fatalf("op %d: Recv %d bytes, reference %d (first divergence at %d)",
+					i, len(got), len(want), firstDiff(got, want))
+			}
+		case 6:
+			snaps = append(snaps, l.Snapshot())
+		case 7:
+			if len(snaps) == 0 {
+				continue
+			}
+			st := snaps[int(next(&i))%len(snaps)]
+			if err := l.Restore(st); err != nil {
+				t.Fatal(err)
+			}
+			ref.restore(st)
+		}
+		if got, want := l.Snapshot(), ref.snapshot(baud); !reflect.DeepEqual(got, want) {
+			t.Fatalf("op %d: snapshot diverges from the reference:\n got  %+v\n want %+v", i, got, want)
+		}
+		if msg := diffRef(l, ref); msg != "" {
+			t.Fatalf("op %d: %s", i, msg)
+		}
+	}
 }

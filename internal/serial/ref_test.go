@@ -1,19 +1,25 @@
 package serial
 
-// Differential test of the in-place UART queue against the original
-// per-byte queue, which re-sliced its head away on every delivery and
-// handed out a fresh receive buffer on every Recv. The reference is kept
-// here verbatim in behaviour; the link must match it on every observable:
-// delivered bytes, arrival instants (through Snapshot), Free, BusyUntil,
-// Stats and Restore.
+// Differential test of the run-length UART line against the original
+// per-byte queue, which stored one arrival instant per byte, re-sliced its
+// head away on every delivery and handed out a fresh receive buffer on
+// every Recv. The reference is kept here verbatim in behaviour; the link
+// must match it on every observable: delivered bytes, arrival instants
+// (through Snapshot), Free, BusyUntil, Stats and Restore.
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
-	"slices"
 	"testing"
 )
+
+// inflight is one byte on the reference's wire.
+type inflight struct {
+	b       byte
+	arrival uint64
+}
 
 // refLink is the original per-byte queue.
 type refLink struct {
@@ -190,20 +196,39 @@ func TestLinkMatchesReference(t *testing.T) {
 					t.Fatalf("seed %d step %d: snapshot diverges from the reference:\n got  %+v\n want %+v", seed, step, got, want)
 				}
 			}
-			for d, p := range ports {
-				if got, want := l.dirs[d].pending(), ref.dirs[d].queue; !slices.Equal(got, want) || !bytes.Equal(l.dirs[d].rx, ref.dirs[d].rx) {
-					t.Fatalf("seed %d step %d dir %d: in-flight bytes or arrival instants diverge", seed, step, d)
-				}
-				if p.Free() != ref.free(d) || p.BusyUntil() != ref.dirs[d].lineFree || p.Stats() != ref.dirs[d].stats {
-					t.Fatalf("seed %d step %d dir %d: Free %d/%d BusyUntil %d/%d Stats %+v/%+v", seed, step, d,
-						p.Free(), ref.free(d), p.BusyUntil(), ref.dirs[d].lineFree, p.Stats(), ref.dirs[d].stats)
-				}
+			if msg := diffRef(l, ref); msg != "" {
+				t.Fatalf("seed %d step %d: %s", seed, step, msg)
 			}
 		}
 	}
 	if drops < 20 {
 		t.Fatalf("only %d frames dropped on a full FIFO — degenerate sequences", drops)
 	}
+}
+
+// diffRef compares the link's in-flight bytes with their arrival instants,
+// undrained receive bytes, Free, BusyUntil and Stats in both directions
+// with the reference's, and describes the first difference ("" if none).
+func diffRef(l *Link, ref *refLink) string {
+	for d, p := range [2]*Port{l.PortA(), l.PortB()} {
+		got, want := l.appendPending(nil, d), ref.dirs[d].queue
+		if len(got) != len(want) {
+			return fmt.Sprintf("dir %d: %d bytes in flight, reference %d", d, len(got), len(want))
+		}
+		for i, q := range want {
+			if got[i] != (InflightState{B: q.b, Arrival: q.arrival}) {
+				return fmt.Sprintf("dir %d: in-flight byte %d is %+v, reference %+v", d, i, got[i], q)
+			}
+		}
+		if !bytes.Equal(l.dirs[d].rx, ref.dirs[d].rx) {
+			return fmt.Sprintf("dir %d: undrained bytes diverge", d)
+		}
+		if p.Free() != ref.free(d) || p.BusyUntil() != ref.dirs[d].lineFree || p.Stats() != ref.dirs[d].stats {
+			return fmt.Sprintf("dir %d: Free %d/%d BusyUntil %d/%d Stats %+v/%+v", d,
+				p.Free(), ref.free(d), p.BusyUntil(), ref.dirs[d].lineFree, p.Stats(), ref.dirs[d].stats)
+		}
+	}
+	return ""
 }
 
 // TestLinkSteadyStateAllocs: on a warm link, sending a frame, delivering

@@ -10,9 +10,18 @@
 // an instrumented target both spends CPU cycles building frames and is
 // throttled by the line rate, whereas the passive JTAG solution touches
 // neither (see internal/jtag).
+//
+// The timing is per byte but the bookkeeping is per run: a frame sent
+// onto a line is one run of bytes spaced one byte time apart, so sending
+// and delivering a frame costs a few arithmetic steps and one copy,
+// whatever its length. Checkpoints still list every byte in flight with
+// its own arrival instant (LinkState).
 package serial
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // bitsPerByte is start + 8 data + stop for the 8N1 format.
 const bitsPerByte = 10
@@ -34,6 +43,12 @@ type Stats struct {
 
 // Link is a point-to-point full-duplex serial line between port A (target)
 // and port B (host).
+//
+// The line carries runs, not bytes: each Send appends its bytes to a byte
+// FIFO and one run record, and byte k of a run arrives at first + k·byte
+// time, exactly when the per-byte 8N1 pacing would deliver it. Advance
+// works out by division how much of the head run has landed and moves it
+// to the receive buffer in one copy.
 type Link struct {
 	baud       int
 	byteTimeNs uint64
@@ -43,27 +58,66 @@ type Link struct {
 	dirs [2]direction
 }
 
-type inflight struct {
-	b       byte
-	arrival uint64
+// run is a stretch of in-flight bytes that arrive one byte time apart:
+// byte k of it lands at first + k·byteTimeNs. The arithmetic never wraps
+// inside a run; a byte whose pacing would wrap the clock is a run of its
+// own.
+type run struct {
+	first uint64 // arrival instant of the run's first byte
+	n     int    // bytes in the run
 }
 
-// direction is one transmit direction. The bytes in flight are
-// queue[head:]; delivered bytes ahead of head are reclaimed in place when
-// the queue would otherwise grow, so a warm link reuses one backing array.
-// rx collects delivered bytes; spare is the other half of its double
-// buffer, the slice the previous Recv handed out.
+// arrived returns how many of the run's bytes have landed by now.
+func (r run) arrived(now, byteTimeNs uint64) int {
+	if now < r.first {
+		return 0
+	}
+	if byteTimeNs == 0 {
+		return r.n
+	}
+	if k := (now-r.first)/byteTimeNs + 1; k < uint64(r.n) {
+		return int(k)
+	}
+	return r.n
+}
+
+// direction is one transmit direction. The bytes in flight are buf[bhead:],
+// split in order into the runs runs[rhead:]. Delivered bytes and runs ahead
+// of the heads are reclaimed in place when an array would otherwise grow,
+// so a warm link reuses its backing arrays. rx collects delivered bytes;
+// spare is the other half of its double buffer, the slice the previous
+// Recv handed out.
 type direction struct {
-	queue    []inflight
-	head     int
+	buf      []byte
+	bhead    int
+	runs     []run
+	rhead    int
 	rx       []byte
 	spare    []byte
 	lineFree uint64 // time the line becomes free for the next byte
 	stats    Stats
 }
 
-// pending returns the bytes still on the wire, oldest first.
-func (dir *direction) pending() []inflight { return dir.queue[dir.head:] }
+// inflight returns the number of bytes still on the wire.
+func (dir *direction) inflight() int { return len(dir.buf) - dir.bhead }
+
+// push appends a run of n bytes whose first byte arrives at first,
+// extending the tail run when first lands exactly one byte time after the
+// tail's last byte.
+func (dir *direction) push(first uint64, n int, byteTimeNs uint64) {
+	if dir.rhead < len(dir.runs) {
+		tail := &dir.runs[len(dir.runs)-1]
+		if last := tail.first + uint64(tail.n-1)*byteTimeNs; first >= last && first-last == byteTimeNs {
+			tail.n += n
+			return
+		}
+	}
+	if dir.rhead > 0 && len(dir.runs) == cap(dir.runs) {
+		dir.runs = dir.runs[:copy(dir.runs, dir.runs[dir.rhead:])]
+		dir.rhead = 0
+	}
+	dir.runs = append(dir.runs, run{first: first, n: n})
+}
 
 // NewLink creates a link at the given baud rate (e.g. 115200). The
 // in-flight queue per direction holds up to 4096 bytes; senders beyond
@@ -98,7 +152,8 @@ func (l *Link) ByteTimeNs() uint64 { return l.byteTimeNs }
 func (l *Link) Now() uint64 { return l.now }
 
 // Advance moves virtual time forward and delivers bytes whose transmission
-// completes by then. Time never moves backwards.
+// completes by then, oldest first, stopping at the first byte still on the
+// wire. Time never moves backwards.
 func (l *Link) Advance(now uint64) {
 	if now < l.now {
 		return
@@ -106,15 +161,24 @@ func (l *Link) Advance(now uint64) {
 	l.now = now
 	for d := range l.dirs {
 		dir := &l.dirs[d]
-		i := dir.head
-		for ; i < len(dir.queue) && dir.queue[i].arrival <= now; i++ {
-			dir.rx = append(dir.rx, dir.queue[i].b)
+		from := dir.bhead
+		for dir.rhead < len(dir.runs) {
+			r := &dir.runs[dir.rhead]
+			k := r.arrived(now, l.byteTimeNs)
+			dir.bhead += k
+			if k < r.n {
+				r.first += uint64(k) * l.byteTimeNs
+				r.n -= k
+				break
+			}
+			dir.rhead++
 		}
-		dir.stats.Bytes += uint64(i - dir.head)
-		if i == len(dir.queue) {
-			dir.queue, i = dir.queue[:0], 0
+		dir.rx = append(dir.rx, dir.buf[from:dir.bhead]...)
+		dir.stats.Bytes += uint64(dir.bhead - from)
+		if dir.rhead == len(dir.runs) {
+			dir.buf, dir.bhead = dir.buf[:0], 0
+			dir.runs, dir.rhead = dir.runs[:0], 0
 		}
-		dir.head = i
 	}
 }
 
@@ -124,31 +188,43 @@ func (l *Link) Advance(now uint64) {
 // Overruns and FramesDropped) rather than torn mid-frame. A saturated
 // link therefore loses complete frames — observable and countable — never
 // a frame prefix that would poison the decoder's CRC.
+//
+// Each byte starts when the line is free (or now, if later) and arrives
+// one byte time after it starts, so a frame is one run. Should that
+// arithmetic wrap the 64-bit clock, each byte is paced on its own, as the
+// per-byte rule does it.
 func (l *Link) send(d int, data []byte) {
 	if len(data) == 0 {
 		return
 	}
 	dir := &l.dirs[d]
-	if len(dir.queue)-dir.head+len(data) > l.limit {
+	if dir.inflight()+len(data) > l.limit {
 		dir.stats.Dropped += uint64(len(data))
 		dir.stats.Overruns++
 		dir.stats.FramesDropped++
 		return
 	}
-	if dir.head > 0 && len(dir.queue)+len(data) > cap(dir.queue) {
+	if dir.bhead > 0 && len(dir.buf)+len(data) > cap(dir.buf) {
 		// Reclaim the delivered prefix instead of growing the array.
-		dir.queue = dir.queue[:copy(dir.queue, dir.queue[dir.head:])]
-		dir.head = 0
+		dir.buf = dir.buf[:copy(dir.buf, dir.buf[dir.bhead:])]
+		dir.bhead = 0
 	}
-	for _, b := range data {
-		start := dir.lineFree
-		if start < l.now {
-			start = l.now
+	dir.buf = append(dir.buf, data...)
+	bt := l.byteTimeNs
+	start := max(dir.lineFree, l.now)
+	if hi, span := bits.Mul64(uint64(len(data)), bt); hi == 0 {
+		if end, carry := bits.Add64(start, span, 0); carry == 0 {
+			dir.push(start+bt, len(data), bt)
+			dir.lineFree = end
+			dir.stats.BusyNs += span
+			return
 		}
-		arrival := start + l.byteTimeNs
+	}
+	for range data {
+		arrival := max(dir.lineFree, l.now) + bt
 		dir.lineFree = arrival
-		dir.stats.BusyNs += l.byteTimeNs
-		dir.queue = append(dir.queue, inflight{b: b, arrival: arrival})
+		dir.stats.BusyNs += bt
+		dir.push(arrival, 1, bt)
 	}
 }
 
@@ -166,7 +242,7 @@ func (l *Link) recv(d int) []byte {
 func (l *Link) busyUntil(d int) uint64 { return l.dirs[d].lineFree }
 
 // free reports the remaining FIFO space in direction d.
-func (l *Link) free(d int) int { return l.limit - len(l.dirs[d].pending()) }
+func (l *Link) free(d int) int { return l.limit - l.dirs[d].inflight() }
 
 // Port is one endpoint of the link.
 type Port struct {

@@ -32,17 +32,15 @@ type LinkState struct {
 }
 
 // Snapshot captures the link's complete state; the result shares no
-// storage with the live link.
+// storage with the live link. The runs in flight are written out byte by
+// byte, each with its own arrival instant.
 func (l *Link) Snapshot() LinkState {
 	st := LinkState{Baud: l.baud, Now: l.now}
 	for d := range l.dirs {
 		dir := &l.dirs[d]
 		ds := DirectionState{LineFree: dir.lineFree, Stats: dir.stats}
-		if pend := dir.pending(); len(pend) > 0 {
-			ds.Queue = make([]InflightState, len(pend))
-			for i, q := range pend {
-				ds.Queue[i] = InflightState{B: q.b, Arrival: q.arrival}
-			}
+		if n := dir.inflight(); n > 0 {
+			ds.Queue = l.appendPending(make([]InflightState, 0, n), d)
 		}
 		if len(dir.rx) > 0 {
 			ds.Rx = append([]byte(nil), dir.rx...)
@@ -52,9 +50,25 @@ func (l *Link) Snapshot() LinkState {
 	return st
 }
 
+// appendPending appends direction d's in-flight bytes, oldest first, each
+// with its arrival instant.
+func (l *Link) appendPending(dst []InflightState, d int) []InflightState {
+	dir := &l.dirs[d]
+	i := dir.bhead
+	for _, r := range dir.runs[dir.rhead:] {
+		for k := range r.n {
+			dst = append(dst, InflightState{B: dir.buf[i], Arrival: r.first + uint64(k)*l.byteTimeNs})
+			i++
+		}
+	}
+	return dst
+}
+
 // Restore rewinds the link to a previously captured state. The link must
 // have been created at the same baud rate (the byte time is derived from
-// it).
+// it). Consecutive queue entries whose arrivals lie exactly one byte time
+// apart join one run; any other entry starts a run of its own, so every
+// state — whatever wrote it — restores to the same per-byte arrivals.
 func (l *Link) Restore(st LinkState) error {
 	if st.Baud != l.baud {
 		return fmt.Errorf("serial: restore of %d-baud state onto %d-baud link", st.Baud, l.baud)
@@ -63,9 +77,11 @@ func (l *Link) Restore(st LinkState) error {
 	for d := range l.dirs {
 		dir := &l.dirs[d]
 		ds := st.Dirs[d]
-		dir.queue, dir.head = dir.queue[:0], 0
+		dir.buf, dir.bhead = dir.buf[:0], 0
+		dir.runs, dir.rhead = dir.runs[:0], 0
 		for _, q := range ds.Queue {
-			dir.queue = append(dir.queue, inflight{b: q.B, arrival: q.Arrival})
+			dir.buf = append(dir.buf, q.B)
+			dir.push(q.Arrival, 1, l.byteTimeNs)
 		}
 		dir.rx = append(dir.rx[:0], ds.Rx...)
 		dir.lineFree = ds.LineFree
