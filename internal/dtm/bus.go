@@ -256,11 +256,13 @@ type Network struct {
 
 	sched  *BusSchedule
 	table  slotTable
-	owners []*txNode          // distinct slot owners, in first-slot order
-	tx     map[string]*txNode // slot owner name -> its TX side
-	rng    uint64
-	cursor map[string]uint64 // per-node next claimable global slot index
-	stats  map[string]*BusStats
+	owners []*Sender // distinct slot owners, in first-slot order
+	// senders holds every node the network has a record for: slot owners,
+	// senders and the nodes a restored state names. A record is never
+	// replaced, so a Sender handle stays valid across SetSchedule and
+	// Restore.
+	senders map[string]*Sender
+	rng     uint64
 
 	names  map[*Store]string
 	stores map[string]*Store
@@ -268,8 +270,8 @@ type Network struct {
 	// through the frames themselves so a frame retires in O(1).
 	inflight flightList
 
-	// mu guards the shared state above (counters, RNG, cursors, stats,
-	// the in-flight list) and dseq.
+	// mu guards the shared state above (counters, RNG, the sender records
+	// with their cursors and stats, the in-flight list) and dseq.
 	mu sync.Mutex
 	// dseq numbers deliveries in send order (seq = DeliveryBase + dseq).
 	dseq uint64
@@ -299,29 +301,42 @@ type netFlight struct {
 	qnext *netFlight
 
 	// TDMA fields (zero on constant-latency frames).
-	src       string // sending node
-	enq       uint64 // enqueue instant
-	slot      uint64 // global index of the departure slot
+	from      *Sender // sending node
+	enq       uint64  // enqueue instant
+	slot      uint64  // global index of the departure slot
 	departAt  uint64
 	departSeq uint64
 	departed  bool
 	lost      bool
 }
 
-// txNode is one slot owner's transmit side: its slot indices within the
-// cycle and its TX queue of undeparted frames in send order — which is
-// departure order. Only the head's departure event is in a kernel heap.
-type txNode struct {
+// Sender is one sending node's side of the network, resolved by name once
+// (Network.Sender) so a send looks nothing up: its slot indices within the
+// cycle, its TX queue of undeparted frames in send order — which is
+// departure order — its slot cursor and its BusStats. Only the head's
+// departure event is in a kernel heap.
+type Sender struct {
+	n          *Network
 	name       string
-	slots      []uint64 // ascending
+	slots      []uint64 // ascending; empty when the node owns no slot
 	head, tail *netFlight
 	// depart is the callback of every departure event of this owner: it
 	// departs the head.
 	depart func(now uint64)
+
+	// cursor is the next claimable global slot index; hasCursor says
+	// whether the network state lists it.
+	cursor    uint64
+	hasCursor bool
+	// stats is the node's TX accounting; hasStats says whether the bus
+	// knows the node (Stats ok, listed in the network state). Both are
+	// zero while it does not.
+	stats    BusStats
+	hasStats bool
 }
 
 // push appends f to the queue; it reports whether f is the new head.
-func (q *txNode) push(f *netFlight) bool {
+func (q *Sender) push(f *netFlight) bool {
 	f.qnext = nil
 	if q.tail == nil {
 		q.head, q.tail = f, f
@@ -332,7 +347,7 @@ func (q *txNode) push(f *netFlight) bool {
 }
 
 // pop removes and returns the head (nil when empty).
-func (q *txNode) pop() *netFlight {
+func (q *Sender) pop() *netFlight {
 	f := q.head
 	if f == nil {
 		return nil
@@ -396,9 +411,30 @@ func (l *flightList) clear() {
 func NewNetwork(k *Kernel, latencyNs uint64) *Network {
 	return &Network{
 		K: k, LatencyNs: latencyNs,
-		names:  map[*Store]string{},
-		stores: map[string]*Store{},
+		senders: map[string]*Sender{},
+		names:   map[*Store]string{},
+		stores:  map[string]*Store{},
 	}
+}
+
+// Sender returns the handle of sending node name, creating its record on
+// first use. A node unknown to the bus stays unknown to Stats until it
+// sends.
+func (n *Network) Sender(name string) *Sender {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.sender(name)
+}
+
+// sender is Sender with mu held.
+func (n *Network) sender(name string) *Sender {
+	q, ok := n.senders[name]
+	if !ok {
+		q = &Sender{n: n, name: name}
+		q.depart = func(now uint64) { n.departHead(q, now) }
+		n.senders[name] = q
+	}
+	return q
 }
 
 // SetSchedule installs (or, with nil, removes) the TDMA bus schedule.
@@ -409,33 +445,34 @@ func (n *Network) SetSchedule(s *BusSchedule) error {
 	if n.inflight.n > 0 {
 		return fmt.Errorf("dtm: cannot change bus schedule with %d frames in flight", n.inflight.n)
 	}
-	if s == nil {
-		n.sched, n.table, n.owners, n.tx = nil, slotTable{}, nil, nil
-		return nil
+	if s != nil {
+		if err := s.Validate(); err != nil {
+			return err
+		}
 	}
-	if err := s.Validate(); err != nil {
-		return err
+	for _, q := range n.senders {
+		q.slots, q.head, q.tail = nil, nil, nil
+	}
+	n.owners = nil
+	if s == nil {
+		n.sched, n.table = nil, slotTable{}
+		return nil
 	}
 	n.sched = s
 	n.table = newSlotTable(s)
 	n.rng = s.Seed
-	n.cursor = map[string]uint64{}
-	if n.stats == nil {
-		n.stats = map[string]*BusStats{}
+	for _, q := range n.senders {
+		q.cursor, q.hasCursor = 0, false
 	}
 	// Pre-register every slot owner so Stats can tell "no traffic yet"
 	// (zero stats, ok) from "not on this bus" (ok=false).
-	n.owners, n.tx = nil, map[string]*txNode{}
 	for i, sl := range s.Slots {
-		q, ok := n.tx[sl.Owner]
-		if !ok {
-			q = &txNode{name: sl.Owner}
-			q.depart = func(now uint64) { n.departHead(q, now) }
-			n.tx[sl.Owner] = q
+		q := n.sender(sl.Owner)
+		if len(q.slots) == 0 {
 			n.owners = append(n.owners, q)
 		}
 		q.slots = append(q.slots, uint64(i))
-		n.nodeStats(sl.Owner)
+		q.hasStats = true
 	}
 	return nil
 }
@@ -464,39 +501,44 @@ func (n *Network) rand() uint64 {
 // Send delivers signal=v into the destination store after the latency —
 // the constant-latency path, kept verbatim for senders with no identity.
 func (n *Network) Send(signal string, v value.Value, dst *Store) {
-	n.SendFrom("", signal, v, dst)
+	n.mu.Lock()
+	n.sendLatency(signal, v, dst)
+	n.mu.Unlock()
 }
 
-// SendFrom submits a frame on behalf of sending node src. Without a bus
-// schedule (or with an anonymous sender) it behaves exactly like Send:
-// one delivery LatencyNs from now. Under a schedule the frame joins src's
-// TX queue and departs in src's next free slot — its departure instant,
-// release jitter, loss outcome and event identities are all decided
-// (deterministically) here, so a snapshot taken at any later instant
-// carries the committed timing. Only a frame that heads the queue has its
-// departure armed now, and its delivery is armed when it departs.
+// SendFrom submits a frame on behalf of sending node src; it is
+// n.Sender(src).Send, and with an anonymous sender it is Send.
+func (n *Network) SendFrom(src, signal string, v value.Value, dst *Store) {
+	if src == "" {
+		n.Send(signal, v, dst)
+		return
+	}
+	n.Sender(src).Send(signal, v, dst)
+}
+
+// Send submits a frame from q. Without a bus schedule it behaves exactly
+// like Network.Send: one delivery LatencyNs from now. Under a schedule the
+// frame joins q's TX queue and departs in q's next free slot — its
+// departure instant, release jitter, loss outcome and event identities are
+// all decided (deterministically) here, so a snapshot taken at any later
+// instant carries the committed timing. Only a frame that heads the queue
+// has its departure armed now, and its delivery is armed when it departs.
 // Deliveries are numbered from a dedicated counter in send order
 // (DeliveryBase + dseq) instead of consuming a kernel seq.
-func (n *Network) SendFrom(src, signal string, v value.Value, dst *Store) {
-	now := n.K.Now()
-	if n.sched == nil || src == "" {
-		n.mu.Lock()
-		n.Sent++
-		f := n.newFlight()
-		f.signal, f.v, f.enq, f.at, f.dst = signal, v, now, now+n.LatencyNs, dst
-		f.seq = DeliveryBase + n.dseq
-		n.dseq++
-		n.inflight.push(f)
-		_ = n.K.ScheduleAt(f.at, now, f.seq, f.deliver)
+func (q *Sender) Send(signal string, v value.Value, dst *Store) {
+	n := q.n
+	n.mu.Lock()
+	if n.sched == nil {
+		n.sendLatency(signal, v, dst)
 		n.mu.Unlock()
 		return
 	}
-	n.mu.Lock()
+	now := n.K.Now()
 	n.Sent++
-	st := n.nodeStats(src)
+	q.hasStats = true
+	st := &q.stats
 	st.Enqueued++
-	q := n.tx[src]
-	if q == nil {
+	if len(q.slots) == 0 {
 		// A sender owning no slot can never transmit; the frame is dropped
 		// at enqueue. BuildCluster validates producers upfront, so this is
 		// only reachable on hand-built networks.
@@ -505,12 +547,12 @@ func (n *Network) SendFrom(src, signal string, v value.Value, dst *Store) {
 		total := st.Dropped
 		n.mu.Unlock()
 		if n.OnDrop != nil {
-			n.OnDrop(now, src, signal, total)
+			n.OnDrop(now, q.name, signal, total)
 		}
 		return
 	}
-	abs := n.table.nextOwned(q.slots, n.cursor[src], now)
-	n.cursor[src] = abs + 1 // one frame per slot
+	abs := n.table.nextOwned(q.slots, q.cursor, now)
+	q.cursor, q.hasCursor = abs+1, true // one frame per slot
 	start := n.table.start(abs)
 	dep := start
 	if dep < now {
@@ -529,7 +571,7 @@ func (n *Network) SendFrom(src, signal string, v value.Value, dst *Store) {
 	}
 	f := n.newFlight()
 	f.signal, f.v, f.dst = signal, v, dst
-	f.src, f.enq, f.slot, f.departAt, f.at = src, now, abs, dep, dep+n.LatencyNs
+	f.from, f.enq, f.slot, f.departAt, f.at = q, now, abs, dep, dep+n.LatencyNs
 	if n.sched.LossPerMille > 0 {
 		f.lost = n.rand()%1000 < uint64(n.sched.LossPerMille)
 	}
@@ -542,6 +584,18 @@ func (n *Network) SendFrom(src, signal string, v value.Value, dst *Store) {
 		n.K.arm(f.departAt, f.enq, f.departSeq, q.depart)
 	}
 	n.mu.Unlock()
+}
+
+// sendLatency is the constant-latency path (mu held).
+func (n *Network) sendLatency(signal string, v value.Value, dst *Store) {
+	now := n.K.Now()
+	n.Sent++
+	f := n.newFlight()
+	f.signal, f.v, f.enq, f.at, f.dst = signal, v, now, now+n.LatencyNs, dst
+	f.seq = DeliveryBase + n.dseq
+	n.dseq++
+	n.inflight.push(f)
+	_ = n.K.ScheduleAt(f.at, now, f.seq, f.deliver)
 }
 
 // maxFreeFlights bounds the retired frame records kept for reuse.
@@ -582,7 +636,7 @@ func (n *Network) retire(f *netFlight) {
 // delivery are armed, the slot hook fires, and a lost frame dies here — at
 // the slot, observable — instead of silently never arriving. The slot and
 // drop hooks hit the sender's own board.
-func (n *Network) departHead(q *txNode, now uint64) {
+func (n *Network) departHead(q *Sender, now uint64) {
 	n.mu.Lock()
 	f := q.pop()
 	if f == nil {
@@ -591,7 +645,8 @@ func (n *Network) departHead(q *txNode, now uint64) {
 		return
 	}
 	f.departed = true
-	st := n.nodeStats(q.name)
+	q.hasStats = true
+	st := &q.stats
 	st.Queued--
 	if wait := f.departAt - f.enq; wait > st.WorstQueueNs {
 		st.WorstQueueNs = wait
@@ -623,8 +678,9 @@ func (n *Network) departHead(q *txNode, now uint64) {
 func (n *Network) deliver(f *netFlight) {
 	n.mu.Lock()
 	dst, signal, v := f.dst, f.signal, f.v
-	if f.src != "" && n.sched != nil {
-		n.nodeStats(f.src).Delivered++
+	if f.from != nil && n.sched != nil {
+		f.from.hasStats = true
+		f.from.stats.Delivered++
 	}
 	n.retire(f)
 	n.mu.Unlock()
@@ -643,8 +699,8 @@ func (n *Network) DropInflight() {
 	defer n.mu.Unlock()
 	n.inflight.clear()
 	n.clearQueues()
-	for _, st := range n.stats {
-		st.Queued = 0
+	for _, q := range n.senders {
+		q.stats.Queued = 0
 	}
 }
 
@@ -695,11 +751,11 @@ func (n *Network) Inflight() int {
 func (n *Network) Queued() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	q := 0
-	for _, st := range n.stats {
-		q += st.Queued
+	queued := 0
+	for _, q := range n.senders {
+		queued += q.stats.Queued
 	}
-	return q
+	return queued
 }
 
 // Stats returns node's TX accounting. ok is false when the bus does not
@@ -711,22 +767,10 @@ func (n *Network) Queued() int {
 func (n *Network) Stats(node string) (BusStats, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if st, ok := n.stats[node]; ok {
-		return *st, true
+	if q, ok := n.senders[node]; ok && q.hasStats {
+		return q.stats, true
 	}
 	return BusStats{}, false
-}
-
-func (n *Network) nodeStats(node string) *BusStats {
-	if n.stats == nil {
-		n.stats = map[string]*BusStats{}
-	}
-	st, ok := n.stats[node]
-	if !ok {
-		st = &BusStats{}
-		n.stats[node] = st
-	}
-	return st
 }
 
 // FlightState is the portable form of one queued or in-flight frame.
@@ -783,23 +827,29 @@ func (n *Network) Snapshot() (NetworkState, error) {
 		if !ok {
 			return NetworkState{}, fmt.Errorf("dtm: in-flight frame %q to unbound store", f.signal)
 		}
+		var src string
+		if f.from != nil {
+			src = f.from.name
+		}
 		st.Flights = append(st.Flights, FlightState{
 			Signal: f.signal, Val: value.Encode(f.v), At: f.at, Seq: f.seq, Dst: name,
-			Src: f.src, Enq: f.enq, Slot: f.slot,
+			Src: src, Enq: f.enq, Slot: f.slot,
 			DepartAt: f.departAt, DepartSeq: f.departSeq,
 			Departed: f.departed, Lost: f.lost,
 		})
 	}
-	if len(n.cursor) > 0 {
-		st.Cursor = make(map[string]uint64, len(n.cursor))
-		for k, v := range n.cursor {
-			st.Cursor[k] = v
+	for name, q := range n.senders {
+		if q.hasCursor {
+			if st.Cursor == nil {
+				st.Cursor = map[string]uint64{}
+			}
+			st.Cursor[name] = q.cursor
 		}
-	}
-	if len(n.stats) > 0 {
-		st.Stats = make(map[string]BusStats, len(n.stats))
-		for k, v := range n.stats {
-			st.Stats[k] = *v
+		if q.hasStats {
+			if st.Stats == nil {
+				st.Stats = map[string]BusStats{}
+			}
+			st.Stats[name] = q.stats
 		}
 	}
 	return st, nil
@@ -839,14 +889,17 @@ func (n *Network) Restore(st NetworkState) error {
 	n.Dropped = st.Dropped
 	n.rng = st.RNG
 	n.dseq = st.DeliverySeq
-	n.cursor = map[string]uint64{}
-	for k, v := range st.Cursor {
-		n.cursor[k] = v
+	for _, q := range n.senders {
+		q.cursor, q.hasCursor = 0, false
+		q.stats, q.hasStats = BusStats{}, false
 	}
-	n.stats = map[string]*BusStats{}
-	for k, v := range st.Stats {
-		v := v
-		n.stats[k] = &v
+	for name, c := range st.Cursor {
+		q := n.sender(name)
+		q.cursor, q.hasCursor = c, true
+	}
+	for name, bs := range st.Stats {
+		q := n.sender(name)
+		q.stats, q.hasStats = bs, true
 	}
 	n.inflight.clear()
 	n.clearQueues()
@@ -861,19 +914,22 @@ func (n *Network) Restore(st NetworkState) error {
 		}
 		f := n.newFlight()
 		f.signal, f.v, f.at, f.seq, f.dst = fs.Signal, v, fs.At, fs.Seq, dst
-		f.src, f.enq, f.slot = fs.Src, fs.Enq, fs.Slot
+		if fs.Src != "" {
+			f.from = n.sender(fs.Src)
+		}
+		f.enq, f.slot = fs.Enq, fs.Slot
 		f.departAt, f.departSeq = fs.DepartAt, fs.DepartSeq
 		f.departed, f.lost = fs.Departed, fs.Lost
 		n.inflight.push(f)
-		tdma := f.src != "" && n.sched != nil
+		tdma := f.from != nil && n.sched != nil
 		queued := tdma && !f.departed
 		if queued {
 			// The queue is rebuilt in send order; only its head is armed.
 			// Events re-armed or held back here have their identity on the
 			// flight record, so their restore-time schedule entries go.
-			q := n.tx[f.src]
-			if q == nil {
-				return fmt.Errorf("dtm: restore frame %q queued by %q, which owns no slot", fs.Signal, f.src)
+			q := f.from
+			if len(q.slots) == 0 {
+				return fmt.Errorf("dtm: restore frame %q queued by %q, which owns no slot", fs.Signal, fs.Src)
 			}
 			if q.push(f) {
 				n.K.arm(f.departAt, f.enq, f.departSeq, q.depart)

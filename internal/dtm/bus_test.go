@@ -1,6 +1,7 @@
 package dtm
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -701,4 +702,85 @@ func TestInflightRetiresOutOfOrder(t *testing.T) {
 	if r.n.Dropped == 0 {
 		t.Fatal("no frame was lost at departure")
 	}
+}
+
+// TestSenderHandleMatchesSendFrom: a Sender handle resolved once — before
+// any schedule is installed — sends exactly what SendFrom by name sends,
+// through a schedule change, a node that owns no slot, a DropInflight and
+// a Restore, with the same network state JSON at every step; resolving a
+// handle alone makes no node known to the bus.
+func TestSenderHandleMatchesSendFrom(t *testing.T) {
+	s := &BusSchedule{Slots: []BusSlot{{Owner: "a", LenNs: 50}, {Owner: "b", LenNs: 50}}, GapNs: 10, JitterNs: 7, LossPerMille: 300, Seed: 3}
+	byName, byHandle := newBusRig(t, nil, 20), newBusRig(t, nil, 20)
+	h := map[string]*Sender{}
+	for _, node := range []string{"a", "b", "ghost", "idle"} {
+		h[node] = byHandle.n.Sender(node)
+	}
+	// The handle rig mixes sends by name and by handle: both must reach
+	// the same sender record.
+	send := func(node, sig string, v int64) {
+		byName.n.SendFrom(node, sig, value.I(v), byName.dst)
+		byHandle.n.SendFrom(node, sig, value.I(v), byHandle.dst)
+		byName.n.SendFrom(node, sig, value.I(v+1), byName.dst)
+		h[node].Send(sig, value.I(v+1), byHandle.dst)
+	}
+	same := func(when string) NetworkState {
+		t.Helper()
+		a, err := byName.n.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := byHandle.n.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ja, _ := json.Marshal(a)
+		jb, _ := json.Marshal(b)
+		if !bytes.Equal(ja, jb) {
+			t.Fatalf("%s: network state diverges:\n by name   %s\n by handle %s", when, ja, jb)
+		}
+		if fmt.Sprint(byName.log) != fmt.Sprint(byHandle.log) || byName.n.Queued() != byHandle.n.Queued() {
+			t.Fatalf("%s: deliveries or queue depth diverge:\n %v\n %v", when, byName.log, byHandle.log)
+		}
+		for _, node := range []string{"a", "b", "ghost", "idle"} {
+			sa, oka := byName.n.Stats(node)
+			sb, okb := byHandle.n.Stats(node)
+			if sa != sb || oka != okb {
+				t.Fatalf("%s: Stats(%s) = %+v %v by name, %+v %v by handle", when, node, sa, oka, sb, okb)
+			}
+		}
+		return b
+	}
+	step := func(to uint64) {
+		byName.k.RunUntil(to)
+		byHandle.k.RunUntil(to)
+	}
+	send("a", "x", 1) // constant latency: no schedule yet
+	step(100)
+	same("constant latency")
+	for _, r := range []*busRig{byName, byHandle} {
+		if err := r.n.SetSchedule(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range int64(12) {
+		send([]string{"a", "b", "ghost"}[i%3], fmt.Sprintf("s%d", i%4), 10*i)
+		step(uint64(130 + 17*i))
+	}
+	mid, ks := same("mid-cycle"), byHandle.n.SnapshotKernel()
+	if len(mid.Flights) == 0 {
+		t.Fatal("no frames queued or in flight mid-cycle")
+	}
+	step(2000)
+	same("drained")
+	for _, r := range []*busRig{byName, byHandle} {
+		r.n.DropInflight()
+		r.k.Restore(ks)
+		if err := r.n.Restore(mid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send("b", "y", 100)
+	step(4000)
+	same("restored")
 }

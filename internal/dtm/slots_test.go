@@ -31,8 +31,8 @@ func refNextOwned(s *BusSchedule, owner string, minAbs, now uint64) (uint64, boo
 // tableNextOwned is the table's answer for owner (ok=false when the owner
 // holds no slot), as SendFrom asks it.
 func tableNextOwned(n *Network, owner string, minAbs, now uint64) (uint64, bool) {
-	q := n.tx[owner]
-	if q == nil {
+	q := n.senders[owner]
+	if q == nil || len(q.slots) == 0 {
 		return 0, false
 	}
 	return n.table.nextOwned(q.slots, minAbs, now), true

@@ -3,7 +3,8 @@ package target
 import (
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"repro/internal/codegen"
@@ -46,7 +47,8 @@ type Config struct {
 	// Bindings are the system's labelled signal routes; the board delivers
 	// a published output to its consumer's input at the producer's
 	// deadline instant (state-message communication). Bindings whose
-	// consumer lives on another board are handed to the OnPublish hook.
+	// consumer lives on another board are left to the cluster, which
+	// routes them over its network.
 	Bindings []comdes.Binding
 }
 
@@ -66,31 +68,25 @@ type Board struct {
 	// latching — the environment hook where a plant model supplies sensor
 	// values via WriteInput and consumes actuators via ReadOutput.
 	PreLatch func(now uint64, actor string)
-	// OnPublish, when set, observes every published output at its deadline
-	// instant. The cluster uses it to route cross-node bindings.
-	OnPublish func(now uint64, actor, port string, v value.Value)
 	// OnInput, when set, observes every successful WriteInput — the
 	// checkpoint recorder's input log hooks here to capture environment
 	// stimuli for deterministic replay.
 	OnInput func(now uint64, actor, port string, v value.Value)
 
-	cfg      Config
-	kernel   *dtm.Kernel
-	sched    *dtm.Scheduler
-	ram      []byte
-	slots    []symSlot    // per-symbol kind/addr, flattened from Prog.Symbols
-	portA    *serial.Port // target-side UART endpoint
-	portB    *serial.Port // host-side UART endpoint
-	dec      protocol.Decoder
-	units    map[string]*codegen.Unit
-	exec     map[string]*unitExec        // per-unit pooled VM state
-	outPorts map[string][]string         // unit -> sorted output port names
-	routes   map[string][]comdes.Binding // producer actor -> its bindings
-	pubSyms  map[string][]string         // unit -> symbol names written at its deadline latch
-	seq      uint16
-	cycles   uint64
-	instr    uint64
-	lastErr  error
+	cfg     Config
+	kernel  *dtm.Kernel
+	sched   *dtm.Scheduler
+	ram     []byte
+	slots   []symSlot    // per-symbol kind/addr, flattened from Prog.Symbols
+	portA   *serial.Port // target-side UART endpoint
+	portB   *serial.Port // host-side UART endpoint
+	dec     protocol.Decoder
+	units   map[string]*codegen.Unit
+	exec    map[string]*unitExec // per-unit plans and pooled VM state
+	seq     uint16
+	cycles  uint64
+	instr   uint64
+	lastErr error
 
 	// agent is the target-resident breakpoint/step agent; susp holds a
 	// release interrupted mid-body by it (resumed by Resume/InResume).
@@ -106,9 +102,12 @@ type Board struct {
 	// on Send, so the next frame may overwrite it.
 	wire []byte
 
-	// preRelease is the cluster's chance to refresh network-fed inputs
-	// before the user PreLatch hook and input latching run.
-	preRelease func(now uint64, actor string)
+	// On a cluster board, inbox is the node's view of the network's
+	// signals, which each release re-latches its off-node inputs from
+	// (unitExec.netIn), and sender is the node's handle for publishing to
+	// other nodes (pubPort.remote). Both are nil on a standalone board.
+	inbox  *dtm.Store
+	sender *dtm.Sender
 }
 
 // NewBoard boots a program on a fresh board: RAM is allocated and zeroed,
@@ -134,20 +133,17 @@ func NewBoard(name string, prog *codegen.Program, cfg Config, kernel *dtm.Kernel
 		kernel = dtm.NewKernel()
 	}
 	b := &Board{
-		Name:     name,
-		Prog:     prog,
-		Link:     link,
-		cfg:      cfg,
-		kernel:   kernel,
-		sched:    dtm.NewScheduler(kernel),
-		ram:      make([]byte, prog.Symbols.RAMSize()),
-		portA:    link.PortA(),
-		portB:    link.PortB(),
-		units:    map[string]*codegen.Unit{},
-		exec:     map[string]*unitExec{},
-		outPorts: map[string][]string{},
-		routes:   map[string][]comdes.Binding{},
-		pubSyms:  map[string][]string{},
+		Name:   name,
+		Prog:   prog,
+		Link:   link,
+		cfg:    cfg,
+		kernel: kernel,
+		sched:  dtm.NewScheduler(kernel),
+		ram:    make([]byte, prog.Symbols.RAMSize()),
+		portA:  link.PortA(),
+		portB:  link.PortB(),
+		units:  map[string]*codegen.Unit{},
+		exec:   map[string]*unitExec{},
 	}
 	b.slots = make([]symSlot, prog.Symbols.Len())
 	for i := range b.slots {
@@ -156,9 +152,6 @@ func NewBoard(name string, prog *codegen.Program, cfg Config, kernel *dtm.Kernel
 	}
 	b.agent = &breakAgent{b: b}
 	b.TAP = jtag.NewTAP(DefaultIDCode, boardRAM{b})
-	for _, bind := range cfg.Bindings {
-		b.routes[bind.FromActor] = append(b.routes[bind.FromActor], bind)
-	}
 
 	b.sched.Policy = cfg.Sched
 	if cfg.Sched == dtm.FixedPriority {
@@ -174,12 +167,9 @@ func NewBoard(name string, prog *codegen.Program, cfg Config, kernel *dtm.Kernel
 		}
 		b.units[u.Name] = u
 		b.exec[u.Name] = &unitExec{u: u}
-		ports := make([]string, 0, len(u.OutputSyms))
-		for p := range u.OutputSyms {
-			ports = append(ports, p)
-		}
-		sort.Strings(ports)
-		b.outPorts[u.Name] = ports
+	}
+	for _, ue := range b.exec {
+		ue.plan = b.planDeadline(ue.u, cfg.Bindings)
 	}
 
 	// Boot: announce the target, then run every unit's init code.
@@ -196,21 +186,6 @@ func NewBoard(name string, prog *codegen.Program, cfg Config, kernel *dtm.Kernel
 	for _, u := range prog.Units {
 		unit := u
 		ue := b.exec[u.Name]
-		// Symbols the deadline latch writes (published outputs plus local
-		// binding targets): the indexed breakpoint check at the publish
-		// site evaluates the predicates referencing them.
-		var pubs []string
-		for _, lp := range unit.OutLatch {
-			pubs = append(pubs, prog.Symbols.Sym(lp.Out).Name)
-		}
-		for _, bind := range b.routes[unit.Name] {
-			if dst, ok := b.units[bind.ToActor]; ok {
-				if in, ok := dst.InputSyms[bind.ToPort]; ok {
-					pubs = append(pubs, prog.Symbols.Sym(in).Name)
-				}
-			}
-		}
-		b.pubSyms[unit.Name] = pubs
 		if err := b.sched.AddTask(&dtm.Task{
 			Name:     unit.Name,
 			Period:   unit.Period,
@@ -218,7 +193,7 @@ func NewBoard(name string, prog *codegen.Program, cfg Config, kernel *dtm.Kernel
 			Deadline: unit.Deadline,
 			Priority: unit.Priority,
 			Latch: func(now uint64) map[string]value.Value {
-				b.release(unit, now)
+				b.release(ue, now)
 				return nil
 			},
 			Execute: func(now uint64, _ map[string]value.Value) (map[string]value.Value, uint64, error) {
@@ -229,7 +204,7 @@ func NewBoard(name string, prog *codegen.Program, cfg Config, kernel *dtm.Kernel
 				return b.sliceUnit(ue, release, now, budgetNs)
 			},
 			Output: func(now uint64, _ map[string]value.Value) {
-				b.deadline(unit, now)
+				b.deadline(ue, now)
 			},
 		}); err != nil {
 			return nil, err
@@ -239,17 +214,105 @@ func NewBoard(name string, prog *codegen.Program, cfg Config, kernel *dtm.Kernel
 	return b, nil
 }
 
-// unitExec is the per-unit execution state: a small pool of reusable VM
-// machines (stacks and emit buffers retained across releases) plus the
-// machine of the release currently in flight under the preemptive policy.
+// unitExec is the per-unit runtime record: the deadline plan and, on a
+// cluster board, the off-node inputs, both resolved at build time; a small
+// pool of reusable VM machines (stacks and emit buffers retained across
+// releases); and the machine of the release currently in flight under the
+// preemptive policy.
 type unitExec struct {
-	u    *codegen.Unit
-	idle []*codegen.Machine
+	u     *codegen.Unit
+	plan  deadlinePlan
+	netIn []netInput
+	idle  []*codegen.Machine
 
 	m      *codegen.Machine   // machine of the active (sliced) release
 	rel    uint64             // its release instant
 	active bool               // a release is mid-body across slices
 	prev   codegen.ExecResult // portion already accounted and flushed
+}
+
+// deadlinePlan is a unit's deadline latch resolved at NewBoard, so the
+// deadline path walks slices of symbol indices instead of looking names up.
+type deadlinePlan struct {
+	// latch is Unit.OutLatch in order, each pair with its EvSignal
+	// template.
+	latch []outLatch
+	// local are the bindings to consumers on this board, in binding order:
+	// the published symbol is copied into the consumer's __io symbol.
+	local []symCopy
+	// pubs are the unit's published ports, sorted by name.
+	pubs []pubPort
+	// syms names the symbols the latch writes (published outputs, then
+	// local binding targets): the indexed breakpoint check at the publish
+	// site evaluates the predicates referencing them.
+	syms []string
+}
+
+// outLatch is one deadline latch copy; tmpl is the EvSignal template the
+// instrumented build emits for it, or -1.
+type outLatch struct {
+	codegen.LatchPair
+	tmpl int
+}
+
+// symCopy copies symbol from into symbol to.
+type symCopy struct{ from, to int }
+
+// pubPort is one published output port. remote lists its consumers on
+// other cluster nodes, in binding order (set by BuildCluster).
+type pubPort struct {
+	name   string
+	sym    int
+	remote []remoteRoute
+}
+
+// remoteRoute is one cross-node binding as its producer sends it: the
+// signal, into the consumer node's inbox.
+type remoteRoute struct {
+	signal string
+	dst    *dtm.Store
+}
+
+// netInput is one input port of a cluster board's unit fed over the
+// network: the signal it latches and the port's __io symbol.
+type netInput struct {
+	actor, port, signal string
+	sym                 int
+}
+
+// planDeadline resolves unit u's deadline latch against the board's
+// bindings.
+func (b *Board) planDeadline(u *codegen.Unit, bindings []comdes.Binding) deadlinePlan {
+	var p deadlinePlan
+	for _, lp := range u.OutLatch {
+		tmpl, ok := u.SignalEvents[lp.Out]
+		if !ok {
+			tmpl = -1
+		}
+		p.latch = append(p.latch, outLatch{lp, tmpl})
+		p.syms = append(p.syms, b.Prog.Symbols.Sym(lp.Out).Name)
+	}
+	for _, bind := range bindings {
+		if bind.FromActor != u.Name {
+			continue
+		}
+		dst, ok := b.units[bind.ToActor]
+		if !ok {
+			continue
+		}
+		in, ok := dst.InputSyms[bind.ToPort]
+		if !ok {
+			continue
+		}
+		p.syms = append(p.syms, b.Prog.Symbols.Sym(in).Name)
+		if pub, ok := u.OutputSyms[bind.FromPort]; ok {
+			p.local = append(p.local, symCopy{pub, in})
+		}
+	}
+	for _, port := range slices.Sorted(maps.Keys(u.OutputSyms)) {
+		p.pubs = append(p.pubs, pubPort{name: port, sym: u.OutputSyms[port]})
+	}
+	return p
 }
 
 // acquire returns a machine reset to the unit body, reusing a pooled one
@@ -393,6 +456,11 @@ func (b *Board) WriteInput(actor, port string, v value.Value) error {
 	if !ok {
 		return fmt.Errorf("target: actor %s has no input %q", actor, port)
 	}
+	return b.writeInput(actor, port, idx, v)
+}
+
+// writeInput is WriteInput with the port's __io symbol idx resolved.
+func (b *Board) writeInput(actor, port string, idx int, v value.Value) error {
 	if err := b.StoreSym(idx, v); err != nil {
 		return err
 	}

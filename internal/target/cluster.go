@@ -68,8 +68,8 @@ type Cluster struct {
 	// Boards maps node name -> board.
 	Boards map[string]*Board
 
-	nodes []string
-	inbox map[string]*dtm.Store
+	nodes  []string
+	boards []*Board // in node order
 
 	// running guards RunUntil against re-entrant calls (from an event
 	// callback or a second goroutine), which would corrupt the shared
@@ -79,7 +79,9 @@ type Cluster struct {
 
 // BuildCluster compiles each placement node's actors into a program,
 // boots one board per node on a shared kernel, and wires cross-node
-// bindings through a latency network.
+// bindings through a latency network. Every route is resolved here, to
+// symbol indices, inbox stores and bus senders (resolveRoutes), so running
+// the cluster looks no node, actor, port or signal name up per frame.
 func BuildCluster(sys *comdes.System, cfg ClusterConfig) (*Cluster, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, err
@@ -93,7 +95,6 @@ func BuildCluster(sys *comdes.System, cfg ClusterConfig) (*Cluster, error) {
 		Net:    dtm.NewNetwork(k, cfg.LatencyNs),
 		Boards: map[string]*Board{},
 		nodes:  sys.Nodes(),
-		inbox:  map[string]*dtm.Store{},
 	}
 	if cfg.Bus != nil {
 		if err := c.Net.SetSchedule(cfg.Bus); err != nil {
@@ -130,6 +131,7 @@ func BuildCluster(sys *comdes.System, cfg ClusterConfig) (*Cluster, error) {
 			return nil, fmt.Errorf("target: node %s: %w", node, err)
 		}
 		c.Boards[node] = brd
+		c.boards = append(c.boards, brd)
 	}
 	// Each node's inbox is its local view of the global signal board:
 	// arriving messages are pushed into the consumer's __io input symbols
@@ -137,50 +139,14 @@ func BuildCluster(sys *comdes.System, cfg ClusterConfig) (*Cluster, error) {
 	// consumer release re-latches from the board — reference interpreter
 	// semantics, so a host-injected __io value cannot outlive the next
 	// release the way it would if delivery were change-triggered only.
-	rt := newRoutes(sys)
 	for _, node := range c.nodes {
-		node := node
 		brd := c.Boards[node]
-		store := dtm.NewStore(k.Now)
-		store.OnChange = func(now uint64, signal string, old, new value.Value) {
-			for _, r := range rt.bySignal[signal] {
-				if r.to != node {
-					continue
-				}
-				if err := brd.WriteInput(r.ToActor, r.ToPort, new); err != nil {
-					brd.fail(err)
-				}
-			}
-		}
-		brd.preRelease = func(now uint64, actor string) {
-			for _, r := range rt.byActor[actor] {
-				if r.from == node {
-					continue
-				}
-				if v := store.Get(r.Signal); v.IsValid() {
-					if err := brd.WriteInput(r.ToActor, r.ToPort, v); err != nil {
-						brd.fail(err)
-					}
-				}
-			}
-		}
-		c.inbox[node] = store
-		c.Net.Bind(node, store)
+		brd.inbox = dtm.NewStore(k.Now)
+		brd.sender = c.Net.Sender(node)
+		c.Net.Bind(node, brd.inbox)
 	}
-	// Producers hand cross-node publishes to the network; intra-node
-	// bindings were already delivered by the board itself. The producing
-	// node's identity rides along so a TDMA schedule can queue the frame
-	// into that node's slots (without a schedule SendFrom is Send).
-	for _, node := range c.nodes {
-		node := node
-		c.Boards[node].OnPublish = func(now uint64, actor, port string, v value.Value) {
-			for _, r := range rt.byPort[portKey{actor, port}] {
-				if r.to == node {
-					continue
-				}
-				c.Net.SendFrom(node, r.Signal, v, c.inbox[r.to])
-			}
-		}
+	if err := c.resolveRoutes(sys); err != nil {
+		return nil, err
 	}
 	if cfg.Bus != nil {
 		// Bus incidents surface from the sending node's board: a departure
@@ -201,36 +167,64 @@ func BuildCluster(sys *comdes.System, cfg ClusterConfig) (*Cluster, error) {
 	return c, nil
 }
 
-// route is one signal binding with its producer's and consumer's nodes
-// resolved.
-type route struct {
-	comdes.Binding
-	from, to string
-}
-
-// portKey identifies an output port.
-type portKey struct{ actor, port string }
-
-// routes indexes a system's bindings once, each index keeping the
-// sys.Bindings order, so the per-publish, per-release and per-delivery
-// hooks visit only the bindings that can match instead of scanning them
-// all with a node lookup per binding.
-type routes struct {
-	byPort   map[portKey][]*route // by producer (FromActor, FromPort)
-	byActor  map[string][]*route  // by consumer actor
-	bySignal map[string][]*route  // by signal name
-}
-
-func newRoutes(sys *comdes.System) routes {
-	rt := routes{byPort: map[portKey][]*route{}, byActor: map[string][]*route{}, bySignal: map[string][]*route{}}
-	for _, b := range sys.Bindings {
-		r := &route{Binding: b, from: sys.NodeOf(b.FromActor), to: sys.NodeOf(b.ToActor)}
-		k := portKey{b.FromActor, b.FromPort}
-		rt.byPort[k] = append(rt.byPort[k], r)
-		rt.byActor[b.ToActor] = append(rt.byActor[b.ToActor], r)
-		rt.bySignal[b.Signal] = append(rt.bySignal[b.Signal], r)
+// resolveRoutes resolves every cross-node binding once, in sys.Bindings
+// order, so the per-publish, per-release and per-delivery work walks
+// slices instead of looking names up:
+//   - the producer's published port lists the consumer's signal and inbox
+//     (intra-node bindings are delivered by the board itself), and sends
+//     through its node's bus sender, so a TDMA schedule queues the frame
+//     into that node's slots;
+//   - the consumer's unit lists the input as network-fed when the producer
+//     sits on another node, and re-latches it from the inbox at each
+//     release;
+//   - the consumer node's inbox writes a changed signal into the input
+//     symbols of every consumer of that signal on the node.
+func (c *Cluster) resolveRoutes(sys *comdes.System) error {
+	ins := make(map[string]map[string][]netInput, len(c.nodes)) // node -> signal -> inputs
+	for _, bind := range sys.Bindings {
+		from, to := sys.NodeOf(bind.FromActor), sys.NodeOf(bind.ToActor)
+		dst := c.Boards[to]
+		var ue *unitExec
+		if dst != nil {
+			ue = dst.exec[bind.ToActor]
+		}
+		if ue == nil {
+			return fmt.Errorf("target: binding %q: unknown consumer actor %q", bind.Signal, bind.ToActor)
+		}
+		sym, ok := ue.u.InputSyms[bind.ToPort]
+		if !ok {
+			return fmt.Errorf("target: binding %q: actor %s has no input %q", bind.Signal, bind.ToActor, bind.ToPort)
+		}
+		in := netInput{actor: bind.ToActor, port: bind.ToPort, signal: bind.Signal, sym: sym}
+		if ins[to] == nil {
+			ins[to] = map[string][]netInput{}
+		}
+		ins[to][bind.Signal] = append(ins[to][bind.Signal], in)
+		if from == to {
+			continue
+		}
+		ue.netIn = append(ue.netIn, in)
+		if src := c.Boards[from]; src != nil {
+			if pe, ok := src.exec[bind.FromActor]; ok {
+				for i := range pe.plan.pubs {
+					if port := &pe.plan.pubs[i]; port.name == bind.FromPort {
+						port.remote = append(port.remote, remoteRoute{signal: bind.Signal, dst: dst.inbox})
+					}
+				}
+			}
+		}
 	}
-	return rt
+	for _, node := range c.nodes {
+		brd, bySignal := c.Boards[node], ins[node]
+		brd.inbox.OnChange = func(now uint64, signal string, old, new value.Value) {
+			for _, in := range bySignal[signal] {
+				if err := brd.writeInput(in.actor, in.port, in.sym, new); err != nil {
+					brd.fail(err)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // BusStats returns node's TX accounting on the time-triggered bus. ok is
@@ -257,8 +251,8 @@ func (c *Cluster) RunUntil(t uint64) {
 	c.running = true
 	defer func() { c.running = false }()
 	c.Kernel.RunUntil(t)
-	for _, node := range c.nodes {
-		c.Boards[node].sync(t)
+	for _, brd := range c.boards {
+		brd.sync(t)
 	}
 }
 

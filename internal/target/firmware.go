@@ -13,13 +13,13 @@ import (
 
 // release runs at a task's release instant: the line is advanced to now,
 // pending host instructions are serviced (the firmware polls its UART at
-// task boundaries), the environment hook runs, and the __io inputs are
-// latched into their stable task-instance symbols.
-func (b *Board) release(u *codegen.Unit, now uint64) {
+// task boundaries), network-fed inputs re-latch from the node's inbox, the
+// environment hook runs, and the __io inputs are latched into their stable
+// task-instance symbols.
+func (b *Board) release(ue *unitExec, now uint64) {
+	u := ue.u
 	b.sync(now)
-	if b.preRelease != nil {
-		b.preRelease(now, u.Name)
-	}
+	b.relatch(ue)
 	if b.PreLatch != nil {
 		b.PreLatch(now, u.Name)
 	}
@@ -30,6 +30,20 @@ func (b *Board) release(u *codegen.Unit, now uint64) {
 			// Latch copies bypass the VM's store hook; predicates over the
 			// latched symbols get evaluated at the body's next check site.
 			b.agent.touch(b.Prog.Symbols.Sym(lp.Out).Name)
+		}
+	}
+}
+
+// relatch writes every network-fed input of the unit from the node's
+// inbox (a cluster board's consumer release re-latches from the signal
+// board, so a host-injected __io value cannot outlive the next release).
+// Signals the inbox has not seen yet are left alone.
+func (b *Board) relatch(ue *unitExec) {
+	for _, in := range ue.netIn {
+		if v := b.inbox.Get(in.signal); v.IsValid() {
+			if err := b.writeInput(in.actor, in.port, in.sym, v); err != nil {
+				b.fail(err)
+			}
 		}
 	}
 }
@@ -255,18 +269,17 @@ func (b *Board) runSuspended() {
 	}
 	b.susp = nil
 	s.ue.recycle(s.m)
-	u, rel := s.u, s.rel
-	if d := rel + u.Deadline; d > now {
-		b.deferLatch(u, d)
+	if d := s.rel + s.u.Deadline; d > now {
+		b.deferLatch(s.ue, d)
 	} else {
-		b.deadline(u, now)
+		b.deadline(s.ue, now)
 	}
 }
 
 // deferLatch arms a made-up deadline latch as an explicit record (part of
 // the board snapshot) instead of a bare closure.
-func (b *Board) deferLatch(u *codegen.Unit, at uint64) {
-	dl := &deferredLatch{u: u, at: at}
+func (b *Board) deferLatch(ue *unitExec, at uint64) {
+	dl := &deferredLatch{ue: ue, at: at}
 	b.deferred = append(b.deferred, dl)
 	dl.seq, _ = b.kernel.ScheduleTagged(at, func(n uint64) { b.fireDeferred(dl, n) })
 }
@@ -279,20 +292,22 @@ func (b *Board) fireDeferred(dl *deferredLatch, now uint64) {
 			break
 		}
 	}
-	b.deadline(dl.u, now)
+	b.deadline(dl.ue, now)
 }
 
 // deadline runs at the task's deadline instant: working outputs are
 // latched into the published __pub symbols, instrumented signal events are
 // emitted (each costs EmitCycles of target CPU — the active interface is
 // never free), and signal bindings deliver the published values to their
-// consumers.
-func (b *Board) deadline(u *codegen.Unit, now uint64) {
+// consumers. It walks the unit's deadline plan, resolved at NewBoard (and,
+// for the cross-node routes, at BuildCluster): no name is looked up here.
+func (b *Board) deadline(ue *unitExec, now uint64) {
+	u, p := ue.u, &ue.plan
 	b.Link.Advance(now)
 	b.reportDrops(now)
-	for _, lp := range u.OutLatch {
+	for _, lp := range p.latch {
 		b.copySym(lp.Work, lp.Out)
-		if tmpl, ok := u.SignalEvents[lp.Out]; ok {
+		if lp.tmpl >= 0 {
 			published, err := b.LoadSym(lp.Out)
 			if err != nil {
 				b.fail(err)
@@ -300,29 +315,17 @@ func (b *Board) deadline(u *codegen.Unit, now uint64) {
 			}
 			b.cycles += codegen.EmitCycles
 			b.instr += codegen.EmitCycles
-			b.emitTemplate(now, b.Prog.Events[tmpl], published, true)
+			b.emitTemplate(now, b.Prog.Events[lp.tmpl], published, true)
 		}
 	}
 	// State-message communication: published values reach their consumers'
-	// __io symbols. Local consumers are written directly; the OnPublish
-	// hook lets a cluster route cross-board bindings over its network.
-	for _, bind := range b.routes[u.Name] {
-		pub, ok := u.OutputSyms[bind.FromPort]
-		if !ok {
-			continue
-		}
-		if dst, ok := b.units[bind.ToActor]; ok {
-			if in, ok := dst.InputSyms[bind.ToPort]; ok {
-				b.copySym(pub, in)
-			}
-		}
+	// __io symbols. Local consumers are written directly; a cluster sends
+	// each value to its consumers on other nodes over its network.
+	for _, c := range p.local {
+		b.copySym(c.from, c.to)
 	}
-	if b.OnPublish != nil {
-		for _, port := range b.outPorts[u.Name] {
-			if v, err := b.LoadSym(u.OutputSyms[port]); err == nil {
-				b.OnPublish(now, u.Name, port, v)
-			}
-		}
+	for i := range p.pubs {
+		b.publish(&p.pubs[i])
 	}
 	// The publish site is the third breakpoint check point (after the VM's
 	// store and emit sites): conditions over __pub symbols and freshly
@@ -335,7 +338,7 @@ func (b *Board) deadline(u *codegen.Unit, now uint64) {
 		return
 	}
 	if len(b.agent.bps) > 0 {
-		hit, cost := b.agent.check(b.pubSyms[u.Name], u.Name, value.Value{}, false)
+		hit, cost := b.agent.check(p.syms, u.Name, value.Value{}, false)
 		b.cycles += cost
 		b.instr += cost
 		if hit {
@@ -348,6 +351,21 @@ func (b *Board) deadline(u *codegen.Unit, now uint64) {
 		b.agent.stepArm = false
 		b.sched.Halt()
 		b.send(protocol.Event{Type: protocol.EvStepped, Time: now, Source: b.Name, Arg1: u.Name})
+	}
+}
+
+// publish sends port's published value to each of its consumers on other
+// cluster nodes, in binding order.
+func (b *Board) publish(port *pubPort) {
+	if len(port.remote) == 0 {
+		return
+	}
+	v, err := b.LoadSym(port.sym)
+	if err != nil {
+		return
+	}
+	for _, r := range port.remote {
+		b.sender.Send(r.signal, v, r.dst)
 	}
 }
 

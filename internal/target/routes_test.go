@@ -12,7 +12,7 @@ import (
 // routesSystem has fan-out of one signal to two nodes (fan), one signal
 // fed to two consumers on one node (up, listed q before p), intra-node
 // bindings and two actors (p, q) on one node: every case the binding
-// indexes of BuildCluster must resolve in sys.Bindings order.
+// routes of BuildCluster must resolve in sys.Bindings order.
 func routesSystem(t *testing.T) *comdes.System {
 	t.Helper()
 	sys := comdes.NewSystem("routes")
@@ -54,10 +54,11 @@ func routesSystem(t *testing.T) *comdes.System {
 	return sys
 }
 
-// TestClusterRoutesFollowBindingOrder drives the cluster's publish,
-// release and delivery hooks directly and requires the frames sent and the
-// inputs written to be exactly those of a scan over sys.Bindings — the
-// reference the indexes replace — in the same order.
+// TestClusterRoutesFollowBindingOrder drives the routes BuildCluster
+// resolved — a port's publish to other nodes, a release's re-latch of its
+// network-fed inputs and an inbox's delivery of a changed signal —
+// directly, and requires the frames sent and the inputs written to be
+// exactly those of a scan over sys.Bindings, in the same order.
 func TestClusterRoutesFollowBindingOrder(t *testing.T) {
 	sys := routesSystem(t)
 	cl, err := BuildCluster(sys, ClusterConfig{LatencyNs: 100_000})
@@ -90,7 +91,7 @@ func TestClusterRoutesFollowBindingOrder(t *testing.T) {
 		for i, sig := range signals {
 			writes = nil
 			v := value.F(float64(10 + i))
-			cl.inbox[node].Set(sig, v)
+			cl.Boards[node].inbox.Set(sig, v)
 			var want []string
 			for _, b := range sys.Bindings {
 				if b.Signal == sig && sys.NodeOf(b.ToActor) == node {
@@ -108,10 +109,11 @@ func TestClusterRoutesFollowBindingOrder(t *testing.T) {
 			// Releases: every network-fed input of the actor re-latches
 			// from the inbox.
 			writes = nil
-			cl.Boards[node].preRelease(0, actor.Name())
+			ue := cl.Boards[node].exec[actor.Name()]
+			cl.Boards[node].relatch(ue)
 			var want []string
 			for _, b := range sys.Bindings {
-				if v := cl.inbox[node].Get(b.Signal); b.ToActor == actor.Name() && sys.NodeOf(b.FromActor) != node && v.IsValid() {
+				if v := cl.Boards[node].inbox.Get(b.Signal); b.ToActor == actor.Name() && sys.NodeOf(b.FromActor) != node && v.IsValid() {
 					want = append(want, fmt.Sprintf("%s:%s.%s=%v", node, b.ToActor, b.ToPort, v.Float()))
 				}
 			}
@@ -120,7 +122,11 @@ func TestClusterRoutesFollowBindingOrder(t *testing.T) {
 			}
 			// Publishes: one frame per cross-node consumer.
 			before := sent()
-			cl.Boards[node].OnPublish(0, actor.Name(), "v", value.F(1))
+			for i := range ue.plan.pubs {
+				if port := &ue.plan.pubs[i]; port.name == "v" {
+					cl.Boards[node].publish(port)
+				}
+			}
 			got := sent()[len(before):]
 			want = nil
 			for _, b := range sys.Bindings {

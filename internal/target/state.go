@@ -28,7 +28,7 @@ import (
 
 // deferredLatch is one made-up deadline latch awaiting its instant.
 type deferredLatch struct {
-	u   *codegen.Unit
+	ue  *unitExec
 	at  uint64
 	seq uint64
 }
@@ -164,7 +164,7 @@ func (b *Board) snapshotLocal() (*BoardState, error) {
 		}
 	}
 	for _, dl := range b.deferred {
-		st.Deferred = append(st.Deferred, DeferredLatchState{Unit: dl.u.Name, At: dl.at, Seq: dl.seq})
+		st.Deferred = append(st.Deferred, DeferredLatchState{Unit: dl.ue.u.Name, At: dl.at, Seq: dl.seq})
 	}
 	return st, nil
 }
@@ -269,11 +269,11 @@ func (b *Board) restoreLocal(st *BoardState) error {
 
 	b.deferred = b.deferred[:0]
 	for _, ds := range st.Deferred {
-		u, ok := b.units[ds.Unit]
+		ue, ok := b.exec[ds.Unit]
 		if !ok {
 			return fmt.Errorf("target: restore deferred latch of unknown unit %q", ds.Unit)
 		}
-		dl := &deferredLatch{u: u, at: ds.At, seq: ds.Seq}
+		dl := &deferredLatch{ue: ue, at: ds.At, seq: ds.Seq}
 		b.deferred = append(b.deferred, dl)
 		if err := b.kernel.Rearm(dl.at, dl.seq, func(n uint64) { b.fireDeferred(dl, n) }); err != nil {
 			return fmt.Errorf("target: restore deferred latch %s: %w", ds.Unit, err)
@@ -321,7 +321,7 @@ func (c *Cluster) Snapshot() (*ClusterState, error) {
 			return nil, fmt.Errorf("target: node %s: %w", node, err)
 		}
 		st.Boards[node] = bs
-		st.Inboxes[node] = c.inbox[node].Snapshot()
+		st.Inboxes[node] = c.Boards[node].inbox.Snapshot()
 	}
 	return st, nil
 }
@@ -356,7 +356,7 @@ func (c *Cluster) Restore(st *ClusterState) error {
 	}
 	for _, node := range c.nodes {
 		if inb, ok := st.Inboxes[node]; ok {
-			if err := c.inbox[node].Restore(inb); err != nil {
+			if err := c.Boards[node].inbox.Restore(inb); err != nil {
 				return fmt.Errorf("target: node %s inbox: %w", node, err)
 			}
 		}
