@@ -5,7 +5,7 @@ package dtm
 //   - Constant latency (default): every frame is delivered LatencyNs after
 //     Send — the seed behaviour, byte-identical to the original goldens.
 //   - Time-triggered bus (BusSchedule installed): a TTP/FlexRay-style TDMA
-//     cycle of named sender slots. SendFrom enqueues into the sender's TX
+//     cycle of named sender slots. Sender.Send enqueues into the sender's TX
 //     queue; the frame departs in the sender's next free slot (one frame
 //     per slot), optionally delayed by bounded release jitter, optionally
 //     lost with a deterministic seeded per-slot probability, and arrives
@@ -504,16 +504,6 @@ func (n *Network) Send(signal string, v value.Value, dst *Store) {
 	n.mu.Lock()
 	n.sendLatency(signal, v, dst)
 	n.mu.Unlock()
-}
-
-// SendFrom submits a frame on behalf of sending node src; it is
-// n.Sender(src).Send, and with an anonymous sender it is Send.
-func (n *Network) SendFrom(src, signal string, v value.Value, dst *Store) {
-	if src == "" {
-		n.Send(signal, v, dst)
-		return
-	}
-	n.Sender(src).Send(signal, v, dst)
 }
 
 // Send submits a frame from q. Without a bus schedule it behaves exactly

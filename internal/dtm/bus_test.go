@@ -98,7 +98,7 @@ func TestTDMADepartureBoundBySlotPhase(t *testing.T) {
 
 	send := func(at uint64, owner, sig string, v float64) {
 		r.k.RunUntil(at)
-		r.n.SendFrom(owner, sig, value.F(v), r.dst)
+		r.n.Sender(owner).Send(sig, value.F(v), r.dst)
 	}
 	send(5, "a", "x", 1)   // inside a's slot: departs now (5), arrives 15
 	send(30, "b", "y", 2)  // outside b's slot: waits for b@100, arrives 110
@@ -132,7 +132,7 @@ func TestTDMAContentionQueues(t *testing.T) {
 
 	r.k.RunUntil(10)
 	for i := 0; i < 3; i++ {
-		r.n.SendFrom("a", fmt.Sprintf("s%d", i), value.I(int64(i)), r.dst)
+		r.n.Sender("a").Send(fmt.Sprintf("s%d", i), value.I(int64(i)), r.dst)
 	}
 	if st, _ := r.n.Stats("a"); st.Queued != 3 {
 		t.Fatalf("queue depth after burst = %d, want 3", st.Queued)
@@ -162,7 +162,7 @@ func TestTDMAUnownedSenderDrops(t *testing.T) {
 	r.n.OnDrop = func(now uint64, owner, sig string, total uint64) {
 		drops = append(drops, fmt.Sprintf("%s/%s/%d", owner, sig, total))
 	}
-	r.n.SendFrom("ghost", "x", value.I(1), r.dst)
+	r.n.Sender("ghost").Send("x", value.I(1), r.dst)
 	r.k.RunUntil(100)
 	ghost, ok := r.n.Stats("ghost")
 	if !ok {
@@ -185,7 +185,7 @@ func TestTDMAJitterDeterministic(t *testing.T) {
 		r := newBusRig(t, s, 0)
 		for i := 0; i < 8; i++ {
 			r.k.RunUntil(uint64(i) * 200)
-			r.n.SendFrom("a", "x", value.I(int64(i)), r.dst)
+			r.n.Sender("a").Send("x", value.I(int64(i)), r.dst)
 		}
 		r.k.RunUntil(10_000)
 		return append([]string(nil), r.log...)
@@ -221,7 +221,7 @@ func TestTDMAJitterClampedToSlot(t *testing.T) {
 	const sends = 32
 	for i := uint64(0); i < sends; i++ {
 		r.k.RunUntil(i*200 + 95) // 5 ns before the slot end
-		r.n.SendFrom("a", "x", value.I(int64(i)), r.dst)
+		r.n.Sender("a").Send("x", value.I(int64(i)), r.dst)
 	}
 	r.k.RunUntil(100_000)
 	if len(r.log) != sends {
@@ -252,7 +252,7 @@ func TestTDMALossDeterministic(t *testing.T) {
 		r := newBusRig(t, s, 5)
 		for i := 0; i < 50; i++ {
 			r.k.RunUntil(uint64(i) * 100)
-			r.n.SendFrom("a", "x", value.I(int64(i)), r.dst)
+			r.n.Sender("a").Send("x", value.I(int64(i)), r.dst)
 		}
 		r.k.RunUntil(100_000)
 		st, _ := r.n.Stats("a")
@@ -310,7 +310,7 @@ func TestBusConservationRandomSchedules(t *testing.T) {
 			at += uint64(rng.Intn(300))
 			k.RunUntil(at)
 			// owners[3] never holds a slot: those frames must drop at enqueue.
-			n.SendFrom(owners[rng.Intn(4)], fmt.Sprintf("s%d", i), value.I(int64(i)), dst)
+			n.Sender(owners[rng.Intn(4)]).Send(fmt.Sprintf("s%d", i), value.I(int64(i)), dst)
 		}
 		for k.Step() {
 		}
@@ -355,7 +355,7 @@ func TestTDMACheckpointMidCycle(t *testing.T) {
 			if i%3 == 2 {
 				owner = "b"
 			}
-			r.n.SendFrom(owner, fmt.Sprintf("s%d", i%7), value.I(int64(i)), r.dst)
+			r.n.Sender(owner).Send(fmt.Sprintf("s%d", i%7), value.I(int64(i)), r.dst)
 			i++
 		}
 		r.k.RunUntil(to)
@@ -433,7 +433,7 @@ func TestTDMACheckpointMidCycle(t *testing.T) {
 func TestBusRestoreSchedMismatch(t *testing.T) {
 	s := &BusSchedule{Slots: []BusSlot{{Owner: "a", LenNs: 100}}}
 	r := newBusRig(t, s, 0)
-	r.n.SendFrom("a", "x", value.I(1), r.dst)
+	r.n.Sender("a").Send("x", value.I(1), r.dst)
 	st, err := r.n.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -503,7 +503,7 @@ func BenchmarkBusSend(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.SendFrom("a", "x", v, dst)
+		n.Sender("a").Send("x", v, dst)
 		// Drain as we go so the in-flight list stays short (steady state).
 		k.RunUntil(k.Now() + 2200)
 	}
@@ -533,7 +533,7 @@ func TestRestoreArmsOnlyQueueHeads(t *testing.T) {
 	r, drops := rig()
 	for i := 0; i < 150; i++ {
 		r.k.RunUntil(uint64(i) * 10)
-		r.n.SendFrom([]string{"a", "b", "c"}[i%3], fmt.Sprintf("s%03d", i), value.I(int64(i)), r.dst)
+		r.n.Sender([]string{"a", "b", "c"}[i%3]).Send(fmt.Sprintf("s%03d", i), value.I(int64(i)), r.dst)
 	}
 	r.k.RunUntil(cut)
 	ks, ns := r.n.SnapshotKernel(), mustSnapshot(t, r.n)
@@ -604,12 +604,12 @@ func BenchmarkBusBacklog(b *testing.B) {
 			n.OnSlot = func(uint64, string, string, uint64) { departed++ }
 			v := value.I(7)
 			for i := 0; i < depth; i++ {
-				n.SendFrom("a", "x", v, dst)
+				n.Sender("a").Send("x", v, dst)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				n.SendFrom("a", "x", v, dst)
+				n.Sender("a").Send("x", v, dst)
 				for want := departed + 1; departed < want; {
 					k.Step()
 				}
@@ -644,7 +644,7 @@ func TestInflightRetiresOutOfOrder(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		r.k.RunUntil(uint64(i) * 25)
 		sig := fmt.Sprintf("s%02d", i)
-		r.n.SendFrom(owners[i%len(owners)], sig, value.I(int64(i)), r.dst)
+		r.n.Sender(owners[i%len(owners)]).Send(sig, value.I(int64(i)), r.dst)
 		sent = append(sent, sig)
 
 		var want []string
@@ -704,25 +704,22 @@ func TestInflightRetiresOutOfOrder(t *testing.T) {
 	}
 }
 
-// TestSenderHandleMatchesSendFrom: a Sender handle resolved once — before
-// any schedule is installed — sends exactly what SendFrom by name sends,
-// through a schedule change, a node that owns no slot, a DropInflight and
-// a Restore, with the same network state JSON at every step; resolving a
-// handle alone makes no node known to the bus.
-func TestSenderHandleMatchesSendFrom(t *testing.T) {
+// TestSenderHandleSurvivesScheduleAndRestore: Sender handles resolved
+// once — before any schedule is installed — send exactly what handles
+// looked up by name at every send do, through a schedule change, a node
+// that owns no slot, a DropInflight and a Restore, with the same network
+// state JSON at every step; resolving a handle alone makes no node known
+// to the bus.
+func TestSenderHandleSurvivesScheduleAndRestore(t *testing.T) {
 	s := &BusSchedule{Slots: []BusSlot{{Owner: "a", LenNs: 50}, {Owner: "b", LenNs: 50}}, GapNs: 10, JitterNs: 7, LossPerMille: 300, Seed: 3}
 	byName, byHandle := newBusRig(t, nil, 20), newBusRig(t, nil, 20)
 	h := map[string]*Sender{}
 	for _, node := range []string{"a", "b", "ghost", "idle"} {
 		h[node] = byHandle.n.Sender(node)
 	}
-	// The handle rig mixes sends by name and by handle: both must reach
-	// the same sender record.
 	send := func(node, sig string, v int64) {
-		byName.n.SendFrom(node, sig, value.I(v), byName.dst)
-		byHandle.n.SendFrom(node, sig, value.I(v), byHandle.dst)
-		byName.n.SendFrom(node, sig, value.I(v+1), byName.dst)
-		h[node].Send(sig, value.I(v+1), byHandle.dst)
+		byName.n.Sender(node).Send(sig, value.I(v), byName.dst)
+		h[node].Send(sig, value.I(v), byHandle.dst)
 	}
 	same := func(when string) NetworkState {
 		t.Helper()

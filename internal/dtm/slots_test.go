@@ -29,7 +29,7 @@ func refNextOwned(s *BusSchedule, owner string, minAbs, now uint64) (uint64, boo
 }
 
 // tableNextOwned is the table's answer for owner (ok=false when the owner
-// holds no slot), as SendFrom asks it.
+// holds no slot), as Sender.Send asks it.
 func tableNextOwned(n *Network, owner string, minAbs, now uint64) (uint64, bool) {
 	q := n.senders[owner]
 	if q == nil || len(q.slots) == 0 {

@@ -167,9 +167,9 @@ func BuildCluster(sys *comdes.System, cfg ClusterConfig) (*Cluster, error) {
 	return c, nil
 }
 
-// resolveRoutes resolves every cross-node binding once, in sys.Bindings
-// order, so the per-publish, per-release and per-delivery work walks
-// slices instead of looking names up:
+// resolveRoutes resolves every binding once, in sys.Bindings order, so the
+// per-publish, per-release and per-delivery work walks slices instead of
+// looking names up:
 //   - the producer's published port lists the consumer's signal and inbox
 //     (intra-node bindings are delivered by the board itself), and sends
 //     through its node's bus sender, so a TDMA schedule queues the frame

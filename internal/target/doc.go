@@ -145,7 +145,12 @@
 // BuildCluster places a multi-node system (comdes Placement) onto one
 // Board per node, all sharing a single virtual clock. Cross-node signal
 // bindings travel over a dtm.Network; intra-node bindings are delivered
-// directly at the producer's deadline instant. RunUntil advances every
+// directly at the producer's deadline instant. Every route is resolved
+// when the cluster is built — a published port to its consumers' signals
+// and inboxes and its node's bus sender, a consumer's off-node inputs and
+// an inbox's signals to input symbol indices — and each unit's deadline
+// latch is resolved when its board is built, so a running cluster looks
+// no name up per publish, release or delivery. RunUntil advances every
 // board in global event order on one shared dtm.Kernel, drained on the
 // calling goroutine.
 //
