@@ -45,7 +45,8 @@ type Stats struct {
 // and port B (host).
 //
 // The line carries runs, not bytes: each Send appends its bytes to a byte
-// FIFO and one run record, and byte k of a run arrives at first + k·byte
+// FIFO and one run record (or lengthens the last run, when the frame
+// follows it back to back), and byte k of a run arrives at first + k·byte
 // time, exactly when the per-byte 8N1 pacing would deliver it. Advance
 // works out by division how much of the head run has landed and moves it
 // to the receive buffer in one copy.
@@ -83,10 +84,9 @@ func (r run) arrived(now, byteTimeNs uint64) int {
 
 // direction is one transmit direction. The bytes in flight are buf[bhead:],
 // split in order into the runs runs[rhead:]. Delivered bytes and runs ahead
-// of the heads are reclaimed in place when an array would otherwise grow,
-// so a warm link reuses its backing arrays. rx collects delivered bytes;
-// spare is the other half of its double buffer, the slice the previous
-// Recv handed out.
+// of the heads are reclaimed in place (see send and push), so a warm link
+// reuses its backing arrays. rx collects delivered bytes; spare is the
+// other half of its double buffer, the slice the previous Recv handed out.
 type direction struct {
 	buf      []byte
 	bhead    int
@@ -161,6 +161,9 @@ func (l *Link) Advance(now uint64) {
 	l.now = now
 	for d := range l.dirs {
 		dir := &l.dirs[d]
+		if dir.rhead == len(dir.runs) {
+			continue // nothing in flight
+		}
 		from := dir.bhead
 		for dir.rhead < len(dir.runs) {
 			r := &dir.runs[dir.rhead]
@@ -204,8 +207,11 @@ func (l *Link) send(d int, data []byte) {
 		dir.stats.FramesDropped++
 		return
 	}
-	if dir.bhead > 0 && len(dir.buf)+len(data) > cap(dir.buf) {
-		// Reclaim the delivered prefix instead of growing the array.
+	if len(dir.buf)+len(data) > cap(dir.buf) && dir.bhead >= dir.inflight() {
+		// Reclaim the delivered prefix instead of growing the array. Only
+		// a prefix at least as long as the bytes still in flight is worth
+		// the copy; otherwise the array grows, so a saturated line does
+		// not move its whole FIFO for every frame.
 		dir.buf = dir.buf[:copy(dir.buf, dir.buf[dir.bhead:])]
 		dir.bhead = 0
 	}

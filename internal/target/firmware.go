@@ -19,7 +19,9 @@ import (
 func (b *Board) release(ue *unitExec, now uint64) {
 	u := ue.u
 	b.sync(now)
-	b.relatch(ue)
+	if len(ue.netIn) > 0 {
+		b.relatch(ue)
+	}
 	if b.PreLatch != nil {
 		b.PreLatch(now, u.Name)
 	}
@@ -300,7 +302,8 @@ func (b *Board) fireDeferred(dl *deferredLatch, now uint64) {
 // emitted (each costs EmitCycles of target CPU — the active interface is
 // never free), and signal bindings deliver the published values to their
 // consumers. It walks the unit's deadline plan, resolved at NewBoard (and,
-// for the cross-node routes, at BuildCluster): no name is looked up here.
+// for the cross-node routes, at BuildCluster), instead of looking units,
+// ports and bindings up by name.
 func (b *Board) deadline(ue *unitExec, now uint64) {
 	u, p := ue.u, &ue.plan
 	b.Link.Advance(now)
@@ -324,8 +327,10 @@ func (b *Board) deadline(ue *unitExec, now uint64) {
 	for _, c := range p.local {
 		b.copySym(c.from, c.to)
 	}
-	for i := range p.pubs {
-		b.publish(&p.pubs[i])
+	if b.sender != nil {
+		for i := range p.pubs {
+			b.publish(&p.pubs[i])
+		}
 	}
 	// The publish site is the third breakpoint check point (after the VM's
 	// store and emit sites): conditions over __pub symbols and freshly
