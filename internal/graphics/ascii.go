@@ -12,6 +12,10 @@ import (
 //
 // Scaling: one character cell covers sx × sy scene units (default 8 × 16
 // when zero), chosen so typical shapes remain legible.
+//
+// A connector's label is clipped where it would cover a cell on or inside
+// a rect, triangle or circle, so it never overwrites a box or its label;
+// connector lines and arrowheads are drawn as they fall.
 func (sc *Scene) ASCII(sx, sy float64) string {
 	if sx <= 0 {
 		sx = 8
@@ -28,7 +32,13 @@ func (sc *Scene) ASCII(sx, sy float64) string {
 		h = 1
 	}
 	c := newCanvas(w, h)
-	for _, s := range sc.Shapes() {
+	shapes := sc.Shapes()
+	for _, s := range shapes {
+		if s.Kind == KindRect || s.Kind == KindTriangle || s.Kind == KindCircle {
+			c.cover(cellRect(s, sx, sy))
+		}
+	}
+	for _, s := range shapes {
 		drawShapeASCII(c, s, sx, sy)
 	}
 	return c.String()
@@ -37,10 +47,11 @@ func (sc *Scene) ASCII(sx, sy float64) string {
 type canvas struct {
 	w, h  int
 	cells []rune
+	boxed []bool // cells on or inside a box-like shape
 }
 
 func newCanvas(w, h int) *canvas {
-	c := &canvas{w: w, h: h, cells: make([]rune, w*h)}
+	c := &canvas{w: w, h: h, cells: make([]rune, w*h), boxed: make([]bool, w*h)}
 	for i := range c.cells {
 		c.cells[i] = ' '
 	}
@@ -56,6 +67,25 @@ func (c *canvas) set(x, y int, r rune) {
 
 func (c *canvas) text(x, y int, s string) {
 	for i, r := range s {
+		c.set(x+i, y, r)
+	}
+}
+
+// cover marks the cells from (x0, y0) to (x1, y1) as boxed.
+func (c *canvas) cover(x0, y0, x1, y1 int) {
+	for y := max(y0, 0); y <= min(y1, c.h-1); y++ {
+		for x := max(x0, 0); x <= min(x1, c.w-1); x++ {
+			c.boxed[y*c.w+x] = true
+		}
+	}
+}
+
+// clippedText writes s like text but stops at the first boxed cell.
+func (c *canvas) clippedText(x, y int, s string) {
+	for i, r := range s {
+		if cx := x + i; cx >= 0 && y >= 0 && cx < c.w && y < c.h && c.boxed[y*c.w+cx] {
+			return
+		}
 		c.set(x+i, y, r)
 	}
 }
@@ -105,20 +135,27 @@ func abs(v int) int {
 	return v
 }
 
+// cellRect returns the corner cells of a box-like or text shape, at least
+// one cell apart on each axis.
+func cellRect(s *Shape, sx, sy float64) (x0, y0, x1, y1 int) {
+	x0, y0 = int(math.Round(s.X/sx)), int(math.Round(s.Y/sy))
+	x1, y1 = int(math.Round((s.X+s.W)/sx)), int(math.Round((s.Y+s.H)/sy))
+	if x1 <= x0 {
+		x1 = x0 + 1
+	}
+	if y1 <= y0 {
+		y1 = y0 + 1
+	}
+	return x0, y0, x1, y1
+}
+
 func drawShapeASCII(c *canvas, s *Shape, sx, sy float64) {
 	toX := func(v float64) int { return int(math.Round(v / sx)) }
 	toY := func(v float64) int { return int(math.Round(v / sy)) }
 	hl := s.Highlight
 	switch s.Kind {
 	case KindRect, KindTriangle, KindCircle, KindText:
-		x0, y0 := toX(s.X), toY(s.Y)
-		x1, y1 := toX(s.X+s.W), toY(s.Y+s.H)
-		if x1 <= x0 {
-			x1 = x0 + 1
-		}
-		if y1 <= y0 {
-			y1 = y0 + 1
-		}
+		x0, y0, x1, y1 := cellRect(s, sx, sy)
 		if s.Kind != KindText {
 			hch, vch := '-', '|'
 			corner := '+'
@@ -167,7 +204,7 @@ func drawShapeASCII(c *canvas, s *Shape, sx, sy float64) {
 			c.set(x1, y1, arrowHead(x0, y0, x1, y1))
 		}
 		if s.Label != "" {
-			c.text((x0+x1)/2+1, (y0+y1)/2, s.Label)
+			c.clippedText((x0+x1)/2+1, (y0+y1)/2, s.Label)
 		}
 	}
 }

@@ -377,3 +377,16 @@ func TestTimingDiagramIncidentMarkers(t *testing.T) {
 		t.Fatalf("span must include marks, end %d", t1)
 	}
 }
+
+// TestASCIIClipsConnectorLabels: a connector label stops at the first cell
+// on or inside a box, whichever was drawn first, while the connector's
+// line still crosses the box.
+func TestASCIIClipsConnectorLabels(t *testing.T) {
+	sc := NewScene(160, 64)
+	sc.MustAdd(&Shape{ID: "l", Kind: KindLine, X: 0, Y: 32, X2: 160, Y2: 32, Label: "a-long-connector-label"})
+	sc.MustAdd(&Shape{ID: "box", Kind: KindRect, X: 120, Y: 16, W: 32, H: 32, Label: "B"})
+	got := strings.Split(sc.ASCII(0, 0), "\n")[2]
+	if want := "...........a-lo|.B.|."; got != want {
+		t.Fatalf("label row %q, want %q", got, want)
+	}
+}
