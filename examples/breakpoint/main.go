@@ -19,8 +19,10 @@
 package main
 
 import (
+	"errors"
 	"fmt"
-	"log"
+	"io"
+	"os"
 	"time"
 
 	"repro"
@@ -46,86 +48,97 @@ func coolingEnv() func(now uint64, b *target.Board) {
 	}
 }
 
-func debugger(tp repro.Transport) *repro.Debugger {
+func debugger(tp repro.Transport) (*repro.Debugger, error) {
 	sys, err := models.Heating(models.HeatingOptions{})
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
-	dbg, err := repro.Debug(sys, repro.DebugConfig{Transport: tp, Environment: coolingEnv()})
-	if err != nil {
-		log.Fatal(err)
-	}
-	return dbg
+	return repro.Debug(sys, repro.DebugConfig{Transport: tp, Environment: coolingEnv()})
 }
 
 func main() {
-	// ---- act 1: on-target breakpoint over the active interface ----
-	fmt.Println("== on-target breakpoint (active RS-232) ==")
-	act := debugger(repro.Active)
-	if err := act.BreakOnState("bp", "heater.thermostat", "Heating"); err != nil {
-		log.Fatal(err)
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "breakpoint:", err)
+		os.Exit(1)
 	}
-	fmt.Printf("armed on target: %v\n", act.Session.Breakpoints()[0].OnTarget())
+}
+
+// run is the whole example behind an error return, so a test pins its
+// output without forking.
+func run(out io.Writer) error {
+	// ---- act 1: on-target breakpoint over the active interface ----
+	fmt.Fprintln(out, "== on-target breakpoint (active RS-232) ==")
+	act, err := debugger(repro.Active)
+	if err != nil {
+		return err
+	}
+	if err := act.BreakOnState("bp", "heater.thermostat", "Heating"); err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "armed on target: %v\n", act.Session.Breakpoints()[0].OnTarget())
 	if err := act.Run(2 * time.Second); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	var tTarget uint64
 	for _, r := range act.Session.Trace.OfType(protocol.EvBreak).Records {
 		tTarget = r.Event.Time
 	}
 	power, _ := act.Board.ReadOutput("heater", "power")
-	fmt.Printf("hit %q: board halted at %.4f ms (the state-storing instruction)\n",
+	fmt.Fprintf(out, "hit %q: board halted at %.4f ms (the state-storing instruction)\n",
 		act.Session.LastBreak.ID, float64(tTarget)/1e6)
-	fmt.Printf("deadline latch suppressed: heater.power still %v mid-release\n", power)
+	fmt.Fprintf(out, "deadline latch suppressed: heater.power still %v mid-release\n", power)
 
 	// Step once on the target (run-to-next-model-event), then continue.
 	if err := act.StepOnTarget(time.Second); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("stepped to next model event at %.3f ms, highlights %v\n",
+	fmt.Fprintf(out, "stepped to next model event at %.3f ms, highlights %v\n",
 		float64(act.Board.Now())/1e6, act.GDM.HighlightedElements())
 	if err := act.Session.ClearBreakpoint("bp"); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := act.Continue(time.Second); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	power, _ = act.Board.ReadOutput("heater", "power")
-	fmt.Printf("cleared + continued: heater.power now %v\n\n", power)
+	fmt.Fprintf(out, "cleared + continued: heater.power now %v\n\n", power)
 
 	// ---- act 2: the same breakpoint host-side over passive JTAG ----
-	fmt.Println("== host-side breakpoint (passive JTAG) ==")
-	pas := debugger(repro.Passive)
-	if err := pas.BreakOnState("bp", "heater.thermostat", "Heating"); err != nil {
-		log.Fatal(err)
+	fmt.Fprintln(out, "== host-side breakpoint (passive JTAG) ==")
+	pas, err := debugger(repro.Passive)
+	if err != nil {
+		return err
 	}
-	fmt.Printf("armed on target: %v (no active interface: host-side fallback)\n",
+	if err := pas.BreakOnState("bp", "heater.thermostat", "Heating"); err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "armed on target: %v (no active interface: host-side fallback)\n",
 		pas.Session.Breakpoints()[0].OnTarget())
 	if err := pas.Run(2 * time.Second); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("hit %q: halted at %.4f ms — after the watch poll, so the release body had already completed\n",
+	fmt.Fprintf(out, "hit %q: halted at %.4f ms — after the watch poll, so the release body had already completed\n",
 		pas.Session.LastBreak.ID, float64(pas.Board.Now())/1e6)
 	// The host-side halt comes too late to stop the release's deadline
 	// latch: the already-latched output still publishes on schedule.
 	pas.Board.RunFor(10_000_000)
 	power, _ = pas.Board.ReadOutput("heater", "power")
-	fmt.Printf("too late to stop the publish: heater.power = %v (the on-target agent held it at 0)\n\n", power)
+	fmt.Fprintf(out, "too late to stop the publish: heater.power = %v (the on-target agent held it at 0)\n\n", power)
 
 	// ---- act 3: breakpoint on a remote cluster node ----
-	fmt.Println("== remote-node breakpoint (two-board cluster) ==")
+	fmt.Fprintln(out, "== remote-node breakpoint (two-board cluster) ==")
 	sys, err := models.Distributed()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	cl, err := target.BuildCluster(sys, target.ClusterConfig{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	nodeA, nodeB := cl.Board("nodeA"), cl.Board("nodeB")
 	remote := engine.NewSerialSource(nodeB.HostPort())
 	if err := remote.SetBreak("remote-bp", "consumer.v >= 8"); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	var hit *protocol.Event
 	for i := 0; i < 100 && hit == nil; i++ {
@@ -138,21 +151,22 @@ func main() {
 		}
 	}
 	if hit == nil {
-		log.Fatal("remote breakpoint never hit")
+		return errors.New("remote breakpoint never hit")
 	}
-	fmt.Printf("hit %q on nodeB at %.3f ms (trigger %s = %g)\n",
+	fmt.Fprintf(out, "hit %q on nodeB at %.3f ms (trigger %s = %g)\n",
 		hit.Source, float64(hit.Time)/1e6, hit.Arg1, hit.Value)
-	fmt.Printf("nodeB halted: %v, nodeA halted: %v (shared clock at %.3f ms)\n",
+	fmt.Fprintf(out, "nodeB halted: %v, nodeA halted: %v (shared clock at %.3f ms)\n",
 		nodeB.Halted(), nodeA.Halted(), float64(cl.Now())/1e6)
 	cyclesA := nodeA.Cycles()
 	cl.RunUntil(cl.Now() + 20_000_000)
-	fmt.Printf("20 ms later: nodeA executed %d more cycles, nodeB 0\n", nodeA.Cycles()-cyclesA)
+	fmt.Fprintf(out, "20 ms later: nodeA executed %d more cycles, nodeB 0\n", nodeA.Cycles()-cyclesA)
 	if err := remote.ClearBreak("remote-bp"); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := remote.ResumeTarget(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	cl.RunUntil(cl.Now() + 20_000_000)
-	fmt.Printf("after clear + resume: nodeB halted: %v\n", nodeB.Halted())
+	fmt.Fprintf(out, "after clear + resume: nodeB halted: %v\n", nodeB.Halted())
+	return nil
 }

@@ -9,7 +9,8 @@ package main
 
 import (
 	"fmt"
-	"log"
+	"io"
+	"os"
 	"time"
 
 	"repro"
@@ -17,35 +18,45 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "jtagpassive:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole example behind an error return, so a test pins its
+// output without forking.
+func run(out io.Writer) error {
 	sys, err := models.Heating(models.HeatingOptions{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	dbg, err := repro.Debug(sys, repro.DebugConfig{
 		Transport:   repro.Passive, // JTAG instead of RS-232
 		Environment: repro.StandardEnvironment("heating"),
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("monitored variables (selected from the JTAG fetch list):\n")
+	fmt.Fprintf(out, "monitored variables (selected from the JTAG fetch list):\n")
 	for _, w := range dbg.Watcher.Watches() {
-		fmt.Printf("  %-32s @0x%04x  %d bytes  %s\n", w.Symbol, w.Addr, w.Size, w.Kind)
+		fmt.Fprintf(out, "  %-32s @0x%04x  %d bytes  %s\n", w.Symbol, w.Addr, w.Size, w.Kind)
 	}
 
 	if err := dbg.Run(5 * time.Second); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("\nafter 5 virtual seconds of passive debugging:\n")
-	fmt.Printf("  commands handled        : %d (all synthesised from RAM watches)\n", dbg.Session.Handled)
-	fmt.Printf("  highlighted             : %v\n", dbg.GDM.HighlightedElements())
-	fmt.Printf("  target cycles           : %d\n", dbg.Board.Cycles())
-	fmt.Printf("  instrumentation cycles  : %d  <- the paper's claim: zero\n", dbg.Board.InstrumentationCycles())
-	fmt.Printf("  probe host-side time    : %.2f ms (paid by the debug adapter, not the target)\n",
+	fmt.Fprintf(out, "\nafter 5 virtual seconds of passive debugging:\n")
+	fmt.Fprintf(out, "  commands handled        : %d (all synthesised from RAM watches)\n", dbg.Session.Handled)
+	fmt.Fprintf(out, "  highlighted             : %v\n", dbg.GDM.HighlightedElements())
+	fmt.Fprintf(out, "  target cycles           : %d\n", dbg.Board.Cycles())
+	fmt.Fprintf(out, "  instrumentation cycles  : %d  <- the paper's claim: zero\n", dbg.Board.InstrumentationCycles())
+	fmt.Fprintf(out, "  probe host-side time    : %.2f ms (paid by the debug adapter, not the target)\n",
 		float64(dbg.Probe.HostTimeNs())/1e6)
 
-	fmt.Println("\n== animated model ==")
-	fmt.Print(dbg.RenderASCII())
+	fmt.Fprintln(out, "\n== animated model ==")
+	fmt.Fprint(out, dbg.RenderASCII())
+	return nil
 }

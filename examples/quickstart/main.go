@@ -10,8 +10,9 @@ package main
 
 import (
 	"fmt"
-	"log"
+	"io"
 	"math"
+	"os"
 	"time"
 
 	"repro"
@@ -21,9 +22,18 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "quickstart:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole example behind an error return, so a test pins its
+// output without forking.
+func run(out io.Writer) error {
 	sys, err := models.TrafficLight()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	dbg, err := repro.Debug(sys, repro.DebugConfig{
@@ -34,21 +44,22 @@ func main() {
 		},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Println("== initial model view (Red is the initial state) ==")
-	fmt.Print(dbg.RenderASCII())
+	fmt.Fprintln(out, "== initial model view (Red is the initial state) ==")
+	fmt.Fprint(out, dbg.RenderASCII())
 
 	if err := dbg.Run(9 * time.Second); err != nil { // virtual seconds
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Println("== after 9 virtual seconds ==")
-	fmt.Print(dbg.RenderASCII())
-	fmt.Printf("\nhighlighted: %v\n", dbg.GDM.HighlightedElements())
-	fmt.Printf("commands handled: %d, reactions: %d\n", dbg.Session.Handled, dbg.GDM.Reactions)
+	fmt.Fprintln(out, "== after 9 virtual seconds ==")
+	fmt.Fprint(out, dbg.RenderASCII())
+	fmt.Fprintf(out, "\nhighlighted: %v\n", dbg.GDM.HighlightedElements())
+	fmt.Fprintf(out, "commands handled: %d, reactions: %d\n", dbg.Session.Handled, dbg.GDM.Reactions)
 
-	fmt.Println("\n== timing diagram of the recorded trace ==")
-	fmt.Print(dbg.TimingDiagramASCII(72))
+	fmt.Fprintln(out, "\n== timing diagram of the recorded trace ==")
+	fmt.Fprint(out, dbg.TimingDiagramASCII(72))
+	return nil
 }

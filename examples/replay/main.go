@@ -10,7 +10,8 @@ package main
 import (
 	"bytes"
 	"fmt"
-	"log"
+	"io"
+	"os"
 	"time"
 
 	"repro"
@@ -22,59 +23,69 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "replay:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole example behind an error return, so a test pins its
+// output without forking.
+func run(out io.Writer) error {
 	sys, err := models.Heating(models.HeatingOptions{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	dbg, err := repro.Debug(sys, repro.DebugConfig{
 		Environment: repro.StandardEnvironment("heating"),
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Record a live session.
 	if err := dbg.Run(4 * time.Second); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("recorded %d events over %d virtual ms\n", dbg.Session.Trace.Len(), dbg.Board.Now()/1_000_000)
+	fmt.Fprintf(out, "recorded %d events over %d virtual ms\n", dbg.Session.Trace.Len(), dbg.Board.Now()/1_000_000)
 
 	// Persist and reload the trace (JSONL).
 	var buf bytes.Buffer
 	if err := dbg.Session.Trace.WriteJSONL(&buf); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("trace file: %d bytes of JSONL\n", buf.Len())
+	fmt.Fprintf(out, "trace file: %d bytes of JSONL\n", buf.Len())
 	reloaded, err := trace.ReadJSONL(&buf)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Replay into a fresh GDM at 4x speed (no target needed).
 	meta := comdes.Metamodel()
 	model, err := comdes.ToModel(sys, meta)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	g, err := core.Abstract(model, engine.DefaultCOMDESMapping())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := engine.BindCOMDES(g); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	session := engine.NewSession(g, nil)
 	rep := trace.NewReplayer(reloaded, 4)
 	session.AddSource(rep)
 	for now := uint64(0); !rep.Done(); now += 1_000_000 {
 		if _, err := session.ProcessEvents(now); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
-	fmt.Printf("replayed %d events; final highlights %v (matches live: %v)\n",
+	fmt.Fprintf(out, "replayed %d events; final highlights %v (matches live: %v)\n",
 		session.Handled, g.HighlightedElements(),
 		fmt.Sprint(g.HighlightedElements()) == fmt.Sprint(dbg.GDM.HighlightedElements()))
 
-	fmt.Println("\n== timing diagram of the replayed trace ==")
-	fmt.Print(reloaded.TimingDiagram().ASCII(76))
+	fmt.Fprintln(out, "\n== timing diagram of the replayed trace ==")
+	fmt.Fprint(out, reloaded.TimingDiagram().ASCII(76))
+	return nil
 }
