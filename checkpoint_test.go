@@ -213,6 +213,9 @@ func TestSnapshotWhileHaltedAtOnTargetBreakpoint(t *testing.T) {
 	if cp.Board.Susp == nil {
 		t.Fatal("snapshot while halted at an on-target breakpoint should carry the suspended machine")
 	}
+	if len(cp.Board.Units) != 0 {
+		t.Fatalf("a cooperative suspension is written as susp alone, not as a unit in flight: %+v", cp.Board.Units)
+	}
 	if len(cp.Board.Agent.Breaks) != 1 || !cp.Board.Agent.Breaks[0].Hot {
 		t.Fatalf("agent state not captured: %+v", cp.Board.Agent)
 	}

@@ -498,16 +498,8 @@ func (n *Network) rand() uint64 {
 	return z ^ z>>31
 }
 
-// Send delivers signal=v into the destination store after the latency —
-// the constant-latency path, kept verbatim for senders with no identity.
-func (n *Network) Send(signal string, v value.Value, dst *Store) {
-	n.mu.Lock()
-	n.sendLatency(signal, v, dst)
-	n.mu.Unlock()
-}
-
-// Send submits a frame from q. Without a bus schedule it behaves exactly
-// like Network.Send: one delivery LatencyNs from now. Under a schedule the
+// Send submits a frame from q. Without a bus schedule it is one delivery
+// LatencyNs from now, whatever the sender. Under a schedule the
 // frame joins q's TX queue and departs in q's next free slot — its
 // departure instant, release jitter, loss outcome and event identities are
 // all decided (deterministically) here, so a snapshot taken at any later

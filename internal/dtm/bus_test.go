@@ -468,7 +468,7 @@ func TestSetScheduleGuards(t *testing.T) {
 	n := NewNetwork(k, 100)
 	dst := NewStore(k.Now)
 	n.Bind("dst", dst)
-	n.Send("x", value.I(1), dst)
+	n.Sender("src").Send("x", value.I(1), dst)
 	if err := n.SetSchedule(&BusSchedule{Slots: []BusSlot{{Owner: "a", LenNs: 10}}}); err == nil {
 		t.Fatal("SetSchedule with frames in flight should fail")
 	}

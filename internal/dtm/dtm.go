@@ -19,13 +19,20 @@ import (
 	"repro/internal/value"
 )
 
-// ErrSuspended is returned by Task.Execute when a target-resident debugger
+// ErrSuspended is returned by Task.Slice when a target-resident debugger
 // halted the run mid-body (an on-target breakpoint or step hit). The
 // scheduler treats it as a suspension, not a failure: LastError stays
-// clear, no deadline miss is counted, and — crucially — the task's Output
-// (deadline latch) is NOT scheduled, so nothing publishes until the
-// debugger resumes and completes the release.
+// clear and no deadline miss is counted. Under FixedPriority the job is
+// parked until Resume re-queues it, and its deadline latch is made up when
+// it completes. Under Cooperative the release is over as far as the
+// scheduler is concerned — its Output is NOT scheduled — and the caller
+// that resumes the body owes the latch: DeferOutput while the deadline is
+// still ahead, a direct publish otherwise.
 var ErrSuspended = errors.New("dtm: execution suspended by debugger")
+
+// Unbounded is the Slice budget of a Cooperative release: run the body to
+// completion (or to a suspension or failure) in one call.
+const Unbounded = ^uint64(0)
 
 // event is one scheduled callback.
 type event struct {
@@ -381,16 +388,19 @@ func (s *Store) Restore(st StoreState) error {
 // Task is a periodic DTM task. The three phases are split so the kernel
 // can enforce the latching discipline:
 //
-//	release instant r:      in = Latch(r)          (input latching)
-//	execution:              out, cost = Execute(r, in)  (or Slice, preemptive)
-//	deadline instant r+D:   Output(r+D, out)       (output latching)
+//	release instant r:      Latch(r)               (input latching)
+//	execution:              Slice(r, now, budget)  (the body, resumable)
+//	deadline instant r+D:   Output(r+D)            (output latching)
 //
-// Under the Cooperative policy Execute runs at the release instant and
-// reports its virtual execution cost; cost > Deadline is a deadline miss
-// (counted, outputs still latched at the deadline — the overrun policy
-// real COMDES kernels apply to soft tasks). Under FixedPriority the
-// release becomes a resumable job scheduled by Priority; the miss is
-// detected at the deadline latch when the job has not completed.
+// Task values live where the body keeps them (board RAM on a target); the
+// scheduler only decides when each phase runs. Under the Cooperative
+// policy the body runs at the release instant as one Slice with the
+// Unbounded budget and reports its virtual execution cost; cost > Deadline
+// is a deadline miss (counted, outputs still latched at the deadline — the
+// overrun policy real COMDES kernels apply to soft tasks). Under
+// FixedPriority the release becomes a resumable job scheduled by Priority
+// in budgeted slices; the miss is detected at the deadline latch when the
+// job has not completed.
 type Task struct {
 	Name     string
 	Period   uint64
@@ -402,18 +412,16 @@ type Task struct {
 	// order. Ignored by the Cooperative policy.
 	Priority int
 
-	Latch   func(now uint64) map[string]value.Value
-	Execute func(now uint64, in map[string]value.Value) (map[string]value.Value, uint64, error)
-	Output  func(now uint64, out map[string]value.Value)
+	// Latch and Output, when set, run at the release and deadline instants.
+	Latch  func(now uint64)
+	Output func(now uint64)
 
-	// Slice, when set, is the task's resumable body for the FixedPriority
-	// policy: it executes up to budgetNs of the release that started at
-	// the release instant and reports the virtual time consumed and
-	// whether the body completed. The scheduler guarantees slices of the
-	// same task are strictly sequential per release (release identifies
-	// which job the slice belongs to). A task without Slice runs Execute
-	// as one atomic slice — it is scheduled by priority but cannot be
-	// preempted mid-body.
+	// Slice is the task's body: it executes up to budgetNs of the release
+	// that started at the release instant (all of it for Unbounded) and
+	// reports the virtual time consumed and whether the body completed.
+	// The scheduler guarantees slices of the same task are strictly
+	// sequential per release (release identifies which job the slice
+	// belongs to).
 	Slice func(release, now, budgetNs uint64) (usedNs uint64, done bool, err error)
 
 	Releases       uint64
@@ -438,7 +446,7 @@ type Task struct {
 	// periodic re-arm inside release() does not allocate a fresh closure
 	// every period. Owned by the scheduler the task is registered with.
 	relFn func(now uint64)
-	// outFn likewise caches the cooperative deadline-latch callback.
+	// outFn likewise caches the pending-output callback.
 	outFn func(now uint64)
 	// ResponseNs / WorstResponseNs accumulate release-to-completion times
 	// (FixedPriority only): unlike ExecNs they include the time jobs spent
@@ -455,8 +463,8 @@ func (t *Task) Validate() error {
 	if t.Period == 0 || t.Deadline == 0 || t.Deadline > t.Period {
 		return fmt.Errorf("dtm: task %s: bad timing (period %d, deadline %d)", t.Name, t.Period, t.Deadline)
 	}
-	if t.Execute == nil && t.Slice == nil {
-		return fmt.Errorf("dtm: task %s: no Execute or Slice", t.Name)
+	if t.Slice == nil {
+		return fmt.Errorf("dtm: task %s: no Slice", t.Name)
 	}
 	return nil
 }
@@ -521,9 +529,9 @@ type Scheduler struct {
 	// is outstanding).
 	unlatched []*job
 
-	// pending are the cooperative releases' output latches awaiting their
-	// deadline instants, surfaced as explicit records instead of closures
-	// so a snapshot can carry them.
+	// pending are the output latches awaiting their deadline instants —
+	// each cooperative release's, and any DeferOutput made up — surfaced
+	// as explicit records instead of closures so a snapshot can carry them.
 	pending []pendingOutput
 
 	// freeJobs are retired jobs kept for reuse with their cached kernel
@@ -536,13 +544,12 @@ type Scheduler struct {
 // relSlot is one pending release event.
 type relSlot struct{ at, seq uint64 }
 
-// pendingOutput is one cooperative release's deadline latch in flight,
-// unique per (task, instant) — a task has at most one release per period.
+// pendingOutput is one deadline latch in flight, unique per (task,
+// instant) — a task has at most one release per period.
 type pendingOutput struct {
 	t   *Task
 	at  uint64
 	seq uint64
-	out map[string]value.Value
 }
 
 // NewScheduler wraps a kernel.
@@ -620,13 +627,12 @@ func (s *Scheduler) release(t *Task, now uint64) {
 		return
 	}
 	t.Releases++
-	var in map[string]value.Value
 	if t.Latch != nil {
-		in = t.Latch(now)
+		t.Latch(now)
 	}
 	if s.Policy == FixedPriority {
 		j := s.newJob()
-		j.t, j.release, j.seq, j.in = t, now, s.jobSeq, in
+		j.t, j.release, j.seq = t, now, s.jobSeq
 		s.jobSeq++
 		s.ready.push(j)
 		s.unlatched = append(s.unlatched, j)
@@ -634,7 +640,7 @@ func (s *Scheduler) release(t *Task, now uint64) {
 		s.dispatch(now)
 		return
 	}
-	out, cost, err := t.cooperativeRun(now, in)
+	cost, err := t.cooperativeRun(now)
 	if err != nil {
 		if errors.Is(err, ErrSuspended) {
 			t.Suspensions++
@@ -651,15 +657,19 @@ func (s *Scheduler) release(t *Task, now uint64) {
 		t.DeadlineMisses++
 	}
 	if t.Output != nil {
-		s.deferOutput(t, now+t.Deadline, out)
+		s.DeferOutput(t, now+t.Deadline)
 	}
 }
 
-// deferOutput queues a cooperative release's output latch as an explicit
-// pending record (snapshotable) and arms its deadline event.
-func (s *Scheduler) deferOutput(t *Task, at uint64, out map[string]value.Value) {
+// DeferOutput queues t's Output at instant at as an explicit pending
+// record (snapshotable) and arms its event. The scheduler queues every
+// cooperative release's latch this way; a caller that completes a
+// suspended cooperative release makes its latch up with it, at the
+// original deadline instant. A task's latches must be queued in deadline
+// order, as releases are.
+func (s *Scheduler) DeferOutput(t *Task, at uint64) {
 	seq, _ := s.K.ScheduleTagged(at, s.outputFn(t))
-	s.pending = append(s.pending, pendingOutput{t: t, at: at, seq: seq, out: out})
+	s.pending = append(s.pending, pendingOutput{t: t, at: at, seq: seq})
 }
 
 // outputFn returns t's cached deadline-latch callback.
@@ -676,27 +686,22 @@ func (s *Scheduler) outputFn(t *Task) func(now uint64) {
 func (s *Scheduler) firePending(t *Task, now uint64) {
 	for i := range s.pending {
 		if s.pending[i].t == t {
-			out := s.pending[i].out
 			s.pending = append(s.pending[:i], s.pending[i+1:]...)
-			t.Output(now, out)
+			t.Output(now)
 			return
 		}
 	}
 }
 
 // cooperativeRun executes one whole release under the Cooperative policy:
-// Execute when present, otherwise the Slice hook driven to completion with
-// an unbounded budget.
-func (t *Task) cooperativeRun(now uint64, in map[string]value.Value) (map[string]value.Value, uint64, error) {
-	if t.Execute != nil {
-		return t.Execute(now, in)
-	}
+// the Slice hook with the Unbounded budget, driven to completion.
+func (t *Task) cooperativeRun(now uint64) (uint64, error) {
 	var total uint64
 	for {
-		used, done, err := t.Slice(now, now, ^uint64(0))
+		used, done, err := t.Slice(now, now, Unbounded)
 		total += used
 		if err != nil || done {
-			return nil, total, err
+			return total, err
 		}
 	}
 }
@@ -708,8 +713,6 @@ type job struct {
 	t       *Task
 	release uint64
 	seq     uint64 // FIFO tie-break within a priority (release order)
-	in      map[string]value.Value
-	out     map[string]value.Value
 
 	usedNs    uint64
 	done      bool
@@ -882,7 +885,7 @@ func (s *Scheduler) dispatch(now uint64) {
 		return
 	}
 	budget -= ctx
-	used, done, err := s.runSlice(j, now, budget)
+	used, done, err := j.t.Slice(j.release, now, budget)
 	if err != nil {
 		if errors.Is(err, ErrSuspended) {
 			j.t.Suspensions++
@@ -905,21 +908,6 @@ func (s *Scheduler) dispatch(now uint64) {
 	end := now + ctx + used
 	j.endAt, j.willDone = end, done
 	j.endSeq, _ = s.K.ScheduleTagged(end, j.endFn)
-}
-
-// runSlice executes up to budgetNs of the job's body. Tasks without a
-// Slice hook run Execute atomically (one all-or-nothing slice).
-func (s *Scheduler) runSlice(j *job, now, budgetNs uint64) (uint64, bool, error) {
-	t := j.t
-	if t.Slice != nil {
-		return t.Slice(j.release, now, budgetNs)
-	}
-	out, cost, err := t.Execute(now, j.in)
-	if err != nil {
-		return 0, false, err
-	}
-	j.out = out
-	return cost, true, nil
 }
 
 // sliceEnd is the CPU giving up the core at a slice boundary with the job
@@ -958,7 +946,7 @@ func (s *Scheduler) complete(j *job, now uint64) {
 	}
 	if j.latched {
 		if t.Output != nil {
-			t.Output(now, j.out)
+			t.Output(now)
 		}
 		s.retire(j)
 	}
@@ -983,7 +971,7 @@ func (s *Scheduler) latch(j *job, now uint64) {
 	}
 	if j.done {
 		if j.t.Output != nil {
-			j.t.Output(now, j.out)
+			j.t.Output(now)
 		}
 		s.retire(j)
 		return

@@ -115,16 +115,22 @@ func TestStoreStateMessages(t *testing.T) {
 	s2.Set("y", value.I(1))
 }
 
+// run is a body that completes at once.
+func run(uint64, uint64, uint64) (uint64, bool, error) { return 0, true, nil }
+
+// costs is a body that completes in cost ns whatever its budget: the
+// cooperative policy runs it with the Unbounded budget.
+func costs(cost uint64) func(uint64, uint64, uint64) (uint64, bool, error) {
+	return func(uint64, uint64, uint64) (uint64, bool, error) { return cost, true, nil }
+}
+
 func TestTaskValidation(t *testing.T) {
-	exec := func(uint64, map[string]value.Value) (map[string]value.Value, uint64, error) {
-		return nil, 0, nil
-	}
 	bad := []*Task{
-		{Period: 10, Deadline: 5, Execute: exec},             // no name
-		{Name: "t", Deadline: 5, Execute: exec},              // no period
-		{Name: "t", Period: 10, Execute: exec},               // no deadline
-		{Name: "t", Period: 10, Deadline: 20, Execute: exec}, // deadline > period
-		{Name: "t", Period: 10, Deadline: 5},                 // no execute
+		{Period: 10, Deadline: 5, Slice: run},             // no name
+		{Name: "t", Deadline: 5, Slice: run},              // no period
+		{Name: "t", Period: 10, Slice: run},               // no deadline
+		{Name: "t", Period: 10, Deadline: 20, Slice: run}, // deadline > period
+		{Name: "t", Period: 10, Deadline: 5},              // no body
 	}
 	for i, task := range bad {
 		if err := task.Validate(); err == nil {
@@ -132,11 +138,11 @@ func TestTaskValidation(t *testing.T) {
 		}
 	}
 	s := NewScheduler(NewKernel())
-	good := &Task{Name: "t", Period: 10, Deadline: 5, Execute: exec}
+	good := &Task{Name: "t", Period: 10, Deadline: 5, Slice: run}
 	if err := s.AddTask(good); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AddTask(&Task{Name: "t", Period: 10, Deadline: 5, Execute: exec}); err == nil {
+	if err := s.AddTask(&Task{Name: "t", Period: 10, Deadline: 5, Slice: run}); err == nil {
 		t.Error("duplicate task should fail")
 	}
 	if len(s.Tasks()) != 1 {
@@ -146,7 +152,9 @@ func TestTaskValidation(t *testing.T) {
 
 // TestDTMLatching is the core jitter-elimination test (experiment-grade):
 // a task whose execution cost varies wildly still publishes outputs at
-// exact deadline instants, so the output phase is constant.
+// exact deadline instants, so the output phase is constant. The task's
+// input, working output and published output live in the closure, as
+// they live in board RAM on a target.
 func TestDTMLatching(t *testing.T) {
 	k := NewKernel()
 	store := NewStore(k.Now)
@@ -154,19 +162,19 @@ func TestDTMLatching(t *testing.T) {
 	store.OnChange = rec.Observe
 	s := NewScheduler(k)
 	r := rand.New(rand.NewSource(1))
-	n := 0
+	var in, out float64
 	task := &Task{
 		Name: "ctl", Period: 1000, Deadline: 600,
-		Latch: func(now uint64) map[string]value.Value {
-			return map[string]value.Value{"in": value.F(float64(now))}
+		Latch: func(now uint64) { in = float64(now) },
+		Slice: func(release, now, budget uint64) (uint64, bool, error) {
+			out = in + 1
+			return uint64(r.Intn(500)), true, nil // jittery execution time
 		},
-		Execute: func(now uint64, in map[string]value.Value) (map[string]value.Value, uint64, error) {
-			n++
-			cost := uint64(r.Intn(500)) // jittery execution time
-			return map[string]value.Value{"out": value.F(in["in"].Float() + 1)}, cost, nil
-		},
-		Output: func(now uint64, out map[string]value.Value) {
-			store.Set("out", out["out"])
+		Output: func(now uint64) {
+			if out != float64(now-600)+1 {
+				t.Errorf("published %g at %d, want the value computed from the %d release", out, now, now-600)
+			}
+			store.Set("out", value.F(out))
 		},
 	}
 	if err := s.AddTask(task); err != nil {
@@ -196,9 +204,7 @@ func TestDeadlineMissCounted(t *testing.T) {
 	s := NewScheduler(k)
 	task := &Task{
 		Name: "slow", Period: 1000, Deadline: 100,
-		Execute: func(uint64, map[string]value.Value) (map[string]value.Value, uint64, error) {
-			return nil, 500, nil // exceeds deadline
-		},
+		Slice: costs(500), // exceeds deadline
 	}
 	_ = s.AddTask(task)
 	s.Start()
@@ -214,10 +220,10 @@ func TestExecuteErrorRecorded(t *testing.T) {
 	boom := fmt.Errorf("boom")
 	task := &Task{
 		Name: "bad", Period: 100, Deadline: 50,
-		Execute: func(uint64, map[string]value.Value) (map[string]value.Value, uint64, error) {
-			return nil, 0, boom
+		Slice: func(uint64, uint64, uint64) (uint64, bool, error) {
+			return 0, false, boom
 		},
-		Output: func(uint64, map[string]value.Value) { t.Error("output after error") },
+		Output: func(uint64) { t.Error("output after error") },
 	}
 	_ = s.AddTask(task)
 	s.Start()
@@ -233,11 +239,11 @@ func TestOffsetDelaysFirstRelease(t *testing.T) {
 	var first uint64
 	task := &Task{
 		Name: "off", Period: 100, Offset: 37, Deadline: 50,
-		Execute: func(now uint64, _ map[string]value.Value) (map[string]value.Value, uint64, error) {
+		Slice: func(release, now, budget uint64) (uint64, bool, error) {
 			if first == 0 {
 				first = now
 			}
-			return nil, 0, nil
+			return 0, true, nil
 		},
 	}
 	_ = s.AddTask(task)
@@ -251,12 +257,7 @@ func TestOffsetDelaysFirstRelease(t *testing.T) {
 func TestHaltSuspendsReleases(t *testing.T) {
 	k := NewKernel()
 	s := NewScheduler(k)
-	task := &Task{
-		Name: "t", Period: 100, Deadline: 50,
-		Execute: func(uint64, map[string]value.Value) (map[string]value.Value, uint64, error) {
-			return nil, 0, nil
-		},
-	}
+	task := &Task{Name: "t", Period: 100, Deadline: 50, Slice: run}
 	_ = s.AddTask(task)
 	s.Start()
 	k.RunUntil(500) // releases at 0..500: 6
@@ -278,13 +279,71 @@ func TestHaltSuspendsReleases(t *testing.T) {
 	}
 }
 
+// TestCooperativeSuspension: a cooperative body reporting ErrSuspended
+// counts a suspension — no miss, no error, no cost — and gets no deadline
+// latch. The caller that completes the release makes the latch up with
+// DeferOutput at the original deadline instant; a snapshot taken before
+// it fires carries it as a pending output, and a restore replays it.
+func TestCooperativeSuspension(t *testing.T) {
+	k := NewKernel()
+	s := NewScheduler(k)
+	suspend := true
+	var outAt []uint64
+	task := &Task{
+		Name: "t", Period: 100, Deadline: 50,
+		Slice: func(release, now, budget uint64) (uint64, bool, error) {
+			if budget != Unbounded {
+				t.Errorf("cooperative slice budget %d, want Unbounded", budget)
+			}
+			if suspend {
+				suspend = false
+				s.Halt() // the on-target agent halts the board from inside the body
+				return 7, false, ErrSuspended
+			}
+			return 7, true, nil
+		},
+		Output: func(now uint64) { outAt = append(outAt, now) },
+	}
+	if err := s.AddTask(task); err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	k.RunUntil(10)
+	if task.Suspensions != 1 || task.DeadlineMisses != 0 || task.LastError != nil || task.ExecNs != 0 {
+		t.Fatalf("after suspension: suspensions=%d misses=%d err=%v exec=%d",
+			task.Suspensions, task.DeadlineMisses, task.LastError, task.ExecNs)
+	}
+	if ss := s.Snapshot(); len(ss.Pending) != 0 {
+		t.Fatalf("suspended release scheduled a latch: %+v", ss.Pending)
+	}
+	s.Resume()
+	s.DeferOutput(task, 50)
+	ks, ss := k.Snapshot(), s.Snapshot()
+	if len(ss.Pending) != 1 || ss.Pending[0].Task != "t" || ss.Pending[0].At != 50 {
+		t.Fatalf("made-up latch not pending: %+v", ss.Pending)
+	}
+	k.RunUntil(250)
+	if fmt.Sprint(outAt) != "[50 150 250]" || task.ExecNs != 14 {
+		t.Fatalf("outputs at %v, exec %d; want [50 150 250] and 14", outAt, task.ExecNs)
+	}
+	outAt = nil
+	k.Restore(ks)
+	if err := s.Restore(ss); err != nil {
+		t.Fatal(err)
+	}
+	k.RunUntil(250)
+	if fmt.Sprint(outAt) != "[50 150 250]" {
+		t.Fatalf("restored outputs at %v, want [50 150 250]", outAt)
+	}
+}
+
 func TestNetworkLatency(t *testing.T) {
 	k := NewKernel()
 	remote := NewStore(k.Now)
 	var arrival uint64
 	remote.OnChange = func(now uint64, sig string, old, new value.Value) { arrival = now }
 	net := NewNetwork(k, 250)
-	k.After(100, func(uint64) { net.Send("s", value.F(1), remote) })
+	k.After(100, func(uint64) { net.Sender("a").Send("s", value.F(1), remote) })
 	k.RunUntil(10_000)
 	if arrival != 350 {
 		t.Errorf("arrival at %d, want 350", arrival)
@@ -305,27 +364,27 @@ func TestDistributedTransactionJitterFree(t *testing.T) {
 	rec := NewJitterRecorder("final", 1000)
 	board2.OnChange = rec.Observe
 
+	var xA, xB, final value.Value
+	sender := net.Sender("node1")
 	taskA := &Task{
 		Name: "A", Period: 1000, Deadline: 300,
-		Execute: func(now uint64, _ map[string]value.Value) (map[string]value.Value, uint64, error) {
-			return map[string]value.Value{"x": value.F(float64(now))}, uint64(now % 250), nil
+		Slice: func(release, now, budget uint64) (uint64, bool, error) {
+			xA = value.F(float64(now))
+			return now % 250, true, nil
 		},
-		Output: func(now uint64, out map[string]value.Value) {
-			board1.Set("x", out["x"])
-			net.Send("x", out["x"], board2)
+		Output: func(now uint64) {
+			board1.Set("x", xA)
+			sender.Send("x", xA, board2)
 		},
 	}
 	taskB := &Task{
 		Name: "B", Period: 1000, Offset: 600, Deadline: 400,
-		Latch: func(now uint64) map[string]value.Value {
-			return map[string]value.Value{"x": board2.Get("x")}
+		Latch: func(now uint64) { xB = board2.Get("x") },
+		Slice: func(release, now, budget uint64) (uint64, bool, error) {
+			final = value.F(xB.Float() * 2)
+			return now % 333, true, nil
 		},
-		Execute: func(now uint64, in map[string]value.Value) (map[string]value.Value, uint64, error) {
-			return map[string]value.Value{"final": value.F(in["x"].Float() * 2)}, uint64(now % 333), nil
-		},
-		Output: func(now uint64, out map[string]value.Value) {
-			board2.Set("final", out["final"])
-		},
+		Output: func(now uint64) { board2.Set("final", final) },
 	}
 	if err := s.AddTask(taskA); err != nil {
 		t.Fatal(err)
@@ -355,17 +414,19 @@ func TestQuickJitterInvariant(t *testing.T) {
 		store.OnChange = rec.Observe
 		s := NewScheduler(k)
 		i := 0
+		var o value.Value
 		task := &Task{
 			Name: "t", Period: period, Deadline: deadline,
-			Execute: func(now uint64, _ map[string]value.Value) (map[string]value.Value, uint64, error) {
+			Slice: func(release, now, budget uint64) (uint64, bool, error) {
 				var c uint64
 				if len(costs) > 0 {
 					c = uint64(costs[i%len(costs)])
 					i++
 				}
-				return map[string]value.Value{"o": value.F(float64(now))}, c, nil
+				o = value.F(float64(now))
+				return c, true, nil
 			},
-			Output: func(now uint64, out map[string]value.Value) { store.Set("o", out["o"]) },
+			Output: func(now uint64) { store.Set("o", o) },
 		}
 		if err := s.AddTask(task); err != nil {
 			return false

@@ -3,8 +3,6 @@ package dtm
 import (
 	"fmt"
 	"testing"
-
-	"repro/internal/value"
 )
 
 // sliceBody is a synthetic resumable task body: a fixed amount of virtual
@@ -54,7 +52,7 @@ func TestFixedPriorityPreemptsLowTask(t *testing.T) {
 	var outAt []uint64
 	lo := &Task{Name: "lo", Period: 20, Deadline: 10, Priority: 1,
 		Slice:  (&sliceBody{name: "lo", total: 5}).slice,
-		Output: func(now uint64, _ map[string]value.Value) { outAt = append(outAt, now) }}
+		Output: func(now uint64) { outAt = append(outAt, now) }}
 	hi := &Task{Name: "hi", Period: 4, Deadline: 4, Priority: 2,
 		Slice: (&sliceBody{name: "hi", total: 2}).slice}
 	if err := s.AddTask(lo); err != nil {
@@ -183,7 +181,7 @@ func TestFixedPriorityExactDeadlineMeets(t *testing.T) {
 	var outAt []uint64
 	task := &Task{Name: "edge", Period: 10, Deadline: 4, Priority: 1,
 		Slice:  (&sliceBody{name: "edge", total: 4}).slice,
-		Output: func(now uint64, _ map[string]value.Value) { outAt = append(outAt, now) }}
+		Output: func(now uint64) { outAt = append(outAt, now) }}
 	if err := s.AddTask(task); err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +247,7 @@ func TestFixedPrioritySuspension(t *testing.T) {
 			}
 			return body.slice(release, now, budget)
 		},
-		Output: func(now uint64, _ map[string]value.Value) { outAt = append(outAt, now) }}
+		Output: func(now uint64) { outAt = append(outAt, now) }}
 	if err := s.AddTask(task); err != nil {
 		t.Fatal(err)
 	}
@@ -288,9 +286,9 @@ func TestCooperativeIgnoresPriority(t *testing.T) {
 	var order []string
 	mk := func(name string, prio int) *Task {
 		return &Task{Name: name, Period: 10, Deadline: 10, Priority: prio,
-			Execute: func(now uint64, _ map[string]value.Value) (map[string]value.Value, uint64, error) {
+			Slice: func(release, now, budget uint64) (uint64, bool, error) {
 				order = append(order, fmt.Sprintf("%s@%d", name, now))
-				return nil, 3, nil
+				return 3, true, nil
 			}}
 	}
 	if err := s.AddTask(mk("low", 1)); err != nil {

@@ -1,19 +1,13 @@
 package dtm
 
-import (
-	"testing"
-
-	"repro/internal/value"
-)
+import "testing"
 
 // rtaTask builds a task shell with a budgeted WCET for the analysis.
 func rtaTask(name string, wcet, period, deadline uint64, prio int) *Task {
 	return &Task{
 		Name: name, Period: period, Deadline: deadline, Priority: prio,
 		WorstNs: wcet,
-		Execute: func(now uint64, in map[string]value.Value) (map[string]value.Value, uint64, error) {
-			return nil, 0, nil
-		},
+		Slice:   run,
 	}
 }
 

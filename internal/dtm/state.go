@@ -4,17 +4,17 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-
-	"repro/internal/value"
 )
 
 // Explicit-state forms of the scheduler: per-task accounting and release
 // rhythm, the FixedPriority job set (ready, suspended, running, and
-// completed-but-unlatched jobs), and the cooperative pending output
-// latches. Together with KernelState this is "the complete execution state
-// of the kernel as a value" — every pending kernel event the scheduler
-// owns is recorded as (instant, sequence number) and re-armed on restore,
-// so equal-timestamp tie-breaks replay exactly.
+// completed-but-unlatched jobs), and the pending output latches — every
+// cooperative release's, and the ones DeferOutput made up after a
+// suspension. Together with KernelState this is "the complete execution
+// state of the kernel as a value" — every pending kernel event the
+// scheduler owns is recorded as (instant, sequence number) and re-armed on
+// restore, so equal-timestamp tie-breaks replay exactly. Task values are
+// not part of it: they live in the bodies (board RAM on a target).
 
 // TaskState is the portable form of one task's accounting and rhythm.
 type TaskState struct {
@@ -34,11 +34,9 @@ type TaskState struct {
 
 // JobState is the portable form of one release-turned-job (FixedPriority).
 type JobState struct {
-	Task    string                   `json:"task"`
-	Release uint64                   `json:"release"`
-	Seq     uint64                   `json:"seq"`
-	In      map[string]value.Encoded `json:"in,omitempty"`
-	Out     map[string]value.Encoded `json:"out,omitempty"`
+	Task    string `json:"task"`
+	Release uint64 `json:"release"`
+	Seq     uint64 `json:"seq"`
 
 	UsedNs    uint64 `json:"usedNs,omitempty"`
 	Done      bool   `json:"done,omitempty"`
@@ -53,12 +51,11 @@ type JobState struct {
 	EndSeq   uint64 `json:"endSeq,omitempty"`
 }
 
-// PendingOutputState is one cooperative output latch in flight.
+// PendingOutputState is one output latch in flight.
 type PendingOutputState struct {
-	Task string                   `json:"task"`
-	At   uint64                   `json:"at"`
-	Seq  uint64                   `json:"seq"`
-	Out  map[string]value.Encoded `json:"out,omitempty"`
+	Task string `json:"task"`
+	At   uint64 `json:"at"`
+	Seq  uint64 `json:"seq"`
 }
 
 // JobRef identifies a job across snapshot and restore.
@@ -135,7 +132,6 @@ func (s *Scheduler) Snapshot() SchedulerState {
 	for _, j := range s.liveJobs() {
 		st.Jobs = append(st.Jobs, JobState{
 			Task: j.t.Name, Release: j.release, Seq: j.seq,
-			In: value.EncodeMap(j.in), Out: value.EncodeMap(j.out),
 			UsedNs: j.usedNs, Done: j.done, Failed: j.failed,
 			Suspended: j.suspended, Latched: j.latched,
 			Running: j == s.running,
@@ -149,7 +145,7 @@ func (s *Scheduler) Snapshot() SchedulerState {
 	for i := range s.pending {
 		po := &s.pending[i]
 		st.Pending = append(st.Pending, PendingOutputState{
-			Task: po.t.Name, At: po.at, Seq: po.seq, Out: value.EncodeMap(po.out),
+			Task: po.t.Name, At: po.at, Seq: po.seq,
 		})
 	}
 	return st
@@ -219,17 +215,9 @@ func (s *Scheduler) Restore(st SchedulerState) error {
 		if !ok {
 			return fmt.Errorf("dtm: restore job of unknown task %q", js.Task)
 		}
-		in, err := value.DecodeMap(js.In)
-		if err != nil {
-			return fmt.Errorf("dtm: restore job %s/%d: %w", js.Task, js.Seq, err)
-		}
-		out, err := value.DecodeMap(js.Out)
-		if err != nil {
-			return fmt.Errorf("dtm: restore job %s/%d: %w", js.Task, js.Seq, err)
-		}
 		j := s.newJob()
 		*j = job{
-			t: t, release: js.Release, seq: js.Seq, in: in, out: out,
+			t: t, release: js.Release, seq: js.Seq,
 			usedNs: js.UsedNs, done: js.Done, failed: js.Failed,
 			suspended: js.Suspended, latched: js.Latched,
 			endAt: js.EndAt, willDone: js.WillDone,
@@ -273,11 +261,7 @@ func (s *Scheduler) Restore(st SchedulerState) error {
 		if !ok {
 			return fmt.Errorf("dtm: restore pending output of unknown task %q", ps.Task)
 		}
-		out, err := value.DecodeMap(ps.Out)
-		if err != nil {
-			return fmt.Errorf("dtm: restore pending output %s: %w", ps.Task, err)
-		}
-		s.pending = append(s.pending, pendingOutput{t: t, at: ps.At, seq: ps.Seq, out: out})
+		s.pending = append(s.pending, pendingOutput{t: t, at: ps.At, seq: ps.Seq})
 		if err := s.K.Rearm(ps.At, ps.Seq, s.outputFn(t)); err != nil {
 			return fmt.Errorf("dtm: restore pending output %s: %w", ps.Task, err)
 		}

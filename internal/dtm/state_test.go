@@ -11,28 +11,28 @@ import (
 // publishLog records Output publications for timeline comparison.
 type publishLog struct{ lines []string }
 
-func (p *publishLog) output(name string) func(uint64, map[string]value.Value) {
-	return func(now uint64, out map[string]value.Value) {
-		p.lines = append(p.lines, fmt.Sprintf("%s@%d=%v", name, now, out["x"]))
+// output logs name's publication of the value its release at now-deadline
+// computed, v plus that release instant.
+func (p *publishLog) output(name string, deadline uint64, v int64) func(uint64) {
+	return func(now uint64) {
+		p.lines = append(p.lines, fmt.Sprintf("%s@%d=%d", name, now, v+int64(now-deadline)))
 	}
 }
 
-// cooperativeRig builds a two-task cooperative schedule whose outputs
-// carry latched value maps (the pending-output path).
+// cooperativeRig builds a two-task cooperative schedule whose deadline
+// latches are pending when it is snapshotted (the pending-output path).
 func cooperativeRig() (*Kernel, *Scheduler, *publishLog) {
 	k := NewKernel()
 	s := NewScheduler(k)
 	log := &publishLog{}
-	// Bodies are pure functions of the release instant: closure-held state
-	// is invisible to the scheduler snapshot by design (real targets keep
-	// body state in RAM, captured by the board layer).
+	// Published values are pure functions of the release instant:
+	// closure-held state is invisible to the scheduler snapshot by design
+	// (real targets keep body state in RAM, captured by the board layer).
 	mk := func(name string, period, deadline, cost uint64, v int64) *Task {
 		return &Task{
 			Name: name, Period: period, Deadline: deadline,
-			Execute: func(now uint64, in map[string]value.Value) (map[string]value.Value, uint64, error) {
-				return map[string]value.Value{"x": value.I(v + int64(now))}, cost, nil
-			},
-			Output: log.output(name),
+			Slice:  costs(cost),
+			Output: log.output(name, deadline, v),
 		}
 	}
 	_ = s.AddTask(mk("a", 1000, 700, 100, 1))
@@ -43,7 +43,7 @@ func cooperativeRig() (*Kernel, *Scheduler, *publishLog) {
 
 // TestSchedulerSnapshotRestoreCooperative snapshots mid-run with output
 // latches pending and verifies the restored timeline publishes the very
-// same sequence — including the deep-copied pending value maps.
+// same sequence at the very same instants.
 func TestSchedulerSnapshotRestoreCooperative(t *testing.T) {
 	k, s, log := cooperativeRig()
 	k.RunUntil(3100) // releases at 3000 done; latches at 3700/3500 pending
@@ -116,7 +116,7 @@ func TestSchedulerSnapshotRestoreFixedPriority(t *testing.T) {
 					remaining -= run
 					return run, remaining == 0, nil
 				},
-				Output: func(now uint64, out map[string]value.Value) {
+				Output: func(now uint64) {
 					*events = append(*events, ev{"out", name, now})
 				},
 			}
@@ -169,9 +169,10 @@ func TestNetworkSnapshotInflight(t *testing.T) {
 		got = append(got, fmt.Sprintf("%s@%d=%v", sig, now, new))
 	}
 
-	net.Send("s", value.F(1), dst)
+	src := net.Sender("src")
+	src.Send("s", value.F(1), dst)
 	k.RunUntil(200)
-	net.Send("q", value.I(7), dst)
+	src.Send("q", value.I(7), dst)
 	if net.Inflight() != 2 {
 		t.Fatalf("inflight = %d", net.Inflight())
 	}
@@ -200,7 +201,7 @@ func TestNetworkSnapshotInflight(t *testing.T) {
 
 	// Unbound destination: snapshot must refuse.
 	net2 := NewNetwork(k, 10)
-	net2.Send("x", value.B(true), NewStore(nil))
+	net2.Sender("src").Send("x", value.B(true), NewStore(nil))
 	if _, err := net2.Snapshot(); err == nil {
 		t.Fatal("expected error for in-flight frame to unbound store")
 	}

@@ -81,21 +81,17 @@ type Board struct {
 	portA   *serial.Port // target-side UART endpoint
 	portB   *serial.Port // host-side UART endpoint
 	dec     protocol.Decoder
-	units   map[string]*codegen.Unit
-	exec    map[string]*unitExec // per-unit plans and pooled VM state
+	exec    map[string]*unitExec // per-unit task, plans and pooled VM state
 	seq     uint16
 	cycles  uint64
 	instr   uint64
 	lastErr error
 
-	// agent is the target-resident breakpoint/step agent; susp holds a
-	// release interrupted mid-body by it (resumed by Resume/InResume).
+	// agent is the target-resident breakpoint/step agent; susp is the unit
+	// whose cooperative release it interrupted mid-body (continued by
+	// Resume/InResume). FixedPriority suspensions stay with the scheduler.
 	agent *breakAgent
-	susp  *suspended
-	// deferred are made-up deadline latches (skipped while suspended at a
-	// breakpoint) awaiting their original instants — explicit records so a
-	// snapshot can carry them.
-	deferred []*deferredLatch
+	susp  *unitExec
 	// dropsSeen is the last FramesDropped count reported over the wire.
 	dropsSeen uint64
 	// wire is the reused frame encode buffer; the UART copies each frame
@@ -142,7 +138,6 @@ func NewBoard(name string, prog *codegen.Program, cfg Config, kernel *dtm.Kernel
 		ram:    make([]byte, prog.Symbols.RAMSize()),
 		portA:  link.PortA(),
 		portB:  link.PortB(),
-		units:  map[string]*codegen.Unit{},
 		exec:   map[string]*unitExec{},
 	}
 	b.slots = make([]symSlot, prog.Symbols.Len())
@@ -162,10 +157,9 @@ func NewBoard(name string, prog *codegen.Program, cfg Config, kernel *dtm.Kernel
 	}
 
 	for _, u := range prog.Units {
-		if _, dup := b.units[u.Name]; dup {
+		if _, dup := b.exec[u.Name]; dup {
 			return nil, fmt.Errorf("target: duplicate unit %q", u.Name)
 		}
-		b.units[u.Name] = u
 		b.exec[u.Name] = &unitExec{u: u}
 	}
 	for _, ue := range b.exec {
@@ -184,29 +178,20 @@ func NewBoard(name string, prog *codegen.Program, cfg Config, kernel *dtm.Kernel
 	}
 
 	for _, u := range prog.Units {
-		unit := u
 		ue := b.exec[u.Name]
-		if err := b.sched.AddTask(&dtm.Task{
-			Name:     unit.Name,
-			Period:   unit.Period,
-			Offset:   unit.Offset,
-			Deadline: unit.Deadline,
-			Priority: unit.Priority,
-			Latch: func(now uint64) map[string]value.Value {
-				b.release(ue, now)
-				return nil
-			},
-			Execute: func(now uint64, _ map[string]value.Value) (map[string]value.Value, uint64, error) {
-				cost, err := b.execute(unit, now)
-				return nil, cost, err
-			},
+		ue.task = &dtm.Task{
+			Name:     u.Name,
+			Period:   u.Period,
+			Offset:   u.Offset,
+			Deadline: u.Deadline,
+			Priority: u.Priority,
+			Latch:    func(now uint64) { b.release(ue, now) },
 			Slice: func(release, now, budgetNs uint64) (uint64, bool, error) {
 				return b.sliceUnit(ue, release, now, budgetNs)
 			},
-			Output: func(now uint64, _ map[string]value.Value) {
-				b.deadline(ue, now)
-			},
-		}); err != nil {
+			Output: func(now uint64) { b.deadline(ue, now) },
+		}
+		if err := b.sched.AddTask(ue.task); err != nil {
 			return nil, err
 		}
 	}
@@ -214,20 +199,22 @@ func NewBoard(name string, prog *codegen.Program, cfg Config, kernel *dtm.Kernel
 	return b, nil
 }
 
-// unitExec is the per-unit runtime record: the deadline plan and, on a
-// cluster board, the off-node inputs, both resolved at build time; a small
-// pool of reusable VM machines (stacks and emit buffers retained across
-// releases); and the machine of the release currently in flight under the
-// preemptive policy.
+// unitExec is the per-unit runtime record: its scheduler task; the
+// deadline plan and, on a cluster board, the off-node inputs, both
+// resolved at build time; a small pool of reusable VM machines (stacks and
+// emit buffers retained across releases); and the machine of the release
+// currently in flight — between preemptive slices, or suspended at a
+// breakpoint under either policy.
 type unitExec struct {
 	u     *codegen.Unit
+	task  *dtm.Task
 	plan  deadlinePlan
 	netIn []netInput
 	idle  []*codegen.Machine
 
-	m      *codegen.Machine   // machine of the active (sliced) release
+	m      *codegen.Machine   // machine of the active release
 	rel    uint64             // its release instant
-	active bool               // a release is mid-body across slices
+	active bool               // a release is mid-body
 	prev   codegen.ExecResult // portion already accounted and flushed
 }
 
@@ -296,11 +283,11 @@ func (b *Board) planDeadline(u *codegen.Unit, bindings []comdes.Binding) deadlin
 		if bind.FromActor != u.Name {
 			continue
 		}
-		dst, ok := b.units[bind.ToActor]
+		dst, ok := b.exec[bind.ToActor]
 		if !ok {
 			continue
 		}
-		in, ok := dst.InputSyms[bind.ToPort]
+		in, ok := dst.u.InputSyms[bind.ToPort]
 		if !ok {
 			continue
 		}
@@ -448,11 +435,11 @@ func (b *Board) ResponseTimeAnalysis() ([]dtm.RTAResult, error) {
 // sensor path); it lands in the __io symbol and is latched at the actor's
 // next release.
 func (b *Board) WriteInput(actor, port string, v value.Value) error {
-	u, ok := b.units[actor]
+	ue, ok := b.exec[actor]
 	if !ok {
 		return fmt.Errorf("target: unknown actor %q", actor)
 	}
-	idx, ok := u.InputSyms[port]
+	idx, ok := ue.u.InputSyms[port]
 	if !ok {
 		return fmt.Errorf("target: actor %s has no input %q", actor, port)
 	}
@@ -478,11 +465,11 @@ func (b *Board) writeInput(actor, port string, idx int, v value.Value) error {
 // ReadOutput reads an actor's published output port (the value latched at
 // the most recent deadline instant).
 func (b *Board) ReadOutput(actor, port string) (value.Value, error) {
-	u, ok := b.units[actor]
+	ue, ok := b.exec[actor]
 	if !ok {
 		return value.Value{}, fmt.Errorf("target: unknown actor %q", actor)
 	}
-	idx, ok := u.OutputSyms[port]
+	idx, ok := ue.u.OutputSyms[port]
 	if !ok {
 		return value.Value{}, fmt.Errorf("target: actor %s has no output %q", actor, port)
 	}
@@ -492,7 +479,7 @@ func (b *Board) ReadOutput(actor, port string) (value.Value, error) {
 // String summarises the board state in one line.
 func (b *Board) String() string {
 	return fmt.Sprintf("board %s: t=%dns cycles=%d (instr %d) tasks=%d halted=%v",
-		b.Name, b.Now(), b.cycles, b.instr, len(b.units), b.Halted())
+		b.Name, b.Now(), b.cycles, b.instr, len(b.exec), b.Halted())
 }
 
 // WriteString writes a multi-line status report (clock, cycle split, UART

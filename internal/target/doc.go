@@ -22,15 +22,16 @@
 //
 // # Scheduling policies
 //
-// Config.Sched selects how releases become CPU time. Under dtm.Cooperative
-// (the default) every release runs to completion at its release instant at
-// zero modeled preemption cost; TaskSpec.Priority is ignored and a miss
-// means "the body's own cost exceeds the deadline". Under
-// dtm.FixedPriority each release is a resumable job: the board keeps one
-// persistent codegen.Machine per unit (pooled across releases), executes
-// bodies in budgeted VM slices bounded by the next release instant of any
-// task, and a higher-priority release preempts the running body at the
-// instruction boundary where its slice ends. Each context switch costs
+// Config.Sched selects how releases become CPU time. Both policies run a
+// body through one path, the task's Slice hook on a pooled
+// codegen.Machine per unit. Under dtm.Cooperative (the default) every
+// release is one slice with the dtm.Unbounded budget, run to completion
+// at its release instant at zero modeled preemption cost;
+// TaskSpec.Priority is ignored and a miss means "the body's own cost
+// exceeds the deadline". Under dtm.FixedPriority each release is a
+// resumable job executed in budgeted VM slices bounded by the next
+// release instant of any task, and a higher-priority release preempts the
+// running body at the instruction boundary where its slice ends. Each context switch costs
 // DefaultCtxSwitchCycles of CPU; preemptions and deadline misses are
 // announced with EvPreempt / EvDeadlineMiss frames and mirrored into the
 // kernel-maintained "<actor>.__preempts" / "<actor>.__misses" RAM symbols,
@@ -54,8 +55,8 @@
 //	                         suppressed (ErrSuspended)   queue, latch suppressed
 //	resume after suspension  interrupted body finishes   job re-enters the ready
 //	                         first, then the skipped     queue; priority order
-//	                         latch is made up            decides what runs; the
-//	                                                     made-up latch publishes
+//	                         latch is made up (a         decides what runs; the
+//	                         scheduler pending output)   made-up latch publishes
 //	                                                     at completion
 //	host Halt (InPause)      releases skipped, rhythm    releases skipped; a job
 //	                         kept; pre-latched outputs   caught mid-body freezes
@@ -125,7 +126,8 @@
 //     (EvStepped for a completed step). Resume finishes the interrupted
 //     body — re-suspending if a still-true condition re-trips — and makes
 //     up the skipped latch at its original deadline instant when that is
-//     still ahead, immediately (a late publish) otherwise.
+//     still ahead, immediately (a late publish) otherwise. A made-up latch
+//     is a scheduler pending output like any cooperative release's.
 //   - Host-side (halt-after-frame): the session can only react once the
 //     event frame has crossed the UART (or a JTAG poll has sampled RAM),
 //     at least one frame-time after the fact. By then the release body has
@@ -247,11 +249,11 @@
 //	scheduler  per-task accounting (releases,      pending releases/latches/slice
 //	(dtm)      misses, exec/response times),       ends re-armed; the ready heap,
 //	           release rhythm (next instant +      suspended jobs and the job on the
-//	           seq), FixedPriority job set (in/    CPU are rebuilt; cooperative
-//	           out latch maps deep-copied), the    pending outputs re-armed with
-//	           running slice (end instant,         their deep-copied value maps
-//	           will-complete), cooperative
-//	           pending output latches
+//	           seq), FixedPriority job set, the    CPU are rebuilt; pending outputs
+//	           running slice (end instant,         re-armed (a checkpoint's board
+//	           will-complete), pending output      "deferred" latch records, written
+//	           latches (cooperative and made-up)   before the scheduler kept them,
+//	                                               fold in by deadline)
 //	VM         per-unit mid-release machines:      fresh Machine per parked release
 //	(codegen)  PC, operand stack, halt flag,       (never aliases the source pool);
 //	           accumulated cycles/steps/emits      resumes at the exact instruction
@@ -264,10 +266,10 @@
 //	           counts), step arm, check round      order; hot flags preserved so trip
 //	                                               timing and sticky re-suspend
 //	                                               survive the rewind
-//	susp       the release interrupted by the      machine rebuilt; Resume finishes
-//	           agent (unit, release instant,       the body and makes up the skipped
-//	           machine, accounted prefix) plus     latch exactly as the live board
-//	           deferred made-up latches            would have
+//	susp       the cooperative release inter-      machine rebuilt; Resume finishes
+//	           rupted by the agent (unit, release  the body and makes up the skipped
+//	           instant, machine, accounted         latch exactly as the live board
+//	           prefix)                             would have
 //	serial     both directions: bytes in flight    bytes land at their original
 //	           with arrival instants, undrained    instants; a frame straddling the
 //	           rx, line-busy horizon, stats        checkpoint is not torn

@@ -50,45 +50,17 @@ func (b *Board) relatch(ue *unitExec) {
 	}
 }
 
-// execute runs the unit body to completion on a pooled VM machine —
-// the Cooperative policy's release path. Cycles are accounted and any
-// instrumentation events raised by OpEmit go on the wire. It returns the
-// virtual execution cost so the scheduler can detect deadline overruns.
-// When the breakpoint agent halts the VM mid-body, the release is
-// suspended: the machine is kept for resumption, an EvBreak/EvStepped
-// frame stamped with the triggering instruction's virtual time goes on
-// the wire, and dtm.ErrSuspended tells the scheduler to skip the deadline
-// latch.
-func (b *Board) execute(u *codegen.Unit, now uint64) (uint64, error) {
-	ue := b.exec[u.Name]
-	m := ue.acquire(b)
-	m.Hook = b.agent.hook()
-	res, err := m.Run()
-	b.account(res)
-	b.flushEmits(now, res.Emits)
-	cost := b.cyclesToNs(res.Cycles)
-	if err != nil {
-		ue.recycle(m)
-		return cost, err
-	}
-	if res.BreakPC >= 0 {
-		b.susp = &suspended{u: u, ue: ue, m: m, rel: now, prev: res}
-		b.sched.Halt()
-		b.send(b.agent.hitEvent(now + cost))
-		return cost, dtm.ErrSuspended
-	}
-	ue.recycle(m)
-	return cost, nil
-}
-
-// sliceUnit runs one budgeted slice of a release under the FixedPriority
-// policy — the dtm.Task.Slice hook. The first slice of a release acquires
-// a pooled machine; later slices continue it from the interrupted
-// instruction. Cycles and emits are accounted as deltas against the
-// portion already charged, so a release preempted five times costs
-// exactly what it costs uninterrupted (plus context switches). A
-// breakpoint hit inside any slice suspends the release exactly as in the
-// cooperative path, with the machine parked for resumption.
+// sliceUnit runs one slice of a release: the dtm.Task.Slice hook, the one
+// body path of both policies. A Cooperative release is one slice with the
+// dtm.Unbounded budget: the body runs to completion and costs the
+// full-precision floor of its cycles. A FixedPriority release runs in
+// budgeted slices, each rounded up so that any nonzero slice consumes
+// virtual time. The first slice of a release acquires a pooled machine;
+// later slices continue it from the interrupted instruction. When the
+// breakpoint agent halts the VM mid-body, the release is suspended: the
+// machine is kept for resumption, an EvBreak/EvStepped frame stamped with
+// the triggering instruction's virtual time goes on the wire, and
+// dtm.ErrSuspended tells the scheduler to skip the deadline latch.
 func (b *Board) sliceUnit(ue *unitExec, release, now, budgetNs uint64) (uint64, bool, error) {
 	if !ue.active || ue.rel != release {
 		ue.m = ue.acquire(b)
@@ -96,38 +68,86 @@ func (b *Board) sliceUnit(ue *unitExec, release, now, budgetNs uint64) (uint64, 
 		ue.active = true
 		ue.prev = codegen.ExecResult{BreakPC: -1}
 	}
-	m := ue.m
-	m.Hook = b.agent.hook() // breakpoints may have changed between slices
-	budget := b.nsToCycles(budgetNs)
-	if budget == 0 {
-		budget = 1 // always make progress, even on sub-cycle budgets
+	bounded := budgetNs != dtm.Unbounded
+	budget := uint64(dtm.Unbounded)
+	if bounded {
+		budget = max(b.nsToCycles(budgetNs), 1) // always make progress, even on sub-cycle budgets
 	}
-	res, err := m.RunBudget(budget)
-	delta := res.Cycles - ue.prev.Cycles
-	b.cycles += delta
-	b.instr += res.CheckCycles - ue.prev.CheckCycles
-	newEmits := res.Emits[len(ue.prev.Emits):]
-	b.instr += uint64(len(newEmits)) * codegen.EmitCycles
-	b.flushEmits(now, newEmits)
-	used := b.cyclesToNsCeil(delta)
+	cycles, hit, err := b.runBody(ue, now, budget)
+	used := b.cyclesToNs(cycles)
+	if bounded {
+		used = b.cyclesToNsCeil(cycles)
+	}
 	if err != nil {
-		ue.active = false
-		ue.recycle(m)
 		return used, false, err
 	}
-	if res.BreakPC >= 0 {
-		ue.prev = res
+	if hit {
+		if b.sched.Policy == dtm.Cooperative {
+			b.susp = ue // the scheduler is done with the release; Resume continues it
+		}
 		b.sched.Halt()
 		b.send(b.agent.hitEvent(now + used))
 		return used, false, dtm.ErrSuspended
 	}
-	if m.Done() {
-		ue.active = false
+	return used, !ue.active, nil
+}
+
+// runBody continues ue's release on its machine for up to budget cycles.
+// Cycles, check cycles and emits are charged as deltas against the portion
+// already accounted, so a release run in several pieces costs exactly what
+// it costs in one (plus context switches). The machine goes back to the
+// pool when the release finishes or fails; a breakpoint hit (hit) leaves
+// it parked. cycles is what this run consumed.
+func (b *Board) runBody(ue *unitExec, now, budget uint64) (cycles uint64, hit bool, err error) {
+	m := ue.m
+	m.Hook = b.agent.hook() // breakpoints may have changed since the last run
+	res, err := m.RunBudget(budget)
+	cycles = res.Cycles - ue.prev.Cycles
+	b.cycles += cycles
+	b.instr += res.CheckCycles - ue.prev.CheckCycles
+	newEmits := res.Emits[len(ue.prev.Emits):]
+	b.instr += uint64(len(newEmits)) * codegen.EmitCycles
+	b.flushEmits(now, newEmits)
+	if err != nil || (res.BreakPC < 0 && m.Done()) {
+		ue.active, ue.m = false, nil
 		ue.recycle(m)
-		return used, true, nil
+		return cycles, false, err
 	}
 	ue.prev = res
-	return used, false, nil
+	return cycles, res.BreakPC >= 0, nil
+}
+
+// runSuspended continues the cooperative release the breakpoint agent
+// interrupted (a FixedPriority suspension is continued by the scheduler,
+// which re-dispatches the parked job on Resume, so this is a no-op there):
+// the VM runs on from the instruction after the hit to completion, and
+// the deadline latch that dtm.ErrSuspended skipped is made up — as a
+// scheduler pending output at the original deadline instant when that is
+// still ahead, immediately (a late publish) otherwise. Re-hitting a
+// breakpoint during the continuation re-suspends, stamped at the resume
+// instant.
+func (b *Board) runSuspended() {
+	ue := b.susp
+	if ue == nil || b.sched.Halted() {
+		return
+	}
+	now := b.kernel.Now()
+	_, hit, err := b.runBody(ue, now, dtm.Unbounded)
+	switch {
+	case err != nil:
+		b.susp = nil
+		b.fail(err)
+	case hit:
+		b.sched.Halt()
+		b.send(b.agent.hitEvent(now))
+	default:
+		b.susp = nil
+		if d := ue.rel + ue.u.Deadline; d > now {
+			b.sched.DeferOutput(ue.task, d)
+		} else {
+			b.deadline(ue, now)
+		}
+	}
 }
 
 // missed is the FixedPriority scheduler's deadline-miss hook, invoked at
@@ -137,7 +157,7 @@ func (b *Board) sliceUnit(ue *unitExec, release, now, budgetNs uint64) (uint64, 
 // conditions over the counter are checked — so "break on deadline miss"
 // halts the board at the miss itself.
 func (b *Board) missed(now uint64, t *dtm.Task) {
-	u := b.units[t.Name]
+	u := b.exec[t.Name].u
 	name := b.Prog.Symbols.Sym(u.MissSym).Name
 	if err := b.StoreSym(u.MissSym, value.I(int64(t.DeadlineMisses))); err != nil {
 		b.fail(err)
@@ -153,7 +173,7 @@ func (b *Board) missed(now uint64, t *dtm.Task) {
 // RAM, EvPreempt on the wire, breakpoint conditions over __preempts
 // checked at the preemption boundary.
 func (b *Board) preempted(now uint64, t, by *dtm.Task) {
-	u := b.units[t.Name]
+	u := b.exec[t.Name].u
 	name := b.Prog.Symbols.Sym(u.PreemptSym).Name
 	if err := b.StoreSym(u.PreemptSym, value.I(int64(t.Preemptions))); err != nil {
 		b.fail(err)
@@ -225,76 +245,6 @@ func (b *Board) cyclesToNsCeil(cycles uint64) uint64 {
 // nsToCycles converts a slice budget to VM cycles (floor).
 func (b *Board) nsToCycles(ns uint64) uint64 {
 	return ns * b.cfg.CPUHz / 1_000_000_000
-}
-
-// suspended is one release interrupted mid-body by the breakpoint agent
-// under the Cooperative policy.
-type suspended struct {
-	u    *codegen.Unit
-	ue   *unitExec
-	m    *codegen.Machine
-	rel  uint64             // release instant
-	prev codegen.ExecResult // portion already accounted and flushed
-}
-
-// runSuspended finishes a release interrupted by the breakpoint agent:
-// the VM continues from the instruction after the hit, newly raised emits
-// and cycles are accounted as a delta, and the deadline latch that
-// dtm.ErrSuspended skipped is made up. Re-hitting a breakpoint during the
-// continuation re-suspends. Under the FixedPriority policy suspensions
-// live inside the scheduler's job queue instead (b.susp stays nil), so
-// this is a no-op there.
-func (b *Board) runSuspended() {
-	if b.susp == nil || b.sched.Halted() {
-		return
-	}
-	s := b.susp
-	s.m.Hook = b.agent.hook() // breakpoints may have changed while halted
-	res, err := s.m.Run()
-	now := b.kernel.Now()
-	b.cycles += res.Cycles - s.prev.Cycles
-	b.instr += res.CheckCycles - s.prev.CheckCycles
-	newEmits := res.Emits[len(s.prev.Emits):]
-	b.instr += uint64(len(newEmits)) * codegen.EmitCycles
-	b.flushEmits(now, newEmits)
-	if err != nil {
-		b.susp = nil
-		s.ue.recycle(s.m)
-		b.fail(err)
-		return
-	}
-	if res.BreakPC >= 0 {
-		s.prev = res
-		b.sched.Halt()
-		b.send(b.agent.hitEvent(now))
-		return
-	}
-	b.susp = nil
-	s.ue.recycle(s.m)
-	if d := s.rel + s.u.Deadline; d > now {
-		b.deferLatch(s.ue, d)
-	} else {
-		b.deadline(s.ue, now)
-	}
-}
-
-// deferLatch arms a made-up deadline latch as an explicit record (part of
-// the board snapshot) instead of a bare closure.
-func (b *Board) deferLatch(ue *unitExec, at uint64) {
-	dl := &deferredLatch{ue: ue, at: at}
-	b.deferred = append(b.deferred, dl)
-	dl.seq, _ = b.kernel.ScheduleTagged(at, func(n uint64) { b.fireDeferred(dl, n) })
-}
-
-// fireDeferred runs one made-up latch and retires its record.
-func (b *Board) fireDeferred(dl *deferredLatch, now uint64) {
-	for i, d := range b.deferred {
-		if d == dl {
-			b.deferred = append(b.deferred[:i], b.deferred[i+1:]...)
-			break
-		}
-	}
-	b.deadline(dl.ue, now)
 }
 
 // deadline runs at the task's deadline instant: working outputs are
@@ -474,16 +424,14 @@ func (b *Board) service(in protocol.Instruction, now uint64) {
 		b.sched.Halt()
 		b.send(protocol.Event{Type: protocol.EvHalted, Time: now, Source: b.Name})
 	case protocol.InResume:
-		b.sched.Resume()
-		b.runSuspended()
+		b.Resume()
 		b.send(protocol.Event{Type: protocol.EvResumed, Time: now, Source: b.Name})
 	case protocol.InStep:
 		// Run-to-next-model-event: arm the step, then resume. A release
 		// suspended at a breakpoint continues first and may complete the
 		// step immediately at its next emit.
 		b.agent.stepArm = true
-		b.sched.Resume()
-		b.runSuspended()
+		b.Resume()
 	case protocol.InSetBreak:
 		// A malformed condition is dropped on the floor like any damaged
 		// instruction; the host validated the expression before sending.

@@ -3,7 +3,7 @@ package target
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/codegen"
 	"repro/internal/dtm"
@@ -13,25 +13,19 @@ import (
 
 // Explicit-state forms of the board: "the complete execution state of a
 // board" as one copyable, JSON-serializable value. A BoardState captures
-// every layer the firmware owns — RAM symbols, the scheduler's job set and
-// release rhythm, the UART line with frames in flight, the protocol
-// decoder mid-frame, the breakpoint agent's armed predicates (hot and
-// sticky flags included), pooled VM machines parked mid-release, and the
-// made-up deadline latches a suspension deferred. Restore rewinds a board
-// built from the same program to that exact instant; because every pending
-// kernel event is re-armed with its original sequence number, resuming
-// reproduces the original timeline byte-for-byte on the wire.
+// every layer the firmware owns — RAM symbols, the scheduler's job set,
+// release rhythm and pending deadline latches (the made-up latch of a
+// resumed suspension among them), the UART line with frames in flight, the
+// protocol decoder mid-frame, the breakpoint agent's armed predicates (hot
+// and sticky flags included), and the VM machines parked mid-release.
+// Restore rewinds a board built from the same program to that exact
+// instant; because every pending kernel event is re-armed with its
+// original sequence number, resuming reproduces the original timeline
+// byte-for-byte on the wire.
 //
 // Snapshot is valid at RunFor/RunUntil boundaries (the kernel quiescent
 // points); host-side state (session trace, GDM animation) is captured
 // separately by internal/checkpoint.
-
-// deferredLatch is one made-up deadline latch awaiting its instant.
-type deferredLatch struct {
-	ue  *unitExec
-	at  uint64
-	seq uint64
-}
 
 // UnitExecState is the mid-release VM state of one unit under the
 // preemptive policy (nil machine = no release in flight).
@@ -43,7 +37,7 @@ type UnitExecState struct {
 }
 
 // SuspState is a release interrupted mid-body by the breakpoint agent
-// under the cooperative policy.
+// under the cooperative policy (Board.susp).
 type SuspState struct {
 	Unit string                  `json:"unit"`
 	Rel  uint64                  `json:"rel"`
@@ -68,7 +62,9 @@ type AgentState struct {
 	StepArm bool         `json:"stepArm,omitempty"`
 }
 
-// DeferredLatchState is one pending made-up deadline latch.
+// DeferredLatchState is one made-up deadline latch as checkpoints wrote it
+// while the board kept those latches itself. Restore folds it into the
+// scheduler's pending outputs; Snapshot never writes one.
 type DeferredLatchState struct {
 	Unit string `json:"unit"`
 	At   uint64 `json:"at"`
@@ -98,7 +94,7 @@ type BoardState struct {
 	Agent    AgentState               `json:"agent,omitempty"`
 	Units    map[string]UnitExecState `json:"units,omitempty"`
 	Susp     *SuspState               `json:"susp,omitempty"`
-	Deferred []DeferredLatchState     `json:"deferred,omitempty"`
+	Deferred []DeferredLatchState     `json:"deferred,omitempty"` // read only, see DeferredLatchState
 }
 
 // Snapshot captures the board's complete execution state, including its
@@ -137,14 +133,8 @@ func (b *Board) snapshotLocal() (*BoardState, error) {
 	}
 	st.Agent.Round = b.agent.round
 	st.Agent.StepArm = b.agent.stepArm
-	names := make([]string, 0, len(b.exec))
-	for name := range b.exec {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		ue := b.exec[name]
-		if !ue.active {
+	for name, ue := range b.exec {
+		if !ue.active || ue == b.susp {
 			continue
 		}
 		if st.Units == nil {
@@ -156,15 +146,12 @@ func (b *Board) snapshotLocal() (*BoardState, error) {
 			Prev: codegen.EncodeExecResult(ue.prev), M: &m,
 		}
 	}
-	if b.susp != nil {
+	if ue := b.susp; ue != nil {
 		st.Susp = &SuspState{
-			Unit: b.susp.u.Name, Rel: b.susp.rel,
-			Prev: codegen.EncodeExecResult(b.susp.prev),
-			M:    b.susp.m.Snapshot(),
+			Unit: ue.u.Name, Rel: ue.rel,
+			Prev: codegen.EncodeExecResult(ue.prev),
+			M:    ue.m.Snapshot(),
 		}
-	}
-	for _, dl := range b.deferred {
-		st.Deferred = append(st.Deferred, DeferredLatchState{Unit: dl.ue.u.Name, At: dl.at, Seq: dl.seq})
 	}
 	return st, nil
 }
@@ -190,7 +177,11 @@ func (b *Board) restoreLocal(st *BoardState) error {
 	if len(st.RAM) != len(b.ram) {
 		return fmt.Errorf("target: restore RAM size %d onto board with %d", len(st.RAM), len(b.ram))
 	}
-	if err := b.sched.Restore(st.Sched); err != nil {
+	sched := st.Sched
+	if len(st.Deferred) > 0 {
+		sched.Pending = foldDeferred(st.Sched.Pending, st.Deferred)
+	}
+	if err := b.sched.Restore(sched); err != nil {
 		return err
 	}
 	copy(b.ram, st.RAM)
@@ -225,23 +216,12 @@ func (b *Board) restoreLocal(st *BoardState) error {
 	// Mid-release VM machines, rebuilt on fresh machines so a restore
 	// never aliases the pool of the board the snapshot came from.
 	for name, ue := range b.exec {
-		us, ok := st.Units[name]
-		if !ok || !us.Active {
-			ue.active = false
-			ue.m = nil
-			ue.rel = 0
-			ue.prev = codegen.ExecResult{BreakPC: -1}
-			continue
+		ue.active, ue.m, ue.rel, ue.prev = false, nil, 0, codegen.ExecResult{BreakPC: -1}
+		if us, ok := st.Units[name]; ok && us.Active {
+			if err := ue.park(b, us.Rel, *us.M, us.Prev); err != nil {
+				return fmt.Errorf("target: restore unit %s: %w", name, err)
+			}
 		}
-		m := codegen.NewMachine(b.Prog, ue.u.Body, b)
-		if err := m.Restore(*us.M); err != nil {
-			return fmt.Errorf("target: restore unit %s machine: %w", name, err)
-		}
-		prev, err := codegen.DecodeExecResult(us.Prev)
-		if err != nil {
-			return fmt.Errorf("target: restore unit %s: %w", name, err)
-		}
-		ue.m, ue.rel, ue.active, ue.prev = m, us.Rel, true, prev
 	}
 	for name := range st.Units {
 		if _, ok := b.exec[name]; !ok {
@@ -251,35 +231,49 @@ func (b *Board) restoreLocal(st *BoardState) error {
 
 	b.susp = nil
 	if st.Susp != nil {
-		u, ok := b.units[st.Susp.Unit]
+		ue, ok := b.exec[st.Susp.Unit]
 		if !ok {
 			return fmt.Errorf("target: restore suspension of unknown unit %q", st.Susp.Unit)
 		}
-		ue := b.exec[st.Susp.Unit]
-		m := codegen.NewMachine(b.Prog, u.Body, b)
-		if err := m.Restore(st.Susp.M); err != nil {
-			return fmt.Errorf("target: restore suspended machine: %w", err)
-		}
-		prev, err := codegen.DecodeExecResult(st.Susp.Prev)
-		if err != nil {
+		if err := ue.park(b, st.Susp.Rel, st.Susp.M, st.Susp.Prev); err != nil {
 			return fmt.Errorf("target: restore suspension: %w", err)
 		}
-		b.susp = &suspended{u: u, ue: ue, m: m, rel: st.Susp.Rel, prev: prev}
-	}
-
-	b.deferred = b.deferred[:0]
-	for _, ds := range st.Deferred {
-		ue, ok := b.exec[ds.Unit]
-		if !ok {
-			return fmt.Errorf("target: restore deferred latch of unknown unit %q", ds.Unit)
-		}
-		dl := &deferredLatch{ue: ue, at: ds.At, seq: ds.Seq}
-		b.deferred = append(b.deferred, dl)
-		if err := b.kernel.Rearm(dl.at, dl.seq, func(n uint64) { b.fireDeferred(dl, n) }); err != nil {
-			return fmt.Errorf("target: restore deferred latch %s: %w", ds.Unit, err)
-		}
+		b.susp = ue
 	}
 	return nil
+}
+
+// park makes a restored release of ue the one in flight, on a fresh
+// machine, with prev the portion already accounted.
+func (ue *unitExec) park(b *Board, rel uint64, ms codegen.MachineState, prev codegen.ExecResultState) error {
+	m := codegen.NewMachine(b.Prog, ue.u.Body, b)
+	if err := m.Restore(ms); err != nil {
+		return fmt.Errorf("machine: %w", err)
+	}
+	res, err := codegen.DecodeExecResult(prev)
+	if err != nil {
+		return err
+	}
+	ue.m, ue.rel, ue.active, ue.prev = m, rel, true, res
+	return nil
+}
+
+// foldDeferred merges the made-up latches of a checkpoint written while the
+// board kept them itself into the scheduler's pending outputs, in deadline
+// order, leaving the checkpoint's own slice untouched. A task is named
+// after its unit.
+func foldDeferred(pending []dtm.PendingOutputState, deferred []DeferredLatchState) []dtm.PendingOutputState {
+	out := slices.Clone(pending)
+	for _, d := range deferred {
+		i := slices.IndexFunc(out, func(p dtm.PendingOutputState) bool {
+			return p.At > d.At || p.At == d.At && p.Seq > d.Seq
+		})
+		if i < 0 {
+			i = len(out)
+		}
+		out = slices.Insert(out, i, dtm.PendingOutputState{Task: d.Unit, At: d.At, Seq: d.Seq})
+	}
+	return out
 }
 
 // ClusterState composes per-node board snapshots with the shared kernel,

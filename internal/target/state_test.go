@@ -2,9 +2,11 @@ package target
 
 import (
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"repro/internal/codegen"
+	"repro/internal/dtm"
 	"repro/internal/protocol"
 )
 
@@ -95,5 +97,24 @@ func TestBoardSnapshotHaltedWithStepArmed(t *testing.T) {
 	if control.Cycles() != fresh.Cycles() || control.Now() != fresh.Now() {
 		t.Fatalf("counters diverge: cycles %d/%d now %d/%d",
 			control.Cycles(), fresh.Cycles(), control.Now(), fresh.Now())
+	}
+}
+
+// TestFoldDeferredKeepsDeadlineOrder: a checkpoint's board-level made-up
+// latches join the scheduler's pending outputs by (instant, sequence
+// number), and the checkpoint's own slice is left as it was.
+func TestFoldDeferredKeepsDeadlineOrder(t *testing.T) {
+	pending := []dtm.PendingOutputState{{Task: "a", At: 100, Seq: 5}, {Task: "b", At: 300, Seq: 9}}
+	deferred := []DeferredLatchState{{Unit: "c", At: 200, Seq: 7}, {Unit: "d", At: 100, Seq: 8}, {Unit: "e", At: 400, Seq: 10}}
+	got := foldDeferred(pending, deferred)
+	want := []dtm.PendingOutputState{
+		{Task: "a", At: 100, Seq: 5}, {Task: "d", At: 100, Seq: 8}, {Task: "c", At: 200, Seq: 7},
+		{Task: "b", At: 300, Seq: 9}, {Task: "e", At: 400, Seq: 10},
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("folded = %+v\nwant %+v", got, want)
+	}
+	if len(pending) != 2 || pending[1].Task != "b" {
+		t.Fatalf("fold changed the checkpoint's pending outputs: %+v", pending)
 	}
 }

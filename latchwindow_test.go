@@ -95,8 +95,8 @@ func TestRestoreInsideMadeUpLatchWindow(t *testing.T) {
 	if p, _ := live.Board.ReadOutput("heater", "power"); p.Float() != 0 {
 		t.Fatalf("heater.power = %v before the made-up latch", p)
 	}
-	if len(cp.Board.Deferred) != 1 || cp.Board.Deferred[0].At != 145_000_000 {
-		t.Fatalf("checkpoint does not carry the made-up latch: %+v", cp.Board.Deferred)
+	if p := cp.Board.Sched.Pending; len(p) != 1 || p[0].Task != "heater" || p[0].At != 145_000_000 {
+		t.Fatalf("checkpoint does not carry the made-up latch as a pending output: %+v", p)
 	}
 	fresh := latchWindowSession(t)
 	if err := fresh.RestoreCheckpoint(cp); err != nil {
@@ -116,8 +116,10 @@ func TestRestoreInsideMadeUpLatchWindow(t *testing.T) {
 }
 
 // TestLatchWindowFixtureRestores restores the stored checkpoint, whose
-// made-up latch is a board "deferred" record, and requires the run on to
-// match the live session it was captured from.
+// made-up latch is a board "deferred" record. Restore folds the record
+// into the scheduler's pending outputs, so a capture right after it reads
+// what a live capture at the same instant reads, and the run on matches
+// the live session the fixture was captured from.
 func TestLatchWindowFixtureRestores(t *testing.T) {
 	raw, err := os.ReadFile(latchWindowFixture)
 	if err != nil {
@@ -135,6 +137,10 @@ func TestLatchWindowFixtureRestores(t *testing.T) {
 		t.Fatal(err)
 	}
 	live := latchWindowDebugger(t)
+	got, want := marshalCheckpoint(t, fresh), marshalCheckpoint(t, live)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("capture after restoring the fixture differs from the live capture:\n%s\n%s", got, want)
+	}
 	for _, d := range []*Debugger{live, fresh} {
 		if err := d.Run(300 * time.Millisecond); err != nil {
 			t.Fatal(err)
@@ -146,4 +152,17 @@ func TestLatchWindowFixtureRestores(t *testing.T) {
 	if fresh.Board.Cycles() != live.Board.Cycles() {
 		t.Fatalf("cycles diverge: %d restored, %d live", fresh.Board.Cycles(), live.Board.Cycles())
 	}
+}
+
+func marshalCheckpoint(t *testing.T, d *Debugger) []byte {
+	t.Helper()
+	cp, err := d.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := cp.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
