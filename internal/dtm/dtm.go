@@ -30,8 +30,8 @@ import (
 // still ahead, a direct publish otherwise.
 var ErrSuspended = errors.New("dtm: execution suspended by debugger")
 
-// Unbounded is the Slice budget of a Cooperative release: run the body to
-// completion (or to a suspension or failure) in one call.
+// Unbounded is the Slice budget of a Cooperative release: one call runs the
+// body to completion, to a suspension or to a failure.
 const Unbounded = ^uint64(0)
 
 // event is one scheduled callback.
@@ -640,7 +640,7 @@ func (s *Scheduler) release(t *Task, now uint64) {
 		s.dispatch(now)
 		return
 	}
-	cost, err := t.cooperativeRun(now)
+	cost, _, err := t.Slice(now, now, Unbounded)
 	if err != nil {
 		if errors.Is(err, ErrSuspended) {
 			t.Suspensions++
@@ -689,19 +689,6 @@ func (s *Scheduler) firePending(t *Task, now uint64) {
 			s.pending = append(s.pending[:i], s.pending[i+1:]...)
 			t.Output(now)
 			return
-		}
-	}
-}
-
-// cooperativeRun executes one whole release under the Cooperative policy:
-// the Slice hook with the Unbounded budget, driven to completion.
-func (t *Task) cooperativeRun(now uint64) (uint64, error) {
-	var total uint64
-	for {
-		used, done, err := t.Slice(now, now, Unbounded)
-		total += used
-		if err != nil || done {
-			return total, err
 		}
 	}
 }
