@@ -16,8 +16,10 @@
 package main
 
 import (
+	"errors"
 	"fmt"
-	"log"
+	"io"
+	"os"
 	"time"
 
 	"repro"
@@ -28,41 +30,50 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "checkpoint:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole example behind an error return, so a test pins its
+// output without forking.
+func run(out io.Writer) error {
 	sys, err := models.PriorityLoad()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	dbg, err := repro.Debug(sys, repro.DebugConfig{
 		Transport: repro.Active,
 		Board:     target.Config{CPUHz: 1_000_000, Sched: dtm.FixedPriority, Baud: 2_000_000},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// ---- act 1: record ----
 	rec, err := dbg.EnableCheckpointing(10 * time.Millisecond)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := dbg.Run(40 * time.Millisecond); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	misses := dbg.Session.Trace.OfType(protocol.EvDeadlineMiss)
-	fmt.Printf("recorded 40 ms: %d trace records, %d checkpoints, %d deadline misses\n",
+	fmt.Fprintf(out, "recorded 40 ms: %d trace records, %d checkpoints, %d deadline misses\n",
 		dbg.Session.Trace.Len(), len(rec.Checkpoints()), misses.Len())
 	firstMiss := misses.At(0).Event.Time
-	fmt.Printf("first miss: lowly's latch at %.3f ms — long gone by the end of the run\n",
+	fmt.Fprintf(out, "first miss: lowly's latch at %.3f ms — long gone by the end of the run\n",
 		float64(firstMiss)/1e6)
 
 	// ---- act 2: rewind to just before the anomaly ----
 	landed, err := dbg.Session.RewindTo(firstMiss - 500_000)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nrewound to %.3f ms (exact instant; trace truncated to %d records)\n",
+	fmt.Fprintf(out, "\nrewound to %.3f ms (exact instant; trace truncated to %d records)\n",
 		float64(landed)/1e6, dbg.Session.Trace.Len())
-	fmt.Printf("misses on the rewound board: %d\n", dbg.Board.DeadlineMisses())
+	fmt.Fprintf(out, "misses on the rewound board: %d\n", dbg.Board.DeadlineMisses())
 
 	// ---- act 3: replay into the miss ----
 	base := dbg.Board.DeadlineMisses()
@@ -70,20 +81,21 @@ func main() {
 		return dbg.Board.DeadlineMisses() > base
 	}, 5_000_000)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if !hit {
-		log.Fatal("replay did not reproduce the miss")
+		return errors.New("replay did not reproduce the miss")
 	}
-	fmt.Printf("replayed into the miss: board at %.3f ms, misses=%d (deterministic re-execution)\n",
+	fmt.Fprintf(out, "replayed into the miss: board at %.3f ms, misses=%d (deterministic re-execution)\n",
 		float64(dbg.Board.Now())/1e6, dbg.Board.DeadlineMisses())
 
 	// ---- act 4: run back out to the horizon; the timeline re-merges ----
 	if _, err := dbg.Session.ReplayUntil(func(now uint64) bool { return now >= 40_000_000 }, 40_000_000); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nreplayed to the horizon: %d trace records (byte-identical to the recording)\n",
+	fmt.Fprintf(out, "\nreplayed to the horizon: %d trace records (byte-identical to the recording)\n",
 		dbg.Session.Trace.Len())
-	fmt.Println("\n== timing diagram with incident lanes ('^' preempt, '!' miss) ==")
-	fmt.Print(dbg.TimingDiagramASCII(76))
+	fmt.Fprintln(out, "\n== timing diagram with incident lanes ('^' preempt, '!' miss) ==")
+	fmt.Fprint(out, dbg.TimingDiagramASCII(76))
+	return nil
 }

@@ -12,8 +12,10 @@
 package main
 
 import (
+	"errors"
 	"fmt"
-	"log"
+	"io"
+	"os"
 	"sort"
 
 	"repro/internal/dtm"
@@ -24,9 +26,18 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "distributed:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole example behind an error return, so a test pins its
+// output without forking.
+func run(out io.Writer) error {
 	sys, err := models.Distributed()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// A 300 µs TDMA cycle: nodeA may send in [0,100) µs, nodeB in
@@ -45,19 +56,19 @@ func main() {
 		Board:     target.Config{Baud: 2_000_000},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("cluster nodes: %v (TDMA cycle %.0f µs, propagation 0.1 ms, 10%% loss)\n\n",
+	fmt.Fprintf(out, "cluster nodes: %v (TDMA cycle %.0f µs, propagation 0.1 ms, 10%% loss)\n\n",
 		cl.Nodes(), float64(bus.CycleNs())/1000)
 
 	// Passive debug of nodeB: watch the consumer's published output.
 	nodeB := cl.Boards["nodeB"]
 	probe := jtag.NewProbe(nodeB.TAP)
 	probe.Reset()
-	fmt.Printf("nodeB JTAG IDCODE: %#x\n", probe.ReadIDCODE())
+	fmt.Fprintf(out, "nodeB JTAG IDCODE: %#x\n", probe.ReadIDCODE())
 	watcher := jtag.NewWatcher(probe)
 	if err := engine.AutoWatches(watcher, nodeB.Prog); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// The distributed jitter experiment: record every arrival instant of
@@ -69,7 +80,7 @@ func main() {
 	arrivalPhases := map[uint64]int{}
 	ioIdx, ok := nodeB.Prog.Symbols.Index("consumer.v__io")
 	if !ok {
-		log.Fatal("consumer input symbol missing")
+		return errors.New("consumer input symbol missing")
 	}
 	var lastSeen float64
 	probeArrival := func(now uint64) {
@@ -88,7 +99,7 @@ func main() {
 			for _, ev := range watcher.Poll(cl.Now()) {
 				changes++
 				if changes <= 6 {
-					fmt.Printf("  watch: %s\n", ev)
+					fmt.Fprintf(out, "  watch: %s\n", ev)
 				}
 			}
 		}
@@ -96,13 +107,13 @@ func main() {
 
 	a, _ := cl.Boards["nodeA"].ReadOutput("producer", "v")
 	b, _ := nodeB.ReadOutput("consumer", "twice")
-	fmt.Printf("\nafter 100 virtual ms: producer ramp = %s, consumer(2x) = %s\n", a, b)
+	fmt.Fprintf(out, "\nafter 100 virtual ms: producer ramp = %s, consumer(2x) = %s\n", a, b)
 
 	st, ok := cl.BusStats("nodeA")
 	if !ok {
-		log.Fatal("nodeA unknown to the bus — schedule not installed?")
+		return errors.New("nodeA unknown to the bus — schedule not installed?")
 	}
-	fmt.Printf("bus: %d enqueued, %d delivered, %d lost, worst queueing %.0f µs (TX queue now %d)\n",
+	fmt.Fprintf(out, "bus: %d enqueued, %d delivered, %d lost, worst queueing %.0f µs (TX queue now %d)\n",
 		st.Enqueued, st.Delivered, st.Dropped, float64(st.WorstQueueNs)/1000, st.Queued)
 
 	phases := make([]uint64, 0, len(arrivalPhases))
@@ -110,16 +121,17 @@ func main() {
 		phases = append(phases, p)
 	}
 	if len(phases) == 0 {
-		log.Fatal("no cross-node arrivals observed — bus schedule or loss rate broken")
+		return errors.New("no cross-node arrivals observed — bus schedule or loss rate broken")
 	}
 	sort.Slice(phases, func(i, j int) bool { return phases[i] < phases[j] })
 	lo, hi := phases[0], phases[len(phases)-1]
-	fmt.Printf("arrival phases (mod %.0f µs cycle): %d distinct in [%.1f, %.1f] µs — spread %.1f µs <= %.1f µs jitter bound\n",
+	fmt.Fprintf(out, "arrival phases (mod %.0f µs cycle): %d distinct in [%.1f, %.1f] µs — spread %.1f µs <= %.1f µs jitter bound\n",
 		float64(bus.CycleNs())/1000, len(phases), float64(lo)/1000, float64(hi)/1000,
 		float64(hi-lo)/1000, float64(bus.JitterNs)/1000)
 	if hi-lo > bus.JitterNs {
-		log.Fatalf("arrival phase spread %d exceeds the release jitter bound %d", hi-lo, bus.JitterNs)
+		return fmt.Errorf("arrival phase spread %d exceeds the release jitter bound %d", hi-lo, bus.JitterNs)
 	}
-	fmt.Printf("nodeB target cycles: %d (instrumentation: %d — passive debugging is free)\n",
+	fmt.Fprintf(out, "nodeB target cycles: %d (instrumentation: %d — passive debugging is free)\n",
 		nodeB.Cycles(), nodeB.InstrumentationCycles())
+	return nil
 }

@@ -8,7 +8,8 @@ package main
 
 import (
 	"fmt"
-	"log"
+	"io"
+	"os"
 	"time"
 
 	"repro"
@@ -18,9 +19,18 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "heating:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole example behind an error return, so a test pins its
+// output without forking.
+func run(out io.Writer) error {
 	sys, err := models.Heating(models.HeatingOptions{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// The thermal plant (comfort mode) that every heating session runs
@@ -29,7 +39,7 @@ func main() {
 		Environment: repro.StandardEnvironment("heating"),
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	// The room temperature is the heater's temp input in board RAM: the
 	// value the plant last wrote.
@@ -47,43 +57,44 @@ func main() {
 		Source: "heater.thermostat",
 		Arg1:   "Heating",
 	}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	if err := dbg.Run(5 * time.Second); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if dbg.Session.Paused() {
-		fmt.Printf("breakpoint %q hit at t = %.1f ms (room at %.1f °C)\n\n",
+		fmt.Fprintf(out, "breakpoint %q hit at t = %.1f ms (room at %.1f °C)\n\n",
 			dbg.Session.LastBreak.ID, float64(dbg.Board.Now())/1e6, roomC())
-		fmt.Println("== model view at the breakpoint ==")
-		fmt.Print(dbg.RenderASCII())
+		fmt.Fprintln(out, "== model view at the breakpoint ==")
+		fmt.Fprint(out, dbg.RenderASCII())
 	}
 
 	// Step through the next three model-level events.
 	for i := 0; i < 3; i++ {
 		if err := dbg.StepEvent(2 * time.Second); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("step %d: highlights %v\n", i+1, dbg.GDM.HighlightedElements())
+		fmt.Fprintf(out, "step %d: highlights %v\n", i+1, dbg.GDM.HighlightedElements())
 	}
 
 	// Continue free-running to observe the full limit cycle.
 	if err := dbg.Session.ClearBreakpoint("enter-heating"); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := dbg.Continue(10 * time.Second); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("\nafter 10 more virtual seconds: room at %.1f °C\n", roomC())
-	fmt.Printf("events handled: %d, target cycles: %d (instrumentation: %d)\n",
+	fmt.Fprintf(out, "\nafter 10 more virtual seconds: room at %.1f °C\n", roomC())
+	fmt.Fprintf(out, "events handled: %d, target cycles: %d (instrumentation: %d)\n",
 		dbg.Session.Handled, dbg.Board.Cycles(), dbg.Board.InstrumentationCycles())
 
-	fmt.Println("\n== timing diagram (state machine + power signal) ==")
-	fmt.Print(dbg.TimingDiagramASCII(76))
+	fmt.Fprintln(out, "\n== timing diagram (state machine + power signal) ==")
+	fmt.Fprint(out, dbg.TimingDiagramASCII(76))
 
 	// One SVG frame of the animated model, for a browser.
 	svg := dbg.RenderSVG()
-	fmt.Printf("\nSVG frame: %d bytes (render with any browser)\n", len(svg))
+	fmt.Fprintf(out, "\nSVG frame: %d bytes (render with any browser)\n", len(svg))
+	return nil
 }

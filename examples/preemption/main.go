@@ -24,8 +24,10 @@
 package main
 
 import (
+	"errors"
 	"fmt"
-	"log"
+	"io"
+	"os"
 	"time"
 
 	"repro"
@@ -35,91 +37,106 @@ import (
 	"repro/models"
 )
 
-func debugger(policy dtm.Policy) *repro.Debugger {
+func debugger(policy dtm.Policy) (*repro.Debugger, error) {
 	sys, err := models.PriorityLoad()
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 	// 2 Mbaud keeps the dense incident stream (one EvPreempt per
 	// millisecond) from saturating the line; at the default 115200 the
 	// frame-atomic TX FIFO would drop most of them — measurably, see
 	// Stats.FramesDropped and EvOverrun.
-	dbg, err := repro.Debug(sys, repro.DebugConfig{
+	return repro.Debug(sys, repro.DebugConfig{
 		Transport: repro.Active,
 		Board:     target.Config{CPUHz: 1_000_000, Sched: policy, Baud: 2_000_000},
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	return dbg
 }
 
-func taskTable(dbg *repro.Debugger) {
+func taskTable(out io.Writer, dbg *repro.Debugger) {
 	for _, t := range dbg.Board.Tasks() {
-		fmt.Printf("  task %-5s prio=%-2d releases=%-3d misses=%-3d preemptions=%-3d worst-response=%.3f ms\n",
+		fmt.Fprintf(out, "  task %-5s prio=%-2d releases=%-3d misses=%-3d preemptions=%-3d worst-response=%.3f ms\n",
 			t.Name, t.Priority, t.Releases, t.DeadlineMisses, t.Preemptions,
 			float64(t.WorstResponseNs)/1e6)
 	}
 }
 
 func main() {
-	// ---- act 1: preemptive fixed-priority scheduling ----
-	fmt.Println("== preemptive fixed-priority (dtm.FixedPriority, 1 MHz core) ==")
-	fp := debugger(dtm.FixedPriority)
-	if err := fp.Run(40 * time.Millisecond); err != nil {
-		log.Fatal(err)
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "preemption:", err)
+		os.Exit(1)
 	}
-	taskTable(fp)
-	fmt.Printf("  context switches: %d\n", fp.Board.CtxSwitches())
+}
+
+// run is the whole example behind an error return, so a test pins its
+// output without forking.
+func run(out io.Writer) error {
+	// ---- act 1: preemptive fixed-priority scheduling ----
+	fmt.Fprintln(out, "== preemptive fixed-priority (dtm.FixedPriority, 1 MHz core) ==")
+	fp, err := debugger(dtm.FixedPriority)
+	if err != nil {
+		return err
+	}
+	if err := fp.Run(40 * time.Millisecond); err != nil {
+		return err
+	}
+	taskTable(out, fp)
+	fmt.Fprintf(out, "  context switches: %d\n", fp.Board.CtxSwitches())
 
 	// The scheduling incidents are ordinary model-level events on the wire.
 	preempts := fp.Session.Trace.OfType(protocol.EvPreempt)
 	misses := fp.Session.Trace.OfType(protocol.EvDeadlineMiss)
-	fmt.Printf("  on the wire: %d EvPreempt, %d EvDeadlineMiss\n", preempts.Len(), misses.Len())
+	fmt.Fprintf(out, "  on the wire: %d EvPreempt, %d EvDeadlineMiss\n", preempts.Len(), misses.Len())
 	for i, r := range preempts.Records {
 		if i >= 3 {
-			fmt.Printf("  ... %d more preemptions\n", preempts.Len()-3)
+			fmt.Fprintf(out, "  ... %d more preemptions\n", preempts.Len()-3)
 			break
 		}
-		fmt.Printf("  %s\n", r.Event)
+		fmt.Fprintf(out, "  %s\n", r.Event)
 	}
 	for i, r := range misses.Records {
 		if i >= 3 {
-			fmt.Printf("  ... %d more misses\n", misses.Len()-3)
+			fmt.Fprintf(out, "  ... %d more misses\n", misses.Len()-3)
 			break
 		}
-		fmt.Printf("  %s\n", r.Event)
+		fmt.Fprintf(out, "  %s\n", r.Event)
 	}
 
 	// ---- act 2: the same binary, cooperative ----
-	fmt.Println("\n== cooperative (same model, same core) ==")
-	co := debugger(dtm.Cooperative)
-	if err := co.Run(40 * time.Millisecond); err != nil {
-		log.Fatal(err)
+	fmt.Fprintln(out, "\n== cooperative (same model, same core) ==")
+	co, err := debugger(dtm.Cooperative)
+	if err != nil {
+		return err
 	}
-	taskTable(co)
-	fmt.Println("  every deadline met: each release runs at its release instant, unpreempted")
+	if err := co.Run(40 * time.Millisecond); err != nil {
+		return err
+	}
+	taskTable(out, co)
+	fmt.Fprintln(out, "  every deadline met: each release runs at its release instant, unpreempted")
 
 	// ---- act 3: break on the miss itself, on the target ----
-	fmt.Println("\n== on-target breakpoint on the deadline miss ==")
-	bp := debugger(dtm.FixedPriority)
-	if err := bp.BreakOnDeadlineMiss("dl-miss", "lowly"); err != nil {
-		log.Fatal(err)
+	fmt.Fprintln(out, "\n== on-target breakpoint on the deadline miss ==")
+	bp, err := debugger(dtm.FixedPriority)
+	if err != nil {
+		return err
 	}
-	fmt.Printf("armed on target: %v (condition over the kernel's lowly.__misses counter)\n",
+	if err := bp.BreakOnDeadlineMiss("dl-miss", "lowly"); err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "armed on target: %v (condition over the kernel's lowly.__misses counter)\n",
 		bp.Session.Breakpoints()[0].OnTarget())
 	if err := bp.Run(40 * time.Millisecond); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if bp.Session.LastBreak == nil {
-		log.Fatal("deadline-miss breakpoint never hit")
+		return errors.New("deadline-miss breakpoint never hit")
 	}
 	var hitAt uint64
 	for _, r := range bp.Session.Trace.OfType(protocol.EvBreak).Records {
 		hitAt = r.Event.Time
 	}
-	fmt.Printf("hit %q: board halted at %.3f ms — the latch instant of the first missed release\n",
+	fmt.Fprintf(out, "hit %q: board halted at %.3f ms — the latch instant of the first missed release\n",
 		bp.Session.LastBreak.ID, float64(hitAt)/1e6)
-	fmt.Printf("board halted: %v, lowly misses so far: %d\n",
+	fmt.Fprintf(out, "board halted: %v, lowly misses so far: %d\n",
 		bp.Board.Halted(), bp.Board.Tasks()[1].DeadlineMisses)
+	return nil
 }
