@@ -210,11 +210,14 @@ func TestSnapshotWhileHaltedAtOnTargetBreakpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	cp = jsonRoundtrip(t, cp)
-	if cp.Board.Susp == nil {
-		t.Fatal("snapshot while halted at an on-target breakpoint should carry the suspended machine")
+	if cp.Board.Susp != nil {
+		t.Fatal("a cooperative suspension is no longer written as a board susp record")
 	}
-	if len(cp.Board.Units) != 0 {
-		t.Fatalf("a cooperative suspension is written as susp alone, not as a unit in flight: %+v", cp.Board.Units)
+	if u, ok := cp.Board.Units["heater"]; !ok || !u.Active || u.M == nil {
+		t.Fatalf("snapshot while halted at an on-target breakpoint should carry the suspended machine as a unit in flight: %+v", cp.Board.Units)
+	}
+	if j := cp.Board.Sched.Jobs; len(j) != 1 || j[0].Task != "heater" || !j[0].Suspended || j[0].Release != cp.Board.Units["heater"].Rel || j[0].UsedNs == 0 {
+		t.Fatalf("snapshot should carry the suspended release as a scheduler job: %+v", j)
 	}
 	if len(cp.Board.Agent.Breaks) != 1 || !cp.Board.Agent.Breaks[0].Hot {
 		t.Fatalf("agent state not captured: %+v", cp.Board.Agent)

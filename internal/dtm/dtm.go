@@ -15,23 +15,24 @@ package dtm
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/value"
 )
 
 // ErrSuspended is returned by Task.Slice when a target-resident debugger
-// halted the run mid-body (an on-target breakpoint or step hit). The
-// scheduler treats it as a suspension, not a failure: LastError stays
-// clear and no deadline miss is counted. Under FixedPriority the job is
-// parked until Resume re-queues it, and its deadline latch is made up when
-// it completes. Under Cooperative the release is over as far as the
-// scheduler is concerned — its Output is NOT scheduled — and the caller
-// that resumes the body owes the latch: DeferOutput while the deadline is
-// still ahead, a direct publish otherwise.
+// halted the run mid-body (an on-target breakpoint or step hit). Under
+// both policies the scheduler treats it as a suspension, not a failure:
+// the suspension is counted, LastError stays clear, the job keeps the cost
+// it has used so far and is parked until Resume continues it, and the time
+// it spends parked is never a deadline miss. When the continued job
+// completes, its whole cost is charged and its deadline latch is made up:
+// at the deadline instant while that is still ahead, at once otherwise.
 var ErrSuspended = errors.New("dtm: execution suspended by debugger")
 
-// Unbounded is the Slice budget of a Cooperative release: one call runs the
-// body to completion, to a suspension or to a failure.
+// Unbounded is the Slice budget of a Cooperative job: one call runs the
+// body to completion, to a suspension or to a failure, at the release
+// instant or at the instant Resume continues a suspended job.
 const Unbounded = ^uint64(0)
 
 // event is one scheduled callback.
@@ -158,8 +159,7 @@ func (k *Kernel) Schedule(at uint64, fn func(now uint64)) error {
 
 // ScheduleTagged is Schedule returning the sequence number assigned to the
 // event. Owners of snapshotable pending work (the scheduler's releases and
-// latches, the network's in-flight frames, the board's deferred deadline
-// latches) record it so a restore can re-arm the event with the same
+// latches, the network's in-flight frames) record it so a restore can re-arm the event with the same
 // FIFO tie-break position — equal-timestamp ordering is part of the
 // deterministic schedule.
 func (k *Kernel) ScheduleTagged(at uint64, fn func(now uint64)) (uint64, error) {
@@ -446,8 +446,6 @@ type Task struct {
 	// periodic re-arm inside release() does not allocate a fresh closure
 	// every period. Owned by the scheduler the task is registered with.
 	relFn func(now uint64)
-	// outFn likewise caches the pending-output callback.
-	outFn func(now uint64)
 	// ResponseNs / WorstResponseNs accumulate release-to-completion times
 	// (FixedPriority only): unlike ExecNs they include the time jobs spent
 	// waiting in the ready queue and being preempted.
@@ -513,10 +511,13 @@ type Scheduler struct {
 	tasks  []*Task
 	halted bool
 
+	// susp are the jobs parked by ErrSuspended (debugger), under either
+	// policy.
+	susp []*job
+
 	// FixedPriority state.
 	ready   jobHeap
 	running *job
-	susp    []*job // jobs parked by ErrSuspended (debugger)
 	lastJob *job
 	jobSeq  uint64
 	// nextRel is the next *scheduled* release per task: its instant plus
@@ -526,13 +527,9 @@ type Scheduler struct {
 	// unlatched are the live jobs whose deadline-latch event has not fired
 	// yet — the explicit registry a snapshot serializes (a job is reachable
 	// from here even when it already completed and only its latch instant
-	// is outstanding).
+	// is outstanding). A FixedPriority job joins at release; a Cooperative
+	// one when it completes with its deadline still ahead.
 	unlatched []*job
-
-	// pending are the output latches awaiting their deadline instants —
-	// each cooperative release's, and any DeferOutput made up — surfaced
-	// as explicit records instead of closures so a snapshot can carry them.
-	pending []pendingOutput
 
 	// freeJobs are retired jobs kept for reuse with their cached kernel
 	// callbacks, so a fixed-priority release allocates nothing once warm.
@@ -543,14 +540,6 @@ type Scheduler struct {
 
 // relSlot is one pending release event.
 type relSlot struct{ at, seq uint64 }
-
-// pendingOutput is one deadline latch in flight, unique per (task,
-// instant) — a task has at most one release per period.
-type pendingOutput struct {
-	t   *Task
-	at  uint64
-	seq uint64
-}
 
 // NewScheduler wraps a kernel.
 func NewScheduler(k *Kernel) *Scheduler {
@@ -593,27 +582,37 @@ func (s *Scheduler) Start() {
 // frozen on the ready queue and continues on Resume.
 func (s *Scheduler) Halt() { s.halted = true }
 
-// Resume re-enables releases. Under FixedPriority any job parked by a
-// debugger suspension re-enters the ready queue — priority order decides
-// what runs next, so a higher-priority release that arrived while halted
-// runs before the interrupted body continues.
+// Resume re-enables releases and continues every job parked by a
+// debugger suspension. Under FixedPriority the parked jobs re-enter the
+// ready queue — priority order decides what runs next, so a
+// higher-priority release that arrived while halted runs before the
+// interrupted body continues. Under Cooperative a parked job runs on at
+// once, as one Unbounded slice at the resume instant; it may suspend
+// again.
 func (s *Scheduler) Resume() {
 	s.halted = false
-	if s.Policy != FixedPriority {
+	now := s.K.Now()
+	if s.Policy == FixedPriority {
+		for _, j := range s.susp {
+			j.suspended = false
+			s.ready.push(j)
+		}
+		s.susp = s.susp[:0]
+		s.dispatch(now)
 		return
 	}
-	for _, j := range s.susp {
+	for len(s.susp) > 0 && !s.halted {
+		j := s.susp[0]
+		s.susp = slices.Delete(s.susp, 0, 1)
 		j.suspended = false
-		s.ready.push(j)
+		s.runCooperative(j, now)
 	}
-	s.susp = s.susp[:0]
-	s.dispatch(s.K.Now())
 }
 
 // Halted reports the halt state.
 func (s *Scheduler) Halted() bool { return s.halted }
 
-// Suspended reports whether a debugger suspension is parked (FixedPriority).
+// Suspended reports whether a job is parked by a debugger suspension.
 func (s *Scheduler) Suspended() bool { return len(s.susp) > 0 }
 
 func (s *Scheduler) release(t *Task, now uint64) {
@@ -630,76 +629,66 @@ func (s *Scheduler) release(t *Task, now uint64) {
 	if t.Latch != nil {
 		t.Latch(now)
 	}
-	if s.Policy == FixedPriority {
-		j := s.newJob()
-		j.t, j.release, j.seq = t, now, s.jobSeq
-		s.jobSeq++
-		s.ready.push(j)
-		s.unlatched = append(s.unlatched, j)
-		j.latchSeq, _ = s.K.ScheduleTagged(now+t.Deadline, j.latchFn)
-		s.dispatch(now)
+	j := s.newJob()
+	j.t, j.release = t, now
+	if s.Policy == Cooperative {
+		s.runCooperative(j, now)
 		return
 	}
-	cost, _, err := t.Slice(now, now, Unbounded)
+	j.seq = s.jobSeq
+	s.jobSeq++
+	s.ready.push(j)
+	s.armLatch(j, now+t.Deadline)
+	s.dispatch(now)
+}
+
+// armLatch registers j as unlatched and schedules its deadline latch at
+// instant at.
+func (s *Scheduler) armLatch(j *job, at uint64) {
+	s.unlatched = append(s.unlatched, j)
+	j.latchSeq, _ = s.K.ScheduleTagged(at, j.latchFn)
+}
+
+// runCooperative runs a Cooperative job as one Unbounded slice at now: the
+// release instant, or the instant Resume continues a suspended job.
+func (s *Scheduler) runCooperative(j *job, now uint64) {
+	used, _, err := j.t.Slice(j.release, now, Unbounded)
+	j.usedNs += used
 	if err != nil {
-		if errors.Is(err, ErrSuspended) {
-			t.Suspensions++
-			return
-		}
-		t.LastError = err
+		s.stop(j, err)
 		return
 	}
-	t.ExecNs += cost
-	if cost > t.WorstNs {
-		t.WorstNs = cost
-	}
-	if cost > t.Deadline {
-		t.DeadlineMisses++
-	}
-	if t.Output != nil {
-		s.DeferOutput(t, now+t.Deadline)
-	}
+	s.complete(j, now)
 }
 
-// DeferOutput queues t's Output at instant at as an explicit pending
-// record (snapshotable) and arms its event. The scheduler queues every
-// cooperative release's latch this way; a caller that completes a
-// suspended cooperative release makes its latch up with it, at the
-// original deadline instant. A task's latches must be queued in deadline
-// order, as releases are.
-func (s *Scheduler) DeferOutput(t *Task, at uint64) {
-	seq, _ := s.K.ScheduleTagged(at, s.outputFn(t))
-	s.pending = append(s.pending, pendingOutput{t: t, at: at, seq: seq})
-}
-
-// outputFn returns t's cached deadline-latch callback.
-func (s *Scheduler) outputFn(t *Task) func(now uint64) {
-	if t.outFn == nil {
-		t.outFn = func(n uint64) { s.firePending(t, n) }
+// stop ends a slice that returned err and reports whether the job is
+// parked. ErrSuspended parks it until Resume. Any other error fails the
+// release, which then neither charges its cost nor publishes; the failed
+// job is retired once no latch event holds it — at once under
+// Cooperative, whose jobs arm their latch only on completion.
+func (s *Scheduler) stop(j *job, err error) bool {
+	if errors.Is(err, ErrSuspended) {
+		j.t.Suspensions++
+		j.suspended = true
+		s.susp = append(s.susp, j)
+		return true
 	}
-	return t.outFn
-}
-
-// firePending runs t's earliest pending output latch and retires its
-// record. A task's latches are queued, and their events fire, in deadline
-// order, so the earliest record is the one whose event is firing.
-func (s *Scheduler) firePending(t *Task, now uint64) {
-	for i := range s.pending {
-		if s.pending[i].t == t {
-			s.pending = append(s.pending[:i], s.pending[i+1:]...)
-			t.Output(now)
-			return
-		}
+	j.t.LastError = err
+	j.failed = true
+	if j.latched || s.Policy == Cooperative {
+		s.retire(j)
 	}
+	return false
 }
 
-// job is one release turned into a resumable unit of work (FixedPriority).
-// A job is recycled once it is dead: finished (done or failed) with its
-// deadline latch fired. Until then the kernel holds its callbacks.
+// job is one release the scheduler has started, under either policy: a
+// resumable unit of work from its release until it is dead — finished
+// (done or failed) with its deadline latch fired or never armed — and
+// recycled. Until then the kernel or the suspension list holds it.
 type job struct {
 	t       *Task
 	release uint64
-	seq     uint64 // FIFO tie-break within a priority (release order)
+	seq     uint64 // FIFO tie-break within a priority (release order; FixedPriority only)
 
 	usedNs    uint64
 	done      bool
@@ -741,7 +730,7 @@ func (s *Scheduler) newJob() *job {
 	j.latchFn = func(n uint64) { s.latch(j, n) }
 	j.endFn = func(n uint64) {
 		if j.willDone {
-			s.complete(j, n)
+			s.finish(j, n)
 		} else {
 			s.sliceEnd(j, n)
 		}
@@ -873,25 +862,14 @@ func (s *Scheduler) dispatch(now uint64) {
 	}
 	budget -= ctx
 	used, done, err := j.t.Slice(j.release, now, budget)
+	j.usedNs += used
 	if err != nil {
-		if errors.Is(err, ErrSuspended) {
-			j.t.Suspensions++
-			j.usedNs += used
-			j.suspended = true
-			s.susp = append(s.susp, j)
-			s.running = nil
-			return
-		}
-		j.t.LastError = err
-		j.failed = true
 		s.running = nil
-		if j.latched {
-			s.retire(j)
+		if !s.stop(j, err) {
+			s.dispatch(now) // a failure leaves the CPU free; a suspension halted it
 		}
-		s.dispatch(now)
 		return
 	}
-	j.usedNs += used
 	end := now + ctx + used
 	j.endAt, j.willDone = end, done
 	j.endSeq, _ = s.K.ScheduleTagged(end, j.endFn)
@@ -915,21 +893,42 @@ func (s *Scheduler) sliceEnd(j *job, now uint64) {
 	s.dispatch(now)
 }
 
-// complete finalises a finished job: execution and response accounting,
-// plus the late publish when the deadline latch has already passed (a
-// missed or debugger-suspended release publishes at completion).
-func (s *Scheduler) complete(j *job, now uint64) {
+// finish is the end of a FixedPriority job's last slice: response-time
+// accounting, completion, and the next dispatch.
+func (s *Scheduler) finish(j *job, now uint64) {
 	s.running = nil
+	resp := now - j.release
+	j.t.ResponseNs += resp
+	if resp > j.t.WorstResponseNs {
+		j.t.WorstResponseNs = resp
+	}
+	s.complete(j, now)
+	s.dispatch(now)
+}
+
+// complete finalises a finished job under either policy. Its whole cost —
+// every slice, across preemptions and suspensions — is charged, and its
+// deadline latch is made up: published at once when the latch instant has
+// passed (a missed or debugger-suspended release publishes at completion),
+// left to the latch event otherwise. A FixedPriority job armed that event
+// at release; a Cooperative job arms it here, and a Cooperative cost above
+// the deadline is a miss.
+func (s *Scheduler) complete(j *job, now uint64) {
 	j.done = true
 	t := j.t
 	t.ExecNs += j.usedNs
 	if j.usedNs > t.WorstNs {
 		t.WorstNs = j.usedNs
 	}
-	resp := now - j.release
-	t.ResponseNs += resp
-	if resp > t.WorstResponseNs {
-		t.WorstResponseNs = resp
+	if s.Policy == Cooperative {
+		if j.usedNs > t.Deadline {
+			t.DeadlineMisses++
+		}
+		if d := j.release + t.Deadline; d > now && t.Output != nil {
+			s.armLatch(j, d)
+		} else {
+			j.latched = true
+		}
 	}
 	if j.latched {
 		if t.Output != nil {
@@ -937,7 +936,6 @@ func (s *Scheduler) complete(j *job, now uint64) {
 		}
 		s.retire(j)
 	}
-	s.dispatch(now)
 }
 
 // latch fires at the release's deadline instant. A completed job publishes

@@ -280,10 +280,11 @@ func TestHaltSuspendsReleases(t *testing.T) {
 }
 
 // TestCooperativeSuspension: a cooperative body reporting ErrSuspended
-// counts a suspension — no miss, no error, no cost — and gets no deadline
-// latch. The caller that completes the release makes the latch up with
-// DeferOutput at the original deadline instant; a snapshot taken before
-// it fires carries it as a pending output, and a restore replays it.
+// counts a suspension — no miss, no error — and is parked as a job with
+// the cost it used, charging nothing and arming no latch. Resume continues
+// it as one Unbounded slice; completion charges the whole cost and arms the
+// latch at the original deadline instant, which a snapshot carries as a
+// pending output. A restore of the suspension resumes the same way.
 func TestCooperativeSuspension(t *testing.T) {
 	k := NewKernel()
 	s := NewScheduler(k)
@@ -313,27 +314,29 @@ func TestCooperativeSuspension(t *testing.T) {
 		t.Fatalf("after suspension: suspensions=%d misses=%d err=%v exec=%d",
 			task.Suspensions, task.DeadlineMisses, task.LastError, task.ExecNs)
 	}
-	if ss := s.Snapshot(); len(ss.Pending) != 0 {
-		t.Fatalf("suspended release scheduled a latch: %+v", ss.Pending)
-	}
-	s.Resume()
-	s.DeferOutput(task, 50)
 	ks, ss := k.Snapshot(), s.Snapshot()
-	if len(ss.Pending) != 1 || ss.Pending[0].Task != "t" || ss.Pending[0].At != 50 {
-		t.Fatalf("made-up latch not pending: %+v", ss.Pending)
+	if len(ss.Pending) != 0 || len(ss.Jobs) != 1 || !ss.Jobs[0].Suspended || ss.Jobs[0].UsedNs != 7 || ss.JobSeq != 0 {
+		t.Fatalf("suspended release not parked as a job: %+v", ss)
 	}
-	k.RunUntil(250)
-	if fmt.Sprint(outAt) != "[50 150 250]" || task.ExecNs != 14 {
-		t.Fatalf("outputs at %v, exec %d; want [50 150 250] and 14", outAt, task.ExecNs)
+	resume := func() string {
+		s.Resume()
+		if p := s.Snapshot(); len(p.Pending) != 1 || p.Pending[0].Task != "t" || p.Pending[0].At != 50 || len(p.Jobs) != 0 {
+			t.Fatalf("made-up latch not pending: %+v", p)
+		}
+		k.RunUntil(250)
+		return fmt.Sprint(outAt, task.ExecNs, task.WorstNs, task.Suspensions)
+	}
+	const want = "[50 150 250] 28 14 1"
+	if got := resume(); got != want {
+		t.Fatalf("outputs, exec, worst, suspensions = %s; want %s", got, want)
 	}
 	outAt = nil
 	k.Restore(ks)
 	if err := s.Restore(ss); err != nil {
 		t.Fatal(err)
 	}
-	k.RunUntil(250)
-	if fmt.Sprint(outAt) != "[50 150 250]" {
-		t.Fatalf("restored outputs at %v, want [50 150 250]", outAt)
+	if got := resume(); got != want {
+		t.Fatalf("restored: outputs, exec, worst, suspensions = %s; want %s", got, want)
 	}
 }
 

@@ -1,20 +1,25 @@
 package dtm
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Explicit-state forms of the scheduler: per-task accounting and release
-// rhythm, the FixedPriority job set (ready, suspended, running, and
-// completed-but-unlatched jobs), and the pending output latches — every
-// cooperative release's, and the ones DeferOutput made up after a
-// suspension. Together with KernelState this is "the complete execution
-// state of the kernel as a value" — every pending kernel event the
-// scheduler owns is recorded as (instant, sequence number) and re-armed on
-// restore, so equal-timestamp tie-breaks replay exactly. Task values are
-// not part of it: they live in the bodies (board RAM on a target).
+// rhythm, and the live jobs — the one record of every release the
+// scheduler has started, under both policies. A FixedPriority job (ready,
+// suspended, running, or completed but unlatched) is written as a
+// JobState. A Cooperative job is either suspended, written as a JobState
+// with no sequence number and no latch, or completed and waiting for its
+// deadline latch, written as the PendingOutputState such a latch has
+// always been written as. Together with KernelState this is "the complete
+// execution state of the kernel as a value" — every pending kernel event
+// the scheduler owns is recorded as (instant, sequence number) and
+// re-armed on restore, so equal-timestamp tie-breaks replay exactly. Task
+// values are not part of it: they live in the bodies (board RAM on a
+// target).
 
 // TaskState is the portable form of one task's accounting and rhythm.
 type TaskState struct {
@@ -32,7 +37,8 @@ type TaskState struct {
 	RelSeq          uint64 `json:"relSeq"`
 }
 
-// JobState is the portable form of one release-turned-job (FixedPriority).
+// JobState is the portable form of one release-turned-job: any
+// FixedPriority job, or a suspended Cooperative one.
 type JobState struct {
 	Task    string `json:"task"`
 	Release uint64 `json:"release"`
@@ -51,7 +57,8 @@ type JobState struct {
 	EndSeq   uint64 `json:"endSeq,omitempty"`
 }
 
-// PendingOutputState is one output latch in flight.
+// PendingOutputState is one output latch in flight: a completed
+// Cooperative job waiting for its deadline instant.
 type PendingOutputState struct {
 	Task string `json:"task"`
 	At   uint64 `json:"at"`
@@ -81,7 +88,8 @@ type SchedulerState struct {
 }
 
 // liveJobs collects every job with pending kernel events or queue
-// residency, deduped, in creation (seq) order.
+// residency, deduped, in creation (seq) order. The sort is stable: the
+// Cooperative jobs, which all have seq 0, keep their registry order.
 func (s *Scheduler) liveJobs() []*job {
 	seen := map[*job]bool{}
 	var out []*job
@@ -101,7 +109,7 @@ func (s *Scheduler) liveJobs() []*job {
 		add(j)
 	}
 	add(s.running)
-	sort.Slice(out, func(i, k int) bool { return out[i].seq < out[k].seq })
+	slices.SortStableFunc(out, func(a, b *job) int { return cmp.Compare(a.seq, b.seq) })
 	return out
 }
 
@@ -130,6 +138,12 @@ func (s *Scheduler) Snapshot() SchedulerState {
 		st.Tasks = append(st.Tasks, ts)
 	}
 	for _, j := range s.liveJobs() {
+		if j.done && s.Policy == Cooperative {
+			st.Pending = append(st.Pending, PendingOutputState{
+				Task: j.t.Name, At: j.release + j.t.Deadline, Seq: j.latchSeq,
+			})
+			continue
+		}
 		st.Jobs = append(st.Jobs, JobState{
 			Task: j.t.Name, Release: j.release, Seq: j.seq,
 			UsedNs: j.usedNs, Done: j.done, Failed: j.failed,
@@ -141,12 +155,6 @@ func (s *Scheduler) Snapshot() SchedulerState {
 	}
 	if s.lastJob != nil {
 		st.LastJob = &JobRef{Task: s.lastJob.t.Name, Seq: s.lastJob.seq}
-	}
-	for i := range s.pending {
-		po := &s.pending[i]
-		st.Pending = append(st.Pending, PendingOutputState{
-			Task: po.t.Name, At: po.at, Seq: po.seq,
-		})
 	}
 	return st
 }
@@ -185,7 +193,6 @@ func (s *Scheduler) Restore(st SchedulerState) error {
 	s.running = nil
 	s.lastJob = nil
 	s.unlatched = s.unlatched[:0]
-	s.pending = s.pending[:0]
 	s.nextRel = map[*Task]relSlot{}
 
 	for _, ts := range st.Tasks {
@@ -224,7 +231,7 @@ func (s *Scheduler) Restore(st SchedulerState) error {
 			latchSeq: js.LatchSeq, endSeq: js.EndSeq,
 			latchFn: j.latchFn, endFn: j.endFn,
 		}
-		if !j.latched {
+		if !j.latched && s.Policy == FixedPriority {
 			s.unlatched = append(s.unlatched, j)
 			if err := s.K.Rearm(j.release+t.Deadline, j.latchSeq, j.latchFn); err != nil {
 				return fmt.Errorf("dtm: restore job %s/%d latch: %w", js.Task, js.Seq, err)
@@ -261,8 +268,10 @@ func (s *Scheduler) Restore(st SchedulerState) error {
 		if !ok {
 			return fmt.Errorf("dtm: restore pending output of unknown task %q", ps.Task)
 		}
-		s.pending = append(s.pending, pendingOutput{t: t, at: ps.At, seq: ps.Seq})
-		if err := s.K.Rearm(ps.At, ps.Seq, s.outputFn(t)); err != nil {
+		j := s.newJob()
+		j.t, j.release, j.done, j.latchSeq = t, ps.At-t.Deadline, true, ps.Seq
+		s.unlatched = append(s.unlatched, j)
+		if err := s.K.Rearm(ps.At, ps.Seq, j.latchFn); err != nil {
 			return fmt.Errorf("dtm: restore pending output %s: %w", ps.Task, err)
 		}
 	}

@@ -87,11 +87,10 @@ type Board struct {
 	instr   uint64
 	lastErr error
 
-	// agent is the target-resident breakpoint/step agent; susp is the unit
-	// whose cooperative release it interrupted mid-body (continued by
-	// Resume/InResume). FixedPriority suspensions stay with the scheduler.
+	// agent is the target-resident breakpoint/step agent. A release it
+	// interrupts mid-body is a job parked in the scheduler, under either
+	// policy; its machine stays with its unit (unitExec.m).
 	agent *breakAgent
-	susp  *unitExec
 	// dropsSeen is the last FramesDropped count reported over the wire.
 	dropsSeen uint64
 	// wire is the reused frame encode buffer; the UART copies each frame
@@ -368,15 +367,12 @@ func (b *Board) HostPort() *serial.Port { return b.portB }
 func (b *Board) Halt() { b.sched.Halt() }
 
 // Resume implements engine.TargetControl. If the board was suspended
-// mid-release by the breakpoint agent, the interrupted body runs to
-// completion first (it may immediately hit another breakpoint and
-// re-suspend) and the skipped deadline latch is made up: at the original
-// deadline instant when that is still in the future, otherwise
-// immediately — a late publish, as on a real halted CPU.
-func (b *Board) Resume() {
-	b.sched.Resume()
-	b.runSuspended()
-}
+// mid-release by the breakpoint agent, the scheduler continues the
+// interrupted body (it may hit another breakpoint and re-suspend) and,
+// when it completes, makes up its deadline latch: at the original deadline
+// instant when that is still in the future, otherwise immediately — a
+// late publish, as on a real halted CPU.
+func (b *Board) Resume() { b.sched.Resume() }
 
 // Halted implements engine.TargetControl.
 func (b *Board) Halted() bool { return b.sched.Halted() }

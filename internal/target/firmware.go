@@ -60,9 +60,12 @@ func (b *Board) relatch(ue *unitExec) {
 // breakpoint agent halts the VM mid-body, the release is suspended: the
 // machine is kept for resumption, an EvBreak/EvStepped frame stamped with
 // the triggering instruction's virtual time goes on the wire, and
-// dtm.ErrSuspended tells the scheduler to skip the deadline latch.
+// dtm.ErrSuspended tells the scheduler to park the job until Resume. A
+// cooperative continuation runs at the resume instant, and a re-hit in it
+// is stamped there.
 func (b *Board) sliceUnit(ue *unitExec, release, now, budgetNs uint64) (uint64, bool, error) {
-	if !ue.active || ue.rel != release {
+	resumed := ue.active && ue.rel == release
+	if !resumed {
 		ue.m = ue.acquire(b)
 		ue.rel = release
 		ue.active = true
@@ -82,11 +85,12 @@ func (b *Board) sliceUnit(ue *unitExec, release, now, budgetNs uint64) (uint64, 
 		return used, false, err
 	}
 	if hit {
-		if b.sched.Policy == dtm.Cooperative {
-			b.susp = ue // the scheduler is done with the release; Resume continues it
+		at := now + used
+		if resumed && !bounded {
+			at = now
 		}
 		b.sched.Halt()
-		b.send(b.agent.hitEvent(now + used))
+		b.send(b.agent.hitEvent(at))
 		return used, false, dtm.ErrSuspended
 	}
 	return used, !ue.active, nil
@@ -115,39 +119,6 @@ func (b *Board) runBody(ue *unitExec, now, budget uint64) (cycles uint64, hit bo
 	}
 	ue.prev = res
 	return cycles, res.BreakPC >= 0, nil
-}
-
-// runSuspended continues the cooperative release the breakpoint agent
-// interrupted (a FixedPriority suspension is continued by the scheduler,
-// which re-dispatches the parked job on Resume, so this is a no-op there):
-// the VM runs on from the instruction after the hit to completion, and
-// the deadline latch that dtm.ErrSuspended skipped is made up — as a
-// scheduler pending output at the original deadline instant when that is
-// still ahead, immediately (a late publish) otherwise. Re-hitting a
-// breakpoint during the continuation re-suspends, stamped at the resume
-// instant.
-func (b *Board) runSuspended() {
-	ue := b.susp
-	if ue == nil || b.sched.Halted() {
-		return
-	}
-	now := b.kernel.Now()
-	_, hit, err := b.runBody(ue, now, dtm.Unbounded)
-	switch {
-	case err != nil:
-		b.susp = nil
-		b.fail(err)
-	case hit:
-		b.sched.Halt()
-		b.send(b.agent.hitEvent(now))
-	default:
-		b.susp = nil
-		if d := ue.rel + ue.u.Deadline; d > now {
-			b.sched.DeferOutput(ue.task, d)
-		} else {
-			b.deadline(ue, now)
-		}
-	}
 }
 
 // missed is the FixedPriority scheduler's deadline-miss hook, invoked at

@@ -3,6 +3,7 @@ package target
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 
 	"repro/internal/codegen"
@@ -27,8 +28,8 @@ import (
 // points); host-side state (session trace, GDM animation) is captured
 // separately by internal/checkpoint.
 
-// UnitExecState is the mid-release VM state of one unit under the
-// preemptive policy (nil machine = no release in flight).
+// UnitExecState is the VM state of one unit's release in flight, under
+// either policy: between preemptive slices, or suspended at a breakpoint.
 type UnitExecState struct {
 	Active bool                    `json:"active,omitempty"`
 	Rel    uint64                  `json:"rel,omitempty"`
@@ -36,8 +37,10 @@ type UnitExecState struct {
 	M      *codegen.MachineState   `json:"m,omitempty"`
 }
 
-// SuspState is a release interrupted mid-body by the breakpoint agent
-// under the cooperative policy (Board.susp).
+// SuspState is a cooperative release interrupted mid-body by the
+// breakpoint agent, as checkpoints wrote it while the board kept that
+// release itself. Restore folds it into a suspended scheduler job plus its
+// unit's machine; Snapshot never writes one.
 type SuspState struct {
 	Unit string                  `json:"unit"`
 	Rel  uint64                  `json:"rel"`
@@ -93,7 +96,7 @@ type BoardState struct {
 	Dec      protocol.DecoderState    `json:"dec,omitempty"`
 	Agent    AgentState               `json:"agent,omitempty"`
 	Units    map[string]UnitExecState `json:"units,omitempty"`
-	Susp     *SuspState               `json:"susp,omitempty"`
+	Susp     *SuspState               `json:"susp,omitempty"`     // read only, see SuspState
 	Deferred []DeferredLatchState     `json:"deferred,omitempty"` // read only, see DeferredLatchState
 }
 
@@ -134,7 +137,7 @@ func (b *Board) snapshotLocal() (*BoardState, error) {
 	st.Agent.Round = b.agent.round
 	st.Agent.StepArm = b.agent.stepArm
 	for name, ue := range b.exec {
-		if !ue.active || ue == b.susp {
+		if !ue.active {
 			continue
 		}
 		if st.Units == nil {
@@ -144,13 +147,6 @@ func (b *Board) snapshotLocal() (*BoardState, error) {
 		st.Units[name] = UnitExecState{
 			Active: true, Rel: ue.rel,
 			Prev: codegen.EncodeExecResult(ue.prev), M: &m,
-		}
-	}
-	if ue := b.susp; ue != nil {
-		st.Susp = &SuspState{
-			Unit: ue.u.Name, Rel: ue.rel,
-			Prev: codegen.EncodeExecResult(ue.prev),
-			M:    ue.m.Snapshot(),
 		}
 	}
 	return st, nil
@@ -177,9 +173,22 @@ func (b *Board) restoreLocal(st *BoardState) error {
 	if len(st.RAM) != len(b.ram) {
 		return fmt.Errorf("target: restore RAM size %d onto board with %d", len(st.RAM), len(b.ram))
 	}
-	sched := st.Sched
+	sched, units := st.Sched, st.Units
 	if len(st.Deferred) > 0 {
 		sched.Pending = foldDeferred(st.Sched.Pending, st.Deferred)
+	}
+	if sp := st.Susp; sp != nil {
+		// The job's cost so far is the one piece the release ran before it
+		// was suspended, charged at the cooperative floor.
+		sched.Jobs = append(slices.Clone(sched.Jobs), dtm.JobState{
+			Task: sp.Unit, Release: sp.Rel, Suspended: true,
+			UsedNs: b.cyclesToNs(sp.Prev.Cycles),
+		})
+		units = maps.Clone(units)
+		if units == nil {
+			units = map[string]UnitExecState{}
+		}
+		units[sp.Unit] = UnitExecState{Active: true, Rel: sp.Rel, Prev: sp.Prev, M: &sp.M}
 	}
 	if err := b.sched.Restore(sched); err != nil {
 		return err
@@ -217,28 +226,16 @@ func (b *Board) restoreLocal(st *BoardState) error {
 	// never aliases the pool of the board the snapshot came from.
 	for name, ue := range b.exec {
 		ue.active, ue.m, ue.rel, ue.prev = false, nil, 0, codegen.ExecResult{BreakPC: -1}
-		if us, ok := st.Units[name]; ok && us.Active {
+		if us, ok := units[name]; ok && us.Active {
 			if err := ue.park(b, us.Rel, *us.M, us.Prev); err != nil {
 				return fmt.Errorf("target: restore unit %s: %w", name, err)
 			}
 		}
 	}
-	for name := range st.Units {
+	for name := range units {
 		if _, ok := b.exec[name]; !ok {
 			return fmt.Errorf("target: restore of unknown unit %q", name)
 		}
-	}
-
-	b.susp = nil
-	if st.Susp != nil {
-		ue, ok := b.exec[st.Susp.Unit]
-		if !ok {
-			return fmt.Errorf("target: restore suspension of unknown unit %q", st.Susp.Unit)
-		}
-		if err := ue.park(b, st.Susp.Rel, st.Susp.M, st.Susp.Prev); err != nil {
-			return fmt.Errorf("target: restore suspension: %w", err)
-		}
-		b.susp = ue
 	}
 	return nil
 }

@@ -102,8 +102,8 @@ func TestSharedRestoreHaltedAtBreakpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp.Board.Susp == nil {
-		t.Fatal("not halted mid-instruction: no suspended machine captured")
+	if j := cp.Board.Sched.Jobs; len(j) != 1 || !j[0].Suspended || len(cp.Board.Units) != 1 {
+		t.Fatalf("not halted mid-instruction: no suspended job and machine captured: %+v %+v", j, cp.Board.Units)
 	}
 	fresh := func(t *testing.T) *Debugger { return heatingDebugger(t, Active) }
 	checkSharedRestore(t, cp, fresh, 200*time.Millisecond)
