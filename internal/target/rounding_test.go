@@ -12,8 +12,9 @@ import (
 // full-precision floor of its cycles, which ExecNs sums and WorstNs
 // maximises; rounding up would read one more nanosecond on every figure
 // below. An on-target hit is stamped at release + that floor cost, and a
-// re-hit after a resume at the resume instant. A suspended release is
-// counted once and charges neither ExecNs nor WorstNs.
+// re-hit after a resume at the resume instant. Each hit counts a
+// suspension, and a suspended release charges neither ExecNs nor WorstNs
+// until it completes.
 func TestCooperativeCostRoundingPinned(t *testing.T) {
 	cfg := Config{CPUHz: 7_000_000, Baud: 1_000_000}
 	type costs struct{ exec, worst, releases, susp uint64 }
@@ -76,7 +77,7 @@ func TestCooperativeCostRoundingPinned(t *testing.T) {
 		t.Errorf("halted=%v cycles=%d, want re-suspended at 6520 cycles", w.Halted(), w.Cycles())
 	}
 	check(w, map[string]costs{
-		"heater":  {362840, 18142, 21, 1},
+		"heater":  {362840, 18142, 21, 2},
 		"monitor": {29703, 2571, 20, 0},
 	})
 }

@@ -19,7 +19,9 @@ import (
 
 // latchWindowFixture was captured by latchWindowDebugger on the code that
 // still kept a made-up latch as a board-level "deferred" record, before
-// the scheduler's pending outputs carried it.
+// the scheduler's pending outputs carried it. Only the heater's execNs
+// and worstNs were edited since, when a resumed cooperative release began
+// to charge its cost (17780/1270 became 20380/2600).
 const latchWindowFixture = "testdata/latch_window_142ms.json"
 
 // latchWindowEnv drives the heater's room temperature as a pure function
