@@ -14,8 +14,9 @@ import (
 // when zero), chosen so typical shapes remain legible.
 //
 // A connector's label is clipped where it would cover a cell on or inside
-// a rect, triangle or circle, so it never overwrites a box or its label;
-// connector lines and arrowheads are drawn as they fall.
+// a rect, triangle or circle, or a cell of a shape's value badge, so it
+// never overwrites a box, its label or its badge; connector lines and
+// arrowheads are drawn as they fall.
 func (sc *Scene) ASCII(sx, sy float64) string {
 	if sx <= 0 {
 		sx = 8
@@ -34,8 +35,16 @@ func (sc *Scene) ASCII(sx, sy float64) string {
 	c := newCanvas(w, h)
 	shapes := sc.Shapes()
 	for _, s := range shapes {
-		if s.Kind == KindRect || s.Kind == KindTriangle || s.Kind == KindCircle {
+		switch s.Kind {
+		case KindRect, KindTriangle, KindCircle:
 			c.cover(cellRect(s, sx, sy))
+		case KindText:
+		default:
+			continue
+		}
+		if s.Badge != "" {
+			x0, _, _, y1 := cellRect(s, sx, sy)
+			c.cover(x0+1, y1+1, x0+len(s.Badge), y1+1)
 		}
 	}
 	for _, s := range shapes {

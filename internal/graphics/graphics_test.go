@@ -390,3 +390,18 @@ func TestASCIIClipsConnectorLabels(t *testing.T) {
 		t.Fatalf("label row %q, want %q", got, want)
 	}
 }
+
+// TestASCIIClipsConnectorLabelsAtBadges: a value badge, drawn on the row
+// below its box, stops a connector label as the box does.
+func TestASCIIClipsConnectorLabelsAtBadges(t *testing.T) {
+	sc := NewScene(160, 64)
+	sc.MustAdd(&Shape{ID: "l", Kind: KindLine, X: 0, Y: 48, X2: 160, Y2: 48, Label: "a-long-connector-label"})
+	sc.MustAdd(&Shape{ID: "box", Kind: KindRect, X: 120, Y: 0, W: 32, H: 32, Label: "B"})
+	if err := sc.SetBadge("box", "42"); err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Split(sc.ASCII(0, 0), "\n")[3]
+	if want := "...........a-lon42..."; got != want {
+		t.Fatalf("label row %q, want %q", got, want)
+	}
+}
