@@ -159,9 +159,9 @@ func (k *Kernel) Schedule(at uint64, fn func(now uint64)) error {
 
 // ScheduleTagged is Schedule returning the sequence number assigned to the
 // event. Owners of snapshotable pending work (the scheduler's releases and
-// latches, the network's in-flight frames) record it so a restore can re-arm the event with the same
-// FIFO tie-break position — equal-timestamp ordering is part of the
-// deterministic schedule.
+// latches, the network's in-flight frames) record it so a restore can
+// re-arm the event with the same FIFO tie-break position — equal-timestamp
+// ordering is part of the deterministic schedule.
 func (k *Kernel) ScheduleTagged(at uint64, fn func(now uint64)) (uint64, error) {
 	if at < k.now {
 		return 0, fmt.Errorf("dtm: schedule at %d before now %d", at, k.now)
@@ -510,10 +510,7 @@ type Scheduler struct {
 
 	tasks  []*Task
 	halted bool
-
-	// susp are the jobs parked by ErrSuspended (debugger), under either
-	// policy.
-	susp []*job
+	susp   []*job // jobs parked by ErrSuspended (debugger), either policy
 
 	// FixedPriority state.
 	ready   jobHeap
@@ -587,8 +584,7 @@ func (s *Scheduler) Halt() { s.halted = true }
 // ready queue — priority order decides what runs next, so a
 // higher-priority release that arrived while halted runs before the
 // interrupted body continues. Under Cooperative a parked job runs on at
-// once, as one Unbounded slice at the resume instant; it may suspend
-// again.
+// once, as one Unbounded slice; it may suspend again.
 func (s *Scheduler) Resume() {
 	s.halted = false
 	now := s.K.Now()
@@ -661,11 +657,9 @@ func (s *Scheduler) runCooperative(j *job, now uint64) {
 	s.complete(j, now)
 }
 
-// stop ends a slice that returned err and reports whether the job is
-// parked. ErrSuspended parks it until Resume. Any other error fails the
-// release, which then neither charges its cost nor publishes; the failed
-// job is retired once no latch event holds it — at once under
-// Cooperative, whose jobs arm their latch only on completion.
+// stop ends a slice that returned err and reports whether ErrSuspended
+// parked the job. Any other error fails the release: no charge, no
+// publish, and the job retires once no latch event holds it.
 func (s *Scheduler) stop(j *job, err error) bool {
 	if errors.Is(err, ErrSuspended) {
 		j.t.Suspensions++
@@ -906,13 +900,11 @@ func (s *Scheduler) finish(j *job, now uint64) {
 	s.dispatch(now)
 }
 
-// complete finalises a finished job under either policy. Its whole cost —
-// every slice, across preemptions and suspensions — is charged, and its
-// deadline latch is made up: published at once when the latch instant has
-// passed (a missed or debugger-suspended release publishes at completion),
-// left to the latch event otherwise. A FixedPriority job armed that event
-// at release; a Cooperative job arms it here, and a Cooperative cost above
-// the deadline is a miss.
+// complete finalises a finished job under either policy: its whole cost,
+// across preemptions and suspensions, is charged, and its output publishes
+// at once when the latch instant has passed (a missed or suspended
+// release), at the latch otherwise — armed at release under FixedPriority,
+// here under Cooperative, where a cost above the deadline is a miss.
 func (s *Scheduler) complete(j *job, now uint64) {
 	j.done = true
 	t := j.t

@@ -8,18 +8,15 @@ import (
 )
 
 // Explicit-state forms of the scheduler: per-task accounting and release
-// rhythm, and the live jobs — the one record of every release the
-// scheduler has started, under both policies. A FixedPriority job (ready,
-// suspended, running, or completed but unlatched) is written as a
-// JobState. A Cooperative job is either suspended, written as a JobState
-// with no sequence number and no latch, or completed and waiting for its
-// deadline latch, written as the PendingOutputState such a latch has
-// always been written as. Together with KernelState this is "the complete
-// execution state of the kernel as a value" — every pending kernel event
-// the scheduler owns is recorded as (instant, sequence number) and
-// re-armed on restore, so equal-timestamp tie-breaks replay exactly. Task
-// values are not part of it: they live in the bodies (board RAM on a
-// target).
+// rhythm, and the live jobs of both policies — FixedPriority's (ready,
+// suspended, running, or completed but unlatched) and a suspended
+// Cooperative one as JobStates, a completed Cooperative job waiting for
+// its latch as a PendingOutputState. Together with KernelState this is
+// "the complete execution state of the kernel as a value" — every pending
+// kernel event the scheduler owns is recorded as (instant, sequence
+// number) and re-armed on restore, so equal-timestamp tie-breaks replay
+// exactly. Task values are not part of it: they live in the bodies (board
+// RAM on a target).
 
 // TaskState is the portable form of one task's accounting and rhythm.
 type TaskState struct {
@@ -37,8 +34,7 @@ type TaskState struct {
 	RelSeq          uint64 `json:"relSeq"`
 }
 
-// JobState is the portable form of one release-turned-job: any
-// FixedPriority job, or a suspended Cooperative one.
+// JobState is the portable form of one release-turned-job.
 type JobState struct {
 	Task    string `json:"task"`
 	Release uint64 `json:"release"`
@@ -57,8 +53,7 @@ type JobState struct {
 	EndSeq   uint64 `json:"endSeq,omitempty"`
 }
 
-// PendingOutputState is one output latch in flight: a completed
-// Cooperative job waiting for its deadline instant.
+// PendingOutputState is one Cooperative output latch in flight.
 type PendingOutputState struct {
 	Task string `json:"task"`
 	At   uint64 `json:"at"`
@@ -88,8 +83,8 @@ type SchedulerState struct {
 }
 
 // liveJobs collects every job with pending kernel events or queue
-// residency, deduped, in creation (seq) order. The sort is stable: the
-// Cooperative jobs, which all have seq 0, keep their registry order.
+// residency, deduped, in creation (seq) order; Cooperative jobs (all seq
+// 0) keep their registry order.
 func (s *Scheduler) liveJobs() []*job {
 	seen := map[*job]bool{}
 	var out []*job

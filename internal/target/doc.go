@@ -24,7 +24,8 @@
 //
 // Config.Sched selects how releases become CPU time. Both policies run a
 // body through one path, the task's Slice hook on a pooled
-// codegen.Machine per unit. Under dtm.Cooperative (the default) every
+// codegen.Machine per unit, and keep one record of a started release, the
+// scheduler's job. Under dtm.Cooperative (the default) every
 // release is one slice with the dtm.Unbounded budget, run to completion
 // at its release instant at zero modeled preemption cost;
 // TaskSpec.Priority is ignored and a miss means "the body's own cost
@@ -45,19 +46,22 @@
 //	                         instant, run-to-completion  preempted at instruction
 //	                                                     boundaries
 //	deadline miss            body cost > deadline,       job unfinished at the
-//	                         counted at the release      latch instant, counted
+//	                         counted at completion       latch instant, counted
 //	                                                     (and EvDeadlineMiss sent)
 //	                                                     at the latch
 //	missed release publish   outputs still latch at the  late publish at job
 //	                         deadline instant            completion
-//	on-target break hit      halt-at-instruction; VM     halt-at-instruction; the
-//	                         parked, deadline latch      job leaves the ready
-//	                         suppressed (ErrSuspended)   queue, latch suppressed
-//	resume after suspension  interrupted body finishes   job re-enters the ready
-//	                         first, then the skipped     queue; priority order
-//	                         latch is made up (a         decides what runs; the
-//	                         scheduler pending output)   made-up latch publishes
-//	                                                     at completion
+//	on-target break hit      halt-at-instruction; the    halt-at-instruction; the
+//	                         job is parked, no latch     job leaves the ready
+//	                         armed (ErrSuspended)        queue, latch suppressed
+//	resume after suspension  the job runs on at the      job re-enters the ready
+//	                         resume instant; on          queue; priority order
+//	                         completion its whole cost   decides what runs; on
+//	                         is charged and its latch    completion its whole cost
+//	                         armed (deadline ahead) or   is charged and a passed
+//	                         published at once           latch publishes at once
+//	re-hit after resume      a suspension, stamped at    a suspension, stamped at
+//	                         the resume instant          the triggering instruction
 //	host Halt (InPause)      releases skipped, rhythm    releases skipped; a job
 //	                         kept; pre-latched outputs   caught mid-body freezes
 //	                         still publish               and continues on Resume
@@ -120,14 +124,16 @@
 //
 //   - On-target (halt-at-instruction): a hit stops the VM at the very
 //     instruction that changed the symbol or raised the event, mid-release.
-//     The release is suspended (dtm.ErrSuspended), so its deadline latch
-//     does NOT publish; an EvBreak frame stamped with the instruction's
-//     virtual time reports the source id and triggering symbol/value
-//     (EvStepped for a completed step). Resume finishes the interrupted
-//     body — re-suspending if a still-true condition re-trips — and makes
-//     up the skipped latch at its original deadline instant when that is
-//     still ahead, immediately (a late publish) otherwise. A made-up latch
-//     is a scheduler pending output like any cooperative release's.
+//     The release is suspended (dtm.ErrSuspended): under either policy it
+//     is a job parked in the scheduler, its machine kept by its unit, and
+//     its deadline latch does NOT publish; an EvBreak frame stamped with
+//     the instruction's virtual time reports the source id and triggering
+//     symbol/value (EvStepped for a completed step). Board.Resume is the
+//     scheduler's Resume: the job continues — re-suspending, and counting
+//     another suspension, if a still-true condition re-trips — and on
+//     completion charges its whole cost and makes up the skipped latch at
+//     its original deadline instant when that is still ahead, immediately
+//     (a late publish) otherwise.
 //   - Host-side (halt-after-frame): the session can only react once the
 //     event frame has crossed the UART (or a JTAG poll has sampled RAM),
 //     at least one frame-time after the fact. By then the release body has
@@ -249,15 +255,17 @@
 //	scheduler  per-task accounting (releases,      pending releases/latches/slice
 //	(dtm)      misses, exec/response times),       ends re-armed; the ready heap,
 //	           release rhythm (next instant +      suspended jobs and the job on the
-//	           seq), FixedPriority job set, the    CPU are rebuilt; pending outputs
-//	           running slice (end instant,         re-armed (a checkpoint's board
-//	           will-complete), pending output      "deferred" latch records, written
-//	           latches (cooperative and made-up)   before the scheduler kept them,
-//	                                               fold in by deadline)
-//	VM         per-unit mid-release machines:      fresh Machine per parked release
-//	(codegen)  PC, operand stack, halt flag,       (never aliases the source pool);
-//	           accumulated cycles/steps/emits      resumes at the exact instruction
-//	           (MachineState)                      boundary
+//	           seq), the jobs: FixedPriority's,    CPU are rebuilt; pending outputs
+//	           the running slice (end instant,     re-armed (a checkpoint's board
+//	           will-complete), a suspended         "deferred" latch records, written
+//	           cooperative job, and a finished     before the scheduler kept them,
+//	           cooperative job's latch, written    fold in by deadline)
+//	           as a pending output
+//	VM         per-unit mid-release machines,      fresh Machine per parked release
+//	(codegen)  preempted or suspended ("units"):   (never aliases the source pool);
+//	           PC, operand stack, halt flag,       resumes at the exact instruction
+//	           accumulated cycles/steps/emits      boundary
+//	           (MachineState)
 //	board      RAM image, cycle/instrumentation    byte-copied; symbol values,
 //	           counters, event seq, firmware       scheduling counters and latched
 //	           error, drop report cursor           I/O all come back with it
@@ -266,10 +274,11 @@
 //	           counts), step arm, check round      order; hot flags preserved so trip
 //	                                               timing and sticky re-suspend
 //	                                               survive the rewind
-//	susp       the cooperative release inter-      machine rebuilt; Resume finishes
-//	           rupted by the agent (unit, release  the body and makes up the skipped
-//	           instant, machine, accounted         latch exactly as the live board
-//	           prefix)                             would have
+//	susp       read only: a cooperative            folded into a suspended job (its
+//	           suspension as checkpoints wrote     cost the floor of the accounted
+//	           it before the scheduler kept it     prefix's cycles) plus a "units"
+//	           (unit, release instant, machine,    machine; Resume then runs on as
+//	           accounted prefix)                   the live board would have
 //	serial     both directions: bytes in flight    bytes land at their original
 //	           with arrival instants, undrained    instants; a frame straddling the
 //	           rx, line-busy horizon, stats        checkpoint is not torn

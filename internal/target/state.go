@@ -14,11 +14,14 @@ import (
 
 // Explicit-state forms of the board: "the complete execution state of a
 // board" as one copyable, JSON-serializable value. A BoardState captures
-// every layer the firmware owns — RAM symbols, the scheduler's job set,
-// release rhythm and pending deadline latches (the made-up latch of a
-// resumed suspension among them), the UART line with frames in flight, the
+// every layer the firmware owns — RAM symbols, the scheduler's jobs (every
+// release started and not yet retired, under either policy: preempted,
+// suspended at a breakpoint, or finished and waiting for its deadline
+// latch), its release rhythm, the UART line with frames in flight, the
 // protocol decoder mid-frame, the breakpoint agent's armed predicates (hot
-// and sticky flags included), and the VM machines parked mid-release.
+// and sticky flags included), and the VM machines of the releases in
+// flight. Older checkpoints may also carry a board "susp" or "deferred"
+// record; Restore folds them into the scheduler's form.
 // Restore rewinds a board built from the same program to that exact
 // instant; because every pending kernel event is re-armed with its
 // original sequence number, resuming reproduces the original timeline
