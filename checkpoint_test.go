@@ -281,7 +281,9 @@ var recorderTargets = []struct {
 // slice boundary), and verifies the session lands exactly there with the
 // state the original timeline had; ReplayUntil then re-executes to the
 // horizon and the trace must be byte-identical to the uninterrupted
-// control.
+// control. The off-grid landing is then checkpointed and resumed live in
+// a fresh debugger: a replay of that resumed run must poll on the same
+// absolute grid the live run did, so its trace equals the live one.
 func TestRewindToLandsExactly(t *testing.T) {
 	for _, tc := range recorderTargets {
 		t.Run(tc.name, func(t *testing.T) {
@@ -317,6 +319,10 @@ func TestRewindToLandsExactly(t *testing.T) {
 			if prefix := formatTrace(dbg); !bytes.HasPrefix([]byte(fullTrace), []byte(prefix)) {
 				t.Fatal("rewound trace is not a prefix of the original")
 			}
+			offGrid, err := dbg.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
 
 			ok, err := dbg.Session.ReplayUntil(func(now uint64) bool { return now >= 40_000_000 }, 40_000_000)
 			if err != nil {
@@ -330,6 +336,27 @@ func TestRewindToLandsExactly(t *testing.T) {
 			}
 			if dbg.Recorder.Replaying() {
 				t.Error("recorder should have handed back to live mode at the frontier")
+			}
+
+			resumed := tc.build(t)
+			if err := resumed.RestoreCheckpoint(jsonRoundtrip(t, offGrid)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := resumed.EnableCheckpointing(10 * time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			if err := resumed.Run(40 * time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			live, end := formatTrace(resumed), resumed.Now()
+			if _, err := resumed.Session.RewindTo(30_000_000); err != nil {
+				t.Fatal(err)
+			}
+			if ok, err := resumed.Session.ReplayUntil(func(now uint64) bool { return now >= end }, end); err != nil || !ok {
+				t.Fatalf("replay of the resumed run never reached %d (now %d, err %v)", end, resumed.Now(), err)
+			}
+			if got := formatTrace(resumed); got != live {
+				diffTraces(t, got, live)
 			}
 		})
 	}
@@ -498,7 +525,10 @@ func BenchmarkRestore(b *testing.B) {
 // node that received it, so the replayed trace stays byte-identical. On
 // the board the poke is an actor input; on the cluster, where every
 // network-fed input is refreshed at release, it is an input write plus a
-// RAM write over nodeB's own command channel.
+// RAM write over nodeB's own command channel. A plain run after a rewind
+// re-executes the same recorded timeline: from rewinds before, off the
+// grid after and well after the poke, RunNs back to the frontier must
+// reproduce the recorded trace and checkpoint bytes there.
 func TestReplayReappliesManualInputs(t *testing.T) {
 	cases := map[string]struct {
 		poke func(*Debugger) error
@@ -549,7 +579,7 @@ func TestReplayReappliesManualInputs(t *testing.T) {
 			if err := dbg.Run(30 * time.Millisecond); err != nil {
 				t.Fatal(err)
 			}
-			want := formatTrace(dbg)
+			want, wantCp, end := formatTrace(dbg), checkpointBytes(t, dbg), dbg.Now()
 			if n := len(dbg.Recorder.Inputs()); n != 0 {
 				t.Fatalf("scenario should have no environment log, got %d", n)
 			}
@@ -577,8 +607,41 @@ func TestReplayReappliesManualInputs(t *testing.T) {
 			if ok, err := c.landed(dbg); err != nil || !ok {
 				t.Fatalf("manual stimulus did not land on replay (err %v)", err)
 			}
+
+			for _, at := range []uint64{6_000_000, 17_300_001, 33_000_000} {
+				if _, err := dbg.Session.RewindTo(at); err != nil {
+					t.Fatal(err)
+				}
+				if err := dbg.RunNs(end - dbg.Now()); err != nil {
+					t.Fatal(err)
+				}
+				if dbg.Now() != end {
+					t.Fatalf("run after rewind to %d stopped at %d, want %d", at, dbg.Now(), end)
+				}
+				if got := formatTrace(dbg); got != want {
+					diffTraces(t, got, want)
+				}
+				if !bytes.Equal(checkpointBytes(t, dbg), wantCp) {
+					t.Fatalf("run after rewind to %d: checkpoint at the frontier differs from the recorded one", at)
+				}
+			}
 		})
 	}
+}
+
+// checkpointBytes is the serialized checkpoint of the debugger's current
+// state.
+func checkpointBytes(t *testing.T, d *Debugger) []byte {
+	t.Helper()
+	cp, err := d.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := cp.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestGoldenDistributedMidCycleRestore is the distributed acceptance
