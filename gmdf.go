@@ -238,32 +238,18 @@ func (d *Debugger) Run(dur time.Duration) error {
 	return d.RunNs(uint64(dur.Nanoseconds()))
 }
 
-// RunNs is Run in raw nanoseconds of virtual time. It fails with the
-// first node whose generated code aborted (division by zero and friends).
+// RunNs is Run in raw nanoseconds of virtual time: it advances to the
+// first grid point (a multiple of checkpoint.SliceNs) at or past now+durNs,
+// so a run that starts off the grid first runs to the next grid point. It
+// fails with the first node whose generated code aborted (division by zero
+// and friends). Below the recorder's frontier a run re-executes the
+// recorded timeline, as ReplayUntil does: it re-applies the logged host
+// actions and stops at a pause only once it is live again.
 func (d *Debugger) RunNs(durNs uint64) error {
-	t := d.target
-	end := t.Now() + durNs
-	nodes := t.Nodes() // one copy per call, not per slice
-	for t.Now() < end {
-		if d.Session.Paused() {
-			return nil
-		}
-		t.RunUntil(t.Now() + checkpoint.SliceNs)
-		if _, err := d.Session.ProcessEvents(t.Now()); err != nil {
-			return err
-		}
-		for _, n := range nodes {
-			if err := t.Board(n).Err(); err != nil {
-				return fmt.Errorf("repro: node %s: %w", n, err)
-			}
-		}
-		if d.Recorder != nil {
-			if err := d.Recorder.Observe(t.Now()); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	limit := (d.Now() + durNs + checkpoint.SliceNs - 1) / checkpoint.SliceNs * checkpoint.SliceNs
+	return checkpoint.Advance(d.target, d.Session, d.Recorder, limit, func(uint64) bool {
+		return d.Session.Paused() && (d.Recorder == nil || !d.Recorder.Replaying())
+	})
 }
 
 // EnableCheckpointing attaches a checkpoint recorder to the session: an

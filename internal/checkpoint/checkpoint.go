@@ -53,6 +53,7 @@ const Version = 1
 type Target interface {
 	Now() uint64
 	RunUntil(t uint64)
+	RunThrough(t uint64)
 	Nodes() []string
 	Board(node string) *target.Board
 }

@@ -13,9 +13,9 @@ import (
 // given zero (250 virtual milliseconds).
 const DefaultIntervalNs = 250_000_000
 
-// SliceNs is the pump granularity of the facade's run loop and of replay
-// (1 ms of virtual time per slice): both poll the host side on the same
-// absolute grid, so replayed host receive stamps reproduce exactly.
+// SliceNs is the grid Advance polls the host side on (1 ms of virtual
+// time): live runs, rewinds and replays all poll at the multiples of
+// SliceNs, so replayed host receive stamps reproduce exactly.
 const SliceNs = 1_000_000
 
 // keepCheckpoints bounds the retained checkpoint list. Each checkpoint
@@ -45,9 +45,11 @@ type InstrRecord struct {
 // Recorder implements record-and-revisit debugging over a Target — one
 // board or a whole cluster. It takes periodic checkpoints while logging,
 // per node, the two non-deterministic input streams (environment
-// WriteInputs and host wire instructions), and replays them during
-// RewindTo/ReplayUntil so re-execution from a checkpoint reproduces the
-// original timeline exactly. Everything else in a cluster run — bus
+// WriteInputs and host wire instructions). Below the frontier — the
+// farthest instant the live run has reached — the logs are authoritative:
+// RewindTo restores a checkpoint and every Advance from there re-applies
+// them, so re-execution reproduces the original timeline exactly, whether
+// it is driven by ReplayUntil or by a plain run. Everything else in a cluster run — bus
 // arbitration, frame loss, jitter — is drawn from the network's seeded
 // RNG, which the checkpoints capture. The logs are kept in one global
 // sequence: every node advances on one shared virtual clock in a
@@ -127,10 +129,11 @@ func (r *Recorder) Instructions() []InstrRecord { return r.instrs }
 // frontier, re-executing from the logs.
 func (r *Recorder) Replaying() bool { return r.replaying }
 
-// Observe is the live pump's per-slice hook: it advances the frontier and
-// takes a periodic checkpoint when the interval has elapsed. It is a
-// no-op during replay (the checkpoints for that window already exist).
-func (r *Recorder) Observe(now uint64) error {
+// observe is Advance's hook at each grid point: it advances the frontier
+// and takes a periodic checkpoint when the interval has elapsed. During
+// replay it only hands back to live mode at the frontier (the checkpoints
+// for the replayed window already exist).
+func (r *Recorder) observe(now uint64) error {
 	if r.replaying {
 		if now >= r.frontier {
 			r.endReplay()
@@ -216,9 +219,7 @@ func (r *Recorder) preLatch(node string, live func(now uint64, actor string), no
 		}
 		return
 	}
-	if r.replaying {
-		r.endReplay()
-	}
+	r.endReplay()
 	if live != nil {
 		r.inEnv = true
 		live(now, actor)
@@ -234,8 +235,16 @@ func (r *Recorder) write(ir InputRecord) {
 }
 
 // endReplay hands control back to the live environment once re-execution
-// has caught up with the recorded frontier.
+// has caught up with the recorded frontier. Host actions logged at the
+// landing instant — taken at the frontier before the rewind — are
+// re-applied first, so the live run resumes from the state it left.
 func (r *Recorder) endReplay() {
+	if !r.replaying {
+		return
+	}
+	now := r.Target.Now()
+	r.sendLogged(now)
+	r.applyManual(now)
 	r.replaying = false
 	r.Session.SetReplaying(false)
 }
@@ -284,44 +293,57 @@ func (r *Recorder) sendLogged(now uint64) {
 	}
 }
 
-// pumpTo re-executes forward to exactly t: logged instructions are
-// re-sent at their original instants, the target advances slice by slice,
-// and events are processed only at absolute grid points (multiples of
-// SliceNs) — the same receive grid the live run polls on, so replayed
-// receive stamps reproduce exactly. A partial tail below the next grid
-// point advances the target silently: events raised there stay on the
-// wire, just as they were in-flight at that instant originally. During
-// replay a breakpoint pause does not stop the pump — the logged resume
-// that cleared it in the original timeline clears it here too.
-func (r *Recorder) pumpTo(t uint64) error {
-	for r.Target.Now() < t {
-		now := r.Target.Now()
-		if r.replaying {
+// Advance is the one loop that moves a debug session forward in virtual
+// time: live runs, rewinds and replays all go through it. It runs the
+// target to each grid point (a multiple of SliceNs) up to limit, polls the
+// session's host side there, fails with the first node whose generated
+// code aborted, and lets the recorder r (nil when none is attached)
+// observe the instant. A limit off the grid is reached with one partial
+// slice that neither polls nor services the target's UART (RunThrough),
+// so the target is left exactly as an unbroken run passes through that
+// instant. While r is replaying, the logged wire instructions and manual
+// writes are re-applied at their original instants, before the slice that
+// starts there. stop (nil for none) is checked before every slice and at
+// limit; Advance returns when it reports true or the target reaches limit.
+func Advance(t Target, s *engine.Session, r *Recorder, limit uint64, stop func(now uint64) bool) error {
+	nodes := t.Nodes() // one copy per call, not per slice
+	for {
+		now := t.Now()
+		if stop != nil && stop(now) || now >= limit {
+			return nil
+		}
+		if r != nil && r.replaying {
 			r.sendLogged(now)
 			r.applyManual(now)
 		}
 		next := (now/SliceNs + 1) * SliceNs
-		if next > t {
-			// Partial tail: land exactly on t without polling the host side.
-			r.Target.RunUntil(t)
-			return nil
+		if next > limit {
+			t.RunThrough(limit)
+			continue
 		}
-		r.Target.RunUntil(next)
-		if _, err := r.Session.ProcessEvents(r.Target.Now()); err != nil {
+		t.RunUntil(next)
+		if _, err := s.ProcessEvents(next); err != nil {
 			return err
 		}
-		if err := r.Observe(r.Target.Now()); err != nil {
-			return err
+		for _, n := range nodes {
+			if err := t.Board(n).Err(); err != nil {
+				return fmt.Errorf("repro: node %s: %w", n, err)
+			}
+		}
+		if r != nil {
+			if err := r.observe(next); err != nil {
+				return err
+			}
 		}
 	}
-	return nil
 }
 
 // RewindTo implements engine.Rewinder: restore the latest checkpoint at
-// or before t, then deterministically re-execute forward to exactly t.
+// or before t, then Advance through the recorded timeline to exactly t.
 // The landing instant is exact — t falls wherever it falls relative to
 // instruction boundaries; the target state is the one the original
-// timeline had at that very nanosecond.
+// timeline had at that very nanosecond. A node whose generated code
+// aborted on the way is reported as RunNs reports it.
 func (r *Recorder) RewindTo(t uint64) (uint64, error) {
 	cp := r.LastBefore(t)
 	if cp == nil {
@@ -331,38 +353,26 @@ func (r *Recorder) RewindTo(t uint64) (uint64, error) {
 		return 0, err
 	}
 	r.beginReplay(r.Target.Now())
-	if err := r.pumpTo(t); err != nil {
-		return r.Target.Now(), err
-	}
-	if r.Target.Now() >= r.frontier {
+	err := Advance(r.Target, r.Session, r, t, nil)
+	if err == nil && r.Target.Now() >= r.frontier {
 		r.endReplay()
 	}
-	return r.Target.Now(), nil
+	return r.Target.Now(), err
 }
 
-// ReplayUntil implements engine.Rewinder: re-execute forward from the
-// current (typically rewound) instant until cond reports true, bounded by
-// maxNs of virtual time. cond is checked at pump-slice boundaries.
+// ReplayUntil implements engine.Rewinder: Advance from the current
+// (typically rewound) instant until cond reports true, bounded by maxNs of
+// virtual time. cond is checked before every slice and at the bound.
+// During replay a breakpoint pause does not stop the run — the logged
+// resume that cleared it in the original timeline clears it here too.
 func (r *Recorder) ReplayUntil(cond func(now uint64) bool, maxNs uint64) (bool, error) {
 	if r.Target.Now() < r.frontier && !r.replaying {
 		r.beginReplay(r.Target.Now())
 	}
-	limit := r.Target.Now() + maxNs
-	for {
-		if cond(r.Target.Now()) {
-			return true, nil
-		}
-		if r.Target.Now() >= limit {
-			return false, nil
-		}
-		// Advance to the next grid point (re-aligning after an off-grid
-		// rewind landing), checking cond after each pumped slice.
-		next := (r.Target.Now()/SliceNs + 1) * SliceNs
-		if next > limit {
-			next = limit
-		}
-		if err := r.pumpTo(next); err != nil {
-			return false, err
-		}
-	}
+	met := false
+	err := Advance(r.Target, r.Session, r, r.Target.Now()+maxNs, func(now uint64) bool {
+		met = cond(now)
+		return met
+	})
+	return met, err
 }

@@ -23,6 +23,7 @@ import (
 
 	"repro"
 	"repro/internal/baseline"
+	"repro/internal/checkpoint"
 	"repro/internal/codegen"
 	"repro/internal/comdes"
 	"repro/internal/core"
@@ -270,11 +271,8 @@ func E6Workflow() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	for i := 0; i < 200; i++ {
-		b.RunFor(1_000_000)
-		if _, err := s.ProcessEvents(b.Now()); err != nil {
-			return "", err
-		}
+	if err := checkpoint.Advance(b, s, nil, 200*checkpoint.SliceNs, nil); err != nil {
+		return "", err
 	}
 	var out strings.Builder
 	out.WriteString("E6 (Fig. 6) — five-step execution flow\n")

@@ -332,6 +332,11 @@ func (b *Board) RunUntil(t uint64) {
 	b.sync(t)
 }
 
+// RunThrough advances the board to t as a longer run passes through it:
+// every event up to t executes, but the UART is not serviced at t, so a
+// later RunUntil continues exactly as if the run had never stopped.
+func (b *Board) RunThrough(t uint64) { b.kernel.RunUntil(t) }
+
 // Nodes names the board's one node, so a board and a cluster are debugged
 // through the same node-indexed view.
 func (b *Board) Nodes() []string { return []string{b.Name} }

@@ -256,5 +256,9 @@ func (c *Cluster) RunUntil(t uint64) {
 	}
 }
 
+// RunThrough is Board.RunThrough for every node: the shared clock moves to
+// t without servicing any node's UART there.
+func (c *Cluster) RunThrough(t uint64) { c.Kernel.RunUntil(t) }
+
 // Board returns the named node's board, or nil.
 func (c *Cluster) Board(node string) *Board { return c.Boards[node] }
