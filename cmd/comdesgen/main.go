@@ -7,17 +7,13 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"slices"
 	"strings"
 
 	"repro/internal/codegen"
-	"repro/internal/comdes"
-	"repro/internal/metamodel"
 	"repro/models"
 )
 
@@ -39,7 +35,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	sys, err := loadSystem(*model)
+	sys, err := models.Load(*model)
 	if err != nil {
 		return err
 	}
@@ -78,26 +74,4 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// loadSystem resolves a built-in model name, or else reads the COMDES
-// model XML file at that path. A name that is neither is reported as an
-// unknown model, with the built-in names.
-func loadSystem(name string) (*comdes.System, error) {
-	if slices.Contains(models.Names(), name) {
-		return models.ByName(name)
-	}
-	f, err := os.Open(name)
-	if errors.Is(err, os.ErrNotExist) {
-		return models.ByName(name)
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	mod, err := metamodel.ReadModelXML(comdes.Metamodel(), f)
-	if err != nil {
-		return nil, err
-	}
-	return comdes.FromModel(mod)
 }

@@ -32,7 +32,6 @@ import (
 	"repro/internal/dsl"
 	"repro/internal/engine"
 	"repro/internal/farm"
-	"repro/internal/metamodel"
 	"repro/models"
 )
 
@@ -155,7 +154,7 @@ func run(args []string, out io.Writer) error {
 	// A built-in model or XML system is the scenario it already is: the
 	// standard board, environment and cluster for its name.
 	if sc == nil {
-		sys, err := loadSystem(*model)
+		sys, err := models.Load(*model)
 		if err != nil {
 			return err
 		}
@@ -527,20 +526,4 @@ func runRemote(out io.Writer, o remoteOpts) error {
 		}
 	}
 	return nil
-}
-
-func loadSystem(name string) (*comdes.System, error) {
-	if sys, err := models.ByName(name); err == nil {
-		return sys, nil
-	}
-	f, err := os.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	mod, err := metamodel.ReadModelXML(comdes.Metamodel(), f)
-	if err != nil {
-		return nil, err
-	}
-	return comdes.FromModel(mod)
 }

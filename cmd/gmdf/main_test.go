@@ -86,6 +86,20 @@ func TestBadFlagsReturnError(t *testing.T) {
 	}
 }
 
+// TestRefusedModel: a name that is neither a built-in model nor a file is
+// named as an unknown model with the built-in names, as comdesgen and
+// targetsim name it — not as a missing file.
+func TestRefusedModel(t *testing.T) {
+	err := run([]string{"-model", "nosuch", "-ms", "10"}, io.Discard)
+	if err == nil {
+		t.Fatal("model nosuch accepted")
+	}
+	want := fmt.Sprintf("unknown model %q (have %v)", "nosuch", models.Names())
+	if !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q, want it to contain %q", err, want)
+	}
+}
+
 // TestConnectMatchesInProcess: the -connect client mode against a live
 // farm server produces a trace byte-identical to the in-process run of
 // the same model and budget, for every built-in model — the CI

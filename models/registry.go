@@ -1,10 +1,13 @@
 package models
 
 import (
+	"errors"
 	"fmt"
+	"os"
 	"sort"
 
 	"repro/internal/comdes"
+	"repro/internal/metamodel"
 )
 
 // Registry: the built-in models addressable by name — the same catalogue
@@ -38,4 +41,27 @@ func ByName(name string) (*comdes.System, error) {
 		return nil, fmt.Errorf("models: unknown model %q (have %v)", name, Names())
 	}
 	return b()
+}
+
+// Load resolves a built-in model name, or else reads the COMDES model XML
+// file at that path: the CLIs' -model flag. A name that is neither is
+// reported as ByName reports an unknown model, with the built-in names.
+// The farm calls ByName, so it never opens a path a client sends.
+func Load(name string) (*comdes.System, error) {
+	if _, ok := builders[name]; ok {
+		return ByName(name)
+	}
+	f, err := os.Open(name)
+	if errors.Is(err, os.ErrNotExist) {
+		return ByName(name)
+	}
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	mod, err := metamodel.ReadModelXML(comdes.Metamodel(), f)
+	if err != nil {
+		return nil, err
+	}
+	return comdes.FromModel(mod)
 }
