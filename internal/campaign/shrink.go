@@ -7,8 +7,9 @@ package campaign
 // worst responses only rise as the run extends — so "violates at w"
 // implies "violates at every w' >= w".
 
-// shrinkGrid is the window granularity (matches the engines' 1 ms event
-// pump slice; finer windows would not change what the host observes).
+// shrinkGrid is the window granularity (matches checkpoint.SliceNs, the
+// grid every session polls on; finer windows would not change what the
+// host observes).
 const shrinkGrid = 1_000_000
 
 // shrinkVariant finds the minimal violating window for v and returns it

@@ -22,12 +22,16 @@
 // the restored state — the kernel replays pending events in their original
 // sequence positions, the VM machines resume at exact instruction
 // boundaries, the UART delivers the same bytes at the same instants, and a
-// cluster's bus draws loss and jitter from the captured RNG. The two
-// inputs that are NOT functions of target state are captured in the
-// Recorder's logs: WriteInput stimuli (the environment/plant path) and
-// instructions the host sends over the wire, each with the node it reached.
-// Host-side interactive actions that never touch the wire (host-side Step
-// on a passive session) are outside the replay contract.
+// cluster's bus draws loss and jitter from the captured RNG. One loop,
+// Advance, moves every live run, rewind and replay: it polls the host side
+// only at multiples of SliceNs, so a stop off that grid changes nothing.
+// The two inputs that are NOT functions of target state are captured in
+// the Recorder's logs, and Advance re-applies them below the frontier:
+// WriteInput stimuli (the environment/plant path) and instructions the
+// host sends over the wire, each with the node it reached. Host-side
+// interactive actions that never touch the wire (host-side Step on a
+// passive session) are outside the replay contract, and so is a host
+// action taken below the frontier: it is applied but not logged.
 package checkpoint
 
 import (

@@ -47,10 +47,10 @@ type InstrRecord struct {
 // per node, the two non-deterministic input streams (environment
 // WriteInputs and host wire instructions). Below the frontier — the
 // farthest instant the live run has reached — the logs are authoritative:
-// RewindTo restores a checkpoint and every Advance from there re-applies
-// them, so re-execution reproduces the original timeline exactly, whether
-// it is driven by ReplayUntil or by a plain run. Everything else in a cluster run — bus
-// arbitration, frame loss, jitter — is drawn from the network's seeded
+// RewindTo restores a checkpoint, and every Advance from there re-applies
+// them, so re-execution reproduces the original timeline exactly whether
+// ReplayUntil or a plain run drives it. Everything else in a cluster run —
+// bus arbitration, frame loss, jitter — is drawn from the network's seeded
 // RNG, which the checkpoints capture. The logs are kept in one global
 // sequence: every node advances on one shared virtual clock in a
 // deterministic order, so a single cursor replays events in the order
@@ -72,7 +72,7 @@ type Recorder struct {
 	// inputs are environment stimuli written during PreLatch (replayed at
 	// the same release sites); manual are stimuli written outside it —
 	// user pokes between run slices, a cluster's pre-release refresh —
-	// replayed at pump boundaries.
+	// replayed at slice starts.
 	inputs []InputRecord
 	manual []InputRecord
 	instrs []InstrRecord
@@ -130,14 +130,10 @@ func (r *Recorder) Instructions() []InstrRecord { return r.instrs }
 func (r *Recorder) Replaying() bool { return r.replaying }
 
 // observe is Advance's hook at each grid point: it advances the frontier
-// and takes a periodic checkpoint when the interval has elapsed. During
-// replay it only hands back to live mode at the frontier (the checkpoints
-// for the replayed window already exist).
+// and takes a periodic checkpoint when the interval has elapsed. It is a
+// no-op during replay (the checkpoints for that window already exist).
 func (r *Recorder) observe(now uint64) error {
 	if r.replaying {
-		if now >= r.frontier {
-			r.endReplay()
-		}
 		return nil
 	}
 	if now > r.frontier {
@@ -177,8 +173,8 @@ func (r *Recorder) LastBefore(t uint64) *Checkpoint {
 
 // logInput is every board's OnInput hook (record mode only). Writes made
 // inside a node's environment hook replay at the same PreLatch site;
-// writes made anywhere else land in the manual log, replayed at pump
-// boundaries.
+// writes made anywhere else land in the manual log, replayed at slice
+// starts.
 func (r *Recorder) logInput(node string, now uint64, actor, port string, v value.Value) {
 	if r.replaying {
 		return
@@ -219,7 +215,9 @@ func (r *Recorder) preLatch(node string, live func(now uint64, actor string), no
 		}
 		return
 	}
-	r.endReplay()
+	if r.replaying {
+		r.endReplay()
+	}
 	if live != nil {
 		r.inEnv = true
 		live(now, actor)
@@ -235,16 +233,8 @@ func (r *Recorder) write(ir InputRecord) {
 }
 
 // endReplay hands control back to the live environment once re-execution
-// has caught up with the recorded frontier. Host actions logged at the
-// landing instant — taken at the frontier before the rewind — are
-// re-applied first, so the live run resumes from the state it left.
+// has caught up with the recorded frontier.
 func (r *Recorder) endReplay() {
-	if !r.replaying {
-		return
-	}
-	now := r.Target.Now()
-	r.sendLogged(now)
-	r.applyManual(now)
 	r.replaying = false
 	r.Session.SetReplaying(false)
 }
@@ -259,7 +249,7 @@ func (r *Recorder) beginReplay(now uint64) {
 }
 
 // applyManual re-injects stimuli that were written outside environment
-// hooks, at the pump boundary where the original write sat between run
+// hooks, at the slice start where the original write sat between run
 // slices.
 func (r *Recorder) applyManual(now uint64) {
 	for r.manPtr < len(r.manual) && r.manual[r.manPtr].At < now {
@@ -293,28 +283,28 @@ func (r *Recorder) sendLogged(now uint64) {
 	}
 }
 
-// Advance is the one loop that moves a debug session forward in virtual
-// time: live runs, rewinds and replays all go through it. It runs the
-// target to each grid point (a multiple of SliceNs) up to limit, polls the
-// session's host side there, fails with the first node whose generated
-// code aborted, and lets the recorder r (nil when none is attached)
-// observe the instant. A limit off the grid is reached with one partial
-// slice that neither polls nor services the target's UART (RunThrough),
-// so the target is left exactly as an unbroken run passes through that
-// instant. While r is replaying, the logged wire instructions and manual
-// writes are re-applied at their original instants, before the slice that
-// starts there. stop (nil for none) is checked before every slice and at
-// limit; Advance returns when it reports true or the target reaches limit.
+// Advance is the one loop that moves a debug session forward: live runs,
+// rewinds and replays. It runs the target to each grid point (a multiple
+// of SliceNs) up to limit, polls the session there, fails with the first
+// node whose generated code aborted, and lets the recorder r (nil when
+// none is attached) observe. An off-grid limit is reached with a partial
+// slice that polls and services nothing (RunThrough). While r replays,
+// each instant first gets the wire instructions and manual writes logged
+// there, and the run is live again from the frontier on. stop (nil for
+// none) is checked before every slice and at limit.
 func Advance(t Target, s *engine.Session, r *Recorder, limit uint64, stop func(now uint64) bool) error {
 	nodes := t.Nodes() // one copy per call, not per slice
 	for {
 		now := t.Now()
-		if stop != nil && stop(now) || now >= limit {
-			return nil
-		}
 		if r != nil && r.replaying {
 			r.sendLogged(now)
 			r.applyManual(now)
+			if now >= r.frontier {
+				r.endReplay()
+			}
+		}
+		if stop != nil && stop(now) || now >= limit {
+			return nil
 		}
 		next := (now/SliceNs + 1) * SliceNs
 		if next > limit {
@@ -342,8 +332,9 @@ func Advance(t Target, s *engine.Session, r *Recorder, limit uint64, stop func(n
 // or before t, then Advance through the recorded timeline to exactly t.
 // The landing instant is exact — t falls wherever it falls relative to
 // instruction boundaries; the target state is the one the original
-// timeline had at that very nanosecond. A node whose generated code
-// aborted on the way is reported as RunNs reports it.
+// timeline had at that very nanosecond, host actions logged there
+// included. A node whose generated code aborted on the way is reported as
+// RunNs reports it.
 func (r *Recorder) RewindTo(t uint64) (uint64, error) {
 	cp := r.LastBefore(t)
 	if cp == nil {
@@ -354,9 +345,6 @@ func (r *Recorder) RewindTo(t uint64) (uint64, error) {
 	}
 	r.beginReplay(r.Target.Now())
 	err := Advance(r.Target, r.Session, r, t, nil)
-	if err == nil && r.Target.Now() >= r.frontier {
-		r.endReplay()
-	}
 	return r.Target.Now(), err
 }
 

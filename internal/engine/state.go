@@ -189,8 +189,8 @@ type Rewinder interface {
 	// deterministically re-executes forward to exactly t. It returns the
 	// instant actually reached.
 	RewindTo(t uint64) (uint64, error)
-	// ReplayUntil re-executes forward until cond reports true (checked at
-	// pump boundaries) or maxNs of virtual time has elapsed; it reports
+	// ReplayUntil re-executes forward until cond reports true (checked
+	// before every slice) or maxNs of virtual time has elapsed; it reports
 	// whether cond was met.
 	ReplayUntil(cond func(now uint64) bool, maxNs uint64) (bool, error)
 }
