@@ -74,6 +74,10 @@ func FuzzRewindReplay(f *testing.F) {
 		f.Add(rewindOps(target, opRun, 12_000_000, opPoke, 3<<8, opPoke, 5<<8|1, opRewind, 4_000_000,
 			opReplay, 1<<31, opRun, 9_000_000, opRewind, 11_000_000, opRun, 1<<31))
 	}
+	// A board rewind landing just short of a slice boundary with frames on
+	// the line, where servicing the UART at the landing delays a frame by
+	// one slice.
+	f.Add(rewindOps(0, opRun, 60_000_000, opRewind, 57_985_393, opReplay, 1<<31))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
