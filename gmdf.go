@@ -254,12 +254,13 @@ func (d *Debugger) RunNs(durNs uint64) error {
 
 // EnableCheckpointing attaches a checkpoint recorder to the session: an
 // initial checkpoint is taken now and further ones every interval of
-// virtual time, while per-node environment inputs and wire commands are
-// logged. The session gains working RewindTo/ReplayUntil (reverse-step to
-// the last checkpoint, deterministically re-execute forward) — on a
-// cluster, rewind below a bus incident and replay the exact frame
-// interleaving that produced it. Enable after arming standing breakpoints
-// so the initial checkpoint carries them.
+// virtual time, while environment writes and host actions (input writes
+// and wire commands between runs) are logged. The session gains working
+// RewindTo/ReplayUntil (reverse-step to the last checkpoint,
+// deterministically re-execute forward) — on a cluster, rewind below a bus
+// incident and replay the exact frame interleaving that produced it.
+// Enable after arming standing breakpoints so the initial checkpoint
+// carries them.
 func (d *Debugger) EnableCheckpointing(interval time.Duration) (*checkpoint.Recorder, error) {
 	if d.Recorder != nil {
 		return d.Recorder, nil

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/protocol"
+	"repro/internal/value"
 )
 
 // TestReplayOneShotBreakpoint arms an on-target one-shot breakpoint on the
@@ -59,5 +60,124 @@ func TestReplayOneShotBreakpoint(t *testing.T) {
 	}
 	if !bytes.Equal(checkpointBytes(t, dbg), wantCp) {
 		t.Fatal("checkpoint after the replay differs from the live run's")
+	}
+}
+
+// replayTo rewinds d to from, replays to the frontier at end, and
+// requires the trace and checkpoint bytes there to equal want and wantCp.
+func replayTo(t *testing.T, d *Debugger, from, end uint64, want string, wantCp []byte) {
+	t.Helper()
+	if _, err := d.Session.RewindTo(from); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := d.Session.ReplayUntil(func(now uint64) bool { return now >= end }, end); err != nil || !ok {
+		t.Fatalf("replay from %d never reached %d (now %d, err %v)", from, end, d.Now(), err)
+	}
+	if got := formatTrace(d); got != want {
+		diffTraces(t, got, want)
+	}
+	if !bytes.Equal(checkpointBytes(t, d), wantCp) {
+		t.Fatalf("replay from %d: checkpoint at %d differs from the live run's", from, end)
+	}
+}
+
+// TestReplayOffGridHostAction pokes the preempt board at an off-grid
+// instant of a live run (a bounded ReplayUntil past the frontier lands at
+// 20.500001 ms): a replay through that instant must stop there and
+// re-apply the poke, so the replayed trace equals the live one.
+func TestReplayOffGridHostAction(t *testing.T) {
+	dbg := preemptDebugger(t)
+	if _, err := dbg.EnableCheckpointing(5 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if err := dbg.Run(20 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dbg.Session.ReplayUntil(func(uint64) bool { return false }, 500_001); err != nil {
+		t.Fatal(err)
+	}
+	if dbg.Now() != 20_500_001 {
+		t.Fatalf("live bounded run landed at %d, want 20500001", dbg.Now())
+	}
+	if err := dbg.WriteInput("lowly", "x", value.F(7)); err != nil {
+		t.Fatal(err)
+	}
+	if err := dbg.Run(20 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	end, want, wantCp := dbg.Now(), formatTrace(dbg), checkpointBytes(t, dbg)
+	if end != 41_000_000 {
+		t.Fatalf("run after the poke ended at %d, want 41 ms", end)
+	}
+	replayTo(t, dbg, 15_000_000, end, want, wantCp)
+}
+
+// TestHostActionBelowFrontierForks pokes the preempt board after a rewind
+// to 22 ms: the poke forks the timeline there. The recorded future past
+// 22 ms — its checkpoints and logs — is dropped, the forked run becomes
+// the recorded timeline, and a replay of it re-applies the poke.
+func TestHostActionBelowFrontierForks(t *testing.T) {
+	dbg := preemptDebugger(t)
+	if _, err := dbg.EnableCheckpointing(10 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if err := dbg.Run(40 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dbg.Session.RewindTo(22_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if err := dbg.WriteInput("lowly", "x", value.F(7)); err != nil {
+		t.Fatal(err)
+	}
+	if dbg.Recorder.Replaying() {
+		t.Fatal("a host action below the frontier must end the replay")
+	}
+	for _, cp := range dbg.Recorder.Checkpoints() {
+		if cp.Time > 22_000_000 {
+			t.Fatalf("checkpoint at %d survived the fork at 22 ms", cp.Time)
+		}
+	}
+	if host := dbg.Recorder.Host(); len(host) != 1 || host[0].At != 22_000_000 {
+		t.Fatalf("host log after the fork: %+v, want the one poke at 22 ms", host)
+	}
+	if err := dbg.RunNs(40_000_000 - dbg.Now()); err != nil {
+		t.Fatal(err)
+	}
+	replayTo(t, dbg, 25_000_000, 40_000_000, formatTrace(dbg), checkpointBytes(t, dbg))
+}
+
+// TestReplayEnvironmentWritesAtOtherReleases runs heating on its standard
+// plant, which writes heater.temp at every monitor release as well as at
+// the heater's own. A replay must re-apply the writes made at both
+// release sites: from a rewind to 22 ms or to 400 ms, RAM and checkpoint
+// bytes at 429 ms equal the live run's.
+func TestReplayEnvironmentWritesAtOtherReleases(t *testing.T) {
+	dbg := heatingDebugger(t, Active)
+	if _, err := dbg.EnableCheckpointing(20 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if err := dbg.Run(429 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	end, want, wantCp := dbg.Now(), formatTrace(dbg), checkpointBytes(t, dbg)
+	for _, from := range []uint64{22_000_000, 400_000_000} {
+		replayTo(t, dbg, from, end, want, wantCp)
+	}
+}
+
+// TestRecordingLogsNoTraffic records the golden dist cluster for 2
+// virtual s without any host action: bus deliveries and re-latches are
+// made again by every replay, so the host log stays empty.
+func TestRecordingLogsNoTraffic(t *testing.T) {
+	dbg := distributedDebugger(t)
+	if _, err := dbg.EnableCheckpointing(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := dbg.Run(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(dbg.Recorder.Host()); n != 0 {
+		t.Fatalf("host log holds %d records after a run with no host action", n)
 	}
 }

@@ -13,8 +13,8 @@
 // "host" layout and a cluster checkpoint its "cluster" + "clusterHost"
 // layout, so version-1 files written before the two paths merged still
 // load. One Recorder, keyed by node, takes checkpoints periodically while
-// logging the non-deterministic inputs (environment writes, host wire
-// instructions), so a session can reverse-step to the last checkpoint and
+// logging the non-deterministic inputs (environment writes, host
+// actions), so a session can reverse-step to the last checkpoint and
 // deterministically re-execute forward to any instant
 // (engine.Session.RewindTo / ReplayUntil).
 //
@@ -26,12 +26,17 @@
 // Advance, moves every live run, rewind and replay: it polls the host side
 // only at multiples of SliceNs, so a stop off that grid changes nothing.
 // The two inputs that are NOT functions of target state are captured in
-// the Recorder's logs, and Advance re-applies them below the frontier:
-// WriteInput stimuli (the environment/plant path) and instructions the
-// host sends over the wire, each with the node it reached. Host-side
-// interactive actions that never touch the wire (host-side Step on a
-// passive session) are outside the replay contract, and so is a host
-// action taken below the frontier: it is applied but not logged.
+// the Recorder's logs, and Advance re-applies them below the frontier
+// where they were made: the writes a node's environment hook makes, at
+// the same release site, and the host actions, at the same instant. A
+// host action is an input write or a wire instruction made between
+// Advance calls; whatever is made inside Advance (bus deliveries,
+// re-latches, the session's one-shot disarm) the replay makes again. A
+// recorded session is therefore driven only through RunNs (Advance),
+// RewindTo and ReplayUntil, and a host action taken below the frontier
+// forks the timeline there. Host-side interactive actions that never
+// touch the wire (host-side Step on a passive session) are outside the
+// replay contract.
 package checkpoint
 
 import (

@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/engine"
@@ -25,37 +26,39 @@ const SliceNs = 1_000_000
 // whole run, at coarser granularity near the beginning.
 const keepCheckpoints = 64
 
-// InputRecord is one logged WriteInput stimulus on a named node.
+// InputRecord is one logged action on a named node: an input write
+// (Actor, Port, Val) or, when In is set, a host-to-target wire
+// instruction. Site is the actor whose release ran the environment hook
+// that made a write, empty for a host action.
 type InputRecord struct {
-	At    uint64        `json:"at"`
-	Node  string        `json:"node"`
-	Actor string        `json:"actor"`
-	Port  string        `json:"port"`
-	Val   value.Encoded `json:"val"`
-}
-
-// InstrRecord is one logged host-to-target wire instruction on a named
-// node's command channel.
-type InstrRecord struct {
-	At   uint64               `json:"at"`
-	Node string               `json:"node"`
-	In   protocol.Instruction `json:"in"`
+	At    uint64
+	Node  string
+	Site  string
+	Actor string
+	Port  string
+	Val   value.Encoded
+	In    *protocol.Instruction
 }
 
 // Recorder implements record-and-revisit debugging over a Target — one
-// board or a whole cluster. It takes periodic checkpoints while logging,
-// per node, the two non-deterministic input streams (environment
-// WriteInputs and host wire instructions). Below the frontier — the
-// farthest instant the live run has reached — the logs are authoritative:
-// RewindTo restores a checkpoint, and every Advance from there re-applies
-// them, so re-execution reproduces the original timeline exactly whether
-// ReplayUntil or a plain run drives it. Everything else in a cluster run —
-// bus arbitration, frame loss, jitter — is drawn from the network's seeded
-// RNG, which the checkpoints capture. The logs are kept in one global
-// sequence: every node advances on one shared virtual clock in a
-// deterministic order, so a single cursor replays events in the order
-// they originally interleaved. It satisfies engine.Rewinder; attach it
-// with Session.AttachRewinder.
+// board or a whole cluster. It takes periodic checkpoints and keeps two
+// logs of what is not a function of target state: the environment writes
+// each node's environment hook makes, and the host actions — input
+// writes and wire instructions made between Advance calls. Below the
+// frontier — the farthest instant the live run has reached — the logs are
+// authoritative: RewindTo restores a checkpoint, and every Advance from
+// there re-applies them where they were made, so re-execution reproduces
+// the original timeline exactly whether ReplayUntil or a plain run drives
+// it. Whatever a run makes itself — bus deliveries and re-latches, the
+// session's one-shot disarm — is not logged, because a replay makes it
+// again; a cluster's bus arbitration, frame loss and jitter are drawn
+// from the network's seeded RNG, which the checkpoints capture. Each log
+// is one global sequence: every node advances on one shared virtual clock
+// in a deterministic order, so one cursor replays events in the order
+// they originally interleaved. A host action taken below the frontier
+// forks the timeline there (see logHost). A recorded session is driven
+// only through RunNs (Advance), RewindTo and ReplayUntil. It satisfies
+// engine.Rewinder; attach it with Session.AttachRewinder.
 type Recorder struct {
 	Target  Target
 	Session *engine.Session
@@ -69,29 +72,30 @@ type Recorder struct {
 	cps    []*Checkpoint
 	lastCp uint64
 
-	// inputs are environment stimuli written during PreLatch (replayed at
-	// the same release sites); manual are stimuli written outside it —
-	// user pokes between run slices, a cluster's pre-release refresh —
-	// replayed at slice starts.
-	inputs []InputRecord
-	manual []InputRecord
-	instrs []InstrRecord
-	inEnv  bool
+	// env holds the writes made inside environment hooks, replayed at the
+	// same release site; host holds the host actions, replayed at the
+	// instant they were taken.
+	env  []InputRecord
+	host []InputRecord
+	// site is the actor whose release is running the live environment
+	// hook, "" outside it; advancing is set while Advance runs.
+	site      string
+	advancing bool
 
 	// frontier is the farthest instant the live timeline has reached; below
 	// it the logs are authoritative and the recorder replays instead of
 	// recording.
 	frontier  uint64
 	replaying bool
-	inPtr     int
-	manPtr    int
-	insPtr    int
+	envPtr    int
+	hostPtr   int
 }
 
 // Attach interposes a recorder on every node of a target + session and
 // takes the initial checkpoint. Attach after arming standing breakpoints
-// (the initial checkpoint carries them) and after any restore. intervalNs
-// zero means DefaultIntervalNs.
+// (the initial checkpoint carries them) and after any restore; from then
+// on, every input write or wire instruction made between Advance calls is
+// a host action. intervalNs zero means DefaultIntervalNs.
 func Attach(t Target, s *engine.Session, serials map[string]*engine.SerialSource, intervalNs uint64) (*Recorder, error) {
 	if intervalNs == 0 {
 		intervalNs = DefaultIntervalNs
@@ -105,9 +109,16 @@ func Attach(t Target, s *engine.Session, serials map[string]*engine.SerialSource
 		b := t.Board(node)
 		live := b.PreLatch
 		b.PreLatch = func(now uint64, actor string) { r.preLatch(node, live, now, actor) }
-		b.OnInput = func(now uint64, actor, port string, v value.Value) { r.logInput(node, now, actor, port, v) }
+		b.OnInput = func(now uint64, actor, port string, v value.Value) {
+			rec := InputRecord{At: now, Node: node, Site: r.site, Actor: actor, Port: port, Val: value.Encode(v)}
+			if r.site != "" {
+				r.env = append(r.env, rec)
+			} else {
+				r.logHost(rec)
+			}
+		}
 		if src := serials[node]; src != nil {
-			src.Tap = func(in protocol.Instruction) { r.logInstr(node, in) }
+			src.Tap = func(in protocol.Instruction) { r.logHost(InputRecord{At: t.Now(), Node: node, In: &in}) }
 		}
 	}
 	if _, err := r.TakeCheckpoint(); err != nil {
@@ -119,31 +130,25 @@ func Attach(t Target, s *engine.Session, serials map[string]*engine.SerialSource
 // Checkpoints returns the checkpoints taken so far, in time order.
 func (r *Recorder) Checkpoints() []*Checkpoint { return r.cps }
 
-// Inputs returns the logged input stimuli (diagnostics).
-func (r *Recorder) Inputs() []InputRecord { return r.inputs }
+// Inputs returns the logged environment writes (diagnostics).
+func (r *Recorder) Inputs() []InputRecord { return r.env }
 
-// Instructions returns the logged wire instructions (diagnostics).
-func (r *Recorder) Instructions() []InstrRecord { return r.instrs }
+// Host returns the logged host actions (diagnostics).
+func (r *Recorder) Host() []InputRecord { return r.host }
 
 // Replaying reports whether the session is currently below the recorded
 // frontier, re-executing from the logs.
 func (r *Recorder) Replaying() bool { return r.replaying }
 
-// observe is Advance's hook at each grid point: it advances the frontier
-// and takes a periodic checkpoint when the interval has elapsed. It is a
-// no-op during replay (the checkpoints for that window already exist).
+// observe is Advance's hook at each grid point: it takes a periodic
+// checkpoint when the interval has elapsed. It is a no-op during replay
+// (the checkpoints for that window already exist).
 func (r *Recorder) observe(now uint64) error {
-	if r.replaying {
+	if r.replaying || now < r.lastCp+r.IntervalNs {
 		return nil
 	}
-	if now > r.frontier {
-		r.frontier = now
-	}
-	if now >= r.lastCp+r.IntervalNs {
-		_, err := r.TakeCheckpoint()
-		return err
-	}
-	return nil
+	_, err := r.TakeCheckpoint()
+	return err
 }
 
 // TakeCheckpoint captures the current state and appends it to the
@@ -171,107 +176,85 @@ func (r *Recorder) LastBefore(t uint64) *Checkpoint {
 	return r.cps[i-1]
 }
 
-// logInput is every board's OnInput hook (record mode only). Writes made
-// inside a node's environment hook replay at the same PreLatch site;
-// writes made anywhere else land in the manual log, replayed at slice
-// starts.
-func (r *Recorder) logInput(node string, now uint64, actor, port string, v value.Value) {
-	if r.replaying {
+// logHost logs a write or wire instruction made outside any environment
+// hook. Inside Advance it is not a host action — a bus delivery, a
+// re-latch, a logged action re-applied, the session's one-shot disarm —
+// and the replay makes it again. Between Advance calls below the frontier
+// it forks the timeline at now: the recorded future (host actions not yet
+// re-applied, environment writes and checkpoints after now) is dropped,
+// now becomes the frontier, and the session is live again.
+func (r *Recorder) logHost(rec InputRecord) {
+	if r.advancing {
 		return
 	}
-	rec := InputRecord{At: now, Node: node, Actor: actor, Port: port, Val: value.Encode(v)}
-	if r.inEnv {
-		r.inputs = append(r.inputs, rec)
-	} else {
-		r.manual = append(r.manual, rec)
-	}
-}
-
-// logInstr is each node's serial-source Tap hook (record mode only).
-func (r *Recorder) logInstr(node string, in protocol.Instruction) {
 	if r.replaying {
-		return
+		r.host = r.host[:r.hostPtr]
+		r.env = r.env[:sort.Search(len(r.env), func(i int) bool { return r.env[i].At > rec.At })]
+		r.cps = r.cps[:sort.Search(len(r.cps), func(i int) bool { return r.cps[i].Time > rec.At })]
+		r.lastCp = r.cps[len(r.cps)-1].Time
+		r.frontier, r.replaying = rec.At, false
 	}
-	r.instrs = append(r.instrs, InstrRecord{At: r.Target.Now(), Node: node, In: in})
+	r.host = append(r.host, rec)
 }
 
 // preLatch replaces each node's environment hook: in record mode the live
 // environment runs (and its writes are logged via OnInput); in replay mode
-// the logged writes for this (instant, node, actor) release site are
-// re-applied instead, so the environment's own state — which belongs to
-// the live frontier, not the rewound instant — is never consulted.
+// the logged writes for this (instant, node, release site) are re-applied
+// instead, so the environment's own state — which belongs to the live
+// frontier, not the rewound instant — is never consulted.
 func (r *Recorder) preLatch(node string, live func(now uint64, actor string), now uint64, actor string) {
 	if r.replaying && now <= r.frontier {
-		for r.inPtr < len(r.inputs) && r.inputs[r.inPtr].At < now {
-			r.inPtr++
+		for r.envPtr < len(r.env) && r.env[r.envPtr].At < now {
+			r.envPtr++
 		}
-		for r.inPtr < len(r.inputs) {
-			ir := r.inputs[r.inPtr]
-			if ir.At != now || ir.Node != node || ir.Actor != actor {
+		for ; r.envPtr < len(r.env); r.envPtr++ {
+			rec := r.env[r.envPtr]
+			if rec.At != now || rec.Node != node || rec.Site != actor {
 				break
 			}
-			r.write(ir)
-			r.inPtr++
+			r.write(rec)
 		}
 		return
 	}
-	if r.replaying {
-		r.endReplay()
-	}
-	if live != nil {
-		r.inEnv = true
-		live(now, actor)
-		r.inEnv = false
-	}
-}
-
-// write re-applies one logged stimulus on the node that received it.
-func (r *Recorder) write(ir InputRecord) {
-	if v, err := value.Decode(ir.Val); err == nil {
-		_ = r.Target.Board(ir.Node).WriteInput(ir.Actor, ir.Port, v)
-	}
-}
-
-// endReplay hands control back to the live environment once re-execution
-// has caught up with the recorded frontier.
-func (r *Recorder) endReplay() {
 	r.replaying = false
-	r.Session.SetReplaying(false)
+	if live != nil {
+		r.site = actor
+		live(now, actor)
+		r.site = ""
+	}
+}
+
+// write re-applies one logged input write on the node that received it.
+func (r *Recorder) write(rec InputRecord) {
+	if v, err := value.Decode(rec.Val); err == nil {
+		_ = r.Target.Board(rec.Node).WriteInput(rec.Actor, rec.Port, v)
+	}
 }
 
 // beginReplay positions the log cursors for re-execution from now.
 func (r *Recorder) beginReplay(now uint64) {
 	r.replaying = true
-	r.Session.SetReplaying(true)
-	r.inPtr = sort.Search(len(r.inputs), func(i int) bool { return r.inputs[i].At >= now })
-	r.manPtr = sort.Search(len(r.manual), func(i int) bool { return r.manual[i].At >= now })
-	r.insPtr = sort.Search(len(r.instrs), func(i int) bool { return r.instrs[i].At >= now })
+	r.envPtr = sort.Search(len(r.env), func(i int) bool { return r.env[i].At >= now })
+	r.hostPtr = sort.Search(len(r.host), func(i int) bool { return r.host[i].At >= now })
 }
 
-// applyManual re-injects stimuli that were written outside environment
-// hooks, at the slice start where the original write sat between run
-// slices.
-func (r *Recorder) applyManual(now uint64) {
-	for r.manPtr < len(r.manual) && r.manual[r.manPtr].At < now {
-		r.manPtr++
+// applyHost re-applies the host actions logged at now, while replaying:
+// an input write is made again, and a wire instruction is re-sent
+// verbatim with the pause/resume it implied mirrored into the session's
+// host flags. It returns the instant the next logged host action waits
+// at, math.MaxUint64 when none does.
+func (r *Recorder) applyHost(now uint64) uint64 {
+	for r.hostPtr < len(r.host) && r.host[r.hostPtr].At < now {
+		r.hostPtr++
 	}
-	for r.manPtr < len(r.manual) && r.manual[r.manPtr].At == now {
-		r.write(r.manual[r.manPtr])
-		r.manPtr++
-	}
-}
-
-// sendLogged re-injects every logged instruction stamped exactly now on
-// its original node's command channel. A pause/resume implied host-flag
-// flip is mirrored without wire traffic.
-func (r *Recorder) sendLogged(now uint64) {
-	for r.insPtr < len(r.instrs) && r.instrs[r.insPtr].At < now {
-		r.insPtr++
-	}
-	for r.insPtr < len(r.instrs) && r.instrs[r.insPtr].At == now {
-		rec := r.instrs[r.insPtr]
+	for ; r.hostPtr < len(r.host) && r.host[r.hostPtr].At == now; r.hostPtr++ {
+		rec := r.host[r.hostPtr]
+		if rec.In == nil {
+			r.write(rec)
+			continue
+		}
 		if src := r.Serials[rec.Node]; src != nil {
-			_ = src.Resend(rec.In)
+			_ = src.Resend(*rec.In)
 			switch rec.In.Type {
 			case protocol.InPause:
 				r.Session.SetPausedState(true)
@@ -279,36 +262,44 @@ func (r *Recorder) sendLogged(now uint64) {
 				r.Session.SetPausedState(false)
 			}
 		}
-		r.insPtr++
 	}
+	if r.hostPtr < len(r.host) {
+		return r.host[r.hostPtr].At
+	}
+	return math.MaxUint64
 }
 
 // Advance is the one loop that moves a debug session forward: live runs,
 // rewinds and replays. It runs the target to each grid point (a multiple
 // of SliceNs) up to limit, polls the session there, fails with the first
 // node whose generated code aborted, and lets the recorder r (nil when
-// none is attached) observe. An off-grid limit is reached with a partial
+// none is attached) observe. An off-grid stop is reached with a partial
 // slice that polls and services nothing (RunThrough). While r replays,
-// each instant first gets the wire instructions and manual writes logged
-// there, and the run is live again from the frontier on. stop (nil for
-// none) is checked before every slice and at limit.
+// every instant a host action was logged at is stopped on and gets it
+// again, and the run is live from the frontier on. Nothing made inside
+// Advance is logged as a host action. stop (nil for none) is checked
+// before every slice and at limit.
 func Advance(t Target, s *engine.Session, r *Recorder, limit uint64, stop func(now uint64) bool) error {
+	if r != nil {
+		r.advancing = true
+		defer func() { r.advancing = false }()
+	}
 	nodes := t.Nodes() // one copy per call, not per slice
 	for {
-		now := t.Now()
+		now, cut := t.Now(), limit
 		if r != nil && r.replaying {
-			r.sendLogged(now)
-			r.applyManual(now)
-			if now >= r.frontier {
-				r.endReplay()
-			}
+			cut = min(cut, r.applyHost(now))
+			r.replaying = now < r.frontier
+		}
+		if r != nil && !r.replaying {
+			r.frontier = max(r.frontier, now)
 		}
 		if stop != nil && stop(now) || now >= limit {
 			return nil
 		}
 		next := (now/SliceNs + 1) * SliceNs
-		if next > limit {
-			t.RunThrough(limit)
+		if next > cut {
+			t.RunThrough(cut)
 			continue
 		}
 		t.RunUntil(next)
@@ -334,7 +325,10 @@ func Advance(t Target, s *engine.Session, r *Recorder, limit uint64, stop func(n
 // instruction boundaries; the target state is the one the original
 // timeline had at that very nanosecond, host actions logged there
 // included. A node whose generated code aborted on the way is reported as
-// RunNs reports it.
+// RunNs reports it. A host action taken after landing below the frontier
+// — an input write, or a farm client's break, clearbreak, pause or
+// continue, which go over the wire — forks the timeline there and drops
+// the recorded future past it.
 func (r *Recorder) RewindTo(t uint64) (uint64, error) {
 	cp := r.LastBefore(t)
 	if cp == nil {

@@ -72,9 +72,9 @@ type SerialSource struct {
 	dec  protocol.Decoder
 	seq  uint16
 
-	// Tap, when set, observes every instruction sent to the target (after
-	// sequence stamping) — the checkpoint recorder's instruction log hooks
-	// here so host commands can be re-injected during deterministic replay.
+	// Tap, when set, observes every instruction Send transmits (after
+	// sequence stamping) — the checkpoint recorder's host-action log hooks
+	// here so host commands can be re-sent during deterministic replay.
 	Tap func(in protocol.Instruction)
 }
 
@@ -232,13 +232,12 @@ type Session struct {
 	Target TargetControl
 	Trace  *trace.Trace
 
-	sources   []EventSource
-	breaks    []*Breakpoint
-	remote    RemoteDebug
-	mode      Mode
-	paused    bool
-	rewinder  Rewinder
-	replaying bool
+	sources  []EventSource
+	breaks   []*Breakpoint
+	remote   RemoteDebug
+	mode     Mode
+	paused   bool
+	rewinder Rewinder
 
 	// Translate, when set, rewrites raw events before handling (the
 	// passive-interface translator mapping watch notifications to
@@ -500,13 +499,11 @@ func (s *Session) mirrorTargetHalt(ev protocol.Event) {
 				if bp.OneShot {
 					// One-shot semantics for on-target breakpoints: the
 					// agent keeps conditions armed until cleared, so the
-					// host disarms it after the first hit. During checkpoint
-					// replay the original disarm instruction is re-injected
-					// from the recorder's log — sending a live one as well
-					// would put duplicate wire traffic on the replayed
-					// timeline.
+					// host disarms it after the first hit. A replay of
+					// the hit disarms it again, so the checkpoint recorder
+					// does not log this disarm.
 					bp.Enabled = false
-					if bp.onTarget && s.remote != nil && !s.replaying {
+					if bp.onTarget && s.remote != nil {
 						_ = s.remote.ClearBreak(bp.ID)
 					}
 				}

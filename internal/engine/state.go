@@ -146,12 +146,6 @@ func (s *Session) Restore(st SessionState) error {
 	return nil
 }
 
-// SetReplaying marks the session as re-executing a recorded window: host
-// reactions that would emit fresh wire traffic (the one-shot breakpoint
-// disarm) are suppressed, because the recorder re-injects the logged
-// originals instead.
-func (s *Session) SetReplaying(on bool) { s.replaying = on }
-
 // SetPausedState mirrors a pause/resume decision into the host flags
 // without generating wire traffic — the checkpoint replayer uses it when
 // a logged instruction it re-injects implies the host flag flipped in the

@@ -68,9 +68,9 @@ type Board struct {
 	// latching — the environment hook where a plant model supplies sensor
 	// values via WriteInput and consumes actuators via ReadOutput.
 	PreLatch func(now uint64, actor string)
-	// OnInput, when set, observes every successful WriteInput — the
-	// checkpoint recorder's input log hooks here to capture environment
-	// stimuli for deterministic replay.
+	// OnInput, when set, observes every successful input write: a
+	// WriteInput, and on a cluster every bus delivery and re-latch from
+	// the node's inbox. The checkpoint recorder's logs hook here.
 	OnInput func(now uint64, actor, port string, v value.Value)
 
 	cfg     Config
