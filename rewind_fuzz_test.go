@@ -10,9 +10,17 @@ import (
 	"repro/internal/value"
 )
 
-// rewindPokes are the host actions FuzzRewindReplay takes while live, per
-// recorder target: a manual input write, and a RAM write over the wire on
-// a node's command channel.
+// rewindTargets are the targets FuzzRewindReplay drives: recorderTargets
+// plus the heating model on its standard plant, an environment hook that
+// writes at the releases of two actors and keeps state of its own.
+var rewindTargets = append(recorderTargets[:len(recorderTargets):len(recorderTargets)], struct {
+	name  string
+	build func(*testing.T) *Debugger
+}{"heating", func(t *testing.T) *Debugger { return heatingDebugger(t, Active) }})
+
+// rewindPokes are the host actions FuzzRewindReplay takes, per target: a
+// manual input write, and a RAM write over the wire on a node's command
+// channel.
 var rewindPokes = map[string]struct {
 	manual func(*Debugger, float64) error
 	wire   func(*Debugger, float64) error
@@ -29,6 +37,14 @@ var rewindPokes = map[string]struct {
 			return d.Serials["nodeB"].Send(protocol.Instruction{Type: protocol.InWriteVar, Source: "__busdrops", Value: v})
 		},
 	},
+	"heating": {
+		// The plant overwrites temp at the next release; the thermostat's
+		// state keeps what the wire writes until its next transition.
+		manual: func(d *Debugger, v float64) error { return d.WriteInput("heater", "temp", value.F(v)) },
+		wire: func(d *Debugger, v float64) error {
+			return d.Serials["main"].Send(protocol.Instruction{Type: protocol.InWriteVar, Source: "heater.thermostat.__state", Value: float64(int(v) % 2)})
+		},
+	},
 }
 
 // Operations of a FuzzRewindReplay input, one per 5 bytes: an opcode byte
@@ -37,13 +53,14 @@ const (
 	opRun    = iota // RunNs(arg ns), clamped to the frontier when below it
 	opRewind        // RewindTo(first checkpoint + arg mod the recorded span)
 	opReplay        // ReplayUntil the frontier, at most arg ns
-	opPoke          // while live: arg bit 0 picks a manual or a wire write
+	opPoke          // arg bit 0 picks a manual or a wire write; below the frontier it forks
 	opFork          // checkpoint, restore into a fresh recording debugger
+	opStop          // ReplayUntil nothing, for arg mod 20 ms: stops off the grid
 	numOps
 )
 
 // rewindOps encodes a FuzzRewindReplay seed: target 0 is the board, 1 the
-// cluster; ops alternate opcode and argument.
+// cluster, 2 heating; ops alternate opcode and argument.
 func rewindOps(target byte, ops ...uint32) []byte {
 	b := []byte{target}
 	for i := 0; i+1 < len(ops); i += 2 {
@@ -53,12 +70,14 @@ func rewindOps(target byte, ops ...uint32) []byte {
 	return b
 }
 
-// FuzzRewindReplay drives a recording session on the board or the cluster
-// through runs, rewinds, replays, host pokes and checkpoint forks. A
-// rewind must land exactly where asked with a trace that is a prefix of
-// the frontier's, and whenever the session is back at the frontier — the
-// farthest instant its live run has reached — its trace and checkpoint
-// bytes must equal those the live run left there.
+// FuzzRewindReplay drives a recording session on the board, the cluster
+// or heating through runs, stops off the grid, rewinds, replays, host
+// pokes and checkpoint forks. A rewind must land exactly where asked with
+// a trace that is a prefix of the frontier's, and whenever the session is
+// back at the frontier — the farthest instant its live run has reached —
+// its trace and checkpoint bytes must equal those the live run left
+// there. A poke below the frontier forks the timeline: the poked instant
+// becomes the frontier, and its trace and checkpoint bytes the reference.
 func FuzzRewindReplay(f *testing.F) {
 	for target := byte(0); target < 2; target++ {
 		// An off-grid rewind landing resumed live in a fresh debugger, then
@@ -78,6 +97,17 @@ func FuzzRewindReplay(f *testing.F) {
 	// the line, where servicing the UART at the landing delays a frame by
 	// one slice.
 	f.Add(rewindOps(0, opRun, 60_000_000, opRewind, 57_985_393, opReplay, 1<<31))
+	// A poke at an off-grid instant of a live run, replayed through.
+	f.Add(rewindOps(0, opRun, 20_000_000, opStop, 500_001, opPoke, 7<<8, opRun, 20_000_000,
+		opRewind, 15_000_000, opReplay, 1<<31))
+	// Pokes after a rewind fork the timeline; replays of the fork.
+	for target := byte(0); target < 3; target++ {
+		f.Add(rewindOps(target, opRun, 40_000_000, opRewind, 22_000_000, opPoke, 7<<8, opPoke, 1<<8|1,
+			opRun, 18_000_000, opRewind, 25_000_000, opReplay, 1<<31, opRewind, 3_000_000, opRun, 1<<31))
+	}
+	// Heating's plant writes temp at the monitor's release too; at 76 ms
+	// RAM still holds that write.
+	f.Add(rewindOps(2, opRun, 76_000_000, opRewind, 22_000_000, opReplay, 1<<31))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -86,7 +116,7 @@ func FuzzRewindReplay(f *testing.F) {
 			horizon = 80_000_000 // the live run never goes past it
 			maxOps  = 16
 		)
-		tc := recorderTargets[int(data[0])%len(recorderTargets)]
+		tc := rewindTargets[int(data[0])%len(rewindTargets)]
 		pokes := rewindPokes[tc.name]
 		dbg := tc.build(t)
 		record := func() {
@@ -128,9 +158,6 @@ func FuzzRewindReplay(f *testing.F) {
 					t.Fatal(err)
 				}
 			case opPoke:
-				if !live {
-					continue
-				}
 				poke, v := pokes.manual, float64(arg>>8%1000)
 				if arg&1 != 0 {
 					poke = pokes.wire
@@ -138,8 +165,24 @@ func FuzzRewindReplay(f *testing.F) {
 				if err := poke(dbg, v); err != nil {
 					t.Fatal(err)
 				}
+				if dbg.Recorder.Replaying() {
+					t.Fatalf("poke at %d did not fork the recorded timeline", dbg.Now())
+				}
 				// A poke is part of the frontier state the live run leaves.
-				frontCp = checkpointBytes(t, dbg)
+				frontier, frontTrace, frontCp = dbg.Now(), formatTrace(dbg), checkpointBytes(t, dbg)
+			case opStop:
+				to := min(dbg.Now()+uint64(arg)%20_000_000, horizon)
+				if !live {
+					to = min(to, frontier)
+				}
+				if to > dbg.Now() {
+					if _, err := dbg.Session.ReplayUntil(func(uint64) bool { return false }, to-dbg.Now()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if dbg.Now() != to {
+					t.Fatalf("stop at %d landed at %d", to, dbg.Now())
+				}
 			case opFork:
 				cp, err := dbg.Checkpoint()
 				if err != nil {
