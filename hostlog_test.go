@@ -181,3 +181,46 @@ func TestRecordingLogsNoTraffic(t *testing.T) {
 		t.Fatalf("host log holds %d records after a run with no host action", n)
 	}
 }
+
+// TestForkKeepsPlantInRange records heating on its standard plant to
+// 100 ms, rewinds to 22 ms and continues, which forks the timeline there.
+// The plant's room and clock belong to the 100 ms it ran to, so up to
+// there the forked run gets the plant's logged writes and the plant runs
+// on only past it: heater.temp__io stays inside the room's physical range
+// on the whole forked run, and a replay of the fork equals it.
+func TestForkKeepsPlantInRange(t *testing.T) {
+	dbg := heatingDebugger(t, Active)
+	if _, err := dbg.EnableCheckpointing(20 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if err := dbg.Run(100 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dbg.Session.RewindTo(22_000_000); err != nil {
+		t.Fatal(err)
+	}
+	board := dbg.Node("main")
+	idx, ok := board.Prog.Symbols.Index("heater.temp__io")
+	if !ok {
+		t.Fatal("heater.temp__io symbol missing")
+	}
+	dbg.Session.Continue()
+	if dbg.Recorder.Replaying() {
+		t.Fatal("continue below the frontier must fork the timeline")
+	}
+	// The room starts at ambient (15 °C) and settles at most Gain/Loss
+	// (10 °C) above it.
+	for dbg.Now() < 200_000_000 {
+		if err := dbg.RunNs(1_000_000); err != nil {
+			t.Fatal(err)
+		}
+		v, err := board.LoadSym(idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := v.Float(); c < 14 || c > 26 {
+			t.Fatalf("heater.temp__io reads %g at %d ns after the fork at 22 ms", c, dbg.Now())
+		}
+	}
+	replayTo(t, dbg, 30_000_000, 200_000_000, formatTrace(dbg), checkpointBytes(t, dbg))
+}

@@ -27,16 +27,15 @@
 // only at multiples of SliceNs, so a stop off that grid changes nothing.
 // The two inputs that are NOT functions of target state are captured in
 // the Recorder's logs, and Advance re-applies them below the frontier
-// where they were made: the writes a node's environment hook makes, at
-// the same release site, and the host actions, at the same instant. A
-// host action is an input write or a wire instruction made between
-// Advance calls; whatever is made inside Advance (bus deliveries,
-// re-latches, the session's one-shot disarm) the replay makes again. A
-// recorded session is therefore driven only through RunNs (Advance),
-// RewindTo and ReplayUntil, and a host action taken below the frontier
-// forks the timeline there. Host-side interactive actions that never
-// touch the wire (host-side Step on a passive session) are outside the
-// replay contract.
+// where they were made: environment-hook writes at their release site,
+// host actions (input writes and wire instructions made between Advance
+// calls) at their instant. Whatever Advance makes itself (bus deliveries,
+// re-latches, the one-shot disarm) the replay makes again, so a recorded
+// session is driven only through RunNs, RewindTo and ReplayUntil. A host
+// action below the frontier forks the timeline there; the environment,
+// whose own state cannot be rewound, keeps its log up to the farthest
+// instant it ran to. Host-side actions that never touch the wire
+// (host-side Step on a passive session) are outside the replay contract.
 package checkpoint
 
 import (

@@ -41,23 +41,19 @@ type InputRecord struct {
 }
 
 // Recorder implements record-and-revisit debugging over a Target — one
-// board or a whole cluster. It takes periodic checkpoints and keeps two
-// logs of what is not a function of target state: the environment writes
-// each node's environment hook makes, and the host actions — input
-// writes and wire instructions made between Advance calls. Below the
-// frontier — the farthest instant the live run has reached — the logs are
-// authoritative: RewindTo restores a checkpoint, and every Advance from
-// there re-applies them where they were made, so re-execution reproduces
-// the original timeline exactly whether ReplayUntil or a plain run drives
-// it. Whatever a run makes itself — bus deliveries and re-latches, the
-// session's one-shot disarm — is not logged, because a replay makes it
-// again; a cluster's bus arbitration, frame loss and jitter are drawn
-// from the network's seeded RNG, which the checkpoints capture. Each log
-// is one global sequence: every node advances on one shared virtual clock
-// in a deterministic order, so one cursor replays events in the order
-// they originally interleaved. A host action taken below the frontier
-// forks the timeline there (see logHost). A recorded session is driven
-// only through RunNs (Advance), RewindTo and ReplayUntil. It satisfies
+// board or a whole cluster. It takes periodic checkpoints and logs what is
+// not a function of target state: the writes each node's environment hook
+// makes, and the host actions — input writes and wire instructions made
+// between Advance calls. Below the frontier — the farthest instant the
+// live run has reached — the logs are authoritative: RewindTo restores a
+// checkpoint, and every Advance from there re-applies them where they
+// were made, so a replay and a plain run reproduce the timeline alike.
+// What a run makes itself (bus deliveries, re-latches, the one-shot
+// disarm; a cluster's bus draws come from the checkpointed RNG) is not
+// logged. Each log is one global sequence over the shared virtual clock,
+// replayed by one cursor. A recorded session is driven only through RunNs
+// (Advance), RewindTo and ReplayUntil, and a host action below the
+// frontier forks the timeline (see logHost). It satisfies
 // engine.Rewinder; attach it with Session.AttachRewinder.
 type Recorder struct {
 	Target  Target
@@ -82,11 +78,13 @@ type Recorder struct {
 	site      string
 	advancing bool
 
-	// frontier is the farthest instant the live timeline has reached; below
-	// it the logs are authoritative and the recorder replays instead of
-	// recording.
+	// frontier is the farthest instant the live timeline has reached, and
+	// below it the logs are authoritative; envEnd is the farthest instant
+	// the environment hooks ran to, which a fork does not lower.
 	frontier  uint64
+	envEnd    uint64
 	replaying bool
+	envReplay bool
 	envPtr    int
 	hostPtr   int
 }
@@ -104,6 +102,7 @@ func Attach(t Target, s *engine.Session, serials map[string]*engine.SerialSource
 		Target: t, Session: s, Serials: serials,
 		IntervalNs: intervalNs,
 		frontier:   t.Now(),
+		envEnd:     t.Now(),
 	}
 	for _, node := range t.Nodes() {
 		b := t.Board(node)
@@ -181,15 +180,17 @@ func (r *Recorder) LastBefore(t uint64) *Checkpoint {
 // re-latch, a logged action re-applied, the session's one-shot disarm —
 // and the replay makes it again. Between Advance calls below the frontier
 // it forks the timeline at now: the recorded future (host actions not yet
-// re-applied, environment writes and checkpoints after now) is dropped,
-// now becomes the frontier, and the session is live again.
+// re-applied, checkpoints after now) is dropped, now becomes the
+// frontier, and the session is live again. The environment log is kept,
+// because a hook's own state (the heating plant's room and clock) belongs
+// to envEnd: up to there the fork gets the logged writes (see preLatch),
+// so the environment does not react to what the fork changed.
 func (r *Recorder) logHost(rec InputRecord) {
 	if r.advancing {
 		return
 	}
 	if r.replaying {
 		r.host = r.host[:r.hostPtr]
-		r.env = r.env[:sort.Search(len(r.env), func(i int) bool { return r.env[i].At > rec.At })]
 		r.cps = r.cps[:sort.Search(len(r.cps), func(i int) bool { return r.cps[i].Time > rec.At })]
 		r.lastCp = r.cps[len(r.cps)-1].Time
 		r.frontier, r.replaying = rec.At, false
@@ -197,13 +198,14 @@ func (r *Recorder) logHost(rec InputRecord) {
 	r.host = append(r.host, rec)
 }
 
-// preLatch replaces each node's environment hook: in record mode the live
-// environment runs (and its writes are logged via OnInput); in replay mode
-// the logged writes for this (instant, node, release site) are re-applied
-// instead, so the environment's own state — which belongs to the live
-// frontier, not the rewound instant — is never consulted.
+// preLatch replaces each node's environment hook: past envEnd the live
+// environment runs (and its writes are logged via OnInput); below it the
+// logged writes for this (instant, node, release site) are re-applied
+// instead, so the environment's own state — which belongs to envEnd, not
+// the rewound or forked instant — is never consulted.
 func (r *Recorder) preLatch(node string, live func(now uint64, actor string), now uint64, actor string) {
-	if r.replaying && now <= r.frontier {
+	r.replaying = r.replaying && now <= r.frontier
+	if r.envReplay && now <= r.envEnd {
 		for r.envPtr < len(r.env) && r.env[r.envPtr].At < now {
 			r.envPtr++
 		}
@@ -216,7 +218,7 @@ func (r *Recorder) preLatch(node string, live func(now uint64, actor string), no
 		}
 		return
 	}
-	r.replaying = false
+	r.envReplay = false
 	if live != nil {
 		r.site = actor
 		live(now, actor)
@@ -233,7 +235,7 @@ func (r *Recorder) write(rec InputRecord) {
 
 // beginReplay positions the log cursors for re-execution from now.
 func (r *Recorder) beginReplay(now uint64) {
-	r.replaying = true
+	r.replaying, r.envReplay = true, true
 	r.envPtr = sort.Search(len(r.env), func(i int) bool { return r.env[i].At >= now })
 	r.hostPtr = sort.Search(len(r.host), func(i int) bool { return r.host[i].At >= now })
 }
@@ -291,8 +293,12 @@ func Advance(t Target, s *engine.Session, r *Recorder, limit uint64, stop func(n
 			cut = min(cut, r.applyHost(now))
 			r.replaying = now < r.frontier
 		}
+		if r != nil {
+			r.envReplay = r.envReplay && now < r.envEnd
+		}
 		if r != nil && !r.replaying {
 			r.frontier = max(r.frontier, now)
+			r.envEnd = max(r.envEnd, now)
 		}
 		if stop != nil && stop(now) || now >= limit {
 			return nil
@@ -328,7 +334,8 @@ func Advance(t Target, s *engine.Session, r *Recorder, limit uint64, stop func(n
 // RunNs reports it. A host action taken after landing below the frontier
 // — an input write, or a farm client's break, clearbreak, pause or
 // continue, which go over the wire — forks the timeline there and drops
-// the recorded future past it.
+// the recorded future past it, all but the environment's writes (see
+// logHost).
 func (r *Recorder) RewindTo(t uint64) (uint64, error) {
 	cp := r.LastBefore(t)
 	if cp == nil {

@@ -357,7 +357,8 @@
 // re-feeds them where they were made, on each node's original command
 // channel (bus arbitration, loss and jitter replay from the restored
 // network RNG, not fresh draws). A host command after a rewind below the
-// frontier forks the recorded timeline there. Detach checkpoints are
+// frontier forks the recorded timeline there; the plant's logged writes
+// are re-fed up to the farthest instant it ran to. Detach checkpoints are
 // one-shot full snapshots and work on any session at any run boundary. Virtual time
 // makes all of this deterministic: create-from-digest in a fresh process
 // and the original session produce byte-identical stable traces, which

@@ -78,6 +78,8 @@ func rewindOps(target byte, ops ...uint32) []byte {
 // its trace and checkpoint bytes must equal those the live run left
 // there. A poke below the frontier forks the timeline: the poked instant
 // becomes the frontier, and its trace and checkpoint bytes the reference.
+// On heating every temperature the plant writes must stay inside the
+// room's physical range, forks included.
 func FuzzRewindReplay(f *testing.F) {
 	for target := byte(0); target < 2; target++ {
 		// An off-grid rewind landing resumed live in a fresh debugger, then
@@ -196,6 +198,9 @@ func FuzzRewindReplay(f *testing.F) {
 				frontier, first = dbg.Now(), dbg.Now()
 				frontTrace, frontCp = formatTrace(dbg), checkpointBytes(t, dbg)
 			}
+			if tc.name == "heating" {
+				plantInRange(t, dbg)
+			}
 			switch now := dbg.Now(); {
 			case now > frontier:
 				frontier, frontTrace, frontCp = now, formatTrace(dbg), checkpointBytes(t, dbg)
@@ -209,4 +214,16 @@ func FuzzRewindReplay(f *testing.F) {
 			}
 		}
 	})
+}
+
+// plantInRange requires every heater.temp write in the environment log to
+// lie in the heating room's physical range: it starts at ambient (15 °C)
+// and settles at most Gain/Loss (10 °C) above it.
+func plantInRange(t *testing.T, d *Debugger) {
+	t.Helper()
+	for _, in := range d.Recorder.Inputs() {
+		if v, err := value.Decode(in.Val); err == nil && in.Port == "temp" && (v.Float() < 14 || v.Float() > 26) {
+			t.Fatalf("the plant wrote heater.temp %g at %d ns", v.Float(), in.At)
+		}
+	}
 }
