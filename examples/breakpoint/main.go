@@ -137,7 +137,7 @@ func run(out io.Writer) error {
 	}
 	nodeA, nodeB := cl.Board("nodeA"), cl.Board("nodeB")
 	remote := engine.NewSerialSource(nodeB.HostPort())
-	if err := remote.SetBreak("remote-bp", "consumer.v >= 8"); err != nil {
+	if err := remote.Send(protocol.Instruction{Type: protocol.InSetBreak, Source: "remote-bp", Arg1: "consumer.v >= 8"}); err != nil {
 		return err
 	}
 	var hit *protocol.Event
@@ -160,10 +160,10 @@ func run(out io.Writer) error {
 	cyclesA := nodeA.Cycles()
 	cl.RunUntil(cl.Now() + 20_000_000)
 	fmt.Fprintf(out, "20 ms later: nodeA executed %d more cycles, nodeB 0\n", nodeA.Cycles()-cyclesA)
-	if err := remote.ClearBreak("remote-bp"); err != nil {
+	if err := remote.Send(protocol.Instruction{Type: protocol.InClearBreak, Source: "remote-bp"}); err != nil {
 		return err
 	}
-	if err := remote.ResumeTarget(); err != nil {
+	if err := remote.Send(protocol.Instruction{Type: protocol.InResume}); err != nil {
 		return err
 	}
 	cl.RunUntil(cl.Now() + 20_000_000)

@@ -254,11 +254,12 @@ func (d *Debugger) RunNs(durNs uint64) error {
 
 // EnableCheckpointing attaches a checkpoint recorder to the session: an
 // initial checkpoint is taken now and further ones every interval of
-// virtual time, while environment writes and host actions (input writes
-// and wire commands between runs) are logged. The session gains working
-// RewindTo/ReplayUntil (reverse-step to the last checkpoint,
-// deterministically re-execute forward) — on a cluster, rewind below a bus
-// incident and replay the exact frame interleaving that produced it.
+// virtual time, while environment writes and host actions (session
+// commands, input writes and wire instructions between runs) are logged.
+// The session gains working RewindTo/ReplayUntil (reverse-step to the
+// last checkpoint, deterministically re-execute forward) — on a cluster,
+// rewind below a bus incident and replay the exact frame interleaving
+// that produced it.
 // Enable after arming standing breakpoints so the initial checkpoint
 // carries them.
 func (d *Debugger) EnableCheckpointing(interval time.Duration) (*checkpoint.Recorder, error) {
@@ -284,8 +285,13 @@ func (d *Debugger) Checkpoint() (*checkpoint.Checkpoint, error) {
 
 // RestoreCheckpoint rewinds the debugger — target, session trace,
 // breakpoints, command channels — to a checkpoint taken from a debugger
-// built from the same model (this process or another).
+// built from the same model (this process or another). On a recording
+// session the restore is a fork at the checkpoint's instant (see
+// checkpoint.Recorder.Restore).
 func (d *Debugger) RestoreCheckpoint(cp *checkpoint.Checkpoint) error {
+	if d.Recorder != nil {
+		return d.Recorder.Restore(cp)
+	}
 	return checkpoint.Apply(cp, d.target, d.Session, d.Serials)
 }
 

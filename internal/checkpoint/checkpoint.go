@@ -28,14 +28,13 @@
 // The two inputs that are NOT functions of target state are captured in
 // the Recorder's logs, and Advance re-applies them below the frontier
 // where they were made: environment-hook writes at their release site,
-// host actions (input writes and wire instructions made between Advance
-// calls) at their instant. Whatever Advance makes itself (bus deliveries,
-// re-latches, the one-shot disarm) the replay makes again, so a recorded
-// session is driven only through RunNs, RewindTo and ReplayUntil. A host
-// action below the frontier forks the timeline there; the environment,
-// whose own state cannot be rewound, keeps its log up to the farthest
-// instant it ran to. Host-side actions that never touch the wire
-// (host-side Step on a passive session) are outside the replay contract.
+// host actions at their instant. A host action is a session command, an
+// input write or a raw wire instruction, made between Advance calls; a
+// command replays by running again. Whatever Advance makes itself (bus
+// deliveries, re-latches, the one-shot disarm) the replay makes again. A
+// host action below the frontier forks the timeline there, and so does a
+// restore; the environment, whose own state cannot be rewound, keeps its
+// log up to the farthest instant it ran to.
 package checkpoint
 
 import (

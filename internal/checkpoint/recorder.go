@@ -26,10 +26,11 @@ const SliceNs = 1_000_000
 // whole run, at coarser granularity near the beginning.
 const keepCheckpoints = 64
 
-// InputRecord is one logged action on a named node: an input write
-// (Actor, Port, Val) or, when In is set, a host-to-target wire
-// instruction. Site is the actor whose release ran the environment hook
-// that made a write, empty for a host action.
+// InputRecord is one logged action: an input write (Node, Actor, Port,
+// Val), a raw host-to-target wire instruction on Node's command channel
+// when In is set, or a session command when Cmd is set. Site is the actor
+// whose release ran the environment hook that made a write, empty for a
+// host action.
 type InputRecord struct {
 	At    uint64
 	Node  string
@@ -38,22 +39,24 @@ type InputRecord struct {
 	Port  string
 	Val   value.Encoded
 	In    *protocol.Instruction
+	Cmd   func()
 }
 
 // Recorder implements record-and-revisit debugging over a Target — one
 // board or a whole cluster. It takes periodic checkpoints and logs what is
 // not a function of target state: the writes each node's environment hook
-// makes, and the host actions — input writes and wire instructions made
-// between Advance calls. Below the frontier — the farthest instant the
-// live run has reached — the logs are authoritative: RewindTo restores a
-// checkpoint, and every Advance from there re-applies them where they
-// were made, so a replay and a plain run reproduce the timeline alike.
-// What a run makes itself (bus deliveries, re-latches, the one-shot
-// disarm; a cluster's bus draws come from the checkpointed RNG) is not
-// logged. Each log is one global sequence over the shared virtual clock,
-// replayed by one cursor. A recorded session is driven only through RunNs
-// (Advance), RewindTo and ReplayUntil, and a host action below the
-// frontier forks the timeline (see logHost). It satisfies
+// makes, and the host actions — session commands, input writes and raw
+// wire instructions made between Advance calls. Below the frontier — the
+// farthest instant the live run has reached — the logs are authoritative:
+// RewindTo restores a checkpoint, and every Advance from there re-applies
+// them where they were made (a command by running it again), so a replay
+// and a plain run reproduce the timeline alike. What a run makes itself
+// (bus deliveries, re-latches, the one-shot disarm; a cluster's bus draws
+// come from the checkpointed RNG) is not logged. Each log is one global
+// sequence over the shared virtual clock, replayed by one cursor. A
+// recorded target runs only through Advance (RunNs, RewindTo,
+// ReplayUntil), and a host action below the frontier, a Restore
+// included, forks the timeline (see logHost). It satisfies
 // engine.Rewinder; attach it with Session.AttachRewinder.
 type Recorder struct {
 	Target  Target
@@ -65,8 +68,7 @@ type Recorder struct {
 	// IntervalNs is the periodic checkpoint cadence in virtual time.
 	IntervalNs uint64
 
-	cps    []*Checkpoint
-	lastCp uint64
+	cps []*Checkpoint
 
 	// env holds the writes made inside environment hooks, replayed at the
 	// same release site; host holds the host actions, replayed at the
@@ -92,8 +94,8 @@ type Recorder struct {
 // Attach interposes a recorder on every node of a target + session and
 // takes the initial checkpoint. Attach after arming standing breakpoints
 // (the initial checkpoint carries them) and after any restore; from then
-// on, every input write or wire instruction made between Advance calls is
-// a host action. intervalNs zero means DefaultIntervalNs.
+// on, every session command, input write or wire instruction made between
+// Advance calls is a host action. intervalNs zero means DefaultIntervalNs.
 func Attach(t Target, s *engine.Session, serials map[string]*engine.SerialSource, intervalNs uint64) (*Recorder, error) {
 	if intervalNs == 0 {
 		intervalNs = DefaultIntervalNs
@@ -143,7 +145,7 @@ func (r *Recorder) Replaying() bool { return r.replaying }
 // checkpoint when the interval has elapsed. It is a no-op during replay
 // (the checkpoints for that window already exist).
 func (r *Recorder) observe(now uint64) error {
-	if r.replaying || now < r.lastCp+r.IntervalNs {
+	if r.replaying || now < r.cps[len(r.cps)-1].Time+r.IntervalNs {
 		return nil
 	}
 	_, err := r.TakeCheckpoint()
@@ -162,7 +164,6 @@ func (r *Recorder) TakeCheckpoint() (*Checkpoint, error) {
 		r.cps = append(r.cps[:1], r.cps[2:]...)
 	}
 	r.cps = append(r.cps, cp)
-	r.lastCp = cp.Time
 	return cp, nil
 }
 
@@ -175,16 +176,17 @@ func (r *Recorder) LastBefore(t uint64) *Checkpoint {
 	return r.cps[i-1]
 }
 
-// logHost logs a write or wire instruction made outside any environment
-// hook. Inside Advance it is not a host action — a bus delivery, a
-// re-latch, a logged action re-applied, the session's one-shot disarm —
-// and the replay makes it again. Between Advance calls below the frontier
-// it forks the timeline at now: the recorded future (host actions not yet
-// re-applied, checkpoints after now) is dropped, now becomes the
-// frontier, and the session is live again. The environment log is kept,
-// because a hook's own state (the heating plant's room and clock) belongs
-// to envEnd: up to there the fork gets the logged writes (see preLatch),
-// so the environment does not react to what the fork changed.
+// logHost logs a host action: a session command, or a write or wire
+// instruction made outside any environment hook. Inside Advance it is not
+// a host action — a bus delivery, a re-latch, a logged action re-applied,
+// the session's one-shot disarm — and the replay makes it again. Between
+// Advance calls below the frontier it forks the timeline at now: the
+// recorded future (host actions not yet re-applied, checkpoints after
+// now) is dropped, now becomes the frontier, and the session is live
+// again. The environment log is kept, because a hook's own state (the
+// heating plant's room and clock) belongs to envEnd: up to there the fork
+// gets the logged writes (see preLatch), so the environment does not
+// react to what the fork changed.
 func (r *Recorder) logHost(rec InputRecord) {
 	if r.advancing {
 		return
@@ -192,10 +194,21 @@ func (r *Recorder) logHost(rec InputRecord) {
 	if r.replaying {
 		r.host = r.host[:r.hostPtr]
 		r.cps = r.cps[:sort.Search(len(r.cps), func(i int) bool { return r.cps[i].Time > rec.At })]
-		r.lastCp = r.cps[len(r.cps)-1].Time
 		r.frontier, r.replaying = rec.At, false
 	}
 	r.host = append(r.host, rec)
+}
+
+// Command implements engine.Rewinder: it logs run, a session command, as
+// a host action at now, and runs it. The wire instructions run sends
+// belong to the command, so they are not logged again; a replay through
+// now runs the command again, and they are sent again.
+func (r *Recorder) Command(run func()) {
+	r.logHost(InputRecord{At: r.Target.Now(), Cmd: run})
+	was := r.advancing
+	r.advancing = true
+	run()
+	r.advancing = was
 }
 
 // preLatch replaces each node's environment hook: past envEnd the live
@@ -241,28 +254,22 @@ func (r *Recorder) beginReplay(now uint64) {
 }
 
 // applyHost re-applies the host actions logged at now, while replaying:
-// an input write is made again, and a wire instruction is re-sent
-// verbatim with the pause/resume it implied mirrored into the session's
-// host flags. It returns the instant the next logged host action waits
-// at, math.MaxUint64 when none does.
+// a command runs again, an input write is made again, and a raw wire
+// instruction is sent again (the sequence counter restored with the
+// checkpoint stamps it as the live run did). It returns the instant the
+// next logged host action waits at, math.MaxUint64 when none does.
 func (r *Recorder) applyHost(now uint64) uint64 {
 	for r.hostPtr < len(r.host) && r.host[r.hostPtr].At < now {
 		r.hostPtr++
 	}
 	for ; r.hostPtr < len(r.host) && r.host[r.hostPtr].At == now; r.hostPtr++ {
-		rec := r.host[r.hostPtr]
-		if rec.In == nil {
+		switch rec := r.host[r.hostPtr]; {
+		case rec.Cmd != nil:
+			rec.Cmd()
+		case rec.In != nil:
+			_ = r.Serials[rec.Node].Send(*rec.In)
+		default:
 			r.write(rec)
-			continue
-		}
-		if src := r.Serials[rec.Node]; src != nil {
-			_ = src.Resend(*rec.In)
-			switch rec.In.Type {
-			case protocol.InPause:
-				r.Session.SetPausedState(true)
-			case protocol.InResume, protocol.InStep:
-				r.Session.SetPausedState(false)
-			}
 		}
 	}
 	if r.hostPtr < len(r.host) {
@@ -332,10 +339,10 @@ func Advance(t Target, s *engine.Session, r *Recorder, limit uint64, stop func(n
 // timeline had at that very nanosecond, host actions logged there
 // included. A node whose generated code aborted on the way is reported as
 // RunNs reports it. A host action taken after landing below the frontier
-// — an input write, or a farm client's break, clearbreak, pause or
-// continue, which go over the wire — forks the timeline there and drops
-// the recorded future past it, all but the environment's writes (see
-// logHost).
+// — a session command (a farm client's break, clearbreak, step, pause or
+// continue), an input write or a raw wire instruction — forks the
+// timeline there and drops the recorded future past it, all but the
+// environment's writes (see logHost).
 func (r *Recorder) RewindTo(t uint64) (uint64, error) {
 	cp := r.LastBefore(t)
 	if cp == nil {
@@ -347,6 +354,22 @@ func (r *Recorder) RewindTo(t uint64) (uint64, error) {
 	r.beginReplay(r.Target.Now())
 	err := Advance(r.Target, r.Session, r, t, nil)
 	return r.Target.Now(), err
+}
+
+// Restore applies cp, a checkpoint of this session's target, as a host
+// action at its instant: it forks the timeline there (see logHost), a
+// replay through that instant applies cp again, and an anchor checkpoint
+// of the restored state is taken there.
+func (r *Recorder) Restore(cp *Checkpoint) error {
+	apply := func() error { return Apply(cp, r.Target, r.Session, r.Serials) }
+	if err := apply(); err != nil {
+		return err
+	}
+	r.beginReplay(cp.Time)
+	// cp applied once to this target, so a replay's apply cannot fail.
+	r.logHost(InputRecord{At: cp.Time, Cmd: func() { _ = apply() }})
+	_, err := r.TakeCheckpoint()
+	return err
 }
 
 // ReplayUntil implements engine.Rewinder: Advance from the current

@@ -7,6 +7,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/expr"
@@ -45,24 +46,15 @@ func (n *NopTarget) Resume() { n.halted = false }
 // Halted implements TargetControl.
 func (n *NopTarget) Halted() bool { return n.halted }
 
-// RemoteDebug is the slice of the active command interface through which
-// the session pushes debugging onto the target itself: arming and
-// clearing on-target condition breakpoints, stepping to the next model
-// event, and pause/resume. The target-resident agent then halts the board
-// *at the triggering instruction* instead of one frame round-trip later.
-// *SerialSource implements it; passive (JTAG) and replay sources do not,
-// so sessions over those fall back to host-side trace filtering.
+// RemoteDebug is the wire through which the session pushes debugging onto
+// the target itself: arming and clearing on-target condition breakpoints,
+// stepping to the next model event, and pause/resume. The target-resident
+// agent then halts the board *at the triggering instruction* instead of
+// one frame round-trip later. *SerialSource implements it; passive (JTAG)
+// and replay sources do not, so sessions over those fall back to
+// host-side trace filtering.
 type RemoteDebug interface {
-	// SetBreak arms (or replaces) breakpoint id with an expression over
-	// target symbol names, compiled by the firmware via internal/expr.
-	SetBreak(id, cond string) error
-	// ClearBreak disarms breakpoint id.
-	ClearBreak(id string) error
-	// StepTarget resumes the target until its next model-level event.
-	StepTarget() error
-	// PauseTarget / ResumeTarget are the wire form of halt and resume.
-	PauseTarget() error
-	ResumeTarget() error
+	Send(in protocol.Instruction) error
 }
 
 // SerialSource adapts the host side of the RS-232 link: it drains received
@@ -73,8 +65,8 @@ type SerialSource struct {
 	seq  uint16
 
 	// Tap, when set, observes every instruction Send transmits (after
-	// sequence stamping) — the checkpoint recorder's host-action log hooks
-	// here so host commands can be re-sent during deterministic replay.
+	// sequence stamping) — the checkpoint recorder logs a raw instruction
+	// sent between runs here, so a replay sends it again.
 	Tap func(in protocol.Instruction)
 }
 
@@ -105,47 +97,6 @@ func (s *SerialSource) Send(in protocol.Instruction) error {
 		s.Tap(in)
 	}
 	return nil
-}
-
-// Resend re-transmits an already-stamped instruction verbatim — the
-// checkpoint replay path. The sequence counter is fast-forwarded to the
-// instruction's own stamp so a live Send after the replayed window
-// continues the original numbering instead of reusing it.
-func (s *SerialSource) Resend(in protocol.Instruction) error {
-	wire, err := protocol.EncodeInstruction(in)
-	if err != nil {
-		return err
-	}
-	s.Port.Send(wire)
-	if in.Seq > s.seq {
-		s.seq = in.Seq
-	}
-	return nil
-}
-
-// SetBreak implements RemoteDebug.
-func (s *SerialSource) SetBreak(id, cond string) error {
-	return s.Send(protocol.Instruction{Type: protocol.InSetBreak, Source: id, Arg1: cond})
-}
-
-// ClearBreak implements RemoteDebug.
-func (s *SerialSource) ClearBreak(id string) error {
-	return s.Send(protocol.Instruction{Type: protocol.InClearBreak, Source: id})
-}
-
-// StepTarget implements RemoteDebug.
-func (s *SerialSource) StepTarget() error {
-	return s.Send(protocol.Instruction{Type: protocol.InStep})
-}
-
-// PauseTarget implements RemoteDebug.
-func (s *SerialSource) PauseTarget() error {
-	return s.Send(protocol.Instruction{Type: protocol.InPause})
-}
-
-// ResumeTarget implements RemoteDebug.
-func (s *SerialSource) ResumeTarget() error {
-	return s.Send(protocol.Instruction{Type: protocol.InResume})
 }
 
 // WatcherSource adapts the passive JTAG watch engine.
@@ -282,6 +233,18 @@ func (s *Session) UseRemote(rd RemoteDebug) { s.remote = rd }
 // attached interfaces are passive.
 func (s *Session) Remote() RemoteDebug { return s.remote }
 
+// command runs one host command: through the attached rewinder, which
+// logs it so a replay runs it again, or directly when none is attached.
+// Each command validates its arguments first, so a command that fails
+// validation is never run and never logged.
+func (s *Session) command(run func()) {
+	if s.rewinder != nil {
+		s.rewinder.Command(run)
+		return
+	}
+	run()
+}
+
 // SetBreakpoint installs (or replaces) a model-level breakpoint. A
 // breakpoint carrying a TargetCond is pushed onto the target-resident
 // agent whenever a RemoteDebug channel is attached — preferred over
@@ -301,8 +264,7 @@ func (s *Session) SetBreakpoint(bp Breakpoint) error {
 			return fmt.Errorf("engine: breakpoint %s target condition: %w", bp.ID, err)
 		}
 	}
-	willArm := bp.TargetCond != "" && s.remote != nil
-	if bp.Event == protocol.EvInvalid && !willArm {
+	if bp.Event == protocol.EvInvalid && (bp.TargetCond == "" || s.remote == nil) {
 		return fmt.Errorf("engine: breakpoint %s with no event type", bp.ID)
 	}
 	if bp.Cond != "" {
@@ -312,8 +274,16 @@ func (s *Session) SetBreakpoint(bp Breakpoint) error {
 		}
 		bp.cond = node
 	}
-	if willArm {
-		if err := s.remote.SetBreak(bp.ID, bp.TargetCond); err != nil {
+	var err error
+	s.command(func() { err = s.install(bp) })
+	return err
+}
+
+// install arms bp, a fresh copy on every call, and enters it in the
+// breakpoint list.
+func (s *Session) install(bp Breakpoint) error {
+	if bp.TargetCond != "" && s.remote != nil {
+		if err := s.remote.Send(protocol.Instruction{Type: protocol.InSetBreak, Source: bp.ID, Arg1: bp.TargetCond}); err != nil {
 			return err
 		}
 		bp.onTarget = true
@@ -323,9 +293,9 @@ func (s *Session) SetBreakpoint(bp Breakpoint) error {
 		if ex.ID == bp.ID {
 			// Replacing an on-target breakpoint with a host-side one must
 			// disarm the stale condition on the agent (an on-target
-			// replacement already re-armed it via SetBreak above).
+			// replacement already re-armed it above).
 			if ex.onTarget && !bp.onTarget && s.remote != nil {
-				if err := s.remote.ClearBreak(bp.ID); err != nil {
+				if err := s.remote.Send(protocol.Instruction{Type: protocol.InClearBreak, Source: bp.ID}); err != nil {
 					return err
 				}
 			}
@@ -340,24 +310,28 @@ func (s *Session) SetBreakpoint(bp Breakpoint) error {
 // ClearBreakpoint removes a breakpoint by id, disarming it on the target
 // when it had been pushed there.
 func (s *Session) ClearBreakpoint(id string) error {
-	for i, ex := range s.breaks {
-		if ex.ID == id {
-			if ex.onTarget && s.remote != nil {
-				if err := s.remote.ClearBreak(id); err != nil {
-					return err
-				}
-			}
-			// Splice without leaving a dangling *Breakpoint in the backing
-			// array: the vacated tail slot is nil'd so the removed
-			// breakpoint becomes collectable and can never be resurrected
-			// by a later append into the shared backing storage.
-			copy(s.breaks[i:], s.breaks[i+1:])
-			s.breaks[len(s.breaks)-1] = nil
-			s.breaks = s.breaks[:len(s.breaks)-1]
-			return nil
-		}
+	byID := func(bp *Breakpoint) bool { return bp.ID == id }
+	if !slices.ContainsFunc(s.breaks, byID) {
+		return fmt.Errorf("engine: no breakpoint %q", id)
 	}
-	return fmt.Errorf("engine: no breakpoint %q", id)
+	var err error
+	s.command(func() {
+		i := slices.IndexFunc(s.breaks, byID)
+		if i < 0 {
+			// A replay from a checkpoint taken after this clear.
+			return
+		}
+		if s.breaks[i].onTarget && s.remote != nil {
+			if err = s.remote.Send(protocol.Instruction{Type: protocol.InClearBreak, Source: id}); err != nil {
+				return
+			}
+		}
+		// Delete zeroes the vacated tail slot, so the removed breakpoint
+		// becomes collectable and a later append into the shared backing
+		// storage can never resurrect it.
+		s.breaks = slices.Delete(s.breaks, i, i+1)
+	})
+	return err
 }
 
 // Breakpoints returns the installed breakpoints. The slice is a copy:
@@ -394,13 +368,15 @@ func (s *Session) HaltNs() uint64 {
 // racing later Step/Continue calls. Without a remote the direct
 // TargetControl halts immediately.
 func (s *Session) Pause() {
-	s.paused = true
-	if s.remote != nil {
-		_ = s.remote.PauseTarget()
-	} else {
-		s.Target.Halt()
-	}
-	s.GDM.SetHalted(true)
+	s.command(func() {
+		s.paused = true
+		if s.remote != nil {
+			_ = s.remote.Send(protocol.Instruction{Type: protocol.InPause})
+		} else {
+			s.Target.Halt()
+		}
+		s.GDM.SetHalted(true)
+	})
 }
 
 // Continue resumes free-running execution. A target suspended mid-release
@@ -409,15 +385,14 @@ func (s *Session) Pause() {
 // is sent: a direct resume alongside it would leave a stale InResume in
 // flight that could blow past a second breakpoint the continuation hits.
 func (s *Session) Continue() {
-	s.paused = false
-	s.mode = ModeRun
-	s.LastBreak = nil
-	if s.remote != nil {
-		_ = s.remote.ResumeTarget()
-	} else {
-		s.Target.Resume()
-	}
-	s.GDM.SetHalted(false)
+	s.command(func() {
+		s.resume(ModeRun)
+		if s.remote != nil {
+			_ = s.remote.Send(protocol.Instruction{Type: protocol.InResume})
+		} else {
+			s.Target.Resume()
+		}
+	})
 }
 
 // Step resumes execution until the next model-level event reaches the
@@ -425,11 +400,10 @@ func (s *Session) Continue() {
 // filtered host-side (events already in flight on the wire complete the
 // step). See StepTarget for the target-resident variant.
 func (s *Session) Step() {
-	s.paused = false
-	s.mode = ModeStep
-	s.LastBreak = nil
-	s.Target.Resume()
-	s.GDM.SetHalted(false)
+	s.command(func() {
+		s.resume(ModeStep)
+		s.Target.Resume()
+	})
 }
 
 // StepTarget asks the target-resident agent to run to the next model
@@ -442,11 +416,18 @@ func (s *Session) StepTarget() {
 		s.Step()
 		return
 	}
+	s.command(func() {
+		s.resume(ModeRun)
+		_ = s.remote.Send(protocol.Instruction{Type: protocol.InStep})
+	})
+}
+
+// resume clears the host-side pause in run mode m.
+func (s *Session) resume(m Mode) {
 	s.paused = false
-	s.mode = ModeRun
+	s.mode = m
 	s.LastBreak = nil
 	s.GDM.SetHalted(false)
-	_ = s.remote.StepTarget()
 }
 
 // ProcessEvents drains every source, feeding events through translation,
@@ -504,7 +485,7 @@ func (s *Session) mirrorTargetHalt(ev protocol.Event) {
 					// does not log this disarm.
 					bp.Enabled = false
 					if bp.onTarget && s.remote != nil {
-						_ = s.remote.ClearBreak(bp.ID)
+						_ = s.remote.Send(protocol.Instruction{Type: protocol.InClearBreak, Source: bp.ID})
 					}
 				}
 				hit = bp

@@ -6,20 +6,26 @@ import (
 	"repro/internal/protocol"
 )
 
-// recordingRemote is a RemoteDebug fake that records every arm/disarm that
-// would cross the wire — the breakpoint-lifecycle regression tests assert
-// on exactly which instructions a Session emits.
+// recordingRemote is a RemoteDebug fake that records every arm, disarm
+// and step that would cross the wire — the breakpoint-lifecycle
+// regression tests assert on exactly which instructions a Session emits.
 type recordingRemote struct {
-	sets   []string // breakpoint ids armed via SetBreak
-	clears []string // breakpoint ids disarmed via ClearBreak
-	steps  int
+	sets   []string // breakpoint ids armed by InSetBreak
+	clears []string // breakpoint ids disarmed by InClearBreak
+	steps  int      // InStep instructions
 }
 
-func (r *recordingRemote) SetBreak(id, cond string) error { r.sets = append(r.sets, id); return nil }
-func (r *recordingRemote) ClearBreak(id string) error     { r.clears = append(r.clears, id); return nil }
-func (r *recordingRemote) StepTarget() error              { r.steps++; return nil }
-func (r *recordingRemote) PauseTarget() error             { return nil }
-func (r *recordingRemote) ResumeTarget() error            { return nil }
+func (r *recordingRemote) Send(in protocol.Instruction) error {
+	switch in.Type {
+	case protocol.InSetBreak:
+		r.sets = append(r.sets, in.Source)
+	case protocol.InClearBreak:
+		r.clears = append(r.clears, in.Source)
+	case protocol.InStep:
+		r.steps++
+	}
+	return nil
+}
 
 // TestSetBreakpointValidatesBeforeArming: a breakpoint with a good
 // TargetCond but a bad host-side Cond must fail WITHOUT arming the

@@ -146,18 +146,6 @@ func (s *Session) Restore(st SessionState) error {
 	return nil
 }
 
-// SetPausedState mirrors a pause/resume decision into the host flags
-// without generating wire traffic — the checkpoint replayer uses it when
-// a logged instruction it re-injects implies the host flag flipped in the
-// original timeline.
-func (s *Session) SetPausedState(paused bool) {
-	s.paused = paused
-	if !paused {
-		s.LastBreak = nil
-	}
-	s.GDM.SetHalted(paused)
-}
-
 // SerialSourceState is the portable form of the host command channel.
 type SerialSourceState struct {
 	Seq uint16                `json:"seq"`
@@ -187,6 +175,11 @@ type Rewinder interface {
 	// before every slice) or maxNs of virtual time has elapsed; it reports
 	// whether cond was met.
 	ReplayUntil(cond func(now uint64) bool, maxNs uint64) (bool, error)
+	// Command runs one host command the session was given (set or clear
+	// a breakpoint, pause, continue, step) and logs it, so that a replay
+	// through this instant runs it again. run may be called again on
+	// every replay; it must act only on the session's state at the time.
+	Command(run func())
 }
 
 // AttachRewinder gives the session reverse-execution controls.

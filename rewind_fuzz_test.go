@@ -3,9 +3,11 @@ package repro
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/protocol"
 	"repro/internal/value"
 )
@@ -47,15 +49,38 @@ var rewindPokes = map[string]struct {
 	},
 }
 
+// rewindBreaks are the breakpoints FuzzRewindReplay toggles, per target:
+// one matched host-side (id "h") and one armed on the target-resident
+// agent of the session's remote channel (id "t").
+var rewindBreaks = map[string][2]engine.Breakpoint{
+	"board": {
+		{ID: "h", Event: protocol.EvSignal, Source: "lowly.y"},
+		{ID: "t", Event: protocol.EvDeadlineMiss, Source: "lowly", TargetCond: "lowly.__misses > 0"},
+	},
+	"cluster": {
+		{ID: "h", Event: protocol.EvSignal, Source: "consumer.twice"},
+		{ID: "t", Event: protocol.EvSignal, Source: "producer.v", TargetCond: "producer.v__pub >= 3"},
+	},
+	"heating": {
+		{ID: "h", Event: protocol.EvSignal, Source: "heater.power"},
+		{ID: "t", Event: protocol.EvStateEnter, Source: "heater.thermostat", Arg1: "Heating", TargetCond: "heater.thermostat.__state == 1"},
+	},
+}
+
 // Operations of a FuzzRewindReplay input, one per 5 bytes: an opcode byte
 // and a little-endian uint32 argument.
 const (
-	opRun    = iota // RunNs(arg ns), clamped to the frontier when below it
-	opRewind        // RewindTo(first checkpoint + arg mod the recorded span)
-	opReplay        // ReplayUntil the frontier, at most arg ns
-	opPoke          // arg bit 0 picks a manual or a wire write; below the frontier it forks
-	opFork          // checkpoint, restore into a fresh recording debugger
-	opStop          // ReplayUntil nothing, for arg mod 20 ms: stops off the grid
+	opRun      = iota // RunNs(arg ns), clamped to the frontier when below it
+	opRewind          // RewindTo(first checkpoint + arg mod the recorded span)
+	opReplay          // ReplayUntil the frontier, at most arg ns
+	opPoke            // arg bit 0 picks a manual or a wire write; below the frontier it forks
+	opFork            // checkpoint, restore into a fresh recording debugger
+	opStop            // ReplayUntil nothing, for arg mod 20 ms: stops off the grid
+	opBreak           // arg bit 0 picks the host-side or the on-target breakpoint; set it, or clear it when set
+	opPause           // Session.Pause
+	opContinue        // Session.Continue
+	opStep            // arg bit 0 picks a host-side Step or a StepTarget
+	opRestore         // RestoreCheckpoint(recorded checkpoint arg mod their number): it forks
 	numOps
 )
 
@@ -72,11 +97,12 @@ func rewindOps(target byte, ops ...uint32) []byte {
 
 // FuzzRewindReplay drives a recording session on the board, the cluster
 // or heating through runs, stops off the grid, rewinds, replays, host
-// pokes and checkpoint forks. A rewind must land exactly where asked with
-// a trace that is a prefix of the frontier's, and whenever the session is
-// back at the frontier — the farthest instant its live run has reached —
+// pokes, session commands (breakpoints set and cleared, pause, continue,
+// step), restores of recorded checkpoints and checkpoint forks. A rewind
+// must land exactly where asked with a trace that is a prefix of the
+// frontier's, and whenever the session is back at the frontier — the farthest instant its live run has reached —
 // its trace and checkpoint bytes must equal those the live run left
-// there. A poke below the frontier forks the timeline: the poked instant
+// there. A poke, a command or a restore forks the timeline: its instant
 // becomes the frontier, and its trace and checkpoint bytes the reference.
 // On heating every temperature the plant writes must stay inside the
 // room's physical range, forks included.
@@ -110,6 +136,23 @@ func FuzzRewindReplay(f *testing.F) {
 	// Heating's plant writes temp at the monitor's release too; at 76 ms
 	// RAM still holds that write.
 	f.Add(rewindOps(2, opRun, 76_000_000, opRewind, 22_000_000, opReplay, 1<<31))
+	// On heating, an on-target break pauses at 29 ms and a host-side step
+	// at 32 ms; after clear and continue the in-flight Break pauses again
+	// at 37 ms. A replay must resume the board for the step, and leave
+	// step mode at the continue.
+	heatStep := []uint32{opBreak, 1, opRun, 1 << 31, opStep, 0, opRun, 1 << 31, opBreak, 1, opContinue, 0, opRun, 1 << 31}
+	f.Add(rewindOps(2, append(heatStep, opRewind, 33_000_000, opReplay, 1<<31)...))
+	f.Add(rewindOps(2, append(heatStep, opContinue, 0, opRun, 1<<31, opRewind, 31_000_000, opReplay, 1<<31)...))
+	// A host-side breakpoint set between runs pauses at 55 ms; a replay
+	// must install it again.
+	f.Add(rewindOps(2, opRun, 50_000_000, opBreak, 0, opRun, 1<<31, opBreak, 0, opContinue, 0, opRun, 1<<31,
+		opRewind, 45_000_000, opReplay, 1<<31))
+	// A restore onto a recording session forks at the checkpoint's
+	// instant; on heating the plant must not step back in time.
+	for target := byte(0); target < 3; target++ {
+		f.Add(rewindOps(target, opRun, 20_000_000, opPoke, 3<<8|1, opRun, 40_000_000, opRestore, 2,
+			opRun, 30_000_000, opRewind, 1_000_000, opReplay, 1<<31))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -119,7 +162,7 @@ func FuzzRewindReplay(f *testing.F) {
 			maxOps  = 16
 		)
 		tc := rewindTargets[int(data[0])%len(rewindTargets)]
-		pokes := rewindPokes[tc.name]
+		pokes, breaks := rewindPokes[tc.name], rewindBreaks[tc.name]
 		dbg := tc.build(t)
 		record := func() {
 			if _, err := dbg.EnableCheckpointing(5 * time.Millisecond); err != nil {
@@ -159,18 +202,46 @@ func FuzzRewindReplay(f *testing.F) {
 				if _, err := dbg.Session.ReplayUntil(func(now uint64) bool { return now >= frontier }, uint64(arg)); err != nil {
 					t.Fatal(err)
 				}
-			case opPoke:
-				poke, v := pokes.manual, float64(arg>>8%1000)
-				if arg&1 != 0 {
-					poke = pokes.wire
+			case opPoke, opBreak, opPause, opContinue, opStep:
+				var err error
+				switch bp := breaks[arg&1]; op {
+				case opPoke:
+					poke := pokes.manual
+					if arg&1 != 0 {
+						poke = pokes.wire
+					}
+					err = poke(dbg, float64(arg>>8%1000))
+				case opBreak:
+					if slices.ContainsFunc(dbg.Session.Breakpoints(), func(b *engine.Breakpoint) bool { return b.ID == bp.ID }) {
+						err = dbg.Session.ClearBreakpoint(bp.ID)
+					} else {
+						err = dbg.Session.SetBreakpoint(bp)
+					}
+				case opPause:
+					dbg.Session.Pause()
+				case opContinue:
+					dbg.Session.Continue()
+				case opStep:
+					if arg&1 != 0 {
+						dbg.Session.StepTarget()
+					} else {
+						dbg.Session.Step()
+					}
 				}
-				if err := poke(dbg, v); err != nil {
+				if err != nil {
 					t.Fatal(err)
 				}
 				if dbg.Recorder.Replaying() {
-					t.Fatalf("poke at %d did not fork the recorded timeline", dbg.Now())
+					t.Fatalf("host action at %d did not fork the recorded timeline", dbg.Now())
 				}
-				// A poke is part of the frontier state the live run leaves.
+				// A host action is part of the frontier state the live run
+				// leaves.
+				frontier, frontTrace, frontCp = dbg.Now(), formatTrace(dbg), checkpointBytes(t, dbg)
+			case opRestore:
+				cps := dbg.Recorder.Checkpoints()
+				if err := dbg.RestoreCheckpoint(cps[int(arg%uint32(len(cps)))]); err != nil {
+					t.Fatal(err)
+				}
 				frontier, frontTrace, frontCp = dbg.Now(), formatTrace(dbg), checkpointBytes(t, dbg)
 			case opStop:
 				to := min(dbg.Now()+uint64(arg)%20_000_000, horizon)
