@@ -6,9 +6,12 @@ package repro
 
 import (
 	"bytes"
+	"encoding/json"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/engine"
 	"repro/internal/protocol"
 	"repro/internal/value"
@@ -326,8 +329,115 @@ func TestFailedCommandIsNotLogged(t *testing.T) {
 	if err := dbg.Session.ClearBreakpoint("none"); err == nil {
 		t.Fatal("ClearBreakpoint accepted an unknown id")
 	}
+	for _, c := range []engine.Command{{Op: "jump"}, {Op: engine.OpBreak}} {
+		if err := dbg.Session.Do(c); err == nil {
+			t.Fatalf("Do accepted %+v", c)
+		}
+	}
 	if n := len(dbg.Recorder.Host()); n != 0 {
 		t.Fatalf("host log holds %d records after commands that failed validation", n)
+	}
+}
+
+// TestTakenCheckpointHoldsHostAction pokes the heating thermostat back to
+// Idle over the wire at 30 ms and then takes a checkpoint at that instant,
+// which holds the poke's effect. A rewind onto that checkpoint re-applies
+// only the host actions logged after it was taken, so the poke is not
+// applied a second time, and the replay to 60 ms equals the live run.
+func TestTakenCheckpointHoldsHostAction(t *testing.T) {
+	dbg := heatingDebugger(t, Active)
+	if _, err := dbg.EnableCheckpointing(20 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if err := dbg.Run(30 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if err := dbg.Serials["main"].Send(protocol.Instruction{Type: protocol.InWriteVar, Source: "heater.thermostat.__state", Value: 0}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dbg.Recorder.TakeCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := dbg.Run(30 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	replayTo(t, dbg, 30_000_000, 60_000_000, formatTrace(dbg), checkpointBytes(t, dbg))
+}
+
+// TestHostLogIsData logs one host action of every kind — the six session
+// commands, an input write, a raw wire instruction and, last, a restore of
+// a checkpoint taken after them (a restore forks the timeline at its
+// instant) — and requires the host log to marshal to JSON and to read
+// back to the same bytes.
+func TestHostLogIsData(t *testing.T) {
+	dbg := heatingDebugger(t, Active)
+	if _, err := dbg.EnableCheckpointing(20 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if err := dbg.Run(10 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	s := dbg.Session
+	if err := s.SetBreakpoint(engine.Breakpoint{ID: "h", Event: protocol.EvSignal, Source: "heater.power", Cond: "value > 1000"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ClearBreakpoint("h"); err != nil {
+		t.Fatal(err)
+	}
+	s.Pause()
+	s.Step()
+	s.StepTarget()
+	s.Continue()
+	if err := dbg.WriteInput("heater", "mode", value.I(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := dbg.Serials["main"].Send(protocol.Instruction{Type: protocol.InWriteVar, Source: "heater.thermostat.__state", Value: 0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := dbg.Run(10 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := dbg.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dbg.RestoreCheckpoint(cp); err != nil {
+		t.Fatal(err)
+	}
+
+	host := dbg.Recorder.Host()
+	var ops []engine.Op
+	var writes, instrs, restores int
+	for _, rec := range host {
+		switch {
+		case rec.Cmd != nil:
+			ops = append(ops, rec.Cmd.Op)
+		case rec.In != nil:
+			instrs++
+		case rec.Restore != nil:
+			restores++
+		default:
+			writes++
+		}
+	}
+	wantOps := []engine.Op{engine.OpBreak, engine.OpClear, engine.OpPause, engine.OpStep, engine.OpStepTarget, engine.OpContinue}
+	if !slices.Equal(ops, wantOps) || writes != 1 || instrs != 1 || restores != 1 {
+		t.Fatalf("host log: ops %v, %d writes, %d instructions, %d restores; want ops %v and one of each other kind", ops, writes, instrs, restores, wantOps)
+	}
+	data, err := json.Marshal(host)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back []checkpoint.InputRecord
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	again, err := json.Marshal(back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, data) {
+		t.Fatalf("host log does not read back to the same bytes:\n%s\n%s", data, again)
 	}
 }
 

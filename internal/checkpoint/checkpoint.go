@@ -29,8 +29,11 @@
 // the Recorder's logs, and Advance re-applies them below the frontier
 // where they were made: environment-hook writes at their release site,
 // host actions at their instant. A host action is a session command, an
-// input write or a raw wire instruction, made between Advance calls; a
-// command replays by running again. Whatever Advance makes itself (bus
+// input write or a raw wire instruction, made between Advance calls, or a
+// restore. The host log is plain data (JSON-marshallable InputRecords): a
+// command is an engine.Command value and replays by being given to the
+// session again (Session.Do), and a restore keeps the checkpoint it
+// applied. Whatever Advance makes itself (bus
 // deliveries, re-latches, the one-shot disarm) the replay makes again. A
 // host action below the frontier forks the timeline there, and so does a
 // restore; the environment, whose own state cannot be rewound, keeps its

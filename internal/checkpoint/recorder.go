@@ -26,38 +26,41 @@ const SliceNs = 1_000_000
 // whole run, at coarser granularity near the beginning.
 const keepCheckpoints = 64
 
-// InputRecord is one logged action: an input write (Node, Actor, Port,
-// Val), a raw host-to-target wire instruction on Node's command channel
-// when In is set, or a session command when Cmd is set. Site is the actor
-// whose release ran the environment hook that made a write, empty for a
-// host action.
+// InputRecord is one logged action, as plain data: an input write (Node,
+// Actor, Port, Val), a raw host-to-target wire instruction on Node's
+// command channel when In is set, a session command when Cmd is set, or a
+// restore of the checkpoint Restore. Site is the actor whose release ran
+// the environment hook that made a write, empty for a host action. A
+// logged record is never changed, so a log may be read (marshalled, say)
+// while the recorder goes on.
 type InputRecord struct {
-	At    uint64
-	Node  string
-	Site  string
-	Actor string
-	Port  string
-	Val   value.Encoded
-	In    *protocol.Instruction
-	Cmd   func()
+	At      uint64                `json:"at"`
+	Node    string                `json:"node,omitempty"`
+	Site    string                `json:"site,omitempty"`
+	Actor   string                `json:"actor,omitempty"`
+	Port    string                `json:"port,omitempty"`
+	Val     value.Encoded         `json:"val,omitzero"`
+	In      *protocol.Instruction `json:"in,omitempty"`
+	Cmd     *engine.Command       `json:"cmd,omitempty"`
+	Restore *Checkpoint           `json:"restore,omitempty"`
 }
 
 // Recorder implements record-and-revisit debugging over a Target — one
 // board or a whole cluster. It takes periodic checkpoints and logs what is
 // not a function of target state: the writes each node's environment hook
 // makes, and the host actions — session commands, input writes and raw
-// wire instructions made between Advance calls. Below the frontier — the
-// farthest instant the live run has reached — the logs are authoritative:
-// RewindTo restores a checkpoint, and every Advance from there re-applies
-// them where they were made (a command by running it again), so a replay
-// and a plain run reproduce the timeline alike. What a run makes itself
-// (bus deliveries, re-latches, the one-shot disarm; a cluster's bus draws
-// come from the checkpointed RNG) is not logged. Each log is one global
-// sequence over the shared virtual clock, replayed by one cursor. A
-// recorded target runs only through Advance (RunNs, RewindTo,
-// ReplayUntil), and a host action below the frontier, a Restore
-// included, forks the timeline (see logHost). It satisfies
-// engine.Rewinder; attach it with Session.AttachRewinder.
+// wire instructions made between Advance calls, and restores. Below the
+// frontier — the farthest instant the live run has reached — the logs are
+// authoritative: RewindTo restores a checkpoint, and every Advance from
+// there re-applies them where they were made (a command by giving it to
+// the session again), so a replay and a plain run reproduce the timeline
+// alike. What a run makes itself (bus deliveries, re-latches, the
+// one-shot disarm; a cluster's bus draws come from the checkpointed RNG)
+// is not logged. Each log is one global sequence over the shared virtual
+// clock, replayed by one cursor. A recorded target runs only through
+// Advance (RunNs, RewindTo, ReplayUntil), and a host action below the
+// frontier, a Restore included, forks the timeline (see logHost). It
+// satisfies engine.Rewinder; attach it with Session.AttachRewinder.
 type Recorder struct {
 	Target  Target
 	Session *engine.Session
@@ -68,7 +71,11 @@ type Recorder struct {
 	// IntervalNs is the periodic checkpoint cadence in virtual time.
 	IntervalNs uint64
 
-	cps []*Checkpoint
+	// cps are the checkpoints taken, and cpHost[i] is the length the host
+	// log had when cps[i] was taken: a rewind onto cps[i] re-applies the
+	// host actions from there on, not those it already holds.
+	cps    []*Checkpoint
+	cpHost []int
 
 	// env holds the writes made inside environment hooks, replayed at the
 	// same release site; host holds the host actions, replayed at the
@@ -134,7 +141,10 @@ func (r *Recorder) Checkpoints() []*Checkpoint { return r.cps }
 // Inputs returns the logged environment writes (diagnostics).
 func (r *Recorder) Inputs() []InputRecord { return r.env }
 
-// Host returns the logged host actions (diagnostics).
+// Host returns the logged host actions, in the order a replay re-applies
+// them (the farm serves it as a recording session's journal). The records
+// never change, but a fork cuts the slice and appends over it: copy it to
+// keep it past the next host action.
 func (r *Recorder) Host() []InputRecord { return r.host }
 
 // Replaying reports whether the session is currently below the recorded
@@ -162,18 +172,11 @@ func (r *Recorder) TakeCheckpoint() (*Checkpoint, error) {
 	}
 	if len(r.cps) >= keepCheckpoints {
 		r.cps = append(r.cps[:1], r.cps[2:]...)
+		r.cpHost = append(r.cpHost[:1], r.cpHost[2:]...)
 	}
 	r.cps = append(r.cps, cp)
+	r.cpHost = append(r.cpHost, len(r.host))
 	return cp, nil
-}
-
-// LastBefore returns the latest checkpoint with Time <= t, or nil.
-func (r *Recorder) LastBefore(t uint64) *Checkpoint {
-	i := sort.Search(len(r.cps), func(i int) bool { return r.cps[i].Time > t })
-	if i == 0 {
-		return nil
-	}
-	return r.cps[i-1]
 }
 
 // logHost logs a host action: a session command, or a write or wire
@@ -193,22 +196,24 @@ func (r *Recorder) logHost(rec InputRecord) {
 	}
 	if r.replaying {
 		r.host = r.host[:r.hostPtr]
-		r.cps = r.cps[:sort.Search(len(r.cps), func(i int) bool { return r.cps[i].Time > rec.At })]
+		n := sort.Search(len(r.cps), func(i int) bool { return r.cps[i].Time > rec.At })
+		r.cps, r.cpHost = r.cps[:n], r.cpHost[:n]
 		r.frontier, r.replaying = rec.At, false
 	}
 	r.host = append(r.host, rec)
 }
 
-// Command implements engine.Rewinder: it logs run, a session command, as
-// a host action at now, and runs it. The wire instructions run sends
-// belong to the command, so they are not logged again; a replay through
-// now runs the command again, and they are sent again.
-func (r *Recorder) Command(run func()) {
-	r.logHost(InputRecord{At: r.Target.Now(), Cmd: run})
+// Command implements engine.Rewinder: it logs c, a session command, as a
+// host action at now, and carries it out with run. The wire instructions
+// run sends belong to the command, so they are not logged again; a replay
+// through now gives c to the session again, and they are sent again.
+func (r *Recorder) Command(c engine.Command, run func() error) error {
+	r.logHost(InputRecord{At: r.Target.Now(), Cmd: &c})
 	was := r.advancing
 	r.advancing = true
-	run()
+	err := run()
 	r.advancing = was
+	return err
 }
 
 // preLatch replaces each node's environment hook: past envEnd the live
@@ -254,10 +259,11 @@ func (r *Recorder) beginReplay(now uint64) {
 }
 
 // applyHost re-applies the host actions logged at now, while replaying:
-// a command runs again, an input write is made again, and a raw wire
-// instruction is sent again (the sequence counter restored with the
-// checkpoint stamps it as the live run did). It returns the instant the
-// next logged host action waits at, math.MaxUint64 when none does.
+// a command is given to the session again, an input write is made again,
+// a raw wire instruction is sent again (the sequence counter restored
+// with the checkpoint stamps it as the live run did), and a restored
+// checkpoint is applied again. It returns the instant the next logged
+// host action waits at, math.MaxUint64 when none does.
 func (r *Recorder) applyHost(now uint64) uint64 {
 	for r.hostPtr < len(r.host) && r.host[r.hostPtr].At < now {
 		r.hostPtr++
@@ -265,9 +271,12 @@ func (r *Recorder) applyHost(now uint64) uint64 {
 	for ; r.hostPtr < len(r.host) && r.host[r.hostPtr].At == now; r.hostPtr++ {
 		switch rec := r.host[r.hostPtr]; {
 		case rec.Cmd != nil:
-			rec.Cmd()
+			_ = r.Session.Do(*rec.Cmd)
 		case rec.In != nil:
 			_ = r.Serials[rec.Node].Send(*rec.In)
+		case rec.Restore != nil:
+			// Applied once to this target, so it cannot fail now.
+			_ = Apply(rec.Restore, r.Target, r.Session, r.Serials)
 		default:
 			r.write(rec)
 		}
@@ -333,7 +342,8 @@ func Advance(t Target, s *engine.Session, r *Recorder, limit uint64, stop func(n
 }
 
 // RewindTo implements engine.Rewinder: restore the latest checkpoint at
-// or before t, then Advance through the recorded timeline to exactly t.
+// or before t, then Advance through the recorded timeline to exactly t,
+// re-applying the host actions logged after that checkpoint was taken.
 // The landing instant is exact — t falls wherever it falls relative to
 // instruction boundaries; the target state is the one the original
 // timeline had at that very nanosecond, host actions logged there
@@ -344,30 +354,29 @@ func Advance(t Target, s *engine.Session, r *Recorder, limit uint64, stop func(n
 // timeline there and drops the recorded future past it, all but the
 // environment's writes (see logHost).
 func (r *Recorder) RewindTo(t uint64) (uint64, error) {
-	cp := r.LastBefore(t)
-	if cp == nil {
+	i := sort.Search(len(r.cps), func(i int) bool { return r.cps[i].Time > t }) - 1
+	if i < 0 {
 		return 0, fmt.Errorf("checkpoint: no checkpoint at or before t=%d", t)
 	}
-	if err := Apply(cp, r.Target, r.Session, r.Serials); err != nil {
+	if err := Apply(r.cps[i], r.Target, r.Session, r.Serials); err != nil {
 		return 0, err
 	}
 	r.beginReplay(r.Target.Now())
+	r.hostPtr = r.cpHost[i]
 	err := Advance(r.Target, r.Session, r, t, nil)
 	return r.Target.Now(), err
 }
 
 // Restore applies cp, a checkpoint of this session's target, as a host
-// action at its instant: it forks the timeline there (see logHost), a
-// replay through that instant applies cp again, and an anchor checkpoint
-// of the restored state is taken there.
+// action at its instant: it forks the timeline there (see logHost), the
+// host log keeps cp, a replay through that instant applies cp again, and
+// an anchor checkpoint of the restored state is taken there.
 func (r *Recorder) Restore(cp *Checkpoint) error {
-	apply := func() error { return Apply(cp, r.Target, r.Session, r.Serials) }
-	if err := apply(); err != nil {
+	if err := Apply(cp, r.Target, r.Session, r.Serials); err != nil {
 		return err
 	}
 	r.beginReplay(cp.Time)
-	// cp applied once to this target, so a replay's apply cannot fail.
-	r.logHost(InputRecord{At: cp.Time, Cmd: func() { _ = apply() }})
+	r.logHost(InputRecord{At: cp.Time, Restore: cp})
 	_, err := r.TakeCheckpoint()
 	return err
 }

@@ -111,13 +111,13 @@ func (w *WatcherSource) Poll(now uint64) []protocol.Event { return w.Watcher.Pol
 // rather than code addresses. Examples: "break when machine heater.ctrl
 // enters state Heating", "break when signal heater.power > 90".
 type Breakpoint struct {
-	ID      string
-	Event   protocol.EventType
-	Source  string // "" matches any source
-	Arg1    string // "" matches any (state name, from-state, …)
-	Cond    string // optional expression over value/arg1/arg2/source
-	OneShot bool
-	Enabled bool
+	ID      string             `json:"id"`
+	Event   protocol.EventType `json:"event,omitempty"`
+	Source  string             `json:"source,omitempty"` // "" matches any source
+	Arg1    string             `json:"arg1,omitempty"`   // "" matches any (state name, from-state, …)
+	Cond    string             `json:"cond,omitempty"`   // optional expression over value/arg1/arg2/source
+	OneShot bool               `json:"oneShot,omitempty"`
+	Enabled bool               `json:"enabled"`
 
 	// TargetCond, when set, is a condition over *target symbol names*
 	// ("heater.thermostat.__state == 1"). If the session has a RemoteDebug
@@ -126,9 +126,9 @@ type Breakpoint struct {
 	// deadline latch publishes and without waiting for an event frame to
 	// cross the line. Without a remote channel the Event/Source/Arg1/Cond
 	// pattern serves as the host-side (passive-trace) fallback.
-	TargetCond string
+	TargetCond string `json:"targetCond,omitempty"`
 
-	Hits     uint64
+	Hits     uint64 `json:"hits,omitempty"`
 	cond     expr.Node
 	onTarget bool
 }
@@ -233,16 +233,119 @@ func (s *Session) UseRemote(rd RemoteDebug) { s.remote = rd }
 // attached interfaces are passive.
 func (s *Session) Remote() RemoteDebug { return s.remote }
 
-// command runs one host command: through the attached rewinder, which
-// logs it so a replay runs it again, or directly when none is attached.
-// Each command validates its arguments first, so a command that fails
-// validation is never run and never logged.
-func (s *Session) command(run func()) {
-	if s.rewinder != nil {
-		s.rewinder.Command(run)
-		return
+// Op names a host command a session can be given.
+type Op string
+
+// The host commands.
+const (
+	OpBreak      Op = "break"       // install (or replace) Command.Break
+	OpClear      Op = "clear"       // remove the breakpoint Command.ID
+	OpPause      Op = "pause"       // halt the target and the GDM
+	OpContinue   Op = "continue"    // resume free-running execution
+	OpStep       Op = "step"        // run to the next model event, host-side
+	OpStepTarget Op = "step-target" // run to the next model event on the target
+)
+
+// Command is one host command as a plain value: what a front end asks of
+// the session, and what the checkpoint recorder logs and gives the session
+// again on a replay. Break is an OpBreak's breakpoint and ID an OpClear's
+// breakpoint id; the other ops take neither.
+type Command struct {
+	Op    Op          `json:"op"`
+	Break *Breakpoint `json:"break,omitempty"`
+	ID    string      `json:"id,omitempty"`
+}
+
+// Do is the one entry point for a host command. It validates c, so a
+// command that fails validation is never run and never logged, and then
+// hands c to the attached rewinder, which logs it and carries it out (a
+// replay through this instant gives c to Do again), or carries it out
+// directly when none is attached.
+func (s *Session) Do(c Command) error {
+	var run func() error
+	switch c.Op {
+	case OpBreak:
+		if c.Break == nil {
+			return fmt.Errorf("engine: break command without a breakpoint")
+		}
+		// Validate everything before any wire traffic: arming the on-target
+		// condition first and failing a later check would leave the agent
+		// holding a live breakpoint the session never recorded — it could
+		// halt the board with no host-side entry to clear it through.
+		bp := *c.Break
+		if bp.ID == "" {
+			return fmt.Errorf("engine: breakpoint with empty id")
+		}
+		if bp.TargetCond != "" {
+			if _, err := expr.Parse(bp.TargetCond); err != nil {
+				return fmt.Errorf("engine: breakpoint %s target condition: %w", bp.ID, err)
+			}
+		}
+		if bp.Event == protocol.EvInvalid && (bp.TargetCond == "" || s.remote == nil) {
+			return fmt.Errorf("engine: breakpoint %s with no event type", bp.ID)
+		}
+		if bp.Cond != "" {
+			node, err := expr.Parse(bp.Cond)
+			if err != nil {
+				return fmt.Errorf("engine: breakpoint %s: %w", bp.ID, err)
+			}
+			bp.cond = node
+		}
+		c.Break = &bp // the caller may reuse its breakpoint; the log keeps this copy
+		run = func() error { return s.install(bp) }
+	case OpClear:
+		i := slices.IndexFunc(s.breaks, func(bp *Breakpoint) bool { return bp.ID == c.ID })
+		if i < 0 {
+			return fmt.Errorf("engine: no breakpoint %q", c.ID)
+		}
+		run = func() error {
+			if s.breaks[i].onTarget && s.remote != nil {
+				if err := s.remote.Send(protocol.Instruction{Type: protocol.InClearBreak, Source: c.ID}); err != nil {
+					return err
+				}
+			}
+			// Delete zeroes the vacated tail slot, so the removed breakpoint
+			// becomes collectable and a later append into the shared backing
+			// storage can never resurrect it.
+			s.breaks = slices.Delete(s.breaks, i, i+1)
+			return nil
+		}
+	case OpPause:
+		run = func() error {
+			s.paused = true
+			s.GDM.SetHalted(true)
+			if s.remote != nil {
+				return s.remote.Send(protocol.Instruction{Type: protocol.InPause})
+			}
+			s.Target.Halt()
+			return nil
+		}
+	case OpContinue:
+		run = func() error {
+			s.resume(ModeRun)
+			if s.remote != nil {
+				return s.remote.Send(protocol.Instruction{Type: protocol.InResume})
+			}
+			s.Target.Resume()
+			return nil
+		}
+	case OpStep, OpStepTarget:
+		run = func() error {
+			if c.Op == OpStepTarget && s.remote != nil {
+				s.resume(ModeRun)
+				return s.remote.Send(protocol.Instruction{Type: protocol.InStep})
+			}
+			s.resume(ModeStep)
+			s.Target.Resume()
+			return nil
+		}
+	default:
+		return fmt.Errorf("engine: unknown command %q", c.Op)
 	}
-	run()
+	if s.rewinder != nil {
+		return s.rewinder.Command(c, run)
+	}
+	return run()
 }
 
 // SetBreakpoint installs (or replaces) a model-level breakpoint. A
@@ -251,33 +354,7 @@ func (s *Session) command(run func()) {
 // passive-trace filtering because the board then halts at the triggering
 // instruction instead of a frame round-trip later. Otherwise the event
 // pattern is matched host-side as before.
-func (s *Session) SetBreakpoint(bp Breakpoint) error {
-	if bp.ID == "" {
-		return fmt.Errorf("engine: breakpoint with empty id")
-	}
-	// Validate everything before any wire traffic: arming the on-target
-	// condition first and failing a later check would leave the agent
-	// holding a live breakpoint the session never recorded — it could halt
-	// the board with no host-side entry to clear it through.
-	if bp.TargetCond != "" {
-		if _, err := expr.Parse(bp.TargetCond); err != nil {
-			return fmt.Errorf("engine: breakpoint %s target condition: %w", bp.ID, err)
-		}
-	}
-	if bp.Event == protocol.EvInvalid && (bp.TargetCond == "" || s.remote == nil) {
-		return fmt.Errorf("engine: breakpoint %s with no event type", bp.ID)
-	}
-	if bp.Cond != "" {
-		node, err := expr.Parse(bp.Cond)
-		if err != nil {
-			return fmt.Errorf("engine: breakpoint %s: %w", bp.ID, err)
-		}
-		bp.cond = node
-	}
-	var err error
-	s.command(func() { err = s.install(bp) })
-	return err
-}
+func (s *Session) SetBreakpoint(bp Breakpoint) error { return s.Do(Command{Op: OpBreak, Break: &bp}) }
 
 // install arms bp, a fresh copy on every call, and enters it in the
 // breakpoint list.
@@ -309,30 +386,7 @@ func (s *Session) install(bp Breakpoint) error {
 
 // ClearBreakpoint removes a breakpoint by id, disarming it on the target
 // when it had been pushed there.
-func (s *Session) ClearBreakpoint(id string) error {
-	byID := func(bp *Breakpoint) bool { return bp.ID == id }
-	if !slices.ContainsFunc(s.breaks, byID) {
-		return fmt.Errorf("engine: no breakpoint %q", id)
-	}
-	var err error
-	s.command(func() {
-		i := slices.IndexFunc(s.breaks, byID)
-		if i < 0 {
-			// A replay from a checkpoint taken after this clear.
-			return
-		}
-		if s.breaks[i].onTarget && s.remote != nil {
-			if err = s.remote.Send(protocol.Instruction{Type: protocol.InClearBreak, Source: id}); err != nil {
-				return
-			}
-		}
-		// Delete zeroes the vacated tail slot, so the removed breakpoint
-		// becomes collectable and a later append into the shared backing
-		// storage can never resurrect it.
-		s.breaks = slices.Delete(s.breaks, i, i+1)
-	})
-	return err
-}
+func (s *Session) ClearBreakpoint(id string) error { return s.Do(Command{Op: OpClear, ID: id}) }
 
 // Breakpoints returns the installed breakpoints. The slice is a copy:
 // callers may reorder or truncate it freely without corrupting the
@@ -367,60 +421,27 @@ func (s *Session) HaltNs() uint64 {
 // issuing a direct halt as well would leave a stale wire instruction
 // racing later Step/Continue calls. Without a remote the direct
 // TargetControl halts immediately.
-func (s *Session) Pause() {
-	s.command(func() {
-		s.paused = true
-		if s.remote != nil {
-			_ = s.remote.Send(protocol.Instruction{Type: protocol.InPause})
-		} else {
-			s.Target.Halt()
-		}
-		s.GDM.SetHalted(true)
-	})
-}
+func (s *Session) Pause() { _ = s.Do(Command{Op: OpPause}) }
 
 // Continue resumes free-running execution. A target suspended mid-release
 // by its on-target agent finishes the interrupted body (and its deferred
 // deadline latch) on resume. With a remote channel only the wire resume
 // is sent: a direct resume alongside it would leave a stale InResume in
 // flight that could blow past a second breakpoint the continuation hits.
-func (s *Session) Continue() {
-	s.command(func() {
-		s.resume(ModeRun)
-		if s.remote != nil {
-			_ = s.remote.Send(protocol.Instruction{Type: protocol.InResume})
-		} else {
-			s.Target.Resume()
-		}
-	})
-}
+func (s *Session) Continue() { _ = s.Do(Command{Op: OpContinue}) }
 
 // Step resumes execution until the next model-level event reaches the
 // host, then pauses — the paper's "model-level step-wise execution",
 // filtered host-side (events already in flight on the wire complete the
 // step). See StepTarget for the target-resident variant.
-func (s *Session) Step() {
-	s.command(func() {
-		s.resume(ModeStep)
-		s.Target.Resume()
-	})
-}
+func (s *Session) Step() { _ = s.Do(Command{Op: OpStep}) }
 
 // StepTarget asks the target-resident agent to run to the next model
 // event and halt there (InStep on the wire). Unlike Step, the halt
 // happens on the board at the event's emitting instruction; the session
 // pauses when the EvStepped confirmation arrives. Falls back to Step when
 // no remote channel is attached.
-func (s *Session) StepTarget() {
-	if s.remote == nil {
-		s.Step()
-		return
-	}
-	s.command(func() {
-		s.resume(ModeRun)
-		_ = s.remote.Send(protocol.Instruction{Type: protocol.InStep})
-	})
-}
+func (s *Session) StepTarget() { _ = s.Do(Command{Op: OpStepTarget}) }
 
 // resume clears the host-side pause in run mode m.
 func (s *Session) resume(m Mode) {

@@ -16,18 +16,11 @@ import (
 // this is everything a fresh process needs to continue a session with a
 // byte-identical trace — internal/checkpoint composes the two.
 
-// BreakpointState is the portable form of one model-level breakpoint.
+// BreakpointState is the portable form of one model-level breakpoint: its
+// exported fields, and whether it lives on the target.
 type BreakpointState struct {
-	ID         string             `json:"id"`
-	Event      protocol.EventType `json:"event,omitempty"`
-	Source     string             `json:"source,omitempty"`
-	Arg1       string             `json:"arg1,omitempty"`
-	Cond       string             `json:"cond,omitempty"`
-	OneShot    bool               `json:"oneShot,omitempty"`
-	Enabled    bool               `json:"enabled"`
-	TargetCond string             `json:"targetCond,omitempty"`
-	Hits       uint64             `json:"hits,omitempty"`
-	OnTarget   bool               `json:"onTarget,omitempty"`
+	Breakpoint
+	OnTarget bool `json:"onTarget,omitempty"`
 }
 
 // SessionState is the portable host-side state of a Session.
@@ -62,11 +55,7 @@ func (s *Session) Snapshot() SessionState {
 		st.LastBreak = s.LastBreak.ID
 	}
 	for _, bp := range s.breaks {
-		st.Breaks = append(st.Breaks, BreakpointState{
-			ID: bp.ID, Event: bp.Event, Source: bp.Source, Arg1: bp.Arg1,
-			Cond: bp.Cond, OneShot: bp.OneShot, Enabled: bp.Enabled,
-			TargetCond: bp.TargetCond, Hits: bp.Hits, OnTarget: bp.onTarget,
-		})
+		st.Breaks = append(st.Breaks, BreakpointState{Breakpoint: *bp, OnTarget: bp.onTarget})
 	}
 	if w := s.watcher(); w != nil {
 		ws := w.Snapshot()
@@ -104,11 +93,8 @@ func (s *Session) Restore(st SessionState) error {
 	s.breaks = nil
 	s.LastBreak = nil
 	for _, bs := range st.Breaks {
-		bp := &Breakpoint{
-			ID: bs.ID, Event: bs.Event, Source: bs.Source, Arg1: bs.Arg1,
-			Cond: bs.Cond, OneShot: bs.OneShot, Enabled: bs.Enabled,
-			TargetCond: bs.TargetCond, Hits: bs.Hits, onTarget: bs.OnTarget,
-		}
+		bp := bs.Breakpoint
+		bp.onTarget = bs.OnTarget
 		if bp.Cond != "" {
 			node, err := expr.Parse(bp.Cond)
 			if err != nil {
@@ -116,9 +102,9 @@ func (s *Session) Restore(st SessionState) error {
 			}
 			bp.cond = node
 		}
-		s.breaks = append(s.breaks, bp)
+		s.breaks = append(s.breaks, &bp)
 		if bs.ID == st.LastBreak {
-			s.LastBreak = bp
+			s.LastBreak = &bp
 		}
 	}
 	if st.Watcher != nil {
@@ -175,11 +161,10 @@ type Rewinder interface {
 	// before every slice) or maxNs of virtual time has elapsed; it reports
 	// whether cond was met.
 	ReplayUntil(cond func(now uint64) bool, maxNs uint64) (bool, error)
-	// Command runs one host command the session was given (set or clear
-	// a breakpoint, pause, continue, step) and logs it, so that a replay
-	// through this instant runs it again. run may be called again on
-	// every replay; it must act only on the session's state at the time.
-	Command(run func())
+	// Command logs c, a host command Session.Do validated, as a host action
+	// at now and carries it out by calling run, so that a replay through
+	// this instant gives c to Session.Do again. It returns run's error.
+	Command(c Command, run func() error) error
 }
 
 // AttachRewinder gives the session reverse-execution controls.

@@ -216,7 +216,9 @@ func (c *Client) TraceStable(session string) (TraceResult, error) {
 	return res, err
 }
 
-// Journal fetches the session's control-request journal.
+// Journal fetches a recording session's host-action log (see
+// JournalResult); a session created without RecordMs has none, and the
+// request fails.
 func (c *Client) Journal(session string) (JournalResult, error) {
 	var res JournalResult
 	err := c.Call("journal", session, nil, &res)

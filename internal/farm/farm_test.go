@@ -10,6 +10,7 @@ import (
 	"repro"
 	"repro/internal/checkpoint"
 	"repro/internal/dsl"
+	"repro/internal/engine"
 	"repro/internal/trace"
 	"repro/models"
 )
@@ -130,7 +131,7 @@ func TestWireBreakpointFlow(t *testing.T) {
 	cl.OnEvents = func(sess string, evs []trace.Record) { streamed = append(streamed, evs...) }
 	cl.OnIncident = func(sess string, ev trace.Record) { incidents = append(incidents, ev) }
 
-	created, err := cl.Create(CreateParams{Model: "heating"})
+	created, err := cl.Create(CreateParams{Model: "heating", RecordMs: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,25 +202,38 @@ func TestWireBreakpointFlow(t *testing.T) {
 		t.Fatalf("streamed %d records, trace has %d", len(streamed), run.Records)
 	}
 
-	// The journal carries every control request with virtual-time stamps.
+	// The journal is the recorder's host-action log: the four commands that
+	// took effect, as values, the failed break and every read and run left
+	// out.
 	j, err := cl.Journal(sid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var methods []string
+	var ops []string
 	for _, e := range j.Entries {
-		methods = append(methods, e.Method)
-	}
-	joined := strings.Join(methods, ",")
-	for _, want := range []string{"attach", "break", "run-until", "step", "clearbreak", "continue"} {
-		if !strings.Contains(joined, want) {
-			t.Fatalf("journal %v missing %q", methods, want)
+		if e.Cmd == nil {
+			t.Fatalf("journal entry %+v is not a session command", e)
+		}
+		ops = append(ops, string(e.Cmd.Op))
+		if e.Cmd.Op == engine.OpStepTarget && e.At != hitAt {
+			t.Fatalf("step logged at t=%d, want the halt instant %d", e.At, hitAt)
 		}
 	}
-	for _, e := range j.Entries {
-		if e.Method == "step" && e.VTNs != hitAt {
-			t.Fatalf("step journaled at vt=%d, want the halt instant %d", e.VTNs, hitAt)
-		}
+	if got := strings.Join(ops, ","); got != "break,clear,step-target,continue" {
+		t.Fatalf("journal ops %s, want break,clear,step-target,continue", got)
+	}
+}
+
+// TestJournalNeedsRecording: a session created without recordMs keeps no
+// host-action log, so its journal request is a wire error naming recordMs.
+func TestJournalNeedsRecording(t *testing.T) {
+	_, cl := startServer(t, Options{})
+	created, err := cl.Create(CreateParams{Model: "heating"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Journal(created.Session); err == nil || !strings.Contains(err.Error(), "recordMs") {
+		t.Fatalf("journal of a session without recordMs: err %v, want one naming recordMs", err)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -364,8 +365,8 @@ func (s *Server) dropConn(c *conn) {
 }
 
 // dispatch executes one request. Server-scoped methods (create, stats)
-// run here; session-scoped methods resolve the session, journal the
-// request and run under the session lock.
+// run here; session-scoped methods resolve the session and run under the
+// session lock.
 func (s *Server) dispatch(c *conn, req *Request) (any, error) {
 	s.st.mu.Lock()
 	s.st.requests++
@@ -398,10 +399,6 @@ func (s *Server) dispatch(c *conn, req *Request) (any, error) {
 	if ss.closed {
 		return nil, ss.errClosed()
 	}
-	if req.Method != "journal" {
-		ss.journalReq(req.Method, req.Params)
-	}
-
 	switch req.Method {
 	case "attach":
 		ss.sink = c
@@ -505,9 +502,12 @@ func (s *Server) dispatch(c *conn, req *Request) (any, error) {
 		return TraceResult{Stable: tr.FormatStable(), Records: tr.Len()}, nil
 
 	case "journal":
-		entries := make([]JournalEntry, len(ss.journal))
-		copy(entries, ss.journal)
-		return JournalResult{Entries: entries}, nil
+		if ss.dbg.Recorder == nil {
+			return nil, fmt.Errorf("farm: session %s keeps no host-action log (create it with recordMs)", ss.id)
+		}
+		// The reply is encoded after ss.mu is released, and a fork cuts and
+		// reuses the log's slice; the records themselves never change.
+		return JournalResult{Entries: slices.Clone(ss.dbg.Recorder.Host())}, nil
 	}
 	return nil, fmt.Errorf("farm: unknown method %q", req.Method)
 }
@@ -709,7 +709,6 @@ func (s *Server) handleDetach(ss *session, raw json.RawMessage) (any, error) {
 	if ss.closed {
 		return nil, ss.errClosed()
 	}
-	ss.journalReq("detach", raw)
 	res := DetachResult{TimeNs: ss.dbg.Now()}
 	if p.Checkpoint {
 		cp, err := ss.dbg.Checkpoint()

@@ -1,7 +1,6 @@
 package farm
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -13,19 +12,16 @@ import (
 )
 
 // session is one multiplexed debug session: an independent simulated
-// board or TDMA cluster behind one debugger, plus its journal and
-// streaming cursor. All access goes through mu — sessions are fully
-// isolated from each other (separate boards, kernels, GDMs, traces); the
-// only shared artifact is the immutable compiled program.
+// board or TDMA cluster behind one debugger, plus its streaming cursor.
+// All access goes through mu — sessions are fully isolated from each
+// other (separate boards, kernels, GDMs, traces); the only shared
+// artifact is the immutable compiled program.
 type session struct {
 	id    string
 	model string
 
 	mu  sync.Mutex
 	dbg *repro.Debugger
-
-	journal []JournalEntry
-	jseq    uint64
 
 	// sink is the connection attached to this session's event stream;
 	// streamed is the count of trace records already pushed to it.
@@ -40,28 +36,10 @@ func (ss *session) errClosed() error {
 	return fmt.Errorf("farm: session %s is detached", ss.id)
 }
 
-// journalReq appends one control request to the session journal, stamped
-// with the session's virtual time at receipt. On a server every host
-// action crosses the wire, so this journal is the complete host-action
-// log interactive replay needs.
-func (ss *session) journalReq(method string, params json.RawMessage) {
-	ss.jseq++
-	var p json.RawMessage
-	if len(params) > 0 {
-		p = append(json.RawMessage(nil), params...)
-	}
-	ss.journal = append(ss.journal, JournalEntry{
-		Seq: ss.jseq, VTNs: ss.dbg.Now(), Method: method, Params: p,
-	})
-}
-
 // setBreak resolves a wire breakpoint spec against this session's system
-// and installs it — validation happens inside engine.Session.SetBreakpoint
-// before anything is armed on the target.
+// and installs it — validation (an empty id included) happens inside
+// engine.Session.SetBreakpoint before anything is armed on the target.
 func (ss *session) setBreak(p BreakParams) (BreakResult, error) {
-	if p.ID == "" {
-		return BreakResult{}, fmt.Errorf("farm: breakpoint with empty id")
-	}
 	bp := engine.Breakpoint{
 		ID: p.ID, Source: p.Source, Arg1: p.Arg1,
 		Cond: p.Cond, TargetCond: p.TargetCond, OneShot: p.OneShot,

@@ -85,9 +85,9 @@ func TestConcurrentSessionIsolation(t *testing.T) {
 					_, err = cl.Detach(created.Session, false)
 					return err
 				}
-				// Ring, no breakpoints: must never pause and never record a
-				// break event, no matter what the heating sessions do.
-				created, err := cl.Create(CreateParams{Model: "ring"})
+				// Ring, no breakpoints, recording: must never pause and never
+				// log a host action, no matter what the heating sessions do.
+				created, err := cl.Create(CreateParams{Model: "ring", RecordMs: 100})
 				if err != nil {
 					return err
 				}
@@ -109,10 +109,8 @@ func TestConcurrentSessionIsolation(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				for _, e := range j.Entries {
-					if e.Method == "break" {
-						return fmt.Errorf("client %d: ring journal has a break request", i)
-					}
+				if len(j.Entries) != 0 {
+					return fmt.Errorf("client %d: ring journal holds %d host actions, want none", i, len(j.Entries))
 				}
 				_, err = cl.Detach(created.Session, false)
 				return err
@@ -301,5 +299,62 @@ func BenchmarkFarmSession(b *testing.B) {
 		if _, err := cl.Detach(created.Session, false); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestJournalWhileDriven reads a recording session's journal on one
+// connection while another drives it: pauses, continues, runs and rewinds,
+// each continue after a rewind forking the log. The reply is encoded after
+// the session lock is released, so under -race this holds the farm to
+// handing out a copy of the log whose records never change.
+func TestJournalWhileDriven(t *testing.T) {
+	_, cl := startServer(t, Options{})
+	created, err := cl.Create(CreateParams{Model: "heating", RecordMs: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sid := created.Session
+	reader, err := Dial(seedAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reader.Close()
+	done := make(chan struct{})
+	errc := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-done:
+				errc <- nil
+				return
+			default:
+			}
+			if _, err := reader.Journal(sid); err != nil {
+				errc <- err
+				return
+			}
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		run, err := cl.RunFor(sid, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.Pause(sid); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.Continue(sid); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.Rewind(sid, run.NowNs-5_000_000); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.Continue(sid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	if err := <-errc; err != nil {
+		t.Fatal(err)
 	}
 }

@@ -5,8 +5,9 @@
 // board, one session; the farm turns the same pipeline into a service:
 //
 //   - every control action (create/attach/break/step/run-until/rewind/…)
-//     is a wire request, journaled per session — the host-action log that
-//     interactive replay was missing falls out of the transport;
+//     is a wire request; a session created with recordMs keeps the
+//     checkpoint recorder's host-action log, which replays it and which
+//     the journal request returns as data;
 //   - each model is compiled once and the immutable program is shared
 //     across every session of that model (per-session state is board RAM
 //     plus pooled machines);
@@ -23,6 +24,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repro/internal/checkpoint"
 	"repro/internal/protocol"
 	"repro/internal/trace"
 )
@@ -63,8 +65,9 @@ type CreateParams struct {
 	// possibly to a different gmdfd process sharing the store).
 	Checkpoint string `json:"checkpoint,omitempty"`
 	// RecordMs, when non-zero, attaches the periodic checkpoint recorder
-	// (cadence in virtual ms) so the session supports rewind. Single-board
-	// sessions only.
+	// (cadence in virtual ms) so the session supports rewind and keeps the
+	// host-action log the journal request returns. Single-board sessions
+	// only.
 	RecordMs uint64 `json:"recordMs,omitempty"`
 	// Source, when non-empty, is scenario DSL text (.gmdf): the session
 	// debugs the system it declares instead of a built-in model. The
@@ -192,17 +195,12 @@ type TraceResult struct {
 	Records int    `json:"records"`
 }
 
-// JournalEntry is one journaled control request.
-type JournalEntry struct {
-	Seq    uint64          `json:"seq"`
-	VTNs   uint64          `json:"vtNs"` // session virtual time at receipt
-	Method string          `json:"method"`
-	Params json.RawMessage `json:"params,omitempty"`
-}
-
-// JournalResult returns the session's journal.
+// JournalResult is a recording session's host-action log
+// (checkpoint.Recorder.Host): each session command, input write, raw wire
+// instruction and restore, at the virtual instant it was taken, in the
+// order a replay re-applies them. Reads such as trace are not in it.
 type JournalResult struct {
-	Entries []JournalEntry `json:"entries"`
+	Entries []checkpoint.InputRecord `json:"entries"`
 }
 
 // Stats is the server-wide counter snapshot (the wire "stats" method and

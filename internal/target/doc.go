@@ -354,13 +354,16 @@
 // within its recorded window — one checkpoint.Recorder, keyed by node,
 // logs the environment writes and the host actions of a board (one node)
 // or of every node of a cluster and re-applies them where they were made:
-// a session command (break, clearbreak, step, pause, continue) runs again,
-// an input write is made again, and a raw wire instruction is sent again
-// on its node's command channel (bus arbitration, loss and jitter replay
-// from the restored network RNG, not fresh draws). A host action after a
+// a session command, an engine.Command value (break, clear, pause,
+// continue, step, step-target), is given to the session again through
+// Session.Do; an input write is made again; a raw wire instruction is
+// sent again on its node's command channel (bus arbitration, loss and
+// jitter replay from the restored network RNG, not fresh draws); and a
+// restore applies its checkpoint again. A host action after a
 // rewind below the frontier, or a restore onto the recording session,
 // forks the recorded timeline there; the plant's logged writes are re-fed
-// up to the farthest instant it ran to. Detach checkpoints are
+// up to the farthest instant it ran to. The farm's journal request
+// returns that host log as data. Detach checkpoints are
 // one-shot full snapshots and work on any session at any run boundary. Virtual time
 // makes all of this deterministic: create-from-digest in a fresh process
 // and the original session produce byte-identical stable traces, which
