@@ -264,14 +264,17 @@ func run(args []string, out io.Writer) error {
 	}
 	if *breakMachine != "" && dbg.Session.Paused() {
 		fmt.Fprintf(out, "breakpoint hit: target halted at %.3f ms\n", float64(dbg.Session.HaltNs())/1e6)
+		// Disarm before stepping: a still-true armed condition re-trips the
+		// instant the board resumes, which would win over the step. The
+		// -connect path sends the same clear, step and continue.
+		if err := dbg.Session.ClearBreakpoint("cli"); err != nil {
+			return err
+		}
 		if err := dbg.StepOnTarget(time.Second); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "stepped to next model event at %.3f ms, highlights %v\n",
 			float64(dbg.Now())/1e6, dbg.GDM.HighlightedElements())
-		if err := dbg.Session.ClearBreakpoint("cli"); err != nil {
-			return err
-		}
 		dbg.Session.Continue()
 		if spent := dbg.Now(); spent < budget {
 			if err := dbg.RunNs(budget - spent); err != nil {
@@ -487,11 +490,17 @@ func runRemote(out io.Writer, o remoteOpts) error {
 	}
 	if run.Paused && run.LastBreak != "" {
 		fmt.Fprintf(out, "breakpoint hit: target halted at %.3f ms\n", float64(run.HaltNs)/1e6)
-		// Disarm before resuming — a still-true condition re-trips at the
-		// next check site — then spend the rest of the budget.
+		// Disarm before stepping — a still-true condition re-trips at the
+		// next check site — then step on the target and spend the rest of
+		// the budget, as the in-process path does.
 		if err := cl.ClearBreak(sid, run.LastBreak); err != nil {
 			return err
 		}
+		step, err := cl.Step(sid, farm.StepParams{Target: true})
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "stepped to next model event at %.3f ms\n", float64(step.NowNs)/1e6)
 		if _, err := cl.Continue(sid); err != nil {
 			return err
 		}

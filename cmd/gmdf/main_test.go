@@ -204,7 +204,9 @@ func TestRestoreRefusesParallelCheckpoint(t *testing.T) {
 // TestBreakReportsHaltInstant: on both paths, in-process and -connect,
 // "target halted at" prints the t of the trace's first Break record — the
 // instant the agent stopped the board — not the later host time at which
-// the Break frame arrived.
+// the Break frame arrived. Both paths clear, step on the target and
+// continue alike, so they write the same trace, and its one step ends in
+// a Stepped record, not in a second Break.
 func TestBreakReportsHaltInstant(t *testing.T) {
 	srv, err := farm.NewServer(farm.Options{})
 	if err != nil {
@@ -218,6 +220,7 @@ func TestBreakReportsHaltInstant(t *testing.T) {
 	defer srv.Close()
 
 	args := []string{"-model", "heating", "-ms", "500", "-break-machine", "heater.thermostat", "-break-state", "Heating"}
+	traces := map[string]string{}
 	for _, mode := range []struct {
 		name  string
 		extra []string
@@ -234,6 +237,10 @@ func TestBreakReportsHaltInstant(t *testing.T) {
 			data, err := os.ReadFile(tracePath)
 			if err != nil {
 				t.Fatal(err)
+			}
+			traces[mode.name] = string(data)
+			if n := strings.Count(string(data), " Stepped "); n != 1 {
+				t.Fatalf("trace holds %d Stepped records, want 1", n)
 			}
 			var haltNs uint64
 			for _, line := range strings.Split(string(data), "\n") {
@@ -252,5 +259,8 @@ func TestBreakReportsHaltInstant(t *testing.T) {
 				t.Fatalf("want %q (the Break record's t) in the output:\n%s", want, out.String())
 			}
 		})
+	}
+	if traces["in-process"] != traces["connect"] {
+		t.Fatalf("in-process and -connect traces differ:\n%s\n---\n%s", traces["in-process"], traces["connect"])
 	}
 }
